@@ -9,7 +9,7 @@ Three subcommands:
   program and prints the plan.
 * ``sweep-weights --scenario f --grid f --out dir`` re-plans one
   perturbed state across a grid of cost-weight triples and writes
-  ``sweep.csv``; ``EXORECOVER_THREADS`` sets the worker-thread count.
+  ``sweep.csv``.
 
 Exit codes: 0 success, 1 input error (unparseable or invalid scenario,
 missing file, bad grid), 2 infeasible planning problem or a simulation
@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,58 +105,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class _Key:
-    key: str
-    attr: str
-    convert: object
-    help: str
+_CONVERTERS = {
+    "float": _float,
+    "float | None": _float,
+    "int": _int,
+    "tuple[float, float]": _vec2,
+    "tuple[float, float, float]": _vec3,
+}
 
-
-_SCHEMA: tuple[_Key, ...] = (
-    _Key("lipm.gravity", "gravity", _float, "m/s^2"),
-    _Key("lipm.com_height", "com_height", _float, "m, pendulum height"),
-    _Key("lipm.mass", "mass", _float, "kg"),
-    _Key("lipm.com0", "com0", _vec2, "m, initial CoM"),
-    _Key("lipm.vel0", "vel0", _vec2, "m/s, initial CoM velocity"),
-    _Key("geometry.l0", "l0", _float, "m, trunk centre to hip joint"),
-    _Key("geometry.l1", "l1", _float, "m, hip joint lateral offset"),
-    _Key("geometry.l2", "l2", _float, "m, thigh"),
-    _Key("geometry.l3", "l3", _float, "m, shank"),
-    _Key("geometry.stance_width", "stance_width", _float, "m, default 2*(l0+l1)"),
-    _Key("limits.hip_ab_deg", "hip_ab_limits_deg", _vec2, "deg, min,max"),
-    _Key("limits.hip_flex_deg", "hip_flex_limits_deg", _vec2, "deg, min,max"),
-    _Key("limits.knee_deg", "knee_limits_deg", _vec2, "deg, min,max"),
-    _Key("detector.ellipse_a", "ellipse_a", _float, "m, forward semi-axis"),
-    _Key("detector.ellipse_b", "ellipse_b", _float, "m, lateral semi-axis"),
-    _Key("detector.debounce_cycles", "debounce_cycles", _int, "cycles outside before trigger"),
-    _Key("detector.capture_tolerance", "capture_tolerance", _float, "m"),
-    _Key("detector.capture_hold", "capture_hold", _float, "s"),
-    _Key("detector.chain_offset", "chain_offset", _float, "m, chains a new step"),
-    _Key("planner.t_nom", "t_nom", _float, "s, preferred step duration"),
-    _Key("planner.t_min", "t_min", _float, "s"),
-    _Key("planner.t_max", "t_max", _float, "s"),
-    _Key("planner.weights", "weights", _vec3, "alpha1,alpha2,alpha3"),
-    _Key("planner.cop_nom", "cop_nom", _vec2, "m, rel. stance foot, right-swing"),
-    _Key("planner.gamma_nom", "gamma_nom", _vec2, "m, landing DCM offset"),
-    _Key("planner.cop_min", "cop_min", _vec2, "m, rel. stance foot"),
-    _Key("planner.cop_max", "cop_max", _vec2, "m, rel. stance foot"),
-    _Key("swing.peak_height", "peak_height", _float, "m, apex height"),
-    _Key("swing.peak_fraction", "peak_fraction", _float, "fraction of duration"),
-    _Key("control.stiffness_deg", "stiffness_deg", _vec3, "N*m/deg per joint"),
-    _Key("control.damping", "damping", _vec3, "N*m*s/rad per joint"),
-    _Key("control.torque_kp", "torque_kp", _float, "inner torque-loop gain"),
-    _Key("control.mode", "mode", _mode, "assist | zero_torque"),
-    _Key("plant.inertia", "inertia", _float, "kg*m^2 per joint"),
-    _Key("plant.viscous_damping", "viscous_damping", _float, "N*m*s/rad"),
-    _Key("foot.half_x", "foot_half_x", _float, "m, support half-length"),
-    _Key("foot.half_y", "foot_half_y", _float, "m, support half-width"),
-    _Key("sim.dt", "dt", _float, "s, control period"),
-    _Key("sim.duration", "duration", _float, "s"),
-    _Key("sim.seed", "seed", _int, "noise RNG seed"),
-    _Key("sim.attitude_noise_deg", "attitude_noise_deg", _float, "deg, white noise std"),
-)
-_BY_KEY = {k.key: k for k in _SCHEMA}
+#: Scenario key -> (config field, converter, help), in ScenarioConfig field
+#: order; converters follow from the field annotations.
+_KEYS = {
+    f.metadata["key"]: (
+        f.name, _mode if f.name == "mode" else _CONVERTERS[f.type], f.metadata["help"]
+    )
+    for f in dataclasses.fields(ScenarioConfig)
+    if "key" in f.metadata
+}
 
 _PUSH_FIELDS = {"time": _float, "impulse": _vec2}
 _HUMAN_FIELDS = {"joint": _int, "start": _float, "end": _float, "torque": _float}
@@ -166,10 +131,10 @@ def scenario_key_help() -> str:
     """Plain-text table of every scenario key with its default."""
     default = ScenarioConfig()
     lines = ["scenario keys (key = default  # meaning):"]
-    for entry in _SCHEMA:
-        value = getattr(default, entry.attr)
+    for key, (attr, _, meaning) in _KEYS.items():
+        value = getattr(default, attr)
         shown = "unset" if value is None else _fmt(value)
-        lines.append(f"  {entry.key} = {shown}  # {entry.help}")
+        lines.append(f"  {key} = {shown}  # {meaning}")
     lines.append("  push.N.time / push.N.impulse  # N = 0,1,...; impulse in N*s (x,y)")
     lines.append("  human.N.joint / .start / .end / .torque  # wearer torque pulse")
     return "\n".join(lines)
@@ -208,11 +173,12 @@ def _parse_lines(lines, source: str, fields: dict, pushes: dict, humans: dict) -
             target = pushes if group == "push" else humans
             target.setdefault(idx, {})[attr] = parsed
             continue
-        entry = _BY_KEY.get(key)
+        entry = _KEYS.get(key)
         if entry is None:
             raise ScenarioParseError(f"{source}:{lineno}: unknown key '{key}'")
+        attr, convert, _ = entry
         try:
-            fields[entry.attr] = entry.convert(value)
+            fields[attr] = convert(value)
         except ValueError as err:
             raise ScenarioParseError(
                 f"{source}:{lineno}: invalid value for '{key}': {err}"
@@ -269,11 +235,11 @@ def load_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
 def format_config(config: ScenarioConfig) -> str:
     """Resolved config in scenario syntax (parseable back)."""
     lines = []
-    for entry in _SCHEMA:
-        value = getattr(config, entry.attr)
+    for key, (attr, _, _) in _KEYS.items():
+        value = getattr(config, attr)
         if value is None:
             continue
-        lines.append(f"{entry.key} = {_fmt(value)}")
+        lines.append(f"{key} = {_fmt(value)}")
     for i, push in enumerate(config.pushes):
         lines.append(f"push.{i}.time = {_fmt(push.time)}")
         lines.append(f"push.{i}.impulse = {_fmt(push.impulse)}")
@@ -439,11 +405,7 @@ def cmd_plan(args) -> int:
     except (ScenarioParseError, ConfigurationError, ValueError) as err:
         return _fail(str(err), 1)
 
-    from dataclasses import replace as _replace
-
-    nominal = config.nominal_gait()
-    nominal = _replace(nominal, cop_T_nom=nominal.cop_T_nom + cop0)
-    bounds = config.step_bounds().shift(cop0)
+    nominal, bounds = config.stance_frame(cop0)
     inp = PlannerInput(
         xi0=xi0, cop0=cop0, omega=config.lipm_params().omega,
         nominal=nominal, bounds=bounds,
@@ -476,55 +438,24 @@ def _read_grid(path) -> list[tuple[float, float, float]]:
     return triples
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("EXORECOVER_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw, 10)
-    except ValueError:
-        raise ScenarioParseError(f"EXORECOVER_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ScenarioParseError(f"EXORECOVER_THREADS must be >= 1, got {n}")
-    return n
-
-
 def cmd_sweep_weights(args) -> int:
-    from dataclasses import replace as _replace
-
     try:
         config = load_scenario(args.scenario, args.set)
         grid = _read_grid(args.grid)
-        threads = _worker_count()
         cop0 = np.asarray(_vec2(args.cop0))
         xi0 = np.asarray(_vec2(args.xi0)) if args.xi0 else cop0 + np.array([0.08, 0.0])
     except (ScenarioParseError, ConfigurationError, ValueError) as err:
         return _fail(str(err), 1)
 
-    base = config.nominal_gait()
-    base = _replace(base, cop_T_nom=base.cop_T_nom + cop0)
-    bounds = config.step_bounds().shift(cop0)
+    base, bounds = config.stance_frame(cop0)
     omega = config.lipm_params().omega
-
-    def solve_one(weights):
-        inp = PlannerInput(
+    results = []
+    for weights in grid:
+        plan = plan_step(PlannerInput(
             xi0=xi0, cop0=cop0, omega=omega,
-            nominal=_replace(base, weights=weights), bounds=bounds,
-        )
-        plan = plan_step(inp)
-        length = float(np.linalg.norm(plan.cop_T - cop0))
-        return plan, length
-
-    results: list = [None] * len(grid)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, got in enumerate(pool.map(solve_one, grid)):
-                results[i] = got
-    else:
-        for i, weights in enumerate(grid):
-            results[i] = solve_one(weights)
+            nominal=dataclasses.replace(base, weights=weights), bounds=bounds,
+        ))
+        results.append((plan, float(np.linalg.norm(plan.cop_T - cop0))))
 
     lengths = np.array([r[1] for r in results])
     durations = np.array([r[0].duration for r in results])

@@ -29,11 +29,6 @@ With ``r^2 = y^2 + z^2`` (invariant under ``theta1``) and
     D      = (x^2 + r^2 - l1^2 - l2^2 - l3^2) / (2*l2*l3)
     theta3 = atan2(+sqrt(1 - D^2), D)
     theta2 = atan2(x, s) + atan2(l3*sin(theta3), l2 + l3*cos(theta3))
-
-A single-argument-arctangent knee variant,
-``theta3 = atan(-D / sqrt(1 - D^2))``, is kept behind
-``knee_branch="arctan"`` for comparison only; it loses the quadrant and
-does not round-trip through the forward map.
 """
 
 from __future__ import annotations
@@ -193,16 +188,13 @@ def inverse_kinematics(
     target: FootTarget,
     geom: LegGeometry,
     limits: JointLimits | None = DEFAULT_LIMITS,
-    knee_branch: str = "flexion",
 ) -> JointAngles:
-    """Joint angles reaching ``target``; knee-flexed branch by default.
+    """Joint angles reaching ``target`` on the knee-flexed branch.
 
     Raises :class:`WorkspaceError` outside the reachable set and
     :class:`JointLimitError` when the solution violates ``limits``
     (pass ``limits=None`` to skip the check).
     """
-    if knee_branch not in ("flexion", "arctan"):
-        raise ValueError(f"knee_branch must be 'flexion' or 'arctan', got {knee_branch!r}")
     x, y, z = _canonical_target(target, geom)
     checked = _workspace_check(x, y, z, geom)
     if isinstance(checked, str):
@@ -210,11 +202,7 @@ def inverse_kinematics(
                              diagnostic=checked)
     s, D = checked
 
-    root = math.sqrt(1.0 - D * D)
-    if knee_branch == "flexion":
-        theta3 = math.atan2(root, D)
-    else:
-        theta3 = math.atan(-D / root)
+    theta3 = math.atan2(math.sqrt(1.0 - D * D), D)
     theta1 = math.atan2(z, y) - math.atan2(-s, geom.l1)
     theta2 = math.atan2(x, s) + math.atan2(
         geom.l3 * math.sin(theta3), geom.l2 + geom.l3 * math.cos(theta3)

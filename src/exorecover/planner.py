@@ -284,23 +284,13 @@ def _plan_from_solution(inp: PlannerInput, sol: QpSolution, planned_at: float) -
     )
 
 
-def plan_step(
-    inp: PlannerInput,
-    solver: ActiveSetQp | None = None,
-    warm_start: tuple[int, ...] = (),
-) -> StepPlan:
+def plan_step(inp: PlannerInput) -> StepPlan:
     """Solve the step-adaptation program at trigger time."""
-    solver = solver or ActiveSetQp()
-    sol = solver.solve(assemble_qp(inp), warm_start)
+    sol = ActiveSetQp().solve(assemble_qp(inp))
     return _plan_from_solution(inp, sol, planned_at=0.0)
 
 
-def replan(
-    current: StepPlan,
-    inp: PlannerInput,
-    elapsed: float,
-    solver: ActiveSetQp | None = None,
-) -> StepPlan:
+def replan(current: StepPlan, inp: PlannerInput, elapsed: float) -> StepPlan:
     """Re-solve mid-swing with the duration window shrunk by ``elapsed``.
 
     The remaining-time window is ``[max(floor, T_min - elapsed),
@@ -308,7 +298,8 @@ def replan(
     the previous plan's landing time makes successive remaining
     durations non-increasing by construction.  When the window collapses
     (less than the floor left) a terminal plan is returned that freezes
-    ``cop_T`` and lets the swing finish on schedule.
+    ``cop_T`` and lets the swing finish on schedule.  The solve is warm
+    started from the previous plan's active set.
     """
     if not (elapsed >= 0.0) or not math.isfinite(elapsed):
         raise ValueError(f"elapsed must be >= 0, got {elapsed}")
@@ -330,8 +321,7 @@ def replan(
         )
 
     shrunk = replace(inp, bounds=replace(inp.bounds, T_min=t_lo, T_max=t_hi))
-    solver = solver or ActiveSetQp()
-    sol = solver.solve(assemble_qp(shrunk), warm_start=current.active_set)
+    sol = ActiveSetQp().solve(assemble_qp(shrunk), warm_start=current.active_set)
     return _plan_from_solution(shrunk, sol, planned_at=elapsed)
 
 

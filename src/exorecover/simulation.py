@@ -10,12 +10,22 @@ pressure.  The hip joints sit on the CoM plane, laterally offset by
 ``l0`` from the trunk centre, so a world foot point converts to the leg
 frame by subtracting the hip position.
 
+The loop is split in two.  The :class:`Plant` holds the pendulum, the
+tracked leg's joint plants, the push schedule, the wearer's torque
+pulses and the sensors; the :class:`Controller` holds the phase
+machine, planning, swing, inverse kinematics and the impedance law,
+sees the plant only through a :class:`Measurement` and answers with a
+:class:`Command`.
+
 Measurement model: the controller never reads the CoM directly.  Trunk
 attitude is synthesised from the true CoM as ``pitch =
 asin((com_x - ref_x) / L)`` (same for roll with y), optionally
 corrupted with white noise, and the estimator inverts it with
 ``L * sin``.  Velocity is taken from the state.  The anchor ``ref`` is
-the stance reference and moves only at touchdown.
+the stance reference and moves only at touchdown.  While a leg swings
+the plant also reports where that foot is: forward kinematics of the
+measured joint angles about the hip, which at touchdown is where the
+foot landed.
 
 Per cycle: scheduled pushes are applied, the DCM is estimated, the
 phase machine advances (trigger, replan, touchdown, capture, chain),
@@ -34,7 +44,8 @@ ankle strategy instead of drifting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,7 +71,6 @@ from .kinematics import (
 )
 from .lipm import CentroidalState, LipmParams, apply_impulse, as_vec2, dcm_of, step_lipm
 from .planner import (
-    ActiveSetQp,
     NominalGait,
     PlannerInput,
     StepBounds,
@@ -80,6 +90,10 @@ __all__ = [
     "Event",
     "SimTrace",
     "StepSummary",
+    "Measurement",
+    "Command",
+    "Controller",
+    "Plant",
     "estimate_com",
     "ankle_clamp",
     "run_scenario",
@@ -161,6 +175,11 @@ def ankle_clamp(xi, foot_center, half_extents) -> np.ndarray:
     return np.clip(xi, center - half, center + half)
 
 
+def _key(default, key: str, help: str):
+    """Config field read from scenario files as ``key``, described by ``help``."""
+    return field(default=default, metadata={"key": key, "help": help})
+
+
 @dataclass
 class ScenarioConfig:
     """Every knob of one simulation run; defaults give a standing human.
@@ -168,61 +187,67 @@ class ScenarioConfig:
     Planner geometry convention: ``cop_nom``, ``cop_min`` and ``cop_max``
     are displacements from the stance-foot ankle, written for a
     right-leg swing; a left-leg swing mirrors the lateral axis.
+
+    Each field's metadata holds its scenario-file key and help text; the
+    CLI derives its key table from them, in field order.
     """
 
     # pendulum
-    gravity: float = 9.81  # m/s^2
-    com_height: float = 0.88  # m
-    mass: float = 70.0  # kg
-    com0: tuple[float, float] = (0.0, 0.0)  # m
-    vel0: tuple[float, float] = (0.0, 0.0)  # m/s
+    gravity: float = _key(9.81, "lipm.gravity", "m/s^2")
+    com_height: float = _key(0.88, "lipm.com_height", "m, pendulum height")
+    mass: float = _key(70.0, "lipm.mass", "kg")
+    com0: tuple[float, float] = _key((0.0, 0.0), "lipm.com0", "m, initial CoM")
+    vel0: tuple[float, float] = _key((0.0, 0.0), "lipm.vel0", "m/s, initial CoM velocity")
     # leg geometry (m) and joint limits (deg)
-    l0: float = 0.06
-    l1: float = 0.04
-    l2: float = 0.45
-    l3: float = 0.45
-    hip_ab_limits_deg: tuple[float, float] = (-20.0, 20.0)
-    hip_flex_limits_deg: tuple[float, float] = (-20.0, 100.0)
-    knee_limits_deg: tuple[float, float] = (0.0, 120.0)
-    stance_width: float | None = None  # m, default 2*(l0+l1)
+    l0: float = _key(0.06, "geometry.l0", "m, trunk centre to hip joint")
+    l1: float = _key(0.04, "geometry.l1", "m, hip joint lateral offset")
+    l2: float = _key(0.45, "geometry.l2", "m, thigh")
+    l3: float = _key(0.45, "geometry.l3", "m, shank")
+    stance_width: float | None = _key(None, "geometry.stance_width", "m, default 2*(l0+l1)")
+    hip_ab_limits_deg: tuple[float, float] = _key((-20.0, 20.0), "limits.hip_ab_deg", "deg, min,max")
+    hip_flex_limits_deg: tuple[float, float] = _key(
+        (-20.0, 100.0), "limits.hip_flex_deg", "deg, min,max")
+    knee_limits_deg: tuple[float, float] = _key((0.0, 120.0), "limits.knee_deg", "deg, min,max")
     # detector
-    ellipse_a: float = 0.05  # m, forward semi-axis
-    ellipse_b: float = 0.05  # m, lateral semi-axis
-    debounce_cycles: int = 2
-    capture_tolerance: float = 0.02  # m
-    capture_hold: float = 0.2  # s
-    chain_offset: float = 0.04  # m, post-landing offset that chains a new step
+    ellipse_a: float = _key(0.05, "detector.ellipse_a", "m, forward semi-axis")
+    ellipse_b: float = _key(0.05, "detector.ellipse_b", "m, lateral semi-axis")
+    debounce_cycles: int = _key(2, "detector.debounce_cycles", "cycles outside before trigger")
+    capture_tolerance: float = _key(0.02, "detector.capture_tolerance", "m")
+    capture_hold: float = _key(0.2, "detector.capture_hold", "s")
+    # post-landing DCM offset from the CoP that chains a new step
+    chain_offset: float = _key(0.04, "detector.chain_offset", "m, chains a new step")
     # planner (right-swing convention, stance-foot-relative CoP numbers)
-    t_nom: float = 0.5  # s
-    t_min: float = 0.25  # s
-    t_max: float = 1.2  # s
+    t_nom: float = _key(0.5, "planner.t_nom", "s, preferred step duration")
+    t_min: float = _key(0.25, "planner.t_min", "s")
+    t_max: float = _key(1.2, "planner.t_max", "s")
     # alpha3 multiplies squared deviations of sigma = exp(omega*T), which
     # is an order of magnitude larger than the metre-scale terms, so its
     # default is correspondingly small.
-    weights: tuple[float, float, float] = (1.0, 5.0, 0.02)
-    cop_nom: tuple[float, float] = (0.0, -0.2)  # m
-    gamma_nom: tuple[float, float] = (0.0, 0.0)  # m
-    cop_min: tuple[float, float] = (-0.15, -0.30)  # m
-    cop_max: tuple[float, float] = (0.30, -0.04)  # m
+    weights: tuple[float, float, float] = _key((1.0, 5.0, 0.02), "planner.weights", "alpha1,alpha2,alpha3")
+    cop_nom: tuple[float, float] = _key((0.0, -0.2), "planner.cop_nom", "m, rel. stance foot, right-swing")
+    gamma_nom: tuple[float, float] = _key((0.0, 0.0), "planner.gamma_nom", "m, landing DCM offset")
+    cop_min: tuple[float, float] = _key((-0.15, -0.30), "planner.cop_min", "m, rel. stance foot")
+    cop_max: tuple[float, float] = _key((0.30, -0.04), "planner.cop_max", "m, rel. stance foot")
     # swing profile
-    peak_height: float = 0.07  # m
-    peak_fraction: float = 0.4
+    peak_height: float = _key(0.07, "swing.peak_height", "m, apex height")
+    peak_fraction: float = _key(0.4, "swing.peak_fraction", "fraction of duration")
     # control
-    stiffness_deg: tuple[float, float, float] = (1.5, 0.4, 0.4)  # N*m/deg
-    damping: tuple[float, float, float] = (0.0, 0.0, 0.0)  # N*m*s/rad
-    torque_kp: float = 1.0
-    mode: str = "assist"  # or "zero_torque"
+    stiffness_deg: tuple[float, float, float] = _key(
+        (1.5, 0.4, 0.4), "control.stiffness_deg", "N*m/deg per joint")
+    damping: tuple[float, float, float] = _key((0.0, 0.0, 0.0), "control.damping", "N*m*s/rad per joint")
+    torque_kp: float = _key(1.0, "control.torque_kp", "inner torque-loop gain")
+    mode: str = _key("assist", "control.mode", "assist | zero_torque")
     # joint plant
-    inertia: float = 0.05  # kg*m^2
-    viscous_damping: float = 0.5  # N*m*s/rad
+    inertia: float = _key(0.05, "plant.inertia", "kg*m^2 per joint")
+    viscous_damping: float = _key(0.5, "plant.viscous_damping", "N*m*s/rad")
     # foot geometry
-    foot_half_x: float = 0.10  # m
-    foot_half_y: float = 0.06  # m
+    foot_half_x: float = _key(0.10, "foot.half_x", "m, support half-length")
+    foot_half_y: float = _key(0.06, "foot.half_y", "m, support half-width")
     # run control
-    dt: float = 0.001  # s
-    duration: float = 3.0  # s
-    seed: int = 0
-    attitude_noise_deg: float = 0.0
+    dt: float = _key(0.001, "sim.dt", "s, control period")
+    duration: float = _key(3.0, "sim.duration", "s")
+    seed: int = _key(0, "sim.seed", "noise RNG seed")
+    attitude_noise_deg: float = _key(0.0, "sim.attitude_noise_deg", "deg, white noise std")
     pushes: tuple[PushEvent, ...] = ()
     human_pulses: tuple[HumanPulse, ...] = ()
 
@@ -262,6 +287,17 @@ class ScenarioConfig:
             T_min=self.t_min,
             T_max=self.t_max,
         )
+
+    def stance_frame(self, stance_xy, swing: Side = Side.RIGHT) -> tuple[NominalGait, StepBounds]:
+        """Nominal gait and step bounds about the world stance point ``stance_xy``.
+
+        A left swing mirrors the right-swing numbers first; both are then
+        shifted onto the stance point.
+        """
+        nominal, bounds = self.nominal_gait(), self.step_bounds()
+        if swing is Side.LEFT:
+            nominal, bounds = mirror_gait(nominal), mirror_bounds(bounds)
+        return replace(nominal, cop_T_nom=nominal.cop_T_nom + stance_xy), bounds.shift(stance_xy)
 
     def validate(self) -> None:
         """Raise ConfigurationError listing every invalid field."""
@@ -366,101 +402,370 @@ def _vec(v) -> list[float]:
 class _Episode:
     """Mutable bookkeeping for one recovery step."""
 
-    def __init__(self, trigger_time: float, swing: Side, stance_xy: np.ndarray):
+    def __init__(self, trigger_time: float, swing: Side):
         self.trigger_time = trigger_time
         self.swing = swing
-        self.stance_xy = stance_xy
         self.plan: StepPlan | None = None
         self.initial_plan: StepPlan | None = None
         self.traj: SwingTrajectory | None = None
         self.traj_t0 = trigger_time
         self.swing_start: np.ndarray | None = None
+        self.geom: LegGeometry | None = None
         self.nominal: NominalGait | None = None
         self.bounds: StepBounds | None = None
         self.frozen = False  # True once the terminal window is reached
+
+
+def _hip_xy(config: ScenarioConfig, side: Side, com: np.ndarray) -> np.ndarray:
+    lateral = config.l0 if side is Side.LEFT else -config.l0
+    return np.array([com[0], com[1] + lateral])
+
+
+def _leg_target(config: ScenarioConfig, side: Side, world_point, com: np.ndarray) -> FootTarget:
+    x, y = _hip_xy(config, side, com)
+    return FootTarget(np.array([world_point[0] - x, world_point[1] - y, world_point[2] - config.com_height]))
+
+
+class Measurement(NamedTuple):
+    """What the plant's sensors report at one tick."""
+
+    com: np.ndarray  # (2,) CoM estimate from the trunk attitude
+    xi: np.ndarray  # (2,) DCM estimate
+    joints: list[JointState]  # tracked leg: hip ab/adduction, hip flexion, knee
+    foot: np.ndarray | None  # (2,) world point of the swinging foot, None if none swings
+
+
+class Command(NamedTuple):
+    """What the controller sends the plant for one tick."""
+
+    cop: np.ndarray  # (2,) m
+    torque: np.ndarray  # (3,) N*m, actuator torques on the tracked leg
+    swing: Side | None  # leg in flight; the plant reports its foot next tick
+    lift: list[JointState] | None  # the swing leg lifted off now, at rest
+    touchdown: bool  # the swinging foot landed now
+
+
+class Controller:
+    """Phase machine, step planning, swing tracking, IK and impedance.
+
+    It sees the plant only through :class:`Measurement`: the attitude
+    estimates, the tracked leg's joint states and, at touchdown, where
+    the swinging foot landed.
+    """
+
+    def __init__(self, config: ScenarioConfig, events: list[Event], joints: list[JointState]):
+        self.config = config
+        self.events = events
+        self.omega = config.lipm_params().omega
+        self.limits = config.joint_limits()
+        self.gains = ImpedanceGains.from_deg(
+            np.asarray(config.stiffness_deg, dtype=float), np.asarray(config.damping, dtype=float)
+        )
+        self.mode = ControlMode(config.mode)
+        self.foot_half = np.array([config.foot_half_x, config.foot_half_y])
+        width = config.resolved_stance_width()
+        self.feet: dict[Side, np.ndarray] = {
+            Side.LEFT: np.array([0.0, 0.5 * width]),
+            Side.RIGHT: np.array([0.0, -0.5 * width]),
+        }
+        self.cop = np.zeros(2)
+        self.support_center = np.zeros(2)  # clamp centre; the planted foot after a step
+        # Clamp half-widths: the double-support hull initially, one foot after
+        # touchdown.
+        self.support_half = np.array([self.foot_half[0], 0.5 * width + self.foot_half[1]])
+        self.detector = BalanceDetector(
+            SwayEllipse(np.zeros(2), config.ellipse_a, config.ellipse_b),
+            debounce_cycles=config.debounce_cycles,
+            capture_tolerance=config.capture_tolerance,
+            capture_hold=config.capture_hold,
+        )
+        self.episode: _Episode | None = None
+        # Joint states acted on this tick; before any step the tracked leg
+        # is the planted right one, held where it stands.
+        self.joints = joints
+        self.q_des = np.array([p.angle for p in joints])
+        right = self.feet[Side.RIGHT]
+        self.foot_point = np.array([right[0], right[1], 0.0])  # commanded swing-foot point
+
+    def step(self, meas: Measurement, t: float) -> Command:
+        """Advance the phase machine and return this tick's CoP and torques."""
+        self.joints = meas.joints
+        lift, touchdown = None, False
+        xi_hat = meas.xi
+        phase = self.detector.phase
+
+        if phase is RecoveryPhase.STANDING:
+            # Ankle strategy between episodes: hold the DCM with the CoP
+            # wherever the support polygon allows.
+            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
+            trig = self.detector.update(xi_hat, t)
+            if trig is not None:
+                self.events.append(Event(t, "BalanceLost", {
+                    "xi": _vec(trig.xi), "excursion": trig.excursion,
+                }))
+                lift = self._begin_episode(t, meas)
+
+        elif phase is RecoveryPhase.STEPPING_PLANNED:
+            # A previous abort leaves the machine here with nothing to do.
+            if self.episode is not None:
+                self.detector.start_swing(t)
+
+        elif phase is RecoveryPhase.SWING and self.episode is not None:
+            touchdown = self._swing(t, meas)
+
+        elif phase is RecoveryPhase.LANDED and self.episode is not None:
+            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
+            offset = float(np.linalg.norm(xi_hat - self.cop))
+            if self.detector.update_landing(xi_hat, self.cop, t):
+                self.events.append(Event(t, "Captured", {
+                    "xi": _vec(xi_hat), "cop": _vec(self.cop), "offset": offset,
+                }))
+                self.episode = None
+            elif offset > self.config.chain_offset:
+                # The new foot cannot hold the DCM: chain another step
+                # with the trailing foot.
+                trailing = Side.RIGHT if self.episode.swing is Side.LEFT else Side.LEFT
+                self.detector.restart_step(t)
+                lift = self._begin_episode(t, meas, forced_swing=trailing)
+
+        elif phase is RecoveryPhase.CAPTURED:
+            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
+            # Re-arm around the new stance point so a later push can
+            # trigger a fresh episode.
+            self.detector.ellipse = SwayEllipse(
+                self.cop.copy(), self.config.ellipse_a, self.config.ellipse_b
+            )
+            self.detector.stand(t)
+
+        torque, swing = self._track(t, meas)
+        return Command(self.cop, torque, swing, lift, touchdown)
+
+    def _abort(self, t: float, reason: str) -> None:
+        self.episode = None
+        self.events.append(Event(t, "StepAborted", {"reason": reason}))
+
+    def _begin_episode(
+        self, t: float, meas: Measurement, forced_swing: Side | None = None
+    ) -> list[JointState] | None:
+        """Plan a step and lift the swing leg; returns its joints, None on abort."""
+        config = self.config
+        if forced_swing is not None:
+            # A chained step stands on the foot that just landed; only the
+            # trailing foot is free.
+            swing = forced_swing
+        else:
+            # Falling sideways loads that side's leg, so the opposite leg
+            # is free to swing.  Judge the side from the support centre,
+            # not the regulated CoP, which tracks the DCM while standing.
+            lateral = meas.xi[1] - self.support_center[1]
+            swing = Side.LEFT if lateral < -1e-12 else Side.RIGHT
+        stance_xy = self.feet[Side.RIGHT if swing is Side.LEFT else Side.LEFT]
+        ep = _Episode(t, swing)
+        ep.nominal, ep.bounds = config.stance_frame(stance_xy, swing)
+
+        # Weight shifts onto the stance leg: the CoP the pendulum sees
+        # during the swing is the stance ankle point.
+        self.cop = stance_xy.copy()
+        try:
+            plan = plan_step(PlannerInput(xi0=meas.xi, cop0=self.cop, omega=self.omega,
+                                          nominal=ep.nominal, bounds=ep.bounds))
+        except PlannerInfeasibleError as err:
+            self._abort(t, f"plan_step infeasible: {', '.join(err.violated) or err}")
+            return None
+        ep.plan = plan
+        ep.initial_plan = plan
+        ep.swing_start = np.array([self.feet[swing][0], self.feet[swing][1], 0.0])
+        ep.traj = build_swing(ep.swing_start, plan, config.peak_height, config.peak_fraction)
+        ep.geom = config.leg_geometry(swing)
+        try:
+            q0 = inverse_kinematics(
+                _leg_target(config, swing, ep.swing_start, meas.com), ep.geom, self.limits
+            )
+        except (WorkspaceError, JointLimitError) as err:
+            self._abort(t, f"swing start pose unreachable: {err}")
+            return None
+        # The swing leg lifts off at rest in its current pose.
+        self.joints = [JointState(angle=float(a), velocity=0.0, time=t) for a in q0.as_array()]
+        self.q_des = q0.as_array().copy()
+        self.foot_point = ep.swing_start.copy()
+
+        self.events.append(Event(t, "PlanIssued", {
+            "swing": swing.value,
+            "cop_T": _vec(plan.cop_T),
+            "gamma_T": _vec(plan.gamma_T),
+            "duration": plan.duration,
+            "sigma": plan.sigma,
+            "objective": plan.objective,
+            "swing_start": _vec(ep.swing_start[:2]),
+        }))
+        self.episode = ep
+        return self.joints
+
+    def _swing(self, t: float, meas: Measurement) -> bool:
+        """Replan the step in flight; returns whether the foot touched down."""
+        ep = self.episode
+        if not ep.frozen:
+            try:
+                new_plan = replan(
+                    ep.plan,
+                    PlannerInput(xi0=meas.xi, cop0=self.cop, omega=self.omega,
+                                 nominal=ep.nominal, bounds=ep.bounds),
+                    t - ep.trigger_time,
+                )
+            except PlannerInfeasibleError as err:
+                self._abort(t, f"replan infeasible: {', '.join(err.violated) or err}")
+                return False
+            if new_plan.status == "terminal":
+                ep.frozen = True
+            else:
+                moved = float(np.abs(new_plan.cop_T - ep.plan.cop_T).max())
+                # Compared as absolute times: the shorter difference of the
+                # two landing times rounds differently.
+                shifted = abs(
+                    (ep.trigger_time + new_plan.landing_time)
+                    - (ep.trigger_time + ep.plan.landing_time)
+                )
+                if moved > MATERIAL_CHANGE or shifted > MATERIAL_CHANGE:
+                    ep.traj = retarget(ep.traj, t - ep.traj_t0, new_plan)
+                    ep.traj_t0 = t
+                    self.events.append(Event(t, "Replanned", {
+                        "cop_T": _vec(new_plan.cop_T),
+                        "remaining": new_plan.duration,
+                        "landing_time": ep.trigger_time + new_plan.landing_time,
+                        "sigma": new_plan.sigma,
+                    }))
+            ep.plan = new_plan
+
+        if t - ep.traj_t0 < ep.traj.duration - 1e-9:
+            return False
+        # Touchdown: where the plant reports the foot landed becomes the
+        # stance.
+        landed = meas.foot
+        self.feet[ep.swing] = landed
+        self.cop = landed.copy()
+        self.support_center = landed.copy()
+        self.support_half = self.foot_half.copy()
+        self.foot_point = np.array([landed[0], landed[1], 0.0])
+        self.detector.touchdown(t)
+        self.events.append(Event(t, "TouchDown", {
+            "planned": _vec(ep.plan.cop_T),
+            "initial_planned": _vec(ep.initial_plan.cop_T),
+            "landed": _vec(landed),
+            "swing_start": _vec(ep.swing_start[:2]),
+            "trigger_time": ep.trigger_time,
+        }))
+        return True
+
+    def _track(self, t: float, meas: Measurement) -> tuple[np.ndarray, Side | None]:
+        """Torques tracking the swing trajectory and the leg in flight;
+        zero torques and no leg when no step is in flight."""
+        ep = self.episode
+        if ep is None or self.detector.phase not in (
+            RecoveryPhase.STEPPING_PLANNED,
+            RecoveryPhase.SWING,
+        ):
+            return np.zeros(3), None
+        s = sample(ep.traj, t - ep.traj_t0)
+        self.foot_point = s.position
+        try:
+            self.q_des = inverse_kinematics(
+                _leg_target(self.config, ep.swing, s.position, meas.com), ep.geom, self.limits
+            ).as_array()
+        except (WorkspaceError, JointLimitError) as err:
+            self._abort(t, f"swing target unreachable: {err}")
+            return np.zeros(3), None
+        q_meas = np.array([p.angle for p in self.joints])
+        v_meas = np.array([p.velocity for p in self.joints])
+        tau_meas = np.array([p.measured_torque for p in self.joints])
+        tau_des = impedance_torque(self.q_des, q_meas, v_meas, self.gains, self.mode)
+        return command_torques(tau_des, tau_meas, self.config.torque_kp), ep.swing
+
+
+class Plant:
+    """Pendulum, tracked-leg joint plants, disturbances and the sensors.
+
+    The attitude sensor synthesises trunk pitch and roll from the true
+    CoM about its anchor, adds seeded noise and saturates, and the
+    estimate inverts it with ``L * sin``.  The anchor moves to the foot
+    the plant reported landed.
+    """
+
+    def __init__(self, config: ScenarioConfig, events: list[Event]):
+        self.config = config
+        self.events = events
+        self.params = config.lipm_params()
+        self.joint_params = PlantParams(config.inertia, config.viscous_damping)
+        self.state = CentroidalState(np.asarray(config.com0, float), np.asarray(config.vel0, float), 0.0)
+        self.pushes = sorted(config.pushes, key=lambda p: (p.time, p.impulse[0], p.impulse[1]))
+        self.rng = np.random.default_rng(config.seed)
+        self.noise_std = config.attitude_noise_deg * _DEG
+        self.anchor = np.zeros(2)  # attitude reference: the stance point
+        self.swing: Side | None = None  # leg in flight, whose foot is reported
+        self.foot: np.ndarray | None = None  # where that foot was last measured
+        # Before any step the tracked leg is the right one, planted at its
+        # stance point.
+        planted = np.array([0.0, -0.5 * config.resolved_stance_width(), 0.0])
+        q_hold = inverse_kinematics(
+            _leg_target(config, Side.RIGHT, planted, self.state.com),
+            config.leg_geometry(Side.RIGHT),
+            config.joint_limits(),
+        ).as_array()
+        self.joints = [JointState(angle=float(a), velocity=0.0) for a in q_hold]
+
+    def measure(self, t: float) -> Measurement:
+        """Apply the pushes due at ``t``, then read the sensors."""
+        while self.pushes and self.pushes[0].time <= t + 1e-12:
+            push = self.pushes.pop(0)
+            self.state = apply_impulse(self.state, push.impulse, self.params)
+            self.events.append(Event(t, "PushApplied", {"impulse": _vec(push.impulse)}))
+
+        st = self.state
+        L = self.config.com_height
+        scaled = np.clip((st.com - self.anchor) / L, -1.0 + 1e-12, 1.0 - 1e-12)
+        pitch = math.asin(scaled[0])
+        roll = math.asin(scaled[1])
+        if self.noise_std > 0.0:
+            # The inclinometer saturates at the edge of its range.
+            lim = 0.5 * math.pi - 1e-9
+            pitch = min(max(pitch + self.rng.normal(0.0, self.noise_std), -lim), lim)
+            roll = min(max(roll + self.rng.normal(0.0, self.noise_std), -lim), lim)
+        com_hat = self.anchor + estimate_com(TrunkAttitude(roll=roll, pitch=pitch), L)
+
+        foot = None
+        if self.swing is not None:
+            q = np.array([p.angle for p in self.joints])
+            geom = self.config.leg_geometry(self.swing)
+            achieved = forward_kinematics(JointAngles(*q), geom).position
+            hip = _hip_xy(self.config, self.swing, st.com)
+            foot = self.foot = np.array([hip[0] + achieved[0], hip[1] + achieved[1]])
+        return Measurement(com_hat, com_hat + st.com_vel / self.params.omega, self.joints, foot)
+
+    def step(self, command: Command, t: float) -> None:
+        """Take the command's contact changes, then integrate to the next tick."""
+        if command.lift is not None:
+            self.joints = command.lift
+        if command.touchdown:
+            self.anchor = self.foot.copy()
+        self.swing = command.swing
+        dt = self.config.dt
+        self.state = step_lipm(self.state, command.cop, self.params, dt)
+        human = np.zeros(3)
+        for pulse in self.config.human_pulses:
+            if pulse.start <= t < pulse.end:
+                human[pulse.joint] += pulse.torque
+        self.joints = [
+            joint_plant_step(p, float(command.torque[i]), float(human[i]), self.joint_params, dt)
+            for i, p in enumerate(self.joints)
+        ]
 
 
 def run_scenario(config: ScenarioConfig) -> SimTrace:
     """Run one scenario to completion and return the dense trace."""
     config.validate()
     params = config.lipm_params()
-    limits = config.joint_limits()
-    gains = ImpedanceGains.from_deg(
-        np.asarray(config.stiffness_deg, dtype=float), np.asarray(config.damping, dtype=float)
-    )
-    plant = PlantParams(config.inertia, config.viscous_damping)
-    mode = ControlMode(config.mode)
-    foot_half = np.array([config.foot_half_x, config.foot_half_y])
-    solver = ActiveSetQp()
-
-    width = config.resolved_stance_width()
-    feet: dict[Side, np.ndarray] = {
-        Side.LEFT: np.array([0.0, 0.5 * width]),
-        Side.RIGHT: np.array([0.0, -0.5 * width]),
-    }
-    cop = np.zeros(2)
-    support_center = np.zeros(2)  # clamp centre; the planted foot after a step
-    # Clamp half-widths: the double-support hull initially, one foot after
-    # touchdown.
-    support_half = np.array([foot_half[0], 0.5 * width + foot_half[1]])
-    attitude_ref = np.zeros(2)
-    state = CentroidalState(np.asarray(config.com0, float), np.asarray(config.vel0, float), 0.0)
-
-    detector = BalanceDetector(
-        SwayEllipse(np.zeros(2), config.ellipse_a, config.ellipse_b),
-        debounce_cycles=config.debounce_cycles,
-        capture_tolerance=config.capture_tolerance,
-        capture_hold=config.capture_hold,
-    )
-    rng = np.random.default_rng(config.seed)
-    noise_std = config.attitude_noise_deg * _DEG
-    L = config.com_height
-
-    def hip_xy(side: Side, com: np.ndarray) -> np.ndarray:
-        lateral = config.l0 if side is Side.LEFT else -config.l0
-        return np.array([com[0], com[1] + lateral])
-
-    def leg_target(side: Side, world_point: np.ndarray, com: np.ndarray) -> FootTarget:
-        hip = hip_xy(side, com)
-        return FootTarget(
-            np.array(
-                [world_point[0] - hip[0], world_point[1] - hip[1], world_point[2] - L]
-            )
-        )
-
-    def measure(st: CentroidalState) -> tuple[np.ndarray, np.ndarray]:
-        """(com_estimate, dcm_estimate) through the attitude pathway."""
-        offset = st.com - attitude_ref
-        scaled = np.clip(offset / L, -1.0 + 1e-12, 1.0 - 1e-12)
-        pitch = math.asin(scaled[0])
-        roll = math.asin(scaled[1])
-        if noise_std > 0.0:
-            # The inclinometer saturates at the edge of its range.
-            lim = 0.5 * math.pi - 1e-9
-            pitch = min(max(pitch + rng.normal(0.0, noise_std), -lim), lim)
-            roll = min(max(roll + rng.normal(0.0, noise_std), -lim), lim)
-        att = TrunkAttitude(roll=roll, pitch=pitch)
-        com_est = attitude_ref + estimate_com(att, L)
-        return com_est, com_est + st.com_vel / params.omega
-
-    # Tracked leg state; before any step this mirrors the planted right foot.
-    tracked_side = Side.RIGHT
-    geom = config.leg_geometry(tracked_side)
-    planted = np.array([feet[tracked_side][0], feet[tracked_side][1], 0.0])
-    q_hold = inverse_kinematics(
-        leg_target(tracked_side, planted, state.com), geom, limits
-    ).as_array()
-    plants = [JointState(angle=float(a), velocity=0.0) for a in q_hold]
-    q_des = q_hold.copy()
-    foot_point = planted.copy()
-    tau_applied = np.zeros(3)
-
-    episode: _Episode | None = None
-    episodes_done = 0
-    aborted = False
     events: list[Event] = []
-    pushes = sorted(config.pushes, key=lambda p: (p.time, p.impulse[0], p.impulse[1]))
-    push_idx = 0
+    plant = Plant(config, events)
+    controller = Controller(config, events, plant.joints)
 
     n_rows = int(round(config.duration / config.dt))
     if n_rows < 1:
@@ -476,239 +781,21 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     log_qm = np.empty((n_rows, 3))
     log_tau = np.empty((n_rows, 3))
 
-    def abort(t: float, reason: str) -> None:
-        nonlocal aborted, episode
-        aborted = True
-        episode = None
-        events.append(Event(t, "StepAborted", {"reason": reason}))
-
-    def begin_episode(
-        t: float,
-        xi_hat: np.ndarray,
-        com_hat: np.ndarray,
-        forced_swing: Side | None = None,
-    ) -> None:
-        nonlocal episode, cop, tracked_side, geom, plants, q_des, foot_point
-        if forced_swing is not None:
-            # A chained step stands on the foot that just landed; only the
-            # trailing foot is free.
-            swing = forced_swing
-        else:
-            # Falling sideways loads that side's leg, so the opposite leg
-            # is free to swing.  Judge the side from the support centre,
-            # not the regulated CoP, which tracks the DCM while standing.
-            lateral = xi_hat[1] - support_center[1]
-            swing = Side.LEFT if lateral < -1e-12 else Side.RIGHT
-        stance = Side.RIGHT if swing is Side.LEFT else Side.LEFT
-        ep = _Episode(t, swing, feet[stance].copy())
-
-        nominal = config.nominal_gait()
-        bounds = config.step_bounds()
-        if swing is Side.LEFT:
-            nominal = mirror_gait(nominal)
-            bounds = mirror_bounds(bounds)
-        ep.nominal = replace(nominal, cop_T_nom=nominal.cop_T_nom + ep.stance_xy)
-        ep.bounds = bounds.shift(ep.stance_xy)
-
-        # Weight shifts onto the stance leg: the CoP the pendulum sees
-        # during the swing is the stance ankle point.
-        cop = ep.stance_xy.copy()
-        try:
-            plan = plan_step(
-                PlannerInput(xi0=xi_hat, cop0=cop, omega=params.omega,
-                             nominal=ep.nominal, bounds=ep.bounds),
-                solver,
-            )
-        except PlannerInfeasibleError as err:
-            abort(t, f"plan_step infeasible: {', '.join(err.violated) or err}")
-            return
-        ep.plan = plan
-        ep.initial_plan = plan
-        ep.swing_start = np.array([feet[swing][0], feet[swing][1], 0.0])
-        ep.traj = build_swing(ep.swing_start, plan, config.peak_height, config.peak_fraction)
-        ep.traj_t0 = t
-
-        tracked_side = swing
-        geom = config.leg_geometry(swing)
-        try:
-            q0 = inverse_kinematics(leg_target(swing, ep.swing_start, com_hat), geom, limits)
-        except (WorkspaceError, JointLimitError) as err:
-            abort(t, f"swing start pose unreachable: {err}")
-            return
-        plants = [JointState(angle=float(a), velocity=0.0, time=t) for a in q0.as_array()]
-        q_des = q0.as_array().copy()
-        foot_point = ep.swing_start.copy()
-
-        events.append(Event(t, "PlanIssued", {
-            "swing": swing.value,
-            "cop_T": _vec(plan.cop_T),
-            "gamma_T": _vec(plan.gamma_T),
-            "duration": plan.duration,
-            "sigma": plan.sigma,
-            "objective": plan.objective,
-            "swing_start": _vec(ep.swing_start[:2]),
-        }))
-        episode = ep
-
     for k in range(n_rows):
         t = k * config.dt
-
-        # Scheduled pushes due at this tick.
-        while push_idx < len(pushes) and pushes[push_idx].time <= t + 1e-12:
-            push = pushes[push_idx]
-            state = apply_impulse(state, push.impulse, params)
-            events.append(Event(t, "PushApplied", {"impulse": _vec(push.impulse)}))
-            push_idx += 1
-
-        com_hat, xi_hat = measure(state)
-        phase = detector.phase
-
-        if phase is RecoveryPhase.STANDING:
-            # Ankle strategy between episodes: hold the DCM with the CoP
-            # wherever the support polygon allows.
-            cop = ankle_clamp(xi_hat, support_center, support_half)
-            trig = detector.update(xi_hat, t)
-            if trig is not None:
-                events.append(Event(t, "BalanceLost", {
-                    "xi": _vec(trig.xi), "excursion": trig.excursion,
-                }))
-                begin_episode(t, xi_hat, com_hat)
-
-        elif phase is RecoveryPhase.STEPPING_PLANNED:
-            if episode is None:
-                # A previous abort left the machine here; nothing to do.
-                pass
-            else:
-                detector.start_swing(t)
-
-        elif phase is RecoveryPhase.SWING and episode is not None:
-            ep = episode
-            elapsed = t - ep.trigger_time
-            if not ep.frozen:
-                try:
-                    new_plan = replan(
-                        ep.plan,
-                        PlannerInput(xi0=xi_hat, cop0=cop, omega=params.omega,
-                                     nominal=ep.nominal, bounds=ep.bounds),
-                        elapsed,
-                        solver,
-                    )
-                except PlannerInfeasibleError as err:
-                    abort(t, f"replan infeasible: {', '.join(err.violated) or err}")
-                    new_plan = None
-                if new_plan is not None:
-                    if new_plan.status == "terminal":
-                        ep.frozen = True
-                        ep.plan = new_plan
-                    else:
-                        moved = float(np.abs(new_plan.cop_T - ep.plan.cop_T).max())
-                        shifted = abs(
-                            (ep.trigger_time + new_plan.landing_time)
-                            - (ep.trigger_time + ep.plan.landing_time)
-                        )
-                        if moved > MATERIAL_CHANGE or shifted > MATERIAL_CHANGE:
-                            ep.traj = retarget(ep.traj, t - ep.traj_t0, new_plan)
-                            ep.traj_t0 = t
-                            events.append(Event(t, "Replanned", {
-                                "cop_T": _vec(new_plan.cop_T),
-                                "remaining": new_plan.duration,
-                                "landing_time": ep.trigger_time + new_plan.landing_time,
-                                "sigma": new_plan.sigma,
-                            }))
-                        ep.plan = new_plan
-
-            if episode is not None and t - ep.traj_t0 >= ep.traj.duration - 1e-9:
-                # Touchdown: the achieved foot point becomes the stance.
-                q_meas = np.array([p.angle for p in plants])
-                achieved = forward_kinematics(
-                    JointAngles(*q_meas), geom
-                ).position
-                hip = hip_xy(ep.swing, state.com)
-                landed = np.array([hip[0] + achieved[0], hip[1] + achieved[1]])
-                feet[ep.swing] = landed
-                cop = landed.copy()
-                support_center = landed.copy()
-                support_half = foot_half.copy()
-                attitude_ref = landed.copy()
-                foot_point = np.array([landed[0], landed[1], 0.0])
-                detector.touchdown(t)
-                events.append(Event(t, "TouchDown", {
-                    "planned": _vec(ep.plan.cop_T),
-                    "initial_planned": _vec(ep.initial_plan.cop_T),
-                    "landed": _vec(landed),
-                    "swing_start": _vec(ep.swing_start[:2]),
-                    "trigger_time": ep.trigger_time,
-                }))
-
-        elif phase is RecoveryPhase.LANDED and episode is not None:
-            cop = ankle_clamp(xi_hat, support_center, support_half)
-            offset = float(np.linalg.norm(xi_hat - cop))
-            if detector.update_landing(xi_hat, cop, t):
-                events.append(Event(t, "Captured", {
-                    "xi": _vec(xi_hat), "cop": _vec(cop), "offset": offset,
-                }))
-                episodes_done += 1
-                episode = None
-            elif offset > config.chain_offset:
-                # The new foot cannot hold the DCM: chain another step
-                # with the trailing foot.
-                trailing = Side.RIGHT if episode.swing is Side.LEFT else Side.LEFT
-                detector.restart_step(t)
-                begin_episode(t, xi_hat, com_hat, forced_swing=trailing)
-
-        elif phase is RecoveryPhase.CAPTURED:
-            cop = ankle_clamp(xi_hat, support_center, support_half)
-            # Re-arm around the new stance point so a later push can
-            # trigger a fresh episode.
-            detector.ellipse = SwayEllipse(cop.copy(), config.ellipse_a, config.ellipse_b)
-            detector.stand(t)
-
-        # Desired joint state and torques for the tracked leg.
-        in_flight = episode is not None and detector.phase in (
-            RecoveryPhase.STEPPING_PLANNED,
-            RecoveryPhase.SWING,
-        )
-        if in_flight:
-            ep = episode
-            s = sample(ep.traj, t - ep.traj_t0)
-            foot_point = s.position
-            try:
-                q_des = inverse_kinematics(
-                    leg_target(ep.swing, s.position, com_hat), geom, limits
-                ).as_array()
-            except (WorkspaceError, JointLimitError) as err:
-                abort(t, f"swing target unreachable: {err}")
-                in_flight = False
-        if in_flight:
-            q_meas = np.array([p.angle for p in plants])
-            v_meas = np.array([p.velocity for p in plants])
-            tau_meas = np.array([p.measured_torque for p in plants])
-            tau_des = impedance_torque(q_des, q_meas, v_meas, gains, mode)
-            tau_applied = command_torques(tau_des, tau_meas, config.torque_kp)
-        else:
-            tau_applied = np.zeros(3)
-
+        command = controller.step(plant.measure(t), t)
+        state = plant.state
         log_t[k] = t
         log_com[k] = state.com
         log_vel[k] = state.com_vel
         log_xi[k] = dcm_of(state, params)
-        log_cop[k] = cop
-        log_phase.append(detector.phase.value)
-        log_foot[k] = foot_point
-        log_qd[k] = q_des
-        log_qm[k] = [p.angle for p in plants]
-        log_tau[k] = tau_applied
-
-        # Integrate pendulum and joint plants to the next tick.
-        state = step_lipm(state, cop, params, config.dt)
-        human = np.zeros(3)
-        for pulse in config.human_pulses:
-            if pulse.start <= t < pulse.end:
-                human[pulse.joint] += pulse.torque
-        plants = [
-            joint_plant_step(p, float(tau_applied[i]), float(human[i]), plant, config.dt)
-            for i, p in enumerate(plants)
-        ]
+        log_cop[k] = command.cop
+        log_phase.append(controller.detector.phase.value)
+        log_foot[k] = controller.foot_point
+        log_qd[k] = controller.q_des
+        log_qm[k] = [p.angle for p in controller.joints]
+        log_tau[k] = command.torque
+        plant.step(command, t)
 
     return SimTrace(
         t=log_t,

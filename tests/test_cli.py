@@ -280,26 +280,10 @@ def test_sweep_writes_csv_and_flags_the_conservative_plan(tmp_path, capsys):
     assert len(table) == 4  # header plus one line per triple
     assert sum("*" in line for line in table) == 1
 
-
-def test_sweep_respects_the_thread_env(tmp_path, monkeypatch):
-    scenario = write_scenario(tmp_path)
-    grid = write_scenario(tmp_path, GRID, name="grid.txt")
-
-    out_serial = tmp_path / "serial"
-    monkeypatch.delenv("EXORECOVER_THREADS", raising=False)
+    rerun = tmp_path / "rerun"
     assert cli.main(["sweep-weights", "--scenario", str(scenario),
-                     "--grid", str(grid), "--out", str(out_serial)]) == 0
-
-    out_threaded = tmp_path / "threaded"
-    monkeypatch.setenv("EXORECOVER_THREADS", "4")
-    assert cli.main(["sweep-weights", "--scenario", str(scenario),
-                     "--grid", str(grid), "--out", str(out_threaded)]) == 0
-
-    assert (out_serial / "sweep.csv").read_bytes() == (out_threaded / "sweep.csv").read_bytes()
-
-    monkeypatch.setenv("EXORECOVER_THREADS", "zero")
-    assert cli.main(["sweep-weights", "--scenario", str(scenario),
-                     "--grid", str(grid), "--out", str(tmp_path / "z")]) == 1
+                     "--grid", str(grid), "--out", str(rerun)]) == 0
+    assert (rerun / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
 
 
 def test_sweep_needs_at_least_two_triples(tmp_path, capsys):

@@ -115,16 +115,6 @@ def test_knee_angle_branch_is_nonnegative():
         assert sol.theta3 >= 0.0
 
 
-def test_arctan_knee_variant_differs_from_flexion_branch():
-    target = forward_kinematics(JointAngles(0.1, 0.4, 0.9), LEFT)
-    flex = inverse_kinematics(target, LEFT, limits=None, knee_branch="flexion")
-    alt = inverse_kinematics(target, LEFT, limits=None, knee_branch="arctan")
-    assert flex.theta3 == pytest.approx(0.9, abs=1e-12)
-    assert alt.theta3 != pytest.approx(0.9, abs=1e-6)
-    with pytest.raises(ValueError):
-        inverse_kinematics(target, LEFT, knee_branch="elbow")
-
-
 def test_too_far_target_rejected_with_extension_diagnostic():
     with pytest.raises(WorkspaceError) as err:
         inverse_kinematics(FootTarget([0.0, 0.04, -0.95]), LEFT)
