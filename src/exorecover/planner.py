@@ -1,4 +1,4 @@
-"""Recovery-step adaptation as a small quadratic program.
+"""Recovery-step adaptation, solved exactly in the step-timing variable.
 
 Given the DCM ``xi0`` and stance CoP ``cop0`` at trigger time, the
 planner picks a landing CoP ``cop_T``, a step-duration variable
@@ -14,11 +14,22 @@ landing point, a nominal landing offset and a nominal duration:
     alpha1*|cop_T - cop_T_nom|^2 + alpha2*|gamma_T - gamma_nom|^2
         + alpha3*(sigma - exp(omega*T_nom))^2
 
-subject to box bounds on ``cop_T`` and ``sigma``.  Decision variables
-are ordered ``[cop_x, cop_y, sigma, gamma_x, gamma_y]`` and the
-inequality rows are stacked ``[+I2; -I2; +e_sigma; -e_sigma]`` (upper
-CoP bounds, lower CoP bounds, sigma upper, sigma lower), optionally
-followed by ``gamma`` box rows when bounds for it are configured.
+subject to box bounds on ``cop_T`` and ``sigma``.
+
+The program is solved exactly in ``sigma`` alone, as in Khadiv et al.,
+"Step timing adjustment", Humanoids 2016.  With ``r = cop0 - xi0`` the
+boundary condition gives ``gamma_a = u_a - cop_a`` per axis ``a``, where
+``u_a = cop0_a - r_a*sigma``.  For fixed ``sigma`` the best landing CoP
+is ``c*_a = (alpha1*cop_T_nom_a + alpha2*(u_a - gamma_nom_a)) /
+(alpha1 + alpha2)``, affine in ``sigma``, clipped into the CoP box.  The
+cost left in ``sigma`` is convex, C1 and piecewise quadratic, with a
+breakpoint wherever some ``c*_a`` crosses a CoP bound: at most four
+inside ``[sigma_min, sigma_max]``.  Its derivative is linear on each
+piece, so the minimiser is a sigma bound or the vertex of the piece on
+which the derivative changes sign.  Only ``math`` and Python floats are
+used, so planning does not depend on LAPACK.  :func:`assemble_qp` builds
+the same program as a five-variable QP, the reference that tests and
+KKT certificates check the planner against.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigurationError, PlannerInfeasibleError
 from .lipm import as_vec2
-from .qp import ActiveSetQp, QpProblem, QpSolution
+from .qp import QpProblem
 
 __all__ = [
     "NominalGait",
@@ -78,24 +89,19 @@ class StepBounds:
 
     Deliberately not validated at construction: the CLI checks bounds up
     front for simulation runs, while raw planning calls let an inverted
-    box surface as solver infeasibility.  Call :meth:`validate` to check
-    explicitly.
+    CoP box or an empty duration window surface as a
+    :class:`PlannerInfeasibleError` naming the empty rows.  These are the
+    only infeasible programs.  Call :meth:`validate` to check explicitly.
     """
 
     cop_min: np.ndarray  # (2,) m
     cop_max: np.ndarray  # (2,) m
     T_min: float  # s
     T_max: float  # s
-    gamma_min: np.ndarray | None = None  # (2,) m, optional
-    gamma_max: np.ndarray | None = None  # (2,) m, optional
 
     def __post_init__(self):
         object.__setattr__(self, "cop_min", as_vec2(self.cop_min, "cop_min"))
         object.__setattr__(self, "cop_max", as_vec2(self.cop_max, "cop_max"))
-        if self.gamma_min is not None:
-            object.__setattr__(self, "gamma_min", as_vec2(self.gamma_min, "gamma_min"))
-        if self.gamma_max is not None:
-            object.__setattr__(self, "gamma_max", as_vec2(self.gamma_max, "gamma_max"))
         for name in ("T_min", "T_max"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -108,12 +114,6 @@ class StepBounds:
             bad.append(f"cop_min {self.cop_min.tolist()} exceeds cop_max {self.cop_max.tolist()}")
         if not (0.0 < self.T_min <= self.T_max):
             bad.append(f"need 0 < T_min <= T_max, got [{self.T_min}, {self.T_max}]")
-        if (self.gamma_min is None) != (self.gamma_max is None):
-            bad.append("gamma bounds must be given as a pair")
-        elif self.gamma_min is not None and np.any(self.gamma_min > self.gamma_max):
-            bad.append(
-                f"gamma_min {self.gamma_min.tolist()} exceeds gamma_max {self.gamma_max.tolist()}"
-            )
         if bad:
             raise ConfigurationError("infeasible step bounds: " + "; ".join(bad))
 
@@ -128,7 +128,7 @@ class StepBounds:
 
 @dataclass(frozen=True)
 class PlannerInput:
-    """Everything the QP assembly needs for one solve."""
+    """Everything one planning solve needs."""
 
     xi0: np.ndarray  # (2,) m, DCM at trigger or replanning time
     cop0: np.ndarray  # (2,) m, current stance CoP
@@ -151,6 +151,14 @@ class StepPlan:
     was made; ``planned_at`` timestamps that moment relative to the
     trigger, so ``planned_at + duration`` is the absolute landing time
     of the step.
+
+    ``status`` is ``"optimal"`` for the exact minimiser of the program
+    solved (for :func:`replan`, the one with the shrunk duration window)
+    and ``"terminal"`` for a frozen plan that finishes the swing on
+    schedule.  ``active_set`` lists the :func:`constraint_names` rows that
+    hold with equality.  An optimal plan carries its KKT multipliers, so
+    ``kkt_residual(assemble_qp(inp), plan)`` certifies it; a terminal
+    plan leaves them zero.
     """
 
     cop_T: np.ndarray  # (2,) m, world landing CoP
@@ -158,9 +166,11 @@ class StepPlan:
     sigma: float  # exp(omega * duration)
     duration: float  # s
     objective: float
-    status: str  # "optimal" | "iteration_limit" | "terminal"
+    status: str  # "optimal" | "terminal"
     active_set: tuple[int, ...]
     planned_at: float = 0.0  # s since trigger
+    eq_multipliers: tuple[float, ...] = (0.0, 0.0)
+    ineq_multipliers: tuple[float, ...] = (0.0,) * 6
 
     @property
     def landing_time(self) -> float:
@@ -172,28 +182,25 @@ class StepPlan:
         """Predicted DCM at touchdown."""
         return self.cop_T + self.gamma_T
 
+    @property
+    def z(self) -> np.ndarray:
+        """Decision vector ``[cop_x, cop_y, sigma, gamma_x, gamma_y]`` of :func:`assemble_qp`."""
+        return np.array([*self.cop_T, self.sigma, *self.gamma_T])
 
-def constraint_names(bounds: StepBounds) -> tuple[str, ...]:
-    names = [
+
+def constraint_names() -> tuple[str, ...]:
+    return (
         "cop_x <= cop_max_x",
         "cop_y <= cop_max_y",
         "cop_x >= cop_min_x",
         "cop_y >= cop_min_y",
         "sigma <= exp(omega*T_max)",
         "sigma >= exp(omega*T_min)",
-    ]
-    if bounds.gamma_min is not None and bounds.gamma_max is not None:
-        names += [
-            "gamma_x <= gamma_max_x",
-            "gamma_y <= gamma_max_y",
-            "gamma_x >= gamma_min_x",
-            "gamma_y >= gamma_min_y",
-        ]
-    return tuple(names)
+    )
 
 
 def assemble_qp(inp: PlannerInput) -> QpProblem:
-    """Build the 5-variable QP for one planning solve."""
+    """Build the 5-variable QP of one planning solve, for reference checks."""
     a1, a2, a3 = inp.nominal.weights
     sigma_nom = math.exp(inp.omega * inp.nominal.T_nom)
 
@@ -234,19 +241,6 @@ def assemble_qp(inp: PlannerInput) -> QpProblem:
         s_max,
         -s_min,
     ]
-    if inp.bounds.gamma_min is not None and inp.bounds.gamma_max is not None:
-        C_rows += [
-            [0.0, 0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, 0.0, -1.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, -1.0],
-        ]
-        d_rows += [
-            inp.bounds.gamma_max[0],
-            inp.bounds.gamma_max[1],
-            -inp.bounds.gamma_min[0],
-            -inp.bounds.gamma_min[1],
-        ]
     return QpProblem(H, g, E, e, np.array(C_rows), np.array(d_rows))
 
 
@@ -259,35 +253,90 @@ def planning_cost(inp: PlannerInput, cop_T, sigma: float, gamma_T) -> float:
     return float(a1 * d_cop @ d_cop + a2 * d_gam @ d_gam + a3 * (sigma - sigma_nom) ** 2)
 
 
-def _plan_from_solution(inp: PlannerInput, sol: QpSolution, planned_at: float) -> StepPlan:
-    if sol.status == "infeasible":
-        names = constraint_names(inp.bounds)
-        bad = tuple(names[i] for i in sol.violated if i < len(names))
-        raise PlannerInfeasibleError(
-            "step adaptation infeasible; violated: " + (", ".join(bad) or "unknown"),
-            violated=bad,
-        )
-    sigma = float(sol.z[2])
-    if sigma <= 0.0:
-        raise PlannerInfeasibleError(
-            f"solver returned non-positive sigma {sigma}", violated=("sigma > 0",)
-        )
+def _binding_rows(cop, sigma: float, lo, hi, s_lo: float, s_hi: float) -> tuple[int, ...]:
+    """The :func:`constraint_names` rows that hold with equality."""
+    on = (cop[0] == hi[0], cop[1] == hi[1], cop[0] == lo[0], cop[1] == lo[1],
+          sigma == s_hi, sigma == s_lo)
+    return tuple(i for i, b in enumerate(on) if b)
+
+
+def _solve(inp: PlannerInput, t_lo: float, t_hi: float, planned_at: float) -> StepPlan:
+    """Exact minimiser with the duration in ``[t_lo, t_hi]``; see the module docstring."""
+    lo, hi = inp.bounds.cop_min.tolist(), inp.bounds.cop_max.tolist()
+    # One flag per constraint_names row; an empty interval names both its rows.
+    empty = (lo[0] > hi[0], lo[1] > hi[1]) * 2 + (t_lo > t_hi,) * 2
+    bad = tuple(name for name, e in zip(constraint_names(), empty) if e)
+    if bad:
+        raise PlannerInfeasibleError("step program has an empty box: " + ", ".join(bad), violated=bad)
+
+    a1, a2, a3 = inp.nominal.weights
+    w = a1 + a2
+    s_lo, s_hi = math.exp(inp.omega * t_lo), math.exp(inp.omega * t_hi)
+    sn = math.exp(inp.omega * inp.nominal.T_nom)
+    cop0, xi0 = inp.cop0.tolist(), inp.xi0.tolist()
+    cn, gn = inp.nominal.cop_T_nom.tolist(), inp.nominal.gamma_nom.tolist()
+    r = [cop0[0] - xi0[0], cop0[1] - xi0[1]]
+
+    def at(sigma: float):
+        """``(cop, gamma, nu, slope)`` at ``sigma``: the exact CoP, the boundary-condition
+        multipliers and the cost's sigma derivative (the sigma KKT row without bounds)."""
+        u = [cop0[a] - r[a] * sigma for a in (0, 1)]
+        cop = [min(max((a1 * cn[a] + a2 * (u[a] - gn[a])) / w, lo[a]), hi[a]) for a in (0, 1)]
+        gamma = [u[a] - cop[a] for a in (0, 1)]
+        nu = [-2.0 * a2 * (gamma[a] - gn[a]) for a in (0, 1)]
+        return cop, gamma, nu, 2.0 * a3 * (sigma - sn) + r[0] * nu[0] + r[1] * nu[1]
+
+    # c*_a(sigma) meets the bound b where p - b*(alpha1 + alpha2) = q*sigma.
+    points = [s_lo, s_hi]
+    for a in (0, 1):
+        q, p = a2 * r[a], a1 * cn[a] + a2 * (cop0[a] - gn[a])
+        if q != 0.0:
+            points += [s for s in ((p - b * w) / q for b in (lo[a], hi[a])) if s_lo < s < s_hi]
+    points.sort()
+
+    # The slope is continuous, increasing and linear on each piece, so the
+    # minimiser is a sigma bound or the vertex of the piece on which the
+    # slope changes sign, where linear interpolation finds it exactly.
+    slopes = [at(s)[3] for s in points]
+    sigma = s_hi if slopes[-1] <= 0.0 else s_lo
+    for s0, s1, d0, d1 in zip(points, points[1:], slopes, slopes[1:]):
+        if d0 <= 0.0 < d1:
+            sigma = min(max(s0 - d0 * (s1 - s0) / (d1 - d0), s0), s1)
+    cop, gamma, nu, slope = at(sigma)
+
+    # The other KKT multipliers of assemble_qp in closed form: the clipped
+    # CoP bound's from the cop stationarity row, the sigma bound's from
+    # the sigma row, slope + lam_max - lam_min = 0.
+    lam = [0.0] * 6
+    for a in (0, 1):
+        m = -nu[a] - 2.0 * a1 * (cop[a] - cn[a])
+        if m > 0.0 and cop[a] == hi[a]:
+            lam[a] = m
+        elif m < 0.0 and cop[a] == lo[a]:
+            lam[2 + a] = -m
+    if slope < 0.0 and sigma == s_hi:
+        lam[4] = -slope
+    elif slope > 0.0 and sigma == s_lo:
+        lam[5] = slope
+
+    cop_T, gamma_T = np.array(cop), np.array(gamma)
     return StepPlan(
-        cop_T=sol.z[0:2].copy(),
-        gamma_T=sol.z[3:5].copy(),
+        cop_T=cop_T,
+        gamma_T=gamma_T,
         sigma=sigma,
         duration=math.log(sigma) / inp.omega,
-        objective=planning_cost(inp, sol.z[0:2], sigma, sol.z[3:5]),
-        status=sol.status,
-        active_set=sol.active_set,
+        objective=planning_cost(inp, cop_T, sigma, gamma_T),
+        status="optimal",
+        active_set=_binding_rows(cop, sigma, lo, hi, s_lo, s_hi),
         planned_at=planned_at,
+        eq_multipliers=tuple(nu),
+        ineq_multipliers=tuple(lam),
     )
 
 
 def plan_step(inp: PlannerInput) -> StepPlan:
     """Solve the step-adaptation program at trigger time."""
-    sol = ActiveSetQp().solve(assemble_qp(inp))
-    return _plan_from_solution(inp, sol, planned_at=0.0)
+    return _solve(inp, inp.bounds.T_min, inp.bounds.T_max, planned_at=0.0)
 
 
 def replan(current: StepPlan, inp: PlannerInput, elapsed: float) -> StepPlan:
@@ -298,8 +347,8 @@ def replan(current: StepPlan, inp: PlannerInput, elapsed: float) -> StepPlan:
     the previous plan's landing time makes successive remaining
     durations non-increasing by construction.  When the window collapses
     (less than the floor left) a terminal plan is returned that freezes
-    ``cop_T`` and lets the swing finish on schedule.  The solve is warm
-    started from the previous plan's active set.
+    ``cop_T`` and lets the swing finish on schedule; its objective and
+    active set are its own, measured against ``inp``.
     """
     if not (elapsed >= 0.0) or not math.isfinite(elapsed):
         raise ValueError(f"elapsed must be >= 0, got {elapsed}")
@@ -309,20 +358,19 @@ def replan(current: StepPlan, inp: PlannerInput, elapsed: float) -> StepPlan:
     if t_hi < t_lo:
         remaining = max(current.landing_time - elapsed, 0.0)
         sigma = math.exp(inp.omega * remaining)
+        gamma_T = inp.cop0 - current.cop_T + (inp.xi0 - inp.cop0) * sigma
         return StepPlan(
             cop_T=current.cop_T.copy(),
-            gamma_T=inp.cop0 - current.cop_T + (inp.xi0 - inp.cop0) * sigma,
+            gamma_T=gamma_T,
             sigma=sigma,
             duration=remaining,
-            objective=current.objective,
+            objective=planning_cost(inp, current.cop_T, sigma, gamma_T),
             status="terminal",
-            active_set=current.active_set,
+            active_set=_binding_rows(current.cop_T, sigma, inp.bounds.cop_min,
+                                     inp.bounds.cop_max, *inp.bounds.sigma_bounds(inp.omega)),
             planned_at=elapsed,
         )
-
-    shrunk = replace(inp, bounds=replace(inp.bounds, T_min=t_lo, T_max=t_hi))
-    sol = ActiveSetQp().solve(assemble_qp(shrunk), warm_start=current.active_set)
-    return _plan_from_solution(shrunk, sol, planned_at=elapsed)
+    return _solve(inp, t_lo, t_hi, planned_at=elapsed)
 
 
 def nominal_consistent_dcm(
@@ -350,16 +398,9 @@ def mirror_gait(nominal: NominalGait) -> NominalGait:
 
 
 def mirror_bounds(bounds: StepBounds) -> StepBounds:
-    """Flip the lateral axis of the boxes (swap and negate y bounds)."""
-    def flip(lo, hi):
-        return (
-            np.array([lo[0], -hi[1]]),
-            np.array([hi[0], -lo[1]]),
-        )
-
-    cop_min, cop_max = flip(bounds.cop_min, bounds.cop_max)
-    out = replace(bounds, cop_min=cop_min, cop_max=cop_max)
-    if bounds.gamma_min is not None and bounds.gamma_max is not None:
-        g_min, g_max = flip(bounds.gamma_min, bounds.gamma_max)
-        out = replace(out, gamma_min=g_min, gamma_max=g_max)
-    return out
+    """Flip the lateral axis of the CoP box (swap and negate the y bounds)."""
+    return replace(
+        bounds,
+        cop_min=np.array([bounds.cop_min[0], -bounds.cop_max[1]]),
+        cop_max=np.array([bounds.cop_max[0], -bounds.cop_min[1]]),
+    )

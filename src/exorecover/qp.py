@@ -20,6 +20,10 @@ variable ``t`` bounds every inequality violation, a vanishing quadratic
 term keeps the auxiliary Hessian positive definite, and the same
 active-set loop minimises ``t``.  If the optimum slack stays positive
 the problem is reported infeasible together with the violated rows.
+
+The step planner solves its own program exactly and does not call this
+solver; it stays as the independent reference that tests compare the
+planner against, and :func:`kkt_residual` certifies either.
 """
 
 from __future__ import annotations
@@ -226,60 +230,24 @@ class ActiveSetQp:
 
     # -- phase 1 -----------------------------------------------------------
 
-    def _feasible_start(
-        self, problem: QpProblem, warm_start: tuple[int, ...]
-    ) -> tuple[np.ndarray, list[int], tuple[int, ...]]:
-        """Return ``(z0, working, violated)``; nonempty ``violated`` means failure."""
+    def _feasible_start(self, problem: QpProblem) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Return ``(z0, violated)``; nonempty ``violated`` means failure."""
         n = problem.num_variables
         E, e = problem.eq_matrix, problem.eq_rhs
-        C, d = problem.ineq_matrix, problem.ineq_rhs
 
         if E.shape[0]:
             z0, *_ = np.linalg.lstsq(E, e, rcond=None)
             eq_res = np.abs(E @ z0 - e)
             if float(eq_res.max(initial=0.0)) > _FEAS_TOL * (1.0 + float(np.abs(e).max(initial=0.0))):
                 bad = tuple(int(i) for i in np.flatnonzero(eq_res > _FEAS_TOL))
-                return z0, [], bad if bad else tuple(range(E.shape[0]))
+                return z0, bad if bad else tuple(range(E.shape[0]))
         else:
             z0 = np.zeros(n)
 
-        # A warm working set is accepted when its equality-constrained
-        # stationary point is primal feasible; this skips the slack phase.
-        warm = sorted({int(i) for i in warm_start if 0 <= int(i) < C.shape[0]})
-        if warm:
-            z_w = self._warm_point(problem, warm)
-            if z_w is not None and self._max_violation(problem, z_w) <= _FEAS_TOL:
-                return z_w, warm, ()
-
         if self._max_violation(problem, z0) <= _FEAS_TOL:
-            return z0, [], ()
+            return z0, ()
 
-        z1, ok, bad = self._slack_phase(problem, z0)
-        if not ok:
-            return z1, [], bad
-        return z1, [], ()
-
-    def _warm_point(self, problem: QpProblem, warm: list[int]) -> np.ndarray | None:
-        """KKT solve treating the warm rows as equalities; None if singular."""
-        H = problem.hessian
-        n = problem.num_variables
-        A = self._working_rows(problem, warm)
-        b = np.concatenate([problem.eq_rhs, problem.ineq_rhs[warm]])
-        m = A.shape[0]
-        if m > n:
-            return None
-        K = np.zeros((n + m, n + m))
-        K[:n, :n] = H + REGULARISATION * np.eye(n)
-        K[:n, n:] = A.T
-        K[n:, :n] = A
-        rhs = np.concatenate([-problem.linear, b])
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(sol)):
-            return None
-        return sol[:n]
+        return self._slack_phase(problem, z0)
 
     @staticmethod
     def _max_violation(problem: QpProblem, z: np.ndarray) -> float:
@@ -288,7 +256,7 @@ class ActiveSetQp:
         return float((problem.ineq_matrix @ z - problem.ineq_rhs).max(initial=0.0))
 
     def _slack_phase(self, problem: QpProblem, z0: np.ndarray):
-        """Minimise the worst violation ``t``; feasible iff ``t* ~ 0``."""
+        """Minimise the worst violation ``t``; ``(z, violated)``, feasible iff ``t* ~ 0``."""
         n = problem.num_variables
         C, d = problem.ineq_matrix, problem.ineq_rhs
         m_i = C.shape[0]
@@ -314,19 +282,17 @@ class ActiveSetQp:
         # The vanishing curvature makes the slack program converge in
         # many small steps, so it gets its own iteration budget.
         aux_solver = ActiveSetQp(max_iterations=max(self.max_iterations, 50 * (n + m_i + 2)))
-        sol = aux_solver._main_loop(aux, y0, [], trace=False)
+        sol = aux_solver._main_loop(aux, y0, trace=False)
         t_star = float(sol.z[n])
         z_star = sol.z[:n]
         if t_star > 1e-8:
             bad = tuple(int(i) for i in np.flatnonzero(C @ z_star - d > 1e-8))
-            return z_star, False, bad if bad else tuple(range(m_i))
-        return z_star, True, ()
+            return z_star, bad if bad else tuple(range(m_i))
+        return z_star, ()
 
     # -- main loop ----------------------------------------------------------
 
-    def _main_loop(
-        self, problem: QpProblem, z0: np.ndarray, working: list[int], trace: bool
-    ) -> QpSolution:
+    def _main_loop(self, problem: QpProblem, z0: np.ndarray, trace: bool) -> QpSolution:
         H = problem.hessian
         g = problem.linear
         C, d = problem.ineq_matrix, problem.ineq_rhs
@@ -336,7 +302,7 @@ class ActiveSetQp:
 
         L_full, H_used = _cholesky_with_regularisation(H)
         z = z0.copy()
-        W = sorted(working)
+        W: list[int] = []
         obj_trace = [problem.objective(z)] if trace else []
         eq_mult = np.zeros(m_e)
         ineq_mult = np.zeros(m_i)
@@ -410,8 +376,8 @@ class ActiveSetQp:
 
     # -- public API ----------------------------------------------------------
 
-    def solve(self, problem: QpProblem, warm_start: tuple[int, ...] = ()) -> QpSolution:
-        z0, working, violated = self._feasible_start(problem, tuple(warm_start))
+    def solve(self, problem: QpProblem) -> QpSolution:
+        z0, violated = self._feasible_start(problem)
         if violated:
             return QpSolution(
                 z=z0,
@@ -424,26 +390,26 @@ class ActiveSetQp:
                 objective_trace=(),
                 violated=violated,
             )
-        return self._main_loop(problem, z0, working, trace=True)
+        return self._main_loop(problem, z0, trace=True)
 
 
-def solve_qp(
-    problem: QpProblem,
-    warm_start: tuple[int, ...] = (),
-    max_iterations: int = 200,
-) -> QpSolution:
+def solve_qp(problem: QpProblem, max_iterations: int = 200) -> QpSolution:
     """One-shot convenience wrapper around :class:`ActiveSetQp`."""
-    return ActiveSetQp(max_iterations=max_iterations).solve(problem, warm_start)
+    return ActiveSetQp(max_iterations=max_iterations).solve(problem)
 
 
 def kkt_residual(problem: QpProblem, solution: QpSolution) -> KktResidual:
-    """First-order residuals of ``solution`` against the original data."""
+    """First-order residuals of ``solution`` against the original data.
+
+    ``solution`` is anything with ``z``, ``eq_multipliers`` and
+    ``ineq_multipliers``: a :class:`QpSolution` or a planner ``StepPlan``.
+    """
     z = solution.z
     H, g = problem.hessian, problem.linear
     E, e = problem.eq_matrix, problem.eq_rhs
     C, d = problem.ineq_matrix, problem.ineq_rhs
-    lam = solution.ineq_multipliers
-    nu = solution.eq_multipliers
+    lam = np.asarray(solution.ineq_multipliers, dtype=float)
+    nu = np.asarray(solution.eq_multipliers, dtype=float)
 
     grad = H @ z + g
     if E.shape[0]:

@@ -18,8 +18,7 @@ from exorecover import PlannerInput
 def _cost_of_sigma(inp: PlannerInput, sigma: np.ndarray):
     """Vectorised exact partial minimisation over the landing CoP.
 
-    Returns ``(cost, cop_x, cop_y)`` arrays matching ``sigma``; entries
-    are ``inf`` where the gamma box empties the CoP interval.
+    Returns ``(cost, cop_x, cop_y)`` arrays matching ``sigma``.
     """
     a1, a2, a3 = inp.nominal.weights
     sigma_nom = math.exp(inp.omega * inp.nominal.T_nom)
@@ -27,21 +26,15 @@ def _cost_of_sigma(inp: PlannerInput, sigma: np.ndarray):
 
     cost = a3 * (sigma - sigma_nom) ** 2
     cops = []
-    feasible = np.ones_like(sigma, dtype=bool)
     for ax in (0, 1):
         u = inp.cop0[ax] - r[ax] * sigma  # cop + gamma at touchdown
         cn = inp.nominal.cop_T_nom[ax]
         gn = inp.nominal.gamma_nom[ax]
-        lo = np.full_like(sigma, inp.bounds.cop_min[ax])
-        hi = np.full_like(sigma, inp.bounds.cop_max[ax])
-        if inp.bounds.gamma_min is not None and inp.bounds.gamma_max is not None:
-            lo = np.maximum(lo, u - inp.bounds.gamma_max[ax])
-            hi = np.minimum(hi, u - inp.bounds.gamma_min[ax])
-        feasible &= lo <= hi
+        lo, hi = inp.bounds.cop_min[ax], inp.bounds.cop_max[ax]
         c = np.clip((a1 * cn + a2 * (u - gn)) / (a1 + a2), lo, hi)
         cost = cost + a1 * (c - cn) ** 2 + a2 * (u - c - gn) ** 2
         cops.append(c)
-    return np.where(feasible, cost, np.inf), cops[0], cops[1]
+    return cost, cops[0], cops[1]
 
 
 def brute_force_plan(

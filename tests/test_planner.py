@@ -1,6 +1,7 @@
 """Step-adaptation planner: fixed point, boundary condition, replanning."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from exorecover import (
     assemble_qp,
     constraint_names,
     dcm_closed_form,
+    kkt_residual,
     mirror_bounds,
     mirror_gait,
     nominal_consistent_dcm,
@@ -153,51 +155,23 @@ def test_assemble_qp_shapes_and_names():
     assert prob.num_variables == 5
     assert prob.eq_matrix.shape == (2, 5)
     assert prob.ineq_matrix.shape == (6, 5)
-    assert len(constraint_names(inp.bounds)) == 6
-
-    with_gamma = StepBounds(
-        cop_min=[-0.15, -0.30],
-        cop_max=[0.30, -0.04],
-        T_min=0.25,
-        T_max=1.2,
-        gamma_min=[-0.05, -0.05],
-        gamma_max=[0.05, 0.05],
-    )
-    inp_g = PlannerInput([0.1, 0.0], [0.0, 0.0], OMEGA, default_nominal(), with_gamma)
-    assert assemble_qp(inp_g).ineq_matrix.shape == (10, 5)
-    assert len(constraint_names(with_gamma)) == 10
-
-
-def test_gamma_box_binds():
-    bounds = StepBounds(
-        cop_min=[-0.15, -0.30],
-        cop_max=[0.30, -0.04],
-        T_min=0.25,
-        T_max=1.2,
-        gamma_min=[-0.01, -0.01],
-        gamma_max=[0.01, 0.01],
-    )
-    plan = plan_step(PlannerInput([0.12, -0.04], [0.0, 0.0], OMEGA, default_nominal(), bounds))
-    assert np.all(plan.gamma_T <= 0.01 + 1e-9)
-    assert np.all(plan.gamma_T >= -0.01 - 1e-9)
+    assert len(constraint_names()) == 6
 
 
 def test_infeasible_raises_with_named_constraints():
-    # gamma pinned at zero forces cop_x = (xi0 - cop0)_x * sigma >= 0.23,
-    # far beyond the 0.1 upper bound.
-    bounds = StepBounds(
-        cop_min=[-0.1, -0.1],
-        cop_max=[0.1, 0.1],
-        T_min=0.25,
-        T_max=1.2,
-        gamma_min=[0.0, 0.0],
-        gamma_max=[0.0, 0.0],
-    )
-    inp = PlannerInput([0.1, 0.0], [0.0, 0.0], OMEGA, default_nominal(), bounds)
-    with pytest.raises(PlannerInfeasibleError) as err:
-        plan_step(inp)
-    assert err.value.violated
-    assert all(isinstance(name, str) for name in err.value.violated)
+    # An inverted CoP box on x and an empty duration window are the only
+    # infeasible programs; each names its two rows.
+    cases = [
+        (StepBounds([0.1, -0.1], [-0.1, 0.1], 0.25, 1.2),
+         ("cop_x <= cop_max_x", "cop_x >= cop_min_x")),
+        (StepBounds([-0.1, -0.1], [0.1, 0.1], 0.8, 0.25),
+         ("sigma <= exp(omega*T_max)", "sigma >= exp(omega*T_min)")),
+    ]
+    for bounds, names in cases:
+        inp = PlannerInput([0.1, 0.0], [0.0, 0.0], OMEGA, default_nominal(), bounds)
+        with pytest.raises(PlannerInfeasibleError) as err:
+            plan_step(inp)
+        assert err.value.violated == names
 
 
 def test_replan_landing_time_never_grows():
@@ -226,16 +200,24 @@ def test_replan_far_into_swing_returns_terminal_plan():
     nominal = default_nominal()
     bounds = default_bounds()
     plan = plan_step(PlannerInput([0.12, -0.02], [0.0, 0.0], OMEGA, nominal, bounds))
+    assert plan.active_set == (0,)  # lands on cop_max_x
     elapsed = plan.landing_time - 0.05  # under the replanning floor
-    term = replan(plan, PlannerInput([0.2, -0.02], [0.0, 0.0], OMEGA, nominal, bounds), elapsed)
+    inp = PlannerInput([0.2, -0.02], [0.0, 0.0], OMEGA, nominal, bounds)
+    # Stale bookkeeping on the previous plan must not leak into the terminal one.
+    stale = replace(plan, objective=123.0, active_set=(1, 4, 5))
+    term = replan(stale, inp, elapsed)
     assert term.status == "terminal"
     assert np.all(term.cop_T == plan.cop_T)
     assert term.duration == pytest.approx(0.05, abs=1e-12)
     assert term.landing_time == pytest.approx(plan.landing_time, abs=1e-12)
     # The terminal offset still satisfies the boundary condition.
-    inp = PlannerInput([0.2, -0.02], [0.0, 0.0], OMEGA, nominal, bounds)
     residual = term.gamma_T + term.cop_T + (inp.cop0 - inp.xi0) * term.sigma - inp.cop0
     assert np.abs(residual).max() < 1e-12
+    # Its cost and binding rows are its own: the frozen landing point still
+    # sits on cop_max_x, and the short remaining time binds no sigma row.
+    assert term.objective == planning_cost(inp, term.cop_T, term.sigma, term.gamma_T)
+    assert term.objective != plan.objective
+    assert term.active_set == (0,)
 
 
 def test_replan_rejects_negative_elapsed():
@@ -275,14 +257,10 @@ def test_mirror_bounds_involution():
         cop_max=[0.30, -0.04],
         T_min=0.25,
         T_max=1.2,
-        gamma_min=[-0.02, -0.06],
-        gamma_max=[0.03, 0.01],
     )
     twice = mirror_bounds(mirror_bounds(bounds))
     assert np.all(twice.cop_min == bounds.cop_min)
     assert np.all(twice.cop_max == bounds.cop_max)
-    assert np.all(twice.gamma_min == bounds.gamma_min)
-    assert np.all(twice.gamma_max == bounds.gamma_max)
     mirrored = mirror_bounds(bounds)
     assert np.all(mirrored.cop_min <= mirrored.cop_max)
 
@@ -299,8 +277,6 @@ def test_bounds_validate_and_shift():
         StepBounds([0.2, 0.0], [0.1, 0.1], 0.25, 1.2).validate()
     with pytest.raises(ConfigurationError):
         StepBounds([-0.1, -0.1], [0.1, 0.1], 0.8, 0.25).validate()
-    with pytest.raises(ConfigurationError):
-        StepBounds([-0.1, -0.1], [0.1, 0.1], 0.25, 1.2, gamma_min=[0.0, 0.0]).validate()
 
 
 def test_sigma_bounds_are_exponential():
@@ -310,26 +286,52 @@ def test_sigma_bounds_are_exponential():
     assert s_max == pytest.approx(math.exp(2.4), rel=1e-15)
 
 
-def test_warm_started_replan_matches_cold_solve():
-    nominal = default_nominal()
-    bounds = default_bounds()
-    xi0 = np.array([0.14, -0.03])
-    cop0 = np.array([0.0, 0.0])
-    plan = plan_step(PlannerInput(xi0, cop0, OMEGA, nominal, bounds))
-    params = LipmParams(gravity=OMEGA**2, com_height=1.0)
-    xi_t = dcm_closed_form(xi0, cop0, params, 0.1)
-    inp_t = PlannerInput(xi_t, cop0, OMEGA, nominal, bounds)
-    warm = replan(plan, inp_t, 0.1)
+def test_replan_matches_cold_solve():
+    """Replans equal a reference solve of the shrunk program and carry its KKT certificate."""
+    rng = np.random.default_rng(4242)
+    seen = []
+    for _ in range(60):
+        inp = random_input(rng)
+        plan = plan_step(inp)
+        for elapsed in (0.02, 0.1, 0.2, 0.4):
+            t_lo = max(0.1, inp.bounds.T_min - elapsed)
+            t_hi = min(inp.bounds.T_max - elapsed, plan.landing_time - elapsed)
+            if t_hi < t_lo:
+                break
+            # Rescaling the DCM offset, as a shove would, makes some replans
+            # want a shorter step than the window allows.
+            inp_t = replace(inp, xi0=inp.cop0 + (inp.xi0 - inp.cop0) * rng.uniform(0.5, 4.0))
+            new = replan(plan, inp_t, elapsed)
+            shrunk = replace(inp_t, bounds=replace(inp.bounds, T_min=t_lo, T_max=t_hi))
+            problem = assemble_qp(shrunk)
+            cold = solve_qp(problem)
+            assert new.status == "optimal"
+            assert np.abs(new.cop_T - cold.z[0:2]).max() < 1e-8
+            assert new.sigma == pytest.approx(float(cold.z[2]), abs=1e-8)
+            assert kkt_residual(problem, new).max() < 1e-8
+            seen.append(set(new.active_set))
+    # The cases cover a clipped CoP on each axis and sigma at each bound.
+    assert any(rows & {0, 2} for rows in seen) and any(rows & {1, 3} for rows in seen)
+    assert any(4 in rows and 5 not in rows for rows in seen)
+    assert any(5 in rows and 4 not in rows for rows in seen)
 
-    from dataclasses import replace
 
-    shrunk = replace(
-        inp_t,
-        bounds=replace(bounds, T_min=max(0.1, bounds.T_min - 0.1), T_max=plan.landing_time - 0.1),
-    )
-    cold = solve_qp(assemble_qp(shrunk))
-    assert np.abs(warm.cop_T - cold.z[0:2]).max() < 1e-8
-    assert warm.sigma == pytest.approx(float(cold.z[2]), abs=1e-8)
+def test_planning_does_not_call_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("planning called LAPACK")
+
+    for name in ("svd", "lstsq", "cholesky", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(99)
+    for _ in range(50):
+        plan_step(random_input(rng))
+
+    inp = PlannerInput([0.12, -0.02], [0.0, 0.0], OMEGA, default_nominal(), default_bounds())
+    plan = plan_step(inp)
+    elapsed = 0.0
+    while plan.status != "terminal":
+        elapsed += 0.02
+        plan = replan(plan, inp, elapsed)
 
 
 def test_input_validation():

@@ -161,41 +161,6 @@ def test_objective_trace_is_monotone():
         assert np.all(np.diff(trace) <= 1e-9)
 
 
-def test_warm_start_reproduces_solution_in_fewer_iterations():
-    rng = np.random.default_rng(11)
-    solver = ActiveSetQp()
-    hits = 0
-    for _ in range(40):
-        n = 5
-        B = rng.normal(size=(n, n))
-        H = B @ B.T + n * np.eye(n)
-        g = rng.normal(size=n) * 3.0
-        C = np.vstack([np.eye(n), -np.eye(n)])
-        d = np.full(2 * n, 0.3)
-        prob = QpProblem(H, g, ineq_matrix=C, ineq_rhs=d)
-        cold = solver.solve(prob)
-        warm = solver.solve(prob, warm_start=cold.active_set)
-        assert warm.status == "optimal"
-        assert np.abs(warm.z - cold.z).max() < 1e-8
-        assert warm.iterations <= cold.iterations
-        if warm.iterations < cold.iterations:
-            hits += 1
-    assert hits > 0
-
-
-def test_warm_start_with_stale_set_still_optimal():
-    prob = QpProblem(
-        np.eye(3) * 2,
-        [-2.0, 0.0, 2.0],
-        ineq_matrix=np.vstack([np.eye(3), -np.eye(3)]),
-        ineq_rhs=np.full(6, 0.5),
-    )
-    for warm in [(), (0,), (5,), (0, 1, 2), (0, 1, 2, 3, 4, 5), (99,), (-3, 2)]:
-        sol = solve_qp(prob, warm_start=warm)
-        assert sol.status == "optimal"
-        assert np.allclose(sol.z, [0.5, 0.0, -0.5], atol=1e-9)
-
-
 def test_semidefinite_hessian_is_regularised():
     # Flat direction z2; the solver settles it near zero instead of failing.
     H = np.array([[2.0, 0.0], [0.0, 0.0]])

@@ -133,7 +133,6 @@ def test_config_helper_resolution():
     assert np.array_equal(bounds.cop_min, cfg.cop_min)
     assert np.array_equal(bounds.cop_max, cfg.cop_max)
     assert (bounds.T_min, bounds.T_max) == (cfg.t_min, cfg.t_max)
-    assert bounds.gamma_min is None and bounds.gamma_max is None
 
 
 # --------------------------------------------------------------------------
