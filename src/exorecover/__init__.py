@@ -20,7 +20,6 @@ from .errors import (
 from .impedance import (
     ControlMode,
     ImpedanceGains,
-    JointState,
     PlantParams,
     command_torques,
     impedance_torque,
@@ -39,7 +38,6 @@ from .kinematics import (
     workspace_step_bounds,
 )
 from .lipm import (
-    CentroidalState,
     LipmParams,
     apply_impulse,
     com_closed_form,
@@ -72,7 +70,6 @@ from .simulation import (
     ScenarioConfig,
     SimTrace,
     StepSummary,
-    TrunkAttitude,
     ankle_clamp,
     estimate_com,
     run_scenario,

@@ -16,7 +16,8 @@ torque, ``command = tau_d + kp * (tau_d - tau_m)``, except at the hip
 ab/adduction joint which has no torque sensing and is driven open loop.
 
 The plant is a single rigid joint, ``inertia * acc = tau_applied +
-tau_human - viscous * vel``, integrated with fixed-step RK4.
+tau_human - viscous * vel``, integrated with fixed-step RK4; its state
+is the plain pair ``(angle, velocity)``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import ConfigurationError
 __all__ = [
     "ImpedanceGains",
     "ControlMode",
-    "JointState",
     "PlantParams",
     "impedance_torque",
     "p_torque_loop",
@@ -91,21 +91,6 @@ class ControlMode(Enum):
 
 
 @dataclass(frozen=True)
-class JointState:
-    """One joint of the plant."""
-
-    angle: float  # rad
-    velocity: float  # rad/s
-    measured_torque: float = 0.0  # N*m, last applied actuator torque
-    time: float = 0.0  # s
-
-    def __post_init__(self):
-        for name in ("angle", "velocity", "measured_torque", "time"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
 class PlantParams:
     inertia: float = 0.05  # kg*m^2
     viscous_damping: float = 0.5  # N*m*s/rad
@@ -158,13 +143,17 @@ def command_torques(tau_desired, tau_measured, kp: float) -> np.ndarray:
 
 
 def joint_plant_step(
-    state: JointState,
+    angle: float,
+    velocity: float,
     applied_torque: float,
     human_torque: float,
     plant: PlantParams,
     dt: float,
-) -> JointState:
-    """One RK4 step of ``inertia * acc = tau_a + tau_h - viscous * vel``."""
+) -> tuple[float, float]:
+    """One RK4 step of ``inertia * acc = tau_a + tau_h - viscous * vel``.
+
+    Returns the new ``(angle, velocity)``.
+    """
     if not (0.0 < dt <= MAX_STEP):
         raise ConfigurationError(f"dt must be in (0, {MAX_STEP}], got {dt}")
     for name, v in (("applied_torque", applied_torque), ("human_torque", human_torque)):
@@ -177,7 +166,7 @@ def joint_plant_step(
     def acc(vel: float) -> float:
         return (tau - b * vel) * inv_i
 
-    q, v = state.angle, state.velocity
+    q, v = angle, velocity
     a1 = acc(v)
     v2 = v + 0.5 * dt * a1
     a2 = acc(v2)
@@ -186,9 +175,7 @@ def joint_plant_step(
     v4 = v + dt * a3
     a4 = acc(v4)
     sixth = dt / 6.0
-    return JointState(
-        angle=q + sixth * (v + 2.0 * (v2 + v3) + v4),
-        velocity=v + sixth * (a1 + 2.0 * (a2 + a3) + a4),
-        measured_torque=float(applied_torque),
-        time=state.time + dt,
+    return (
+        q + sixth * (v + 2.0 * (v2 + v3) + v4),
+        v + sixth * (a1 + 2.0 * (a2 + a3) + a4),
     )

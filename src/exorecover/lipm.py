@@ -8,7 +8,8 @@ decouples the dynamics: ``xi`` diverges away from the centre of pressure,
 a constant CoP, which this module exposes next to a fixed-step RK4
 integrator of the raw second-order equation.
 
-Two-dimensional points (CoM, DCM, CoP) are plain ``(2,)`` float arrays.
+Two-dimensional points and velocities (CoM, DCM, CoP) are plain ``(2,)``
+float arrays; the pendulum state is the pair ``(com, com_vel)``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import ConfigurationError
 
 __all__ = [
     "LipmParams",
-    "CentroidalState",
     "natural_frequency",
     "dcm_of",
     "dcm_flow",
@@ -83,24 +83,9 @@ class LipmParams:
         )
 
 
-@dataclass(frozen=True)
-class CentroidalState:
-    """Horizontal CoM position/velocity at a given time."""
-
-    com: np.ndarray  # (2,) m
-    com_vel: np.ndarray  # (2,) m/s
-    time: float = 0.0  # s
-
-    def __post_init__(self):
-        object.__setattr__(self, "com", as_vec2(self.com, "com"))
-        object.__setattr__(self, "com_vel", as_vec2(self.com_vel, "com_vel"))
-        if not math.isfinite(self.time):
-            raise ValueError(f"time must be finite, got {self.time}")
-
-
-def dcm_of(state: CentroidalState, params: LipmParams) -> np.ndarray:
+def dcm_of(com: np.ndarray, com_vel: np.ndarray, params: LipmParams) -> np.ndarray:
     """Divergent component ``com + com_vel / omega``."""
-    return state.com + state.com_vel / params.omega
+    return com + com_vel / params.omega
 
 
 def dcm_flow(xi, cop, params: LipmParams) -> np.ndarray:
@@ -108,9 +93,9 @@ def dcm_flow(xi, cop, params: LipmParams) -> np.ndarray:
     return params.omega * (as_vec2(xi, "xi") - as_vec2(cop, "cop"))
 
 
-def com_flow(state: CentroidalState, xi, params: LipmParams) -> np.ndarray:
+def com_flow(com, xi, params: LipmParams) -> np.ndarray:
     """CoM velocity written against the DCM, ``omega * (xi - com)``."""
-    return params.omega * (as_vec2(xi, "xi") - state.com)
+    return params.omega * (as_vec2(xi, "xi") - as_vec2(com, "com"))
 
 
 def _check_horizon(t: float) -> float:
@@ -142,8 +127,12 @@ def com_closed_form(com0, xi0, params: LipmParams, t: float) -> np.ndarray:
     return (com0 - xi0) * math.exp(-params.omega * t) + xi0
 
 
-def step_lipm(state: CentroidalState, cop, params: LipmParams, dt: float) -> CentroidalState:
+def step_lipm(
+    com: np.ndarray, com_vel: np.ndarray, cop, params: LipmParams, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Advance the pendulum by one RK4 step with the CoP held constant.
+
+    Returns the new ``(com, com_vel)`` as fresh arrays.
 
     ``dt`` must lie in ``(0, 0.01]`` seconds; larger steps degrade the
     classical fourth-order accuracy this integrator is relied on for.
@@ -161,8 +150,8 @@ def step_lipm(state: CentroidalState, cop, params: LipmParams, dt: float) -> Cen
     out_com = np.empty(2)
     out_vel = np.empty(2)
     for i in range(2):
-        x = float(state.com[i])
-        v = float(state.com_vel[i])
+        x = float(com[i])
+        v = float(com_vel[i])
         p = float(cop[i])
         a1 = w2 * (x - p)
         x2 = x + half * v
@@ -177,18 +166,13 @@ def step_lipm(state: CentroidalState, cop, params: LipmParams, dt: float) -> Cen
         out_com[i] = x + sixth * (v + 2.0 * (v2 + v3) + v4)
         out_vel[i] = v + sixth * (a1 + 2.0 * (a2 + a3) + a4)
 
-    return CentroidalState(com=out_com, com_vel=out_vel, time=state.time + dt)
+    return out_com, out_vel
 
 
-def apply_impulse(state: CentroidalState, impulse, params: LipmParams) -> CentroidalState:
-    """Instantaneous push: velocity jumps by ``impulse / mass``.
+def apply_impulse(com_vel: np.ndarray, impulse, params: LipmParams) -> np.ndarray:
+    """Instantaneous push: the new velocity, ``com_vel + impulse / mass``.
 
-    Position and time are untouched; the DCM therefore jumps by
+    The position is untouched; the DCM therefore jumps by
     ``impulse / (mass * omega)``.
     """
-    impulse = as_vec2(impulse, "impulse")
-    return CentroidalState(
-        com=state.com,
-        com_vel=state.com_vel + impulse / params.mass,
-        time=state.time,
-    )
+    return com_vel + as_vec2(impulse, "impulse") / params.mass

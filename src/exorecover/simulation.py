@@ -54,7 +54,6 @@ from .errors import ConfigurationError, PlannerInfeasibleError, WorkspaceError, 
 from .impedance import (
     ControlMode,
     ImpedanceGains,
-    JointState,
     PlantParams,
     command_torques,
     impedance_torque,
@@ -69,7 +68,7 @@ from .kinematics import (
     forward_kinematics,
     inverse_kinematics,
 )
-from .lipm import CentroidalState, LipmParams, apply_impulse, as_vec2, dcm_of, step_lipm
+from .lipm import LipmParams, apply_impulse, as_vec2, dcm_of, step_lipm
 from .planner import (
     NominalGait,
     PlannerInput,
@@ -85,7 +84,6 @@ from .swing import SwingTrajectory, build_swing, retarget, sample
 __all__ = [
     "PushEvent",
     "HumanPulse",
-    "TrunkAttitude",
     "ScenarioConfig",
     "Event",
     "SimTrace",
@@ -138,27 +136,15 @@ class HumanPulse:
             raise ValueError("torque must be finite")
 
 
-@dataclass(frozen=True)
-class TrunkAttitude:
-    """Small-angle trunk orientation; both angles must stay below 90 deg."""
+def estimate_com(roll: float, pitch: float, pendulum_length: float) -> np.ndarray:
+    """Horizontal CoM offset from the stance reference, ``L * sin(angle)``.
 
-    roll: float  # rad, positive = lean left
-    pitch: float  # rad, positive = lean forward
-
-    def __post_init__(self):
-        for name in ("roll", "pitch"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or abs(v) >= 0.5 * math.pi:
-                raise ValueError(f"{name} must satisfy |angle| < pi/2, got {v}")
-
-
-def estimate_com(attitude: TrunkAttitude, pendulum_length: float) -> np.ndarray:
-    """Horizontal CoM offset from the stance reference, ``L * sin(angle)``."""
+    ``roll`` is positive leaning left, ``pitch`` positive leaning forward,
+    both in radians.
+    """
     if not (pendulum_length > 0.0) or not math.isfinite(pendulum_length):
         raise ValueError(f"pendulum_length must be positive, got {pendulum_length}")
-    return np.array(
-        [pendulum_length * math.sin(attitude.pitch), pendulum_length * math.sin(attitude.roll)]
-    )
+    return np.array([pendulum_length * math.sin(pitch), pendulum_length * math.sin(roll)])
 
 
 def ankle_clamp(xi, foot_center, half_extents) -> np.ndarray:
@@ -431,7 +417,10 @@ class Measurement(NamedTuple):
 
     com: np.ndarray  # (2,) CoM estimate from the trunk attitude
     xi: np.ndarray  # (2,) DCM estimate
-    joints: list[JointState]  # tracked leg: hip ab/adduction, hip flexion, knee
+    # Tracked leg (hip ab/adduction, hip flexion, knee), each (3,):
+    q: np.ndarray  # rad
+    qd: np.ndarray  # rad/s
+    tau: np.ndarray  # N*m, the actuator torques applied over the last tick
     foot: np.ndarray | None  # (2,) world point of the swinging foot, None if none swings
 
 
@@ -441,7 +430,7 @@ class Command(NamedTuple):
     cop: np.ndarray  # (2,) m
     torque: np.ndarray  # (3,) N*m, actuator torques on the tracked leg
     swing: Side | None  # leg in flight; the plant reports its foot next tick
-    lift: list[JointState] | None  # the swing leg lifted off now, at rest
+    lift: np.ndarray | None  # (3,) rad, pose of the swing leg lifted off now, at rest
     touchdown: bool  # the swinging foot landed now
 
 
@@ -453,7 +442,7 @@ class Controller:
     the swinging foot landed.
     """
 
-    def __init__(self, config: ScenarioConfig, events: list[Event], joints: list[JointState]):
+    def __init__(self, config: ScenarioConfig, events: list[Event], q_hold: np.ndarray):
         self.config = config
         self.events = events
         self.omega = config.lipm_params().omega
@@ -480,16 +469,16 @@ class Controller:
             capture_hold=config.capture_hold,
         )
         self.episode: _Episode | None = None
-        # Joint states acted on this tick; before any step the tracked leg
+        # Joint state acted on this tick; before any step the tracked leg
         # is the planted right one, held where it stands.
-        self.joints = joints
-        self.q_des = np.array([p.angle for p in joints])
+        self.q, self.qd, self.tau = q_hold, np.zeros(3), np.zeros(3)
+        self.q_des = q_hold.copy()
         right = self.feet[Side.RIGHT]
         self.foot_point = np.array([right[0], right[1], 0.0])  # commanded swing-foot point
 
     def step(self, meas: Measurement, t: float) -> Command:
         """Advance the phase machine and return this tick's CoP and torques."""
-        self.joints = meas.joints
+        self.q, self.qd, self.tau = meas.q, meas.qd, meas.tau
         lift, touchdown = None, False
         xi_hat = meas.xi
         phase = self.detector.phase
@@ -546,8 +535,8 @@ class Controller:
 
     def _begin_episode(
         self, t: float, meas: Measurement, forced_swing: Side | None = None
-    ) -> list[JointState] | None:
-        """Plan a step and lift the swing leg; returns its joints, None on abort."""
+    ) -> np.ndarray | None:
+        """Plan a step and lift the swing leg; returns its pose, None on abort."""
         config = self.config
         if forced_swing is not None:
             # A chained step stands on the foot that just landed; only the
@@ -585,8 +574,8 @@ class Controller:
             self._abort(t, f"swing start pose unreachable: {err}")
             return None
         # The swing leg lifts off at rest in its current pose.
-        self.joints = [JointState(angle=float(a), velocity=0.0, time=t) for a in q0.as_array()]
-        self.q_des = q0.as_array().copy()
+        self.q, self.qd, self.tau = q0.as_array(), np.zeros(3), np.zeros(3)
+        self.q_des = self.q.copy()
         self.foot_point = ep.swing_start.copy()
 
         self.events.append(Event(t, "PlanIssued", {
@@ -599,7 +588,7 @@ class Controller:
             "swing_start": _vec(ep.swing_start[:2]),
         }))
         self.episode = ep
-        return self.joints
+        return self.q
 
     def _swing(self, t: float, meas: Measurement) -> bool:
         """Replan the step in flight; returns whether the foot touched down."""
@@ -674,11 +663,8 @@ class Controller:
         except (WorkspaceError, JointLimitError) as err:
             self._abort(t, f"swing target unreachable: {err}")
             return np.zeros(3), None
-        q_meas = np.array([p.angle for p in self.joints])
-        v_meas = np.array([p.velocity for p in self.joints])
-        tau_meas = np.array([p.measured_torque for p in self.joints])
-        tau_des = impedance_torque(self.q_des, q_meas, v_meas, self.gains, self.mode)
-        return command_torques(tau_des, tau_meas, self.config.torque_kp), ep.swing
+        tau_des = impedance_torque(self.q_des, self.q, self.qd, self.gains, self.mode)
+        return command_torques(tau_des, self.tau, self.config.torque_kp), ep.swing
 
 
 class Plant:
@@ -688,6 +674,10 @@ class Plant:
     CoM about its anchor, adds seeded noise and saturates, and the
     estimate inverts it with ``L * sin``.  The anchor moves to the foot
     the plant reported landed.
+
+    State is plain arrays: the CoM ``com`` and its velocity ``vel``
+    (each (2,)), and the tracked leg's joint angles ``q``, rates ``qd``
+    and last applied actuator torques ``tau`` (each (3,)).
     """
 
     def __init__(self, config: ScenarioConfig, events: list[Event]):
@@ -695,33 +685,34 @@ class Plant:
         self.events = events
         self.params = config.lipm_params()
         self.joint_params = PlantParams(config.inertia, config.viscous_damping)
-        self.state = CentroidalState(np.asarray(config.com0, float), np.asarray(config.vel0, float), 0.0)
+        self.com = as_vec2(config.com0, "com0")
+        self.vel = as_vec2(config.vel0, "vel0")
         self.pushes = sorted(config.pushes, key=lambda p: (p.time, p.impulse[0], p.impulse[1]))
         self.rng = np.random.default_rng(config.seed)
         self.noise_std = config.attitude_noise_deg * _DEG
         self.anchor = np.zeros(2)  # attitude reference: the stance point
         self.swing: Side | None = None  # leg in flight, whose foot is reported
         self.foot: np.ndarray | None = None  # where that foot was last measured
+        self.geoms = {side: config.leg_geometry(side) for side in Side}
         # Before any step the tracked leg is the right one, planted at its
         # stance point.
         planted = np.array([0.0, -0.5 * config.resolved_stance_width(), 0.0])
-        q_hold = inverse_kinematics(
-            _leg_target(config, Side.RIGHT, planted, self.state.com),
-            config.leg_geometry(Side.RIGHT),
+        self.q = inverse_kinematics(
+            _leg_target(config, Side.RIGHT, planted, self.com),
+            self.geoms[Side.RIGHT],
             config.joint_limits(),
         ).as_array()
-        self.joints = [JointState(angle=float(a), velocity=0.0) for a in q_hold]
+        self.qd, self.tau = np.zeros(3), np.zeros(3)
 
     def measure(self, t: float) -> Measurement:
         """Apply the pushes due at ``t``, then read the sensors."""
         while self.pushes and self.pushes[0].time <= t + 1e-12:
             push = self.pushes.pop(0)
-            self.state = apply_impulse(self.state, push.impulse, self.params)
+            self.vel = apply_impulse(self.vel, push.impulse, self.params)
             self.events.append(Event(t, "PushApplied", {"impulse": _vec(push.impulse)}))
 
-        st = self.state
         L = self.config.com_height
-        scaled = np.clip((st.com - self.anchor) / L, -1.0 + 1e-12, 1.0 - 1e-12)
+        scaled = np.clip((self.com - self.anchor) / L, -1.0 + 1e-12, 1.0 - 1e-12)
         pitch = math.asin(scaled[0])
         roll = math.asin(scaled[1])
         if self.noise_std > 0.0:
@@ -729,34 +720,35 @@ class Plant:
             lim = 0.5 * math.pi - 1e-9
             pitch = min(max(pitch + self.rng.normal(0.0, self.noise_std), -lim), lim)
             roll = min(max(roll + self.rng.normal(0.0, self.noise_std), -lim), lim)
-        com_hat = self.anchor + estimate_com(TrunkAttitude(roll=roll, pitch=pitch), L)
+        com_hat = self.anchor + estimate_com(roll, pitch, L)
 
         foot = None
         if self.swing is not None:
-            q = np.array([p.angle for p in self.joints])
-            geom = self.config.leg_geometry(self.swing)
-            achieved = forward_kinematics(JointAngles(*q), geom).position
-            hip = _hip_xy(self.config, self.swing, st.com)
+            achieved = forward_kinematics(JointAngles(*self.q), self.geoms[self.swing]).position
+            hip = _hip_xy(self.config, self.swing, self.com)
             foot = self.foot = np.array([hip[0] + achieved[0], hip[1] + achieved[1]])
-        return Measurement(com_hat, com_hat + st.com_vel / self.params.omega, self.joints, foot)
+        xi_hat = com_hat + self.vel / self.params.omega
+        return Measurement(com_hat, xi_hat, self.q, self.qd, self.tau, foot)
 
     def step(self, command: Command, t: float) -> None:
         """Take the command's contact changes, then integrate to the next tick."""
         if command.lift is not None:
-            self.joints = command.lift
+            self.q, self.qd = command.lift, np.zeros(3)
         if command.touchdown:
             self.anchor = self.foot.copy()
         self.swing = command.swing
         dt = self.config.dt
-        self.state = step_lipm(self.state, command.cop, self.params, dt)
+        self.com, self.vel = step_lipm(self.com, self.vel, command.cop, self.params, dt)
         human = np.zeros(3)
         for pulse in self.config.human_pulses:
             if pulse.start <= t < pulse.end:
                 human[pulse.joint] += pulse.torque
-        self.joints = [
-            joint_plant_step(p, float(command.torque[i]), float(human[i]), self.joint_params, dt)
-            for i, p in enumerate(self.joints)
-        ]
+        q, qd = np.empty(3), np.empty(3)
+        for i, (angle, rate) in enumerate(zip(self.q.tolist(), self.qd.tolist())):
+            q[i], qd[i] = joint_plant_step(
+                angle, rate, float(command.torque[i]), float(human[i]), self.joint_params, dt
+            )
+        self.q, self.qd, self.tau = q, qd, command.torque
 
 
 def run_scenario(config: ScenarioConfig) -> SimTrace:
@@ -765,7 +757,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     params = config.lipm_params()
     events: list[Event] = []
     plant = Plant(config, events)
-    controller = Controller(config, events, plant.joints)
+    controller = Controller(config, events, plant.q)
 
     n_rows = int(round(config.duration / config.dt))
     if n_rows < 1:
@@ -784,16 +776,15 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     for k in range(n_rows):
         t = k * config.dt
         command = controller.step(plant.measure(t), t)
-        state = plant.state
         log_t[k] = t
-        log_com[k] = state.com
-        log_vel[k] = state.com_vel
-        log_xi[k] = dcm_of(state, params)
+        log_com[k] = plant.com
+        log_vel[k] = plant.vel
+        log_xi[k] = dcm_of(plant.com, plant.vel, params)
         log_cop[k] = command.cop
         log_phase.append(controller.detector.phase.value)
         log_foot[k] = controller.foot_point
         log_qd[k] = controller.q_des
-        log_qm[k] = [p.angle for p in controller.joints]
+        log_qm[k] = controller.q
         log_tau[k] = command.torque
         plant.step(command, t)
 

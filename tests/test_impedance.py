@@ -9,7 +9,6 @@ from exorecover import (
     ControlMode,
     ImpedanceGains,
     JointAngles,
-    JointState,
     PlantParams,
     command_torques,
     impedance_torque,
@@ -90,40 +89,34 @@ def test_command_torques_bypass_hip_ab_sensor():
 def test_plant_constant_torque_matches_closed_form():
     """inertia*acc = tau - b*vel has v(t) = (tau/b)(1 - exp(-b t / I))."""
     plant = PlantParams(inertia=0.05, viscous_damping=0.5)
-    s = JointState(angle=0.0, velocity=0.0)
+    q, v = 0.0, 0.0
     tau = 0.8
     for _ in range(1000):
-        s = joint_plant_step(s, tau, 0.0, plant, 0.001)
+        q, v = joint_plant_step(q, v, tau, 0.0, plant, 0.001)
     t = 1.0
     v_ref = (tau / 0.5) * (1.0 - math.exp(-0.5 * t / 0.05))
     q_ref = (tau / 0.5) * (t + (0.05 / 0.5) * (math.exp(-0.5 * t / 0.05) - 1.0))
-    assert s.velocity == pytest.approx(v_ref, abs=1e-9)
-    assert s.angle == pytest.approx(q_ref, abs=1e-9)
-    assert s.time == pytest.approx(1.0, abs=1e-12)
-    assert s.measured_torque == tau
+    assert v == pytest.approx(v_ref, abs=1e-9)
+    assert q == pytest.approx(q_ref, abs=1e-9)
 
 
 def test_plant_human_torque_adds_to_actuator():
     plant = PlantParams()
-    s1 = JointState(0.0, 0.0)
-    s2 = JointState(0.0, 0.0)
+    s1 = s2 = (0.0, 0.0)
     for _ in range(100):
-        s1 = joint_plant_step(s1, 0.3, 0.2, plant, 0.001)
-        s2 = joint_plant_step(s2, 0.5, 0.0, plant, 0.001)
-    assert s1.angle == pytest.approx(s2.angle, abs=1e-15)
-    assert s1.velocity == pytest.approx(s2.velocity, abs=1e-15)
-    # Measured torque reports only the actuator share.
-    assert s1.measured_torque == 0.3
-    assert s2.measured_torque == 0.5
+        s1 = joint_plant_step(*s1, 0.3, 0.2, plant, 0.001)
+        s2 = joint_plant_step(*s2, 0.5, 0.0, plant, 0.001)
+    assert s1[0] == pytest.approx(s2[0], abs=1e-15)
+    assert s1[1] == pytest.approx(s2[1], abs=1e-15)
 
 
 def test_plant_undamped_free_motion_is_linear():
     plant = PlantParams(inertia=0.1, viscous_damping=0.0)
-    s = JointState(angle=0.2, velocity=0.5)
+    q, v = 0.2, 0.5
     for _ in range(200):
-        s = joint_plant_step(s, 0.0, 0.0, plant, 0.005)
-    assert s.angle == pytest.approx(0.2 + 0.5 * 1.0, abs=1e-12)
-    assert s.velocity == pytest.approx(0.5, abs=1e-12)
+        q, v = joint_plant_step(q, v, 0.0, 0.0, plant, 0.005)
+    assert q == pytest.approx(0.2 + 0.5 * 1.0, abs=1e-12)
+    assert v == pytest.approx(0.5, abs=1e-12)
 
 
 def test_closed_loop_spring_settles_on_target():
@@ -131,33 +124,25 @@ def test_closed_loop_spring_settles_on_target():
     plant = PlantParams(inertia=0.05, viscous_damping=0.5)
     gains = ImpedanceGains.from_deg(DEFAULT_STIFFNESS_DEG)
     desired = np.array([0.1, 0.3, -0.2])
-    states = [JointState(0.0, 0.0) for _ in range(3)]
+    q, v, tau_m = np.zeros(3), np.zeros(3), np.zeros(3)
     for _ in range(4000):
-        q = np.array([s.angle for s in states])
-        v = np.array([s.velocity for s in states])
-        tau_m = np.array([s.measured_torque for s in states])
         tau_d = impedance_torque(desired, q, v, gains, ControlMode.ASSIST)
         tau_c = command_torques(tau_d, tau_m, kp=1.0)
-        states = [
-            joint_plant_step(s, float(tau_c[i]), 0.0, plant, 0.001)
-            for i, s in enumerate(states)
-        ]
-    final = np.array([s.angle for s in states])
-    assert np.abs(final - desired).max() < 1e-3
+        for i in range(3):
+            q[i], v[i] = joint_plant_step(q[i], v[i], float(tau_c[i]), 0.0, plant, 0.001)
+        tau_m = tau_c
+    assert np.abs(q - desired).max() < 1e-3
 
 
 def test_plant_step_validation():
     plant = PlantParams()
-    s = JointState(0.0, 0.0)
     with pytest.raises(ConfigurationError):
-        joint_plant_step(s, 0.0, 0.0, plant, 0.0)
+        joint_plant_step(0.0, 0.0, 0.0, 0.0, plant, 0.0)
     with pytest.raises(ConfigurationError):
-        joint_plant_step(s, 0.0, 0.0, plant, 0.02)
+        joint_plant_step(0.0, 0.0, 0.0, 0.0, plant, 0.02)
     with pytest.raises(ValueError):
-        joint_plant_step(s, math.nan, 0.0, plant, 0.001)
+        joint_plant_step(0.0, 0.0, math.nan, 0.0, plant, 0.001)
     with pytest.raises(ConfigurationError):
         PlantParams(inertia=0.0)
     with pytest.raises(ConfigurationError):
         PlantParams(viscous_damping=-1.0)
-    with pytest.raises(ValueError):
-        JointState(math.inf, 0.0)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from exorecover import (
-    CentroidalState,
     LipmParams,
     apply_impulse,
     com_closed_form,
@@ -45,9 +44,9 @@ def test_params_omega_consistent_after_replace():
 
 def test_dcm_of_definition():
     p = LipmParams(com_height=0.9)
-    s = CentroidalState(com=[0.1, -0.2], com_vel=[0.3, 0.6])
-    xi = dcm_of(s, p)
-    assert np.allclose(xi, s.com + s.com_vel / p.omega, rtol=0, atol=0)
+    com, com_vel = np.array([0.1, -0.2]), np.array([0.3, 0.6])
+    xi = dcm_of(com, com_vel, p)
+    assert np.allclose(xi, com + com_vel / p.omega, rtol=0, atol=0)
 
 
 def test_dcm_flow_sign_and_magnitude():
@@ -97,25 +96,23 @@ def test_com_flow_matches_derivative_of_closed_form():
     for t in (0.0, 0.2, 0.7):
         c = com_closed_form(com0, xi0, p, t)
         num = (com_closed_form(com0, xi0, p, t + h) - com_closed_form(com0, xi0, p, t)) / h
-        ana = com_flow(CentroidalState(c, [0.0, 0.0]), xi0, p)
+        ana = com_flow(c, xi0, p)
         assert np.allclose(num, ana, atol=1e-5)
 
 
 def test_step_lipm_rejects_bad_dt():
     p = LipmParams()
-    s = CentroidalState([0.0, 0.0], [0.0, 0.0])
     for dt in (0.0, -1e-3, 0.02):
         with pytest.raises(ConfigurationError):
-            step_lipm(s, [0.0, 0.0], p, dt)
+            step_lipm(np.zeros(2), np.zeros(2), [0.0, 0.0], p, dt)
 
 
 def test_step_lipm_equilibrium_is_exact():
     p = LipmParams()
-    s = CentroidalState([0.04, -0.02], [0.0, 0.0])
-    out = step_lipm(s, [0.04, -0.02], p, 1e-3)
-    assert np.all(out.com == s.com)
-    assert np.all(out.com_vel == 0.0)
-    assert out.time == 1e-3
+    com = np.array([0.04, -0.02])
+    out_com, out_vel = step_lipm(com, np.zeros(2), [0.04, -0.02], p, 1e-3)
+    assert np.all(out_com == com)
+    assert np.all(out_vel == 0.0)
 
 
 def test_rk4_tracks_closed_form_dcm():
@@ -124,40 +121,35 @@ def test_rk4_tracks_closed_form_dcm():
     for _ in range(20):
         omega = rng.uniform(2.0, 4.0)
         p = LipmParams(gravity=9.81, com_height=9.81 / omega**2)
-        s = CentroidalState(rng.uniform(-0.1, 0.1, 2), rng.uniform(-0.5, 0.5, 2))
+        com, vel = rng.uniform(-0.1, 0.1, 2), rng.uniform(-0.5, 0.5, 2)
         cop = rng.uniform(-0.1, 0.1, 2)
-        xi0 = dcm_of(s, p)
+        xi0 = dcm_of(com, vel, p)
         for _ in range(1000):
-            s = step_lipm(s, cop, p, 1e-3)
+            com, vel = step_lipm(com, vel, cop, p, 1e-3)
         xi_ref = dcm_closed_form(xi0, cop, p, 1.0)
-        assert np.abs(dcm_of(s, p) - xi_ref).max() < 1e-8
+        assert np.abs(dcm_of(com, vel, p) - xi_ref).max() < 1e-8
 
 
 def test_rk4_com_matches_frozen_dcm_form_when_cop_tracks():
     """With the CoP servoed onto the DCM, the CoM follows the relaxation law."""
     p = LipmParams(com_height=0.9)
-    s = CentroidalState([0.0, 0.0], [0.33015148038438356, 0.0])  # xi0 = (0.1, 0)
-    xi0 = dcm_of(s, p).copy()
+    com, vel = np.zeros(2), np.array([0.33015148038438356, 0.0])  # xi0 = (0.1, 0)
+    xi0 = dcm_of(com, vel, p)
     for _ in range(800):
-        s = step_lipm(s, dcm_of(s, p), p, 1e-3)
+        com, vel = step_lipm(com, vel, dcm_of(com, vel, p), p, 1e-3)
     ref = com_closed_form([0.0, 0.0], xi0, p, 0.8)
-    assert np.abs(s.com - ref).max() < 1e-9
+    assert np.abs(com - ref).max() < 1e-9
 
 
 def test_apply_impulse_shifts_dcm_by_impulse_over_m_omega():
     p = LipmParams(com_height=0.88, mass=70.0)
-    s = CentroidalState([0.0, 0.0], [0.0, 0.0])
+    com, vel = np.zeros(2), np.zeros(2)
     J = np.array([28.0, -7.0])
-    out = apply_impulse(s, J, p)
-    assert np.all(out.com == s.com)
-    assert np.allclose(out.com_vel, J / 70.0, rtol=0, atol=0)
-    assert np.allclose(dcm_of(out, p) - dcm_of(s, p), J / (70.0 * p.omega), atol=1e-18)
+    out = apply_impulse(vel, J, p)
+    assert np.allclose(out, J / 70.0, rtol=0, atol=0)
+    assert np.allclose(dcm_of(com, out, p) - dcm_of(com, vel, p), J / (70.0 * p.omega), atol=1e-18)
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        CentroidalState([0.0, 0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        CentroidalState([0.0, np.nan], [0.0, 0.0])
     with pytest.raises(ValueError):
         LipmParams(mass=0.0)

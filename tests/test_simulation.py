@@ -11,7 +11,6 @@ from exorecover import (
     HumanPulse,
     PushEvent,
     ScenarioConfig,
-    TrunkAttitude,
     ankle_clamp,
     estimate_com,
     run_scenario,
@@ -40,23 +39,14 @@ def test_estimate_com_inverts_the_attitude_pathway():
     rng = np.random.default_rng(411)
     for _ in range(200):
         com = rng.uniform(-0.8, 0.8, size=2) * L
-        att = TrunkAttitude(pitch=math.asin(com[0] / L), roll=math.asin(com[1] / L))
-        back = estimate_com(att, L)
+        back = estimate_com(math.asin(com[1] / L), math.asin(com[0] / L), L)
         assert np.allclose(back, com, rtol=0.0, atol=1e-12)
 
-    flat = estimate_com(TrunkAttitude(0.0, 0.0), L)
+    flat = estimate_com(0.0, 0.0, L)
     assert flat[0] == 0.0 and flat[1] == 0.0
-    tilted = estimate_com(TrunkAttitude(roll=0.0, pitch=0.1), L)
+    tilted = estimate_com(0.0, 0.1, L)
     assert tilted[0] == pytest.approx(L * math.sin(0.1), abs=1e-15)
     assert tilted[1] == 0.0
-
-
-def test_trunk_attitude_rejects_out_of_range_angles():
-    TrunkAttitude(roll=1.5, pitch=-1.5)  # inside the open interval
-    with pytest.raises(ValueError):
-        TrunkAttitude(roll=math.pi / 2, pitch=0.0)
-    with pytest.raises(ValueError):
-        TrunkAttitude(roll=0.0, pitch=-math.pi / 2)
 
 
 def test_push_event_and_human_pulse_validation():
