@@ -363,7 +363,6 @@ def _fail(message: str, code: int) -> int:
 def cmd_simulate(args) -> int:
     try:
         config = load_scenario(args.scenario, args.set)
-        config.step_bounds().validate()
     except (ScenarioParseError, ConfigurationError) as err:
         return _fail(str(err), 1)
 

@@ -87,8 +87,9 @@ class NominalGait:
 class StepBounds:
     """Feasible boxes for the landing CoP and the step duration.
 
-    Deliberately not validated at construction: the CLI checks bounds up
-    front for simulation runs, while raw planning calls let an inverted
+    Deliberately not validated at construction: scenario configs check
+    their bounds up front (``ScenarioConfig.validate``), while raw
+    planning calls let an inverted
     CoP box or an empty duration window surface as a
     :class:`PlannerInfeasibleError` naming the empty rows.  These are the
     only infeasible programs.  Call :meth:`validate` to check explicitly.

@@ -175,6 +175,28 @@ def test_simulate_exit_codes(tmp_path, capsys):
     assert "aborted = true" in (out / "summary.txt").read_text()
 
 
+def test_every_subcommand_rejects_inverted_step_bounds(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    grid = write_scenario(tmp_path, GRID, name="grid.txt")
+    commands = {
+        "simulate": ["--out", str(tmp_path / "sim")],
+        "plan": ["--xi0", "0.12,0", "--cop0", "0,0"],
+        "sweep-weights": ["--grid", str(grid), "--out", str(tmp_path / "sweep")],
+    }
+    inverted = {
+        "cop_min": ["planner.cop_min = 0.4,-0.3", "planner.cop_max = 0.3,-0.04"],
+        "t_min": ["planner.t_min = 1.5", "planner.t_max = 1.2"],
+    }
+    for command, extra in commands.items():
+        for field, overrides in inverted.items():
+            sets = [arg for o in overrides for arg in ("--set", o)]
+            rc = cli.main([command, "--scenario", str(scenario), *extra, *sets])
+            err = capsys.readouterr().err
+            assert rc == 1, (command, field)
+            assert "error:" in err and field in err, (command, field, err)
+    assert not (tmp_path / "sim").exists() and not (tmp_path / "sweep").exists()
+
+
 def test_simulate_set_override_changes_the_run(tmp_path):
     scenario = write_scenario(tmp_path)
     out = tmp_path / "short"

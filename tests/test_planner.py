@@ -26,6 +26,7 @@ from exorecover import (
     solve_qp,
 )
 from exorecover.errors import ConfigurationError
+from exorecover.planner import REPLAN_FLOOR
 
 OMEGA = 3.3388212400078077  # sqrt(9.81 / 0.88)
 
@@ -218,6 +219,29 @@ def test_replan_far_into_swing_returns_terminal_plan():
     assert term.objective == planning_cost(inp, term.cop_T, term.sigma, term.gamma_T)
     assert term.objective != plan.objective
     assert term.active_set == (0,)
+
+
+@pytest.mark.xfail(strict=True, reason="replan on T_min freezes on a rounding of the landing time")
+def test_replan_on_t_min_runs_to_the_floor():
+    """A plan on T_min keeps being re-solved until less than the floor is left.
+
+    With the previous plan on ``T_min`` the window's ends ``T_min -
+    elapsed`` and ``landing_time - elapsed`` are equal in exact
+    arithmetic, so the plan should stay ``"optimal"`` (sigma pinned)
+    until ``T_min - elapsed`` drops under ``REPLAN_FLOOR``.  Today the
+    landing time rounds below ``T_min`` and the step freezes after 5 ms.
+    """
+    nominal, bounds = default_nominal(), default_bounds()
+    xi0, cop0 = np.array([0.3, 0.0]), np.zeros(2)
+    params = LipmParams(gravity=OMEGA**2, com_height=1.0)
+    plan = plan_step(PlannerInput(xi0, cop0, OMEGA, nominal, bounds))
+    assert plan.duration == bounds.T_min
+    k = 0
+    while plan.status != "terminal":
+        k += 1
+        xi_t = dcm_closed_form(xi0, cop0, params, k * 1e-3)
+        plan = replan(plan, PlannerInput(xi_t, cop0, OMEGA, nominal, bounds), k * 1e-3)
+    assert k * 1e-3 > bounds.T_min - REPLAN_FLOOR
 
 
 def test_replan_rejects_negative_elapsed():
