@@ -73,20 +73,22 @@ def quintic_from_boundary(
     start: tuple[float, float, float],
     end: tuple[float, float, float],
 ) -> QuinticSegment:
-    """Unique quintic matching (pos, vel, acc) at both ends."""
-    tau = t1 - t0
-    if not (tau > 0.0) or not math.isfinite(tau):
-        raise ValueError(f"segment duration must be positive, got {tau}")
-    powers = np.array([tau**k for k in range(6)])
-    A = np.zeros((6, 6))
-    A[0, 0] = 1.0
-    A[1, 1] = 1.0
-    A[2, 2] = 2.0
-    A[3] = powers
-    A[4] = [0.0, 1.0, 2.0 * tau, 3.0 * tau**2, 4.0 * tau**3, 5.0 * tau**4]
-    A[5] = [0.0, 0.0, 2.0, 6.0 * tau, 12.0 * tau**2, 20.0 * tau**3]
-    b = np.array([start[0], start[1], start[2], end[0], end[1], end[2]])
-    coeffs = np.linalg.solve(A, b)
+    """Unique quintic matching (pos, vel, acc) at both ends, in closed form."""
+    T = t1 - t0
+    if not (T > 0.0) or not math.isfinite(T):
+        raise ValueError(f"segment duration must be positive, got {T}")
+    p0, v0, a0 = start
+    p1, v1, a1 = end
+    h = p1 - p0
+    T2 = T * T
+    coeffs = np.array([
+        p0,
+        v0,
+        0.5 * a0,
+        (20.0 * h - (8.0 * v1 + 12.0 * v0) * T - (3.0 * a0 - a1) * T2) / (2.0 * T2 * T),
+        (-30.0 * h + (14.0 * v1 + 16.0 * v0) * T + (3.0 * a0 - 2.0 * a1) * T2) / (2.0 * T2 * T2),
+        (12.0 * h - 6.0 * (v1 + v0) * T + (a1 - a0) * T2) / (2.0 * T2 * T2 * T),
+    ])
     return QuinticSegment(coeffs, t0, t1)
 
 

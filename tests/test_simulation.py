@@ -296,6 +296,20 @@ def test_push_during_swing_triggers_material_replans():
     assert bumped_angle > ref_angle + 5.0
 
 
+def test_control_loop_does_not_call_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the control loop called LAPACK")
+
+    for name in ("svd", "lstsq", "cholesky", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    forward, lateral = push_for_excursion(0.12, 0.0), push_for_excursion(0.0, 0.12)
+    mid_swing = push_for_excursion(0.0, 0.06, t=0.62)
+    for pushes in ((forward,), (lateral,), (forward, mid_swing)):
+        trace = run_scenario(ScenarioConfig(pushes=pushes))
+        assert events_of(trace, "TouchDown") and events_of(trace, "Replanned")
+        assert not events_of(trace, "StepAborted")
+
+
 # --------------------------------------------------------------------------
 # chaining, aborts, control modes
 
