@@ -26,24 +26,12 @@ from .impedance import (
     joint_plant_step,
     p_torque_loop,
 )
-from .kinematics import (
-    FootTarget,
-    JointAngles,
-    JointLimits,
-    LegGeometry,
-    Side,
-    forward_kinematics,
-    inverse_kinematics,
-    reachable,
-    workspace_step_bounds,
-)
+from .kinematics import JointLimits, LegGeometry, Side, forward_kinematics, inverse_kinematics
 from .lipm import (
     LipmParams,
     apply_impulse,
     com_closed_form,
-    com_flow,
     dcm_closed_form,
-    dcm_flow,
     dcm_of,
     natural_frequency,
     step_lipm,
@@ -75,6 +63,6 @@ from .simulation import (
     run_scenario,
     summarize,
 )
-from .swing import SwingSample, SwingTrajectory, build_swing, quintic_from_boundary, retarget, sample
+from .swing import SwingTrajectory, build_swing, quintic_from_boundary, retarget, sample
 
 __version__ = "0.1.0"

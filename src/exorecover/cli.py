@@ -265,24 +265,18 @@ def _num(x: float) -> str:
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
+    # One %-format per row over Python floats ("%.12g" is _num's format).
+    # Rows are converted one at a time: a whole-trace .tolist() would
+    # raise the peak memory by several times the file size.
+    row = ",".join(["%.12g"] * 9 + ["%s"] + ["%.12g"] * 12) + "\n"
     out = io.StringIO()
     out.write(TRACE_HEADER + "\n")
-    for k in range(trace.t.shape[0]):
-        row = [
-            _num(trace.t[k]),
-            _num(trace.com[k, 0]), _num(trace.com[k, 1]),
-            _num(trace.com_vel[k, 0]), _num(trace.com_vel[k, 1]),
-            _num(trace.xi[k, 0]), _num(trace.xi[k, 1]),
-            _num(trace.cop[k, 0]), _num(trace.cop[k, 1]),
-            trace.phase[k],
-            _num(trace.foot[k, 0]), _num(trace.foot[k, 1]), _num(trace.foot[k, 2]),
-            _num(trace.joint_desired[k, 0]), _num(trace.joint_desired[k, 1]),
-            _num(trace.joint_desired[k, 2]),
-            _num(trace.joint_measured[k, 0]), _num(trace.joint_measured[k, 1]),
-            _num(trace.joint_measured[k, 2]),
-            _num(trace.torque[k, 0]), _num(trace.torque[k, 1]), _num(trace.torque[k, 2]),
-        ]
-        out.write(",".join(row) + "\n")
+    vectors = zip(trace.com, trace.com_vel, trace.xi, trace.cop,
+                  trace.foot, trace.joint_desired, trace.joint_measured, trace.torque)
+    for t, phase, (com, vel, xi, cop, foot, q_des, q_meas, tau) in zip(
+            trace.t.tolist(), trace.phase, vectors):
+        out.write(row % (t, *com.tolist(), *vel.tolist(), *xi.tolist(), *cop.tolist(), phase,
+                         *foot.tolist(), *q_des.tolist(), *q_meas.tolist(), *tau.tolist()))
     _atomic_write(Path(path), out.getvalue())
 
 

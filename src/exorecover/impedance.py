@@ -114,8 +114,6 @@ def impedance_torque(
     """Desired actuator torques for all three joints."""
     if mode is ControlMode.ZERO_TORQUE:
         return np.zeros(3)
-    if hasattr(desired_angles, "as_array"):
-        desired_angles = desired_angles.as_array()
     desired = _as_vec3(desired_angles, "desired_angles")
     measured = _as_vec3(measured_angles, "measured_angles")
     velocity = _as_vec3(measured_velocities, "measured_velocities")

@@ -25,8 +25,6 @@ __all__ = [
     "LipmParams",
     "natural_frequency",
     "dcm_of",
-    "dcm_flow",
-    "com_flow",
     "dcm_closed_form",
     "com_closed_form",
     "step_lipm",
@@ -86,16 +84,6 @@ class LipmParams:
 def dcm_of(com: np.ndarray, com_vel: np.ndarray, params: LipmParams) -> np.ndarray:
     """Divergent component ``com + com_vel / omega``."""
     return com + com_vel / params.omega
-
-
-def dcm_flow(xi, cop, params: LipmParams) -> np.ndarray:
-    """Time derivative of the divergent component, ``omega * (xi - cop)``."""
-    return params.omega * (as_vec2(xi, "xi") - as_vec2(cop, "cop"))
-
-
-def com_flow(com, xi, params: LipmParams) -> np.ndarray:
-    """CoM velocity written against the DCM, ``omega * (xi - com)``."""
-    return params.omega * (as_vec2(xi, "xi") - as_vec2(com, "com"))
 
 
 def _check_horizon(t: float) -> float:

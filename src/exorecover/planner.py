@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, PlannerInfeasibleError
+from .errors import PlannerInfeasibleError
 from .lipm import as_vec2
 from .qp import QpProblem
 
@@ -87,12 +87,11 @@ class NominalGait:
 class StepBounds:
     """Feasible boxes for the landing CoP and the step duration.
 
-    Deliberately not validated at construction: scenario configs check
-    their bounds up front (``ScenarioConfig.validate``), while raw
-    planning calls let an inverted
-    CoP box or an empty duration window surface as a
-    :class:`PlannerInfeasibleError` naming the empty rows.  These are the
-    only infeasible programs.  Call :meth:`validate` to check explicitly.
+    Not checked for emptiness: scenario configs check their bounds once,
+    up front (``ScenarioConfig.validate``, the program's one bounds
+    check), while raw planning calls let an inverted CoP box or an empty
+    duration window surface as a :class:`PlannerInfeasibleError` naming
+    the empty rows.  These are the only infeasible programs.
     """
 
     cop_min: np.ndarray  # (2,) m
@@ -107,16 +106,6 @@ class StepBounds:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-
-    def validate(self) -> None:
-        """Raise ConfigurationError when the boxes are empty or inverted."""
-        bad = []
-        if np.any(self.cop_min > self.cop_max):
-            bad.append(f"cop_min {self.cop_min.tolist()} exceeds cop_max {self.cop_max.tolist()}")
-        if not (0.0 < self.T_min <= self.T_max):
-            bad.append(f"need 0 < T_min <= T_max, got [{self.T_min}, {self.T_max}]")
-        if bad:
-            raise ConfigurationError("infeasible step bounds: " + "; ".join(bad))
 
     def sigma_bounds(self, omega: float) -> tuple[float, float]:
         return math.exp(omega * self.T_min), math.exp(omega * self.T_max)

@@ -59,15 +59,7 @@ from .impedance import (
     impedance_torque,
     joint_plant_step,
 )
-from .kinematics import (
-    FootTarget,
-    JointAngles,
-    JointLimits,
-    LegGeometry,
-    Side,
-    forward_kinematics,
-    inverse_kinematics,
-)
+from .kinematics import JointLimits, LegGeometry, Side, forward_kinematics, inverse_kinematics
 from .lipm import LipmParams, apply_impulse, as_vec2, dcm_of, step_lipm
 from .planner import (
     NominalGait,
@@ -293,6 +285,11 @@ class ScenarioConfig:
             if not cond:
                 bad.append(msg)
 
+        for name, value in vars(self).items():  # every number, tuple elements included
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    bad.append(f"{name} must be finite, got {value}")
+                    break
         check(self.gravity > 0.0, f"gravity must be positive, got {self.gravity}")
         check(self.com_height > 0.0, f"com_height must be positive, got {self.com_height}")
         check(self.mass > 0.0, f"mass must be positive, got {self.mass}")
@@ -407,9 +404,9 @@ def _hip_xy(config: ScenarioConfig, side: Side, com: np.ndarray) -> np.ndarray:
     return np.array([com[0], com[1] + lateral])
 
 
-def _leg_target(config: ScenarioConfig, side: Side, world_point, com: np.ndarray) -> FootTarget:
+def _leg_target(config: ScenarioConfig, side: Side, world_point, com: np.ndarray) -> np.ndarray:
     x, y = _hip_xy(config, side, com)
-    return FootTarget(np.array([world_point[0] - x, world_point[1] - y, world_point[2] - config.com_height]))
+    return np.array([world_point[0] - x, world_point[1] - y, world_point[2] - config.com_height])
 
 
 class Measurement(NamedTuple):
@@ -574,7 +571,7 @@ class Controller:
             self._abort(t, f"swing start pose unreachable: {err}")
             return None
         # The swing leg lifts off at rest in its current pose.
-        self.q, self.qd, self.tau = q0.as_array(), np.zeros(3), np.zeros(3)
+        self.q, self.qd, self.tau = q0, np.zeros(3), np.zeros(3)
         self.q_des = self.q.copy()
         self.foot_point = ep.swing_start.copy()
 
@@ -654,12 +651,11 @@ class Controller:
             RecoveryPhase.SWING,
         ):
             return np.zeros(3), None
-        s = sample(ep.traj, t - ep.traj_t0)
-        self.foot_point = s.position
+        self.foot_point, _, _ = sample(ep.traj, t - ep.traj_t0)
         try:
             self.q_des = inverse_kinematics(
-                _leg_target(self.config, ep.swing, s.position, meas.com), ep.geom, self.limits
-            ).as_array()
+                _leg_target(self.config, ep.swing, self.foot_point, meas.com), ep.geom, self.limits
+            )
         except (WorkspaceError, JointLimitError) as err:
             self._abort(t, f"swing target unreachable: {err}")
             return np.zeros(3), None
@@ -701,7 +697,7 @@ class Plant:
             _leg_target(config, Side.RIGHT, planted, self.com),
             self.geoms[Side.RIGHT],
             config.joint_limits(),
-        ).as_array()
+        )
         self.qd, self.tau = np.zeros(3), np.zeros(3)
 
     def measure(self, t: float) -> Measurement:
@@ -724,7 +720,7 @@ class Plant:
 
         foot = None
         if self.swing is not None:
-            achieved = forward_kinematics(JointAngles(*self.q), self.geoms[self.swing]).position
+            achieved = forward_kinematics(self.q, self.geoms[self.swing])
             hip = _hip_xy(self.config, self.swing, self.com)
             foot = self.foot = np.array([hip[0] + achieved[0], hip[1] + achieved[1]])
         xi_hat = com_hat + self.vel / self.params.omega

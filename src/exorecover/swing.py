@@ -30,7 +30,6 @@ from .planner import StepPlan
 __all__ = [
     "QuinticSegment",
     "SwingTrajectory",
-    "SwingSample",
     "quintic_from_boundary",
     "build_swing",
     "sample",
@@ -112,14 +111,6 @@ class SwingTrajectory:
         return None
 
 
-@dataclass(frozen=True)
-class SwingSample:
-    position: np.ndarray  # (3,)
-    velocity: np.ndarray  # (3,)
-    acceleration: np.ndarray  # (3,)
-    clamped: bool  # True when the query time was outside [0, duration]
-
-
 def _check_plan(plan: StepPlan) -> None:
     if not np.all(np.isfinite(plan.cop_T)):
         raise ValueError(f"plan landing point must be finite, got {plan.cop_T}")
@@ -167,21 +158,16 @@ def _z_piece(traj: SwingTrajectory, t: float) -> QuinticSegment:
     return pieces[-1]
 
 
-def sample(traj: SwingTrajectory, t: float) -> SwingSample:
-    """Evaluate at local time ``t``, clamped to [0, duration]."""
+def sample(traj: SwingTrajectory, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(position, velocity, acceleration)``, each ``(3,)``, at local time
+    ``t`` clamped to [0, duration]."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    clamped = t < 0.0 or t > traj.duration
     t_eval = min(max(t, 0.0), traj.duration)
     px, vx, ax = traj.x_profile.evaluate(t_eval)
     py, vy, ay = traj.y_profile.evaluate(t_eval)
     pz, vz, az = _z_piece(traj, t_eval).evaluate(t_eval)
-    return SwingSample(
-        position=np.array([px, py, pz]),
-        velocity=np.array([vx, vy, vz]),
-        acceleration=np.array([ax, ay, az]),
-        clamped=clamped,
-    )
+    return np.array([px, py, pz]), np.array([vx, vy, vz]), np.array([ax, ay, az])
 
 
 def retarget(traj: SwingTrajectory, t_now: float, new_plan: StepPlan) -> SwingTrajectory:
@@ -195,9 +181,9 @@ def retarget(traj: SwingTrajectory, t_now: float, new_plan: StepPlan) -> SwingTr
     _check_plan(new_plan)
     if not (0.0 <= t_now < traj.duration):
         raise ValueError(f"t_now must be in [0, {traj.duration}), got {t_now}")
-    here = sample(traj, t_now)
+    pos, vel, acc = sample(traj, t_now)
     T = new_plan.duration
-    state = lambda i: (float(here.position[i]), float(here.velocity[i]), float(here.acceleration[i]))
+    state = lambda i: (float(pos[i]), float(vel[i]), float(acc[i]))
     rest = lambda v: (float(v), 0.0, 0.0)
 
     # The apex keeps its original instant: under once-per-cycle

@@ -15,9 +15,7 @@ import numpy as np
 
 from exorecover import (
     ControlMode,
-    FootTarget,
     ImpedanceGains,
-    JointAngles,
     LegGeometry,
     LipmParams,
     NominalGait,
@@ -247,33 +245,33 @@ def test_criterion_05_leg_roundtrips_and_rejection_diagnostics():
     worst = 0.0
     for geom in (LegGeometry(side=Side.LEFT), LegGeometry(side=Side.RIGHT)):
         for _ in range(500):
-            ang = JointAngles(
+            ang = np.array([
                 float(rng.uniform(-0.3, 0.3)),
                 float(rng.uniform(-0.3, 1.4)),
                 float(rng.uniform(0.05, 2.0)),
-            )
+            ])
             target = forward_kinematics(ang, geom)
             back = inverse_kinematics(target, geom, limits=None)
-            worst = max(worst, float(np.abs(back.as_array() - ang.as_array()).max()))
+            worst = max(worst, float(np.abs(back - ang).max()))
             again = forward_kinematics(back, geom)
-            worst = max(worst, float(np.abs(again.position - target.position).max()))
+            worst = max(worst, float(np.abs(again - target).max()))
     roundtrip_ok = worst <= 1e-9
 
     left = LegGeometry(side=Side.LEFT)
     probes_ok = True
     try:
-        inverse_kinematics(FootTarget([0.0, 0.04, -0.95]), left)
+        inverse_kinematics([0.0, 0.04, -0.95], left)
         probes_ok = False
     except WorkspaceError as err:
         probes_ok &= "full knee extension" in str(err) and err.diagnostic is not None
     try:
         stubby = LegGeometry(l2=0.5, l3=0.3, side=Side.LEFT)
-        inverse_kinematics(FootTarget([0.0, 0.04, -0.1]), stubby, limits=None)
+        inverse_kinematics([0.0, 0.04, -0.1], stubby, limits=None)
         probes_ok = False
     except WorkspaceError as err:
         probes_ok &= "knee fold" in str(err) and err.diagnostic is not None
     try:
-        inverse_kinematics(FootTarget([0.2, 0.0, 0.0]), left, limits=None)
+        inverse_kinematics([0.2, 0.0, 0.0], left, limits=None)
         probes_ok = False
     except WorkspaceError as err:
         probes_ok &= "hip offset" in str(err) and err.diagnostic is not None

@@ -8,7 +8,6 @@ import pytest
 from exorecover import (
     ControlMode,
     ImpedanceGains,
-    JointAngles,
     PlantParams,
     command_torques,
     impedance_torque,
@@ -46,12 +45,6 @@ def test_damping_term_opposes_velocity():
     gains = ImpedanceGains(stiffness=np.zeros(3), damping=np.array([0.1, 0.2, 0.3]))
     tau = impedance_torque(np.zeros(3), np.zeros(3), np.array([1.0, 1.0, -2.0]), gains, ControlMode.ASSIST)
     assert np.allclose(tau, [-0.1, -0.2, 0.6], atol=1e-15)
-
-
-def test_accepts_joint_angles_dataclass():
-    desired = JointAngles(RAD_PER_DEG, 0.0, 0.0)
-    tau = impedance_torque(desired, np.zeros(3), np.zeros(3), GAINS, ControlMode.ASSIST)
-    assert tau[0] == 1.5
 
 
 def test_scalar_gains_broadcast():

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from exorecover import (
-    FootTarget,
-    JointAngles,
     JointLimitError,
     JointLimits,
     LegGeometry,
@@ -15,30 +13,22 @@ from exorecover import (
     WorkspaceError,
     forward_kinematics,
     inverse_kinematics,
-    reachable,
-    workspace_step_bounds,
 )
-from exorecover.errors import ConfigurationError
 
 LEFT = LegGeometry(side=Side.LEFT)
 RIGHT = LegGeometry(side=Side.RIGHT)
-WIDE = JointLimits(
-    hip_ab=(-math.pi / 2, math.pi / 2),
-    hip_flex=(-math.pi / 2, math.pi / 2),
-    knee=(0.0, math.pi - 0.05),
-)
 
 
 def test_zero_pose_hangs_straight_down():
-    zero = JointAngles(0.0, 0.0, 0.0)
-    assert np.allclose(forward_kinematics(zero, LEFT).position, [0.0, 0.04, -0.9], atol=0)
-    assert np.allclose(forward_kinematics(zero, RIGHT).position, [0.0, -0.04, -0.9], atol=0)
+    zero = np.zeros(3)
+    assert np.allclose(forward_kinematics(zero, LEFT), [0.0, 0.04, -0.9], atol=0)
+    assert np.allclose(forward_kinematics(zero, RIGHT), [0.0, -0.04, -0.9], atol=0)
 
 
 def test_forward_kinematics_frozen_value():
     # Independently evaluated (30-digit symbolic arithmetic, then rounded
     # to float64) for theta = (0.1, 0.2, 0.3) on the left leg.
-    foot = forward_kinematics(JointAngles(0.1, 0.2, 0.3), LEFT).position
+    foot = forward_kinematics((0.1, 0.2, 0.3), LEFT)
     expected = [0.044476161366704875, 0.12853029379327488, -0.8803482905892234]
     assert np.abs(foot - expected).max() < 1e-15
 
@@ -46,9 +36,9 @@ def test_forward_kinematics_frozen_value():
 def test_right_leg_mirrors_lateral_axis_only():
     rng = np.random.default_rng(17)
     for _ in range(100):
-        ang = JointAngles(*rng.uniform(-0.8, 0.8, 3))
-        left = forward_kinematics(ang, LEFT).position
-        right = forward_kinematics(ang, RIGHT).position
+        ang = rng.uniform(-0.8, 0.8, 3)
+        left = forward_kinematics(ang, LEFT)
+        right = forward_kinematics(ang, RIGHT)
         assert right[0] == left[0]
         assert right[1] == -left[1]
         assert right[2] == left[2]
@@ -56,7 +46,7 @@ def test_right_leg_mirrors_lateral_axis_only():
 
 def test_pure_knee_flexion_shortens_leg():
     for t3 in (0.2, 0.6, 1.0):
-        foot = forward_kinematics(JointAngles(0.0, 0.0, t3), LEFT).position
+        foot = forward_kinematics((0.0, 0.0, t3), LEFT)
         assert foot[0] < 0.0  # shank folds backward
         assert foot[2] > -0.9
         # Thigh-plane distance from the flexion axis is l2^2+l3^2+2 l2 l3 cos t3.
@@ -66,15 +56,15 @@ def test_pure_knee_flexion_shortens_leg():
 
 
 def test_pure_hip_flexion_swings_forward():
-    foot = forward_kinematics(JointAngles(0.0, 0.5, 0.0), LEFT).position
+    foot = forward_kinematics((0.0, 0.5, 0.0), LEFT)
     assert foot[0] == pytest.approx(0.9 * math.sin(0.5), abs=1e-15)
     assert foot[2] == pytest.approx(-0.9 * math.cos(0.5), abs=1e-15)
     assert foot[1] == 0.04
 
 
 def test_abduction_moves_foot_away_from_midline_on_both_sides():
-    left = forward_kinematics(JointAngles(0.3, 0.0, 0.0), LEFT).position
-    right = forward_kinematics(JointAngles(0.3, 0.0, 0.0), RIGHT).position
+    left = forward_kinematics((0.3, 0.0, 0.0), LEFT)
+    right = forward_kinematics((0.3, 0.0, 0.0), RIGHT)
     assert left[1] > 0.04  # further left
     assert right[1] < -0.04  # further right
     assert left[1] == -right[1]
@@ -82,9 +72,9 @@ def test_abduction_moves_foot_away_from_midline_on_both_sides():
 
 def test_abduction_preserves_lateral_plane_radius():
     for t1 in np.linspace(-1.0, 1.0, 9):
-        foot = forward_kinematics(JointAngles(float(t1), 0.3, 0.4), LEFT).position
+        foot = forward_kinematics((float(t1), 0.3, 0.4), LEFT)
         r = math.hypot(foot[1], foot[2])
-        foot0 = forward_kinematics(JointAngles(0.0, 0.3, 0.4), LEFT).position
+        foot0 = forward_kinematics((0.0, 0.3, 0.4), LEFT)
         assert r == pytest.approx(math.hypot(foot0[1], foot0[2]), abs=1e-14)
 
 
@@ -97,27 +87,27 @@ def test_roundtrip_ik_fk_random_poses():
             t1 = rng.uniform(-0.3, 0.3)
             t2 = rng.uniform(-0.3, 1.4)
             t3 = rng.uniform(0.05, 2.0)
-            ang = JointAngles(t1, t2, t3)
+            ang = np.array([t1, t2, t3])
             target = forward_kinematics(ang, geom)
             back = inverse_kinematics(target, geom, limits=None)
-            assert np.abs(back.as_array() - ang.as_array()).max() < 1e-9
+            assert np.abs(back - ang).max() < 1e-9
             again = forward_kinematics(back, geom)
-            assert np.abs(again.position - target.position).max() < 1e-9
+            assert np.abs(again - target).max() < 1e-9
             count += 1
 
 
 def test_knee_angle_branch_is_nonnegative():
     rng = np.random.default_rng(404)
     for _ in range(200):
-        ang = JointAngles(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 1.2), rng.uniform(0.05, 2.0))
+        ang = (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 1.2), rng.uniform(0.05, 2.0))
         target = forward_kinematics(ang, LEFT)
         sol = inverse_kinematics(target, LEFT, limits=None)
-        assert sol.theta3 >= 0.0
+        assert sol[2] >= 0.0
 
 
 def test_too_far_target_rejected_with_extension_diagnostic():
     with pytest.raises(WorkspaceError) as err:
-        inverse_kinematics(FootTarget([0.0, 0.04, -0.95]), LEFT)
+        inverse_kinematics([0.0, 0.04, -0.95], LEFT)
     assert "full knee extension" in str(err.value)
     assert err.value.diagnostic is not None
 
@@ -127,37 +117,25 @@ def test_too_close_target_rejected_with_fold_diagnostic():
     # exists for asymmetric links.
     geom = LegGeometry(l2=0.5, l3=0.3, side=Side.LEFT)
     with pytest.raises(WorkspaceError) as err:
-        inverse_kinematics(FootTarget([0.0, 0.04, -0.1]), geom, limits=None)
+        inverse_kinematics([0.0, 0.04, -0.1], geom, limits=None)
     assert "knee fold" in str(err.value)
 
 
 def test_inside_hip_offset_rejected():
     with pytest.raises(WorkspaceError) as err:
-        inverse_kinematics(FootTarget([0.2, 0.0, 0.0]), LEFT, limits=None)
+        inverse_kinematics([0.2, 0.0, 0.0], LEFT, limits=None)
     assert "hip offset" in str(err.value)
 
 
 def test_joint_limits_enforced_and_named():
     # Reachable point that needs theta2 ~ 57 deg with a tight flexion cap.
     tight = JointLimits(hip_flex=(-0.2, 0.2))
-    target = forward_kinematics(JointAngles(0.0, 1.0, 0.3), LEFT)
+    target = forward_kinematics((0.0, 1.0, 0.3), LEFT)
     with pytest.raises(JointLimitError) as err:
         inverse_kinematics(target, LEFT, limits=tight)
     assert "hip_flex" in err.value.joints
     # Same target passes without limits.
     inverse_kinematics(target, LEFT, limits=None)
-
-
-def test_reachable_reports_reason():
-    ok = reachable(FootTarget([0.1, 0.04, -0.8]), LEFT)
-    assert ok.ok and ok.reason is None
-    far = reachable(FootTarget([0.0, 0.04, -2.0]), LEFT)
-    assert not far.ok
-    assert "extension" in far.reason
-    tight = JointLimits(hip_flex=(-0.01, 0.01))
-    lim = reachable(forward_kinematics(JointAngles(0.0, 0.8, 0.5), LEFT), LEFT, tight)
-    assert not lim.ok
-    assert "hip_flex" in lim.reason
 
 
 def test_out_of_workspace_probes_around_boundary():
@@ -169,26 +147,7 @@ def test_out_of_workspace_probes_around_boundary():
         direction /= np.linalg.norm(direction)
         point = direction * (max_reach + rng.uniform(0.01, 0.5))
         with pytest.raises(WorkspaceError):
-            inverse_kinematics(FootTarget(point), LEFT, limits=None)
-
-
-def test_workspace_step_bounds_box_is_reachable():
-    stance = JointAngles(0.0, 0.1, 0.2)
-    bounds = workspace_step_bounds(LEFT, stance, margin=0.02, limits=WIDE)
-    bounds.validate()
-    z_ground = forward_kinematics(stance, LEFT).position[2]
-    for cx in (bounds.cop_min[0], bounds.cop_max[0]):
-        for cy in (bounds.cop_min[1], bounds.cop_max[1]):
-            assert reachable(FootTarget([cx, cy, z_ground]), LEFT, WIDE).ok
-    # The unshrunk corners sit 0.02 outside; pushing past them fails.
-    wide_x = bounds.cop_max[0] + 0.021
-    assert not reachable(FootTarget([wide_x, bounds.cop_max[1] + 0.021, z_ground]), LEFT, WIDE).ok
-
-
-def test_workspace_step_bounds_empty_after_margin():
-    stance = JointAngles(0.0, 0.1, 0.2)
-    with pytest.raises(ConfigurationError):
-        workspace_step_bounds(LEFT, stance, margin=2.0, limits=WIDE)
+            inverse_kinematics(point, LEFT, limits=None)
 
 
 def test_geometry_validation():
@@ -196,8 +155,18 @@ def test_geometry_validation():
         LegGeometry(l2=0.0)
     with pytest.raises(ValueError):
         JointLimits(knee=(1.0, 0.5))
+
+
+def test_non_finite_target_rejected():
+    """The workspace tests fail on NaN, so any non-finite coordinate raises."""
+    for geom in (LEFT, RIGHT):
+        inverse_kinematics([0.1, 0.04, -0.8], geom)
+        for i in range(3):
+            for bad in (math.nan, math.inf, -math.inf):
+                point = [0.1, 0.04, -0.8]
+                point[i] = bad
+                with pytest.raises(WorkspaceError) as err:
+                    inverse_kinematics(point, geom)
+                assert err.value.diagnostic is not None
     with pytest.raises(ValueError):
-        FootTarget([0.0, 0.0])
-    with pytest.raises(ValueError):
-        FootTarget([0.0, np.inf, -0.9])
-    assert JointAngles(0.1, 0.2, 0.3).as_array().tolist() == [0.1, 0.2, 0.3]
+        inverse_kinematics([0.0, 0.0], LEFT)

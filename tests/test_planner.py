@@ -12,6 +12,7 @@ from exorecover import (
     NominalGait,
     PlannerInfeasibleError,
     PlannerInput,
+    ScenarioConfig,
     StepBounds,
     assemble_qp,
     constraint_names,
@@ -291,16 +292,16 @@ def test_mirror_bounds_involution():
 
 def test_bounds_validate_and_shift():
     bounds = default_bounds()
-    bounds.validate()
     shifted = bounds.shift([0.1, -0.2])
     assert np.allclose(shifted.cop_min, [-0.05, -0.50])
     assert np.allclose(shifted.cop_max, [0.40, -0.24])
     assert shifted.T_min == bounds.T_min
 
-    with pytest.raises(ConfigurationError):
-        StepBounds([0.2, 0.0], [0.1, 0.1], 0.25, 1.2).validate()
-    with pytest.raises(ConfigurationError):
-        StepBounds([-0.1, -0.1], [0.1, 0.1], 0.8, 0.25).validate()
+    # Empty boxes are rejected once, by the scenario config.
+    with pytest.raises(ConfigurationError, match="cop_min"):
+        ScenarioConfig(cop_min=(0.2, 0.0), cop_max=(0.1, 0.1)).validate()
+    with pytest.raises(ConfigurationError, match="t_min"):
+        ScenarioConfig(t_min=0.8, t_max=0.25).validate()
 
 
 def test_sigma_bounds_are_exponential():

@@ -1,5 +1,6 @@
 """Closed-loop scenario tests: measurement, phase flow, recovery outcomes."""
 
+import dataclasses
 import json
 import math
 
@@ -103,6 +104,20 @@ def test_config_validation_collects_every_error():
     msg = str(err.value)
     for fragment in ("gravity", "mass", "dt", "mode", "push 0"):
         assert fragment in msg
+
+
+NUMERIC_FIELDS = [
+    f for f in dataclasses.fields(ScenarioConfig) if "key" in f.metadata and f.name != "mode"
+]
+
+
+@pytest.mark.parametrize("name", [f.name for f in NUMERIC_FIELDS])
+def test_config_rejects_non_finite_numbers(name):
+    default = getattr(ScenarioConfig(), name)
+    for bad in (math.inf, -math.inf, math.nan):
+        value = (bad,) + default[1:] if isinstance(default, tuple) else bad
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            ScenarioConfig(**{name: value}).validate()
 
 
 def test_config_helper_resolution():
@@ -350,6 +365,12 @@ def test_unreachable_swing_target_aborts():
     aborts = events_of(trace, "StepAborted")
     assert len(aborts) == 1
     assert "unreachable" in aborts[0].payload["reason"]
+    # events.csv carries this string; pin it byte for byte.
+    assert aborts[0].payload["reason"] == (
+        "swing target unreachable: unreachable target "
+        "[0.30282027203474327, -0.0033893789823797454, -0.8487467085585687]: "
+        "target beyond full knee extension (knee cosine 1.00119)"
+    )
     assert events_of(trace, "TouchDown") == []
 
     summary = summarize(trace)
@@ -359,6 +380,22 @@ def test_unreachable_swing_target_aborts():
     k_abort = int(round(aborts[0].time / trace.config.dt))
     assert float(np.max(np.abs(trace.torque[k_abort:]))) == 0.0
     assert trace.phase[-1] == "Swing"
+
+
+def test_joint_limit_on_swing_target_aborts():
+    # The standing pose flexes the hip 12.1 deg; a 15 deg cap lets the
+    # wearer stand but not swing the leg forward.
+    trace = run_scenario(
+        ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),), hip_flex_limits_deg=(-20.0, 15.0))
+    )
+    aborts = events_of(trace, "StepAborted")
+    assert [(a.time, a.payload["reason"]) for a in aborts] == [(
+        0.545,
+        "swing target unreachable: solution [0.0006, 0.2636, 0.5556] rad "
+        "violates limits on: hip_flex",
+    )]
+    assert events_of(trace, "TouchDown") == []
+    assert summarize(trace).aborted
 
 
 def test_zero_torque_mode_never_actuates():

@@ -70,15 +70,15 @@ def test_apex_height_and_instant():
     for T in (0.4, 0.8, 1.0):
         traj = build_swing([0.0, -0.2, 0.0], make_plan(duration=T))
         assert traj.apex_time == pytest.approx(0.4 * T, abs=1e-15)
-        s = sample(traj, 0.4 * T)
-        assert s.position[2] == pytest.approx(0.07, abs=1e-10)
-        assert s.velocity[2] == pytest.approx(0.0, abs=1e-10)
+        pos, vel, _ = sample(traj, 0.4 * T)
+        assert pos[2] == pytest.approx(0.07, abs=1e-10)
+        assert vel[2] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_vertical_profile_is_monotone_each_side_of_apex():
     traj = build_swing([0.0, -0.2, 0.0], make_plan(duration=0.6))
     ts = np.linspace(0.0, 0.6, 601)
-    z = np.array([sample(traj, float(t)).position[2] for t in ts])
+    z = np.array([sample(traj, float(t))[0][2] for t in ts])
     k = int(0.4 * 600)
     assert np.all(np.diff(z[: k + 1]) >= -1e-12)
     assert np.all(np.diff(z[k:]) <= 1e-12)
@@ -89,23 +89,20 @@ def test_horizontal_profiles_go_start_to_target_at_rest():
     start = np.array([0.05, -0.22, 0.0])
     plan = make_plan(cop=(0.3, -0.1), duration=0.5)
     traj = build_swing(start, plan)
-    s0 = sample(traj, 0.0)
-    sT = sample(traj, 0.5)
-    assert np.allclose(s0.position, [0.05, -0.22, 0.0], atol=1e-12)
-    assert np.allclose(s0.velocity, 0.0, atol=1e-12)
-    assert np.allclose(sT.position, [0.3, -0.1, 0.0], atol=1e-9)
-    assert np.allclose(sT.velocity, 0.0, atol=1e-9)
-    assert np.allclose(sT.acceleration, 0.0, atol=1e-8)
+    p0, v0, _ = sample(traj, 0.0)
+    pT, vT, aT = sample(traj, 0.5)
+    assert np.allclose(p0, [0.05, -0.22, 0.0], atol=1e-12)
+    assert np.allclose(v0, 0.0, atol=1e-12)
+    assert np.allclose(pT, [0.3, -0.1, 0.0], atol=1e-9)
+    assert np.allclose(vT, 0.0, atol=1e-9)
+    assert np.allclose(aT, 0.0, atol=1e-8)
 
 
 def test_sample_clamps_outside_window():
     traj = build_swing([0.0, -0.2, 0.0], make_plan(duration=0.5))
-    before = sample(traj, -0.1)
-    after = sample(traj, 0.7)
-    assert before.clamped and after.clamped
-    assert np.allclose(before.position, sample(traj, 0.0).position)
-    assert np.allclose(after.position, sample(traj, 0.5).position)
-    assert not sample(traj, 0.25).clamped
+    for outside, edge in ((-0.1, 0.0), (0.7, 0.5)):
+        for got, want in zip(sample(traj, outside), sample(traj, edge)):
+            assert np.array_equal(got, want)
     with pytest.raises(ValueError):
         sample(traj, math.nan)
 
@@ -125,13 +122,12 @@ def test_retarget_is_c2_continuous_at_the_splice():
         spliced = retarget(traj, t_now, new)
         old = sample(traj, t_now)
         fresh = sample(spliced, 0.0)
-        assert np.abs(fresh.position - old.position).max() < 1e-9
-        assert np.abs(fresh.velocity - old.velocity).max() < 1e-9
-        assert np.abs(fresh.acceleration - old.acceleration).max() < 1e-7
+        for got, want, tol in zip(fresh, old, (1e-9, 1e-9, 1e-7)):
+            assert np.abs(got - want).max() < tol
         # New landing point reached at rest.
-        land = sample(spliced, remaining)
-        assert np.abs(land.position[:2] - new.cop_T).max() < 1e-9
-        assert abs(land.position[2]) < 1e-9
+        land = sample(spliced, remaining)[0]
+        assert np.abs(land[:2] - new.cop_T).max() < 1e-9
+        assert abs(land[2]) < 1e-9
 
 
 def test_retarget_keeps_original_apex_instant():
@@ -141,9 +137,9 @@ def test_retarget_keeps_original_apex_instant():
     spliced = retarget(traj, t_now, new)
     # Old apex at 0.2 absolute = 0.1 on the new clock.
     assert spliced.apex_time == pytest.approx(0.1, abs=1e-12)
-    s = sample(spliced, 0.1)
-    assert s.position[2] == pytest.approx(0.07, abs=1e-10)
-    assert s.velocity[2] == pytest.approx(0.0, abs=1e-10)
+    pos, vel, _ = sample(spliced, 0.1)
+    assert pos[2] == pytest.approx(0.07, abs=1e-10)
+    assert vel[2] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_retarget_with_unchanged_plan_reproduces_vertical_profile():
@@ -154,8 +150,8 @@ def test_retarget_with_unchanged_plan_reproduces_vertical_profile():
     same = make_plan(cop=(0.25, -0.18), duration=T - t_now, planned_at=t_now)
     spliced = retarget(traj, t_now, same)
     for t in np.linspace(0.0, T - t_now, 97):
-        z_old = sample(traj, t_now + float(t)).position[2]
-        z_new = sample(spliced, float(t)).position[2]
+        z_old = sample(traj, t_now + float(t))[0][2]
+        z_new = sample(spliced, float(t))[0][2]
         assert abs(z_old - z_new) < 1e-9
 
 
@@ -166,9 +162,9 @@ def test_retarget_after_apex_collapses_to_single_descent():
     spliced = retarget(traj, t_now, new)
     assert len(spliced.z_profile) == 1
     assert spliced.apex_time is None
-    land = sample(spliced, 0.2)
-    assert abs(land.position[2]) < 1e-9
-    assert np.abs(land.position[:2] - [0.28, -0.2]).max() < 1e-9
+    land = sample(spliced, 0.2)[0]
+    assert abs(land[2]) < 1e-9
+    assert np.abs(land[:2] - [0.28, -0.2]).max() < 1e-9
 
 
 def test_repeated_retargeting_never_moves_the_apex():
@@ -178,7 +174,7 @@ def test_repeated_retargeting_never_moves_the_apex():
     dt = 0.01
     t_abs = 0.0
     apex_abs = 0.2
-    heights = [sample(traj, 0.0).position[2]]
+    heights = [sample(traj, 0.0)[0][2]]
     while t_abs + dt < T - 1e-9:
         t_abs += dt
         remaining = T - t_abs
@@ -186,15 +182,15 @@ def test_repeated_retargeting_never_moves_the_apex():
         traj = retarget(traj, dt, new)
         if traj.apex_time is not None:
             assert traj.apex_time + t_abs == pytest.approx(apex_abs, abs=1e-9)
-        heights.append(sample(traj, 0.0).position[2])
+        heights.append(sample(traj, 0.0)[0][2])
     z = np.array(heights)
     k = int(round(apex_abs / dt))
     assert z.argmax() == k
     assert z[k] == pytest.approx(0.07, abs=1e-9)
     assert np.all(np.diff(z[: k + 1]) > -1e-12)
     assert np.all(np.diff(z[k:]) < 1e-12)
-    touchdown = sample(traj, T - t_abs)
-    assert abs(touchdown.position[2]) < 1e-9
+    touchdown = sample(traj, T - t_abs)[0]
+    assert abs(touchdown[2]) < 1e-9
 
 
 def test_retarget_validates_inputs():
