@@ -24,7 +24,6 @@ from .impedance import (
     command_torques,
     impedance_torque,
     joint_plant_step,
-    p_torque_loop,
 )
 from .kinematics import JointLimits, LegGeometry, Side, forward_kinematics, inverse_kinematics
 from .lipm import (

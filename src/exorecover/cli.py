@@ -26,9 +26,9 @@ keys and their defaults are listed in ``--help`` of each subcommand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -254,9 +254,17 @@ def format_config(config: ScenarioConfig) -> str:
 # -- output writers ----------------------------------------------------------
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: Path):
+    """A ``.tmp`` sibling to stream into, renamed onto ``path`` once the write
+    completes; a write that fails partway deletes it and leaves ``path`` as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    try:
+        with open(tmp, "w") as out:
+            yield out
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -269,50 +277,33 @@ def write_trace_csv(trace: SimTrace, path) -> None:
     # Rows are converted one at a time: a whole-trace .tolist() would
     # raise the peak memory by several times the file size.
     row = ",".join(["%.12g"] * 9 + ["%s"] + ["%.12g"] * 12) + "\n"
-    out = io.StringIO()
-    out.write(TRACE_HEADER + "\n")
     vectors = zip(trace.com, trace.com_vel, trace.xi, trace.cop,
                   trace.foot, trace.joint_desired, trace.joint_measured, trace.torque)
-    for t, phase, (com, vel, xi, cop, foot, q_des, q_meas, tau) in zip(
-            trace.t.tolist(), trace.phase, vectors):
-        out.write(row % (t, *com.tolist(), *vel.tolist(), *xi.tolist(), *cop.tolist(), phase,
-                         *foot.tolist(), *q_des.tolist(), *q_meas.tolist(), *tau.tolist()))
-    _atomic_write(Path(path), out.getvalue())
+    with _atomic_open(Path(path)) as out:
+        out.write(TRACE_HEADER + "\n")
+        for t, phase, (com, vel, xi, cop, foot, q_des, q_meas, tau) in zip(
+                trace.t.tolist(), trace.phase, vectors):
+            out.write(row % (t, *com.tolist(), *vel.tolist(), *xi.tolist(), *cop.tolist(), phase,
+                             *foot.tolist(), *q_des.tolist(), *q_meas.tolist(), *tau.tolist()))
 
 
 def write_events_csv(trace: SimTrace, path) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(EVENTS_HEADER.split(","))
-    for ev in trace.events:
-        writer.writerow([
-            _num(ev.time),
-            ev.kind,
-            json.dumps(ev.payload, sort_keys=True, separators=(",", ":")),
-        ])
-    _atomic_write(Path(path), out.getvalue())
+    with _atomic_open(Path(path)) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(EVENTS_HEADER.split(","))
+        for ev in trace.events:
+            writer.writerow([
+                _num(ev.time),
+                ev.kind,
+                json.dumps(ev.payload, sort_keys=True, separators=(",", ":")),
+            ])
 
 
 def _summary_lines(summary: StepSummary, config: ScenarioConfig) -> list[str]:
-    def show(v) -> str:
-        if v is None:
-            return "none"
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, tuple):
-            return ",".join(repr(float(x)) for x in v)
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
     lines = ["[summary]"]
-    for name in (
-        "step_taken", "captured", "aborted", "num_steps", "num_replans",
-        "final_dcm_offset", "swing_side", "trigger_time", "touchdown_time",
-        "step_duration", "capture_time", "swing_start", "planned_landing",
-        "landed_position", "planned_vs_landed_angle_deg",
-    ):
-        lines.append(f"{name} = {show(getattr(summary, name))}")
+    for f in dataclasses.fields(StepSummary):
+        value = getattr(summary, f.name)
+        lines.append(f"{f.name} = {'none' if value is None else _fmt(value)}")
     lines.append(f"weights = {_fmt(config.weights)}")
     return lines
 
@@ -323,7 +314,8 @@ def write_summary(trace: SimTrace, path) -> None:
     lines.append("")
     lines.append("[config]")
     lines.append(format_config(trace.config).rstrip("\n"))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    with _atomic_open(Path(path)) as out:
+        out.write("\n".join(lines) + "\n")
 
 
 def write_gnuplot(path, trace_name: str = "trace.csv") -> None:
@@ -343,7 +335,8 @@ def write_gnuplot(path, trace_name: str = "trace.csv") -> None:
         "unset multiplot",
         "",
     ])
-    _atomic_write(Path(path), text)
+    with _atomic_open(Path(path)) as out:
+        out.write(text)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -460,19 +453,18 @@ def cmd_sweep_weights(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    buf.write("alpha1,alpha2,alpha3,cop_x,cop_y,gamma_x,gamma_y,sigma,duration_s,"
-              "step_length,objective,flagged\n")
-    for i, (weights, (plan, length)) in enumerate(zip(grid, results)):
-        buf.write(",".join([
-            _num(weights[0]), _num(weights[1]), _num(weights[2]),
-            _num(plan.cop_T[0]), _num(plan.cop_T[1]),
-            _num(plan.gamma_T[0]), _num(plan.gamma_T[1]),
-            _num(plan.sigma), _num(plan.duration),
-            _num(length), _num(plan.objective),
-            "1" if i == flagged else "0",
-        ]) + "\n")
-    _atomic_write(out / "sweep.csv", buf.getvalue())
+    with _atomic_open(out / "sweep.csv") as csv_out:
+        csv_out.write("alpha1,alpha2,alpha3,cop_x,cop_y,gamma_x,gamma_y,sigma,duration_s,"
+                      "step_length,objective,flagged\n")
+        for i, (weights, (plan, length)) in enumerate(zip(grid, results)):
+            csv_out.write(",".join([
+                _num(weights[0]), _num(weights[1]), _num(weights[2]),
+                _num(plan.cop_T[0]), _num(plan.cop_T[1]),
+                _num(plan.gamma_T[0]), _num(plan.gamma_T[1]),
+                _num(plan.sigma), _num(plan.duration),
+                _num(length), _num(plan.objective),
+                "1" if i == flagged else "0",
+            ]) + "\n")
 
     print(f"{'alpha1':>8} {'alpha2':>8} {'alpha3':>8} {'step_len':>10} {'duration':>10} flag")
     for i, (weights, (plan, length)) in enumerate(zip(grid, results)):

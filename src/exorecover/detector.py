@@ -54,7 +54,6 @@ class SwayEllipse:
 
 def ellipse_excursion(xi, ellipse: SwayEllipse) -> float:
     """Normalised squared excursion; 1.0 on the boundary, > 1 outside."""
-    xi = as_vec2(xi, "xi")
     dx = (xi[0] - ellipse.center[0]) / ellipse.semi_axis_x
     dy = (xi[1] - ellipse.center[1]) / ellipse.semi_axis_y
     return float(dx * dx + dy * dy)
@@ -82,8 +81,8 @@ class BalanceDetector:
 
     ``debounce_cycles`` consecutive outside samples are required before
     the trigger fires (2 by default, 1 disables debouncing).  Capture is
-    declared after ``|xi - cop| < capture_tolerance`` has held for
-    ``capture_hold`` seconds while in ``LANDED``.
+    declared once the offset ``|xi - cop|`` passed to :meth:`update_landing`
+    has stayed below ``capture_tolerance`` for ``capture_hold`` seconds.
     """
 
     def __init__(
@@ -148,11 +147,10 @@ class BalanceDetector:
         self.phase = RecoveryPhase.LANDED
         self._capture_since = None
 
-    def update_landing(self, xi, cop, t: float) -> bool:
-        """One post-landing sample; True exactly when capture is declared."""
+    def update_landing(self, offset: float, t: float) -> bool:
+        """One post-landing sample of ``|xi - cop|``; True exactly when capture is declared."""
         t = self._clock(t)
         self._require(RecoveryPhase.LANDED, "update_landing")
-        offset = float(np.linalg.norm(as_vec2(xi, "xi") - as_vec2(cop, "cop")))
         if offset < self.capture_tolerance:
             if self._capture_since is None:
                 self._capture_since = t

@@ -18,6 +18,10 @@ ab/adduction joint which has no torque sensing and is driven open loop.
 The plant is a single rigid joint, ``inertia * acc = tau_applied +
 tau_human - viscous * vel``, integrated with fixed-step RK4; its state
 is the plain pair ``(angle, velocity)``.
+
+Gains and plant parameters are checked when built.  The per-tick
+functions take the loop's plain arrays and floats as they are; ``kp``
+and ``dt`` are bounded once, by ``ScenarioConfig.validate``.
 """
 
 from __future__ import annotations
@@ -35,14 +39,12 @@ __all__ = [
     "ControlMode",
     "PlantParams",
     "impedance_torque",
-    "p_torque_loop",
     "command_torques",
     "joint_plant_step",
     "RAD_PER_DEG",
 ]
 
 RAD_PER_DEG = math.pi / 180.0
-MAX_STEP = 0.01  # s
 
 #: Index of the hip ab/adduction joint in every 3-vector of this module.
 HIP_AB = 0
@@ -105,38 +107,27 @@ class PlantParams:
 
 
 def impedance_torque(
-    desired_angles,
-    measured_angles,
-    measured_velocities,
+    desired_angles: np.ndarray,
+    measured_angles: np.ndarray,
+    measured_velocities: np.ndarray,
     gains: ImpedanceGains,
     mode: ControlMode,
 ) -> np.ndarray:
     """Desired actuator torques for all three joints."""
     if mode is ControlMode.ZERO_TORQUE:
         return np.zeros(3)
-    desired = _as_vec3(desired_angles, "desired_angles")
-    measured = _as_vec3(measured_angles, "measured_angles")
-    velocity = _as_vec3(measured_velocities, "measured_velocities")
-    return gains.stiffness * (desired - measured) - gains.damping * velocity
+    error = desired_angles - measured_angles
+    return gains.stiffness * error - gains.damping * measured_velocities
 
 
-def p_torque_loop(tau_desired, tau_measured, kp: float):
-    """Proportional torque tracking: ``tau_d + kp * (tau_d - tau_m)``."""
-    if not (kp >= 0.0) or not math.isfinite(kp):
-        raise ValueError(f"kp must be >= 0, got {kp}")
-    return tau_desired + kp * (tau_desired - tau_measured)
-
-
-def command_torques(tau_desired, tau_measured, kp: float) -> np.ndarray:
-    """Actuator commands: inner torque loop everywhere except hip ab/adduction.
+def command_torques(tau_desired: np.ndarray, tau_measured: np.ndarray, kp: float) -> np.ndarray:
+    """Actuator commands ``tau_d + kp * (tau_d - tau_m)``, except at hip ab/adduction.
 
     That joint has no torque sensor, so its desired torque is commanded
     directly.
     """
-    tau_d = _as_vec3(tau_desired, "tau_desired")
-    tau_m = _as_vec3(tau_measured, "tau_measured")
-    out = p_torque_loop(tau_d, tau_m, kp)
-    out[HIP_AB] = tau_d[HIP_AB]
+    out = tau_desired + kp * (tau_desired - tau_measured)
+    out[HIP_AB] = tau_desired[HIP_AB]
     return out
 
 
@@ -150,10 +141,8 @@ def joint_plant_step(
 ) -> tuple[float, float]:
     """One RK4 step of ``inertia * acc = tau_a + tau_h - viscous * vel``.
 
-    Returns the new ``(angle, velocity)``.
+    Returns the new ``(angle, velocity)``; a non-finite torque raises ValueError.
     """
-    if not (0.0 < dt <= MAX_STEP):
-        raise ConfigurationError(f"dt must be in (0, {MAX_STEP}], got {dt}")
     for name, v in (("applied_torque", applied_torque), ("human_torque", human_torque)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")

@@ -132,7 +132,7 @@ def forward_kinematics(q, geom: LegGeometry) -> np.ndarray:
 def _workspace_check(x: float, y: float, z: float, geom: LegGeometry) -> tuple[float, float] | str:
     """Returns (s, D) on success or a diagnostic string.
 
-    Both tests fail on NaN, so a non-finite target is rejected too.
+    Both tests fail on NaN and one on an infinity, so a non-finite target fails too.
     """
     r_sq = y * y + z * z
     r = math.sqrt(r_sq)
@@ -163,6 +163,8 @@ def inverse_kinematics(
     y_c = -y if geom.side is Side.RIGHT else y
     checked = _workspace_check(x, y_c, z, geom)
     if isinstance(checked, str):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            checked = "non-finite target"
         raise WorkspaceError(f"unreachable target {[x, y, z]}: {checked}", diagnostic=checked)
     s, D = checked
 

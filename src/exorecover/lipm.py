@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 __all__ = [
     "LipmParams",
     "natural_frequency",
@@ -30,9 +28,6 @@ __all__ = [
     "step_lipm",
     "apply_impulse",
 ]
-
-#: Largest integration step accepted by :func:`step_lipm`, in seconds.
-MAX_STEP = 0.01
 
 
 def as_vec2(value, name: str = "value") -> np.ndarray:
@@ -116,18 +111,14 @@ def com_closed_form(com0, xi0, params: LipmParams, t: float) -> np.ndarray:
 
 
 def step_lipm(
-    com: np.ndarray, com_vel: np.ndarray, cop, params: LipmParams, dt: float
+    com: np.ndarray, com_vel: np.ndarray, cop: np.ndarray, params: LipmParams, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the pendulum by one RK4 step with the CoP held constant.
 
-    Returns the new ``(com, com_vel)`` as fresh arrays.
-
-    ``dt`` must lie in ``(0, 0.01]`` seconds; larger steps degrade the
-    classical fourth-order accuracy this integrator is relied on for.
+    Returns the new ``(com, com_vel)`` as fresh arrays.  Nothing is
+    re-checked: ``ScenarioConfig.validate`` bounds ``dt`` to ``(0, 0.01]``
+    s, past which this integrator loses its fourth-order accuracy.
     """
-    if not (0.0 < dt <= MAX_STEP):
-        raise ConfigurationError(f"dt must be in (0, {MAX_STEP}], got {dt}")
-    cop = as_vec2(cop, "cop")
     w2 = params.omega * params.omega
     half = 0.5 * dt
     sixth = dt / 6.0

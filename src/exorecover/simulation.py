@@ -132,25 +132,19 @@ def estimate_com(roll: float, pitch: float, pendulum_length: float) -> np.ndarra
     """Horizontal CoM offset from the stance reference, ``L * sin(angle)``.
 
     ``roll`` is positive leaning left, ``pitch`` positive leaning forward,
-    both in radians.
+    both in radians; ``pendulum_length`` is the validated ``com_height``.
     """
-    if not (pendulum_length > 0.0) or not math.isfinite(pendulum_length):
-        raise ValueError(f"pendulum_length must be positive, got {pendulum_length}")
     return np.array([pendulum_length * math.sin(pitch), pendulum_length * math.sin(roll)])
 
 
-def ankle_clamp(xi, foot_center, half_extents) -> np.ndarray:
+def ankle_clamp(xi: np.ndarray, foot_center: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
     """Componentwise clamp of the DCM into the foot support rectangle.
 
     As the half extents shrink to zero this degenerates to the
-    point-foot CoP at ``foot_center``.
+    point-foot CoP at ``foot_center``.  The half extents come from the
+    validated foot size and stance width and are not re-checked.
     """
-    xi = as_vec2(xi, "xi")
-    center = as_vec2(foot_center, "foot_center")
-    half = as_vec2(half_extents, "half_extents")
-    if np.any(half < 0.0):
-        raise ValueError(f"half_extents must be >= 0, got {half}")
-    return np.clip(xi, center - half, center + half)
+    return np.clip(xi, foot_center - half_extents, foot_center + half_extents)
 
 
 def _key(default, key: str, help: str):
@@ -502,7 +496,7 @@ class Controller:
         elif phase is RecoveryPhase.LANDED and self.episode is not None:
             self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
             offset = float(np.linalg.norm(xi_hat - self.cop))
-            if self.detector.update_landing(xi_hat, self.cop, t):
+            if self.detector.update_landing(offset, t):
                 self.events.append(Event(t, "Captured", {
                     "xi": _vec(xi_hat), "cop": _vec(self.cop), "offset": offset,
                 }))

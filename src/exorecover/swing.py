@@ -99,7 +99,6 @@ class SwingTrajectory:
     y_profile: QuinticSegment
     z_profile: tuple[QuinticSegment, ...]  # two pieces, or one after a late retarget
     duration: float  # s
-    target: np.ndarray  # (3,) landing point, z = 0
     peak_height: float
     peak_fraction: float
 
@@ -145,7 +144,6 @@ def build_swing(
             quintic_from_boundary(t_apex, T, rest(peak_height), rest(0.0)),
         ),
         duration=T,
-        target=np.array([plan.cop_T[0], plan.cop_T[1], 0.0]),
         peak_height=float(peak_height),
         peak_fraction=float(peak_fraction),
     )
@@ -204,7 +202,6 @@ def retarget(traj: SwingTrajectory, t_now: float, new_plan: StepPlan) -> SwingTr
         y_profile=quintic_from_boundary(0.0, T, state(1), rest(new_plan.cop_T[1])),
         z_profile=z_pieces,
         duration=T,
-        target=np.array([new_plan.cop_T[0], new_plan.cop_T[1], 0.0]),
         peak_height=traj.peak_height,
         peak_fraction=traj.peak_fraction,
     )

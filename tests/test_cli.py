@@ -1,12 +1,13 @@
 """Command-line interface tests: parsing, outputs, exit codes."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from exorecover import ScenarioParseError, cli
+from exorecover import Event, ScenarioParseError, cli, run_scenario
 
 BASE_SCENARIO = """\
 # forward push, short run
@@ -214,6 +215,33 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out_b)]) == 0
     for name in ("trace.csv", "events.csv", "summary.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_failed_write_leaves_the_old_file(tmp_path):
+    """A writer that fails partway keeps the old file and leaves no .tmp behind."""
+    scenario = write_scenario(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    old = {name: (out / name).read_bytes() for name in ("trace.csv", "events.csv")}
+    trace = run_scenario(cli.load_scenario(scenario))
+
+    class Unplugged(list):
+        """Phases that fail after 200 rows, past the first buffer flush."""
+
+        def __iter__(self):
+            yield from self[:200]
+            raise OSError("disk unplugged")
+
+    with pytest.raises(OSError, match="unplugged"):
+        cli.write_trace_csv(dataclasses.replace(trace, phase=Unplugged(trace.phase)),
+                            out / "trace.csv")
+    unserialisable = trace.events + [Event(1.0, "Bad", {"value": object()})]
+    with pytest.raises(TypeError):
+        cli.write_events_csv(dataclasses.replace(trace, events=unserialisable),
+                             out / "events.csv")
+    for name, data in old.items():
+        assert (out / name).read_bytes() == data, name
+    assert sorted(p.name for p in out.iterdir()) == ["events.csv", "summary.txt", "trace.csv"]
 
 
 def test_emit_gnuplot_writes_a_script(tmp_path):

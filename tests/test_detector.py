@@ -1,5 +1,7 @@
 """Balance-loss detector: excursion measure, debounce, phase machine."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -71,12 +73,11 @@ def test_full_phase_cycle_with_capture():
     assert det.phase is RecoveryPhase.SWING
     det.touchdown(0.3)
     assert det.phase is RecoveryPhase.LANDED
-    cop = [0.2, -0.1]
     t = 0.3
     captured = False
     while t < 0.6:
         t += 0.001
-        captured = det.update_landing([0.205, -0.1], cop, t)
+        captured = det.update_landing(0.005, t)  # |xi - cop| = 5 mm
         if captured:
             break
     assert captured
@@ -93,12 +94,11 @@ def test_capture_hold_resets_when_dcm_escapes():
     det.update([0.08, 0.0], 0.0)
     det.start_swing(0.001)
     det.touchdown(0.2)
-    cop = [0.2, 0.0]
-    assert not det.update_landing([0.21, 0.0], cop, 0.25)  # inside, hold starts
-    assert not det.update_landing([0.25, 0.0], cop, 0.30)  # outside, resets
-    assert not det.update_landing([0.21, 0.0], cop, 0.32)  # inside again
-    assert not det.update_landing([0.21, 0.0], cop, 0.41)
-    assert det.update_landing([0.21, 0.0], cop, 0.42)  # 0.1 s after 0.32
+    assert not det.update_landing(0.01, 0.25)  # inside, hold starts
+    assert not det.update_landing(0.05, 0.30)  # outside, resets
+    assert not det.update_landing(0.01, 0.32)  # inside again
+    assert not det.update_landing(0.01, 0.41)
+    assert det.update_landing(0.01, 0.42)  # 0.1 s after 0.32
     assert det.phase is RecoveryPhase.CAPTURED
 
 
@@ -107,10 +107,11 @@ def test_capture_tolerance_is_euclidean():
     det.update([0.08, 0.0], 0.0)
     det.start_swing(0.001)
     det.touchdown(0.2)
-    # |xi - cop| = sqrt(0.015^2 + 0.015^2) = 0.0212 > 0.02: not captured.
-    assert not det.update_landing([0.215, 0.015], [0.2, 0.0], 0.3)
+    # The caller passes the Euclidean offset |xi - cop|:
+    # sqrt(0.015^2 + 0.015^2) = 0.0212 > 0.02 is not captured.
+    assert not det.update_landing(math.hypot(0.015, 0.015), 0.3)
     # 0.019 < 0.02 with zero hold captures immediately.
-    assert det.update_landing([0.219, 0.0], [0.2, 0.0], 0.31)
+    assert det.update_landing(0.019, 0.31)
 
 
 def test_chained_step_restarts_without_capture():
@@ -118,7 +119,7 @@ def test_chained_step_restarts_without_capture():
     det.update([0.08, 0.0], 0.0)
     det.start_swing(0.001)
     det.touchdown(0.2)
-    assert not det.update_landing([0.4, 0.0], [0.2, 0.0], 0.21)
+    assert not det.update_landing(0.2, 0.21)
     det.restart_step(0.211)
     assert det.phase is RecoveryPhase.STEPPING_PLANNED
     det.start_swing(0.212)
@@ -133,7 +134,7 @@ def test_invalid_transitions_raise():
     with pytest.raises(PhaseTransitionError):
         det.touchdown(0.0)
     with pytest.raises(PhaseTransitionError):
-        det.update_landing([0.0, 0.0], [0.0, 0.0], 0.0)
+        det.update_landing(0.0, 0.0)
     with pytest.raises(PhaseTransitionError):
         det.restart_step(0.0)
     with pytest.raises(PhaseTransitionError):

@@ -158,7 +158,7 @@ def test_geometry_validation():
 
 
 def test_non_finite_target_rejected():
-    """The workspace tests fail on NaN, so any non-finite coordinate raises."""
+    """Any non-finite coordinate raises, and the diagnostic says so."""
     for geom in (LEFT, RIGHT):
         inverse_kinematics([0.1, 0.04, -0.8], geom)
         for i in range(3):
@@ -167,6 +167,6 @@ def test_non_finite_target_rejected():
                 point[i] = bad
                 with pytest.raises(WorkspaceError) as err:
                     inverse_kinematics(point, geom)
-                assert err.value.diagnostic is not None
+                assert err.value.diagnostic == "non-finite target"
     with pytest.raises(ValueError):
         inverse_kinematics([0.0, 0.0], LEFT)

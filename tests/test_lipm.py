@@ -14,7 +14,6 @@ from exorecover import (
     natural_frequency,
     step_lipm,
 )
-from exorecover.errors import ConfigurationError
 
 
 def test_natural_frequency_frozen_value():
@@ -98,13 +97,6 @@ def test_com_flow_matches_derivative_of_closed_form():
         num = (com_closed_form(com0, xi0, p, t + h) - com_closed_form(com0, xi0, p, t)) / h
         ana = p.omega * (xi0 - c)
         assert np.allclose(num, ana, atol=1e-5)
-
-
-def test_step_lipm_rejects_bad_dt():
-    p = LipmParams()
-    for dt in (0.0, -1e-3, 0.02):
-        with pytest.raises(ConfigurationError):
-            step_lipm(np.zeros(2), np.zeros(2), [0.0, 0.0], p, dt)
 
 
 def test_step_lipm_equilibrium_is_exact():
