@@ -235,12 +235,16 @@ def assemble_qp(inp: PlannerInput) -> QpProblem:
 
 
 def planning_cost(inp: PlannerInput, cop_T, sigma: float, gamma_T) -> float:
-    """The full quadratic cost (with its constant term, unlike the raw QP)."""
+    """The full quadratic cost (with its constant term, unlike the raw QP).
+
+    Summed in Python floats, so the value does not depend on the BLAS build.
+    """
     a1, a2, a3 = inp.nominal.weights
     sigma_nom = math.exp(inp.omega * inp.nominal.T_nom)
-    d_cop = as_vec2(cop_T, "cop_T") - inp.nominal.cop_T_nom
-    d_gam = as_vec2(gamma_T, "gamma_T") - inp.nominal.gamma_nom
-    return float(a1 * d_cop @ d_cop + a2 * d_gam @ d_gam + a3 * (sigma - sigma_nom) ** 2)
+    (cx, cy), (gx, gy) = inp.nominal.cop_T_nom.tolist(), inp.nominal.gamma_nom.tolist()
+    dx, dy = float(cop_T[0]) - cx, float(cop_T[1]) - cy
+    ex, ey = float(gamma_T[0]) - gx, float(gamma_T[1]) - gy
+    return a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * (sigma - sigma_nom) ** 2
 
 
 def _binding_rows(cop, sigma: float, lo, hi, s_lo: float, s_hi: float) -> tuple[int, ...]:

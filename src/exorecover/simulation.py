@@ -495,7 +495,8 @@ class Controller:
 
         elif phase is RecoveryPhase.LANDED and self.episode is not None:
             self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
-            offset = float(np.linalg.norm(xi_hat - self.cop))
+            dx, dy = (xi_hat - self.cop).tolist()
+            offset = math.sqrt(dx * dx + dy * dy)
             if self.detector.update_landing(offset, t):
                 self.events.append(Event(t, "Captured", {
                     "xi": _vec(xi_hat), "cop": _vec(self.cop), "offset": offset,

@@ -151,6 +151,27 @@ def test_objective_is_full_cost_not_shifted():
     assert plan.objective >= 0.0
 
 
+def test_planning_cost_is_a_float_sum():
+    """Objectives are summed in Python floats, bit for bit, not by a BLAS dot product."""
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(500):
+        inp = random_input(rng)
+        try:
+            plan = plan_step(inp)
+        except PlannerInfeasibleError:
+            continue
+        a1, a2, a3 = inp.nominal.weights
+        dx, dy = (plan.cop_T - inp.nominal.cop_T_nom).tolist()
+        ex, ey = (plan.gamma_T - inp.nominal.gamma_nom).tolist()
+        ds = plan.sigma - math.exp(inp.omega * inp.nominal.T_nom)
+        expected = a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * ds**2
+        assert plan.objective == expected
+        assert planning_cost(inp, list(plan.cop_T), plan.sigma, list(plan.gamma_T)) == expected
+        checked += 1
+    assert checked > 400
+
+
 def test_assemble_qp_shapes_and_names():
     inp = PlannerInput([0.1, 0.0], [0.0, 0.0], OMEGA, default_nominal(), default_bounds())
     prob = assemble_qp(inp)
