@@ -441,7 +441,10 @@ def cmd_sweep_weights(args) -> int:
             xi0=xi0, cop0=cop0, omega=omega,
             nominal=dataclasses.replace(base, weights=weights), bounds=bounds,
         ))
-        results.append((plan, float(np.linalg.norm(plan.cop_T - cop0))))
+        # A Python-float sum, so the length (and the flagged row it ranks)
+        # does not depend on the BLAS build.
+        dx, dy = (plan.cop_T - cop0).tolist()
+        results.append((plan, math.sqrt(dx * dx + dy * dy)))
 
     lengths = np.array([r[1] for r in results])
     durations = np.array([r[0].duration for r in results])

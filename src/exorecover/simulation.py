@@ -806,7 +806,9 @@ def summarize(trace: SimTrace) -> StepSummary:
     captures = by_kind.get("Captured", [])
     replans = by_kind.get("Replanned", [])
     aborted = "StepAborted" in by_kind
-    final_offset = float(np.linalg.norm(trace.xi[-1] - trace.cop[-1]))
+    # Python-float sums here and below: the summary does not depend on the BLAS build.
+    dx, dy = (trace.xi[-1] - trace.cop[-1]).tolist()
+    final_offset = math.sqrt(dx * dx + dy * dy)
 
     if not touchdowns:
         return StepSummary(
@@ -820,16 +822,11 @@ def summarize(trace: SimTrace) -> StepSummary:
 
     td = touchdowns[0]
     plan0 = plans[0]
-    start = np.asarray(td.payload["swing_start"])
-    planned = np.asarray(td.payload["initial_planned"])
-    landed = np.asarray(td.payload["landed"])
-    v_plan = planned - start
-    v_land = landed - start
-    angle = math.degrees(
-        math.atan2(
-            v_plan[0] * v_land[1] - v_plan[1] * v_land[0], float(v_plan @ v_land)
-        )
-    )
+    sx, sy = map(float, td.payload["swing_start"])
+    px, py = map(float, td.payload["initial_planned"])
+    lx, ly = map(float, td.payload["landed"])
+    vx, vy, wx, wy = px - sx, py - sy, lx - sx, ly - sy
+    angle = math.degrees(math.atan2(vx * wy - vy * wx, vx * wx + vy * wy))
     return StepSummary(
         step_taken=True,
         captured=bool(captures),
@@ -842,8 +839,8 @@ def summarize(trace: SimTrace) -> StepSummary:
         touchdown_time=float(td.time),
         step_duration=float(td.time) - float(td.payload["trigger_time"]),
         capture_time=float(captures[0].time) if captures else None,
-        swing_start=(float(start[0]), float(start[1])),
-        planned_landing=(float(planned[0]), float(planned[1])),
-        landed_position=(float(landed[0]), float(landed[1])),
+        swing_start=(sx, sy),
+        planned_landing=(px, py),
+        landed_position=(lx, ly),
         planned_vs_landed_angle_deg=angle,
     )

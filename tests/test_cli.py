@@ -336,6 +336,40 @@ def test_sweep_writes_csv_and_flags_the_conservative_plan(tmp_path, capsys):
     assert (rerun / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
 
 
+def test_sweep_step_length_is_a_float_sum(tmp_path, monkeypatch, capsys):
+    """step_length equals the Python-float formula bit for bit, and the flagged
+    row is ranked on those exact lengths, so sweep.csv does not depend on the
+    BLAS build."""
+    monkeypatch.setattr(cli, "_num", lambda x: repr(float(x)))  # full precision
+    scenario = write_scenario(tmp_path)
+    grid = write_scenario(tmp_path, GRID + "10, 5, 0.2\n0.5, 1, 1\n3, 20, 0.5\n", name="grid.txt")
+    out = tmp_path / "sweep"
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        cop0 = rng.uniform(-0.1, 0.1, size=2).tolist()
+        xi0 = (np.asarray(cop0) + rng.uniform(-0.15, 0.15, size=2)).tolist()
+        assert cli.main(["sweep-weights", "--scenario", str(scenario), "--grid", str(grid),
+                         "--out", str(out), "--cop0=" + ",".join(map(repr, cop0)),
+                         "--xi0=" + ",".join(map(repr, xi0))]) == 0
+        header, rows = read_csv_rows(out / "sweep.csv")
+        col = {name: i for i, name in enumerate(header)}
+        lengths, durations = [], []
+        for row in rows:
+            dx = float(row[col["cop_x"]]) - cop0[0]
+            dy = float(row[col["cop_y"]]) - cop0[1]
+            assert float(row[col["step_length"]]) == math.sqrt(dx * dx + dy * dy)
+            lengths.append(float(row[col["step_length"]]))
+            durations.append(float(row[col["duration_s"]]))
+        # Summed stable ranks: shorter step, then longer duration; ties to grid order.
+        n = len(rows)
+        rank_len = [sum((lengths[j], j) < (lengths[i], i) for j in range(n)) for i in range(n)]
+        rank_dur = [sum((-durations[j], j) < (-durations[i], i) for j in range(n))
+                    for i in range(n)]
+        flagged = min(range(n), key=lambda i: (rank_len[i] + rank_dur[i], i))
+        assert [row[-1] for row in rows] == ["1" if i == flagged else "0" for i in range(n)]
+    capsys.readouterr()
+
+
 def test_sweep_needs_at_least_two_triples(tmp_path, capsys):
     scenario = write_scenario(tmp_path)
     grid = write_scenario(tmp_path, "1, 5, 0.02\n", name="grid.txt")

@@ -10,10 +10,12 @@ import pytest
 
 from exorecover import (
     ConfigurationError,
+    Event,
     HumanPulse,
     ImpedanceGains,
     PushEvent,
     ScenarioConfig,
+    SimTrace,
     ankle_clamp,
     estimate_com,
     run_scenario,
@@ -169,6 +171,32 @@ def test_small_push_held_by_ankle_strategy():
     assert float(np.max(np.abs(trace.xi[300:, 0] - trace.xi[300, 0]))) < 1e-9
     summary = summarize(trace)
     assert not summary.step_taken and summary.num_steps == 0
+
+
+def test_summary_scalars_are_float_sums():
+    """final_dcm_offset and the landing angle equal the Python-float formulas
+    bit for bit, so summary.txt does not depend on the BLAS build."""
+    rng = np.random.default_rng(29)
+    config = ScenarioConfig()
+    z2, z3 = np.zeros((1, 2)), np.zeros((1, 3))
+    for _ in range(2000):
+        xi, cop, start, planned, landed = rng.uniform(-0.4, 0.4, size=(5, 2)).tolist()
+        events = [
+            Event(0.5, "PlanIssued", {"swing": "right"}),
+            Event(0.8, "TouchDown", {"swing_start": start, "initial_planned": planned,
+                                     "landed": landed, "trigger_time": 0.5}),
+        ]
+        trace = SimTrace(t=np.zeros(1), com=z2, com_vel=z2, xi=np.array([xi]),
+                         cop=np.array([cop]), phase=["Landed"], foot=z3, joint_desired=z3,
+                         joint_measured=z3, torque=z3, events=events, config=config)
+        summary = summarize(trace)
+
+        dx, dy = xi[0] - cop[0], xi[1] - cop[1]
+        assert summary.final_dcm_offset == math.sqrt(dx * dx + dy * dy)
+        vx, vy = planned[0] - start[0], planned[1] - start[1]
+        wx, wy = landed[0] - start[0], landed[1] - start[1]
+        assert summary.planned_vs_landed_angle_deg == math.degrees(
+            math.atan2(vx * wy - vy * wx, vx * wx + vy * wy))
 
 
 # --------------------------------------------------------------------------
