@@ -11,9 +11,17 @@ Three subcommands:
   perturbed state across a grid of cost-weight triples and writes
   ``sweep.csv``.
 
-Exit codes: 0 success, 1 input error (unparseable or invalid scenario,
-missing file, bad grid), 2 infeasible planning problem or a simulation
-that aborted its step.
+Exit codes: 0 success (and ``--help``), 1 input error (a usage error
+such as a missing option or an unknown subcommand, an unparseable or
+invalid scenario, a missing file, a bad grid), 2 infeasible planning
+problem or a simulation that aborted its step.
+
+``python -m exorecover`` runs the same command line.  In-process callers
+use ``main(argv)``, which returns the exit code (a usage error or
+``--help`` raises ``SystemExit`` with it, as argparse does).  The parser
+is built on the first ``main`` call and reused by every later call in
+the process; each call parses into a fresh namespace, so no value
+carries over from one call to the next.
 
 Scenario files are line oriented: ``key = value`` with ``#`` comments,
 dotted keys, and comma-separated numbers for vectors.  Angles are
@@ -29,6 +37,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -477,8 +486,18 @@ def cmd_sweep_weights(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on the input-error exit code, 1, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process and then shared."""
+    parser = _Parser(
         prog="exorecover",
         description="DCM-based push-recovery step planning and simulation.",
     )

@@ -3,6 +3,10 @@
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,3 +381,78 @@ def test_sweep_needs_at_least_two_triples(tmp_path, capsys):
                    "--grid", str(grid), "--out", str(tmp_path / "s")])
     assert rc == 1
     assert "need at least 2 weight triples" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# in-process calls and the module entry point
+
+PLAN_ARGS = ["--xi0", "0.12,0", "--cop0", "0,-0.1"]
+
+
+def test_usage_errors_exit_with_the_input_error_code(capsys):
+    # Exit code 2 means "aborted", so a mistyped command must not read as one.
+    for argv in (["simulate"], ["plan", "--scenario", "x"], ["bogus"]):
+        for _ in range(2):  # the second call reuses the parser
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage: exorecover")
+            assert "error: " in err
+
+
+def test_help_is_the_same_on_every_call(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert cli.scenario_key_help() in texts[0]
+
+
+def test_repeated_calls_share_no_values(tmp_path):
+    scenario = write_scenario(tmp_path)
+    short, full = tmp_path / "short", tmp_path / "full"
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(short),
+                     "--set", "sim.duration=0.4"]) == 0
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(full)]) == 0
+    # The override applied to its own call only: the second run has the
+    # scenario's own 1.5 s.
+    assert len(read_csv_rows(short / "trace.csv")[1]) == 400
+    assert len(read_csv_rows(full / "trace.csv")[1]) == 1500
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    scenario = write_scenario(tmp_path)
+    real, calls = cli.scenario_key_help, []
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "scenario_key_help", counting)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert cli.main(["plan", "--scenario", str(scenario), *PLAN_ARGS]) == 0
+    finally:
+        cli.build_parser.cache_clear()  # later tests rebuild with the real help
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_python_m_exorecover_runs_the_cli(tmp_path):
+    scenario = write_scenario(tmp_path)
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "exorecover", "plan", "--scenario", str(scenario), *PLAN_ARGS],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "status = optimal" in result.stdout.splitlines()
