@@ -340,7 +340,7 @@ def test_sweep_writes_csv_and_flags_the_conservative_plan(tmp_path, capsys):
     assert (rerun / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
 
 
-def test_sweep_step_length_is_a_float_sum(tmp_path, monkeypatch, capsys):
+def test_sweep_step_length_is_a_float_sum(tmp_path, monkeypatch):
     """step_length equals the Python-float formula bit for bit, and the flagged
     row is ranked on those exact lengths, so sweep.csv does not depend on the
     BLAS build."""
@@ -371,7 +371,6 @@ def test_sweep_step_length_is_a_float_sum(tmp_path, monkeypatch, capsys):
                     for i in range(n)]
         flagged = min(range(n), key=lambda i: (rank_len[i] + rank_dur[i], i))
         assert [row[-1] for row in rows] == ["1" if i == flagged else "0" for i in range(n)]
-    capsys.readouterr()
 
 
 def test_sweep_needs_at_least_two_triples(tmp_path, capsys):
@@ -424,7 +423,7 @@ def test_repeated_calls_share_no_values(tmp_path):
     assert len(read_csv_rows(full / "trace.csv")[1]) == 1500
 
 
-def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
     scenario = write_scenario(tmp_path)
     real, calls = cli.scenario_key_help, []
 
@@ -440,7 +439,6 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     finally:
         cli.build_parser.cache_clear()  # later tests rebuild with the real help
     assert len(calls) == 1
-    capsys.readouterr()
 
 
 def test_python_m_exorecover_runs_the_cli(tmp_path):
