@@ -11,6 +11,9 @@ Three subcommands:
   perturbed state across a grid of cost-weight triples and writes
   ``sweep.csv``.
 
+Vector options take a negative value either way: ``--xi0 -0.1,0`` or
+``--xi0=-0.1,0``.
+
 Exit codes: 0 success (and ``--help``), 1 input error (a usage error
 such as a missing option or an unknown subcommand, an unparseable or
 invalid scenario, a missing file, a bad grid), 2 infeasible planning
@@ -41,6 +44,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -543,8 +547,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Options whose value is an ``X,Y`` vector, which may start with a minus sign.
+_VECTOR_OPTIONS = frozenset({"--xi0", "--cop0"})
+
+
+def _attach_negative_vectors(argv: list[str]) -> list[str]:
+    """Spell ``--xi0 -0.1,0`` as ``--xi0=-0.1,0``.
+
+    argparse takes a separate value that starts with a minus sign and is
+    not a plain number, such as ``-0.1,0``, for an option of its own.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_vectors(argv))
     return args.func(args)
 
 

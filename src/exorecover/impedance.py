@@ -143,24 +143,21 @@ def joint_plant_step(
 
     Returns the new ``(angle, velocity)``; a non-finite torque raises ValueError.
     """
-    for name, v in (("applied_torque", applied_torque), ("human_torque", human_torque)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+    if not (math.isfinite(applied_torque) and math.isfinite(human_torque)):
+        raise ValueError(f"torques must be finite, got {applied_torque} and {human_torque}")
     tau = applied_torque + human_torque
     inv_i = 1.0 / plant.inertia
     b = plant.viscous_damping
 
-    def acc(vel: float) -> float:
-        return (tau - b * vel) * inv_i
-
+    # acc(vel) = (tau - b * vel) / inertia, written out at each stage.
     q, v = angle, velocity
-    a1 = acc(v)
+    a1 = (tau - b * v) * inv_i
     v2 = v + 0.5 * dt * a1
-    a2 = acc(v2)
+    a2 = (tau - b * v2) * inv_i
     v3 = v + 0.5 * dt * a2
-    a3 = acc(v3)
+    a3 = (tau - b * v3) * inv_i
     v4 = v + dt * a3
-    a4 = acc(v4)
+    a4 = (tau - b * v4) * inv_i
     sixth = dt / 6.0
     return (
         q + sixth * (v + 2.0 * (v2 + v3) + v4),

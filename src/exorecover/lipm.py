@@ -9,7 +9,9 @@ a constant CoP, which this module exposes next to a fixed-step RK4
 integrator of the raw second-order equation.
 
 Two-dimensional points and velocities (CoM, DCM, CoP) are plain ``(2,)``
-float arrays; the pendulum state is the pair ``(com, com_vel)``.
+float arrays, except in the integrator: ``step_lipm`` advances the
+pendulum state ``(com, com_vel)`` as ``(x, y)`` pairs of Python floats,
+which is what the 1 kHz loop carries.
 """
 
 from __future__ import annotations
@@ -110,28 +112,25 @@ def com_closed_form(com0, xi0, params: LipmParams, t: float) -> np.ndarray:
     return (com0 - xi0) * math.exp(-params.omega * t) + xi0
 
 
-def step_lipm(
-    com: np.ndarray, com_vel: np.ndarray, cop: np.ndarray, params: LipmParams, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
+def step_lipm(com, com_vel, cop, params: LipmParams, dt: float):
     """Advance the pendulum by one RK4 step with the CoP held constant.
 
-    Returns the new ``(com, com_vel)`` as fresh arrays.  Nothing is
-    re-checked: ``ScenarioConfig.validate`` bounds ``dt`` to ``(0, 0.01]``
-    s, past which this integrator loses its fourth-order accuracy.
+    ``com``, ``com_vel`` and ``cop`` are ``(x, y)`` float pairs (any
+    two-element sequence); the new ``(com, com_vel)`` comes back as two
+    float tuples.  Nothing is re-checked: ``ScenarioConfig.validate``
+    bounds ``dt`` to ``(0, 0.01]`` s, past which this integrator loses
+    its fourth-order accuracy.
     """
     w2 = params.omega * params.omega
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    # Scalar per-axis arithmetic, in the same order an elementwise array
-    # version would use, so results are bit-identical but the 1 kHz loop
-    # avoids small-array overhead.
-    out_com = np.empty(2)
-    out_vel = np.empty(2)
-    for i in range(2):
-        x = float(com[i])
-        v = float(com_vel[i])
-        p = float(cop[i])
+    # Scalar per-axis arithmetic, in the same order as the elementwise
+    # array form ``com + sixth * (v + 2 * (v2 + v3) + v4)``, so results are
+    # bit-identical to it while the 1 kHz loop stays on Python floats.
+    out_com = []
+    out_vel = []
+    for x, v, p in zip(com, com_vel, cop):
         a1 = w2 * (x - p)
         x2 = x + half * v
         v2 = v + half * a1
@@ -142,10 +141,10 @@ def step_lipm(
         x4 = x + dt * v3
         v4 = v + dt * a3
         a4 = w2 * (x4 - p)
-        out_com[i] = x + sixth * (v + 2.0 * (v2 + v3) + v4)
-        out_vel[i] = v + sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        out_com.append(x + sixth * (v + 2.0 * (v2 + v3) + v4))
+        out_vel.append(v + sixth * (a1 + 2.0 * (a2 + a3) + a4))
 
-    return out_com, out_vel
+    return tuple(out_com), tuple(out_vel)
 
 
 def apply_impulse(com_vel: np.ndarray, impulse, params: LipmParams) -> np.ndarray:

@@ -60,7 +60,7 @@ from .impedance import (
     joint_plant_step,
 )
 from .kinematics import JointLimits, LegGeometry, Side, forward_kinematics, inverse_kinematics
-from .lipm import LipmParams, apply_impulse, as_vec2, dcm_of, step_lipm
+from .lipm import LipmParams, apply_impulse, as_vec2, step_lipm
 from .planner import (
     NominalGait,
     PlannerInput,
@@ -91,6 +91,9 @@ __all__ = [
 ]
 
 _DEG = math.pi / 180.0
+
+#: Bounds of the attitude synthesis' ``asin`` argument.
+_ASIN_LO, _ASIN_HI = -1.0 + 1e-12, 1.0 - 1e-12
 
 #: Plans moving less than this (in landing point or landing time) do not
 #: resplice the swing trajectory or emit a Replanned event.
@@ -128,23 +131,37 @@ class HumanPulse:
             raise ValueError("torque must be finite")
 
 
-def estimate_com(roll: float, pitch: float, pendulum_length: float) -> np.ndarray:
-    """Horizontal CoM offset from the stance reference, ``L * sin(angle)``.
+def estimate_com(roll: float, pitch: float, pendulum_length: float) -> tuple[float, float]:
+    """Horizontal CoM offset ``(x, y)`` from the stance reference, ``L * sin(angle)``.
 
     ``roll`` is positive leaning left, ``pitch`` positive leaning forward,
     both in radians; ``pendulum_length`` is the validated ``com_height``.
     """
-    return np.array([pendulum_length * math.sin(pitch), pendulum_length * math.sin(roll)])
+    return pendulum_length * math.sin(pitch), pendulum_length * math.sin(roll)
 
 
-def ankle_clamp(xi: np.ndarray, foot_center: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
+def _clip(x: float, lo: float, hi: float) -> float:
+    """``np.clip(x, lo, hi)`` for one float, signed zeros included.
+
+    ``min(max(x, lo), hi)`` keeps ``-0.0`` against a bound of ``0.0``
+    where ``np.clip`` returns the bound, and the two print differently.
+    """
+    m = x if x > lo else lo
+    return m if m < hi else hi
+
+
+def ankle_clamp(xi, foot_center, half_extents) -> tuple[float, float]:
     """Componentwise clamp of the DCM into the foot support rectangle.
 
+    Each argument is an ``(x, y)`` pair; the result is a float pair equal
+    to ``np.clip(xi, foot_center - half_extents, foot_center + half_extents)``.
     As the half extents shrink to zero this degenerates to the
     point-foot CoP at ``foot_center``.  The half extents come from the
     validated foot size and stance width and are not re-checked.
     """
-    return np.clip(xi, foot_center - half_extents, foot_center + half_extents)
+    cx, cy = foot_center
+    hx, hy = half_extents
+    return _clip(xi[0], cx - hx, cx + hx), _clip(xi[1], cy - hy, cy + hy)
 
 
 def _key(default, key: str, help: str):
@@ -337,7 +354,11 @@ class Event:
 
 @dataclass
 class SimTrace:
-    """Dense per-cycle log plus the event stream and the resolved config."""
+    """Dense per-cycle log plus the event stream and the resolved config.
+
+    ``run_scenario`` logs every tick as one row of a single ``(N, 21)``
+    array; the numeric fields are column views of it.
+    """
 
     t: np.ndarray
     com: np.ndarray  # (N, 2)
@@ -379,9 +400,10 @@ def _vec(v) -> list[float]:
 class _Episode:
     """Mutable bookkeeping for one recovery step."""
 
-    def __init__(self, trigger_time: float, swing: Side):
+    def __init__(self, trigger_time: float, swing: Side, stance_xy: np.ndarray):
         self.trigger_time = trigger_time
         self.swing = swing
+        self.stance_xy = stance_xy  # (2,) the stance foot, the CoP all through the swing
         self.plan: StepPlan | None = None
         self.initial_plan: StepPlan | None = None
         self.traj: SwingTrajectory | None = None
@@ -393,12 +415,12 @@ class _Episode:
         self.frozen = False  # True once the terminal window is reached
 
 
-def _hip_xy(config: ScenarioConfig, side: Side, com: np.ndarray) -> np.ndarray:
+def _hip_xy(config: ScenarioConfig, side: Side, com) -> tuple[float, float]:
     lateral = config.l0 if side is Side.LEFT else -config.l0
-    return np.array([com[0], com[1] + lateral])
+    return com[0], com[1] + lateral
 
 
-def _leg_target(config: ScenarioConfig, side: Side, world_point, com: np.ndarray) -> np.ndarray:
+def _leg_target(config: ScenarioConfig, side: Side, world_point, com) -> np.ndarray:
     x, y = _hip_xy(config, side, com)
     return np.array([world_point[0] - x, world_point[1] - y, world_point[2] - config.com_height])
 
@@ -418,7 +440,7 @@ class Measurement(NamedTuple):
 class Command(NamedTuple):
     """What the controller sends the plant for one tick."""
 
-    cop: np.ndarray  # (2,) m
+    cop: tuple[float, float]  # m
     torque: np.ndarray  # (3,) N*m, actuator torques on the tracked leg
     swing: Side | None  # leg in flight; the plant reports its foot next tick
     lift: np.ndarray | None  # (3,) rad, pose of the swing leg lifted off now, at rest
@@ -442,17 +464,18 @@ class Controller:
             np.asarray(config.stiffness_deg, dtype=float), np.asarray(config.damping, dtype=float)
         )
         self.mode = ControlMode(config.mode)
-        self.foot_half = np.array([config.foot_half_x, config.foot_half_y])
+        self.foot_half = (config.foot_half_x, config.foot_half_y)
         width = config.resolved_stance_width()
         self.feet: dict[Side, np.ndarray] = {
             Side.LEFT: np.array([0.0, 0.5 * width]),
             Side.RIGHT: np.array([0.0, -0.5 * width]),
         }
-        self.cop = np.zeros(2)
-        self.support_center = np.zeros(2)  # clamp centre; the planted foot after a step
+        # The CoP and the ankle clamp's box are (x, y) float pairs.
+        self.cop = (0.0, 0.0)
+        self.support_center = (0.0, 0.0)  # clamp centre; the planted foot after a step
         # Clamp half-widths: the double-support hull initially, one foot after
         # touchdown.
-        self.support_half = np.array([self.foot_half[0], 0.5 * width + self.foot_half[1]])
+        self.support_half = (self.foot_half[0], 0.5 * width + self.foot_half[1])
         self.detector = BalanceDetector(
             SwayEllipse(np.zeros(2), config.ellipse_a, config.ellipse_b),
             debounce_cycles=config.debounce_cycles,
@@ -477,7 +500,7 @@ class Controller:
         if phase is RecoveryPhase.STANDING:
             # Ankle strategy between episodes: hold the DCM with the CoP
             # wherever the support polygon allows.
-            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
+            self.cop = ankle_clamp(xi_hat.tolist(), self.support_center, self.support_half)
             trig = self.detector.update(xi_hat, t)
             if trig is not None:
                 self.events.append(Event(t, "BalanceLost", {
@@ -494,8 +517,9 @@ class Controller:
             touchdown = self._swing(t, meas)
 
         elif phase is RecoveryPhase.LANDED and self.episode is not None:
-            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
-            dx, dy = (xi_hat - self.cop).tolist()
+            xi = xi_hat.tolist()
+            self.cop = ankle_clamp(xi, self.support_center, self.support_half)
+            dx, dy = xi[0] - self.cop[0], xi[1] - self.cop[1]
             offset = math.sqrt(dx * dx + dy * dy)
             if self.detector.update_landing(offset, t):
                 self.events.append(Event(t, "Captured", {
@@ -510,11 +534,11 @@ class Controller:
                 lift = self._begin_episode(t, meas, forced_swing=trailing)
 
         elif phase is RecoveryPhase.CAPTURED:
-            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
+            self.cop = ankle_clamp(xi_hat.tolist(), self.support_center, self.support_half)
             # Re-arm around the new stance point so a later push can
             # trigger a fresh episode.
             self.detector.ellipse = SwayEllipse(
-                self.cop.copy(), self.config.ellipse_a, self.config.ellipse_b
+                self.cop, self.config.ellipse_a, self.config.ellipse_b
             )
             self.detector.stand(t)
 
@@ -541,14 +565,14 @@ class Controller:
             lateral = meas.xi[1] - self.support_center[1]
             swing = Side.LEFT if lateral < -1e-12 else Side.RIGHT
         stance_xy = self.feet[Side.RIGHT if swing is Side.LEFT else Side.LEFT]
-        ep = _Episode(t, swing)
+        ep = _Episode(t, swing, stance_xy)
         ep.nominal, ep.bounds = config.stance_frame(stance_xy, swing)
 
         # Weight shifts onto the stance leg: the CoP the pendulum sees
         # during the swing is the stance ankle point.
-        self.cop = stance_xy.copy()
+        self.cop = tuple(stance_xy.tolist())
         try:
-            plan = plan_step(PlannerInput(xi0=meas.xi, cop0=self.cop, omega=self.omega,
+            plan = plan_step(PlannerInput(xi0=meas.xi, cop0=stance_xy, omega=self.omega,
                                           nominal=ep.nominal, bounds=ep.bounds))
         except PlannerInfeasibleError as err:
             self._abort(t, f"plan_step infeasible: {', '.join(err.violated) or err}")
@@ -589,7 +613,7 @@ class Controller:
             try:
                 new_plan = replan(
                     ep.plan,
-                    PlannerInput(xi0=meas.xi, cop0=self.cop, omega=self.omega,
+                    PlannerInput(xi0=meas.xi, cop0=ep.stance_xy, omega=self.omega,
                                  nominal=ep.nominal, bounds=ep.bounds),
                     t - ep.trigger_time,
                 )
@@ -623,9 +647,8 @@ class Controller:
         # stance.
         landed = meas.foot
         self.feet[ep.swing] = landed
-        self.cop = landed.copy()
-        self.support_center = landed.copy()
-        self.support_half = self.foot_half.copy()
+        self.cop = self.support_center = tuple(landed.tolist())
+        self.support_half = self.foot_half
         self.foot_point = np.array([landed[0], landed[1], 0.0])
         self.detector.touchdown(t)
         self.events.append(Event(t, "TouchDown", {
@@ -664,26 +687,31 @@ class Plant:
     The attitude sensor synthesises trunk pitch and roll from the true
     CoM about its anchor, adds seeded noise and saturates, and the
     estimate inverts it with ``L * sin``.  The anchor moves to the foot
-    the plant reported landed.
+    the plant reported landed.  The noise for the whole run is drawn up
+    front, one ``(pitch, roll)`` row per tick; that is the same sequence
+    as two scalar draws per tick.
 
-    State is plain arrays: the CoM ``com`` and its velocity ``vel``
-    (each (2,)), and the tracked leg's joint angles ``q``, rates ``qd``
-    and last applied actuator torques ``tau`` (each (3,)).
+    The pendulum state is plain floats: the CoM ``com``, its velocity
+    ``vel`` and the attitude ``anchor`` are ``(x, y)`` float pairs.  The
+    tracked leg's joint angles ``q``, rates ``qd`` and last applied
+    actuator torques ``tau`` are ``(3,)`` arrays.
     """
 
-    def __init__(self, config: ScenarioConfig, events: list[Event]):
+    def __init__(self, config: ScenarioConfig, events: list[Event], n_ticks: int):
         self.config = config
         self.events = events
         self.params = config.lipm_params()
         self.joint_params = PlantParams(config.inertia, config.viscous_damping)
-        self.com = as_vec2(config.com0, "com0")
-        self.vel = as_vec2(config.vel0, "vel0")
+        self.com = tuple(as_vec2(config.com0, "com0").tolist())
+        self.vel = tuple(as_vec2(config.vel0, "vel0").tolist())
         self.pushes = sorted(config.pushes, key=lambda p: (p.time, p.impulse[0], p.impulse[1]))
-        self.rng = np.random.default_rng(config.seed)
-        self.noise_std = config.attitude_noise_deg * _DEG
-        self.anchor = np.zeros(2)  # attitude reference: the stance point
+        noise_std = config.attitude_noise_deg * _DEG
+        self.noise = (np.random.default_rng(config.seed).normal(0.0, noise_std, (n_ticks, 2))
+                      if noise_std > 0.0 else None)
+        self.tick = 0  # row of ``noise`` the next measurement reads
+        self.anchor = (0.0, 0.0)  # attitude reference: the stance point
         self.swing: Side | None = None  # leg in flight, whose foot is reported
-        self.foot: np.ndarray | None = None  # where that foot was last measured
+        self.foot: tuple[float, float] | None = None  # where that foot was last measured
         self.geoms = {side: config.leg_geometry(side) for side in Side}
         # Before any step the tracked leg is the right one, planted at its
         # stance point.
@@ -699,100 +727,89 @@ class Plant:
         """Apply the pushes due at ``t``, then read the sensors."""
         while self.pushes and self.pushes[0].time <= t + 1e-12:
             push = self.pushes.pop(0)
-            self.vel = apply_impulse(self.vel, push.impulse, self.params)
+            self.vel = tuple(apply_impulse(np.array(self.vel), push.impulse, self.params).tolist())
             self.events.append(Event(t, "PushApplied", {"impulse": _vec(push.impulse)}))
 
         L = self.config.com_height
-        scaled = np.clip((self.com - self.anchor) / L, -1.0 + 1e-12, 1.0 - 1e-12)
-        pitch = math.asin(scaled[0])
-        roll = math.asin(scaled[1])
-        if self.noise_std > 0.0:
+        (x, y), (ax, ay) = self.com, self.anchor
+        pitch = math.asin(_clip((x - ax) / L, _ASIN_LO, _ASIN_HI))
+        roll = math.asin(_clip((y - ay) / L, _ASIN_LO, _ASIN_HI))
+        if self.noise is not None:
+            noise_pitch, noise_roll = self.noise[self.tick].tolist()
             # The inclinometer saturates at the edge of its range.
             lim = 0.5 * math.pi - 1e-9
-            pitch = min(max(pitch + self.rng.normal(0.0, self.noise_std), -lim), lim)
-            roll = min(max(roll + self.rng.normal(0.0, self.noise_std), -lim), lim)
-        com_hat = self.anchor + estimate_com(roll, pitch, L)
+            pitch = min(max(pitch + noise_pitch, -lim), lim)
+            roll = min(max(roll + noise_roll, -lim), lim)
+        self.tick += 1
+        ex, ey = estimate_com(roll, pitch, L)
+        com_x, com_y = ax + ex, ay + ey
 
         foot = None
         if self.swing is not None:
-            achieved = forward_kinematics(self.q, self.geoms[self.swing])
-            hip = _hip_xy(self.config, self.swing, self.com)
-            foot = self.foot = np.array([hip[0] + achieved[0], hip[1] + achieved[1]])
-        xi_hat = com_hat + self.vel / self.params.omega
-        return Measurement(com_hat, xi_hat, self.q, self.qd, self.tau, foot)
+            achieved = forward_kinematics(self.q, self.geoms[self.swing]).tolist()
+            hip_x, hip_y = _hip_xy(self.config, self.swing, self.com)
+            self.foot = (hip_x + achieved[0], hip_y + achieved[1])
+            foot = np.array(self.foot)
+        vx, vy = self.vel
+        omega = self.params.omega
+        xi_hat = np.array([com_x + vx / omega, com_y + vy / omega])
+        return Measurement(np.array([com_x, com_y]), xi_hat, self.q, self.qd, self.tau, foot)
 
     def step(self, command: Command, t: float) -> None:
         """Take the command's contact changes, then integrate to the next tick."""
         if command.lift is not None:
             self.q, self.qd = command.lift, np.zeros(3)
         if command.touchdown:
-            self.anchor = self.foot.copy()
+            self.anchor = self.foot
         self.swing = command.swing
         dt = self.config.dt
         self.com, self.vel = step_lipm(self.com, self.vel, command.cop, self.params, dt)
-        human = np.zeros(3)
+        human = [0.0, 0.0, 0.0]
         for pulse in self.config.human_pulses:
             if pulse.start <= t < pulse.end:
                 human[pulse.joint] += pulse.torque
-        q, qd = np.empty(3), np.empty(3)
-        for i, (angle, rate) in enumerate(zip(self.q.tolist(), self.qd.tolist())):
-            q[i], qd[i] = joint_plant_step(
-                angle, rate, float(command.torque[i]), float(human[i]), self.joint_params, dt
-            )
-        self.q, self.qd, self.tau = q, qd, command.torque
+        q, qd = [], []
+        for angle, rate, applied, extra in zip(
+                self.q.tolist(), self.qd.tolist(), command.torque.tolist(), human):
+            angle, rate = joint_plant_step(angle, rate, applied, extra, self.joint_params, dt)
+            q.append(angle)
+            qd.append(rate)
+        self.q, self.qd, self.tau = np.array(q), np.array(qd), command.torque
+
+
+#: Columns of ``run_scenario``'s per-tick log, one ``SimTrace`` field each.
+_LOG_COLUMNS = {
+    "t": 0, "com": slice(1, 3), "com_vel": slice(3, 5), "xi": slice(5, 7), "cop": slice(7, 9),
+    "foot": slice(9, 12), "joint_desired": slice(12, 15), "joint_measured": slice(15, 18),
+    "torque": slice(18, 21),
+}
 
 
 def run_scenario(config: ScenarioConfig) -> SimTrace:
     """Run one scenario to completion and return the dense trace."""
     config.validate()
-    params = config.lipm_params()
-    events: list[Event] = []
-    plant = Plant(config, events)
-    controller = Controller(config, events, plant.q)
-
     n_rows = int(round(config.duration / config.dt))
     if n_rows < 1:
         raise ConfigurationError("duration shorter than one control cycle")
-    log_t = np.empty(n_rows)
-    log_com = np.empty((n_rows, 2))
-    log_vel = np.empty((n_rows, 2))
-    log_xi = np.empty((n_rows, 2))
-    log_cop = np.empty((n_rows, 2))
-    log_phase: list[str] = []
-    log_foot = np.empty((n_rows, 3))
-    log_qd = np.empty((n_rows, 3))
-    log_qm = np.empty((n_rows, 3))
-    log_tau = np.empty((n_rows, 3))
+    events: list[Event] = []
+    plant = Plant(config, events, n_rows)
+    controller = Controller(config, events, plant.q)
+    omega = plant.params.omega
 
+    log = np.empty((n_rows, 21))
+    log_phase: list[str] = []
     for k in range(n_rows):
         t = k * config.dt
         command = controller.step(plant.measure(t), t)
-        log_t[k] = t
-        log_com[k] = plant.com
-        log_vel[k] = plant.vel
-        log_xi[k] = dcm_of(plant.com, plant.vel, params)
-        log_cop[k] = command.cop
+        (x, y), (vx, vy) = plant.com, plant.vel
+        log[k] = [t, x, y, vx, vy, x + vx / omega, y + vy / omega, *command.cop,
+                  *controller.foot_point.tolist(), *controller.q_des.tolist(),
+                  *controller.q.tolist(), *command.torque.tolist()]
         log_phase.append(controller.detector.phase.value)
-        log_foot[k] = controller.foot_point
-        log_qd[k] = controller.q_des
-        log_qm[k] = controller.q
-        log_tau[k] = command.torque
         plant.step(command, t)
 
-    return SimTrace(
-        t=log_t,
-        com=log_com,
-        com_vel=log_vel,
-        xi=log_xi,
-        cop=log_cop,
-        phase=log_phase,
-        foot=log_foot,
-        joint_desired=log_qd,
-        joint_measured=log_qm,
-        torque=log_tau,
-        events=events,
-        config=config,
-    )
+    columns = {name: log[:, col] for name, col in _LOG_COLUMNS.items()}
+    return SimTrace(phase=log_phase, events=events, config=config, **columns)
 
 
 def summarize(trace: SimTrace) -> StepSummary:

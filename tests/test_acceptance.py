@@ -145,7 +145,7 @@ def test_criterion_01_dcm_integration_matches_closed_form():
         cop = rng.uniform(-0.1, 0.1, 2)
         xi0 = dcm_of(com, vel, params)
         for _ in range(1000):
-            com, vel = step_lipm(com, vel, cop, params, 1e-3)
+            com, vel = map(np.array, step_lipm(com, vel, cop, params, 1e-3))
         ref = dcm_closed_form(xi0, cop, params, 1.0)
         worst = max(worst, float(np.abs(dcm_of(com, vel, params) - ref).max()))
     wall = time.perf_counter() - start

@@ -382,6 +382,31 @@ def test_sweep_needs_at_least_two_triples(tmp_path, capsys):
     assert "need at least 2 weight triples" in capsys.readouterr().err
 
 
+def test_negative_vectors_parse_in_both_spellings(tmp_path, capsys):
+    """Backward and rightward states parse as ``--xi0 -0.1,0`` too, with the
+    same result as ``--xi0=-0.1,0``; an option still cannot be a value."""
+    scenario = write_scenario(tmp_path)
+    grid = write_scenario(tmp_path, GRID, name="grid.txt")
+    plan = ["plan", "--scenario", str(scenario)]
+    sweep = ["sweep-weights", "--scenario", str(scenario), "--grid", str(grid)]
+    for xi0, cop0 in (("-0.1,0", "0,0"), ("0.02,-0.15", "0,-0.05"), ("-0.05,-0.12", "-.02,-0.03")):
+        assert cli.main(plan + ["--xi0", xi0, "--cop0", cop0]) == 0
+        spaced = capsys.readouterr().out
+        assert cli.main(plan + ["--xi0=" + xi0, "--cop0=" + cop0]) == 0
+        assert capsys.readouterr().out == spaced
+
+        a, b = tmp_path / "spaced", tmp_path / "joined"
+        assert cli.main(sweep + ["--out", str(a), "--xi0", xi0, "--cop0", cop0]) == 0
+        assert cli.main(sweep + ["--out", str(b), "--xi0=" + xi0, "--cop0=" + cop0]) == 0
+        assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+        capsys.readouterr()
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(plan + ["--xi0", "--cop0", "0,0"])
+    assert exc.value.code == 1
+    assert "argument --xi0: expected one argument" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # in-process calls and the module entry point
 

@@ -102,9 +102,54 @@ def test_com_flow_matches_derivative_of_closed_form():
 def test_step_lipm_equilibrium_is_exact():
     p = LipmParams()
     com = np.array([0.04, -0.02])
-    out_com, out_vel = step_lipm(com, np.zeros(2), [0.04, -0.02], p, 1e-3)
+    out_com, out_vel = map(np.array, step_lipm(com, np.zeros(2), [0.04, -0.02], p, 1e-3))
     assert np.all(out_com == com)
     assert np.all(out_vel == 0.0)
+
+
+def _array_rk4(com, com_vel, cop, params, dt):
+    """One RK4 step on ``(2,)`` arrays, the elementwise form ``step_lipm`` follows."""
+    w2 = params.omega * params.omega
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    a1 = w2 * (com - cop)
+    x2 = com + half * com_vel
+    v2 = com_vel + half * a1
+    a2 = w2 * (x2 - cop)
+    x3 = com + half * v2
+    v3 = com_vel + half * a2
+    a3 = w2 * (x3 - cop)
+    x4 = com + dt * v3
+    v4 = com_vel + dt * a3
+    a4 = w2 * (x4 - cop)
+    return (com + sixth * (com_vel + 2.0 * (v2 + v3) + v4),
+            com_vel + sixth * (a1 + 2.0 * (a2 + a3) + a4))
+
+
+def test_float_pair_step_is_the_array_formula_bit_for_bit():
+    """``step_lipm`` on Python floats returns the array formula's bits, over
+    random states, signed zeros and whole 1 kHz trajectories."""
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        p = LipmParams(com_height=float(rng.uniform(0.5, 1.2)))
+        dt = float(rng.choice([1e-3, 2.5e-3, 1e-2]))
+        com, vel, cop = rng.uniform(-0.3, 0.3, size=(3, 2))
+        ref_com, ref_vel = com, vel
+        state = com.tolist(), vel.tolist()
+        for _ in range(50):
+            ref_com, ref_vel = _array_rk4(ref_com, ref_vel, cop, p, dt)
+            state = step_lipm(*state, cop.tolist(), p, dt)
+            assert all(type(v) is float for v in state[0] + state[1])
+            assert np.array(state).tobytes() == np.array([ref_com, ref_vel]).tobytes()
+
+    p = LipmParams()
+    zeros = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)]
+    for com in zeros:
+        for vel in zeros:
+            for cop in zeros:
+                ref = _array_rk4(np.array(com), np.array(vel), np.array(cop), p, 1e-3)
+                out = step_lipm(com, vel, cop, p, 1e-3)
+                assert np.array(out).tobytes() == np.array(ref).tobytes()
 
 
 def test_rk4_tracks_closed_form_dcm():
@@ -117,7 +162,7 @@ def test_rk4_tracks_closed_form_dcm():
         cop = rng.uniform(-0.1, 0.1, 2)
         xi0 = dcm_of(com, vel, p)
         for _ in range(1000):
-            com, vel = step_lipm(com, vel, cop, p, 1e-3)
+            com, vel = map(np.array, step_lipm(com, vel, cop, p, 1e-3))
         xi_ref = dcm_closed_form(xi0, cop, p, 1.0)
         assert np.abs(dcm_of(com, vel, p) - xi_ref).max() < 1e-8
 
@@ -128,7 +173,7 @@ def test_rk4_com_matches_frozen_dcm_form_when_cop_tracks():
     com, vel = np.zeros(2), np.array([0.33015148038438356, 0.0])  # xi0 = (0.1, 0)
     xi0 = dcm_of(com, vel, p)
     for _ in range(800):
-        com, vel = step_lipm(com, vel, dcm_of(com, vel, p), p, 1e-3)
+        com, vel = map(np.array, step_lipm(com, vel, dcm_of(com, vel, p), p, 1e-3))
     ref = com_closed_form([0.0, 0.0], xi0, p, 0.8)
     assert np.abs(com - ref).max() < 1e-9
 

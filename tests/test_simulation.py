@@ -1,9 +1,11 @@
 """Closed-loop scenario tests: measurement, phase flow, recovery outcomes."""
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from exorecover import (
     run_scenario,
     summarize,
 )
+from exorecover.simulation import Plant
 
 MASS = 70.0
 OMEGA = math.sqrt(9.81 / 0.88)  # default scenario pendulum frequency
@@ -85,6 +88,33 @@ def test_ankle_clamp_boxes_the_dcm():
 
     pinned = ankle_clamp(np.array([9.0, 9.0]), center, np.zeros(2))
     assert np.array_equal(pinned, center)
+
+
+def test_ankle_clamp_is_np_clip_bit_for_bit():
+    """The float clamp returns np.clip's bits over random points, the box
+    edges and signed zeros, where ``min(max(x, lo), hi)`` would not."""
+
+    def reference(xi, center, half):
+        center, half = np.array(center), np.array(half)
+        return np.clip(np.array(xi), center - half, center + half)
+
+    def check(xi, center, half):
+        out = ankle_clamp(xi, center, half)
+        assert all(type(v) is float for v in out)
+        assert np.array(out).tobytes() == reference(xi, center, half).tobytes(), (xi, center, half)
+
+    rng = np.random.default_rng(53)
+    for _ in range(2000):
+        center = rng.uniform(-0.3, 0.3, 2).tolist()
+        half = rng.uniform(0.0, 0.2, 2).tolist()
+        check(rng.uniform(-0.6, 0.6, 2).tolist(), center, half)
+        lo, hi = reference([-1.0, -1.0], center, half), reference([1.0, 1.0], center, half)
+        check(lo.tolist(), center, half)
+        check(hi.tolist(), center, half)
+    signed = (0.0, -0.0, 0.1, -0.1)
+    for x, y, cx, cy, hx in itertools.product(signed, repeat=5):
+        for hy in (0.0, -0.0, 0.1):
+            check([x, y], [cx, cy], [abs(hx), hy])
 
 
 # --------------------------------------------------------------------------
@@ -351,6 +381,67 @@ def test_control_loop_does_not_call_lapack(monkeypatch):
         trace = run_scenario(ScenarioConfig(pushes=pushes))
         assert events_of(trace, "TouchDown") and events_of(trace, "Replanned")
         assert not events_of(trace, "StepAborted")
+
+
+def test_each_tick_steps_the_pendulum_once_and_each_joint_once(monkeypatch):
+    """``step_lipm`` runs once per tick and ``joint_plant_step`` once per
+    joint per tick, each through its module-level name, over a forward push
+    (the spans of ``bench/spans.py`` time the tick by them)."""
+    from exorecover.impedance import joint_plant_step
+    from exorecover.lipm import step_lipm
+
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "exorecover"]
+    for module in modules:
+        for name, fn in (("step_lipm", step_lipm), ("joint_plant_step", joint_plant_step)):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+
+    trace = run_scenario(ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),), duration=2.0))
+    assert events_of(trace, "TouchDown") and events_of(trace, "Captured")
+    ticks = len(trace.t)
+    assert counts == {"step_lipm": ticks, "joint_plant_step": 3 * ticks}
+
+
+def test_noisy_readings_match_per_tick_draws(monkeypatch):
+    """The noise drawn once per run reads as two scalar draws per tick: every
+    CoM and DCM estimate of a noisy run equals, bit for bit, the array
+    formula fed by per-tick ``rng.normal`` calls, before and after the
+    attitude anchor moves at touchdown."""
+    config = ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),),
+                            attitude_noise_deg=0.2, seed=5, duration=2.0)
+    readings = []
+    measure = Plant.measure
+
+    def recording(plant, t):
+        meas = measure(plant, t)
+        readings.append((plant.com, plant.vel, plant.anchor, meas.com, meas.xi))
+        return meas
+
+    monkeypatch.setattr(Plant, "measure", recording)
+    trace = run_scenario(config)
+    assert events_of(trace, "TouchDown") and len(readings) == len(trace.t)
+    assert len({anchor for _, _, anchor, _, _ in readings}) == 2
+
+    rng = np.random.default_rng(config.seed)
+    std = config.attitude_noise_deg * math.pi / 180.0
+    L, omega = config.com_height, config.lipm_params().omega
+    lim = 0.5 * math.pi - 1e-9
+    for com, vel, anchor, com_hat, xi_hat in readings:
+        scaled = np.clip((np.array(com) - anchor) / L, -1.0 + 1e-12, 1.0 - 1e-12)
+        pitch = min(max(math.asin(scaled[0]) + rng.normal(0.0, std), -lim), lim)
+        roll = min(max(math.asin(scaled[1]) + rng.normal(0.0, std), -lim), lim)
+        ref_com = np.array(anchor) + np.array([L * math.sin(pitch), L * math.sin(roll)])
+        ref_xi = ref_com + np.array(vel) / omega
+        assert com_hat.tobytes() == ref_com.tobytes()
+        assert xi_hat.tobytes() == ref_xi.tobytes()
 
 
 def test_control_loop_checks_inputs_once(monkeypatch):
