@@ -285,19 +285,26 @@ def _num(x: float) -> str:
     return f"{x:.12g}"
 
 
+#: Trace rows converted to Python floats per ``.tolist()`` call.  A small
+#: block keeps the conversion to one call per block without holding the
+#: trace as Python lists: a whole-trace ``.tolist()`` would raise the peak
+#: memory by several times the file size, and 512 rows already by 0.75 MB.
+_TRACE_BLOCK_ROWS = 128
+
+
 def write_trace_csv(trace: SimTrace, path) -> None:
     # One %-format per row over Python floats ("%.12g" is _num's format).
-    # Rows are converted one at a time: a whole-trace .tolist() would
-    # raise the peak memory by several times the file size.
     row = ",".join(["%.12g"] * 9 + ["%s"] + ["%.12g"] * 12) + "\n"
-    vectors = zip(trace.com, trace.com_vel, trace.xi, trace.cop,
-                  trace.foot, trace.joint_desired, trace.joint_measured, trace.torque)
+    columns = (trace.t[:, None], trace.com, trace.com_vel, trace.xi, trace.cop,
+               trace.foot, trace.joint_desired, trace.joint_measured, trace.torque)
+    phases = iter(trace.phase)  # zip takes a block's rows first, so no phase is skipped
     with _atomic_open(Path(path)) as out:
         out.write(TRACE_HEADER + "\n")
-        for t, phase, (com, vel, xi, cop, foot, q_des, q_meas, tau) in zip(
-                trace.t.tolist(), trace.phase, vectors):
-            out.write(row % (t, *com.tolist(), *vel.tolist(), *xi.tolist(), *cop.tolist(), phase,
-                             *foot.tolist(), *q_des.tolist(), *q_meas.tolist(), *tau.tolist()))
+        for start in range(0, len(trace.t), _TRACE_BLOCK_ROWS):
+            stop = start + _TRACE_BLOCK_ROWS
+            block = np.concatenate([c[start:stop] for c in columns], axis=1).tolist()
+            out.writelines(row % (*values[:9], phase, *values[9:])
+                           for values, phase in zip(block, phases))
 
 
 def write_events_csv(trace: SimTrace, path) -> None:

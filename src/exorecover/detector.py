@@ -38,14 +38,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SwayEllipse:
-    """Axis-aligned sway tolerance region around the stance reference."""
+    """Axis-aligned sway tolerance region around the stance reference.
 
-    center: np.ndarray  # (2,) m
+    The centre is checked once and kept as an ``(x, y)`` float pair.
+    """
+
+    center: tuple[float, float]  # m
     semi_axis_x: float  # m
     semi_axis_y: float  # m
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vec2(self.center, "center"))
+        object.__setattr__(self, "center", tuple(as_vec2(self.center, "center").tolist()))
         for name in ("semi_axis_x", "semi_axis_y"):
             v = getattr(self, name)
             if not (v > 0.0) or not math.isfinite(v):

@@ -19,9 +19,13 @@ The plant is a single rigid joint, ``inertia * acc = tau_applied +
 tau_human - viscous * vel``, integrated with fixed-step RK4; its state
 is the plain pair ``(angle, velocity)``.
 
-Gains and plant parameters are checked when built.  The per-tick
-functions take the loop's plain arrays and floats as they are; ``kp``
-and ``dt`` are bounded once, by ``ScenarioConfig.validate``.
+Gains and plant parameters are checked when built; the gains are kept
+as float triples.  The per-tick functions take the loop's plain floats
+as they are: joint angles, rates and torques are ``(hip ab/adduction,
+hip flexion, knee)`` float triples (any three-element sequence), and
+``impedance_torque`` and ``command_torques`` return float triples
+whose every element is the array formula's, bit for bit.  ``kp`` and
+``dt`` are bounded once, by ``ScenarioConfig.validate``.
 """
 
 from __future__ import annotations
@@ -46,9 +50,6 @@ __all__ = [
 
 RAD_PER_DEG = math.pi / 180.0
 
-#: Index of the hip ab/adduction joint in every 3-vector of this module.
-HIP_AB = 0
-
 
 def _as_vec3(value, name: str) -> np.ndarray:
     out = np.asarray(value, dtype=float).reshape(-1)
@@ -63,18 +64,21 @@ def _as_vec3(value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ImpedanceGains:
-    """Per-joint spring and damper gains, radian-based."""
+    """Per-joint spring and damper gains, radian-based.
 
-    stiffness: np.ndarray  # (3,) N*m/rad
-    damping: np.ndarray  # (3,) N*m*s/rad
+    Built from a scalar or any three numbers; kept as float triples.
+    """
+
+    stiffness: tuple[float, float, float]  # N*m/rad
+    damping: tuple[float, float, float]  # N*m*s/rad
 
     def __post_init__(self):
         stiff = _as_vec3(self.stiffness, "stiffness")
         damp = _as_vec3(self.damping, "damping")
         if np.any(stiff < 0.0) or np.any(damp < 0.0):
             raise ValueError("gains must be nonnegative")
-        object.__setattr__(self, "stiffness", stiff)
-        object.__setattr__(self, "damping", damp)
+        object.__setattr__(self, "stiffness", tuple(stiff.tolist()))
+        object.__setattr__(self, "damping", tuple(damp.tolist()))
 
     @classmethod
     def from_deg(cls, stiffness_deg, damping=0.0) -> "ImpedanceGains":
@@ -107,28 +111,29 @@ class PlantParams:
 
 
 def impedance_torque(
-    desired_angles: np.ndarray,
-    measured_angles: np.ndarray,
-    measured_velocities: np.ndarray,
+    desired_angles,
+    measured_angles,
+    measured_velocities,
     gains: ImpedanceGains,
     mode: ControlMode,
-) -> np.ndarray:
-    """Desired actuator torques for all three joints."""
+) -> tuple[float, float, float]:
+    """Desired actuator torques for all three joints,
+    ``stiffness * (desired - measured) - damping * velocity`` per joint."""
     if mode is ControlMode.ZERO_TORQUE:
-        return np.zeros(3)
-    error = desired_angles - measured_angles
-    return gains.stiffness * error - gains.damping * measured_velocities
+        return 0.0, 0.0, 0.0
+    (d1, d2, d3), (m1, m2, m3), (v1, v2, v3) = desired_angles, measured_angles, measured_velocities
+    (k1, k2, k3), (b1, b2, b3) = gains.stiffness, gains.damping
+    return k1 * (d1 - m1) - b1 * v1, k2 * (d2 - m2) - b2 * v2, k3 * (d3 - m3) - b3 * v3
 
 
-def command_torques(tau_desired: np.ndarray, tau_measured: np.ndarray, kp: float) -> np.ndarray:
+def command_torques(tau_desired, tau_measured, kp: float) -> tuple[float, float, float]:
     """Actuator commands ``tau_d + kp * (tau_d - tau_m)``, except at hip ab/adduction.
 
-    That joint has no torque sensor, so its desired torque is commanded
-    directly.
+    That joint (the first) has no torque sensor, so its desired torque
+    is commanded directly.
     """
-    out = tau_desired + kp * (tau_desired - tau_measured)
-    out[HIP_AB] = tau_desired[HIP_AB]
-    return out
+    (d1, d2, d3), (_, m2, m3) = tau_desired, tau_measured
+    return d1, d2 + kp * (d2 - m2), d3 + kp * (d3 - m3)
 
 
 def joint_plant_step(

@@ -30,11 +30,12 @@ With ``r^2 = y^2 + z^2`` (invariant under ``theta1``) and
     theta3 = atan2(+sqrt(1 - D^2), D)
     theta2 = atan2(x, s) + atan2(l3*sin(theta3), l2 + l3*cos(theta3))
 
-Foot points and joint angles are plain ``(3,)`` float arrays:
-``forward_kinematics(q, geom)`` maps ``(theta1, theta2, theta3)`` to the
-foot point and ``inverse_kinematics(p, geom, limits)`` maps a foot point
-back to the angles.  Inputs are not re-validated per call; a non-finite
-target fails the workspace check and raises :class:`WorkspaceError`.
+Foot points and joint angles are ``(x, y, z)`` and ``(theta1, theta2,
+theta3)`` float triples: ``forward_kinematics(q, geom)`` maps the angles
+to the foot point and ``inverse_kinematics(p, geom, limits)`` maps a
+foot point back to the angles.  Both take any three-element sequence.
+Inputs are not re-validated per call; a non-finite target fails the
+workspace check and raises :class:`WorkspaceError`.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ class JointLimits:
 DEFAULT_LIMITS = JointLimits()
 
 
-def forward_kinematics(q, geom: LegGeometry) -> np.ndarray:
-    """Foot point ``(3,)`` for joint angles ``q = (theta1, theta2, theta3)``.
+def forward_kinematics(q, geom: LegGeometry) -> tuple[float, float, float]:
+    """Foot point ``(x, y, z)`` for joint angles ``q = (theta1, theta2, theta3)``.
 
     Exact chain of rotations.  Abduction is positive on both sides; the
     right leg mirrors only the lateral coordinate, so
@@ -126,7 +127,7 @@ def forward_kinematics(q, geom: LegGeometry) -> np.ndarray:
     c1, s1 = math.cos(t1), math.sin(t1)
     y = y_h * c1 - z_h * s1
     z = y_h * s1 + z_h * c1
-    return np.array([x_h, mirror * y, z])
+    return x_h, mirror * y, z
 
 
 def _workspace_check(x: float, y: float, z: float, geom: LegGeometry) -> tuple[float, float] | str:
@@ -152,8 +153,9 @@ def inverse_kinematics(
     p,
     geom: LegGeometry,
     limits: JointLimits | None = DEFAULT_LIMITS,
-) -> np.ndarray:
-    """Joint angles ``(3,)`` reaching the foot point ``p`` on the knee-flexed branch.
+) -> tuple[float, float, float]:
+    """Joint angles ``(theta1, theta2, theta3)`` reaching the foot point ``p``
+    on the knee-flexed branch.
 
     Raises :class:`WorkspaceError` outside the reachable set (including
     any non-finite ``p``) and :class:`JointLimitError` when the solution
@@ -173,8 +175,6 @@ def inverse_kinematics(
     theta2 = math.atan2(x, s) + math.atan2(
         geom.l3 * math.sin(theta3), geom.l2 + geom.l3 * math.cos(theta3)
     )
-    q = np.array([theta1, theta2, theta3])
-
     if limits is not None:
         bad = []
         for value, (lo, hi), name in (
@@ -185,9 +185,10 @@ def inverse_kinematics(
             if value < lo or value > hi:
                 bad.append(name)
         if bad:
+            # numpy's rounding, not round(): the message goes into events.csv.
+            shown = np.array([theta1, theta2, theta3]).round(4).tolist()
             raise JointLimitError(
-                f"solution {q.round(4).tolist()} rad violates limits on: "
-                + ", ".join(bad),
+                f"solution {shown} rad violates limits on: " + ", ".join(bad),
                 joints=tuple(bad),
             )
-    return q
+    return theta1, theta2, theta3

@@ -234,17 +234,23 @@ def assemble_qp(inp: PlannerInput) -> QpProblem:
     return QpProblem(H, g, E, e, np.array(C_rows), np.array(d_rows))
 
 
+def _cost(nominal: NominalGait, sigma_nom: float, cop, sigma: float, gamma) -> float:
+    """:func:`planning_cost` with ``cop`` and ``gamma`` as float pairs."""
+    a1, a2, a3 = nominal.weights
+    (cx, cy), (gx, gy) = nominal.cop_T_nom.tolist(), nominal.gamma_nom.tolist()
+    dx, dy = cop[0] - cx, cop[1] - cy
+    ex, ey = gamma[0] - gx, gamma[1] - gy
+    return a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * (sigma - sigma_nom) ** 2
+
+
 def planning_cost(inp: PlannerInput, cop_T, sigma: float, gamma_T) -> float:
     """The full quadratic cost (with its constant term, unlike the raw QP).
 
     Summed in Python floats, so the value does not depend on the BLAS build.
     """
-    a1, a2, a3 = inp.nominal.weights
     sigma_nom = math.exp(inp.omega * inp.nominal.T_nom)
-    (cx, cy), (gx, gy) = inp.nominal.cop_T_nom.tolist(), inp.nominal.gamma_nom.tolist()
-    dx, dy = float(cop_T[0]) - cx, float(cop_T[1]) - cy
-    ex, ey = float(gamma_T[0]) - gx, float(gamma_T[1]) - gy
-    return a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * (sigma - sigma_nom) ** 2
+    return _cost(inp.nominal, sigma_nom, (float(cop_T[0]), float(cop_T[1])), sigma,
+                 (float(gamma_T[0]), float(gamma_T[1])))
 
 
 def _binding_rows(cop, sigma: float, lo, hi, s_lo: float, s_hi: float) -> tuple[int, ...]:
@@ -254,31 +260,37 @@ def _binding_rows(cop, sigma: float, lo, hi, s_lo: float, s_hi: float) -> tuple[
     return tuple(i for i, b in enumerate(on) if b)
 
 
-def _solve(inp: PlannerInput, t_lo: float, t_hi: float, planned_at: float) -> StepPlan:
-    """Exact minimiser with the duration in ``[t_lo, t_hi]``; see the module docstring."""
-    lo, hi = inp.bounds.cop_min.tolist(), inp.bounds.cop_max.tolist()
+def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
+           t_lo: float, t_hi: float, planned_at: float) -> StepPlan:
+    """Exact minimiser with the duration in ``[t_lo, t_hi]`` for the DCM ``xi0``
+    and stance CoP ``cop0``, both float pairs; see the module docstring."""
+    lo, hi = bounds.cop_min.tolist(), bounds.cop_max.tolist()
     # One flag per constraint_names row; an empty interval names both its rows.
     empty = (lo[0] > hi[0], lo[1] > hi[1]) * 2 + (t_lo > t_hi,) * 2
-    bad = tuple(name for name, e in zip(constraint_names(), empty) if e)
-    if bad:
+    if any(empty):
+        bad = tuple(name for name, e in zip(constraint_names(), empty) if e)
         raise PlannerInfeasibleError("step program has an empty box: " + ", ".join(bad), violated=bad)
 
-    a1, a2, a3 = inp.nominal.weights
+    a1, a2, a3 = nominal.weights
     w = a1 + a2
-    s_lo, s_hi = math.exp(inp.omega * t_lo), math.exp(inp.omega * t_hi)
-    sn = math.exp(inp.omega * inp.nominal.T_nom)
-    cop0, xi0 = inp.cop0.tolist(), inp.xi0.tolist()
-    cn, gn = inp.nominal.cop_T_nom.tolist(), inp.nominal.gamma_nom.tolist()
-    r = [cop0[0] - xi0[0], cop0[1] - xi0[1]]
+    s_lo, s_hi = math.exp(omega * t_lo), math.exp(omega * t_hi)
+    sn = math.exp(omega * nominal.T_nom)
+    cn, gn = nominal.cop_T_nom.tolist(), nominal.gamma_nom.tolist()
+    (lo_x, lo_y), (hi_x, hi_y), (cn_x, cn_y), (gn_x, gn_y) = lo, hi, cn, gn
+    (c0_x, c0_y), (x0_x, x0_y) = cop0, xi0
+    r_x, r_y = c0_x - x0_x, c0_y - x0_y
+    r = (r_x, r_y)
 
     def at(sigma: float):
         """``(cop, gamma, nu, slope)`` at ``sigma``: the exact CoP, the boundary-condition
         multipliers and the cost's sigma derivative (the sigma KKT row without bounds)."""
-        u = [cop0[a] - r[a] * sigma for a in (0, 1)]
-        cop = [min(max((a1 * cn[a] + a2 * (u[a] - gn[a])) / w, lo[a]), hi[a]) for a in (0, 1)]
-        gamma = [u[a] - cop[a] for a in (0, 1)]
-        nu = [-2.0 * a2 * (gamma[a] - gn[a]) for a in (0, 1)]
-        return cop, gamma, nu, 2.0 * a3 * (sigma - sn) + r[0] * nu[0] + r[1] * nu[1]
+        u_x, u_y = c0_x - r_x * sigma, c0_y - r_y * sigma
+        cop_x = min(max((a1 * cn_x + a2 * (u_x - gn_x)) / w, lo_x), hi_x)
+        cop_y = min(max((a1 * cn_y + a2 * (u_y - gn_y)) / w, lo_y), hi_y)
+        gamma_x, gamma_y = u_x - cop_x, u_y - cop_y
+        nu_x, nu_y = -2.0 * a2 * (gamma_x - gn_x), -2.0 * a2 * (gamma_y - gn_y)
+        slope = 2.0 * a3 * (sigma - sn) + r_x * nu_x + r_y * nu_y
+        return (cop_x, cop_y), (gamma_x, gamma_y), (nu_x, nu_y), slope
 
     # c*_a(sigma) meets the bound b where p - b*(alpha1 + alpha2) = q*sigma.
     points = [s_lo, s_hi]
@@ -313,28 +325,37 @@ def _solve(inp: PlannerInput, t_lo: float, t_hi: float, planned_at: float) -> St
     elif slope > 0.0 and sigma == s_lo:
         lam[5] = slope
 
-    cop_T, gamma_T = np.array(cop), np.array(gamma)
     return StepPlan(
-        cop_T=cop_T,
-        gamma_T=gamma_T,
+        cop_T=np.array(cop),
+        gamma_T=np.array(gamma),
         sigma=sigma,
-        duration=math.log(sigma) / inp.omega,
-        objective=planning_cost(inp, cop_T, sigma, gamma_T),
+        duration=math.log(sigma) / omega,
+        objective=_cost(nominal, sn, cop, sigma, gamma),
         status="optimal",
         active_set=_binding_rows(cop, sigma, lo, hi, s_lo, s_hi),
         planned_at=planned_at,
-        eq_multipliers=tuple(nu),
+        eq_multipliers=nu,
         ineq_multipliers=tuple(lam),
     )
 
 
 def plan_step(inp: PlannerInput) -> StepPlan:
     """Solve the step-adaptation program at trigger time."""
-    return _solve(inp, inp.bounds.T_min, inp.bounds.T_max, planned_at=0.0)
+    return _solve(inp.xi0.tolist(), inp.cop0.tolist(), inp.omega, inp.nominal, inp.bounds,
+                  inp.bounds.T_min, inp.bounds.T_max, planned_at=0.0)
 
 
-def replan(current: StepPlan, inp: PlannerInput, elapsed: float) -> StepPlan:
+def replan(current: StepPlan, xi0, cop0, omega: float, nominal: NominalGait,
+           bounds: StepBounds, elapsed: float) -> StepPlan:
     """Re-solve mid-swing with the duration window shrunk by ``elapsed``.
+
+    The in-flight entry point: the measured DCM ``xi0`` and stance CoP
+    ``cop0`` are float pairs, taken as they are, and ``omega``,
+    ``nominal`` and ``bounds`` are the ones the step was planned with,
+    already checked (the arguments of :class:`PlannerInput`, in its
+    field order).  The result equals a :func:`plan_step` solve of a
+    ``PlannerInput`` with the same values over the shrunk window, bit
+    for bit, apart from ``planned_at``.
 
     The remaining-time window is ``[max(floor, T_min - elapsed),
     min(T_max - elapsed, current.landing_time - elapsed)]``.  Capping by
@@ -342,29 +363,32 @@ def replan(current: StepPlan, inp: PlannerInput, elapsed: float) -> StepPlan:
     durations non-increasing by construction.  When the window collapses
     (less than the floor left) a terminal plan is returned that freezes
     ``cop_T`` and lets the swing finish on schedule; its objective and
-    active set are its own, measured against ``inp``.
+    active set are its own, measured against this program.
     """
     if not (elapsed >= 0.0) or not math.isfinite(elapsed):
         raise ValueError(f"elapsed must be >= 0, got {elapsed}")
 
-    t_lo = max(REPLAN_FLOOR, inp.bounds.T_min - elapsed)
-    t_hi = min(inp.bounds.T_max - elapsed, current.landing_time - elapsed)
+    t_lo = max(REPLAN_FLOOR, bounds.T_min - elapsed)
+    t_hi = min(bounds.T_max - elapsed, current.landing_time - elapsed)
     if t_hi < t_lo:
         remaining = max(current.landing_time - elapsed, 0.0)
-        sigma = math.exp(inp.omega * remaining)
-        gamma_T = inp.cop0 - current.cop_T + (inp.xi0 - inp.cop0) * sigma
+        sigma = math.exp(omega * remaining)
+        (x0_x, x0_y), (c0_x, c0_y) = xi0, cop0
+        cop = current.cop_T.tolist()
+        cop_x, cop_y = cop
+        gamma = (c0_x - cop_x + (x0_x - c0_x) * sigma, c0_y - cop_y + (x0_y - c0_y) * sigma)
         return StepPlan(
             cop_T=current.cop_T.copy(),
-            gamma_T=gamma_T,
+            gamma_T=np.array(gamma),
             sigma=sigma,
             duration=remaining,
-            objective=planning_cost(inp, current.cop_T, sigma, gamma_T),
+            objective=_cost(nominal, math.exp(omega * nominal.T_nom), cop, sigma, gamma),
             status="terminal",
-            active_set=_binding_rows(current.cop_T, sigma, inp.bounds.cop_min,
-                                     inp.bounds.cop_max, *inp.bounds.sigma_bounds(inp.omega)),
+            active_set=_binding_rows(cop, sigma, bounds.cop_min.tolist(), bounds.cop_max.tolist(),
+                                     *bounds.sigma_bounds(omega)),
             planned_at=elapsed,
         )
-    return _solve(inp, t_lo, t_hi, planned_at=elapsed)
+    return _solve(xi0, cop0, omega, nominal, bounds, t_lo, t_hi, planned_at=elapsed)
 
 
 def nominal_consistent_dcm(

@@ -99,6 +99,12 @@ _ASIN_LO, _ASIN_HI = -1.0 + 1e-12, 1.0 - 1e-12
 #: resplice the swing trajectory or emit a Replanned event.
 MATERIAL_CHANGE = 1e-9
 
+Vec2 = tuple[float, float]
+Vec3 = tuple[float, float, float]
+
+#: Joint rates and torques of a leg at rest.
+_REST = (0.0, 0.0, 0.0)
+
 
 @dataclass(frozen=True)
 class PushEvent:
@@ -400,15 +406,15 @@ def _vec(v) -> list[float]:
 class _Episode:
     """Mutable bookkeeping for one recovery step."""
 
-    def __init__(self, trigger_time: float, swing: Side, stance_xy: np.ndarray):
+    def __init__(self, trigger_time: float, swing: Side, stance_xy: Vec2):
         self.trigger_time = trigger_time
         self.swing = swing
-        self.stance_xy = stance_xy  # (2,) the stance foot, the CoP all through the swing
+        self.stance_xy = stance_xy  # the stance foot, the CoP all through the swing
         self.plan: StepPlan | None = None
         self.initial_plan: StepPlan | None = None
         self.traj: SwingTrajectory | None = None
         self.traj_t0 = trigger_time
-        self.swing_start: np.ndarray | None = None
+        self.swing_start: Vec3 | None = None
         self.geom: LegGeometry | None = None
         self.nominal: NominalGait | None = None
         self.bounds: StepBounds | None = None
@@ -420,30 +426,30 @@ def _hip_xy(config: ScenarioConfig, side: Side, com) -> tuple[float, float]:
     return com[0], com[1] + lateral
 
 
-def _leg_target(config: ScenarioConfig, side: Side, world_point, com) -> np.ndarray:
+def _leg_target(config: ScenarioConfig, side: Side, world_point, com) -> Vec3:
     x, y = _hip_xy(config, side, com)
-    return np.array([world_point[0] - x, world_point[1] - y, world_point[2] - config.com_height])
+    return world_point[0] - x, world_point[1] - y, world_point[2] - config.com_height
 
 
 class Measurement(NamedTuple):
-    """What the plant's sensors report at one tick."""
+    """What the plant's sensors report at one tick; every vector is a float tuple."""
 
-    com: np.ndarray  # (2,) CoM estimate from the trunk attitude
-    xi: np.ndarray  # (2,) DCM estimate
-    # Tracked leg (hip ab/adduction, hip flexion, knee), each (3,):
-    q: np.ndarray  # rad
-    qd: np.ndarray  # rad/s
-    tau: np.ndarray  # N*m, the actuator torques applied over the last tick
-    foot: np.ndarray | None  # (2,) world point of the swinging foot, None if none swings
+    com: Vec2  # m, CoM estimate from the trunk attitude
+    xi: Vec2  # m, DCM estimate
+    # Tracked leg (hip ab/adduction, hip flexion, knee):
+    q: Vec3  # rad
+    qd: Vec3  # rad/s
+    tau: Vec3  # N*m, the actuator torques applied over the last tick
+    foot: Vec2 | None  # m, world point of the swinging foot, None if none swings
 
 
 class Command(NamedTuple):
-    """What the controller sends the plant for one tick."""
+    """What the controller sends the plant for one tick; every vector is a float tuple."""
 
-    cop: tuple[float, float]  # m
-    torque: np.ndarray  # (3,) N*m, actuator torques on the tracked leg
+    cop: Vec2  # m
+    torque: Vec3  # N*m, actuator torques on the tracked leg
     swing: Side | None  # leg in flight; the plant reports its foot next tick
-    lift: np.ndarray | None  # (3,) rad, pose of the swing leg lifted off now, at rest
+    lift: Vec3 | None  # rad, pose of the swing leg lifted off now, at rest
     touchdown: bool  # the swinging foot landed now
 
 
@@ -455,7 +461,7 @@ class Controller:
     the swinging foot landed.
     """
 
-    def __init__(self, config: ScenarioConfig, events: list[Event], q_hold: np.ndarray):
+    def __init__(self, config: ScenarioConfig, events: list[Event], q_hold: Vec3):
         self.config = config
         self.events = events
         self.omega = config.lipm_params().omega
@@ -466,29 +472,26 @@ class Controller:
         self.mode = ControlMode(config.mode)
         self.foot_half = (config.foot_half_x, config.foot_half_y)
         width = config.resolved_stance_width()
-        self.feet: dict[Side, np.ndarray] = {
-            Side.LEFT: np.array([0.0, 0.5 * width]),
-            Side.RIGHT: np.array([0.0, -0.5 * width]),
-        }
-        # The CoP and the ankle clamp's box are (x, y) float pairs.
+        # Feet, the CoP and the ankle clamp's box are (x, y) float pairs.
+        self.feet: dict[Side, Vec2] = {Side.LEFT: (0.0, 0.5 * width), Side.RIGHT: (0.0, -0.5 * width)}
         self.cop = (0.0, 0.0)
         self.support_center = (0.0, 0.0)  # clamp centre; the planted foot after a step
         # Clamp half-widths: the double-support hull initially, one foot after
         # touchdown.
         self.support_half = (self.foot_half[0], 0.5 * width + self.foot_half[1])
         self.detector = BalanceDetector(
-            SwayEllipse(np.zeros(2), config.ellipse_a, config.ellipse_b),
+            SwayEllipse((0.0, 0.0), config.ellipse_a, config.ellipse_b),
             debounce_cycles=config.debounce_cycles,
             capture_tolerance=config.capture_tolerance,
             capture_hold=config.capture_hold,
         )
         self.episode: _Episode | None = None
-        # Joint state acted on this tick; before any step the tracked leg
-        # is the planted right one, held where it stands.
-        self.q, self.qd, self.tau = q_hold, np.zeros(3), np.zeros(3)
-        self.q_des = q_hold.copy()
+        # Joint state acted on this tick (float triples); before any step the
+        # tracked leg is the planted right one, held where it stands.
+        self.q, self.qd, self.tau = q_hold, _REST, _REST
+        self.q_des = q_hold
         right = self.feet[Side.RIGHT]
-        self.foot_point = np.array([right[0], right[1], 0.0])  # commanded swing-foot point
+        self.foot_point = (right[0], right[1], 0.0)  # commanded swing-foot point
 
     def step(self, meas: Measurement, t: float) -> Command:
         """Advance the phase machine and return this tick's CoP and torques."""
@@ -500,7 +503,7 @@ class Controller:
         if phase is RecoveryPhase.STANDING:
             # Ankle strategy between episodes: hold the DCM with the CoP
             # wherever the support polygon allows.
-            self.cop = ankle_clamp(xi_hat.tolist(), self.support_center, self.support_half)
+            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
             trig = self.detector.update(xi_hat, t)
             if trig is not None:
                 self.events.append(Event(t, "BalanceLost", {
@@ -517,9 +520,8 @@ class Controller:
             touchdown = self._swing(t, meas)
 
         elif phase is RecoveryPhase.LANDED and self.episode is not None:
-            xi = xi_hat.tolist()
-            self.cop = ankle_clamp(xi, self.support_center, self.support_half)
-            dx, dy = xi[0] - self.cop[0], xi[1] - self.cop[1]
+            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
+            dx, dy = xi_hat[0] - self.cop[0], xi_hat[1] - self.cop[1]
             offset = math.sqrt(dx * dx + dy * dy)
             if self.detector.update_landing(offset, t):
                 self.events.append(Event(t, "Captured", {
@@ -534,7 +536,7 @@ class Controller:
                 lift = self._begin_episode(t, meas, forced_swing=trailing)
 
         elif phase is RecoveryPhase.CAPTURED:
-            self.cop = ankle_clamp(xi_hat.tolist(), self.support_center, self.support_half)
+            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
             # Re-arm around the new stance point so a later push can
             # trigger a fresh episode.
             self.detector.ellipse = SwayEllipse(
@@ -551,7 +553,7 @@ class Controller:
 
     def _begin_episode(
         self, t: float, meas: Measurement, forced_swing: Side | None = None
-    ) -> np.ndarray | None:
+    ) -> Vec3 | None:
         """Plan a step and lift the swing leg; returns its pose, None on abort."""
         config = self.config
         if forced_swing is not None:
@@ -570,7 +572,7 @@ class Controller:
 
         # Weight shifts onto the stance leg: the CoP the pendulum sees
         # during the swing is the stance ankle point.
-        self.cop = tuple(stance_xy.tolist())
+        self.cop = stance_xy
         try:
             plan = plan_step(PlannerInput(xi0=meas.xi, cop0=stance_xy, omega=self.omega,
                                           nominal=ep.nominal, bounds=ep.bounds))
@@ -579,7 +581,7 @@ class Controller:
             return None
         ep.plan = plan
         ep.initial_plan = plan
-        ep.swing_start = np.array([self.feet[swing][0], self.feet[swing][1], 0.0])
+        ep.swing_start = (*self.feet[swing], 0.0)
         ep.traj = build_swing(ep.swing_start, plan, config.peak_height, config.peak_fraction)
         ep.geom = config.leg_geometry(swing)
         try:
@@ -590,9 +592,9 @@ class Controller:
             self._abort(t, f"swing start pose unreachable: {err}")
             return None
         # The swing leg lifts off at rest in its current pose.
-        self.q, self.qd, self.tau = q0, np.zeros(3), np.zeros(3)
-        self.q_des = self.q.copy()
-        self.foot_point = ep.swing_start.copy()
+        self.q, self.qd, self.tau = q0, _REST, _REST
+        self.q_des = q0
+        self.foot_point = ep.swing_start
 
         self.events.append(Event(t, "PlanIssued", {
             "swing": swing.value,
@@ -601,29 +603,30 @@ class Controller:
             "duration": plan.duration,
             "sigma": plan.sigma,
             "objective": plan.objective,
-            "swing_start": _vec(ep.swing_start[:2]),
+            "swing_start": list(ep.swing_start[:2]),
         }))
         self.episode = ep
         return self.q
 
     def _swing(self, t: float, meas: Measurement) -> bool:
-        """Replan the step in flight; returns whether the foot touched down."""
+        """Replan the step in flight; returns whether the foot touched down.
+
+        The planner gets the measured DCM and the stance point as float
+        pairs, against the gait and bounds checked when the step was
+        planned, so no ``PlannerInput`` is built here."""
         ep = self.episode
         if not ep.frozen:
             try:
-                new_plan = replan(
-                    ep.plan,
-                    PlannerInput(xi0=meas.xi, cop0=ep.stance_xy, omega=self.omega,
-                                 nominal=ep.nominal, bounds=ep.bounds),
-                    t - ep.trigger_time,
-                )
+                new_plan = replan(ep.plan, meas.xi, ep.stance_xy, self.omega, ep.nominal,
+                                  ep.bounds, t - ep.trigger_time)
             except PlannerInfeasibleError as err:
                 self._abort(t, f"replan infeasible: {', '.join(err.violated) or err}")
                 return False
             if new_plan.status == "terminal":
                 ep.frozen = True
             else:
-                moved = float(np.abs(new_plan.cop_T - ep.plan.cop_T).max())
+                (new_x, new_y), (old_x, old_y) = new_plan.cop_T.tolist(), ep.plan.cop_T.tolist()
+                moved = max(abs(new_x - old_x), abs(new_y - old_y))
                 # Compared as absolute times: the shorter difference of the
                 # two landing times rounds differently.
                 shifted = abs(
@@ -647,20 +650,20 @@ class Controller:
         # stance.
         landed = meas.foot
         self.feet[ep.swing] = landed
-        self.cop = self.support_center = tuple(landed.tolist())
+        self.cop = self.support_center = landed
         self.support_half = self.foot_half
-        self.foot_point = np.array([landed[0], landed[1], 0.0])
+        self.foot_point = (*landed, 0.0)
         self.detector.touchdown(t)
         self.events.append(Event(t, "TouchDown", {
             "planned": _vec(ep.plan.cop_T),
             "initial_planned": _vec(ep.initial_plan.cop_T),
-            "landed": _vec(landed),
-            "swing_start": _vec(ep.swing_start[:2]),
+            "landed": list(landed),
+            "swing_start": list(ep.swing_start[:2]),
             "trigger_time": ep.trigger_time,
         }))
         return True
 
-    def _track(self, t: float, meas: Measurement) -> tuple[np.ndarray, Side | None]:
+    def _track(self, t: float, meas: Measurement) -> tuple[Vec3, Side | None]:
         """Torques tracking the swing trajectory and the leg in flight;
         zero torques and no leg when no step is in flight."""
         ep = self.episode
@@ -668,7 +671,7 @@ class Controller:
             RecoveryPhase.STEPPING_PLANNED,
             RecoveryPhase.SWING,
         ):
-            return np.zeros(3), None
+            return _REST, None
         self.foot_point, _, _ = sample(ep.traj, t - ep.traj_t0)
         try:
             self.q_des = inverse_kinematics(
@@ -676,7 +679,7 @@ class Controller:
             )
         except (WorkspaceError, JointLimitError) as err:
             self._abort(t, f"swing target unreachable: {err}")
-            return np.zeros(3), None
+            return _REST, None
         tau_des = impedance_torque(self.q_des, self.q, self.qd, self.gains, self.mode)
         return command_torques(tau_des, self.tau, self.config.torque_kp), ep.swing
 
@@ -691,10 +694,11 @@ class Plant:
     front, one ``(pitch, roll)`` row per tick; that is the same sequence
     as two scalar draws per tick.
 
-    The pendulum state is plain floats: the CoM ``com``, its velocity
-    ``vel`` and the attitude ``anchor`` are ``(x, y)`` float pairs.  The
-    tracked leg's joint angles ``q``, rates ``qd`` and last applied
-    actuator torques ``tau`` are ``(3,)`` arrays.
+    The state is plain floats: the CoM ``com``, its velocity ``vel``,
+    the attitude ``anchor`` and the swinging ``foot`` are ``(x, y)``
+    float pairs, and the tracked leg's joint angles ``q``, rates ``qd``
+    and last applied actuator torques ``tau`` are float triples, so a
+    tick converts no arrays.
     """
 
     def __init__(self, config: ScenarioConfig, events: list[Event], n_ticks: int):
@@ -715,13 +719,13 @@ class Plant:
         self.geoms = {side: config.leg_geometry(side) for side in Side}
         # Before any step the tracked leg is the right one, planted at its
         # stance point.
-        planted = np.array([0.0, -0.5 * config.resolved_stance_width(), 0.0])
+        planted = (0.0, -0.5 * config.resolved_stance_width(), 0.0)
         self.q = inverse_kinematics(
             _leg_target(config, Side.RIGHT, planted, self.com),
             self.geoms[Side.RIGHT],
             config.joint_limits(),
         )
-        self.qd, self.tau = np.zeros(3), np.zeros(3)
+        self.qd, self.tau = _REST, _REST
 
     def measure(self, t: float) -> Measurement:
         """Apply the pushes due at ``t``, then read the sensors."""
@@ -746,19 +750,18 @@ class Plant:
 
         foot = None
         if self.swing is not None:
-            achieved = forward_kinematics(self.q, self.geoms[self.swing]).tolist()
+            achieved = forward_kinematics(self.q, self.geoms[self.swing])
             hip_x, hip_y = _hip_xy(self.config, self.swing, self.com)
-            self.foot = (hip_x + achieved[0], hip_y + achieved[1])
-            foot = np.array(self.foot)
+            foot = self.foot = (hip_x + achieved[0], hip_y + achieved[1])
         vx, vy = self.vel
         omega = self.params.omega
-        xi_hat = np.array([com_x + vx / omega, com_y + vy / omega])
-        return Measurement(np.array([com_x, com_y]), xi_hat, self.q, self.qd, self.tau, foot)
+        xi_hat = (com_x + vx / omega, com_y + vy / omega)
+        return Measurement((com_x, com_y), xi_hat, self.q, self.qd, self.tau, foot)
 
     def step(self, command: Command, t: float) -> None:
         """Take the command's contact changes, then integrate to the next tick."""
         if command.lift is not None:
-            self.q, self.qd = command.lift, np.zeros(3)
+            self.q, self.qd = command.lift, _REST
         if command.touchdown:
             self.anchor = self.foot
         self.swing = command.swing
@@ -768,13 +771,10 @@ class Plant:
         for pulse in self.config.human_pulses:
             if pulse.start <= t < pulse.end:
                 human[pulse.joint] += pulse.torque
-        q, qd = [], []
-        for angle, rate, applied, extra in zip(
-                self.q.tolist(), self.qd.tolist(), command.torque.tolist(), human):
-            angle, rate = joint_plant_step(angle, rate, applied, extra, self.joint_params, dt)
-            q.append(angle)
-            qd.append(rate)
-        self.q, self.qd, self.tau = np.array(q), np.array(qd), command.torque
+        self.q, self.qd = zip(*[
+            joint_plant_step(angle, rate, applied, extra, self.joint_params, dt)
+            for angle, rate, applied, extra in zip(self.q, self.qd, command.torque, human)])
+        self.tau = command.torque
 
 
 #: Columns of ``run_scenario``'s per-tick log, one ``SimTrace`` field each.
@@ -803,8 +803,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         command = controller.step(plant.measure(t), t)
         (x, y), (vx, vy) = plant.com, plant.vel
         log[k] = [t, x, y, vx, vy, x + vx / omega, y + vy / omega, *command.cop,
-                  *controller.foot_point.tolist(), *controller.q_des.tolist(),
-                  *controller.q.tolist(), *command.torque.tolist()]
+                  *controller.foot_point, *controller.q_des, *controller.q, *command.torque]
         log_phase.append(controller.detector.phase.value)
         plant.step(command, t)
 

@@ -16,14 +16,18 @@ collapses to a single quintic straight to touchdown.
 All coordinates live in one fixed horizontal frame shared by the start
 point and the plan's landing CoP (the simulator uses the world frame and
 converts to leg coordinates only when solving IK).
+
+Everything here is Python floats: a segment's coefficients are a float
+6-tuple, checked once when the segment is built, and :func:`sample`
+returns ``(position, velocity, acceleration)`` as three ``(x, y, z)``
+float triples.  Each Horner sum keeps the operation order of its
+array form, so the values are the same bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .planner import StepPlan
 
@@ -44,14 +48,14 @@ DEFAULT_PEAK_FRACTION = 0.4  # of the step duration
 class QuinticSegment:
     """Degree-5 polynomial on [t_start, t_end] in the local variable t - t_start."""
 
-    coefficients: np.ndarray  # (6,), ascending powers
+    coefficients: tuple[float, ...]  # 6 floats, ascending powers
     t_start: float
     t_end: float
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float).reshape(-1)
-        if c.shape != (6,):
-            raise ValueError(f"need 6 coefficients, got shape {c.shape}")
+        c = tuple(map(float, self.coefficients))
+        if len(c) != 6:
+            raise ValueError(f"need 6 coefficients, got {len(c)}")
         if not (self.t_end > self.t_start):
             raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
         object.__setattr__(self, "coefficients", c)
@@ -59,10 +63,10 @@ class QuinticSegment:
     def evaluate(self, t: float) -> tuple[float, float, float]:
         """(position, velocity, acceleration) at absolute time ``t``."""
         s = t - self.t_start
-        c = self.coefficients
-        pos = c[0] + s * (c[1] + s * (c[2] + s * (c[3] + s * (c[4] + s * c[5]))))
-        vel = c[1] + s * (2 * c[2] + s * (3 * c[3] + s * (4 * c[4] + s * 5 * c[5])))
-        acc = 2 * c[2] + s * (6 * c[3] + s * (12 * c[4] + s * 20 * c[5]))
+        c0, c1, c2, c3, c4, c5 = self.coefficients
+        pos = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+        vel = c1 + s * (2 * c2 + s * (3 * c3 + s * (4 * c4 + s * 5 * c5)))
+        acc = 2 * c2 + s * (6 * c3 + s * (12 * c4 + s * 20 * c5))
         return pos, vel, acc
 
 
@@ -80,14 +84,14 @@ def quintic_from_boundary(
     p1, v1, a1 = end
     h = p1 - p0
     T2 = T * T
-    coeffs = np.array([
+    coeffs = (
         p0,
         v0,
         0.5 * a0,
         (20.0 * h - (8.0 * v1 + 12.0 * v0) * T - (3.0 * a0 - a1) * T2) / (2.0 * T2 * T),
         (-30.0 * h + (14.0 * v1 + 16.0 * v0) * T + (3.0 * a0 - 2.0 * a1) * T2) / (2.0 * T2 * T2),
         (12.0 * h - 6.0 * (v1 + v0) * T + (a1 - a0) * T2) / (2.0 * T2 * T2 * T),
-    ])
+    )
     return QuinticSegment(coeffs, t0, t1)
 
 
@@ -110,11 +114,14 @@ class SwingTrajectory:
         return None
 
 
-def _check_plan(plan: StepPlan) -> None:
-    if not np.all(np.isfinite(plan.cop_T)):
+def _landing(plan: StepPlan) -> tuple[float, float]:
+    """The plan's landing point as floats, once its point and duration are checked."""
+    x, y = plan.cop_T.tolist()
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"plan landing point must be finite, got {plan.cop_T}")
     if not (plan.duration > 0.0) or not math.isfinite(plan.duration):
         raise ValueError(f"plan duration must be positive, got {plan.duration}")
+    return x, y
 
 
 def build_swing(
@@ -123,22 +130,23 @@ def build_swing(
     peak_height: float = DEFAULT_PEAK_HEIGHT,
     peak_fraction: float = DEFAULT_PEAK_FRACTION,
 ) -> SwingTrajectory:
-    """Trajectory from a resting foot at ``start`` to the plan's landing CoP."""
-    _check_plan(plan)
+    """Trajectory from a resting foot at ``start`` (an ``(x, y, z)`` point) to
+    the plan's landing CoP."""
+    land_x, land_y = _landing(plan)
     if not (peak_height > 0.0):
         raise ValueError(f"peak_height must be positive, got {peak_height}")
     if not (0.0 < peak_fraction < 1.0):
         raise ValueError(f"peak_fraction must be in (0, 1), got {peak_fraction}")
-    start = np.asarray(start, dtype=float).reshape(-1)
-    if start.shape != (3,) or not np.all(np.isfinite(start)):
+    start = [float(v) for v in start]
+    if len(start) != 3 or not all(map(math.isfinite, start)):
         raise ValueError(f"start must be a finite 3-vector, got {start}")
 
     T = plan.duration
     t_apex = peak_fraction * T
     rest = lambda v: (float(v), 0.0, 0.0)
     return SwingTrajectory(
-        x_profile=quintic_from_boundary(0.0, T, rest(start[0]), rest(plan.cop_T[0])),
-        y_profile=quintic_from_boundary(0.0, T, rest(start[1]), rest(plan.cop_T[1])),
+        x_profile=quintic_from_boundary(0.0, T, rest(start[0]), rest(land_x)),
+        y_profile=quintic_from_boundary(0.0, T, rest(start[1]), rest(land_y)),
         z_profile=(
             quintic_from_boundary(0.0, t_apex, rest(start[2]), rest(peak_height)),
             quintic_from_boundary(t_apex, T, rest(peak_height), rest(0.0)),
@@ -156,16 +164,16 @@ def _z_piece(traj: SwingTrajectory, t: float) -> QuinticSegment:
     return pieces[-1]
 
 
-def sample(traj: SwingTrajectory, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(position, velocity, acceleration)``, each ``(3,)``, at local time
-    ``t`` clamped to [0, duration]."""
+def sample(traj: SwingTrajectory, t: float) -> tuple[tuple[float, float, float], ...]:
+    """``(position, velocity, acceleration)``, each an ``(x, y, z)`` float
+    triple, at local time ``t`` clamped to [0, duration]."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     t_eval = min(max(t, 0.0), traj.duration)
     px, vx, ax = traj.x_profile.evaluate(t_eval)
     py, vy, ay = traj.y_profile.evaluate(t_eval)
     pz, vz, az = _z_piece(traj, t_eval).evaluate(t_eval)
-    return np.array([px, py, pz]), np.array([vx, vy, vz]), np.array([ax, ay, az])
+    return (px, py, pz), (vx, vy, vz), (ax, ay, az)
 
 
 def retarget(traj: SwingTrajectory, t_now: float, new_plan: StepPlan) -> SwingTrajectory:
@@ -176,13 +184,13 @@ def retarget(traj: SwingTrajectory, t_now: float, new_plan: StepPlan) -> SwingTr
     the splice is taken from the old trajectory, so position, velocity
     and acceleration are continuous across the splice.
     """
-    _check_plan(new_plan)
+    land_x, land_y = _landing(new_plan)
     if not (0.0 <= t_now < traj.duration):
         raise ValueError(f"t_now must be in [0, {traj.duration}), got {t_now}")
     pos, vel, acc = sample(traj, t_now)
     T = new_plan.duration
-    state = lambda i: (float(pos[i]), float(vel[i]), float(acc[i]))
-    rest = lambda v: (float(v), 0.0, 0.0)
+    state = lambda i: (pos[i], vel[i], acc[i])
+    rest = lambda v: (v, 0.0, 0.0)
 
     # The apex keeps its original instant: under once-per-cycle
     # retargeting this reproduces the old vertical pieces exactly (the
@@ -198,8 +206,8 @@ def retarget(traj: SwingTrajectory, t_now: float, new_plan: StepPlan) -> SwingTr
             quintic_from_boundary(to_apex, T, rest(traj.peak_height), rest(0.0)),
         )
     return SwingTrajectory(
-        x_profile=quintic_from_boundary(0.0, T, state(0), rest(new_plan.cop_T[0])),
-        y_profile=quintic_from_boundary(0.0, T, state(1), rest(new_plan.cop_T[1])),
+        x_profile=quintic_from_boundary(0.0, T, state(0), rest(land_x)),
+        y_profile=quintic_from_boundary(0.0, T, state(1), rest(land_y)),
         z_profile=z_pieces,
         duration=T,
         peak_height=traj.peak_height,

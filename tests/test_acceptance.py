@@ -250,10 +250,10 @@ def test_criterion_05_leg_roundtrips_and_rejection_diagnostics():
                 float(rng.uniform(-0.3, 1.4)),
                 float(rng.uniform(0.05, 2.0)),
             ])
-            target = forward_kinematics(ang, geom)
-            back = inverse_kinematics(target, geom, limits=None)
+            target = np.array(forward_kinematics(ang, geom))
+            back = np.array(inverse_kinematics(target, geom, limits=None))
             worst = max(worst, float(np.abs(back - ang).max()))
-            again = forward_kinematics(back, geom)
+            again = np.array(forward_kinematics(back, geom))
             worst = max(worst, float(np.abs(again - target).max()))
     roundtrip_ok = worst <= 1e-9
 
@@ -329,12 +329,12 @@ def test_criterion_07_assist_torque_is_exact_per_degree():
     passive = impedance_torque(
         one_degree, np.zeros(3), np.ones(3), gains, ControlMode.ZERO_TORQUE
     )
-    ok = assist.tolist() == [1.5, 0.4, 0.4] and passive.tolist() == [0.0, 0.0, 0.0]
+    ok = list(assist) == [1.5, 0.4, 0.4] and list(passive) == [0.0, 0.0, 0.0]
     assert report(
         7,
         "one degree of error commands exactly [1.5, 0.4, 0.4] N*m, none when passive",
         ok,
-        f"assist {assist.tolist()}, passive {passive.tolist()}",
+        f"assist {list(assist)}, passive {list(passive)}",
     )
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -219,6 +220,50 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out_b)]) == 0
     for name in ("trace.csv", "events.csv", "summary.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+#: The ROADMAP's four named pushes, as (time, DCM shift x, DCM shift y) per
+#: push plus extra scenario lines, each run for 3 s.
+NAMED_PUSHES = {
+    "forward": ([(0.5, 0.12, 0.0)], []),
+    "lateral": ([(0.5, 0.0, 0.12)], []),
+    "midswing": ([(0.5, 0.12, 0.0), (0.62, 0.0, 0.06)], []),
+    "noisy": ([(0.5, 0.12, 0.0)], ["sim.attitude_noise_deg = 0.2"]),
+}
+
+#: sha256 of trace.csv, events.csv and summary.txt of each named push,
+#: recorded before the swing tick moved onto Python floats; a change that
+#: means to move an artifact updates these and says why.
+GOLDEN_DIGESTS = {
+    "forward": ("b047bb2c7bd97de0fe6b0fe88eeadcfc1aebb933cdee338b969245c8ce3a1312",
+                "3f2a7e0a8566e654084bea00e5705d81d6a226a2b77dec1ec32246e89be4ea4d",
+                "ea64182ebb6b19a2e0b0fb9e10dbd7acec4698a59ff4219e2af432e0ed367117"),
+    "lateral": ("6b4fbd370291702d172e1f3682b65d77c5a7daad2dafeb0ad1aacb3e9846b3bc",
+                "c9cadd0ae70934cc6dbec39447b8e03573990cb5e4bd90126f1c8d9dd1d00633",
+                "36ed0a32f8f44d95feb102d1ca47d1f4b619339f7fb23623f355be37f97f56e4"),
+    "midswing": ("747d7ed01110c8a94835257a65b3391172877290861f8db9c489db47ff6c624d",
+                 "83c76ea2ae052bae8a46a9bd524b73ae363e17e49f35ef25498e77d6238ef8b6",
+                 "f15b358336c22e61cbd40653d2eb54c6309b48000f3433c0fada12fdd2a52d32"),
+    "noisy": ("eda016c8e3f7ea5162f2771231a898cf18d02558616dbc7c34469d552ccb6e68",
+              "69f1115b06ae74f4fe5984497cee61d6c1e516ddde452d7d09bbf1239713fc63",
+              "c1f351ffe245e2881645b9efade86d0a22bb62d1baecc40d6130027921a85958"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_PUSHES))
+def test_named_push_artifacts_are_byte_identical_to_the_golden_digests(tmp_path, capsys, name):
+    pushes, extra = NAMED_PUSHES[name]
+    mass, omega = 70.0, math.sqrt(9.81 / 0.88)  # an impulse of d*mass*omega shifts the DCM by d
+    lines = ["sim.duration = 3.0"]
+    for i, (t, dx, dy) in enumerate(pushes):
+        lines += [f"push.{i}.time = {t!r}",
+                  f"push.{i}.impulse = {dx * mass * omega!r}, {dy * mass * omega!r}"]
+    scenario = write_scenario(tmp_path, "\n".join(lines + extra) + "\n")
+    out = tmp_path / name
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("trace.csv", "events.csv", "summary.txt"))
+    assert digests == GOLDEN_DIGESTS[name]
 
 
 def test_failed_write_leaves_the_old_file(tmp_path):

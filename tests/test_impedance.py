@@ -23,10 +23,10 @@ def test_one_degree_error_gives_exact_per_degree_torque():
     """The rad-per-deg conversion must round-trip bit-exactly."""
     desired = np.array([RAD_PER_DEG, RAD_PER_DEG, RAD_PER_DEG])
     tau = impedance_torque(desired, np.zeros(3), np.zeros(3), GAINS, ControlMode.ASSIST)
-    assert tau.tolist() == [1.5, 0.4, 0.4]
+    assert list(tau) == [1.5, 0.4, 0.4]
     # Sign flips with the error.
     tau_neg = impedance_torque(np.zeros(3), desired, np.zeros(3), GAINS, ControlMode.ASSIST)
-    assert tau_neg.tolist() == [-1.5, -0.4, -0.4]
+    assert list(tau_neg) == [-1.5, -0.4, -0.4]
 
 
 def test_zero_torque_mode_commands_exactly_zero():
@@ -37,7 +37,7 @@ def test_zero_torque_mode_commands_exactly_zero():
         GAINS,
         ControlMode.ZERO_TORQUE,
     )
-    assert tau.tolist() == [0.0, 0.0, 0.0]
+    assert list(tau) == [0.0, 0.0, 0.0]
 
 
 def test_damping_term_opposes_velocity():
@@ -69,7 +69,7 @@ def test_command_torques_formula():
     out = command_torques(np.array([9.0, 2.0, 0.0]), np.array([0.0, 2.0, 1.0]), 5.0)
     assert out[1] == 2.0
     out = command_torques(np.array([9.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0]), 0.5)
-    assert out.tolist() == [9.0, -0.5, -0.5]
+    assert list(out) == [9.0, -0.5, -0.5]
 
 
 def test_command_torques_bypass_hip_ab_sensor():
@@ -137,3 +137,26 @@ def test_plant_step_validation():
         PlantParams(inertia=0.0)
     with pytest.raises(ConfigurationError):
         PlantParams(viscous_damping=-1.0)
+
+
+def test_float_triples_are_the_array_formulas_bit_for_bit():
+    """``impedance_torque`` and ``command_torques`` on float triples equal the
+    elementwise array formulas bit for bit, and return plain floats."""
+    rng = np.random.default_rng(808)
+    for _ in range(2000):
+        desired, measured, velocity, tau_m = rng.normal(0.0, 0.5, (4, 3))
+        gains = ImpedanceGains(stiffness=rng.uniform(0.0, 100.0, 3), damping=rng.uniform(0.0, 2.0, 3))
+        kp = float(rng.uniform(0.0, 5.0))
+
+        want = (np.array(gains.stiffness) * (desired - measured)
+                - np.array(gains.damping) * velocity)
+        got = impedance_torque(tuple(desired.tolist()), tuple(measured.tolist()),
+                               tuple(velocity.tolist()), gains, ControlMode.ASSIST)
+        assert all(type(v) is float for v in got)
+        assert list(got) == want.tolist()
+
+        command = want + kp * (want - tau_m)
+        command[0] = want[0]
+        got_command = command_torques(got, tuple(tau_m.tolist()), kp)
+        assert all(type(v) is float for v in got_command)
+        assert list(got_command) == command.tolist()

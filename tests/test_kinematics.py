@@ -28,7 +28,7 @@ def test_zero_pose_hangs_straight_down():
 def test_forward_kinematics_frozen_value():
     # Independently evaluated (30-digit symbolic arithmetic, then rounded
     # to float64) for theta = (0.1, 0.2, 0.3) on the left leg.
-    foot = forward_kinematics((0.1, 0.2, 0.3), LEFT)
+    foot = np.array(forward_kinematics((0.1, 0.2, 0.3), LEFT))
     expected = [0.044476161366704875, 0.12853029379327488, -0.8803482905892234]
     assert np.abs(foot - expected).max() < 1e-15
 
@@ -88,10 +88,10 @@ def test_roundtrip_ik_fk_random_poses():
             t2 = rng.uniform(-0.3, 1.4)
             t3 = rng.uniform(0.05, 2.0)
             ang = np.array([t1, t2, t3])
-            target = forward_kinematics(ang, geom)
-            back = inverse_kinematics(target, geom, limits=None)
+            target = np.array(forward_kinematics(ang, geom))
+            back = np.array(inverse_kinematics(target, geom, limits=None))
             assert np.abs(back - ang).max() < 1e-9
-            again = forward_kinematics(back, geom)
+            again = np.array(forward_kinematics(back, geom))
             assert np.abs(again - target).max() < 1e-9
             count += 1
 

@@ -211,7 +211,7 @@ def test_replan_landing_time_never_grows():
     while t + 0.02 < plan.landing_time and plan.status != "terminal":
         t += 0.02
         xi_t = dcm_closed_form(xi0, cop0, params, t)
-        plan = replan(plan, PlannerInput(xi_t, cop0, OMEGA, nominal, bounds), t)
+        plan = replan(plan, xi_t, cop0, OMEGA, nominal, bounds, t)
         landing_times.append(plan.landing_time)
         remaining.append(plan.duration)
     assert len(landing_times) > 5
@@ -228,7 +228,7 @@ def test_replan_far_into_swing_returns_terminal_plan():
     inp = PlannerInput([0.2, -0.02], [0.0, 0.0], OMEGA, nominal, bounds)
     # Stale bookkeeping on the previous plan must not leak into the terminal one.
     stale = replace(plan, objective=123.0, active_set=(1, 4, 5))
-    term = replan(stale, inp, elapsed)
+    term = replan(stale, inp.xi0, inp.cop0, inp.omega, inp.nominal, inp.bounds, elapsed)
     assert term.status == "terminal"
     assert np.all(term.cop_T == plan.cop_T)
     assert term.duration == pytest.approx(0.05, abs=1e-12)
@@ -262,14 +262,14 @@ def test_replan_on_t_min_runs_to_the_floor():
     while plan.status != "terminal":
         k += 1
         xi_t = dcm_closed_form(xi0, cop0, params, k * 1e-3)
-        plan = replan(plan, PlannerInput(xi_t, cop0, OMEGA, nominal, bounds), k * 1e-3)
+        plan = replan(plan, xi_t, cop0, OMEGA, nominal, bounds, k * 1e-3)
     assert k * 1e-3 > bounds.T_min - REPLAN_FLOOR
 
 
 def test_replan_rejects_negative_elapsed():
     plan = plan_step(PlannerInput([0.12, 0.0], [0.0, 0.0], OMEGA, default_nominal(), default_bounds()))
     with pytest.raises(ValueError):
-        replan(plan, PlannerInput([0.12, 0.0], [0.0, 0.0], OMEGA, default_nominal(), default_bounds()), -0.1)
+        replan(plan, [0.12, 0.0], [0.0, 0.0], OMEGA, default_nominal(), default_bounds(), -0.1)
 
 
 def test_mirror_symmetry_of_planning():
@@ -347,7 +347,7 @@ def test_replan_matches_cold_solve():
             # Rescaling the DCM offset, as a shove would, makes some replans
             # want a shorter step than the window allows.
             inp_t = replace(inp, xi0=inp.cop0 + (inp.xi0 - inp.cop0) * rng.uniform(0.5, 4.0))
-            new = replan(plan, inp_t, elapsed)
+            new = replan(plan, inp_t.xi0, inp_t.cop0, inp_t.omega, inp_t.nominal, inp_t.bounds, elapsed)
             shrunk = replace(inp_t, bounds=replace(inp.bounds, T_min=t_lo, T_max=t_hi))
             problem = assemble_qp(shrunk)
             cold = solve_qp(problem)
@@ -377,7 +377,7 @@ def test_planning_does_not_call_lapack(monkeypatch):
     elapsed = 0.0
     while plan.status != "terminal":
         elapsed += 0.02
-        plan = replan(plan, inp, elapsed)
+        plan = replan(plan, inp.xi0, inp.cop0, inp.omega, inp.nominal, inp.bounds, elapsed)
 
 
 def test_input_validation():
@@ -389,3 +389,48 @@ def test_input_validation():
         PlannerInput([0.0, 0.0], [0.0, 0.0], 0.0, default_nominal(), default_bounds())
     with pytest.raises(ValueError):
         PlannerInput([0.0], [0.0, 0.0], OMEGA, default_nominal(), default_bounds())
+
+
+def test_in_flight_replan_is_the_planner_input_form_bit_for_bit():
+    """``replan`` on float pairs equals the checked ``PlannerInput`` form bit
+    for bit: an optimal replan is ``plan_step`` of a ``PlannerInput`` over
+    the shrunk window, and a terminal one is the array formula of the
+    frozen plan with its cost from ``planning_cost``."""
+    rng = np.random.default_rng(5150)
+    statuses = []
+    for _ in range(200):
+        inp = random_input(rng)
+        plan = plan_step(inp)
+        for elapsed in sorted(rng.uniform(0.0, plan.landing_time + 0.05, 6).tolist()):
+            xi = inp.cop0 + (inp.xi0 - inp.cop0) * rng.uniform(0.5, 3.0)
+            new = replan(plan, tuple(xi.tolist()), tuple(inp.cop0.tolist()), inp.omega,
+                         inp.nominal, inp.bounds, elapsed)
+            checked = replace(inp, xi0=xi)
+            t_lo = max(REPLAN_FLOOR, inp.bounds.T_min - elapsed)
+            t_hi = min(inp.bounds.T_max - elapsed, plan.landing_time - elapsed)
+            if t_hi >= t_lo:
+                window = replace(inp.bounds, T_min=t_lo, T_max=t_hi)
+                want = replace(plan_step(replace(checked, bounds=window)), planned_at=elapsed)
+            else:
+                remaining = max(plan.landing_time - elapsed, 0.0)
+                sigma = math.exp(inp.omega * remaining)
+                gamma_T = inp.cop0 - plan.cop_T + (xi - inp.cop0) * sigma
+                s_min, s_max = inp.bounds.sigma_bounds(inp.omega)
+                lo, hi = inp.bounds.cop_min, inp.bounds.cop_max
+                on = (plan.cop_T[0] == hi[0], plan.cop_T[1] == hi[1], plan.cop_T[0] == lo[0],
+                      plan.cop_T[1] == lo[1], sigma == s_max, sigma == s_min)
+                want = replace(
+                    plan, gamma_T=gamma_T, sigma=sigma, duration=remaining,
+                    objective=planning_cost(checked, plan.cop_T, sigma, gamma_T),
+                    status="terminal", active_set=tuple(i for i, b in enumerate(on) if b),
+                    planned_at=elapsed, eq_multipliers=(0.0, 0.0), ineq_multipliers=(0.0,) * 6)
+            assert new.cop_T.tobytes() == want.cop_T.tobytes()
+            assert new.gamma_T.tobytes() == want.gamma_T.tobytes()
+            for name in ("sigma", "duration", "objective", "status", "active_set", "planned_at",
+                         "eq_multipliers", "ineq_multipliers"):
+                assert getattr(new, name) == getattr(want, name), name
+            statuses.append(new.status)
+            if new.status == "terminal":
+                break
+            plan = new
+    assert statuses.count("terminal") > 50 and statuses.count("optimal") > 300

@@ -440,8 +440,8 @@ def test_noisy_readings_match_per_tick_draws(monkeypatch):
         roll = min(max(math.asin(scaled[1]) + rng.normal(0.0, std), -lim), lim)
         ref_com = np.array(anchor) + np.array([L * math.sin(pitch), L * math.sin(roll)])
         ref_xi = ref_com + np.array(vel) / omega
-        assert com_hat.tobytes() == ref_com.tobytes()
-        assert xi_hat.tobytes() == ref_xi.tobytes()
+        assert np.array(com_hat).tobytes() == ref_com.tobytes()
+        assert np.array(xi_hat).tobytes() == ref_xi.tobytes()
 
 
 def test_control_loop_checks_inputs_once(monkeypatch):
@@ -646,3 +646,22 @@ def test_summary_reports_the_step_facts():
     assert summary.swing_side == plan.payload["swing"]
     # The planned and achieved step vectors subtend a small angle here.
     assert abs(summary.planned_vs_landed_angle_deg) < 15.0
+
+
+def test_in_flight_replans_build_no_planner_input(monkeypatch):
+    """The swing tick re-plans on float pairs: over the default forward push
+    a ``PlannerInput`` is built once per issued plan and never per tick."""
+    from exorecover.planner import PlannerInput
+
+    built = []
+    check = PlannerInput.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(PlannerInput, "__post_init__", counting)
+    trace = run_scenario(ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),)))
+    plans = events_of(trace, "PlanIssued")
+    assert plans and events_of(trace, "TouchDown")
+    assert len(built) == len(plans)

@@ -120,8 +120,8 @@ def test_retarget_is_c2_continuous_at_the_splice():
             planned_at=t_now,
         )
         spliced = retarget(traj, t_now, new)
-        old = sample(traj, t_now)
-        fresh = sample(spliced, 0.0)
+        old = [np.array(v) for v in sample(traj, t_now)]
+        fresh = [np.array(v) for v in sample(spliced, 0.0)]
         for got, want, tol in zip(fresh, old, (1e-9, 1e-9, 1e-7)):
             assert np.abs(got - want).max() < tol
         # New landing point reached at rest.
@@ -162,7 +162,7 @@ def test_retarget_after_apex_collapses_to_single_descent():
     spliced = retarget(traj, t_now, new)
     assert len(spliced.z_profile) == 1
     assert spliced.apex_time is None
-    land = sample(spliced, 0.2)[0]
+    land = np.array(sample(spliced, 0.2)[0])
     assert abs(land[2]) < 1e-9
     assert np.abs(land[:2] - [0.28, -0.2]).max() < 1e-9
 
@@ -212,3 +212,41 @@ def test_build_swing_validates_inputs():
         build_swing([0.0, 0.0, 0.0], make_plan(), peak_fraction=1.0)
     with pytest.raises(ValueError):
         quintic_from_boundary(0.5, 0.5, (0, 0, 0), (1, 0, 0))
+
+
+def _numpy_horner(seg, t):
+    """The array form of ``QuinticSegment.evaluate``: numpy-scalar Horner sums."""
+    s = t - seg.t_start
+    c = np.array(seg.coefficients)
+    pos = c[0] + s * (c[1] + s * (c[2] + s * (c[3] + s * (c[4] + s * c[5]))))
+    vel = c[1] + s * (2 * c[2] + s * (3 * c[3] + s * (4 * c[4] + s * 5 * c[5])))
+    acc = 2 * c[2] + s * (6 * c[3] + s * (12 * c[4] + s * 20 * c[5]))
+    return pos, vel, acc
+
+
+def test_sample_is_the_numpy_coefficient_horner_bit_for_bit():
+    """``sample`` on float coefficients equals the numpy-coefficient Horner
+    evaluation bit for bit, on fresh and respliced trajectories, before
+    and after the apex, and returns plain float triples."""
+    rng = np.random.default_rng(1234)
+    checked = 0
+    for _ in range(300):
+        T = float(rng.uniform(0.25, 1.2))
+        start = rng.uniform(-0.3, 0.3, 3) * (1.0, 1.0, 0.0)
+        traj = build_swing(start, make_plan(cop=tuple(rng.uniform(-0.4, 0.4, 2)), duration=T))
+        if rng.uniform() < 0.5:
+            t_now = float(rng.uniform(0.0, 0.95 * T))
+            new = make_plan(cop=tuple(rng.uniform(-0.4, 0.4, 2)),
+                            duration=float(rng.uniform(0.05, 1.0)), planned_at=t_now)
+            traj = retarget(traj, t_now, new)
+        for t in rng.uniform(-0.1, traj.duration + 0.1, 8).tolist():
+            t_eval = min(max(t, 0.0), traj.duration)
+            z = traj.z_profile
+            z_seg = z[0] if len(z) == 2 and t_eval < z[0].t_end else z[-1]
+            want = [_numpy_horner(seg, t_eval) for seg in (traj.x_profile, traj.y_profile, z_seg)]
+            got = sample(traj, t)
+            for k in range(3):  # position, velocity, acceleration
+                assert all(type(v) is float for v in got[k])
+                assert got[k] == tuple(float(axis[k]) for axis in want)
+            checked += 1
+    assert checked == 2400
