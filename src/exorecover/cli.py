@@ -291,32 +291,64 @@ def _num(x: float) -> str:
 #: memory by several times the file size, and 512 rows already by 0.75 MB.
 _TRACE_BLOCK_ROWS = 128
 
+#: First column of each group a trace row reuses whole, counted from the
+#: CoP: CoP pair, foot, desired angles, measured angles, torques.
+_TRACE_GROUPS = [0, 2, 5, 8, 11]
 
-def write_trace_csv(trace: SimTrace, path) -> None:
-    # One %-format per row over Python floats ("%.12g" is _num's format).
-    row = ",".join(["%.12g"] * 9 + ["%s"] + ["%.12g"] * 12) + "\n"
+
+def _trace_lines(trace: SimTrace):
+    """The lines of ``trace.csv`` after its header, one per trace row.
+
+    The seven numbers before the CoP are formatted on every row.  The CoP
+    pair and each leg triple are formatted only when one of their bits
+    differs from the row above, and otherwise repeat its text.  Bits, not
+    ``==``: ``-0.0 == 0.0``, but ``%.12g`` prints the two differently.
+    """
+    # "%.12g" is _num's format.
+    row = "%.12g," * 7 + "%s,%s,%s,%s,%s,%s\n"
+    pair, triple = "%.12g,%.12g", "%.12g,%.12g,%.12g"
     columns = (trace.t[:, None], trace.com, trace.com_vel, trace.xi, trace.cop,
                trace.foot, trace.joint_desired, trace.joint_measured, trace.torque)
     phases = iter(trace.phase)  # zip takes a block's rows first, so no phase is skipped
+    above = None  # bits of the CoP and leg columns of the row above
+    for start in range(0, len(trace.t), _TRACE_BLOCK_ROWS):
+        stop = start + _TRACE_BLOCK_ROWS
+        block = np.concatenate([c[start:stop] for c in columns], axis=1)
+        bits = block.view(np.int64)[:, 7:]
+        if above is None:
+            above = ~bits[:1]  # differs from the first row in every bit
+        changed = np.logical_or.reduceat(
+            bits != np.concatenate((above, bits[:-1])), _TRACE_GROUPS, axis=1)
+        above = bits[-1:]
+        for v, phase, (new_cop, new_foot, new_des, new_q, new_tau) in zip(
+                block.tolist(), phases, changed.tolist()):
+            if new_cop:
+                cop = pair % (v[7], v[8])
+            if new_foot:
+                foot = triple % (v[9], v[10], v[11])
+            if new_des:
+                q_des = triple % (v[12], v[13], v[14])
+            if new_q:
+                q = triple % (v[15], v[16], v[17])
+            if new_tau:
+                tau = triple % (v[18], v[19], v[20])
+            yield row % (v[0], v[1], v[2], v[3], v[4], v[5], v[6],
+                         cop, phase, foot, q_des, q, tau)
+
+
+def write_trace_csv(trace: SimTrace, path) -> None:
     with _atomic_open(Path(path)) as out:
         out.write(TRACE_HEADER + "\n")
-        for start in range(0, len(trace.t), _TRACE_BLOCK_ROWS):
-            stop = start + _TRACE_BLOCK_ROWS
-            block = np.concatenate([c[start:stop] for c in columns], axis=1).tolist()
-            out.writelines(row % (*values[:9], phase, *values[9:])
-                           for values, phase in zip(block, phases))
+        out.writelines(_trace_lines(trace))
 
 
 def write_events_csv(trace: SimTrace, path) -> None:
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     with _atomic_open(Path(path)) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(EVENTS_HEADER.split(","))
         for ev in trace.events:
-            writer.writerow([
-                _num(ev.time),
-                ev.kind,
-                json.dumps(ev.payload, sort_keys=True, separators=(",", ":")),
-            ])
+            writer.writerow([_num(ev.time), ev.kind, encode(ev.payload)])
 
 
 def _summary_lines(summary: StepSummary, config: ScenarioConfig) -> list[str]:
@@ -328,7 +360,8 @@ def _summary_lines(summary: StepSummary, config: ScenarioConfig) -> list[str]:
     return lines
 
 
-def write_summary(trace: SimTrace, path) -> None:
+def write_summary(trace: SimTrace, path) -> StepSummary:
+    """Write ``summary.txt`` and return the summary it holds."""
     summary = summarize(trace)
     lines = _summary_lines(summary, trace.config)
     lines.append("")
@@ -336,6 +369,7 @@ def write_summary(trace: SimTrace, path) -> None:
     lines.append(format_config(trace.config).rstrip("\n"))
     with _atomic_open(Path(path)) as out:
         out.write("\n".join(lines) + "\n")
+    return summary
 
 
 def write_gnuplot(path, trace_name: str = "trace.csv") -> None:
@@ -378,10 +412,9 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out / "trace.csv")
     write_events_csv(trace, out / "events.csv")
-    write_summary(trace, out / "summary.txt")
+    summary = write_summary(trace, out / "summary.txt")
     if args.emit_gnuplot:
         write_gnuplot(out / "trace.gp")
-    summary = summarize(trace)
     print(
         f"simulated {config.duration} s: steps={summary.num_steps} "
         f"captured={'yes' if summary.captured else 'no'} "

@@ -710,9 +710,9 @@ class Plant:
         self.vel = tuple(as_vec2(config.vel0, "vel0").tolist())
         self.pushes = sorted(config.pushes, key=lambda p: (p.time, p.impulse[0], p.impulse[1]))
         noise_std = config.attitude_noise_deg * _DEG
-        self.noise = (np.random.default_rng(config.seed).normal(0.0, noise_std, (n_ticks, 2))
-                      if noise_std > 0.0 else None)
-        self.tick = 0  # row of ``noise`` the next measurement reads
+        # Read as one flat stream of Python floats: pitch, roll, pitch, ...
+        self.noise = (iter(memoryview(np.random.default_rng(config.seed).normal(
+            0.0, noise_std, (n_ticks, 2)).ravel())) if noise_std > 0.0 else None)
         self.anchor = (0.0, 0.0)  # attitude reference: the stance point
         self.swing: Side | None = None  # leg in flight, whose foot is reported
         self.foot: tuple[float, float] | None = None  # where that foot was last measured
@@ -738,13 +738,13 @@ class Plant:
         (x, y), (ax, ay) = self.com, self.anchor
         pitch = math.asin(_clip((x - ax) / L, _ASIN_LO, _ASIN_HI))
         roll = math.asin(_clip((y - ay) / L, _ASIN_LO, _ASIN_HI))
-        if self.noise is not None:
-            noise_pitch, noise_roll = self.noise[self.tick].tolist()
+        noise = self.noise
+        if noise is not None:
+            noise_pitch, noise_roll = next(noise), next(noise)
             # The inclinometer saturates at the edge of its range.
             lim = 0.5 * math.pi - 1e-9
             pitch = min(max(pitch + noise_pitch, -lim), lim)
             roll = min(max(roll + noise_roll, -lim), lim)
-        self.tick += 1
         ex, ey = estimate_com(roll, pitch, L)
         com_x, com_y = ax + ex, ay + ey
 
@@ -771,10 +771,12 @@ class Plant:
         for pulse in self.config.human_pulses:
             if pulse.start <= t < pulse.end:
                 human[pulse.joint] += pulse.torque
-        self.q, self.qd = zip(*[
-            joint_plant_step(angle, rate, applied, extra, self.joint_params, dt)
-            for angle, rate, applied, extra in zip(self.q, self.qd, command.torque, human)])
-        self.tau = command.torque
+        (q0, q1, q2), (qd0, qd1, qd2), (tau0, tau1, tau2) = self.q, self.qd, command.torque
+        joint = self.joint_params
+        q0, qd0 = joint_plant_step(q0, qd0, tau0, human[0], joint, dt)
+        q1, qd1 = joint_plant_step(q1, qd1, tau1, human[1], joint, dt)
+        q2, qd2 = joint_plant_step(q2, qd2, tau2, human[2], joint, dt)
+        self.q, self.qd, self.tau = (q0, q1, q2), (qd0, qd1, qd2), command.torque
 
 
 #: Columns of ``run_scenario``'s per-tick log, one ``SimTrace`` field each.
@@ -804,7 +806,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         (x, y), (vx, vy) = plant.com, plant.vel
         log[k] = [t, x, y, vx, vy, x + vx / omega, y + vy / omega, *command.cop,
                   *controller.foot_point, *controller.q_des, *controller.q, *command.torque]
-        log_phase.append(controller.detector.phase.value)
+        log_phase.append(controller.detector.phase._value_)  # skips the .value property
         plant.step(command, t)
 
     columns = {name: log[:, col] for name, col in _LOG_COLUMNS.items()}

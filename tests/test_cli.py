@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exorecover import Event, ScenarioParseError, cli, run_scenario
+from exorecover import (Event, ScenarioConfig, ScenarioParseError, SimTrace, cli,
+                        run_scenario, summarize)
 
 BASE_SCENARIO = """\
 # forward push, short run
@@ -291,6 +292,103 @@ def test_failed_write_leaves_the_old_file(tmp_path):
     for name, data in old.items():
         assert (out / name).read_bytes() == data, name
     assert sorted(p.name for p in out.iterdir()) == ["events.csv", "summary.txt", "trace.csv"]
+
+
+def reference_trace_csv(trace, path):
+    """``trace.csv`` as written with every number formatted on every row."""
+    row = ",".join(["%.12g"] * 9 + ["%s"] + ["%.12g"] * 12) + "\n"
+    log = np.concatenate((trace.t[:, None], trace.com, trace.com_vel, trace.xi, trace.cop,
+                          trace.foot, trace.joint_desired, trace.joint_measured, trace.torque),
+                         axis=1)
+    with open(path, "w") as out:
+        out.write(cli.TRACE_HEADER + "\n")
+        for values, phase in zip(log.tolist(), trace.phase):
+            out.write(row % (*values[:9], phase, *values[9:]))
+
+
+def synthetic_trace(log):
+    """A ``SimTrace`` over an ``(n, 21)`` log laid out as ``run_scenario`` logs."""
+    phases = ["Standing", "Swing", "Landed"]
+    return SimTrace(t=log[:, 0], com=log[:, 1:3], com_vel=log[:, 3:5], xi=log[:, 5:7],
+                    cop=log[:, 7:9], phase=[phases[k % 3] for k in range(len(log))],
+                    foot=log[:, 9:12], joint_desired=log[:, 12:15],
+                    joint_measured=log[:, 15:18], torque=log[:, 18:21],
+                    events=[], config=ScenarioConfig())
+
+
+#: (first, stop) column of the CoP pair and of each leg triple in a log row.
+LOG_GROUPS = ((7, 9), (9, 12), (12, 15), (15, 18), (18, 21))
+
+
+def repeating_log(n, seed=0):
+    """A log whose CoP pair and leg triples mostly repeat the row above,
+    and otherwise take values that include both signed zeros."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, 1e-300, 0.25, -0.25, 1.0 / 3.0])
+    log = rng.normal(size=(n, 21))
+    for k in range(1, n):
+        for first, stop in LOG_GROUPS:
+            if rng.random() < 0.6:
+                log[k, first:stop] = log[k - 1, first:stop]
+            elif rng.random() < 0.5:
+                log[k, first:stop] = rng.choice(pool, stop - first)
+    return log
+
+
+def signed_zero_log():
+    """A CoP and a torque column flipping 0.0 -> -0.0 -> 0.0, the rest fixed."""
+    log = np.zeros((6, 21))
+    log[:, 0] = np.arange(6) * 1e-3
+    log[:, 7] = [0.0, -0.0, 0.0, 0.0, -0.0, -0.0]
+    log[:, 20] = [-0.0, 0.0, -0.0, -0.0, 0.0, 0.0]
+    return log
+
+
+def block_edge_log():
+    """Changes exactly at rows 127/128 and 255/256, across the writer's
+    128-row blocks, in one CoP or leg column at a time."""
+    log = np.ones((300, 21))
+    log[:, 0] = np.arange(300) * 1e-3
+    log[127:, 8] = 2.0  # the last row of the first block
+    log[128:, 10] = 3.0  # the first row of the second block
+    log[255:, 16] = 4.0
+    log[256:, 19] = 5.0
+    log[:128, 13] = 0.0
+    log[128:, 13] = -0.0  # a signed-zero flip at the block edge
+    log[256:, 7] = 0.0
+    log[257:, 7] = -0.0
+    log[1:128, 17] = 6.0  # back to the first block's first row at row 128
+    return log
+
+
+@pytest.mark.parametrize("log", [
+    pytest.param(signed_zero_log(), id="signed-zero-flips"),
+    pytest.param(block_edge_log(), id="block-edges"),
+    pytest.param(repeating_log(1), id="one-row"),
+    pytest.param(repeating_log(129), id="129-rows"),
+    pytest.param(repeating_log(700, seed=1), id="random-repeats"),
+])
+def test_trace_writer_is_the_per_row_reference_byte_for_byte(tmp_path, log):
+    trace = synthetic_trace(log)
+    cli.write_trace_csv(trace, tmp_path / "trace.csv")
+    reference_trace_csv(trace, tmp_path / "reference.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_simulate_summarizes_once_and_prints_the_written_summary(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(trace):
+        calls.append(trace)
+        return summarize(trace)
+
+    monkeypatch.setattr(cli, "summarize", counting)
+    scenario = write_scenario(tmp_path)
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    summary = summarize(calls[0])
+    assert f"steps={summary.num_steps} captured=yes" in capsys.readouterr().out
+    assert cli.write_summary(calls[0], tmp_path / "again.txt") == summary
 
 
 def test_emit_gnuplot_writes_a_script(tmp_path):

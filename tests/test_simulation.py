@@ -383,9 +383,9 @@ def test_control_loop_does_not_call_lapack(monkeypatch):
         assert not events_of(trace, "StepAborted")
 
 
-def test_each_tick_steps_the_pendulum_once_and_each_joint_once(monkeypatch):
-    """``step_lipm`` runs once per tick and ``joint_plant_step`` once per
-    joint per tick, each through its module-level name, over a forward push
+def run_counting_plant_steps(monkeypatch, config):
+    """Run ``config`` counting the calls of ``step_lipm`` and
+    ``joint_plant_step`` made through any ``exorecover`` module-level name
     (the spans of ``bench/spans.py`` time the tick by them)."""
     from exorecover.impedance import joint_plant_step
     from exorecover.lipm import step_lipm
@@ -403,9 +403,29 @@ def test_each_tick_steps_the_pendulum_once_and_each_joint_once(monkeypatch):
         for name, fn in (("step_lipm", step_lipm), ("joint_plant_step", joint_plant_step)):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
+    return run_scenario(config), counts
 
-    trace = run_scenario(ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),), duration=2.0))
+
+def test_each_tick_steps_the_pendulum_once_and_each_joint_once(monkeypatch):
+    """``step_lipm`` runs once per tick and ``joint_plant_step`` once per
+    joint per tick, each through its module-level name, over a forward push."""
+    trace, counts = run_counting_plant_steps(
+        monkeypatch, ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),), duration=2.0))
     assert events_of(trace, "TouchDown") and events_of(trace, "Captured")
+    ticks = len(trace.t)
+    assert counts == {"step_lipm": ticks, "joint_plant_step": 3 * ticks}
+
+
+def test_noisy_standing_ticks_step_the_pendulum_once_and_each_joint_once(monkeypatch):
+    """The standing tick keeps the same calls: one ``step_lipm`` and three
+    ``joint_plant_step`` per tick, through ``simulation``'s module-level names."""
+    from exorecover import simulation
+
+    trace, counts = run_counting_plant_steps(
+        monkeypatch, ScenarioConfig(attitude_noise_deg=0.2, seed=3, duration=1.0))
+    assert set(trace.phase) == {"Standing"} and not trace.events
+    assert simulation.joint_plant_step.__name__ == "wrapped"
+    assert simulation.step_lipm.__name__ == "wrapped"
     ticks = len(trace.t)
     assert counts == {"step_lipm": ticks, "joint_plant_step": 3 * ticks}
 
