@@ -30,8 +30,9 @@ Scenario files are line oriented: ``key = value`` with ``#`` comments,
 dotted keys, and comma-separated numbers for vectors.  Angles are
 written in degrees; everything internal is radians.  Pushes use
 indexed keys (``push.0.time``, ``push.0.impulse``), wearer-torque
-pulses likewise under ``human.N.*``.  Unknown keys are errors.  All
-keys and their defaults are listed in ``--help`` of each subcommand.
+pulses likewise under ``human.N.*``.  Unknown keys are errors, and so is
+a record with a missing key or one its type rejects (``push.N: ...``).
+All keys and their defaults are listed in ``--help`` of each subcommand.
 """
 
 from __future__ import annotations
@@ -136,8 +137,17 @@ _KEYS = {
     if "key" in f.metadata
 }
 
-_PUSH_FIELDS = {"time": _float, "impulse": _vec2}
-_HUMAN_FIELDS = {"joint": _int, "start": _float, "end": _float, "torque": _float}
+#: Indexed record groups, ``group.N.key = value`` with one record per index N:
+#: group -> (record type, ScenarioConfig field, key -> converter in the
+#: record's field order, record key the records are sorted by or None for
+#: index order, help).
+_GROUPS = {
+    "push": (PushEvent, "pushes", {"time": _float, "impulse": _vec2}, "time",
+             "N = 0,1,...; time in s, impulse in N*s (x,y)"),
+    "human": (HumanPulse, "human_pulses",
+              {"joint": _int, "start": _float, "end": _float, "torque": _float}, None,
+              "wearer torque pulse; joint 0-2, start/end in s, torque in N*m"),
+}
 
 
 def scenario_key_help() -> str:
@@ -148,94 +158,83 @@ def scenario_key_help() -> str:
         value = getattr(default, attr)
         shown = "unset" if value is None else _fmt(value)
         lines.append(f"  {key} = {shown}  # {meaning}")
-    lines.append("  push.N.time / push.N.impulse  # N = 0,1,...; impulse in N*s (x,y)")
-    lines.append("  human.N.joint / .start / .end / .torque  # wearer torque pulse")
+    for group, (_, _, keys, _, meaning) in _GROUPS.items():
+        lines.append(f"  {group}.N.{' / .'.join(keys)}  # {meaning}")
     return "\n".join(lines)
 
 
-def _parse_lines(lines, source: str, fields: dict, pushes: dict, humans: dict) -> None:
+def _read_lines(path, what: str, text: str | None = None) -> list[tuple[str, str]]:
+    """The lines of ``text``, or of the ``what`` file at ``path`` when ``text``
+    is None, as ``(where, line)``: ``where`` is ``path:lineno`` and ``line`` is
+    cut at its ``#`` comment and stripped; blank lines are left out."""
+    if text is None:
+        path = Path(path)
+        try:
+            text = path.read_text()
+        except OSError as err:
+            raise ScenarioParseError(f"{path}: cannot read {what}: {err}") from None
+    numbered = ((f"{path}:{n}", raw.split("#", 1)[0].strip())
+                for n, raw in enumerate(text.splitlines(), start=1))
+    return [(where, line) for where, line in numbered if line]
+
+
+def _parse_lines(lines, fields: dict, records: dict) -> None:
+    """Convert ``(where, "key = value")`` lines into ``fields`` (config field ->
+    value) and ``records`` (group -> N -> record key -> value)."""
     seen: set[str] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ScenarioParseError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value = text.partition("=")
+    for where, text in lines:
+        key, eq, value = text.partition("=")
+        if not eq:
+            raise ScenarioParseError(f"{where}: expected 'key = value', got {text!r}")
         key = key.strip().lower()
-        value = value.strip()
         if key in seen:
-            raise ScenarioParseError(f"{source}:{lineno}: duplicate key '{key}'")
+            raise ScenarioParseError(f"{where}: duplicate key '{key}'")
         seen.add(key)
         parts = key.split(".")
-        if len(parts) == 3 and parts[0] in ("push", "human"):
-            group, idx_text, attr = parts
-            table = _PUSH_FIELDS if group == "push" else _HUMAN_FIELDS
-            if attr not in table:
-                raise ScenarioParseError(f"{source}:{lineno}: unknown key '{key}'")
+        if len(parts) == 3 and parts[0] in _GROUPS:
+            group, index, attr = parts
+            convert = _GROUPS[group][2].get(attr)
+            if convert is None:
+                raise ScenarioParseError(f"{where}: unknown key '{key}'")
             try:
-                idx = int(idx_text, 10)
+                target = records[group].setdefault(int(index, 10), {})
             except ValueError:
-                raise ScenarioParseError(f"{source}:{lineno}: bad index in '{key}'") from None
-            try:
-                parsed = table[attr](value)
-            except ValueError as err:
-                raise ScenarioParseError(
-                    f"{source}:{lineno}: invalid value for '{key}': {err}"
-                ) from None
-            target = pushes if group == "push" else humans
-            target.setdefault(idx, {})[attr] = parsed
-            continue
-        entry = _KEYS.get(key)
-        if entry is None:
-            raise ScenarioParseError(f"{source}:{lineno}: unknown key '{key}'")
-        attr, convert, _ = entry
+                raise ScenarioParseError(f"{where}: bad index in '{key}'") from None
+        elif key in _KEYS:
+            target, (attr, convert, _) = fields, _KEYS[key]
+        else:
+            raise ScenarioParseError(f"{where}: unknown key '{key}'")
         try:
-            fields[attr] = convert(value)
+            target[attr] = convert(value.strip())
         except ValueError as err:
-            raise ScenarioParseError(
-                f"{source}:{lineno}: invalid value for '{key}': {err}"
-            ) from None
+            raise ScenarioParseError(f"{where}: invalid value for '{key}': {err}") from None
 
 
 def parse_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
     """Parse a scenario file plus ``--set key=value`` overrides."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise ScenarioParseError(f"{path}: cannot read scenario: {err}") from None
     fields: dict = {}
-    pushes: dict = {}
-    humans: dict = {}
-    _parse_lines(text.splitlines(), str(path), fields, pushes, humans)
+    records: dict = {group: {} for group in _GROUPS}
+    _parse_lines(_read_lines(path, "scenario"), fields, records)
     for i, item in enumerate(overrides or []):
-        if "=" not in item:
+        lines = _read_lines(f"--set[{i}]", "override", item)
+        if not lines:
             raise ScenarioParseError(f"--set[{i}]: expected key=value, got {item!r}")
-        _parse_lines([item], f"--set[{i}]", fields, pushes, humans)
+        _parse_lines(lines, fields, records)
 
-    push_events = []
-    for idx in sorted(pushes):
-        entry = pushes[idx]
-        missing = sorted(set(_PUSH_FIELDS) - set(entry))
-        if missing:
-            raise ScenarioParseError(f"push.{idx}: missing {', '.join(missing)}")
-        push_events.append(PushEvent(time=entry["time"], impulse=np.asarray(entry["impulse"])))
-    human_pulses = []
-    for idx in sorted(humans):
-        entry = humans[idx]
-        missing = sorted(set(_HUMAN_FIELDS) - set(entry))
-        if missing:
-            raise ScenarioParseError(f"human.{idx}: missing {', '.join(missing)}")
-        try:
-            human_pulses.append(HumanPulse(**entry))
-        except ValueError as err:
-            raise ScenarioParseError(f"human.{idx}: {err}") from None
-    return ScenarioConfig(
-        **fields,
-        pushes=tuple(sorted(push_events, key=lambda p: p.time)),
-        human_pulses=tuple(human_pulses),
-    )
+    for group, (record, attr, keys, order, _) in _GROUPS.items():
+        built = []
+        for n, entry in sorted(records[group].items()):
+            missing = sorted(set(keys) - set(entry))
+            if missing:
+                raise ScenarioParseError(f"{group}.{n}: missing {', '.join(missing)}")
+            try:
+                built.append(record(**entry))
+            except ValueError as err:
+                raise ScenarioParseError(f"{group}.{n}: {err}") from None
+        if order is not None:
+            built.sort(key=lambda r: getattr(r, order))
+        fields[attr] = tuple(built)
+    return ScenarioConfig(**fields)
 
 
 def load_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
@@ -253,14 +252,9 @@ def format_config(config: ScenarioConfig) -> str:
         if value is None:
             continue
         lines.append(f"{key} = {_fmt(value)}")
-    for i, push in enumerate(config.pushes):
-        lines.append(f"push.{i}.time = {_fmt(push.time)}")
-        lines.append(f"push.{i}.impulse = {_fmt(push.impulse)}")
-    for i, pulse in enumerate(config.human_pulses):
-        lines.append(f"human.{i}.joint = {pulse.joint}")
-        lines.append(f"human.{i}.start = {_fmt(pulse.start)}")
-        lines.append(f"human.{i}.end = {_fmt(pulse.end)}")
-        lines.append(f"human.{i}.torque = {_fmt(pulse.torque)}")
+    for group, (_, attr, keys, _, _) in _GROUPS.items():
+        for n, record in enumerate(getattr(config, attr)):
+            lines.extend(f"{group}.{n}.{key} = {_fmt(getattr(record, key))}" for key in keys)
     return "\n".join(lines) + "\n"
 
 
@@ -458,22 +452,14 @@ def cmd_plan(args) -> int:
 
 
 def _read_grid(path) -> list[tuple[float, float, float]]:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise ScenarioParseError(f"{path}: cannot read grid: {err}") from None
     triples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for where, line in _read_lines(path, "grid"):
         try:
             triples.append(_vec3(line))
         except ValueError as err:
-            raise ScenarioParseError(f"{path}:{lineno}: {err}") from None
+            raise ScenarioParseError(f"{where}: {err}") from None
     if len(triples) < 2:
-        raise ScenarioParseError(f"{path}: need at least 2 weight triples, got {len(triples)}")
+        raise ScenarioParseError(f"{Path(path)}: need at least 2 weight triples, got {len(triples)}")
     return triples
 
 

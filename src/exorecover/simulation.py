@@ -342,6 +342,7 @@ class ScenarioConfig:
         check(self.foot_half_y > 0.0, "foot_half_y must be positive")
         check(0.0 < self.dt <= 0.01, f"dt must be in (0, 0.01], got {self.dt}")
         check(self.duration > 0.0, "duration must be positive")
+        check(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         check(self.attitude_noise_deg >= 0.0, "attitude_noise_deg must be >= 0")
         for i, p in enumerate(self.pushes):
             check(p.time <= self.duration, f"push {i} at t={p.time} is past the run duration")

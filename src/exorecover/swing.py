@@ -104,7 +104,6 @@ class SwingTrajectory:
     z_profile: tuple[QuinticSegment, ...]  # two pieces, or one after a late retarget
     duration: float  # s
     peak_height: float
-    peak_fraction: float
 
     @property
     def apex_time(self) -> float | None:
@@ -153,7 +152,6 @@ def build_swing(
         ),
         duration=T,
         peak_height=float(peak_height),
-        peak_fraction=float(peak_fraction),
     )
 
 
@@ -211,5 +209,4 @@ def retarget(traj: SwingTrajectory, t_now: float, new_plan: StepPlan) -> SwingTr
         z_profile=z_pieces,
         duration=T,
         peak_height=traj.peak_height,
-        peak_fraction=traj.peak_fraction,
     )

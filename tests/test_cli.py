@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exorecover import (Event, ScenarioConfig, ScenarioParseError, SimTrace, cli,
-                        run_scenario, summarize)
+from exorecover import (Event, HumanPulse, PushEvent, ScenarioConfig, ScenarioParseError,
+                        SimTrace, cli, run_scenario, summarize)
 
 BASE_SCENARIO = """\
 # forward push, short run
@@ -96,6 +97,27 @@ def test_incomplete_push_and_pulse_groups_are_errors(tmp_path):
         cli.parse_scenario(path)
 
 
+@pytest.mark.parametrize("records, fragment", [
+    ("push.0.time = -1\npush.0.impulse = 28.05, 0\n", "push.0: push time must be >= 0"),
+    ("human.0.joint = 3\nhuman.0.start = 0.1\nhuman.0.end = 0.2\nhuman.0.torque = 1\n",
+     "human.0: joint must be 0, 1 or 2"),
+], ids=["push", "human"])
+def test_a_rejected_record_is_an_input_error(tmp_path, capsys, records, fragment):
+    """A record its type rejects is a ScenarioParseError naming ``group.N``,
+    and ``simulate`` exits 1 with an ``error:`` line instead of raising."""
+    path = write_scenario(tmp_path, "sim.duration = 1.0\n" + records)
+    with pytest.raises(ScenarioParseError, match=re.escape(fragment)):
+        cli.load_scenario(path)
+
+    out = tmp_path / "run"
+    rc = cli.main(["simulate", "--scenario", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {fragment}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_set_overrides_replace_file_values(tmp_path):
     path = write_scenario(tmp_path)
     config = cli.load_scenario(path, ["sim.duration = 0.75", "lipm.mass=60"])
@@ -104,6 +126,8 @@ def test_set_overrides_replace_file_values(tmp_path):
 
     with pytest.raises(ScenarioParseError, match=r"--set\[0\]"):
         cli.load_scenario(path, ["nonsense"])
+    with pytest.raises(ScenarioParseError, match=r"--set\[1\]: expected key=value"):
+        cli.load_scenario(path, ["lipm.mass=60", "  # nothing"])
 
 
 def test_resolved_config_roundtrips_through_the_parser(tmp_path):
@@ -117,6 +141,64 @@ def test_resolved_config_roundtrips_through_the_parser(tmp_path):
     back = write_scenario(tmp_path, text, name="resolved.txt")
     reparsed = cli.load_scenario(back)
     assert cli.format_config(reparsed) == text
+
+
+#: Floats whose text is easy to get wrong: signed zero, subnormal, extremes,
+#: integral values and ones with no short binary form.
+AWKWARD_FLOATS = (0.0, -0.0, 5e-324, 1e-300, 1.7976931348623157e308, 3.0, -1e16, 0.1, 1 / 3)
+
+
+def random_config(rng: np.random.Generator) -> ScenarioConfig:
+    """A value of its own type for every scenario key, 0-3 pushes in time
+    order and 0-3 wearer pulses.  The records are valid; nothing else needs
+    to be, since the round trip parses without validating."""
+
+    def number() -> float:
+        if rng.random() < 0.3:
+            return AWKWARD_FLOATS[rng.integers(len(AWKWARD_FLOATS))]
+        return float(rng.normal() * 10.0 ** rng.integers(-8, 9))
+
+    values = {}
+    for f in dataclasses.fields(ScenarioConfig):
+        if "key" not in f.metadata:
+            continue
+        if f.type == "int":
+            values[f.name] = int(rng.integers(-10**6, 10**6))
+        elif f.type == "str":
+            values[f.name] = ("assist", "zero_torque")[rng.integers(2)]
+        elif f.type == "float | None":
+            values[f.name] = None if rng.random() < 0.5 else number()
+        elif f.type.startswith("tuple[float"):
+            values[f.name] = tuple(number() for _ in range(f.type.count("float")))
+        else:
+            assert f.type == "float", f.type
+            values[f.name] = number()
+    times = sorted(abs(number()) for _ in range(rng.integers(4)))
+    pushes = tuple(PushEvent(t, (number(), number())) for t in times)
+    pulses = []
+    for _ in range(rng.integers(4)):
+        start = float(rng.uniform(0.0, 10.0))
+        pulses.append(HumanPulse(int(rng.integers(3)), start,
+                                 start + float(rng.uniform(1e-6, 5.0)), number()))
+    return ScenarioConfig(**values, pushes=pushes, human_pulses=tuple(pulses))
+
+
+def comparable(config: ScenarioConfig) -> ScenarioConfig:
+    """``config`` with each push as a ``(time, impulse list)`` pair, so that
+    ``==`` compares whole configs (a push's impulse is an array)."""
+    return dataclasses.replace(
+        config, pushes=[(p.time, p.impulse.tolist()) for p in config.pushes])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_configs_roundtrip_through_the_text(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        config = random_config(rng)
+        text = cli.format_config(config)
+        reparsed = cli.parse_scenario(write_scenario(tmp_path, text))
+        assert cli.format_config(reparsed) == text
+        assert comparable(reparsed) == comparable(config)
 
 
 def test_scenario_key_help_lists_the_whole_schema():
@@ -523,6 +605,19 @@ def test_sweep_needs_at_least_two_triples(tmp_path, capsys):
                    "--grid", str(grid), "--out", str(tmp_path / "s")])
     assert rc == 1
     assert "need at least 2 weight triples" in capsys.readouterr().err
+
+
+def test_grid_errors_name_the_file_and_line(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    grid = write_scenario(tmp_path, "# alpha1, alpha2, alpha3\n1, 5, 0.02\n\n2, 5  # two\n",
+                          name="grid.txt")
+    missing = tmp_path / "missing.txt"
+    for path, fragment in ((grid, f"{grid}:4: expected 3 comma-separated numbers"),
+                           (missing, f"{missing}: cannot read grid:")):
+        rc = cli.main(["sweep-weights", "--scenario", str(scenario),
+                       "--grid", str(path), "--out", str(tmp_path / "s")])
+        assert rc == 1
+        assert f"error: {fragment}" in capsys.readouterr().err
 
 
 def test_negative_vectors_parse_in_both_spellings(tmp_path, capsys):

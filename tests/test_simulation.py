@@ -129,12 +129,15 @@ def test_config_validation_collects_every_error():
         torque_kp=-0.1,
         mode="hover",
         duration=3.0,
+        seed=-1,  # the noise generator takes no negative seed
+        attitude_noise_deg=0.1,
         pushes=(PushEvent(5.0, [1.0, 0.0]),),
     )
     with pytest.raises(ConfigurationError) as err:
         cfg.validate()
     msg = str(err.value)
-    for fragment in ("gravity", "mass", "dt", "torque_kp", "mode", "push 0"):
+    for fragment in ("gravity", "mass", "dt", "torque_kp", "mode", "seed must be >= 0",
+                     "push 0"):
         assert fragment in msg
 
 
