@@ -12,38 +12,26 @@ the foot goes and for how long the step lasts.
 
 import math
 
-import numpy as np
-
 from exorecover import NominalGait, PlannerInput, StepBounds, plan_step
 
 omega = math.sqrt(9.81 / 0.88)
-bounds = StepBounds(
-    cop_min=np.array([-0.15, -0.30]),
-    cop_max=np.array([0.30, -0.04]),
-    T_min=0.25,
-    T_max=1.2,
-)
+bounds = StepBounds(cop_min=(-0.15, -0.30), cop_max=(0.30, -0.04), T_min=0.25, T_max=1.2)
 
 # A forward DCM excursion of 0.08 m with the CoP still under the stance
 # foot.  Every plan below answers the same disturbance.
-xi0 = np.array([0.08, 0.0])
-cop0 = np.zeros(2)
+xi0 = (0.08, 0.0)
+cop0 = (0.0, 0.0)
 
 
 def plan_with(weights):
-    nominal = NominalGait(
-        cop_T_nom=np.array([0.0, -0.2]),
-        gamma_nom=np.zeros(2),
-        T_nom=0.5,
-        weights=weights,
-    )
+    nominal = NominalGait(cop_T_nom=(0.0, -0.2), gamma_nom=(0.0, 0.0), T_nom=0.5, weights=weights)
     return plan_step(PlannerInput(xi0=xi0, cop0=cop0, omega=omega,
                                   nominal=nominal, bounds=bounds))
 
 
 def describe(weights):
     plan = plan_with(weights)
-    length = float(np.linalg.norm(plan.cop_T - np.array([0.0, -0.2])))
+    length = math.dist(plan.cop_T, (0.0, -0.2))
     print(f"  ({weights[0]:7.2f}, {weights[1]:4.1f}, {weights[2]:5.2f})"
           f"   ({plan.cop_T[0]:+.3f}, {plan.cop_T[1]:+.3f})"
           f"   {length:7.3f}      {plan.duration:6.3f}")

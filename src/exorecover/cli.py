@@ -114,8 +114,8 @@ def _fmt(value) -> str:
         return ",".join(repr(float(v)) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # repr(np.float64(2.0)) is 'np.float64(2.0)'
     return str(value)
 
 
@@ -196,10 +196,10 @@ def _parse_lines(lines, fields: dict, records: dict) -> None:
             convert = _GROUPS[group][2].get(attr)
             if convert is None:
                 raise ScenarioParseError(f"{where}: unknown key '{key}'")
-            try:
-                target = records[group].setdefault(int(index, 10), {})
-            except ValueError:
-                raise ScenarioParseError(f"{where}: bad index in '{key}'") from None
+            # One spelling per index: int() would also take '01', '+1', '-1' and '1_0'.
+            if not re.fullmatch(r"0|[1-9][0-9]*", index):
+                raise ScenarioParseError(f"{where}: bad index in '{key}'")
+            target = records[group].setdefault(int(index), {})
         elif key in _KEYS:
             target, (attr, convert, _) = fields, _KEYS[key]
         else:
@@ -433,8 +433,8 @@ def _print_plan(plan: StepPlan) -> None:
 def cmd_plan(args) -> int:
     try:
         config = load_scenario(args.scenario, args.set)
-        xi0 = np.asarray(_vec2(args.xi0))
-        cop0 = np.asarray(_vec2(args.cop0))
+        xi0 = _vec2(args.xi0)
+        cop0 = _vec2(args.cop0)
     except (ScenarioParseError, ConfigurationError, ValueError) as err:
         return _fail(str(err), 1)
 
@@ -451,11 +451,12 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _read_grid(path) -> list[tuple[float, float, float]]:
+def _read_grid(path) -> list[tuple[str, tuple[float, float, float]]]:
+    """``(path:line, triple)`` for each weight triple in the grid file."""
     triples = []
     for where, line in _read_lines(path, "grid"):
         try:
-            triples.append(_vec3(line))
+            triples.append((where, _vec3(line)))
         except ValueError as err:
             raise ScenarioParseError(f"{where}: {err}") from None
     if len(triples) < 2:
@@ -467,22 +468,27 @@ def cmd_sweep_weights(args) -> int:
     try:
         config = load_scenario(args.scenario, args.set)
         grid = _read_grid(args.grid)
-        cop0 = np.asarray(_vec2(args.cop0))
-        xi0 = np.asarray(_vec2(args.xi0)) if args.xi0 else cop0 + np.array([0.08, 0.0])
+        cop0 = _vec2(args.cop0)
+        # `+ 0.0` turns a y of -0.0 into 0.0; the sign of that zero reaches sweep.csv.
+        xi0 = _vec2(args.xi0) if args.xi0 else (cop0[0] + 0.08, cop0[1] + 0.0)
+        base, bounds = config.stance_frame(cop0)
+        gaits = []
+        for where, weights in grid:
+            try:
+                gaits.append(dataclasses.replace(base, weights=weights))
+            except ValueError as err:
+                raise ScenarioParseError(f"{where}: {err}") from None
     except (ScenarioParseError, ConfigurationError, ValueError) as err:
         return _fail(str(err), 1)
 
-    base, bounds = config.stance_frame(cop0)
     omega = config.lipm_params().omega
     results = []
-    for weights in grid:
-        plan = plan_step(PlannerInput(
-            xi0=xi0, cop0=cop0, omega=omega,
-            nominal=dataclasses.replace(base, weights=weights), bounds=bounds,
-        ))
+    for nominal in gaits:
+        plan = plan_step(PlannerInput(xi0=xi0, cop0=cop0, omega=omega, nominal=nominal,
+                                      bounds=bounds))
         # A Python-float sum, so the length (and the flagged row it ranks)
         # does not depend on the BLAS build.
-        dx, dy = (plan.cop_T - cop0).tolist()
+        dx, dy = plan.cop_T[0] - cop0[0], plan.cop_T[1] - cop0[1]
         results.append((plan, math.sqrt(dx * dx + dy * dy)))
 
     lengths = np.array([r[1] for r in results])
@@ -498,7 +504,8 @@ def cmd_sweep_weights(args) -> int:
     with _atomic_open(out / "sweep.csv") as csv_out:
         csv_out.write("alpha1,alpha2,alpha3,cop_x,cop_y,gamma_x,gamma_y,sigma,duration_s,"
                       "step_length,objective,flagged\n")
-        for i, (weights, (plan, length)) in enumerate(zip(grid, results)):
+        for i, (nominal, (plan, length)) in enumerate(zip(gaits, results)):
+            weights = nominal.weights
             csv_out.write(",".join([
                 _num(weights[0]), _num(weights[1]), _num(weights[2]),
                 _num(plan.cop_T[0]), _num(plan.cop_T[1]),
@@ -509,8 +516,8 @@ def cmd_sweep_weights(args) -> int:
             ]) + "\n")
 
     print(f"{'alpha1':>8} {'alpha2':>8} {'alpha3':>8} {'step_len':>10} {'duration':>10} flag")
-    for i, (weights, (plan, length)) in enumerate(zip(grid, results)):
-        mark = "*" if i == flagged else ""
+    for i, (nominal, (plan, length)) in enumerate(zip(gaits, results)):
+        weights, mark = nominal.weights, ("*" if i == flagged else "")
         print(f"{weights[0]:>8g} {weights[1]:>8g} {weights[2]:>8g} "
               f"{length:>10.4f} {plan.duration:>10.4f} {mark}")
     return 0

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import PhaseTransitionError
 from .lipm import as_vec2
 
@@ -38,17 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SwayEllipse:
-    """Axis-aligned sway tolerance region around the stance reference.
-
-    The centre is checked once and kept as an ``(x, y)`` float pair.
-    """
+    """Axis-aligned sway tolerance region around the stance reference."""
 
     center: tuple[float, float]  # m
     semi_axis_x: float  # m
     semi_axis_y: float  # m
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(as_vec2(self.center, "center").tolist()))
+        object.__setattr__(self, "center", as_vec2(self.center, "center"))
         for name in ("semi_axis_x", "semi_axis_y"):
             v = getattr(self, name)
             if not (v > 0.0) or not math.isfinite(v):
@@ -75,7 +70,7 @@ class BalanceLost:
     """Trigger event: the debounced DCM excursion left the sway ellipse."""
 
     time: float  # s
-    xi: np.ndarray  # (2,) m, DCM sample that confirmed the trigger
+    xi: tuple[float, float]  # m, DCM sample that confirmed the trigger
     excursion: float  # normalised squared excursion at that sample
 
 
@@ -134,7 +129,7 @@ class BalanceDetector:
             self._outside_count = 0
         if self._outside_count >= self.debounce_cycles:
             self.phase = RecoveryPhase.STEPPING_PLANNED
-            self.trigger = BalanceLost(time=t, xi=as_vec2(xi, "xi").copy(), excursion=q)
+            self.trigger = BalanceLost(time=t, xi=as_vec2(xi, "xi"), excursion=q)
             self._outside_count = 0
             return self.trigger
         return None

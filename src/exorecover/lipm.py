@@ -8,10 +8,10 @@ decouples the dynamics: ``xi`` diverges away from the centre of pressure,
 a constant CoP, which this module exposes next to a fixed-step RK4
 integrator of the raw second-order equation.
 
-Two-dimensional points and velocities (CoM, DCM, CoP) are plain ``(2,)``
-float arrays, except in the integrator: ``step_lipm`` advances the
-pendulum state ``(com, com_vel)`` as ``(x, y)`` pairs of Python floats,
-which is what the 1 kHz loop carries.
+Two-dimensional points and velocities (CoM, DCM, CoP, impulse) are
+``(x, y)`` pairs of Python floats, in and out of the 1 kHz loop alike.
+:func:`as_vec2` is the one place that checks an outside value and turns
+it into such a pair; the functions here return pairs.
 """
 
 from __future__ import annotations
@@ -32,15 +32,15 @@ __all__ = [
 ]
 
 
-def as_vec2(value, name: str = "value") -> np.ndarray:
-    """Return ``value`` as a finite ``(2,)`` float array or raise ValueError."""
+def as_vec2(value, name: str = "value") -> tuple[float, float]:
+    """Return ``value`` as a finite ``(x, y)`` float pair or raise ValueError."""
     out = np.asarray(value, dtype=float).reshape(-1)
     if out.shape != (2,):
         raise ValueError(f"{name} must have exactly 2 components, got shape {np.shape(value)}")
-    x, y = out.tolist()  # two math.isfinite calls cost a fifth of np.all(np.isfinite(out))
+    x, y = out.tolist()
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"{name} must be finite, got {out}")
-    return out
+    return x, y
 
 
 def natural_frequency(gravity: float, com_height: float) -> float:
@@ -74,9 +74,10 @@ class LipmParams:
         )
 
 
-def dcm_of(com: np.ndarray, com_vel: np.ndarray, params: LipmParams) -> np.ndarray:
+def dcm_of(com, com_vel, params: LipmParams) -> tuple[float, float]:
     """Divergent component ``com + com_vel / omega``."""
-    return com + com_vel / params.omega
+    (x, y), (vx, vy) = as_vec2(com, "com"), as_vec2(com_vel, "com_vel")
+    return x + vx / params.omega, y + vy / params.omega
 
 
 def _check_horizon(t: float) -> float:
@@ -85,27 +86,27 @@ def _check_horizon(t: float) -> float:
     return float(t)
 
 
-def dcm_closed_form(xi0, cop0, params: LipmParams, t: float) -> np.ndarray:
+def dcm_closed_form(xi0, cop0, params: LipmParams, t: float) -> tuple[float, float]:
     """DCM after time ``t`` under a CoP held constant at ``cop0``.
 
     ``(xi0 - cop0) * exp(omega * t) + cop0``
     """
     t = _check_horizon(t)
-    xi0 = as_vec2(xi0, "xi0")
-    cop0 = as_vec2(cop0, "cop0")
-    return (xi0 - cop0) * math.exp(params.omega * t) + cop0
+    (x, y), (cx, cy) = as_vec2(xi0, "xi0"), as_vec2(cop0, "cop0")
+    e = math.exp(params.omega * t)
+    return (x - cx) * e + cx, (y - cy) * e + cy
 
 
-def com_closed_form(com0, xi0, params: LipmParams, t: float) -> np.ndarray:
+def com_closed_form(com0, xi0, params: LipmParams, t: float) -> tuple[float, float]:
     """CoM after time ``t`` while the DCM is frozen at ``xi0``.
 
     ``(com0 - xi0) * exp(-omega * t) + xi0``; valid when the CoP tracks
     the DCM so that ``xi`` does not move (the post-capture regime).
     """
     t = _check_horizon(t)
-    com0 = as_vec2(com0, "com0")
-    xi0 = as_vec2(xi0, "xi0")
-    return (com0 - xi0) * math.exp(-params.omega * t) + xi0
+    (x, y), (dx, dy) = as_vec2(com0, "com0"), as_vec2(xi0, "xi0")
+    e = math.exp(-params.omega * t)
+    return (x - dx) * e + dx, (y - dy) * e + dy
 
 
 def step_lipm(com, com_vel, cop, params: LipmParams, dt: float):
@@ -143,10 +144,11 @@ def step_lipm(com, com_vel, cop, params: LipmParams, dt: float):
     return tuple(out_com), tuple(out_vel)
 
 
-def apply_impulse(com_vel: np.ndarray, impulse, params: LipmParams) -> np.ndarray:
+def apply_impulse(com_vel, impulse, params: LipmParams) -> tuple[float, float]:
     """Instantaneous push: the new velocity, ``com_vel + impulse / mass``.
 
     The position is untouched; the DCM therefore jumps by
     ``impulse / (mass * omega)``.
     """
-    return com_vel + as_vec2(impulse, "impulse") / params.mass
+    (vx, vy), (ix, iy) = as_vec2(com_vel, "com_vel"), as_vec2(impulse, "impulse")
+    return vx + ix / params.mass, vy + iy / params.mass

@@ -30,6 +30,11 @@ which the derivative changes sign.  Only ``math`` and Python floats are
 used, so planning does not depend on LAPACK.  :func:`assemble_qp` builds
 the same program as a five-variable QP, the reference that tests and
 KKT certificates check the planner against.
+
+Planar vectors (``xi0``, ``cop0``, the nominal point and offset, the CoP
+box corners and the plan's ``cop_T``, ``gamma_T`` and ``xi_T``) are
+``(x, y)`` pairs of Python floats, checked once by the dataclass that
+holds them.  Only the reference QP and :attr:`StepPlan.z` are arrays.
 """
 
 from __future__ import annotations
@@ -67,8 +72,8 @@ REPLAN_FLOOR = 0.1
 class NominalGait:
     """Preferred landing point, landing DCM offset, duration and weights."""
 
-    cop_T_nom: np.ndarray  # (2,) m
-    gamma_nom: np.ndarray  # (2,) m
+    cop_T_nom: tuple[float, float]  # m
+    gamma_nom: tuple[float, float]  # m
     T_nom: float  # s
     weights: tuple[float, float, float]  # (alpha1, alpha2, alpha3)
 
@@ -94,8 +99,8 @@ class StepBounds:
     the empty rows.  These are the only infeasible programs.
     """
 
-    cop_min: np.ndarray  # (2,) m
-    cop_max: np.ndarray  # (2,) m
+    cop_min: tuple[float, float]  # m
+    cop_max: tuple[float, float]  # m
     T_min: float  # s
     T_max: float  # s
 
@@ -112,16 +117,17 @@ class StepBounds:
 
     def shift(self, offset) -> "StepBounds":
         """Translate the CoP box by a 2-vector (frame change helper)."""
-        offset = as_vec2(offset, "offset")
-        return replace(self, cop_min=self.cop_min + offset, cop_max=self.cop_max + offset)
+        x, y = as_vec2(offset, "offset")
+        (lo_x, lo_y), (hi_x, hi_y) = self.cop_min, self.cop_max
+        return replace(self, cop_min=(lo_x + x, lo_y + y), cop_max=(hi_x + x, hi_y + y))
 
 
 @dataclass(frozen=True)
 class PlannerInput:
     """Everything one planning solve needs."""
 
-    xi0: np.ndarray  # (2,) m, DCM at trigger or replanning time
-    cop0: np.ndarray  # (2,) m, current stance CoP
+    xi0: tuple[float, float]  # m, DCM at trigger or replanning time
+    cop0: tuple[float, float]  # m, current stance CoP
     omega: float  # 1/s
     nominal: NominalGait
     bounds: StepBounds
@@ -151,8 +157,8 @@ class StepPlan:
     plan leaves them zero.
     """
 
-    cop_T: np.ndarray  # (2,) m, world landing CoP
-    gamma_T: np.ndarray  # (2,) m, landing DCM offset xi(T) - cop_T
+    cop_T: tuple[float, float]  # m, world landing CoP
+    gamma_T: tuple[float, float]  # m, landing DCM offset xi(T) - cop_T
     sigma: float  # exp(omega * duration)
     duration: float  # s
     objective: float
@@ -168,9 +174,10 @@ class StepPlan:
         return self.planned_at + self.duration
 
     @property
-    def xi_T(self) -> np.ndarray:
+    def xi_T(self) -> tuple[float, float]:
         """Predicted DCM at touchdown."""
-        return self.cop_T + self.gamma_T
+        (cx, cy), (gx, gy) = self.cop_T, self.gamma_T
+        return cx + gx, cy + gy
 
     @property
     def z(self) -> np.ndarray:
@@ -212,7 +219,7 @@ def assemble_qp(inp: PlannerInput) -> QpProblem:
             [0.0, 1.0, inp.cop0[1] - inp.xi0[1], 0.0, 1.0],
         ]
     )
-    e = inp.cop0.copy()
+    e = np.array(inp.cop0)
 
     s_min, s_max = inp.bounds.sigma_bounds(inp.omega)
     C_rows = [
@@ -237,7 +244,7 @@ def assemble_qp(inp: PlannerInput) -> QpProblem:
 def _cost(nominal: NominalGait, sigma_nom: float, cop, sigma: float, gamma) -> float:
     """:func:`planning_cost` with ``cop`` and ``gamma`` as float pairs."""
     a1, a2, a3 = nominal.weights
-    (cx, cy), (gx, gy) = nominal.cop_T_nom.tolist(), nominal.gamma_nom.tolist()
+    (cx, cy), (gx, gy) = nominal.cop_T_nom, nominal.gamma_nom
     dx, dy = cop[0] - cx, cop[1] - cy
     ex, ey = gamma[0] - gx, gamma[1] - gy
     return a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * (sigma - sigma_nom) ** 2
@@ -264,7 +271,7 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
            t_lo: float, t_hi: float, planned_at: float) -> StepPlan:
     """Exact minimiser with the duration in ``[t_lo, t_hi]`` for the DCM ``xi0``
     and stance CoP ``cop0``, both float pairs; see the module docstring."""
-    lo, hi = bounds.cop_min.tolist(), bounds.cop_max.tolist()
+    lo, hi = bounds.cop_min, bounds.cop_max
     # One flag per constraint_names row; an empty interval names both its rows.
     empty = (lo[0] > hi[0], lo[1] > hi[1]) * 2 + (t_lo > t_hi,) * 2
     if any(empty):
@@ -275,7 +282,7 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
     w = a1 + a2
     s_lo, s_hi = math.exp(omega * t_lo), math.exp(omega * t_hi)
     sn = math.exp(omega * nominal.T_nom)
-    cn, gn = nominal.cop_T_nom.tolist(), nominal.gamma_nom.tolist()
+    cn, gn = nominal.cop_T_nom, nominal.gamma_nom
     (lo_x, lo_y), (hi_x, hi_y), (cn_x, cn_y), (gn_x, gn_y) = lo, hi, cn, gn
     (c0_x, c0_y), (x0_x, x0_y) = cop0, xi0
     r_x, r_y = c0_x - x0_x, c0_y - x0_y
@@ -326,8 +333,8 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
         lam[5] = slope
 
     return StepPlan(
-        cop_T=np.array(cop),
-        gamma_T=np.array(gamma),
+        cop_T=cop,
+        gamma_T=gamma,
         sigma=sigma,
         duration=math.log(sigma) / omega,
         objective=_cost(nominal, sn, cop, sigma, gamma),
@@ -341,7 +348,7 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
 
 def plan_step(inp: PlannerInput) -> StepPlan:
     """Solve the step-adaptation program at trigger time."""
-    return _solve(inp.xi0.tolist(), inp.cop0.tolist(), inp.omega, inp.nominal, inp.bounds,
+    return _solve(inp.xi0, inp.cop0, inp.omega, inp.nominal, inp.bounds,
                   inp.bounds.T_min, inp.bounds.T_max, planned_at=0.0)
 
 
@@ -374,26 +381,24 @@ def replan(current: StepPlan, xi0, cop0, omega: float, nominal: NominalGait,
         remaining = max(current.landing_time - elapsed, 0.0)
         sigma = math.exp(omega * remaining)
         (x0_x, x0_y), (c0_x, c0_y) = xi0, cop0
-        cop = current.cop_T.tolist()
+        cop = current.cop_T
         cop_x, cop_y = cop
         gamma = (c0_x - cop_x + (x0_x - c0_x) * sigma, c0_y - cop_y + (x0_y - c0_y) * sigma)
         return StepPlan(
-            cop_T=current.cop_T.copy(),
-            gamma_T=np.array(gamma),
+            cop_T=cop,
+            gamma_T=gamma,
             sigma=sigma,
             duration=remaining,
             objective=_cost(nominal, math.exp(omega * nominal.T_nom), cop, sigma, gamma),
             status="terminal",
-            active_set=_binding_rows(cop, sigma, bounds.cop_min.tolist(), bounds.cop_max.tolist(),
+            active_set=_binding_rows(cop, sigma, bounds.cop_min, bounds.cop_max,
                                      *bounds.sigma_bounds(omega)),
             planned_at=elapsed,
         )
     return _solve(xi0, cop0, omega, nominal, bounds, t_lo, t_hi, planned_at=elapsed)
 
 
-def nominal_consistent_dcm(
-    nominal: NominalGait, cop0, omega: float
-) -> np.ndarray:
+def nominal_consistent_dcm(nominal: NominalGait, cop0, omega: float) -> tuple[float, float]:
     """DCM for which the nominal plan satisfies the boundary condition.
 
     Solving the equality for ``xi0`` with all decision variables pinned
@@ -401,24 +406,18 @@ def nominal_consistent_dcm(
     ``xi0 = cop0 - (cop0 - gamma_nom - cop_T_nom) / sigma_nom``;
     planning from this state returns the nominal plan with zero cost.
     """
-    cop0 = as_vec2(cop0, "cop0")
     sigma_nom = math.exp(omega * nominal.T_nom)
-    return cop0 - (cop0 - nominal.gamma_nom - nominal.cop_T_nom) / sigma_nom
+    (c_x, c_y), (g_x, g_y), (n_x, n_y) = as_vec2(cop0, "cop0"), nominal.gamma_nom, nominal.cop_T_nom
+    return c_x - (c_x - g_x - n_x) / sigma_nom, c_y - (c_y - g_y - n_y) / sigma_nom
 
 
 def mirror_gait(nominal: NominalGait) -> NominalGait:
     """Flip the lateral axis (right-swing convention to left-swing)."""
-    return replace(
-        nominal,
-        cop_T_nom=nominal.cop_T_nom * np.array([1.0, -1.0]),
-        gamma_nom=nominal.gamma_nom * np.array([1.0, -1.0]),
-    )
+    (cx, cy), (gx, gy) = nominal.cop_T_nom, nominal.gamma_nom
+    return replace(nominal, cop_T_nom=(cx, -cy), gamma_nom=(gx, -gy))
 
 
 def mirror_bounds(bounds: StepBounds) -> StepBounds:
     """Flip the lateral axis of the CoP box (swap and negate the y bounds)."""
-    return replace(
-        bounds,
-        cop_min=np.array([bounds.cop_min[0], -bounds.cop_max[1]]),
-        cop_max=np.array([bounds.cop_max[0], -bounds.cop_min[1]]),
-    )
+    (lo_x, lo_y), (hi_x, hi_y) = bounds.cop_min, bounds.cop_max
+    return replace(bounds, cop_min=(lo_x, -hi_y), cop_max=(hi_x, -lo_y))

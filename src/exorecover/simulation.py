@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -111,7 +112,7 @@ class PushEvent:
     """Impulsive disturbance applied to the CoM at a fixed time."""
 
     time: float  # s
-    impulse: np.ndarray  # (2,) N*s
+    impulse: tuple[float, float]  # N*s
 
     def __post_init__(self):
         object.__setattr__(self, "impulse", as_vec2(self.impulse, "impulse"))
@@ -129,7 +130,7 @@ class HumanPulse:
     torque: float  # N*m
 
     def __post_init__(self):
-        if self.joint not in (0, 1, 2):
+        if not isinstance(self.joint, Integral) or self.joint not in (0, 1, 2):
             raise ValueError(f"joint must be 0, 1 or 2, got {self.joint}")
         if not (0.0 <= self.start < self.end):
             raise ValueError(f"need 0 <= start < end, got [{self.start}, {self.end}]")
@@ -268,20 +269,10 @@ class ScenarioConfig:
         return 2.0 * (self.l0 + self.l1)
 
     def nominal_gait(self) -> NominalGait:
-        return NominalGait(
-            cop_T_nom=np.asarray(self.cop_nom, dtype=float),
-            gamma_nom=np.asarray(self.gamma_nom, dtype=float),
-            T_nom=self.t_nom,
-            weights=self.weights,
-        )
+        return NominalGait(self.cop_nom, self.gamma_nom, self.t_nom, self.weights)
 
     def step_bounds(self) -> StepBounds:
-        return StepBounds(
-            cop_min=np.asarray(self.cop_min, dtype=float),
-            cop_max=np.asarray(self.cop_max, dtype=float),
-            T_min=self.t_min,
-            T_max=self.t_max,
-        )
+        return StepBounds(self.cop_min, self.cop_max, self.t_min, self.t_max)
 
     def stance_frame(self, stance_xy, swing: Side = Side.RIGHT) -> tuple[NominalGait, StepBounds]:
         """Nominal gait and step bounds about the world stance point ``stance_xy``.
@@ -292,7 +283,8 @@ class ScenarioConfig:
         nominal, bounds = self.nominal_gait(), self.step_bounds()
         if swing is Side.LEFT:
             nominal, bounds = mirror_gait(nominal), mirror_bounds(bounds)
-        return replace(nominal, cop_T_nom=nominal.cop_T_nom + stance_xy), bounds.shift(stance_xy)
+        (nx, ny), (sx, sy) = nominal.cop_T_nom, stance_xy
+        return replace(nominal, cop_T_nom=(nx + sx, ny + sy)), bounds.shift(stance_xy)
 
     def validate(self) -> None:
         """Raise ConfigurationError listing every invalid field."""
@@ -343,6 +335,9 @@ class ScenarioConfig:
         check(0.0 < self.dt <= 0.01, f"dt must be in (0, 0.01], got {self.dt}")
         check(self.duration > 0.0, "duration must be positive")
         check(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        for name in ("debounce_cycles", "seed"):
+            value = getattr(self, name)
+            check(isinstance(value, Integral), f"{name} must be an integer, got {value}")
         check(self.attitude_noise_deg >= 0.0, "attitude_noise_deg must be >= 0")
         for i, p in enumerate(self.pushes):
             check(p.time <= self.duration, f"push {i} at t={p.time} is past the run duration")
@@ -398,10 +393,6 @@ class StepSummary:
     planned_landing: tuple[float, float] | None = None
     landed_position: tuple[float, float] | None = None
     planned_vs_landed_angle_deg: float | None = None
-
-
-def _vec(v) -> list[float]:
-    return [float(x) for x in np.asarray(v).reshape(-1)]
 
 
 class _Episode:
@@ -467,9 +458,7 @@ class Controller:
         self.events = events
         self.omega = config.lipm_params().omega
         self.limits = config.joint_limits()
-        self.gains = ImpedanceGains.from_deg(
-            np.asarray(config.stiffness_deg, dtype=float), np.asarray(config.damping, dtype=float)
-        )
+        self.gains = ImpedanceGains.from_deg(config.stiffness_deg, config.damping)
         self.mode = ControlMode(config.mode)
         self.foot_half = (config.foot_half_x, config.foot_half_y)
         width = config.resolved_stance_width()
@@ -508,7 +497,7 @@ class Controller:
             trig = self.detector.update(xi_hat, t)
             if trig is not None:
                 self.events.append(Event(t, "BalanceLost", {
-                    "xi": _vec(trig.xi), "excursion": trig.excursion,
+                    "xi": list(trig.xi), "excursion": trig.excursion,
                 }))
                 lift = self._begin_episode(t, meas)
 
@@ -526,7 +515,7 @@ class Controller:
             offset = math.sqrt(dx * dx + dy * dy)
             if self.detector.update_landing(offset, t):
                 self.events.append(Event(t, "Captured", {
-                    "xi": _vec(xi_hat), "cop": _vec(self.cop), "offset": offset,
+                    "xi": list(xi_hat), "cop": list(self.cop), "offset": offset,
                 }))
                 self.episode = None
             elif offset > self.config.chain_offset:
@@ -599,8 +588,8 @@ class Controller:
 
         self.events.append(Event(t, "PlanIssued", {
             "swing": swing.value,
-            "cop_T": _vec(plan.cop_T),
-            "gamma_T": _vec(plan.gamma_T),
+            "cop_T": list(plan.cop_T),
+            "gamma_T": list(plan.gamma_T),
             "duration": plan.duration,
             "sigma": plan.sigma,
             "objective": plan.objective,
@@ -626,7 +615,7 @@ class Controller:
             if new_plan.status == "terminal":
                 ep.frozen = True
             else:
-                (new_x, new_y), (old_x, old_y) = new_plan.cop_T.tolist(), ep.plan.cop_T.tolist()
+                (new_x, new_y), (old_x, old_y) = new_plan.cop_T, ep.plan.cop_T
                 moved = max(abs(new_x - old_x), abs(new_y - old_y))
                 # Compared as absolute times: the shorter difference of the
                 # two landing times rounds differently.
@@ -638,7 +627,7 @@ class Controller:
                     ep.traj = retarget(ep.traj, t - ep.traj_t0, new_plan)
                     ep.traj_t0 = t
                     self.events.append(Event(t, "Replanned", {
-                        "cop_T": _vec(new_plan.cop_T),
+                        "cop_T": list(new_plan.cop_T),
                         "remaining": new_plan.duration,
                         "landing_time": ep.trigger_time + new_plan.landing_time,
                         "sigma": new_plan.sigma,
@@ -656,8 +645,8 @@ class Controller:
         self.foot_point = (*landed, 0.0)
         self.detector.touchdown(t)
         self.events.append(Event(t, "TouchDown", {
-            "planned": _vec(ep.plan.cop_T),
-            "initial_planned": _vec(ep.initial_plan.cop_T),
+            "planned": list(ep.plan.cop_T),
+            "initial_planned": list(ep.initial_plan.cop_T),
             "landed": list(landed),
             "swing_start": list(ep.swing_start[:2]),
             "trigger_time": ep.trigger_time,
@@ -707,8 +696,8 @@ class Plant:
         self.events = events
         self.params = config.lipm_params()
         self.joint_params = PlantParams(config.inertia, config.viscous_damping)
-        self.com = tuple(as_vec2(config.com0, "com0").tolist())
-        self.vel = tuple(as_vec2(config.vel0, "vel0").tolist())
+        self.com = as_vec2(config.com0, "com0")
+        self.vel = as_vec2(config.vel0, "vel0")
         self.pushes = sorted(config.pushes, key=lambda p: (p.time, p.impulse[0], p.impulse[1]))
         noise_std = config.attitude_noise_deg * _DEG
         # Read as one flat stream of Python floats: pitch, roll, pitch, ...
@@ -732,8 +721,8 @@ class Plant:
         """Apply the pushes due at ``t``, then read the sensors."""
         while self.pushes and self.pushes[0].time <= t + 1e-12:
             push = self.pushes.pop(0)
-            self.vel = tuple(apply_impulse(np.array(self.vel), push.impulse, self.params).tolist())
-            self.events.append(Event(t, "PushApplied", {"impulse": _vec(push.impulse)}))
+            self.vel = apply_impulse(self.vel, push.impulse, self.params)
+            self.events.append(Event(t, "PushApplied", {"impulse": list(push.impulse)}))
 
         L = self.config.com_height
         (x, y), (ax, ay) = self.com, self.anchor

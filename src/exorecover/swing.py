@@ -115,7 +115,7 @@ class SwingTrajectory:
 
 def _landing(plan: StepPlan) -> tuple[float, float]:
     """The plan's landing point as floats, once its point and duration are checked."""
-    x, y = plan.cop_T.tolist()
+    x, y = plan.cop_T
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"plan landing point must be finite, got {plan.cop_T}")
     if not (plan.duration > 0.0) or not math.isfinite(plan.duration):

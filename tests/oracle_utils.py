@@ -22,7 +22,7 @@ def _cost_of_sigma(inp: PlannerInput, sigma: np.ndarray):
     """
     a1, a2, a3 = inp.nominal.weights
     sigma_nom = math.exp(inp.omega * inp.nominal.T_nom)
-    r = inp.cop0 - inp.xi0
+    r = np.subtract(inp.cop0, inp.xi0)
 
     cost = a3 * (sigma - sigma_nom) ** 2
     cops = []

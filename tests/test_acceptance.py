@@ -131,7 +131,7 @@ def plan_with_weights(weights) -> StepPlan:
 
 
 def step_length(plan: StepPlan) -> float:
-    return float(np.linalg.norm(plan.cop_T - default_nominal().cop_T_nom))
+    return float(np.linalg.norm(np.subtract(plan.cop_T, default_nominal().cop_T_nom)))
 
 
 def test_criterion_01_dcm_integration_matches_closed_form():
@@ -147,7 +147,7 @@ def test_criterion_01_dcm_integration_matches_closed_form():
         for _ in range(1000):
             com, vel = map(np.array, step_lipm(com, vel, cop, params, 1e-3))
         ref = dcm_closed_form(xi0, cop, params, 1.0)
-        worst = max(worst, float(np.abs(dcm_of(com, vel, params) - ref).max()))
+        worst = max(worst, float(np.abs(np.subtract(dcm_of(com, vel, params), ref)).max()))
     wall = time.perf_counter() - start
     ok = worst <= 1e-6 and wall < 1.0
     assert report(
@@ -194,8 +194,8 @@ def test_criterion_03_nominal_gait_is_a_planner_fixed_point():
         )
     )
     drift = max(
-        float(np.abs(plan.cop_T - nominal.cop_T_nom).max()),
-        float(np.abs(plan.gamma_T - nominal.gamma_nom).max()),
+        float(np.abs(np.subtract(plan.cop_T, nominal.cop_T_nom)).max()),
+        float(np.abs(np.subtract(plan.gamma_T, nominal.gamma_nom)).max()),
         abs(plan.duration - nominal.T_nom),
     )
     ok = plan.objective <= 1e-12 and plan.status == "optimal"

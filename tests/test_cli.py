@@ -76,6 +76,11 @@ def test_parse_errors_name_the_file_and_line(tmp_path):
         ("lipm.mass = 70\nlipm.mass = 60", "duplicate key"),
         ("push.0.impulse = 1,2,3", "invalid value"),
         ("push.x.time = 1", "bad index"),
+        # One spelling per index, so no two lines can name the same record.
+        ("push.1.time = 0.5\npush.01.time = 0.7", "bad index in 'push.01.time'"),
+        ("push.-1.time = 1", "bad index"),
+        ("push.+1.time = 1", "bad index"),
+        ("human.1_0.joint = 1", "bad index"),
         ("push.0.oomph = 1", "unknown key"),
     ]
     for text, fragment in cases:
@@ -183,13 +188,6 @@ def random_config(rng: np.random.Generator) -> ScenarioConfig:
     return ScenarioConfig(**values, pushes=pushes, human_pulses=tuple(pulses))
 
 
-def comparable(config: ScenarioConfig) -> ScenarioConfig:
-    """``config`` with each push as a ``(time, impulse list)`` pair, so that
-    ``==`` compares whole configs (a push's impulse is an array)."""
-    return dataclasses.replace(
-        config, pushes=[(p.time, p.impulse.tolist()) for p in config.pushes])
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_random_configs_roundtrip_through_the_text(tmp_path, seed):
     rng = np.random.default_rng(seed)
@@ -198,7 +196,23 @@ def test_random_configs_roundtrip_through_the_text(tmp_path, seed):
         text = cli.format_config(config)
         reparsed = cli.parse_scenario(write_scenario(tmp_path, text))
         assert cli.format_config(reparsed) == text
-        assert comparable(reparsed) == comparable(config)
+        assert reparsed == config
+
+
+def test_numpy_numbers_roundtrip_through_the_text(tmp_path):
+    """numpy scalars are written as plain numbers, which parse back."""
+    f = np.float64
+    config = ScenarioConfig(
+        duration=f(2.0), com0=(f(0.01), f(-0.0)), weights=(f(1.0), f(5.0), f(1 / 3)),
+        stance_width=f(0.2), seed=np.int64(3), debounce_cycles=np.int64(2),
+        pushes=(PushEvent(f(0.5), np.array([28.05, 0.0])),),
+        human_pulses=(HumanPulse(np.int64(1), f(0.1), f(0.2), f(0.5)),))
+    text = cli.format_config(config)
+    assert "np." not in text
+    assert "sim.duration = 2.0\n" in text and "lipm.com0 = 0.01,-0.0\n" in text
+    reparsed = cli.load_scenario(write_scenario(tmp_path, text))
+    assert reparsed == config
+    assert cli.format_config(reparsed) == text
 
 
 def test_scenario_key_help_lists_the_whole_schema():
@@ -598,6 +612,22 @@ def test_sweep_step_length_is_a_float_sum(tmp_path, monkeypatch):
         assert [row[-1] for row in rows] == ["1" if i == flagged else "0" for i in range(n)]
 
 
+def test_sweep_default_xi0_is_cop0_plus_a_forward_offset(tmp_path):
+    """The default ``--xi0`` is ``cop0 + (0.08, 0)``, so a ``--cop0`` y of -0.0
+    plans from a y of +0.0. The sign of that zero reaches sweep.csv when the
+    nominal gait and the CoP box are symmetric about y = 0."""
+    scenario = write_scenario(tmp_path, BASE_SCENARIO + (
+        "planner.cop_nom = 0.3,0\nplanner.gamma_nom = 0.05,0\n"
+        "planner.cop_min = -0.1,-0.1\nplanner.cop_max = 0.4,0.1\n"))
+    grid = write_scenario(tmp_path, GRID, name="grid.txt")
+    sweep = ["sweep-weights", "--scenario", str(scenario), "--grid", str(grid)]
+    for cop0, xi0 in (("0,-0", "0.08,0"), ("0.02,-0", "0.1,0"), ("0,0.01", "0.08,0.01")):
+        a, b = tmp_path / "default", tmp_path / "explicit"
+        assert cli.main(sweep + ["--out", str(a), "--cop0=" + cop0]) == 0
+        assert cli.main(sweep + ["--out", str(b), "--cop0=" + cop0, "--xi0=" + xi0]) == 0
+        assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
 def test_sweep_needs_at_least_two_triples(tmp_path, capsys):
     scenario = write_scenario(tmp_path)
     grid = write_scenario(tmp_path, "1, 5, 0.02\n", name="grid.txt")
@@ -611,8 +641,10 @@ def test_grid_errors_name_the_file_and_line(tmp_path, capsys):
     scenario = write_scenario(tmp_path)
     grid = write_scenario(tmp_path, "# alpha1, alpha2, alpha3\n1, 5, 0.02\n\n2, 5  # two\n",
                           name="grid.txt")
+    zero = write_scenario(tmp_path, "1, 5, 0.02\n0, 1, 1\n", name="zero.txt")
     missing = tmp_path / "missing.txt"
     for path, fragment in ((grid, f"{grid}:4: expected 3 comma-separated numbers"),
+                           (zero, f"{zero}:2: weights must be 3 positive numbers, got (0.0, 1.0, 1.0)"),
                            (missing, f"{missing}: cannot read grid:")):
         rc = cli.main(["sweep-weights", "--scenario", str(scenario),
                        "--grid", str(path), "--out", str(tmp_path / "s")])

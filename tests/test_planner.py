@@ -80,8 +80,8 @@ def test_nominal_state_is_a_fixed_point():
     xi0 = nominal_consistent_dcm(nominal, cop0, OMEGA)
     plan = plan_step(PlannerInput(xi0, cop0, OMEGA, nominal, default_bounds()))
     assert plan.status == "optimal"
-    assert np.abs(plan.cop_T - nominal.cop_T_nom).max() < 1e-10
-    assert np.abs(plan.gamma_T - nominal.gamma_nom).max() < 1e-10
+    assert np.abs(np.subtract(plan.cop_T, nominal.cop_T_nom)).max() < 1e-10
+    assert np.abs(np.subtract(plan.gamma_T, nominal.gamma_nom)).max() < 1e-10
     assert plan.duration == pytest.approx(nominal.T_nom, abs=1e-10)
     assert plan.objective <= 1e-12
     assert plan.active_set == ()
@@ -96,7 +96,8 @@ def test_boundary_condition_holds_on_random_instances():
             plan = plan_step(inp)
         except PlannerInfeasibleError:
             continue
-        residual = plan.gamma_T + plan.cop_T + (inp.cop0 - inp.xi0) * plan.sigma - inp.cop0
+        cop0 = np.asarray(inp.cop0)
+        residual = np.add(plan.gamma_T, plan.cop_T) + (cop0 - inp.xi0) * plan.sigma - cop0
         assert np.abs(residual).max() < 1e-8
 
 
@@ -108,8 +109,8 @@ def test_plan_respects_boxes():
             plan = plan_step(inp)
         except PlannerInfeasibleError:
             continue
-        assert np.all(plan.cop_T <= inp.bounds.cop_max + 1e-9)
-        assert np.all(plan.cop_T >= inp.bounds.cop_min - 1e-9)
+        assert np.all(np.asarray(plan.cop_T) <= np.asarray(inp.bounds.cop_max) + 1e-9)
+        assert np.all(np.asarray(plan.cop_T) >= np.asarray(inp.bounds.cop_min) - 1e-9)
         assert inp.bounds.T_min - 1e-9 <= plan.duration <= inp.bounds.T_max + 1e-9
         assert plan.sigma == pytest.approx(math.exp(inp.omega * plan.duration), rel=1e-12)
 
@@ -125,7 +126,7 @@ def test_predicted_landing_dcm_matches_pendulum_flow():
             continue
         params = LipmParams(gravity=inp.omega**2, com_height=1.0)
         xi_T = dcm_closed_form(inp.xi0, inp.cop0, params, plan.duration)
-        assert np.abs(plan.xi_T - xi_T).max() < 1e-8
+        assert np.abs(np.subtract(plan.xi_T, xi_T)).max() < 1e-8
 
 
 def test_objective_matches_brute_force_oracle():
@@ -162,8 +163,8 @@ def test_planning_cost_is_a_float_sum():
         except PlannerInfeasibleError:
             continue
         a1, a2, a3 = inp.nominal.weights
-        dx, dy = (plan.cop_T - inp.nominal.cop_T_nom).tolist()
-        ex, ey = (plan.gamma_T - inp.nominal.gamma_nom).tolist()
+        dx, dy = np.subtract(plan.cop_T, inp.nominal.cop_T_nom).tolist()
+        ex, ey = np.subtract(plan.gamma_T, inp.nominal.gamma_nom).tolist()
         ds = plan.sigma - math.exp(inp.omega * inp.nominal.T_nom)
         expected = a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * ds**2
         assert plan.objective == expected
@@ -234,7 +235,8 @@ def test_replan_far_into_swing_returns_terminal_plan():
     assert term.duration == pytest.approx(0.05, abs=1e-12)
     assert term.landing_time == pytest.approx(plan.landing_time, abs=1e-12)
     # The terminal offset still satisfies the boundary condition.
-    residual = term.gamma_T + term.cop_T + (inp.cop0 - inp.xi0) * term.sigma - inp.cop0
+    cop0 = np.asarray(inp.cop0)
+    residual = np.add(term.gamma_T, term.cop_T) + (cop0 - inp.xi0) * term.sigma - cop0
     assert np.abs(residual).max() < 1e-12
     # Its cost and binding rows are its own: the frozen landing point still
     # sits on cop_max_x, and the short remaining time binds no sigma row.
@@ -308,7 +310,7 @@ def test_mirror_bounds_involution():
     assert np.all(twice.cop_min == bounds.cop_min)
     assert np.all(twice.cop_max == bounds.cop_max)
     mirrored = mirror_bounds(bounds)
-    assert np.all(mirrored.cop_min <= mirrored.cop_max)
+    assert np.all(np.asarray(mirrored.cop_min) <= np.asarray(mirrored.cop_max))
 
 
 def test_bounds_validate_and_shift():
@@ -346,13 +348,14 @@ def test_replan_matches_cold_solve():
                 break
             # Rescaling the DCM offset, as a shove would, makes some replans
             # want a shorter step than the window allows.
-            inp_t = replace(inp, xi0=inp.cop0 + (inp.xi0 - inp.cop0) * rng.uniform(0.5, 4.0))
+            cop0 = np.asarray(inp.cop0)
+            inp_t = replace(inp, xi0=cop0 + (inp.xi0 - cop0) * rng.uniform(0.5, 4.0))
             new = replan(plan, inp_t.xi0, inp_t.cop0, inp_t.omega, inp_t.nominal, inp_t.bounds, elapsed)
             shrunk = replace(inp_t, bounds=replace(inp.bounds, T_min=t_lo, T_max=t_hi))
             problem = assemble_qp(shrunk)
             cold = solve_qp(problem)
             assert new.status == "optimal"
-            assert np.abs(new.cop_T - cold.z[0:2]).max() < 1e-8
+            assert np.abs(np.subtract(new.cop_T, cold.z[0:2])).max() < 1e-8
             assert new.sigma == pytest.approx(float(cold.z[2]), abs=1e-8)
             assert kkt_residual(problem, new).max() < 1e-8
             seen.append(set(new.active_set))
@@ -402,8 +405,9 @@ def test_in_flight_replan_is_the_planner_input_form_bit_for_bit():
         inp = random_input(rng)
         plan = plan_step(inp)
         for elapsed in sorted(rng.uniform(0.0, plan.landing_time + 0.05, 6).tolist()):
-            xi = inp.cop0 + (inp.xi0 - inp.cop0) * rng.uniform(0.5, 3.0)
-            new = replan(plan, tuple(xi.tolist()), tuple(inp.cop0.tolist()), inp.omega,
+            cop0 = np.asarray(inp.cop0)
+            xi = cop0 + (inp.xi0 - cop0) * rng.uniform(0.5, 3.0)
+            new = replan(plan, tuple(xi.tolist()), inp.cop0, inp.omega,
                          inp.nominal, inp.bounds, elapsed)
             checked = replace(inp, xi0=xi)
             t_lo = max(REPLAN_FLOOR, inp.bounds.T_min - elapsed)
@@ -414,7 +418,7 @@ def test_in_flight_replan_is_the_planner_input_form_bit_for_bit():
             else:
                 remaining = max(plan.landing_time - elapsed, 0.0)
                 sigma = math.exp(inp.omega * remaining)
-                gamma_T = inp.cop0 - plan.cop_T + (xi - inp.cop0) * sigma
+                gamma_T = cop0 - plan.cop_T + (xi - cop0) * sigma
                 s_min, s_max = inp.bounds.sigma_bounds(inp.omega)
                 lo, hi = inp.bounds.cop_min, inp.bounds.cop_max
                 on = (plan.cop_T[0] == hi[0], plan.cop_T[1] == hi[1], plan.cop_T[0] == lo[0],
@@ -424,8 +428,8 @@ def test_in_flight_replan_is_the_planner_input_form_bit_for_bit():
                     objective=planning_cost(checked, plan.cop_T, sigma, gamma_T),
                     status="terminal", active_set=tuple(i for i, b in enumerate(on) if b),
                     planned_at=elapsed, eq_multipliers=(0.0, 0.0), ineq_multipliers=(0.0,) * 6)
-            assert new.cop_T.tobytes() == want.cop_T.tobytes()
-            assert new.gamma_T.tobytes() == want.gamma_T.tobytes()
+            assert np.asarray(new.cop_T).tobytes() == np.asarray(want.cop_T).tobytes()
+            assert np.asarray(new.gamma_T).tobytes() == np.asarray(want.gamma_T).tobytes()
             for name in ("sigma", "duration", "objective", "status", "active_set", "planned_at",
                          "eq_multipliers", "ineq_multipliers"):
                 assert getattr(new, name) == getattr(want, name), name

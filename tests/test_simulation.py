@@ -57,6 +57,46 @@ def test_estimate_com_inverts_the_attitude_pathway():
     assert tilted[1] == 0.0
 
 
+def is_pair(value) -> bool:
+    return type(value) is tuple and len(value) == 2 and all(type(v) is float for v in value)
+
+
+def test_planar_vectors_are_float_pairs():
+    """Every planar vector the package stores or returns is an ``(x, y)`` pair
+    of Python floats, whatever sequence it was built from."""
+    from exorecover import (BalanceDetector, PlannerInput, Side, SwayEllipse, apply_impulse,
+                            com_closed_form, dcm_closed_form, dcm_of, mirror_bounds,
+                            mirror_gait, nominal_consistent_dcm, plan_step, replan)
+
+    config = ScenarioConfig()
+    params = config.lipm_params()
+    nominal, bounds = config.stance_frame(np.array([0.0, 0.1]), Side.LEFT)
+    xi0 = np.array([0.08, 0.02])
+    inp = PlannerInput(xi0, np.array([0.0, 0.1]), params.omega, nominal, bounds)
+    plan = plan_step(inp)
+    optimal = replan(plan, (0.09, 0.02), inp.cop0, inp.omega, nominal, bounds, 0.05)
+    terminal = replan(plan, (0.09, 0.02), inp.cop0, inp.omega, nominal, bounds, 10.0)
+    assert (optimal.status, terminal.status) == ("optimal", "terminal")
+    detector = BalanceDetector(SwayEllipse(np.zeros(2), 0.05, 0.05), debounce_cycles=1)
+    trigger = detector.update(np.array([0.1, 0.0]), 0.0)
+    values = [
+        nominal.cop_T_nom, nominal.gamma_nom, bounds.cop_min, bounds.cop_max, inp.xi0, inp.cop0,
+        *(p.cop_T for p in (plan, optimal, terminal)),
+        *(p.gamma_T for p in (plan, optimal, terminal)),
+        *(p.xi_T for p in (plan, optimal, terminal)),
+        PushEvent(0.5, np.array([20.0, 0.0])).impulse, trigger.xi, detector.ellipse.center,
+        apply_impulse(np.zeros(2), np.array([20.0, 0.0]), params),
+        dcm_of(np.zeros(2), np.ones(2), params),
+        dcm_closed_form(xi0, np.zeros(2), params, 0.1),
+        com_closed_form(np.zeros(2), xi0, params, 0.1),
+        nominal_consistent_dcm(nominal, np.zeros(2), params.omega),
+        mirror_gait(nominal).cop_T_nom, mirror_gait(nominal).gamma_nom,
+        mirror_bounds(bounds).cop_min, mirror_bounds(bounds).cop_max,
+        bounds.shift(np.array([0.1, 0.0])).cop_min, bounds.shift(np.array([0.1, 0.0])).cop_max,
+    ]
+    assert [i for i, v in enumerate(values) if not is_pair(v)] == []
+
+
 def test_push_event_and_human_pulse_validation():
     PushEvent(0.0, [1.0, 0.0])
     with pytest.raises(ValueError):
@@ -71,6 +111,8 @@ def test_push_event_and_human_pulse_validation():
         HumanPulse(joint=0, start=0.2, end=0.2, torque=1.0)
     with pytest.raises(ValueError):
         HumanPulse(joint=0, start=-0.1, end=0.2, torque=1.0)
+    with pytest.raises(ValueError, match="joint must be 0, 1 or 2, got 1.0"):
+        HumanPulse(1.0, 0, 0.02, 1.0)
 
 
 def test_ankle_clamp_boxes_the_dcm():
@@ -139,6 +181,12 @@ def test_config_validation_collects_every_error():
     for fragment in ("gravity", "mass", "dt", "torque_kp", "mode", "seed must be >= 0",
                      "push 0"):
         assert fragment in msg
+
+    # Counts and the noise seed are integers: neither is rounded or left to fail mid-run.
+    with pytest.raises(ConfigurationError) as err:
+        ScenarioConfig(seed=1.5, attitude_noise_deg=0.1, debounce_cycles=2.5).validate()
+    assert str(err.value) == ("invalid scenario: debounce_cycles must be an integer, got 2.5; "
+                              "seed must be an integer, got 1.5")
 
 
 NUMERIC_FIELDS = [
@@ -468,17 +516,19 @@ def test_noisy_readings_match_per_tick_draws(monkeypatch):
 
 
 def test_control_loop_checks_inputs_once(monkeypatch):
-    """No per-tick call re-checks the loop's own arrays.
+    """No per-tick call re-checks the loop's own vectors or builds an array.
 
     Every ``exorecover`` binding of ``as_vec2`` and ``_as_vec3`` is
-    counted.  The forward push is captured before 2 s, so a third second
-    adds only standing ticks and no ``as_vec2`` call; and a whole run
-    calls ``_as_vec3`` only to build its impedance gains.
+    counted, and so is every ``numpy.array`` and ``numpy.asarray`` call.
+    The forward push is captured before 2 s, so a third second adds only
+    standing ticks and no ``as_vec2`` call; a whole run calls ``_as_vec3``
+    only to build its impedance gains; and a longer nominal step adds
+    swing ticks, each one replanned, but no numpy array.
     """
     from exorecover.impedance import _as_vec3
     from exorecover.lipm import as_vec2
 
-    counts = {"as_vec2": 0, "_as_vec3": 0}
+    counts = {"as_vec2": 0, "_as_vec3": 0, "numpy": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -491,6 +541,8 @@ def test_control_loop_checks_inputs_once(monkeypatch):
         for name, fn in (("as_vec2", as_vec2), ("_as_vec3", _as_vec3)):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
+    for name in ("array", "asarray"):
+        monkeypatch.setattr(np, name, counting("numpy", getattr(np, name)))
 
     def calls(action):
         before = dict(counts)
@@ -502,10 +554,15 @@ def test_control_loop_checks_inputs_once(monkeypatch):
     config = ScenarioConfig(pushes=push, duration=3.0)
     _, long_calls = calls(lambda: run_scenario(config))
     _, gain_calls = calls(lambda: ImpedanceGains.from_deg(config.stiffness_deg, config.damping))
+    slow, slow_calls = calls(lambda: run_scenario(ScenarioConfig(pushes=push, duration=2.0,
+                                                                 t_nom=0.6)))
 
     assert summarize(short).capture_time < 2.0
     assert long_calls["as_vec2"] == short_calls["as_vec2"]
     assert long_calls["_as_vec3"] == gain_calls["_as_vec3"] > 0
+    assert slow.phase.count("Swing") > short.phase.count("Swing") + 30
+    assert summarize(slow).num_replans > summarize(short).num_replans
+    assert slow_calls["numpy"] == short_calls["numpy"]
 
 
 # --------------------------------------------------------------------------
