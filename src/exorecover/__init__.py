@@ -40,7 +40,6 @@ from .planner import (
     PlannerInput,
     StepBounds,
     StepPlan,
-    assemble_qp,
     constraint_names,
     mirror_bounds,
     mirror_gait,
@@ -49,7 +48,6 @@ from .planner import (
     planning_cost,
     replan,
 )
-from .qp import ActiveSetQp, KktResidual, QpProblem, QpSolution, kkt_residual, solve_qp
 from .simulation import (
     Event,
     HumanPulse,

@@ -366,7 +366,7 @@ def write_summary(trace: SimTrace, path) -> StepSummary:
     return summary
 
 
-def write_gnuplot(path, trace_name: str = "trace.csv") -> None:
+def write_gnuplot(path) -> None:
     text = "\n".join([
         'set datafile separator ","',
         "set key autotitle columnhead",
@@ -375,10 +375,10 @@ def write_gnuplot(path, trace_name: str = "trace.csv") -> None:
         "set output 'trace.png'",
         "set multiplot layout 2,1",
         "set ylabel 'x [m]'",
-        f"plot '{trace_name}' using 1:2 with lines, '' using 1:6 with lines, "
+        "plot 'trace.csv' using 1:2 with lines, '' using 1:6 with lines, "
         "'' using 1:8 with lines",
         "set ylabel 'y [m]'",
-        f"plot '{trace_name}' using 1:3 with lines, '' using 1:7 with lines, "
+        "plot 'trace.csv' using 1:3 with lines, '' using 1:7 with lines, "
         "'' using 1:9 with lines",
         "unset multiplot",
         "",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 from .errors import PhaseTransitionError
 from .lipm import as_vec2
@@ -90,8 +91,8 @@ class BalanceDetector:
         capture_tolerance: float = 0.02,
         capture_hold: float = 0.2,
     ):
-        if debounce_cycles < 1:
-            raise ValueError(f"debounce_cycles must be >= 1, got {debounce_cycles}")
+        if not isinstance(debounce_cycles, Integral) or debounce_cycles < 1:
+            raise ValueError(f"debounce_cycles must be an integer >= 1, got {debounce_cycles}")
         if not (capture_tolerance > 0.0):
             raise ValueError(f"capture_tolerance must be positive, got {capture_tolerance}")
         if not (capture_hold >= 0.0):

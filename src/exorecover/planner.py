@@ -14,7 +14,12 @@ landing point, a nominal landing offset and a nominal duration:
     alpha1*|cop_T - cop_T_nom|^2 + alpha2*|gamma_T - gamma_nom|^2
         + alpha3*(sigma - exp(omega*T_nom))^2
 
-subject to box bounds on ``cop_T`` and ``sigma``.
+subject to box bounds on ``cop_T`` and ``sigma``.  As a QP in
+``z = (cop_x, cop_y, sigma, gamma_x, gamma_y)`` the boundary condition
+is two equality rows ``E z = e`` and the boxes are the six rows
+``C z <= d`` named by :func:`constraint_names`; an optimal plan's KKT
+multipliers ``nu`` and ``lam >= 0`` satisfy
+``grad cost(z) + E' nu + C' lam = 0``.
 
 The program is solved exactly in ``sigma`` alone, as in Khadiv et al.,
 "Step timing adjustment", Humanoids 2016.  With ``r = cop0 - xi0`` the
@@ -27,14 +32,12 @@ breakpoint wherever some ``c*_a`` crosses a CoP bound: at most four
 inside ``[sigma_min, sigma_max]``.  Its derivative is linear on each
 piece, so the minimiser is a sigma bound or the vertex of the piece on
 which the derivative changes sign.  Only ``math`` and Python floats are
-used, so planning does not depend on LAPACK.  :func:`assemble_qp` builds
-the same program as a five-variable QP, the reference that tests and
-KKT certificates check the planner against.
+used, so planning does not depend on LAPACK.
 
 Planar vectors (``xi0``, ``cop0``, the nominal point and offset, the CoP
 box corners and the plan's ``cop_T``, ``gamma_T`` and ``xi_T``) are
 ``(x, y)`` pairs of Python floats, checked once by the dataclass that
-holds them.  Only the reference QP and :attr:`StepPlan.z` are arrays.
+holds them.
 """
 
 from __future__ import annotations
@@ -42,18 +45,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import PlannerInfeasibleError
 from .lipm import as_vec2
-from .qp import QpProblem
 
 __all__ = [
     "NominalGait",
     "StepBounds",
     "PlannerInput",
     "StepPlan",
-    "assemble_qp",
     "plan_step",
     "replan",
     "planning_cost",
@@ -152,9 +151,10 @@ class StepPlan:
     solved (for :func:`replan`, the one with the shrunk duration window)
     and ``"terminal"`` for a frozen plan that finishes the swing on
     schedule.  ``active_set`` lists the :func:`constraint_names` rows that
-    hold with equality.  An optimal plan carries its KKT multipliers, so
-    ``kkt_residual(assemble_qp(inp), plan)`` certifies it; a terminal
-    plan leaves them zero.
+    hold with equality.  An optimal plan carries the KKT multipliers of
+    the five-variable QP (``eq_multipliers`` for the two boundary-condition
+    rows, ``ineq_multipliers`` for the six box rows), which certify it
+    against that QP; a terminal plan leaves them zero.
     """
 
     cop_T: tuple[float, float]  # m, world landing CoP
@@ -179,11 +179,6 @@ class StepPlan:
         (cx, cy), (gx, gy) = self.cop_T, self.gamma_T
         return cx + gx, cy + gy
 
-    @property
-    def z(self) -> np.ndarray:
-        """Decision vector ``[cop_x, cop_y, sigma, gamma_x, gamma_y]`` of :func:`assemble_qp`."""
-        return np.array([*self.cop_T, self.sigma, *self.gamma_T])
-
 
 def constraint_names() -> tuple[str, ...]:
     return (
@@ -194,51 +189,6 @@ def constraint_names() -> tuple[str, ...]:
         "sigma <= exp(omega*T_max)",
         "sigma >= exp(omega*T_min)",
     )
-
-
-def assemble_qp(inp: PlannerInput) -> QpProblem:
-    """Build the 5-variable QP of one planning solve, for reference checks."""
-    a1, a2, a3 = inp.nominal.weights
-    sigma_nom = math.exp(inp.omega * inp.nominal.T_nom)
-
-    H = 2.0 * np.diag([a1, a1, a3, a2, a2])
-    g = -2.0 * np.array(
-        [
-            a1 * inp.nominal.cop_T_nom[0],
-            a1 * inp.nominal.cop_T_nom[1],
-            a3 * sigma_nom,
-            a2 * inp.nominal.gamma_nom[0],
-            a2 * inp.nominal.gamma_nom[1],
-        ]
-    )
-
-    # Per-axis boundary condition: gamma + cop_T + (cop0 - xi0)*sigma = cop0.
-    E = np.array(
-        [
-            [1.0, 0.0, inp.cop0[0] - inp.xi0[0], 1.0, 0.0],
-            [0.0, 1.0, inp.cop0[1] - inp.xi0[1], 0.0, 1.0],
-        ]
-    )
-    e = np.array(inp.cop0)
-
-    s_min, s_max = inp.bounds.sigma_bounds(inp.omega)
-    C_rows = [
-        [1.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0, 0.0, 0.0],
-    ]
-    d_rows = [
-        inp.bounds.cop_max[0],
-        inp.bounds.cop_max[1],
-        -inp.bounds.cop_min[0],
-        -inp.bounds.cop_min[1],
-        s_max,
-        -s_min,
-    ]
-    return QpProblem(H, g, E, e, np.array(C_rows), np.array(d_rows))
 
 
 def _cost(nominal: NominalGait, sigma_nom: float, cop, sigma: float, gamma) -> float:
@@ -317,7 +267,7 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
             sigma = min(max(s0 - d0 * (s1 - s0) / (d1 - d0), s0), s1)
     cop, gamma, nu, slope = at(sigma)
 
-    # The other KKT multipliers of assemble_qp in closed form: the clipped
+    # The other KKT multipliers of the QP in closed form: the clipped
     # CoP bound's from the cop stationarity row, the sigma bound's from
     # the sigma row, slope + lam_max - lam_min = 0.
     lam = [0.0] * 6

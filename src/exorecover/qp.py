@@ -22,24 +22,23 @@ active-set loop minimises ``t``.  If the optimum slack stays positive
 the problem is reported infeasible together with the violated rows.
 
 The step planner solves its own program exactly and does not call this
-solver; it stays as the independent reference that tests compare the
-planner against, and :func:`kkt_residual` certifies either.
+solver, and the package does not import this module.  Tests use it as
+the independent reference they compare the planner against, and
+``bench/spans.py`` traces :meth:`ActiveSetQp.solve` until ROADMAP item 7
+stops doing so.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "QpProblem",
     "QpSolution",
-    "KktResidual",
     "ActiveSetQp",
     "solve_qp",
-    "kkt_residual",
 ]
 
 MAX_VARIABLES = 32
@@ -139,19 +138,6 @@ class QpSolution:
     iterations: int
     objective_trace: tuple[float, ...]
     violated: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class KktResidual:
-    """Infinity norms of the first-order optimality conditions."""
-
-    stationarity: float
-    primal_eq: float
-    primal_ineq: float
-    complementarity: float
-
-    def max(self) -> float:
-        return max(self.stationarity, self.primal_eq, self.primal_ineq, self.complementarity)
 
 
 def _cholesky_with_regularisation(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,28 +383,3 @@ def solve_qp(problem: QpProblem, max_iterations: int = 200) -> QpSolution:
     """One-shot convenience wrapper around :class:`ActiveSetQp`."""
     return ActiveSetQp(max_iterations=max_iterations).solve(problem)
 
-
-def kkt_residual(problem: QpProblem, solution: QpSolution) -> KktResidual:
-    """First-order residuals of ``solution`` against the original data.
-
-    ``solution`` is anything with ``z``, ``eq_multipliers`` and
-    ``ineq_multipliers``: a :class:`QpSolution` or a planner ``StepPlan``.
-    """
-    z = solution.z
-    H, g = problem.hessian, problem.linear
-    E, e = problem.eq_matrix, problem.eq_rhs
-    C, d = problem.ineq_matrix, problem.ineq_rhs
-    lam = np.asarray(solution.ineq_multipliers, dtype=float)
-    nu = np.asarray(solution.eq_multipliers, dtype=float)
-
-    grad = H @ z + g
-    if E.shape[0]:
-        grad = grad + E.T @ nu
-    if C.shape[0]:
-        grad = grad + C.T @ lam
-    stationarity = float(np.abs(grad).max(initial=0.0))
-    primal_eq = float(np.abs(E @ z - e).max(initial=0.0)) if E.shape[0] else 0.0
-    slack = C @ z - d if C.shape[0] else np.zeros(0)
-    primal_ineq = float(np.maximum(slack, 0.0).max(initial=0.0))
-    complementarity = float(np.abs(lam * slack).max(initial=0.0)) if C.shape[0] else 0.0
-    return KktResidual(stationarity, primal_eq, primal_ineq, complementarity)

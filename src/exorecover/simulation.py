@@ -334,6 +334,9 @@ class ScenarioConfig:
         check(self.foot_half_y > 0.0, "foot_half_y must be positive")
         check(0.0 < self.dt <= 0.01, f"dt must be in (0, 0.01], got {self.dt}")
         check(self.duration > 0.0, "duration must be positive")
+        if 0.0 < self.dt <= 0.01 and 0.0 < self.duration < math.inf:  # else reported above
+            check(round(self.duration / self.dt) >= 1,
+                  f"duration {self.duration} is shorter than one control cycle of {self.dt}")
         check(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         for name in ("debounce_cycles", "seed"):
             value = getattr(self, name)
@@ -781,8 +784,6 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     """Run one scenario to completion and return the dense trace."""
     config.validate()
     n_rows = int(round(config.duration / config.dt))
-    if n_rows < 1:
-        raise ConfigurationError("duration shorter than one control cycle")
     events: list[Event] = []
     plant = Plant(config, events, n_rows)
     controller = Controller(config, events, plant.q)

@@ -6,13 +6,20 @@ eliminates the landing offset through the touchdown boundary condition
 landing CoP exactly (for fixed ``sigma`` the CoP subproblem is a
 separable clipped quadratic per axis), and refines the remaining
 one-dimensional convex problem in ``sigma`` on a zooming grid.
+
+:func:`assemble_qp` writes one planning solve as the five-variable QP
+that the reference solver in :mod:`exorecover.qp` takes, and
+:func:`kkt_residual` certifies a solver result or (through
+:func:`plan_kkt_residual`) a planner ``StepPlan`` against it.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from exorecover import PlannerInput
+from exorecover import PlannerInput, StepPlan
+from exorecover.qp import QpProblem, QpSolution
 
 
 def _cost_of_sigma(inp: PlannerInput, sigma: np.ndarray):
@@ -61,3 +68,97 @@ def brute_force_plan(
     one = np.array([best_sigma])
     cost, cx, cy = _cost_of_sigma(inp, one)
     return np.array([cx[0], cy[0]]), best_sigma, float(cost[0])
+
+
+def assemble_qp(inp: PlannerInput) -> QpProblem:
+    """Build the 5-variable QP of one planning solve, for reference checks.
+
+    The variables are ``z = [cop_x, cop_y, sigma, gamma_x, gamma_y]``;
+    the inequality rows follow :func:`exorecover.constraint_names`.
+    """
+    a1, a2, a3 = inp.nominal.weights
+    sigma_nom = math.exp(inp.omega * inp.nominal.T_nom)
+
+    H = 2.0 * np.diag([a1, a1, a3, a2, a2])
+    g = -2.0 * np.array(
+        [
+            a1 * inp.nominal.cop_T_nom[0],
+            a1 * inp.nominal.cop_T_nom[1],
+            a3 * sigma_nom,
+            a2 * inp.nominal.gamma_nom[0],
+            a2 * inp.nominal.gamma_nom[1],
+        ]
+    )
+
+    # Per-axis boundary condition: gamma + cop_T + (cop0 - xi0)*sigma = cop0.
+    E = np.array(
+        [
+            [1.0, 0.0, inp.cop0[0] - inp.xi0[0], 1.0, 0.0],
+            [0.0, 1.0, inp.cop0[1] - inp.xi0[1], 0.0, 1.0],
+        ]
+    )
+    e = np.array(inp.cop0)
+
+    s_min, s_max = inp.bounds.sigma_bounds(inp.omega)
+    C_rows = [
+        [1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, -1.0, 0.0, 0.0],
+    ]
+    d_rows = [
+        inp.bounds.cop_max[0],
+        inp.bounds.cop_max[1],
+        -inp.bounds.cop_min[0],
+        -inp.bounds.cop_min[1],
+        s_max,
+        -s_min,
+    ]
+    return QpProblem(H, g, E, e, np.array(C_rows), np.array(d_rows))
+
+
+@dataclass(frozen=True)
+class KktResidual:
+    """Infinity norms of the first-order optimality conditions."""
+
+    stationarity: float
+    primal_eq: float
+    primal_ineq: float
+    complementarity: float
+
+    def max(self) -> float:
+        return max(self.stationarity, self.primal_eq, self.primal_ineq, self.complementarity)
+
+
+def _residual(problem: QpProblem, z, eq_multipliers, ineq_multipliers) -> KktResidual:
+    z = np.asarray(z, dtype=float)
+    H, g = problem.hessian, problem.linear
+    E, e = problem.eq_matrix, problem.eq_rhs
+    C, d = problem.ineq_matrix, problem.ineq_rhs
+    lam = np.asarray(ineq_multipliers, dtype=float)
+    nu = np.asarray(eq_multipliers, dtype=float)
+
+    grad = H @ z + g
+    if E.shape[0]:
+        grad = grad + E.T @ nu
+    if C.shape[0]:
+        grad = grad + C.T @ lam
+    stationarity = float(np.abs(grad).max(initial=0.0))
+    primal_eq = float(np.abs(E @ z - e).max(initial=0.0)) if E.shape[0] else 0.0
+    slack = C @ z - d if C.shape[0] else np.zeros(0)
+    primal_ineq = float(np.maximum(slack, 0.0).max(initial=0.0))
+    complementarity = float(np.abs(lam * slack).max(initial=0.0)) if C.shape[0] else 0.0
+    return KktResidual(stationarity, primal_eq, primal_ineq, complementarity)
+
+
+def kkt_residual(problem: QpProblem, solution: QpSolution) -> KktResidual:
+    """First-order residuals of a solver result against the original data."""
+    return _residual(problem, solution.z, solution.eq_multipliers, solution.ineq_multipliers)
+
+
+def plan_kkt_residual(inp: PlannerInput, plan: StepPlan) -> KktResidual:
+    """First-order residuals of a planner result against ``assemble_qp(inp)``."""
+    z = [*plan.cop_T, plan.sigma, *plan.gamma_T]
+    return _residual(assemble_qp(inp), z, plan.eq_multipliers, plan.ineq_multipliers)

@@ -268,6 +268,14 @@ def test_simulate_exit_codes(tmp_path, capsys):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 
+    # A run shorter than one tick is rejected with the other input errors.
+    short = write_scenario(tmp_path, "sim.duration = 0.0004\n", name="short.txt")
+    rc = cli.main(["simulate", "--scenario", str(short), "--out", str(tmp_path / "short")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: invalid scenario: duration 0.0004 is shorter "
+                                       "than one control cycle of 0.001\n")
+    assert not (tmp_path / "short").exists()
+
     aborting = write_scenario(tmp_path, BASE_SCENARIO + ABORT_OVERRIDES, name="abort.txt")
     out = tmp_path / "aborted"
     rc = cli.main(["simulate", "--scenario", str(aborting), "--out", str(out)])
@@ -736,16 +744,28 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_python_m_exorecover_runs_the_cli(tmp_path):
-    scenario = write_scenario(tmp_path)
+def run_fresh_python(*args):
+    """Run a new interpreter that imports the package from this checkout's ``src``."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "exorecover", "plan", "--scenario", str(scenario), *PLAN_ARGS],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_python_m_exorecover_runs_the_cli(tmp_path):
+    scenario = write_scenario(tmp_path)
+    result = run_fresh_python("-m", "exorecover", "plan", "--scenario", str(scenario), *PLAN_ARGS)
     assert result.returncode == 0, result.stderr
     assert "status = optimal" in result.stdout.splitlines()
+
+
+def test_importing_the_cli_leaves_the_reference_qp_unloaded():
+    # The planner solves its program exactly; the QP solver is a test reference only.
+    result = run_fresh_python("-c", "import sys, exorecover.cli; print('exorecover.qp' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

@@ -162,8 +162,10 @@ def test_update_outside_standing_is_inert_but_advances_clock():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        BalanceDetector(ELLIPSE, debounce_cycles=0)
+    for bad in (0, 1.5):
+        with pytest.raises(ValueError):
+            BalanceDetector(ELLIPSE, debounce_cycles=bad)
+    assert BalanceDetector(ELLIPSE, debounce_cycles=np.int64(2)).debounce_cycles == 2
     with pytest.raises(ValueError):
         BalanceDetector(ELLIPSE, capture_tolerance=0.0)
     with pytest.raises(ValueError):

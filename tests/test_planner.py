@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracle_utils import brute_force_plan
+from oracle_utils import assemble_qp, brute_force_plan, plan_kkt_residual
 
 from exorecover import (
     LipmParams,
@@ -14,20 +14,18 @@ from exorecover import (
     PlannerInput,
     ScenarioConfig,
     StepBounds,
-    assemble_qp,
     constraint_names,
     dcm_closed_form,
-    kkt_residual,
     mirror_bounds,
     mirror_gait,
     nominal_consistent_dcm,
     plan_step,
     planning_cost,
     replan,
-    solve_qp,
 )
 from exorecover.errors import ConfigurationError
 from exorecover.planner import REPLAN_FLOOR
+from exorecover.qp import solve_qp
 
 OMEGA = 3.3388212400078077  # sqrt(9.81 / 0.88)
 
@@ -352,12 +350,11 @@ def test_replan_matches_cold_solve():
             inp_t = replace(inp, xi0=cop0 + (inp.xi0 - cop0) * rng.uniform(0.5, 4.0))
             new = replan(plan, inp_t.xi0, inp_t.cop0, inp_t.omega, inp_t.nominal, inp_t.bounds, elapsed)
             shrunk = replace(inp_t, bounds=replace(inp.bounds, T_min=t_lo, T_max=t_hi))
-            problem = assemble_qp(shrunk)
-            cold = solve_qp(problem)
+            cold = solve_qp(assemble_qp(shrunk))
             assert new.status == "optimal"
             assert np.abs(np.subtract(new.cop_T, cold.z[0:2])).max() < 1e-8
             assert new.sigma == pytest.approx(float(cold.z[2]), abs=1e-8)
-            assert kkt_residual(problem, new).max() < 1e-8
+            assert plan_kkt_residual(shrunk, new).max() < 1e-8
             seen.append(set(new.active_set))
     # The cases cover a clipped CoP on each axis and sigma at each bound.
     assert any(rows & {0, 2} for rows in seen) and any(rows & {1, 3} for rows in seen)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from oracle_utils import KktResidual, kkt_residual
 
-from exorecover import ActiveSetQp, KktResidual, QpProblem, QpSolution, kkt_residual, solve_qp
+from exorecover.qp import ActiveSetQp, QpProblem, QpSolution, solve_qp
 
 
 def test_unconstrained_minimum():

@@ -188,6 +188,11 @@ def test_config_validation_collects_every_error():
     assert str(err.value) == ("invalid scenario: debounce_cycles must be an integer, got 2.5; "
                               "seed must be an integer, got 1.5")
 
+    # The one-tick rule divides by dt, so it is skipped when dt is itself invalid.
+    with pytest.raises(ConfigurationError) as err:
+        ScenarioConfig(dt=0.0, duration=0.0004).validate()
+    assert str(err.value) == "invalid scenario: dt must be in (0, 0.01], got 0.0"
+
 
 NUMERIC_FIELDS = [
     f for f in dataclasses.fields(ScenarioConfig) if "key" in f.metadata and f.name != "mode"
