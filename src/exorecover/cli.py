@@ -470,7 +470,7 @@ def cmd_sweep_weights(args) -> int:
         grid = _read_grid(args.grid)
         cop0 = _vec2(args.cop0)
         # `+ 0.0` turns a y of -0.0 into 0.0; the sign of that zero reaches sweep.csv.
-        xi0 = _vec2(args.xi0) if args.xi0 else (cop0[0] + 0.08, cop0[1] + 0.0)
+        xi0 = _vec2(args.xi0) if args.xi0 is not None else (cop0[0] + 0.08, cop0[1] + 0.0)
         base, bounds = config.stance_frame(cop0)
         gaits = []
         for where, weights in grid:

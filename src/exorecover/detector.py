@@ -93,10 +93,10 @@ class BalanceDetector:
     ):
         if not isinstance(debounce_cycles, Integral) or debounce_cycles < 1:
             raise ValueError(f"debounce_cycles must be an integer >= 1, got {debounce_cycles}")
-        if not (capture_tolerance > 0.0):
-            raise ValueError(f"capture_tolerance must be positive, got {capture_tolerance}")
-        if not (capture_hold >= 0.0):
-            raise ValueError(f"capture_hold must be >= 0, got {capture_hold}")
+        if not (0.0 < capture_tolerance < math.inf):
+            raise ValueError(f"capture_tolerance must be positive and finite, got {capture_tolerance}")
+        if not (0.0 <= capture_hold < math.inf):
+            raise ValueError(f"capture_hold must be >= 0 and finite, got {capture_hold}")
         self.ellipse = ellipse
         self.debounce_cycles = int(debounce_cycles)
         self.capture_tolerance = float(capture_tolerance)

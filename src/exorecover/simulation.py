@@ -132,8 +132,8 @@ class HumanPulse:
     def __post_init__(self):
         if not isinstance(self.joint, Integral) or self.joint not in (0, 1, 2):
             raise ValueError(f"joint must be 0, 1 or 2, got {self.joint}")
-        if not (0.0 <= self.start < self.end):
-            raise ValueError(f"need 0 <= start < end, got [{self.start}, {self.end}]")
+        if not (0.0 <= self.start < self.end) or not math.isfinite(self.end):
+            raise ValueError(f"need 0 <= start < end < inf, got [{self.start}, {self.end}]")
         if not math.isfinite(self.torque):
             raise ValueError("torque must be finite")
 

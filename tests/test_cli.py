@@ -620,10 +620,11 @@ def test_sweep_step_length_is_a_float_sum(tmp_path, monkeypatch):
         assert [row[-1] for row in rows] == ["1" if i == flagged else "0" for i in range(n)]
 
 
-def test_sweep_default_xi0_is_cop0_plus_a_forward_offset(tmp_path):
+def test_sweep_default_xi0_is_cop0_plus_a_forward_offset(tmp_path, capsys):
     """The default ``--xi0`` is ``cop0 + (0.08, 0)``, so a ``--cop0`` y of -0.0
     plans from a y of +0.0. The sign of that zero reaches sweep.csv when the
-    nominal gait and the CoP box are symmetric about y = 0."""
+    nominal gait and the CoP box are symmetric about y = 0. An empty
+    ``--xi0=`` is a bad vector, as it is for ``plan``, not the default."""
     scenario = write_scenario(tmp_path, BASE_SCENARIO + (
         "planner.cop_nom = 0.3,0\nplanner.gamma_nom = 0.05,0\n"
         "planner.cop_min = -0.1,-0.1\nplanner.cop_max = 0.4,0.1\n"))
@@ -634,6 +635,12 @@ def test_sweep_default_xi0_is_cop0_plus_a_forward_offset(tmp_path):
         assert cli.main(sweep + ["--out", str(a), "--cop0=" + cop0]) == 0
         assert cli.main(sweep + ["--out", str(b), "--cop0=" + cop0, "--xi0=" + xi0]) == 0
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+    capsys.readouterr()
+
+    for empty in ("--xi0=", "--cop0="):
+        assert cli.main(sweep + ["--out", str(tmp_path / "empty"), empty]) == 1
+        assert "error: expected 2 comma-separated numbers" in capsys.readouterr().err
+    assert not (tmp_path / "empty").exists()
 
 
 def test_sweep_needs_at_least_two_triples(tmp_path, capsys):

@@ -166,10 +166,12 @@ def test_constructor_validation():
         with pytest.raises(ValueError):
             BalanceDetector(ELLIPSE, debounce_cycles=bad)
     assert BalanceDetector(ELLIPSE, debounce_cycles=np.int64(2)).debounce_cycles == 2
-    with pytest.raises(ValueError):
-        BalanceDetector(ELLIPSE, capture_tolerance=0.0)
-    with pytest.raises(ValueError):
-        BalanceDetector(ELLIPSE, capture_hold=-0.1)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="capture_tolerance"):
+            BalanceDetector(ELLIPSE, capture_tolerance=bad)
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="capture_hold"):
+            BalanceDetector(ELLIPSE, capture_hold=bad)
     with pytest.raises(ValueError):
         SwayEllipse([0.0, 0.0], 0.0, 0.05)
     with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Active-set QP solver: hand-solved cases, certificates, random problems."""
+"""Reference QP by active-set enumeration: hand-solved cases, certificates, random problems."""
 
 import numpy as np
 import pytest
@@ -63,36 +63,19 @@ def test_infeasible_box_is_reported_with_rows():
     # z <= -1 and -z <= -1 cannot both hold.
     sol = solve_qp(QpProblem([[2.0]], [0.0], ineq_matrix=[[1.0], [-1.0]], ineq_rhs=[-1.0, -1.0]))
     assert sol.status == "infeasible"
-    assert len(sol.violated) >= 1
-    assert all(v in (0, 1) for v in sol.violated)
+    assert np.isnan(sol.z).all() and sol.active_set == ()
 
 
 def test_inconsistent_equalities_are_infeasible():
     sol = solve_qp(QpProblem(np.eye(2), [0.0, 0.0], [[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0]))
     assert sol.status == "infeasible"
-    assert len(sol.violated) >= 1
-
-
-def test_iteration_limit_status():
-    rng = np.random.default_rng(7)
-    B = rng.normal(size=(6, 6))
-    H = B @ B.T + 6 * np.eye(6)
-    C = rng.normal(size=(12, 6))
-    z_in = rng.normal(size=6) * 0.1
-    d = C @ z_in + 0.01
-    prob = QpProblem(H, rng.normal(size=6), ineq_matrix=C, ineq_rhs=d)
-    sol = solve_qp(prob, max_iterations=1)
-    assert sol.status in ("optimal", "iteration_limit")
-    full = solve_qp(prob)
-    assert full.status == "optimal"
-    assert full.objective <= sol.objective + 1e-12
 
 
 def test_diagonal_box_matches_clip_oracle():
     """Diagonal Hessian with box bounds has the exact solution clip(-g/h)."""
     rng = np.random.default_rng(42)
     for _ in range(200):
-        n = int(rng.integers(1, 8))
+        n = int(rng.integers(1, 7))
         h = rng.uniform(0.5, 5.0, n)
         g = rng.uniform(-3.0, 3.0, n)
         lo = rng.uniform(-2.0, 0.0, n)
@@ -148,27 +131,10 @@ def test_random_problems_with_equalities():
         assert kkt_residual(prob, sol).max() < 1e-8
 
 
-def test_objective_trace_is_monotone():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        n = int(rng.integers(2, 6))
-        B = rng.normal(size=(n, n))
-        H = B @ B.T + n * np.eye(n)
-        C = rng.normal(size=(3 * n, n))
-        d = C @ (rng.normal(size=n) * 0.1) + 0.05
-        sol = solve_qp(QpProblem(H, rng.normal(size=n), ineq_matrix=C, ineq_rhs=d))
-        trace = np.array(sol.objective_trace)
-        assert trace.size >= 1
-        assert np.all(np.diff(trace) <= 1e-9)
-
-
-def test_semidefinite_hessian_is_regularised():
-    # Flat direction z2; the solver settles it near zero instead of failing.
-    H = np.array([[2.0, 0.0], [0.0, 0.0]])
-    sol = solve_qp(QpProblem(H, [-4.0, 0.0]))
-    assert sol.status == "optimal"
-    assert sol.z[0] == pytest.approx(2.0, abs=1e-6)
-    assert abs(sol.z[1]) < 1e-6
+def test_singular_or_indefinite_hessian_is_rejected():
+    for H in ([[2.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, -1.0]]):
+        with pytest.raises(ValueError, match="positive definite"):
+            QpProblem(H, [-4.0, 0.0])
 
 
 def test_tie_break_picks_lowest_index():
@@ -198,7 +164,6 @@ def test_determinism_bitwise():
     b = solve_qp(prob)
     assert a.z.tobytes() == b.z.tobytes()
     assert a.active_set == b.active_set
-    assert a.objective_trace == b.objective_trace
 
 
 def test_problem_validation():
@@ -208,12 +173,10 @@ def test_problem_validation():
         QpProblem(np.eye(2), [0.0])  # wrong gradient length
     with pytest.raises(ValueError):
         QpProblem(np.eye(2), [0.0, 0.0], [[1.0, 0.0]], [0.0, 1.0])  # rhs length
-    with pytest.raises(ValueError):
-        QpProblem(np.eye(40), np.zeros(40))  # too large
+    with pytest.raises(ValueError, match="at most 16 inequality rows"):
+        QpProblem(np.eye(2), [0.0, 0.0], ineq_matrix=np.ones((17, 2)), ineq_rhs=np.ones(17))
     with pytest.raises(ValueError):
         QpProblem(np.eye(2) * np.nan, [0.0, 0.0])
-    with pytest.raises(ValueError):
-        ActiveSetQp(max_iterations=0)
 
 
 def test_kkt_residual_fields_and_max():
@@ -232,6 +195,5 @@ def test_kkt_residual_fields_and_max():
         eq_multipliers=np.zeros(0),
         ineq_multipliers=np.zeros(1),
         iterations=0,
-        objective_trace=(),
     )
     assert kkt_residual(prob, fake).stationarity == 4.0

@@ -111,6 +111,9 @@ def test_push_event_and_human_pulse_validation():
         HumanPulse(joint=0, start=0.2, end=0.2, torque=1.0)
     with pytest.raises(ValueError):
         HumanPulse(joint=0, start=-0.1, end=0.2, torque=1.0)
+    for start, end in ((0.0, math.inf), (math.inf, math.inf), (math.nan, 0.2), (0.1, math.nan)):
+        with pytest.raises(ValueError, match="start < end < inf"):
+            HumanPulse(joint=0, start=start, end=end, torque=1.0)
     with pytest.raises(ValueError, match="joint must be 0, 1 or 2, got 1.0"):
         HumanPulse(1.0, 0, 0.02, 1.0)
 
