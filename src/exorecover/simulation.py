@@ -103,7 +103,8 @@ MATERIAL_CHANGE = 1e-9
 Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
 
-#: Joint rates and torques of a leg at rest.
+#: Joint rates and torques of a leg at rest.  ``Plant.step`` tests for this
+#: object with ``is``: a rate RK4 computed is a new tuple, even when zero.
 _REST = (0.0, 0.0, 0.0)
 
 
@@ -334,16 +335,24 @@ class ScenarioConfig:
         check(self.foot_half_y > 0.0, "foot_half_y must be positive")
         check(0.0 < self.dt <= 0.01, f"dt must be in (0, 0.01], got {self.dt}")
         check(self.duration > 0.0, "duration must be positive")
+        last = self.duration  # the last tick's time, once dt and duration are valid
         if 0.0 < self.dt <= 0.01 and 0.0 < self.duration < math.inf:  # else reported above
-            check(round(self.duration / self.dt) >= 1,
+            last = (round(self.duration / self.dt) - 1) * self.dt
+            check(last >= 0.0,
                   f"duration {self.duration} is shorter than one control cycle of {self.dt}")
         check(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         for name in ("debounce_cycles", "seed"):
             value = getattr(self, name)
             check(isinstance(value, Integral), f"{name} must be an integer, got {value}")
         check(self.attitude_noise_deg >= 0.0, "attitude_noise_deg must be >= 0")
+        # A push or pulse due after the last tick would be dropped silently;
+        # each is tested as Plant.measure and Plant.step test it.
         for i, p in enumerate(self.pushes):
-            check(p.time <= self.duration, f"push {i} at t={p.time} is past the run duration")
+            check(p.time <= last + 1e-12,
+                  f"push {i} at t={p.time} is after the last control tick at t={last:.9g}")
+        for i, h in enumerate(self.human_pulses):
+            check(h.start <= last,
+                  f"human pulse {i} starts at t={h.start}, after the last control tick at t={last:.9g}")
         if bad:
             raise ConfigurationError("invalid scenario: " + "; ".join(bad))
 
@@ -764,12 +773,19 @@ class Plant:
         for pulse in self.config.human_pulses:
             if pulse.start <= t < pulse.end:
                 human[pulse.joint] += pulse.torque
-        (q0, q1, q2), (qd0, qd1, qd2), (tau0, tau1, tau2) = self.q, self.qd, command.torque
+        (q0, q1, q2), torque = self.q, command.torque
+        # Rest rule: RK4 on positive zero rate, torque and wearer torque
+        # returns (q + 0.0, 0.0) per joint, bit for bit, so a leg at rest
+        # under the controller's idle torque is not integrated.
+        if torque is _REST and self.qd is _REST and human == [0.0, 0.0, 0.0]:
+            self.q, self.tau = (q0 + 0.0, q1 + 0.0, q2 + 0.0), torque
+            return
+        (qd0, qd1, qd2), (tau0, tau1, tau2) = self.qd, torque
         joint = self.joint_params
         q0, qd0 = joint_plant_step(q0, qd0, tau0, human[0], joint, dt)
         q1, qd1 = joint_plant_step(q1, qd1, tau1, human[1], joint, dt)
         q2, qd2 = joint_plant_step(q2, qd2, tau2, human[2], joint, dt)
-        self.q, self.qd, self.tau = (q0, q1, q2), (qd0, qd1, qd2), command.torque
+        self.q, self.qd, self.tau = (q0, q1, q2), (qd0, qd1, qd2), torque
 
 
 #: Columns of ``run_scenario``'s per-tick log, one ``SimTrace`` field each.
@@ -819,15 +835,11 @@ def summarize(trace: SimTrace) -> StepSummary:
     dx, dy = (trace.xi[-1] - trace.cop[-1]).tolist()
     final_offset = math.sqrt(dx * dx + dy * dy)
 
+    summary = StepSummary(
+        step_taken=bool(touchdowns), captured=bool(captures), aborted=aborted,
+        num_steps=len(touchdowns), num_replans=len(replans), final_dcm_offset=final_offset)
     if not touchdowns:
-        return StepSummary(
-            step_taken=False,
-            captured=bool(captures),
-            aborted=aborted,
-            num_steps=0,
-            num_replans=len(replans),
-            final_dcm_offset=final_offset,
-        )
+        return summary
 
     td = touchdowns[0]
     plan0 = plans[0]
@@ -836,13 +848,8 @@ def summarize(trace: SimTrace) -> StepSummary:
     lx, ly = map(float, td.payload["landed"])
     vx, vy, wx, wy = px - sx, py - sy, lx - sx, ly - sy
     angle = math.degrees(math.atan2(vx * wy - vy * wx, vx * wx + vy * wy))
-    return StepSummary(
-        step_taken=True,
-        captured=bool(captures),
-        aborted=aborted,
-        num_steps=len(touchdowns),
-        num_replans=len(replans),
-        final_dcm_offset=final_offset,
+    return replace(
+        summary,
         swing_side=plan0.payload["swing"],
         trigger_time=float(td.payload["trigger_time"]),
         touchdown_time=float(td.time),

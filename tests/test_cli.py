@@ -123,6 +123,36 @@ def test_a_rejected_record_is_an_input_error(tmp_path, capsys, records, fragment
     assert not out.exists()
 
 
+@pytest.mark.parametrize("records, fragment", [
+    ("push.0.time = 1.0\npush.0.impulse = 28.05, 0\n",
+     "push 0 at t=1.0 is after the last control tick at t=0.999"),
+    ("push.0.time = 0.9995\npush.0.impulse = 28.05, 0\n",
+     "push 0 at t=0.9995 is after the last control tick at t=0.999"),
+    ("push.0.time = 1.0\npush.0.impulse = 28.05, 0\npush.1.time = 0.5\npush.1.impulse = 0, 9\n",
+     "push 1 at t=1.0 is after the last control tick at t=0.999"),
+    ("human.0.joint = 1\nhuman.0.start = 0.9995\nhuman.0.end = 1.2\nhuman.0.torque = 1\n",
+     "human pulse 0 starts at t=0.9995, after the last control tick at t=0.999"),
+], ids=["push_at_duration", "push_between_ticks", "push_out_of_order", "human"])
+def test_a_record_after_the_last_tick_is_an_input_error(tmp_path, capsys, records, fragment):
+    """A push or wearer pulse that no tick of the run reaches exits 1 with
+    a message naming it, instead of running without it."""
+    path = write_scenario(tmp_path, "sim.duration = 1.0\n" + records)
+    out = tmp_path / "run"
+    rc = cli.main(["simulate", "--scenario", str(path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: invalid scenario: {fragment}\n"
+    assert not out.exists()
+
+
+def test_a_push_on_the_last_tick_applies(tmp_path, capsys):
+    path = write_scenario(tmp_path, "sim.duration = 1.0\npush.0.time = 0.999\n"
+                                    "push.0.impulse = 28.05, 0\n")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    _, rows = read_csv_rows(out / "events.csv")
+    assert [row[:2] for row in rows] == [["0.999", "PushApplied"]]
+
+
 def test_set_overrides_replace_file_values(tmp_path):
     path = write_scenario(tmp_path)
     config = cli.load_scenario(path, ["sim.duration = 0.75", "lipm.mass=60"])

@@ -114,6 +114,17 @@ def test_plant_undamped_free_motion_is_linear():
     assert v == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("q", [-0.0, 0.0, 5e-324, -0.3, 1.2])
+def test_plant_at_rest_returns_the_angle_plus_zero(q):
+    """On positive zero rate and torques RK4 returns ``(q + 0.0, 0.0)`` bit
+    for bit (``-0.0`` turns into ``0.0``): the rest rule of
+    ``simulation.Plant.step`` relies on it."""
+    for plant in (PlantParams(), PlantParams(inertia=0.1, viscous_damping=0.0)):
+        for dt in (0.001, 0.01):
+            got = joint_plant_step(q, 0.0, 0.0, 0.0, plant, dt)
+            assert np.array(got).tobytes() == np.array([q + 0.0, 0.0]).tobytes()
+
+
 def test_closed_loop_spring_settles_on_target():
     """Impedance assist drives the plant to the desired angle."""
     plant = PlantParams(inertia=0.05, viscous_damping=0.5)

@@ -467,17 +467,24 @@ def run_counting_plant_steps(monkeypatch, config):
 
 def test_each_tick_steps_the_pendulum_once_and_each_joint_once(monkeypatch):
     """``step_lipm`` runs once per tick and ``joint_plant_step`` once per
-    joint per tick, each through its module-level name, over a forward push."""
+    joint on every tick the leg is not at rest, each through its
+    module-level name, over a forward push.  The leg is at rest until it
+    lifts on the trigger tick, where it is driven, and never after: it
+    lands moving and the rate it then decays to is a new tuple, not
+    ``_REST``."""
     trace, counts = run_counting_plant_steps(
         monkeypatch, ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),), duration=2.0))
     assert events_of(trace, "TouchDown") and events_of(trace, "Captured")
     ticks = len(trace.t)
-    assert counts == {"step_lipm": ticks, "joint_plant_step": 3 * ticks}
+    moving = int(np.count_nonzero(trace.t >= events_of(trace, "PlanIssued")[0].time))
+    assert 0 < moving < ticks
+    assert counts == {"step_lipm": ticks, "joint_plant_step": 3 * moving}
 
 
 def test_noisy_standing_ticks_step_the_pendulum_once_and_each_joint_once(monkeypatch):
-    """The standing tick keeps the same calls: one ``step_lipm`` and three
-    ``joint_plant_step`` per tick, through ``simulation``'s module-level names."""
+    """A standing tick steps the pendulum once, through ``simulation``'s
+    module-level name, and the joints not at all: the leg stays at rest
+    under the ``_REST`` torque the whole run."""
     from exorecover import simulation
 
     trace, counts = run_counting_plant_steps(
@@ -486,7 +493,57 @@ def test_noisy_standing_ticks_step_the_pendulum_once_and_each_joint_once(monkeyp
     assert simulation.joint_plant_step.__name__ == "wrapped"
     assert simulation.step_lipm.__name__ == "wrapped"
     ticks = len(trace.t)
+    assert (counts["step_lipm"], counts["joint_plant_step"]) == (ticks, 0)
+
+
+class _AlwaysIntegrating(Plant):
+    """``Plant`` without the rest rule: the torque it is handed is a copy,
+    never the controller's ``_REST`` object, so every tick makes the three
+    RK4 ``joint_plant_step`` calls."""
+
+    def step(self, command, t):
+        super().step(command._replace(torque=(*command.torque,)), t)
+
+
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(attitude_noise_deg=0.2, seed=3, duration=1.0),
+    ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),), duration=2.0),
+    ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),), mode="zero_torque", duration=2.0,
+                   human_pulses=(HumanPulse(1, 0.2, 0.3, 2.0), HumanPulse(2, 0.35, 0.4, -1.0))),
+], ids=["noisy_standing", "forward_push", "zero_torque_early_pulses"])
+def test_rest_rule_matches_integrating_every_tick(monkeypatch, config):
+    """The rest rule changes no bit: a plant that integrates the leg on
+    every tick gives the same trace, column by column, as the real loop.
+    The zero-torque run's wearer pulses move the leg before the trigger."""
+    from exorecover import simulation
+
+    real = run_scenario(config)
+    monkeypatch.setattr(simulation, "Plant", _AlwaysIntegrating)
+    oracle, counts = run_counting_plant_steps(monkeypatch, config)
+    ticks = len(oracle.t)
     assert counts == {"step_lipm": ticks, "joint_plant_step": 3 * ticks}
+    for name in ("t", "com", "com_vel", "xi", "cop", "foot", "joint_desired",
+                 "joint_measured", "torque"):
+        assert getattr(real, name).tobytes() == getattr(oracle, name).tobytes(), name
+    assert real.phase == oracle.phase and real.events == oracle.events
+    if config.human_pulses:
+        before = real.t < events_of(real, "PlanIssued")[0].time
+        assert len(np.unique(real.joint_measured[before], axis=0)) > 1
+
+
+def test_rest_rule_turns_a_negative_zero_angle_positive_as_rk4_does():
+    """No scenario plants the leg at a ``-0.0`` angle, so the plants are
+    stepped directly: both leave ``(0.0, 5e-324, -0.3)`` at rest."""
+    from exorecover.simulation import _REST, Command
+
+    states = []
+    for cls in (Plant, _AlwaysIntegrating):
+        plant = cls(ScenarioConfig(), [], 1)
+        plant.q = (-0.0, 5e-324, -0.3)
+        plant.step(Command((0.0, 0.0), _REST, None, None, False), 0.0)
+        states.append(np.array([plant.q, plant.qd, plant.tau]).tobytes())
+    assert plant.qd is not _REST
+    assert states[0] == states[1] == np.array([(0.0, 5e-324, -0.3), _REST, _REST]).tobytes()
 
 
 def test_noisy_readings_match_per_tick_draws(monkeypatch):
