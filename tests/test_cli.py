@@ -385,9 +385,10 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(NAMED_PUSHES))
-def test_named_push_artifacts_are_byte_identical_to_the_golden_digests(tmp_path, capsys, name):
-    pushes, extra = NAMED_PUSHES[name]
+def simulate_digests(tmp_path, name, pushes, extra):
+    """Exit code and the sha256 of trace.csv, events.csv and summary.txt of a
+    3 s run with ``pushes`` as (time, DCM shift x, DCM shift y) plus ``extra``
+    scenario lines."""
     mass, omega = 70.0, math.sqrt(9.81 / 0.88)  # an impulse of d*mass*omega shifts the DCM by d
     lines = ["sim.duration = 3.0"]
     for i, (t, dx, dy) in enumerate(pushes):
@@ -395,10 +396,40 @@ def test_named_push_artifacts_are_byte_identical_to_the_golden_digests(tmp_path,
                   f"push.{i}.impulse = {dx * mass * omega!r}, {dy * mass * omega!r}"]
     scenario = write_scenario(tmp_path, "\n".join(lines + extra) + "\n")
     out = tmp_path / name
-    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
-    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
-                    for f in ("trace.csv", "events.csv", "summary.txt"))
-    assert digests == GOLDEN_DIGESTS[name]
+    rc = cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    return rc, tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                     for f in ("trace.csv", "events.csv", "summary.txt"))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_PUSHES))
+def test_named_push_artifacts_are_byte_identical_to_the_golden_digests(tmp_path, capsys, name):
+    assert simulate_digests(tmp_path, name, *NAMED_PUSHES[name]) == (0, GOLDEN_DIGESTS[name])
+
+
+#: Forward pushes down the swing paths the named pushes miss, as (extra
+#: scenario lines, exit code, sha256 of trace.csv, events.csv and
+#: summary.txt), recorded before the in-flight planner, swing splice and IK
+#: limit test became straight-line float code: a hip-flexion limit that
+#: aborts the step at 0.545 s, and a zero-torque swing moved by a wearer
+#: pulse.
+GUARDED_SWINGS = {
+    "joint_limit_abort": (["limits.hip_flex_deg = -20, 15"], 2, (
+        "89cb85274e67a79c3845621826500264d94f09a21c1ab81f0b765d23960a1406",
+        "5efcfc4b5b4e3f496b0f5d21d9a9cf1d1593d72d3d2f3ee6c46b60f606ed3974",
+        "3d1f96a62267c259b01909920a470b6e2ac5c2a3bf2b57d6e518555ff5826f10")),
+    "zero_torque_pulse": (["control.mode = zero_torque", "human.0.joint = 1",
+                           "human.0.start = 0.55", "human.0.end = 0.65",
+                           "human.0.torque = 1.5"], 0, (
+        "3acd018783eebd2c2c541544d526310be8ab58a646384b970d76526372d509e4",
+        "be2b8a87678e5bae3da5c10df882cdcffaf79c32f4a77ae95cdaee5527b08b14",
+        "5563ca01ff4f92d2eb5218d96663f58e5a3ca4951958a2f1945494997a1c2705")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED_SWINGS))
+def test_guarded_swing_artifacts_are_byte_identical_to_the_golden_digests(tmp_path, capsys, name):
+    extra, code, digests = GUARDED_SWINGS[name]
+    assert simulate_digests(tmp_path, name, [(0.5, 0.12, 0.0)], extra) == (code, digests)
 
 
 def test_failed_write_leaves_the_old_file(tmp_path):
@@ -615,6 +646,22 @@ def test_sweep_writes_csv_and_flags_the_conservative_plan(tmp_path, capsys):
     assert cli.main(["sweep-weights", "--scenario", str(scenario),
                      "--grid", str(grid), "--out", str(rerun)]) == 0
     assert (rerun / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+
+
+#: sha256 of sweep.csv for a state whose landing CoP leaves the CoP box, so
+#: the planner's clipped pieces and sigma breakpoints decide most rows;
+#: recorded before ``planner._solve`` became straight-line float code.
+SWEEP_OUTSIDE_BOX_DIGEST = "3f8233ccb767635911e44ef6e124cb3f3cf3b3e946885f68c67900be4c26624b"
+
+
+def test_sweep_outside_the_cop_box_is_byte_identical_to_the_golden_digest(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    grid = write_scenario(tmp_path, GRID + "10, 1, 0.02\n0.1, 5, 0.5\n3, 1, 1\n1, 1, 5\n",
+                          name="grid.txt")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep-weights", "--scenario", str(scenario), "--grid", str(grid),
+                     "--out", str(out), "--cop0", "0,0", "--xi0", "0.45,-0.3"]) == 0
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == SWEEP_OUTSIDE_BOX_DIGEST
 
 
 def test_sweep_step_length_is_a_float_sum(tmp_path, monkeypatch):
