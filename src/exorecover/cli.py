@@ -210,8 +210,9 @@ def _parse_lines(lines, fields: dict, records: dict) -> None:
             raise ScenarioParseError(f"{where}: invalid value for '{key}': {err}") from None
 
 
-def parse_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
-    """Parse a scenario file plus ``--set key=value`` overrides."""
+def _parse_scenario(path, overrides: list[str] | None) -> tuple[ScenarioConfig, dict]:
+    """:func:`parse_scenario`, plus each group's record numbers ``N`` in the
+    order of the config's records (pushes are sorted by time)."""
     fields: dict = {}
     records: dict = {group: {} for group in _GROUPS}
     _parse_lines(_read_lines(path, "scenario"), fields, records)
@@ -221,6 +222,7 @@ def parse_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
             raise ScenarioParseError(f"--set[{i}]: expected key=value, got {item!r}")
         _parse_lines(lines, fields, records)
 
+    ids = {}
     for group, (record, attr, keys, order, _) in _GROUPS.items():
         built = []
         for n, entry in sorted(records[group].items()):
@@ -228,19 +230,28 @@ def parse_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
             if missing:
                 raise ScenarioParseError(f"{group}.{n}: missing {', '.join(missing)}")
             try:
-                built.append(record(**entry))
+                built.append((n, record(**entry)))
             except ValueError as err:
                 raise ScenarioParseError(f"{group}.{n}: {err}") from None
         if order is not None:
-            built.sort(key=lambda r: getattr(r, order))
-        fields[attr] = tuple(built)
-    return ScenarioConfig(**fields)
+            built.sort(key=lambda item: getattr(item[1], order))
+        fields[attr] = tuple(r for _, r in built)
+        ids[group] = [n for n, _ in built]
+    return ScenarioConfig(**fields), ids
+
+
+def parse_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
+    """Parse a scenario file plus ``--set key=value`` overrides."""
+    return _parse_scenario(path, overrides)[0]
 
 
 def load_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
-    """Parse and validate; raises ScenarioParseError or ConfigurationError."""
-    config = parse_scenario(path, overrides)
-    config.validate()
+    """Parse and validate; raises ScenarioParseError or ConfigurationError.
+
+    Validation errors name a push or pulse by its record number ``N`` in
+    the file, not by its place in the time-sorted config."""
+    config, ids = _parse_scenario(path, overrides)
+    config._validate(ids["push"], ids["human"])
     return config
 
 

@@ -176,19 +176,15 @@ def inverse_kinematics(
         geom.l3 * math.sin(theta3), geom.l2 + geom.l3 * math.cos(theta3)
     )
     if limits is not None:
-        bad = []
-        for value, (lo, hi), name in (
-            (theta1, limits.hip_ab, "hip_ab"),
-            (theta2, limits.hip_flex, "hip_flex"),
-            (theta3, limits.knee, "knee"),
-        ):
-            if value < lo or value > hi:
-                bad.append(name)
-        if bad:
+        (lo1, hi1), (lo2, hi2), (lo3, hi3) = limits.hip_ab, limits.hip_flex, limits.knee
+        if (theta1 < lo1 or theta1 > hi1 or theta2 < lo2 or theta2 > hi2
+                or theta3 < lo3 or theta3 > hi3):
+            bad = tuple(name for value, lo, hi, name in (
+                (theta1, lo1, hi1, "hip_ab"), (theta2, lo2, hi2, "hip_flex"),
+                (theta3, lo3, hi3, "knee"),
+            ) if value < lo or value > hi)
             # numpy's rounding, not round(): the message goes into events.csv.
             shown = np.array([theta1, theta2, theta3]).round(4).tolist()
-            raise JointLimitError(
-                f"solution {shown} rad violates limits on: " + ", ".join(bad),
-                joints=tuple(bad),
-            )
+            raise JointLimitError(f"solution {shown} rad violates limits on: " + ", ".join(bad),
+                                  joints=bad)
     return theta1, theta2, theta3

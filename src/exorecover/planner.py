@@ -138,7 +138,7 @@ class PlannerInput:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepPlan:
     """Planner output.
 
@@ -214,17 +214,23 @@ def _binding_rows(cop, sigma: float, lo, hi, s_lo: float, s_hi: float) -> tuple[
     """The :func:`constraint_names` rows that hold with equality."""
     on = (cop[0] == hi[0], cop[1] == hi[1], cop[0] == lo[0], cop[1] == lo[1],
           sigma == s_hi, sigma == s_lo)
-    return tuple(i for i, b in enumerate(on) if b)
+    return tuple([i for i in range(6) if on[i]])
 
 
 def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
            t_lo: float, t_hi: float, planned_at: float) -> StepPlan:
     """Exact minimiser with the duration in ``[t_lo, t_hi]`` for the DCM ``xi0``
-    and stance CoP ``cop0``, both float pairs; see the module docstring."""
+    and stance CoP ``cop0``, both float pairs; see the module docstring.
+
+    Straight-line float code, one statement per axis: it runs on every
+    in-flight tick.  Each product and sum is taken in the same order as
+    the closed forms of the module docstring.
+    """
     lo, hi = bounds.cop_min, bounds.cop_max
-    # One flag per constraint_names row; an empty interval names both its rows.
-    empty = (lo[0] > hi[0], lo[1] > hi[1]) * 2 + (t_lo > t_hi,) * 2
-    if any(empty):
+    (lo_x, lo_y), (hi_x, hi_y) = lo, hi
+    if lo_x > hi_x or lo_y > hi_y or t_lo > t_hi:
+        # An empty interval names both its rows.
+        empty = (lo_x > hi_x, lo_y > hi_y) * 2 + (t_lo > t_hi,) * 2
         bad = tuple(name for name, e in zip(constraint_names(), empty) if e)
         raise PlannerInfeasibleError("step program has an empty box: " + ", ".join(bad), violated=bad)
 
@@ -232,56 +238,75 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
     w = a1 + a2
     s_lo, s_hi = math.exp(omega * t_lo), math.exp(omega * t_hi)
     sn = math.exp(omega * nominal.T_nom)
-    cn, gn = nominal.cop_T_nom, nominal.gamma_nom
-    (lo_x, lo_y), (hi_x, hi_y), (cn_x, cn_y), (gn_x, gn_y) = lo, hi, cn, gn
+    (cn_x, cn_y), (gn_x, gn_y) = nominal.cop_T_nom, nominal.gamma_nom
     (c0_x, c0_y), (x0_x, x0_y) = cop0, xi0
     r_x, r_y = c0_x - x0_x, c0_y - x0_y
-    r = (r_x, r_y)
+    # At sigma, with u_a = c0_a - r_a*sigma, the exact CoP is
+    # clip((a1*cn_a + a2*(u_a - gn_a)) / w), gamma_a = u_a - cop_a, the
+    # boundary-condition multiplier is nu_a = -2*a2*(gamma_a - gn_a) and the
+    # cost's sigma derivative (the sigma KKT row without bounds) is
+    # 2*a3*(sigma - sn) + r_x*nu_x + r_y*nu_y.  The weight products are
+    # taken once: k1_a = a1*cn_a, k2 = -2*a2, k3 = 2*a3.
+    k1_x, k1_y, k2, k3 = a1 * cn_x, a1 * cn_y, -2.0 * a2, 2.0 * a3
 
-    def at(sigma: float):
-        """``(cop, gamma, nu, slope)`` at ``sigma``: the exact CoP, the boundary-condition
-        multipliers and the cost's sigma derivative (the sigma KKT row without bounds)."""
-        u_x, u_y = c0_x - r_x * sigma, c0_y - r_y * sigma
-        cop_x = min(max((a1 * cn_x + a2 * (u_x - gn_x)) / w, lo_x), hi_x)
-        cop_y = min(max((a1 * cn_y + a2 * (u_y - gn_y)) / w, lo_y), hi_y)
-        gamma_x, gamma_y = u_x - cop_x, u_y - cop_y
-        nu_x, nu_y = -2.0 * a2 * (gamma_x - gn_x), -2.0 * a2 * (gamma_y - gn_y)
-        slope = 2.0 * a3 * (sigma - sn) + r_x * nu_x + r_y * nu_y
-        return (cop_x, cop_y), (gamma_x, gamma_y), (nu_x, nu_y), slope
-
-    # c*_a(sigma) meets the bound b where p - b*(alpha1 + alpha2) = q*sigma.
+    # c*_a(sigma) meets the bound b where p_a - b*(alpha1 + alpha2) = q_a*sigma.
     points = [s_lo, s_hi]
-    for a in (0, 1):
-        q, p = a2 * r[a], a1 * cn[a] + a2 * (cop0[a] - gn[a])
-        if q != 0.0:
-            points += [s for s in ((p - b * w) / q for b in (lo[a], hi[a])) if s_lo < s < s_hi]
+    q_x, q_y = a2 * r_x, a2 * r_y
+    if q_x != 0.0:
+        p_x = k1_x + a2 * (c0_x - gn_x)
+        for s in ((p_x - lo_x * w) / q_x, (p_x - hi_x * w) / q_x):
+            if s_lo < s < s_hi:
+                points.append(s)
+    if q_y != 0.0:
+        p_y = k1_y + a2 * (c0_y - gn_y)
+        for s in ((p_y - lo_y * w) / q_y, (p_y - hi_y * w) / q_y):
+            if s_lo < s < s_hi:
+                points.append(s)
     points.sort()
 
     # The slope is continuous, increasing and linear on each piece, so the
     # minimiser is a sigma bound or the vertex of the piece on which the
     # slope changes sign, where linear interpolation finds it exactly.
-    slopes = [at(s)[3] for s in points]
+    slopes = []
+    for s in points:
+        u_x, u_y = c0_x - r_x * s, c0_y - r_y * s
+        cop_x = min(max((k1_x + a2 * (u_x - gn_x)) / w, lo_x), hi_x)
+        cop_y = min(max((k1_y + a2 * (u_y - gn_y)) / w, lo_y), hi_y)
+        slopes.append(k3 * (s - sn) + r_x * (k2 * (u_x - cop_x - gn_x))
+                      + r_y * (k2 * (u_y - cop_y - gn_y)))
     sigma = s_hi if slopes[-1] <= 0.0 else s_lo
-    for s0, s1, d0, d1 in zip(points, points[1:], slopes, slopes[1:]):
+    for i in range(len(points) - 1):
+        d0, d1 = slopes[i], slopes[i + 1]
         if d0 <= 0.0 < d1:
+            s0, s1 = points[i], points[i + 1]
             sigma = min(max(s0 - d0 * (s1 - s0) / (d1 - d0), s0), s1)
-    cop, gamma, nu, slope = at(sigma)
+    u_x, u_y = c0_x - r_x * sigma, c0_y - r_y * sigma
+    cop_x = min(max((k1_x + a2 * (u_x - gn_x)) / w, lo_x), hi_x)
+    cop_y = min(max((k1_y + a2 * (u_y - gn_y)) / w, lo_y), hi_y)
+    gamma_x, gamma_y = u_x - cop_x, u_y - cop_y
+    nu_x, nu_y = k2 * (gamma_x - gn_x), k2 * (gamma_y - gn_y)
+    slope = k3 * (sigma - sn) + r_x * nu_x + r_y * nu_y
 
     # The other KKT multipliers of the QP in closed form: the clipped
     # CoP bound's from the cop stationarity row, the sigma bound's from
     # the sigma row, slope + lam_max - lam_min = 0.
     lam = [0.0] * 6
-    for a in (0, 1):
-        m = -nu[a] - 2.0 * a1 * (cop[a] - cn[a])
-        if m > 0.0 and cop[a] == hi[a]:
-            lam[a] = m
-        elif m < 0.0 and cop[a] == lo[a]:
-            lam[2 + a] = -m
+    m = -nu_x - 2.0 * a1 * (cop_x - cn_x)
+    if m > 0.0 and cop_x == hi_x:
+        lam[0] = m
+    elif m < 0.0 and cop_x == lo_x:
+        lam[2] = -m
+    m = -nu_y - 2.0 * a1 * (cop_y - cn_y)
+    if m > 0.0 and cop_y == hi_y:
+        lam[1] = m
+    elif m < 0.0 and cop_y == lo_y:
+        lam[3] = -m
     if slope < 0.0 and sigma == s_hi:
         lam[4] = -slope
     elif slope > 0.0 and sigma == s_lo:
         lam[5] = slope
 
+    cop, gamma = (cop_x, cop_y), (gamma_x, gamma_y)
     return StepPlan(
         cop_T=cop,
         gamma_T=gamma,
@@ -291,7 +316,7 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
         status="optimal",
         active_set=_binding_rows(cop, sigma, lo, hi, s_lo, s_hi),
         planned_at=planned_at,
-        eq_multipliers=nu,
+        eq_multipliers=(nu_x, nu_y),
         ineq_multipliers=tuple(lam),
     )
 
@@ -325,10 +350,11 @@ def replan(current: StepPlan, xi0, cop0, omega: float, nominal: NominalGait,
     if not (elapsed >= 0.0) or not math.isfinite(elapsed):
         raise ValueError(f"elapsed must be >= 0, got {elapsed}")
 
+    left = current.landing_time - elapsed
     t_lo = max(REPLAN_FLOOR, bounds.T_min - elapsed)
-    t_hi = min(bounds.T_max - elapsed, current.landing_time - elapsed)
+    t_hi = min(bounds.T_max - elapsed, left)
     if t_hi < t_lo:
-        remaining = max(current.landing_time - elapsed, 0.0)
+        remaining = max(left, 0.0)
         sigma = math.exp(omega * remaining)
         (x0_x, x0_y), (c0_x, c0_y) = xi0, cop0
         cop = current.cop_T
@@ -345,7 +371,7 @@ def replan(current: StepPlan, xi0, cop0, omega: float, nominal: NominalGait,
                                      *bounds.sigma_bounds(omega)),
             planned_at=elapsed,
         )
-    return _solve(xi0, cop0, omega, nominal, bounds, t_lo, t_hi, planned_at=elapsed)
+    return _solve(xi0, cop0, omega, nominal, bounds, t_lo, t_hi, elapsed)
 
 
 def nominal_consistent_dcm(nominal: NominalGait, cop0, omega: float) -> tuple[float, float]:

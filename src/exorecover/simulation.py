@@ -289,6 +289,11 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Raise ConfigurationError listing every invalid field."""
+        self._validate(range(len(self.pushes)), range(len(self.human_pulses)))
+
+    def _validate(self, push_ids, pulse_ids) -> None:
+        """:meth:`validate`, naming ``pushes[i]`` and ``human_pulses[i]`` by
+        ``push_ids[i]`` and ``pulse_ids[i]`` (a scenario file's record numbers)."""
         bad: list[str] = []
 
         def check(cond: bool, msg: str) -> None:
@@ -345,14 +350,23 @@ class ScenarioConfig:
             value = getattr(self, name)
             check(isinstance(value, Integral), f"{name} must be an integer, got {value}")
         check(self.attitude_noise_deg >= 0.0, "attitude_noise_deg must be >= 0")
-        # A push or pulse due after the last tick would be dropped silently;
-        # each is tested as Plant.measure and Plant.step test it.
-        for i, p in enumerate(self.pushes):
+        # A push or pulse no tick reaches would be dropped silently; each is
+        # tested as Plant.measure and Plant.step test it, on the ticks k * dt.
+        for i, p in zip(push_ids, self.pushes):
             check(p.time <= last + 1e-12,
                   f"push {i} at t={p.time} is after the last control tick at t={last:.9g}")
-        for i, h in enumerate(self.human_pulses):
-            check(h.start <= last,
-                  f"human pulse {i} starts at t={h.start}, after the last control tick at t={last:.9g}")
+        for i, h in zip(pulse_ids, self.human_pulses):
+            if not (h.start <= last):
+                bad.append(f"human pulse {i} starts at t={h.start}, "
+                           f"after the last control tick at t={last:.9g}")
+            elif 0.0 < self.dt <= 0.01:
+                # The first tick at or after the start is one of these four.
+                k = max(math.ceil(h.start / self.dt) - 2, 0)
+                first = next((j * self.dt for j in range(k, k + 4) if j * self.dt >= h.start),
+                             math.inf)
+                check(first < h.end,
+                      f"human pulse {i} window [{h.start}, {h.end}) holds no control tick "
+                      f"(the first at or after its start is at t={first:.9g})")
         if bad:
             raise ConfigurationError("invalid scenario: " + "; ".join(bad))
 

@@ -18,10 +18,14 @@ point and the plan's landing CoP (the simulator uses the world frame and
 converts to leg coordinates only when solving IK).
 
 Everything here is Python floats: a segment's coefficients are a float
-6-tuple, checked once when the segment is built, and :func:`sample`
-returns ``(position, velocity, acceleration)`` as three ``(x, y, z)``
-float triples.  Each Horner sum keeps the operation order of its
-array form, so the values are the same bit for bit.
+6-tuple, and :func:`sample` returns ``(position, velocity,
+acceleration)`` as three ``(x, y, z)`` float triples.  Inputs are
+checked once, where they enter: :class:`QuinticSegment` checks the
+segment it is given, while :func:`quintic_from_boundary`,
+:func:`build_swing` and :func:`retarget` check their arguments and
+build segments from the floats they computed without checking them
+again.  Each Horner sum keeps the operation order of its array form, so
+the values are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -70,6 +74,31 @@ class QuinticSegment:
         return pos, vel, acc
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
+def _quintic(t0: float, t1: float, p0: float, v0: float, a0: float,
+             p1: float, v1: float, a1: float) -> QuinticSegment:
+    """The quintic of :func:`quintic_from_boundary` for a window and boundary
+    this module computed as floats, built without :class:`QuinticSegment`'s
+    checks: its six coefficients are floats and ``t1 > t0`` already."""
+    T = t1 - t0
+    h = p1 - p0
+    T2 = T * T
+    seg = _new(QuinticSegment)
+    _set(seg, "coefficients", (
+        p0,
+        v0,
+        0.5 * a0,
+        (20.0 * h - (8.0 * v1 + 12.0 * v0) * T - (3.0 * a0 - a1) * T2) / (2.0 * T2 * T),
+        (-30.0 * h + (14.0 * v1 + 16.0 * v0) * T + (3.0 * a0 - 2.0 * a1) * T2) / (2.0 * T2 * T2),
+        (12.0 * h - 6.0 * (v1 + v0) * T + (a1 - a0) * T2) / (2.0 * T2 * T2 * T),
+    ))
+    _set(seg, "t_start", t0)
+    _set(seg, "t_end", t1)
+    return seg
+
+
 def quintic_from_boundary(
     t0: float,
     t1: float,
@@ -77,22 +106,13 @@ def quintic_from_boundary(
     end: tuple[float, float, float],
 ) -> QuinticSegment:
     """Unique quintic matching (pos, vel, acc) at both ends, in closed form."""
+    t0, t1 = float(t0), float(t1)
     T = t1 - t0
     if not (T > 0.0) or not math.isfinite(T):
         raise ValueError(f"segment duration must be positive, got {T}")
-    p0, v0, a0 = start
-    p1, v1, a1 = end
-    h = p1 - p0
-    T2 = T * T
-    coeffs = (
-        p0,
-        v0,
-        0.5 * a0,
-        (20.0 * h - (8.0 * v1 + 12.0 * v0) * T - (3.0 * a0 - a1) * T2) / (2.0 * T2 * T),
-        (-30.0 * h + (14.0 * v1 + 16.0 * v0) * T + (3.0 * a0 - 2.0 * a1) * T2) / (2.0 * T2 * T2),
-        (12.0 * h - 6.0 * (v1 + v0) * T + (a1 - a0) * T2) / (2.0 * T2 * T2 * T),
-    )
-    return QuinticSegment(coeffs, t0, t1)
+    p0, v0, a0 = map(float, start)
+    p1, v1, a1 = map(float, end)
+    return _quintic(t0, t1, p0, v0, a0, p1, v1, a1)
 
 
 @dataclass(frozen=True)
@@ -120,7 +140,7 @@ def _landing(plan: StepPlan) -> tuple[float, float]:
         raise ValueError(f"plan landing point must be finite, got {plan.cop_T}")
     if not (plan.duration > 0.0) or not math.isfinite(plan.duration):
         raise ValueError(f"plan duration must be positive, got {plan.duration}")
-    return x, y
+    return float(x), float(y)
 
 
 def build_swing(
@@ -140,37 +160,47 @@ def build_swing(
     if len(start) != 3 or not all(map(math.isfinite, start)):
         raise ValueError(f"start must be a finite 3-vector, got {start}")
 
-    T = plan.duration
+    T = float(plan.duration)
     t_apex = peak_fraction * T
-    rest = lambda v: (float(v), 0.0, 0.0)
+    peak = float(peak_height)
+    x0, y0, z0 = start
     return SwingTrajectory(
-        x_profile=quintic_from_boundary(0.0, T, rest(start[0]), rest(land_x)),
-        y_profile=quintic_from_boundary(0.0, T, rest(start[1]), rest(land_y)),
-        z_profile=(
-            quintic_from_boundary(0.0, t_apex, rest(start[2]), rest(peak_height)),
-            quintic_from_boundary(t_apex, T, rest(peak_height), rest(0.0)),
-        ),
+        x_profile=_quintic(0.0, T, x0, 0.0, 0.0, land_x, 0.0, 0.0),
+        y_profile=_quintic(0.0, T, y0, 0.0, 0.0, land_y, 0.0, 0.0),
+        z_profile=(_quintic(0.0, t_apex, z0, 0.0, 0.0, peak, 0.0, 0.0),
+                   _quintic(t_apex, T, peak, 0.0, 0.0, 0.0, 0.0, 0.0)),
         duration=T,
-        peak_height=float(peak_height),
+        peak_height=peak,
     )
-
-
-def _z_piece(traj: SwingTrajectory, t: float) -> QuinticSegment:
-    pieces = traj.z_profile
-    if len(pieces) == 2 and t < pieces[0].t_end:
-        return pieces[0]
-    return pieces[-1]
 
 
 def sample(traj: SwingTrajectory, t: float) -> tuple[tuple[float, float, float], ...]:
     """``(position, velocity, acceleration)``, each an ``(x, y, z)`` float
-    triple, at local time ``t`` clamped to [0, duration]."""
+    triple, at local time ``t`` clamped to [0, duration].
+
+    :meth:`QuinticSegment.evaluate` written out for each axis: it runs
+    on every swing tick."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     t_eval = min(max(t, 0.0), traj.duration)
-    px, vx, ax = traj.x_profile.evaluate(t_eval)
-    py, vy, ay = traj.y_profile.evaluate(t_eval)
-    pz, vz, az = _z_piece(traj, t_eval).evaluate(t_eval)
+    pieces = traj.z_profile
+    z = pieces[0] if len(pieces) == 2 and t_eval < pieces[0].t_end else pieces[-1]
+    x, y = traj.x_profile, traj.y_profile
+    s = t_eval - x.t_start
+    c0, c1, c2, c3, c4, c5 = x.coefficients
+    px = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+    vx = c1 + s * (2 * c2 + s * (3 * c3 + s * (4 * c4 + s * 5 * c5)))
+    ax = 2 * c2 + s * (6 * c3 + s * (12 * c4 + s * 20 * c5))
+    s = t_eval - y.t_start
+    c0, c1, c2, c3, c4, c5 = y.coefficients
+    py = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+    vy = c1 + s * (2 * c2 + s * (3 * c3 + s * (4 * c4 + s * 5 * c5)))
+    ay = 2 * c2 + s * (6 * c3 + s * (12 * c4 + s * 20 * c5))
+    s = t_eval - z.t_start
+    c0, c1, c2, c3, c4, c5 = z.coefficients
+    pz = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+    vz = c1 + s * (2 * c2 + s * (3 * c3 + s * (4 * c4 + s * 5 * c5)))
+    az = 2 * c2 + s * (6 * c3 + s * (12 * c4 + s * 20 * c5))
     return (px, py, pz), (vx, vy, vz), (ax, ay, az)
 
 
@@ -185,10 +215,8 @@ def retarget(traj: SwingTrajectory, t_now: float, new_plan: StepPlan) -> SwingTr
     land_x, land_y = _landing(new_plan)
     if not (0.0 <= t_now < traj.duration):
         raise ValueError(f"t_now must be in [0, {traj.duration}), got {t_now}")
-    pos, vel, acc = sample(traj, t_now)
-    T = new_plan.duration
-    state = lambda i: (pos[i], vel[i], acc[i])
-    rest = lambda v: (v, 0.0, 0.0)
+    (px, py, pz), (vx, vy, vz), (ax, ay, az) = sample(traj, t_now)
+    T = float(new_plan.duration)
 
     # The apex keeps its original instant: under once-per-cycle
     # retargeting this reproduces the old vertical pieces exactly (the
@@ -197,15 +225,16 @@ def retarget(traj: SwingTrajectory, t_now: float, new_plan: StepPlan) -> SwingTr
     apex = traj.apex_time
     to_apex = None if apex is None else apex - t_now
     if to_apex is None or to_apex < 1e-6 or to_apex >= T - 1e-6:
-        z_pieces = (quintic_from_boundary(0.0, T, state(2), rest(0.0)),)
+        z_pieces = (_quintic(0.0, T, pz, vz, az, 0.0, 0.0, 0.0),)
     else:
+        peak = traj.peak_height
         z_pieces = (
-            quintic_from_boundary(0.0, to_apex, state(2), rest(traj.peak_height)),
-            quintic_from_boundary(to_apex, T, rest(traj.peak_height), rest(0.0)),
+            _quintic(0.0, to_apex, pz, vz, az, peak, 0.0, 0.0),
+            _quintic(to_apex, T, peak, 0.0, 0.0, 0.0, 0.0, 0.0),
         )
     return SwingTrajectory(
-        x_profile=quintic_from_boundary(0.0, T, state(0), rest(land_x)),
-        y_profile=quintic_from_boundary(0.0, T, state(1), rest(land_y)),
+        x_profile=_quintic(0.0, T, px, vx, ax, land_x, 0.0, 0.0),
+        y_profile=_quintic(0.0, T, py, vy, ay, land_y, 0.0, 0.0),
         z_profile=z_pieces,
         duration=T,
         peak_height=traj.peak_height,

@@ -15,6 +15,7 @@ import pytest
 
 from exorecover import (Event, HumanPulse, PushEvent, ScenarioConfig, ScenarioParseError,
                         SimTrace, cli, run_scenario, summarize)
+from exorecover.errors import ConfigurationError
 
 BASE_SCENARIO = """\
 # forward push, short run
@@ -128,11 +129,16 @@ def test_a_rejected_record_is_an_input_error(tmp_path, capsys, records, fragment
      "push 0 at t=1.0 is after the last control tick at t=0.999"),
     ("push.0.time = 0.9995\npush.0.impulse = 28.05, 0\n",
      "push 0 at t=0.9995 is after the last control tick at t=0.999"),
+    # Named by the file's push.N, not by its place in time order.
     ("push.0.time = 1.0\npush.0.impulse = 28.05, 0\npush.1.time = 0.5\npush.1.impulse = 0, 9\n",
-     "push 1 at t=1.0 is after the last control tick at t=0.999"),
+     "push 0 at t=1.0 is after the last control tick at t=0.999"),
     ("human.0.joint = 1\nhuman.0.start = 0.9995\nhuman.0.end = 1.2\nhuman.0.torque = 1\n",
      "human pulse 0 starts at t=0.9995, after the last control tick at t=0.999"),
-], ids=["push_at_duration", "push_between_ticks", "push_out_of_order", "human"])
+    ("human.0.joint = 1\nhuman.0.start = 0.1002\nhuman.0.end = 0.1008\nhuman.0.torque = 3\n",
+     "human pulse 0 window [0.1002, 0.1008) holds no control tick "
+     "(the first at or after its start is at t=0.101)"),
+], ids=["push_at_duration", "push_between_ticks", "push_out_of_order", "human",
+        "human_between_ticks"])
 def test_a_record_after_the_last_tick_is_an_input_error(tmp_path, capsys, records, fragment):
     """A push or wearer pulse that no tick of the run reaches exits 1 with
     a message naming it, instead of running without it."""
@@ -142,6 +148,38 @@ def test_a_record_after_the_last_tick_is_an_input_error(tmp_path, capsys, record
     assert rc == 1
     assert capsys.readouterr().err == f"error: invalid scenario: {fragment}\n"
     assert not out.exists()
+
+
+def test_record_errors_name_the_files_record_numbers(tmp_path, capsys):
+    """Out of time order and with gaps in the numbering, an invalid push or
+    pulse is named by its ``N`` in the file; the sorted config is unchanged."""
+    records = ("push.2.time = 1.0\npush.2.impulse = 28.05, 0\n"
+               "push.5.time = 0.5\npush.5.impulse = 0, 9\n"
+               "human.3.joint = 0\nhuman.3.start = 0.2\nhuman.3.end = 0.3\nhuman.3.torque = 1\n"
+               "human.7.joint = 2\nhuman.7.start = 0.4002\nhuman.7.end = 0.4004\n"
+               "human.7.torque = 1\n")
+    path = write_scenario(tmp_path, "sim.duration = 1.0\n" + records)
+    with pytest.raises(ConfigurationError) as err:
+        cli.load_scenario(path)
+    assert str(err.value) == (
+        "invalid scenario: push 2 at t=1.0 is after the last control tick at t=0.999; "
+        "human pulse 7 window [0.4002, 0.4004) holds no control tick "
+        "(the first at or after its start is at t=0.401)")
+    config = cli.parse_scenario(path)
+    assert [p.time for p in config.pushes] == [0.5, 1.0]
+    assert [h.start for h in config.human_pulses] == [0.2, 0.4002]
+
+
+def test_a_pulse_over_exactly_one_tick_applies(tmp_path):
+    """A wearer pulse whose window holds the one tick t = 0.1 passes
+    validation and moves the standing leg from that tick on."""
+    path = write_scenario(tmp_path, "sim.duration = 0.3\nhuman.0.joint = 1\n"
+                                    "human.0.start = 0.0995\nhuman.0.end = 0.1005\n"
+                                    "human.0.torque = 3\n")
+    trace = run_scenario(cli.load_scenario(path))
+    hip = trace.joint_measured[:, 1]
+    assert (hip[:101] == hip[0]).all()
+    assert hip[101] > hip[0]
 
 
 def test_a_push_on_the_last_tick_applies(tmp_path, capsys):

@@ -442,6 +442,28 @@ def test_control_loop_does_not_call_lapack(monkeypatch):
         assert not events_of(trace, "StepAborted")
 
 
+def test_swing_builds_no_checked_segment_in_flight(monkeypatch):
+    """No ``QuinticSegment`` goes through its checking constructor during a
+    run: ``build_swing`` at the trigger tick and every ``retarget`` after it
+    build their segments from floats the swing module computed."""
+    from exorecover.swing import QuinticSegment
+
+    checks = []
+    post_init = QuinticSegment.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(QuinticSegment, "__post_init__", counting)
+    forward, mid_swing = push_for_excursion(0.12, 0.0), push_for_excursion(0.0, 0.06, t=0.62)
+    for pushes in ((forward,), (forward, mid_swing)):
+        trace = run_scenario(ScenarioConfig(pushes=pushes))
+        assert events_of(trace, "TouchDown") and events_of(trace, "Replanned")
+        assert not events_of(trace, "StepAborted")
+    assert checks == []
+
+
 def run_counting_plant_steps(monkeypatch, config):
     """Run ``config`` counting the calls of ``step_lipm`` and
     ``joint_plant_step`` made through any ``exorecover`` module-level name

@@ -1,0 +1,35 @@
+"""tools/tick_split.py: the per-tick split covers every tick of a run once."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+from exorecover import PushEvent, ScenarioConfig, run_scenario
+from exorecover.simulation import Controller, Plant
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "tick_split.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("tick_split", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tick_counts_sum_to_the_rows():
+    """Over a recovered push and a push whose step aborts on a hip-flexion
+    limit, each 0.5 s, the groups' tick counts sum to the trace rows, the
+    ticks after the abort are grouped apart, and the loop is unwrapped after."""
+    push = PushEvent(0.1, (0.12 * 70.0 * math.sqrt(9.81 / 0.88), 0.0))
+    configs = [ScenarioConfig(duration=0.5, pushes=(push,)),
+               ScenarioConfig(duration=0.5, pushes=(push,), hip_flex_limits_deg=(-20.0, 15.0))]
+    originals = (Plant.measure, Controller.step, Plant.step)
+    split = load_tool().split_ticks(configs, passes=2)
+    assert (Plant.measure, Controller.step, Plant.step) == originals
+    rows = sum(len(run_scenario(config).t) for config in configs)
+    assert rows == 1000
+    assert sum(group["ticks"] for group in split.values()) == rows
+    assert {"Standing", "Swing", "Swing/aborted"} <= set(split)
+    for group in split.values():
+        assert group["controller_us"] > 0.0 and group["plant_us"] > 0.0

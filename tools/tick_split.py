@@ -1,0 +1,156 @@
+"""Per-tick split of the control loop's time, by the phase a tick starts in.
+
+    python3 tools/tick_split.py TREE [TREE ...] --workload push_recovery --seed 1 \
+        --passes 8 --rounds 2
+
+Each TREE is a checkout of this repository; its ``src/`` is imported in a
+fresh worker process per round, so two trees can be compared.  Rounds
+interleave the trees, and the order of the trees flips every round.  The
+scenarios are the ``simulate`` commands of ``bench/workloads.py`` (of the
+checkout this file sits in) for ``--workload`` and ``--seed``, loaded by
+each tree's own ``load_scenario``.
+
+The worker wraps ``Plant.measure``, ``Controller.step`` and ``Plant.step``
+of the tree it imported with ``perf_counter`` timers and runs every
+scenario through that tree's unmodified ``run_scenario``, once per pass.
+A tick's plant time is ``Plant.measure`` plus ``Plant.step``, its
+controller time ``Controller.step``.  Ticks are grouped by the phase the
+detector is in when the tick starts; a ``Swing`` or ``SteppingPlanned``
+tick with no step in flight (after a ``StepAborted``) is grouped apart,
+as ``<phase>/aborted``.  Per group the worker reports the tick count and
+the mean controller and plant microseconds per tick, each the minimum
+over passes; the wrappers' own cost is in those means.
+
+The run ends by printing one JSON object, laid out for a ``BENCH_*.json``
+file: per tree, per group, the tick count and one mean per round.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _group(controller) -> str:
+    """The group of the tick ``controller`` is about to step."""
+    phase = controller.detector.phase._value_
+    if controller.episode is None and phase in ("Swing", "SteppingPlanned"):
+        return phase + "/aborted"
+    return phase
+
+
+def split_ticks(configs, passes: int) -> dict[str, dict]:
+    """``{group: {"ticks", "controller_us", "plant_us"}}`` over ``passes``
+    runs of every config, with the exorecover that is imported; the means
+    per tick are each the minimum over passes."""
+    from exorecover import simulation
+
+    Plant, Controller = simulation.Plant, simulation.Controller
+    originals = (Plant.measure, Controller.step, Plant.step)
+    measure, control, integrate = originals
+    clock = time.perf_counter
+    # Per pass: group -> [ticks, controller seconds, plant seconds].
+    sums: dict[str, list] = {}
+    state = {"group": None, "plant": 0.0}
+
+    def timed_measure(self, t):
+        start = clock()
+        meas = measure(self, t)
+        state["plant"] = clock() - start
+        return meas
+
+    def timed_control(self, meas, t):
+        row = sums.setdefault(_group(self), [0, 0.0, 0.0])
+        start = clock()
+        command = control(self, meas, t)
+        row[1] += clock() - start
+        row[0] += 1
+        row[2] += state["plant"]
+        state["group"] = row
+        return command
+
+    def timed_integrate(self, command, t):
+        start = clock()
+        integrate(self, command, t)
+        state["group"][2] += clock() - start
+
+    best: dict[str, dict] = {}
+    Plant.measure, Controller.step, Plant.step = timed_measure, timed_control, timed_integrate
+    try:
+        for _ in range(passes):
+            sums.clear()
+            for config in configs:
+                simulation.run_scenario(config)
+            for group, (ticks, control_s, plant_s) in sums.items():
+                row = best.setdefault(group, {"ticks": ticks, "controller_us": float("inf"),
+                                              "plant_us": float("inf")})
+                row["controller_us"] = min(row["controller_us"], control_s / ticks * 1e6)
+                row["plant_us"] = min(row["plant_us"], plant_s / ticks * 1e6)
+    finally:
+        Plant.measure, Controller.step, Plant.step = originals
+    return dict(sorted(best.items()))
+
+
+def _worker(tree: Path, workload: str, seed: int, passes: int) -> dict:
+    sys.path.insert(0, str(tree / "src"))
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    from exorecover import cli
+
+    with tempfile.TemporaryDirectory() as inputs:
+        commands = [c for c in workloads.generate(workload, seed, Path(inputs))
+                    if c.kind == "simulate"]
+        if not commands:
+            raise SystemExit(f"tick_split: workload {workload} runs no simulation")
+        configs = [cli.load_scenario(c.scenario) for c in commands]
+    return split_ticks(configs, passes)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="+", type=Path, help="checkouts to compare")
+    parser.add_argument("--workload", default="push_recovery")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--passes", type=int, default=8)
+    parser.add_argument("--rounds", type=int, default=2)
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        print(json.dumps(_worker(args.trees[0].resolve(), args.workload, args.seed, args.passes)))
+        return 0
+
+    trees = [tree.resolve() for tree in args.trees]
+    if len({tree.name for tree in trees}) < len(trees):
+        parser.error("the trees are reported by directory name, so the names must differ")
+    result = {tree.name: {} for tree in trees}
+    for r in range(args.rounds):
+        for tree in trees if r % 2 == 0 else trees[::-1]:
+            out = subprocess.run(
+                [sys.executable, __file__, str(tree), "--worker", "--workload", args.workload,
+                 "--seed", str(args.seed), "--passes", str(args.passes)],
+                check=True, capture_output=True, text=True).stdout
+            for group, row in json.loads(out.splitlines()[-1]).items():
+                entry = result[tree.name].setdefault(
+                    group, {"ticks": row["ticks"], "controller_us": [], "plant_us": []})
+                entry["controller_us"].append(round(row["controller_us"], 2))
+                entry["plant_us"].append(round(row["plant_us"], 2))
+            print(f"round {r} {tree.name}: done", file=sys.stderr)
+    print(json.dumps({
+        "method": "tools/tick_split.py: perf_counter wrappers around Plant.measure, "
+                  "Controller.step and Plant.step, ticks grouped by start phase, "
+                  "post-abort ticks apart; min over passes of the mean per tick",
+        "workload": args.workload, "seed": args.seed, "passes": args.passes,
+        "rounds": args.rounds, "trees": result,
+    }, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
