@@ -98,6 +98,15 @@ def _vec2(text: str) -> tuple[float, float]:
     return _floats(text, 2)  # type: ignore[return-value]
 
 
+def _option_vec2(args, name: str) -> tuple[float, float]:
+    # A bad value's error names the option after the reason, as in
+    # "must be finite (--cop0)", so the reason still opens the message.
+    try:
+        return _vec2(getattr(args, name))
+    except ValueError as err:
+        raise ValueError(f"{err} (--{name})") from None
+
+
 def _vec3(text: str) -> tuple[float, float, float]:
     return _floats(text, 3)  # type: ignore[return-value]
 
@@ -444,18 +453,12 @@ def _print_plan(plan: StepPlan) -> None:
 def cmd_plan(args) -> int:
     try:
         config = load_scenario(args.scenario, args.set)
-        xi0 = _vec2(args.xi0)
-        cop0 = _vec2(args.cop0)
-    except (ScenarioParseError, ConfigurationError, ValueError) as err:
+        xi0, cop0 = _option_vec2(args, "xi0"), _option_vec2(args, "cop0")
+        nominal, bounds = config.stance_frame(cop0)
+        plan = plan_step(PlannerInput(xi0=xi0, cop0=cop0, omega=config.lipm_params().omega,
+                                      nominal=nominal, bounds=bounds))
+    except (ScenarioParseError, ConfigurationError, ValueError) as err:  # a plan_step overflow too
         return _fail(str(err), 1)
-
-    nominal, bounds = config.stance_frame(cop0)
-    inp = PlannerInput(
-        xi0=xi0, cop0=cop0, omega=config.lipm_params().omega,
-        nominal=nominal, bounds=bounds,
-    )
-    try:
-        plan = plan_step(inp)
     except PlannerInfeasibleError as err:
         return _fail(str(err), 2)
     _print_plan(plan)
@@ -479,9 +482,9 @@ def cmd_sweep_weights(args) -> int:
     try:
         config = load_scenario(args.scenario, args.set)
         grid = _read_grid(args.grid)
-        cop0 = _vec2(args.cop0)
+        cop0 = _option_vec2(args, "cop0")
         # `+ 0.0` turns a y of -0.0 into 0.0; the sign of that zero reaches sweep.csv.
-        xi0 = _vec2(args.xi0) if args.xi0 is not None else (cop0[0] + 0.08, cop0[1] + 0.0)
+        xi0 = _option_vec2(args, "xi0") if args.xi0 is not None else (cop0[0] + 0.08, cop0[1] + 0.0)
         base, bounds = config.stance_frame(cop0)
         gaits = []
         for where, weights in grid:
@@ -489,18 +492,17 @@ def cmd_sweep_weights(args) -> int:
                 gaits.append(dataclasses.replace(base, weights=weights))
             except ValueError as err:
                 raise ScenarioParseError(f"{where}: {err}") from None
-    except (ScenarioParseError, ConfigurationError, ValueError) as err:
+        omega = config.lipm_params().omega
+        results = []
+        for nominal in gaits:
+            plan = plan_step(PlannerInput(xi0=xi0, cop0=cop0, omega=omega, nominal=nominal,
+                                          bounds=bounds))
+            # A Python-float sum, so the length (and the flagged row it ranks)
+            # does not depend on the BLAS build.
+            dx, dy = plan.cop_T[0] - cop0[0], plan.cop_T[1] - cop0[1]
+            results.append((plan, math.sqrt(dx * dx + dy * dy)))
+    except (ScenarioParseError, ConfigurationError, ValueError) as err:  # a plan_step overflow too
         return _fail(str(err), 1)
-
-    omega = config.lipm_params().omega
-    results = []
-    for nominal in gaits:
-        plan = plan_step(PlannerInput(xi0=xi0, cop0=cop0, omega=omega, nominal=nominal,
-                                      bounds=bounds))
-        # A Python-float sum, so the length (and the flagged row it ranks)
-        # does not depend on the BLAS build.
-        dx, dy = plan.cop_T[0] - cop0[0], plan.cop_T[1] - cop0[1]
-        results.append((plan, math.sqrt(dx * dx + dy * dy)))
 
     lengths = np.array([r[1] for r in results])
     durations = np.array([r[0].duration for r in results])

@@ -322,9 +322,15 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
 
 
 def plan_step(inp: PlannerInput) -> StepPlan:
-    """Solve the step-adaptation program at trigger time."""
-    return _solve(inp.xi0, inp.cop0, inp.omega, inp.nominal, inp.bounds,
+    """Solve the step-adaptation program at trigger time; ValueError if the plan overflows."""
+    plan = _solve(inp.xi0, inp.cop0, inp.omega, inp.nominal, inp.bounds,
                   inp.bounds.T_min, inp.bounds.T_max, planned_at=0.0)
+    # A state near the float range (xi0 = 1e300, 0, say) gives an infinite
+    # objective or gamma_T; that is no optimal plan.
+    numbers = (*plan.cop_T, *plan.gamma_T, plan.sigma, plan.duration, plan.objective)
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError(f"the plan from xi0={inp.xi0}, cop0={inp.cop0} is not finite")
+    return plan
 
 
 def replan(current: StepPlan, xi0, cop0, omega: float, nominal: NominalGait,

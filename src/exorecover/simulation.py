@@ -44,6 +44,7 @@ ankle strategy instead of drifting.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import NamedTuple
@@ -107,6 +108,13 @@ Vec3 = tuple[float, float, float]
 #: object with ``is``: a rate RK4 computed is a new tuple, even when zero.
 _REST = (0.0, 0.0, 0.0)
 
+#: What ``Measurement(...)`` and ``Command(...)`` call once their fields are
+#: in order; the per-tick ones are built with it directly.
+_new = tuple.__new__
+
+#: One ``run_scenario`` log row: 21 native doubles, 168 bytes.
+_ROW = struct.Struct("21d")
+
 
 @dataclass(frozen=True)
 class PushEvent:
@@ -148,16 +156,6 @@ def estimate_com(roll: float, pitch: float, pendulum_length: float) -> tuple[flo
     return pendulum_length * math.sin(pitch), pendulum_length * math.sin(roll)
 
 
-def _clip(x: float, lo: float, hi: float) -> float:
-    """``np.clip(x, lo, hi)`` for one float, signed zeros included.
-
-    ``min(max(x, lo), hi)`` keeps ``-0.0`` against a bound of ``0.0``
-    where ``np.clip`` returns the bound, and the two print differently.
-    """
-    m = x if x > lo else lo
-    return m if m < hi else hi
-
-
 def ankle_clamp(xi, foot_center, half_extents) -> tuple[float, float]:
     """Componentwise clamp of the DCM into the foot support rectangle.
 
@@ -167,9 +165,15 @@ def ankle_clamp(xi, foot_center, half_extents) -> tuple[float, float]:
     point-foot CoP at ``foot_center``.  The half extents come from the
     validated foot size and stance width and are not re-checked.
     """
-    cx, cy = foot_center
-    hx, hy = half_extents
-    return _clip(xi[0], cx - hx, cx + hx), _clip(xi[1], cy - hy, cy + hy)
+    # Each component is clipped as `x if x > lo else lo`, then the same
+    # against `hi`, which is np.clip's result, signed zeros included:
+    # min(max(x, lo), hi) keeps -0.0 against a bound of 0.0 where np.clip
+    # returns the bound, and the two print differently.
+    (x, y), (cx, cy), (hx, hy) = xi, foot_center, half_extents
+    lo_x, hi_x, lo_y, hi_y = cx - hx, cx + hx, cy - hy, cy + hy
+    x = x if x > lo_x else lo_x
+    y = y if y > lo_y else lo_y
+    return x if x < hi_x else hi_x, y if y < hi_y else hi_y
 
 
 def _key(default, key: str, help: str):
@@ -560,8 +564,10 @@ class Controller:
             )
             self.detector.stand(t)
 
+        if self.episode is None:  # no step in flight: _track would return _REST, None
+            return _new(Command, (self.cop, _REST, None, lift, touchdown))
         torque, swing = self._track(t, meas)
-        return Command(self.cop, torque, swing, lift, touchdown)
+        return _new(Command, (self.cop, torque, swing, lift, touchdown))
 
     def _abort(self, t: float, reason: str) -> None:
         self.episode = None
@@ -752,8 +758,12 @@ class Plant:
 
         L = self.config.com_height
         (x, y), (ax, ay) = self.com, self.anchor
-        pitch = math.asin(_clip((x - ax) / L, _ASIN_LO, _ASIN_HI))
-        roll = math.asin(_clip((y - ay) / L, _ASIN_LO, _ASIN_HI))
+        # Clipped as ankle_clamp clips, before the asin.
+        sx, sy = (x - ax) / L, (y - ay) / L
+        sx = sx if sx > _ASIN_LO else _ASIN_LO
+        sy = sy if sy > _ASIN_LO else _ASIN_LO
+        pitch = math.asin(sx if sx < _ASIN_HI else _ASIN_HI)
+        roll = math.asin(sy if sy < _ASIN_HI else _ASIN_HI)
         noise = self.noise
         if noise is not None:
             noise_pitch, noise_roll = next(noise), next(noise)
@@ -772,7 +782,7 @@ class Plant:
         vx, vy = self.vel
         omega = self.params.omega
         xi_hat = (com_x + vx / omega, com_y + vy / omega)
-        return Measurement((com_x, com_y), xi_hat, self.q, self.qd, self.tau, foot)
+        return _new(Measurement, ((com_x, com_y), xi_hat, self.q, self.qd, self.tau, foot))
 
     def step(self, command: Command, t: float) -> None:
         """Take the command's contact changes, then integrate to the next tick."""
@@ -783,15 +793,17 @@ class Plant:
         self.swing = command.swing
         dt = self.config.dt
         self.com, self.vel = step_lipm(self.com, self.vel, command.cop, self.params, dt)
-        human = [0.0, 0.0, 0.0]
-        for pulse in self.config.human_pulses:
-            if pulse.start <= t < pulse.end:
-                human[pulse.joint] += pulse.torque
+        human = _REST  # wearer torque per joint, summed only if a pulse is configured
+        if self.config.human_pulses:
+            human = [0.0, 0.0, 0.0]
+            for pulse in self.config.human_pulses:
+                if pulse.start <= t < pulse.end:
+                    human[pulse.joint] += pulse.torque
         (q0, q1, q2), torque = self.q, command.torque
         # Rest rule: RK4 on positive zero rate, torque and wearer torque
         # returns (q + 0.0, 0.0) per joint, bit for bit, so a leg at rest
         # under the controller's idle torque is not integrated.
-        if torque is _REST and self.qd is _REST and human == [0.0, 0.0, 0.0]:
+        if torque is _REST and self.qd is _REST and (human is _REST or human == [0.0, 0.0, 0.0]):
             self.q, self.tau = (q0 + 0.0, q1 + 0.0, q2 + 0.0), torque
             return
         (qd0, qd1, qd2), (tau0, tau1, tau2) = self.qd, torque
@@ -820,13 +832,14 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     omega = plant.params.omega
 
     log = np.empty((n_rows, 21))
+    rows, pack = memoryview(log).cast("B"), _ROW.pack_into  # row k starts at byte 168 * k
     log_phase: list[str] = []
     for k in range(n_rows):
         t = k * config.dt
         command = controller.step(plant.measure(t), t)
         (x, y), (vx, vy) = plant.com, plant.vel
-        log[k] = [t, x, y, vx, vy, x + vx / omega, y + vy / omega, *command.cop,
-                  *controller.foot_point, *controller.q_des, *controller.q, *command.torque]
+        pack(rows, 168 * k, t, x, y, vx, vy, x + vx / omega, y + vy / omega, *command.cop,
+             *controller.foot_point, *controller.q_des, *controller.q, *command.torque)
         log_phase.append(controller.detector.phase._value_)  # skips the .value property
         plant.step(command, t)
 

@@ -891,3 +891,28 @@ def test_importing_the_cli_leaves_the_reference_qp_unloaded():
     result = run_fresh_python("-c", "import sys, exorecover.cli; print('exorecover.qp' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize("vectors, fragment", [
+    (["--xi0=0.1,0", "--cop0=inf,0"], "must be finite (--cop0)"),
+    (["--xi0=0.1", "--cop0=0,0"], "expected 2 comma-separated numbers (--xi0)"),
+    (["--xi0=nan,0", "--cop0=0,0"], "must be finite (--xi0)"),
+    (["--xi0=a,0", "--cop0=0,0"], "could not convert string to float: 'a' (--xi0)"),
+    (["--xi0=1e300,0", "--cop0=0,0"], "the plan from xi0=(1e+300, 0.0), cop0=(0.0, 0.0) is not finite"),
+    (["--xi0=1e308,0", "--cop0=0,0"], "the plan from xi0=(1e+308, 0.0), cop0=(0.0, 0.0) is not finite"),
+])
+@pytest.mark.parametrize("command", ["plan", "sweep-weights"])
+def test_vector_and_overflow_errors_name_the_option_or_state(tmp_path, capsys, command, vectors,
+                                                              fragment):
+    """A bad --xi0 or --cop0 is named on stderr, and a plan that overflows
+    is an input error, not an optimal plan; neither writes a sweep.csv."""
+    scenario = write_scenario(tmp_path)
+    argv = [command, "--scenario", str(scenario), *vectors]
+    if command == "sweep-weights":
+        argv += ["--grid", str(write_scenario(tmp_path, GRID, name="grid.txt")),
+                 "--out", str(tmp_path / "sweep")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {fragment}" in captured.err
+    assert "status = optimal" not in captured.out
+    assert not (tmp_path / "sweep").exists()

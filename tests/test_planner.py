@@ -435,3 +435,16 @@ def test_in_flight_replan_is_the_planner_input_form_bit_for_bit():
                 break
             plan = new
     assert statuses.count("terminal") > 50 and statuses.count("optimal") > 300
+
+
+@pytest.mark.parametrize("xi0", [(1e300, 0.0), (1e308, 0.0), (0.0, -1e300)])
+def test_a_plan_that_overflows_is_an_error_naming_the_state(xi0):
+    """At 1e300 the objective overflows, at 1e308 gamma_T as well; either
+    plan would read as optimal, so plan_step raises and names its input."""
+    inp = PlannerInput(xi0=xi0, cop0=(0.0, 0.0), omega=OMEGA,
+                       nominal=default_nominal(), bounds=default_bounds())
+    with pytest.raises(ValueError, match=r"xi0=.*cop0=.*not finite"):
+        plan_step(inp)
+    # The largest state the bench inputs come near still plans.
+    far = replace(inp, xi0=(1e3, 0.0))
+    assert math.isfinite(plan_step(far).objective)

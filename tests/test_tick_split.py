@@ -33,3 +33,13 @@ def test_tick_counts_sum_to_the_rows():
     assert {"Standing", "Swing", "Swing/aborted"} <= set(split)
     for group in split.values():
         assert group["controller_us"] > 0.0 and group["plant_us"] > 0.0
+
+
+def test_the_loop_cost_outside_the_wrappers_is_reported():
+    """``loop_us``, the run's time per tick that no wrapper sees (the log
+    row, the orchestration), is finite and positive, next to the same
+    per-group split ``split_ticks`` reports."""
+    configs = [ScenarioConfig(duration=0.3, attitude_noise_deg=0.2, seed=3)]
+    groups, loop_us = load_tool().split_loop(configs, passes=2)
+    assert math.isfinite(loop_us) and loop_us > 0.0
+    assert set(groups) == {"Standing"} and groups["Standing"]["ticks"] == 300

@@ -21,8 +21,16 @@ as ``<phase>/aborted``.  Per group the worker reports the tick count and
 the mean controller and plant microseconds per tick, each the minimum
 over passes; the wrappers' own cost is in those means.
 
+The loop's own cost, which no wrapper sees (logging the row, reading
+the phase, passing the measurement and command along), is reported as
+``loop_us``: the pass's ``run_scenario`` time per tick minus the wrapped
+time per tick, the minimum over passes.  It includes each run's set-up
+(validation, plant and controller construction) and the part of the
+wrappers' own cost outside their timers, so it is an upper bound.
+
 The run ends by printing one JSON object, laid out for a ``BENCH_*.json``
-file: per tree, per group, the tick count and one mean per round.
+file: per tree, per group, the tick count and one mean per round, and
+one ``loop_us`` per round.
 """
 
 from __future__ import annotations
@@ -47,9 +55,14 @@ def _group(controller) -> str:
 
 
 def split_ticks(configs, passes: int) -> dict[str, dict]:
-    """``{group: {"ticks", "controller_us", "plant_us"}}`` over ``passes``
-    runs of every config, with the exorecover that is imported; the means
-    per tick are each the minimum over passes."""
+    """The per-group split of :func:`split_loop`."""
+    return split_loop(configs, passes)[0]
+
+
+def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
+    """``({group: {"ticks", "controller_us", "plant_us"}}, loop_us)`` over
+    ``passes`` runs of every config, with the exorecover that is imported;
+    the means per tick are each the minimum over passes."""
     from exorecover import simulation
 
     Plant, Controller = simulation.Plant, simulation.Controller
@@ -82,12 +95,18 @@ def split_ticks(configs, passes: int) -> dict[str, dict]:
         state["group"][2] += clock() - start
 
     best: dict[str, dict] = {}
+    loop_us = float("inf")
     Plant.measure, Controller.step, Plant.step = timed_measure, timed_control, timed_integrate
     try:
         for _ in range(passes):
             sums.clear()
+            start = clock()
             for config in configs:
                 simulation.run_scenario(config)
+            run_s = clock() - start
+            all_ticks = sum(row[0] for row in sums.values())
+            wrapped_s = sum(row[1] + row[2] for row in sums.values())
+            loop_us = min(loop_us, (run_s - wrapped_s) / all_ticks * 1e6)
             for group, (ticks, control_s, plant_s) in sums.items():
                 row = best.setdefault(group, {"ticks": ticks, "controller_us": float("inf"),
                                               "plant_us": float("inf")})
@@ -95,10 +114,10 @@ def split_ticks(configs, passes: int) -> dict[str, dict]:
                 row["plant_us"] = min(row["plant_us"], plant_s / ticks * 1e6)
     finally:
         Plant.measure, Controller.step, Plant.step = originals
-    return dict(sorted(best.items()))
+    return dict(sorted(best.items())), loop_us
 
 
-def _worker(tree: Path, workload: str, seed: int, passes: int) -> dict:
+def _worker(tree: Path, workload: str, seed: int, passes: int) -> tuple[dict, float]:
     sys.path.insert(0, str(tree / "src"))
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
@@ -110,7 +129,7 @@ def _worker(tree: Path, workload: str, seed: int, passes: int) -> dict:
         if not commands:
             raise SystemExit(f"tick_split: workload {workload} runs no simulation")
         configs = [cli.load_scenario(c.scenario) for c in commands]
-    return split_ticks(configs, passes)
+    return split_loop(configs, passes)
 
 
 def main(argv=None) -> int:
@@ -129,15 +148,17 @@ def main(argv=None) -> int:
     trees = [tree.resolve() for tree in args.trees]
     if len({tree.name for tree in trees}) < len(trees):
         parser.error("the trees are reported by directory name, so the names must differ")
-    result = {tree.name: {} for tree in trees}
+    result = {tree.name: {"groups": {}, "loop_us": []} for tree in trees}
     for r in range(args.rounds):
         for tree in trees if r % 2 == 0 else trees[::-1]:
             out = subprocess.run(
                 [sys.executable, __file__, str(tree), "--worker", "--workload", args.workload,
                  "--seed", str(args.seed), "--passes", str(args.passes)],
                 check=True, capture_output=True, text=True).stdout
-            for group, row in json.loads(out.splitlines()[-1]).items():
-                entry = result[tree.name].setdefault(
+            groups, loop_us = json.loads(out.splitlines()[-1])
+            result[tree.name]["loop_us"].append(round(loop_us, 2))
+            for group, row in groups.items():
+                entry = result[tree.name]["groups"].setdefault(
                     group, {"ticks": row["ticks"], "controller_us": [], "plant_us": []})
                 entry["controller_us"].append(round(row["controller_us"], 2))
                 entry["plant_us"].append(round(row["plant_us"], 2))
@@ -145,7 +166,8 @@ def main(argv=None) -> int:
     print(json.dumps({
         "method": "tools/tick_split.py: perf_counter wrappers around Plant.measure, "
                   "Controller.step and Plant.step, ticks grouped by start phase, "
-                  "post-abort ticks apart; min over passes of the mean per tick",
+                  "post-abort ticks apart; min over passes of the mean per tick; "
+                  "loop_us is run_scenario time per tick minus the wrapped time",
         "workload": args.workload, "seed": args.seed, "passes": args.passes,
         "rounds": args.rounds, "trees": result,
     }, indent=1))
