@@ -26,15 +26,7 @@ from .impedance import (
     joint_plant_step,
 )
 from .kinematics import JointLimits, LegGeometry, Side, forward_kinematics, inverse_kinematics
-from .lipm import (
-    LipmParams,
-    apply_impulse,
-    com_closed_form,
-    dcm_closed_form,
-    dcm_of,
-    natural_frequency,
-    step_lipm,
-)
+from .lipm import LipmParams, apply_impulse, natural_frequency, step_lipm
 from .planner import (
     NominalGait,
     PlannerInput,
@@ -43,9 +35,7 @@ from .planner import (
     constraint_names,
     mirror_bounds,
     mirror_gait,
-    nominal_consistent_dcm,
     plan_step,
-    planning_cost,
     replan,
 )
 from .simulation import (
@@ -60,6 +50,6 @@ from .simulation import (
     run_scenario,
     summarize,
 )
-from .swing import SwingTrajectory, build_swing, quintic_from_boundary, retarget, sample
+from .swing import SwingTrajectory, build_swing, retarget, sample
 
 __version__ = "0.1.0"

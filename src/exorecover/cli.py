@@ -88,8 +88,8 @@ def _int(text: str) -> int:
 
 
 def _floats(text: str, n: int) -> tuple[float, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != n:
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != n or not all(parts):
         raise ValueError(f"expected {n} comma-separated numbers")
     return tuple(_float(p) for p in parts)
 
@@ -219,9 +219,11 @@ def _parse_lines(lines, fields: dict, records: dict) -> None:
             raise ScenarioParseError(f"{where}: invalid value for '{key}': {err}") from None
 
 
-def _parse_scenario(path, overrides: list[str] | None) -> tuple[ScenarioConfig, dict]:
-    """:func:`parse_scenario`, plus each group's record numbers ``N`` in the
-    order of the config's records (pushes are sorted by time)."""
+def parse_scenario(path, overrides: list[str] | None = None) -> tuple[ScenarioConfig, dict]:
+    """Parse a scenario file plus ``--set key=value`` overrides, unvalidated.
+
+    Returns the config and, per record group, the records' numbers ``N``
+    in the order of the config's records (pushes are sorted by time)."""
     fields: dict = {}
     records: dict = {group: {} for group in _GROUPS}
     _parse_lines(_read_lines(path, "scenario"), fields, records)
@@ -249,17 +251,12 @@ def _parse_scenario(path, overrides: list[str] | None) -> tuple[ScenarioConfig, 
     return ScenarioConfig(**fields), ids
 
 
-def parse_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
-    """Parse a scenario file plus ``--set key=value`` overrides."""
-    return _parse_scenario(path, overrides)[0]
-
-
 def load_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
     """Parse and validate; raises ScenarioParseError or ConfigurationError.
 
     Validation errors name a push or pulse by its record number ``N`` in
     the file, not by its place in the time-sorted config."""
-    config, ids = _parse_scenario(path, overrides)
+    config, ids = parse_scenario(path, overrides)
     config._validate(ids["push"], ids["human"])
     return config
 

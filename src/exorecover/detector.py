@@ -79,18 +79,14 @@ class BalanceDetector:
     """Stateful detector; feed it one DCM sample per control cycle.
 
     ``debounce_cycles`` consecutive outside samples are required before
-    the trigger fires (2 by default, 1 disables debouncing).  Capture is
-    declared once the offset ``|xi - cop|`` passed to :meth:`update_landing`
-    has stayed below ``capture_tolerance`` for ``capture_hold`` seconds.
+    the trigger fires (1 disables debouncing).  Capture is declared once
+    the offset ``|xi - cop|`` passed to :meth:`update_landing` has stayed
+    below ``capture_tolerance`` for ``capture_hold`` seconds.  The
+    defaults of all three are ``ScenarioConfig``'s.
     """
 
-    def __init__(
-        self,
-        ellipse: SwayEllipse,
-        debounce_cycles: int = 2,
-        capture_tolerance: float = 0.02,
-        capture_hold: float = 0.2,
-    ):
+    def __init__(self, ellipse: SwayEllipse, debounce_cycles: int, capture_tolerance: float,
+                 capture_hold: float):
         if not isinstance(debounce_cycles, Integral) or debounce_cycles < 1:
             raise ValueError(f"debounce_cycles must be an integer >= 1, got {debounce_cycles}")
         if not (0.0 < capture_tolerance < math.inf):

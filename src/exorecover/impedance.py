@@ -4,11 +4,11 @@ The assist law per joint is a spring-damper on the tracking error,
 
     tau = stiffness * (angle_des - angle_meas) - damping * vel_meas,
 
-with gains stored in N*m/rad.  The stock gain set is specified per
-degree of error; ``ImpedanceGains.from_deg`` stores
-``k_deg / (pi/180)``, a conversion whose round trip back to per-degree
-torque is exact in IEEE arithmetic, so a one-degree error commands
-exactly the per-degree constants.  Zero-torque mode bypasses the law
+with gains stored in N*m/rad.  The stock gain set
+(``ScenarioConfig.stiffness_deg``) is specified per degree of error;
+``ImpedanceGains.from_deg`` stores ``k_deg / (pi/180)``, a conversion
+whose round trip back to per-degree torque is exact in IEEE arithmetic,
+so a one-degree error commands exactly the per-degree constants.  Zero-torque mode bypasses the law
 entirely and commands zero on every joint.
 
 Commanded torques pass through a proportional inner loop on measured
@@ -81,14 +81,10 @@ class ImpedanceGains:
         object.__setattr__(self, "damping", tuple(damp.tolist()))
 
     @classmethod
-    def from_deg(cls, stiffness_deg, damping=0.0) -> "ImpedanceGains":
+    def from_deg(cls, stiffness_deg, damping) -> "ImpedanceGains":
         """Build from per-degree stiffness (the native tuning unit)."""
         stiff = _as_vec3(stiffness_deg, "stiffness_deg") / RAD_PER_DEG
         return cls(stiffness=stiff, damping=_as_vec3(damping, "damping"))
-
-
-#: Stock gain set: hip ab/adduction, hip flexion, knee, in N*m per degree.
-DEFAULT_STIFFNESS_DEG = (1.5, 0.4, 0.4)
 
 
 class ControlMode(Enum):
@@ -98,8 +94,10 @@ class ControlMode(Enum):
 
 @dataclass(frozen=True)
 class PlantParams:
-    inertia: float = 0.05  # kg*m^2
-    viscous_damping: float = 0.5  # N*m*s/rad
+    """One joint's plant; ``ScenarioConfig`` holds the default values."""
+
+    inertia: float  # kg*m^2
+    viscous_damping: float  # N*m*s/rad
 
     def __post_init__(self):
         if not (self.inertia > 0.0) or not math.isfinite(self.inertia):

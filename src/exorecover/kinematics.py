@@ -54,13 +54,10 @@ __all__ = [
     "JointLimits",
     "forward_kinematics",
     "inverse_kinematics",
-    "DEFAULT_LIMITS",
 ]
 
 #: Guard band that keeps solutions away from workspace singularities.
 BOUNDARY_GUARD = 1e-12
-
-_DEG = math.pi / 180.0
 
 
 class Side(Enum):
@@ -70,13 +67,15 @@ class Side(Enum):
 
 @dataclass(frozen=True)
 class LegGeometry:
-    """Link lengths in metres; ``l0`` is carried for trunk placement only."""
+    """Link lengths in metres; ``l0`` is carried for trunk placement only.
 
-    l0: float = 0.06  # trunk centre to hip ab/adduction joint (lateral)
-    l1: float = 0.04  # hip ab/adduction joint to flexion axis (lateral)
-    l2: float = 0.45  # thigh
-    l3: float = 0.45  # shank
-    side: Side = Side.RIGHT
+    ``ScenarioConfig.leg_geometry(side)`` gives the default lengths."""
+
+    l0: float  # trunk centre to hip ab/adduction joint (lateral)
+    l1: float  # hip ab/adduction joint to flexion axis (lateral)
+    l2: float  # thigh
+    l3: float  # shank
+    side: Side
 
     def __post_init__(self):
         for name in ("l0", "l1", "l2", "l3"):
@@ -87,20 +86,18 @@ class LegGeometry:
 
 @dataclass(frozen=True)
 class JointLimits:
-    """Per-joint (min, max) bounds in radians."""
+    """Per-joint (min, max) bounds in radians; ``ScenarioConfig.joint_limits()``
+    gives the defaults."""
 
-    hip_ab: tuple[float, float] = (-20.0 * _DEG, 20.0 * _DEG)
-    hip_flex: tuple[float, float] = (-20.0 * _DEG, 100.0 * _DEG)
-    knee: tuple[float, float] = (0.0, 120.0 * _DEG)
+    hip_ab: tuple[float, float]
+    hip_flex: tuple[float, float]
+    knee: tuple[float, float]
 
     def __post_init__(self):
         for name in ("hip_ab", "hip_flex", "knee"):
             lo, hi = getattr(self, name)
             if not (lo < hi):
                 raise ValueError(f"{name} limits must satisfy min < max, got ({lo}, {hi})")
-
-
-DEFAULT_LIMITS = JointLimits()
 
 
 def forward_kinematics(q, geom: LegGeometry) -> tuple[float, float, float]:
@@ -149,17 +146,13 @@ def _workspace_check(x: float, y: float, z: float, geom: LegGeometry) -> tuple[f
     return s, D
 
 
-def inverse_kinematics(
-    p,
-    geom: LegGeometry,
-    limits: JointLimits | None = DEFAULT_LIMITS,
-) -> tuple[float, float, float]:
+def inverse_kinematics(p, geom: LegGeometry, limits: JointLimits | None) -> tuple[float, float, float]:
     """Joint angles ``(theta1, theta2, theta3)`` reaching the foot point ``p``
     on the knee-flexed branch.
 
     Raises :class:`WorkspaceError` outside the reachable set (including
     any non-finite ``p``) and :class:`JointLimitError` when the solution
-    violates ``limits`` (pass ``limits=None`` to skip the check).
+    violates ``limits`` (``None`` skips the check).
     """
     x, y, z = map(float, p)
     y_c = -y if geom.side is Side.RIGHT else y

@@ -4,9 +4,8 @@ The horizontal centre of mass obeys ``com_acc = omega**2 * (com - cop)``
 with ``omega = sqrt(gravity / com_height)``.  Splitting the state into a
 convergent part and the divergent component ``xi = com + com_vel / omega``
 decouples the dynamics: ``xi`` diverges away from the centre of pressure,
-``com`` converges towards ``xi``.  Both sub-systems have closed forms for
-a constant CoP, which this module exposes next to a fixed-step RK4
-integrator of the raw second-order equation.
+``com`` converges towards ``xi``.  This module integrates the raw
+second-order equation with a fixed-step RK4 and applies impulsive pushes.
 
 Two-dimensional points and velocities (CoM, DCM, CoP, impulse) are
 ``(x, y)`` pairs of Python floats, in and out of the 1 kHz loop alike.
@@ -24,15 +23,12 @@ import numpy as np
 __all__ = [
     "LipmParams",
     "natural_frequency",
-    "dcm_of",
-    "dcm_closed_form",
-    "com_closed_form",
     "step_lipm",
     "apply_impulse",
 ]
 
 
-def as_vec2(value, name: str = "value") -> tuple[float, float]:
+def as_vec2(value, name: str) -> tuple[float, float]:
     """Return ``value`` as a finite ``(x, y)`` float pair or raise ValueError."""
     out = np.asarray(value, dtype=float).reshape(-1)
     if out.shape != (2,):
@@ -54,16 +50,16 @@ def natural_frequency(gravity: float, com_height: float) -> float:
 
 @dataclass(frozen=True)
 class LipmParams:
-    """Pendulum parameters.
+    """Pendulum parameters; ``ScenarioConfig.lipm_params()`` gives the defaults.
 
     The natural frequency is derived in ``__post_init__`` and therefore
     always consistent with ``gravity`` and ``com_height``; being frozen,
     any change goes through ``dataclasses.replace`` and recomputes it.
     """
 
-    gravity: float = 9.81  # m/s^2
-    com_height: float = 0.88  # m, constant-height plane of the CoM
-    mass: float = 70.0  # kg, only used to convert impulses
+    gravity: float  # m/s^2
+    com_height: float  # m, constant-height plane of the CoM
+    mass: float  # kg, only used to convert impulses
     omega: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -72,41 +68,6 @@ class LipmParams:
         object.__setattr__(
             self, "omega", natural_frequency(self.gravity, self.com_height)
         )
-
-
-def dcm_of(com, com_vel, params: LipmParams) -> tuple[float, float]:
-    """Divergent component ``com + com_vel / omega``."""
-    (x, y), (vx, vy) = as_vec2(com, "com"), as_vec2(com_vel, "com_vel")
-    return x + vx / params.omega, y + vy / params.omega
-
-
-def _check_horizon(t: float) -> float:
-    if not (t >= 0.0) or not math.isfinite(t):
-        raise ValueError(f"horizon t must be >= 0, got {t}")
-    return float(t)
-
-
-def dcm_closed_form(xi0, cop0, params: LipmParams, t: float) -> tuple[float, float]:
-    """DCM after time ``t`` under a CoP held constant at ``cop0``.
-
-    ``(xi0 - cop0) * exp(omega * t) + cop0``
-    """
-    t = _check_horizon(t)
-    (x, y), (cx, cy) = as_vec2(xi0, "xi0"), as_vec2(cop0, "cop0")
-    e = math.exp(params.omega * t)
-    return (x - cx) * e + cx, (y - cy) * e + cy
-
-
-def com_closed_form(com0, xi0, params: LipmParams, t: float) -> tuple[float, float]:
-    """CoM after time ``t`` while the DCM is frozen at ``xi0``.
-
-    ``(com0 - xi0) * exp(-omega * t) + xi0``; valid when the CoP tracks
-    the DCM so that ``xi`` does not move (the post-capture regime).
-    """
-    t = _check_horizon(t)
-    (x, y), (dx, dy) = as_vec2(com0, "com0"), as_vec2(xi0, "xi0")
-    e = math.exp(-params.omega * t)
-    return (x - dx) * e + dx, (y - dy) * e + dy
 
 
 def step_lipm(com, com_vel, cop, params: LipmParams, dt: float):

@@ -55,9 +55,7 @@ __all__ = [
     "StepPlan",
     "plan_step",
     "replan",
-    "planning_cost",
     "constraint_names",
-    "nominal_consistent_dcm",
     "mirror_gait",
     "mirror_bounds",
 ]
@@ -164,7 +162,7 @@ class StepPlan:
     objective: float
     status: str  # "optimal" | "terminal"
     active_set: tuple[int, ...]
-    planned_at: float = 0.0  # s since trigger
+    planned_at: float  # s since trigger
     eq_multipliers: tuple[float, ...] = (0.0, 0.0)
     ineq_multipliers: tuple[float, ...] = (0.0,) * 6
 
@@ -192,22 +190,14 @@ def constraint_names() -> tuple[str, ...]:
 
 
 def _cost(nominal: NominalGait, sigma_nom: float, cop, sigma: float, gamma) -> float:
-    """:func:`planning_cost` with ``cop`` and ``gamma`` as float pairs."""
+    """The full quadratic cost of the module docstring (with its constant
+    term, unlike the raw QP) at the float pairs ``cop`` and ``gamma``,
+    summed in Python floats, so the value does not depend on the BLAS build."""
     a1, a2, a3 = nominal.weights
     (cx, cy), (gx, gy) = nominal.cop_T_nom, nominal.gamma_nom
     dx, dy = cop[0] - cx, cop[1] - cy
     ex, ey = gamma[0] - gx, gamma[1] - gy
     return a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * (sigma - sigma_nom) ** 2
-
-
-def planning_cost(inp: PlannerInput, cop_T, sigma: float, gamma_T) -> float:
-    """The full quadratic cost (with its constant term, unlike the raw QP).
-
-    Summed in Python floats, so the value does not depend on the BLAS build.
-    """
-    sigma_nom = math.exp(inp.omega * inp.nominal.T_nom)
-    return _cost(inp.nominal, sigma_nom, (float(cop_T[0]), float(cop_T[1])), sigma,
-                 (float(gamma_T[0]), float(gamma_T[1])))
 
 
 def _binding_rows(cop, sigma: float, lo, hi, s_lo: float, s_hi: float) -> tuple[int, ...]:
@@ -323,11 +313,17 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
 
 def plan_step(inp: PlannerInput) -> StepPlan:
     """Solve the step-adaptation program at trigger time; ValueError if the plan overflows."""
-    plan = _solve(inp.xi0, inp.cop0, inp.omega, inp.nominal, inp.bounds,
-                  inp.bounds.T_min, inp.bounds.T_max, planned_at=0.0)
     # A state near the float range (xi0 = 1e300, 0, say) gives an infinite
-    # objective or gamma_T; that is no optimal plan.
-    numbers = (*plan.cop_T, *plan.gamma_T, plan.sigma, plan.duration, plan.objective)
+    # objective or gamma_T, and a step time for which exp(omega * T), or the
+    # cost's square of sigma, leaves the range raises OverflowError; neither
+    # is an optimal plan.
+    try:
+        plan = _solve(inp.xi0, inp.cop0, inp.omega, inp.nominal, inp.bounds,
+                      inp.bounds.T_min, inp.bounds.T_max, planned_at=0.0)
+    except OverflowError:
+        numbers = (math.inf,)
+    else:
+        numbers = (*plan.cop_T, *plan.gamma_T, plan.sigma, plan.duration, plan.objective)
     if not all(map(math.isfinite, numbers)):
         raise ValueError(f"the plan from xi0={inp.xi0}, cop0={inp.cop0} is not finite")
     return plan
@@ -378,19 +374,6 @@ def replan(current: StepPlan, xi0, cop0, omega: float, nominal: NominalGait,
             planned_at=elapsed,
         )
     return _solve(xi0, cop0, omega, nominal, bounds, t_lo, t_hi, elapsed)
-
-
-def nominal_consistent_dcm(nominal: NominalGait, cop0, omega: float) -> tuple[float, float]:
-    """DCM for which the nominal plan satisfies the boundary condition.
-
-    Solving the equality for ``xi0`` with all decision variables pinned
-    at their nominal values gives
-    ``xi0 = cop0 - (cop0 - gamma_nom - cop_T_nom) / sigma_nom``;
-    planning from this state returns the nominal plan with zero cost.
-    """
-    sigma_nom = math.exp(omega * nominal.T_nom)
-    (c_x, c_y), (g_x, g_y), (n_x, n_y) = as_vec2(cop0, "cop0"), nominal.gamma_nom, nominal.cop_T_nom
-    return c_x - (c_x - g_x - n_x) / sigma_nom, c_y - (c_y - g_y - n_y) / sigma_nom
 
 
 def mirror_gait(nominal: NominalGait) -> NominalGait:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import NamedTuple
@@ -268,6 +269,13 @@ class ScenarioConfig:
     def leg_geometry(self, side: Side) -> LegGeometry:
         return LegGeometry(self.l0, self.l1, self.l2, self.l3, side)
 
+    def standing_pose(self) -> Vec3:
+        """Joint angles of the planted right leg on its stance point under the
+        CoM at ``com0``; raises WorkspaceError or JointLimitError."""
+        planted = (0.0, -0.5 * self.resolved_stance_width(), 0.0)
+        return inverse_kinematics(_leg_target(self, Side.RIGHT, planted, as_vec2(self.com0, "com0")),
+                                  self.leg_geometry(Side.RIGHT), self.joint_limits())
+
     def resolved_stance_width(self) -> float:
         if self.stance_width is not None:
             return float(self.stance_width)
@@ -292,7 +300,8 @@ class ScenarioConfig:
         return replace(nominal, cop_T_nom=(nx + sx, ny + sy)), bounds.shift(stance_xy)
 
     def validate(self) -> None:
-        """Raise ConfigurationError listing every invalid field."""
+        """Raise ConfigurationError listing every invalid field or, once every
+        field is valid, naming the fields that keep the right leg from standing."""
         self._validate(range(len(self.pushes)), range(len(self.human_pulses)))
 
     def _validate(self, push_ids, pulse_ids) -> None:
@@ -327,6 +336,13 @@ class ScenarioConfig:
         check(self.chain_offset > 0.0, "chain_offset must be positive")
         check(0.0 < self.t_min <= self.t_max, f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")
         check(self.t_nom > 0.0, "t_nom must be positive")
+        if 0.0 < self.gravity < math.inf and 0.0 < self.com_height < math.inf:
+            # The planner takes exp(omega * T) of these step times.
+            longest = math.log(sys.float_info.max) / math.sqrt(self.gravity / self.com_height)
+            for name in ("t_nom", "t_max"):
+                value = getattr(self, name)
+                check(not value > longest, f"{name} must be at most {longest:.6g} s, "
+                      f"past which exp(omega * {name}) overflows, got {value}")
         check(all(w > 0.0 for w in self.weights), f"weights must be positive, got {self.weights}")
         check(
             all(lo <= hi for lo, hi in zip(self.cop_min, self.cop_max)),
@@ -373,6 +389,16 @@ class ScenarioConfig:
                       f"(the first at or after its start is at t={first:.9g})")
         if bad:
             raise ConfigurationError("invalid scenario: " + "; ".join(bad))
+        # Checked once everything above holds: the pose needs valid lengths and limits.
+        stand = "invalid scenario: the planted right leg cannot stand"
+        try:
+            self.standing_pose()
+        except WorkspaceError as err:
+            raise ConfigurationError(f"{stand}: com0, com_height, l0-l3 and stance_width "
+                                     f"put its stance point out of reach: {err}") from None
+        except JointLimitError as err:
+            limits = ", ".join(joint + "_limits_deg" for joint in err.joints)
+            raise ConfigurationError(f"{stand}: its pose violates {limits}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -741,12 +767,7 @@ class Plant:
         self.geoms = {side: config.leg_geometry(side) for side in Side}
         # Before any step the tracked leg is the right one, planted at its
         # stance point.
-        planted = (0.0, -0.5 * config.resolved_stance_width(), 0.0)
-        self.q = inverse_kinematics(
-            _leg_target(config, Side.RIGHT, planted, self.com),
-            self.geoms[Side.RIGHT],
-            config.joint_limits(),
-        )
+        self.q = config.standing_pose()
         self.qd, self.tau = _REST, _REST
 
     def measure(self, t: float) -> Measurement:

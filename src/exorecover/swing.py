@@ -20,99 +20,53 @@ converts to leg coordinates only when solving IK).
 Everything here is Python floats: a segment's coefficients are a float
 6-tuple, and :func:`sample` returns ``(position, velocity,
 acceleration)`` as three ``(x, y, z)`` float triples.  Inputs are
-checked once, where they enter: :class:`QuinticSegment` checks the
-segment it is given, while :func:`quintic_from_boundary`,
-:func:`build_swing` and :func:`retarget` check their arguments and
-build segments from the floats they computed without checking them
-again.  Each Horner sum keeps the operation order of its array form, so
-the values are the same bit for bit.
+checked once, where they enter: :func:`build_swing` and
+:func:`retarget` check their arguments and build each
+:class:`QuinticSegment` from the floats they computed.  Each Horner sum
+keeps the operation order of its array form, so the values are the same
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .planner import StepPlan
 
 __all__ = [
     "QuinticSegment",
     "SwingTrajectory",
-    "quintic_from_boundary",
     "build_swing",
     "sample",
     "retarget",
 ]
 
-DEFAULT_PEAK_HEIGHT = 0.07  # m
-DEFAULT_PEAK_FRACTION = 0.4  # of the step duration
 
-
-@dataclass(frozen=True)
-class QuinticSegment:
+class QuinticSegment(NamedTuple):
     """Degree-5 polynomial on [t_start, t_end] in the local variable t - t_start."""
 
     coefficients: tuple[float, ...]  # 6 floats, ascending powers
     t_start: float
     t_end: float
 
-    def __post_init__(self):
-        c = tuple(map(float, self.coefficients))
-        if len(c) != 6:
-            raise ValueError(f"need 6 coefficients, got {len(c)}")
-        if not (self.t_end > self.t_start):
-            raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
-        object.__setattr__(self, "coefficients", c)
-
-    def evaluate(self, t: float) -> tuple[float, float, float]:
-        """(position, velocity, acceleration) at absolute time ``t``."""
-        s = t - self.t_start
-        c0, c1, c2, c3, c4, c5 = self.coefficients
-        pos = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
-        vel = c1 + s * (2 * c2 + s * (3 * c3 + s * (4 * c4 + s * 5 * c5)))
-        acc = 2 * c2 + s * (6 * c3 + s * (12 * c4 + s * 20 * c5))
-        return pos, vel, acc
-
-
-_new, _set = object.__new__, object.__setattr__
-
 
 def _quintic(t0: float, t1: float, p0: float, v0: float, a0: float,
              p1: float, v1: float, a1: float) -> QuinticSegment:
-    """The quintic of :func:`quintic_from_boundary` for a window and boundary
-    this module computed as floats, built without :class:`QuinticSegment`'s
-    checks: its six coefficients are floats and ``t1 > t0`` already."""
+    """The unique quintic on ``[t0, t1]``, ``t1 > t0``, matching position
+    ``p``, velocity ``v`` and acceleration ``a`` at both ends, in closed form."""
     T = t1 - t0
     h = p1 - p0
     T2 = T * T
-    seg = _new(QuinticSegment)
-    _set(seg, "coefficients", (
+    return QuinticSegment((
         p0,
         v0,
         0.5 * a0,
         (20.0 * h - (8.0 * v1 + 12.0 * v0) * T - (3.0 * a0 - a1) * T2) / (2.0 * T2 * T),
         (-30.0 * h + (14.0 * v1 + 16.0 * v0) * T + (3.0 * a0 - 2.0 * a1) * T2) / (2.0 * T2 * T2),
         (12.0 * h - 6.0 * (v1 + v0) * T + (a1 - a0) * T2) / (2.0 * T2 * T2 * T),
-    ))
-    _set(seg, "t_start", t0)
-    _set(seg, "t_end", t1)
-    return seg
-
-
-def quintic_from_boundary(
-    t0: float,
-    t1: float,
-    start: tuple[float, float, float],
-    end: tuple[float, float, float],
-) -> QuinticSegment:
-    """Unique quintic matching (pos, vel, acc) at both ends, in closed form."""
-    t0, t1 = float(t0), float(t1)
-    T = t1 - t0
-    if not (T > 0.0) or not math.isfinite(T):
-        raise ValueError(f"segment duration must be positive, got {T}")
-    p0, v0, a0 = map(float, start)
-    p1, v1, a1 = map(float, end)
-    return _quintic(t0, t1, p0, v0, a0, p1, v1, a1)
+    ), t0, t1)
 
 
 @dataclass(frozen=True)
@@ -143,12 +97,7 @@ def _landing(plan: StepPlan) -> tuple[float, float]:
     return float(x), float(y)
 
 
-def build_swing(
-    start,
-    plan: StepPlan,
-    peak_height: float = DEFAULT_PEAK_HEIGHT,
-    peak_fraction: float = DEFAULT_PEAK_FRACTION,
-) -> SwingTrajectory:
+def build_swing(start, plan: StepPlan, peak_height: float, peak_fraction: float) -> SwingTrajectory:
     """Trajectory from a resting foot at ``start`` (an ``(x, y, z)`` point) to
     the plan's landing CoP."""
     land_x, land_y = _landing(plan)
@@ -178,8 +127,8 @@ def sample(traj: SwingTrajectory, t: float) -> tuple[tuple[float, float, float],
     """``(position, velocity, acceleration)``, each an ``(x, y, z)`` float
     triple, at local time ``t`` clamped to [0, duration].
 
-    :meth:`QuinticSegment.evaluate` written out for each axis: it runs
-    on every swing tick."""
+    Each axis' segment is evaluated by Horner sums written out in place:
+    this runs on every swing tick."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     t_eval = min(max(t, 0.0), traj.duration)

@@ -11,6 +11,11 @@ one-dimensional convex problem in ``sigma`` on a zooming grid.
 that the reference solver in :mod:`exorecover.qp` takes, and
 :func:`kkt_residual` certifies a solver result or (through
 :func:`plan_kkt_residual`) a planner ``StepPlan`` against it.
+
+The pendulum closed forms, the planning cost and the DCM on which the
+nominal plan is optimal are plain float formulas, and :func:`evaluate`
+is the numpy-scalar Horner form of a swing quintic; none checks its
+inputs.  The loop itself uses none of them.
 """
 
 import math
@@ -162,3 +167,49 @@ def plan_kkt_residual(inp: PlannerInput, plan: StepPlan) -> KktResidual:
     """First-order residuals of a planner result against ``assemble_qp(inp)``."""
     z = [*plan.cop_T, plan.sigma, *plan.gamma_T]
     return _residual(assemble_qp(inp), z, plan.eq_multipliers, plan.ineq_multipliers)
+
+
+def dcm_closed_form(xi0, cop0, omega: float, t: float):
+    """DCM after time ``t`` under a CoP held at ``cop0``:
+    ``(xi0 - cop0) * exp(omega * t) + cop0``."""
+    e = math.exp(omega * t)
+    return (xi0[0] - cop0[0]) * e + cop0[0], (xi0[1] - cop0[1]) * e + cop0[1]
+
+
+def com_closed_form(com0, xi0, omega: float, t: float):
+    """CoM after time ``t`` while the DCM stays at ``xi0`` (the CoP tracks it):
+    ``(com0 - xi0) * exp(-omega * t) + xi0``."""
+    e = math.exp(-omega * t)
+    return (com0[0] - xi0[0]) * e + xi0[0], (com0[1] - xi0[1]) * e + xi0[1]
+
+
+def nominal_consistent_dcm(nominal, cop0, omega: float):
+    """The DCM from which planning returns the nominal plan at zero cost:
+    the boundary condition solved for ``xi0`` with every decision variable
+    at its nominal value, ``cop0 - (cop0 - gamma_nom - cop_T_nom) / sigma_nom``."""
+    sigma_nom = math.exp(omega * nominal.T_nom)
+    (g_x, g_y), (n_x, n_y) = nominal.gamma_nom, nominal.cop_T_nom
+    return (cop0[0] - (cop0[0] - g_x - n_x) / sigma_nom,
+            cop0[1] - (cop0[1] - g_y - n_y) / sigma_nom)
+
+
+def planning_cost(inp: PlannerInput, cop_T, sigma: float, gamma_T) -> float:
+    """The planner's full quadratic cost, constant term included, summed in
+    Python floats in the order ``StepPlan.objective`` is."""
+    a1, a2, a3 = inp.nominal.weights
+    (cx, cy), (gx, gy) = inp.nominal.cop_T_nom, inp.nominal.gamma_nom
+    dx, dy = float(cop_T[0]) - cx, float(cop_T[1]) - cy
+    ex, ey = float(gamma_T[0]) - gx, float(gamma_T[1]) - gy
+    sigma_nom = math.exp(inp.omega * inp.nominal.T_nom)
+    return a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * (sigma - sigma_nom) ** 2
+
+
+def evaluate(seg, t: float):
+    """``(position, velocity, acceleration)`` of a swing ``QuinticSegment`` at
+    absolute time ``t``, as numpy-scalar Horner sums."""
+    s = t - seg.t_start
+    c = np.array(seg.coefficients)
+    pos = c[0] + s * (c[1] + s * (c[2] + s * (c[3] + s * (c[4] + s * c[5]))))
+    vel = c[1] + s * (2 * c[2] + s * (3 * c[3] + s * (4 * c[4] + s * 5 * c[5])))
+    acc = 2 * c[2] + s * (6 * c[3] + s * (12 * c[4] + s * 20 * c[5]))
+    return pos, vel, acc

@@ -28,24 +28,28 @@ from exorecover import (
     StepPlan,
     WorkspaceError,
     build_swing,
-    dcm_closed_form,
-    dcm_of,
     forward_kinematics,
     impedance_torque,
     inverse_kinematics,
-    nominal_consistent_dcm,
     plan_step,
     run_scenario,
     step_lipm,
     summarize,
 )
 from exorecover import cli
-from exorecover.impedance import DEFAULT_STIFFNESS_DEG, RAD_PER_DEG
+from exorecover.impedance import RAD_PER_DEG
 import acceptance_report
-from oracle_utils import brute_force_plan, plan_kkt_residual
+from oracle_utils import (
+    brute_force_plan,
+    dcm_closed_form,
+    evaluate,
+    nominal_consistent_dcm,
+    plan_kkt_residual,
+)
 
 MASS = 70.0
 OMEGA = math.sqrt(9.81 / 0.88)
+DEFAULT = ScenarioConfig()
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> bool:
@@ -141,11 +145,11 @@ def test_criterion_01_dcm_integration_matches_closed_form():
         params = LipmParams(gravity=omega * omega, com_height=1.0, mass=70.0)
         com, vel = rng.uniform(-0.2, 0.2, 2), rng.uniform(-0.5, 0.5, 2)
         cop = rng.uniform(-0.1, 0.1, 2)
-        xi0 = dcm_of(com, vel, params)
+        xi0 = com + vel / params.omega
         for _ in range(1000):
             com, vel = map(np.array, step_lipm(com, vel, cop, params, 1e-3))
-        ref = dcm_closed_form(xi0, cop, params, 1.0)
-        worst = max(worst, float(np.abs(np.subtract(dcm_of(com, vel, params), ref)).max()))
+        ref = dcm_closed_form(xi0, cop, params.omega, 1.0)
+        worst = max(worst, float(np.abs(com + vel / params.omega - ref).max()))
     wall = time.perf_counter() - start
     ok = worst <= 1e-6 and wall < 1.0
     assert report(
@@ -241,7 +245,7 @@ def test_criterion_04_weights_trade_step_length_against_timing():
 def test_criterion_05_leg_roundtrips_and_rejection_diagnostics():
     rng = np.random.default_rng(3021)
     worst = 0.0
-    for geom in (LegGeometry(side=Side.LEFT), LegGeometry(side=Side.RIGHT)):
+    for geom in (DEFAULT.leg_geometry(Side.LEFT), DEFAULT.leg_geometry(Side.RIGHT)):
         for _ in range(500):
             ang = np.array([
                 float(rng.uniform(-0.3, 0.3)),
@@ -255,15 +259,15 @@ def test_criterion_05_leg_roundtrips_and_rejection_diagnostics():
             worst = max(worst, float(np.abs(again - target).max()))
     roundtrip_ok = worst <= 1e-9
 
-    left = LegGeometry(side=Side.LEFT)
+    left = DEFAULT.leg_geometry(Side.LEFT)
     probes_ok = True
     try:
-        inverse_kinematics([0.0, 0.04, -0.95], left)
+        inverse_kinematics([0.0, 0.04, -0.95], left, DEFAULT.joint_limits())
         probes_ok = False
     except WorkspaceError as err:
         probes_ok &= "full knee extension" in str(err) and err.diagnostic is not None
     try:
-        stubby = LegGeometry(l2=0.5, l3=0.3, side=Side.LEFT)
+        stubby = LegGeometry(DEFAULT.l0, DEFAULT.l1, 0.5, 0.3, Side.LEFT)
         inverse_kinematics([0.0, 0.04, -0.1], stubby, limits=None)
         probes_ok = False
     except WorkspaceError as err:
@@ -296,18 +300,19 @@ def test_criterion_06_swing_profile_meets_all_nine_boundary_conditions():
             active_set=(),
             planned_at=0.0,
         )
-        traj = build_swing(np.array([0.0, -0.2, 0.0]), plan)
+        traj = build_swing(np.array([0.0, -0.2, 0.0]), plan, DEFAULT.peak_height,
+                           DEFAULT.peak_fraction)
         up, down = traj.z_profile
         t_apex = 0.4 * T
         checks = [
-            (up.evaluate(0.0), (0.0, 0.0, 0.0)),
-            (up.evaluate(t_apex), (0.07, 0.0, 0.0)),
-            (down.evaluate(T), (0.0, 0.0, 0.0)),
+            (evaluate(up, 0.0), (0.0, 0.0, 0.0)),
+            (evaluate(up, t_apex), (0.07, 0.0, 0.0)),
+            (evaluate(down, T), (0.0, 0.0, 0.0)),
         ]
         for got, want in checks:
             for g, w in zip(got, want):
                 worst = max(worst, abs(g - w))
-        pos, vel, _ = down.evaluate(t_apex)
+        pos, vel, _ = evaluate(down, t_apex)
         worst = max(worst, abs(pos - 0.07), abs(vel))
     ok = worst <= 1e-10
     assert report(
@@ -319,7 +324,7 @@ def test_criterion_06_swing_profile_meets_all_nine_boundary_conditions():
 
 
 def test_criterion_07_assist_torque_is_exact_per_degree():
-    gains = ImpedanceGains.from_deg(DEFAULT_STIFFNESS_DEG)
+    gains = ImpedanceGains.from_deg(DEFAULT.stiffness_deg, DEFAULT.damping)
     one_degree = np.array([RAD_PER_DEG, RAD_PER_DEG, RAD_PER_DEG])
     assist = impedance_torque(
         one_degree, np.zeros(3), np.zeros(3), gains, ControlMode.ASSIST

@@ -83,6 +83,8 @@ def test_parse_errors_name_the_file_and_line(tmp_path):
         ("push.+1.time = 1", "bad index"),
         ("human.1_0.joint = 1", "bad index"),
         ("push.0.oomph = 1", "unknown key"),
+        # An empty field is no number: 0.1,,0 is not the pair (0.1, 0).
+        ("lipm.com0 = 0.1,,0", "invalid value for 'lipm.com0': expected 2 comma-separated numbers"),
     ]
     for text, fragment in cases:
         path = write_scenario(tmp_path, text + "\n")
@@ -165,7 +167,7 @@ def test_record_errors_name_the_files_record_numbers(tmp_path, capsys):
         "invalid scenario: push 2 at t=1.0 is after the last control tick at t=0.999; "
         "human pulse 7 window [0.4002, 0.4004) holds no control tick "
         "(the first at or after its start is at t=0.401)")
-    config = cli.parse_scenario(path)
+    config, _ = cli.parse_scenario(path)
     assert [p.time for p in config.pushes] == [0.5, 1.0]
     assert [h.start for h in config.human_pulses] == [0.2, 0.4002]
 
@@ -262,7 +264,7 @@ def test_random_configs_roundtrip_through_the_text(tmp_path, seed):
     for _ in range(25):
         config = random_config(rng)
         text = cli.format_config(config)
-        reparsed = cli.parse_scenario(write_scenario(tmp_path, text))
+        reparsed, _ = cli.parse_scenario(write_scenario(tmp_path, text))
         assert cli.format_config(reparsed) == text
         assert reparsed == config
 
@@ -365,6 +367,9 @@ def test_every_subcommand_rejects_inverted_step_bounds(tmp_path, capsys):
     inverted = {
         "cop_min": ["planner.cop_min = 0.4,-0.3", "planner.cop_max = 0.3,-0.04"],
         "t_min": ["planner.t_min = 1.5", "planner.t_max = 1.2"],
+        # exp(omega * 300) overflows the planner's sigma.
+        "t_max": ["planner.t_max = 300"],
+        "t_nom": ["planner.t_nom = 300"],
     }
     for command, extra in commands.items():
         for field, overrides in inverted.items():
@@ -374,6 +379,46 @@ def test_every_subcommand_rejects_inverted_step_bounds(tmp_path, capsys):
             assert rc == 1, (command, field)
             assert "error:" in err and field in err, (command, field, err)
     assert not (tmp_path / "sim").exists() and not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("line, fragments", [
+    ("geometry.l2 = 0.2", ("com0, com_height, l0-l3 and stance_width put its stance point out of "
+                           "reach", "beyond full knee extension (knee cosine 2.955)")),
+    ("lipm.com0 = 0.9, 0", ("put its stance point out of reach", "(knee cosine 2.9121)")),
+    ("limits.knee_deg = 30, 120", ("its pose violates knee_limits_deg: solution",
+                                   "violates limits on: knee")),
+], ids=["thigh", "com0", "knee_limits"])
+def test_every_subcommand_rejects_a_scenario_whose_leg_cannot_stand(tmp_path, capsys, line,
+                                                                   fragments):
+    """A planted right leg that cannot reach its stance point, or whose pose
+    there breaks a joint limit, is an input error on every subcommand, with
+    no traceback and no output written."""
+    scenario = write_scenario(tmp_path, BASE_SCENARIO + line + "\n")
+    grid = write_scenario(tmp_path, GRID, name="grid.txt")
+    commands = {
+        "simulate": ["--out", str(tmp_path / "sim")],
+        "plan": ["--xi0", "0.12,0", "--cop0", "0,0"],
+        "sweep-weights": ["--grid", str(grid), "--out", str(tmp_path / "sweep")],
+    }
+    for command, extra in commands.items():
+        assert cli.main([command, "--scenario", str(scenario), *extra]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid scenario: "), (command, captured.err)
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        for fragment in fragments:
+            assert fragment in captured.err, (command, captured.err)
+    assert not (tmp_path / "sim").exists() and not (tmp_path / "sweep").exists()
+
+
+def test_the_standing_pose_is_checked_after_every_field(tmp_path):
+    """An unreachable stance is reported only once every field is valid, so
+    a field error is reported alone."""
+    path = write_scenario(tmp_path, "geometry.l2 = 0.2\nsim.dt = 0\n")
+    with pytest.raises(ConfigurationError) as err:
+        cli.load_scenario(path)
+    assert str(err.value) == "invalid scenario: dt must be in (0, 0.01], got 0.0"
+    with pytest.raises(ConfigurationError, match="the planted right leg cannot stand"):
+        cli.load_scenario(path, ["sim.dt = 0.001"])
 
 
 def test_simulate_set_override_changes_the_run(tmp_path):
@@ -900,6 +945,10 @@ def test_importing_the_cli_leaves_the_reference_qp_unloaded():
     (["--xi0=a,0", "--cop0=0,0"], "could not convert string to float: 'a' (--xi0)"),
     (["--xi0=1e300,0", "--cop0=0,0"], "the plan from xi0=(1e+300, 0.0), cop0=(0.0, 0.0) is not finite"),
     (["--xi0=1e308,0", "--cop0=0,0"], "the plan from xi0=(1e+308, 0.0), cop0=(0.0, 0.0) is not finite"),
+    # An empty field is no number, wherever it is.
+    (["--xi0=0.1,,0", "--cop0=0,0"], "expected 2 comma-separated numbers (--xi0)"),
+    (["--xi0=0.1,0", "--cop0=0, ,0"], "expected 2 comma-separated numbers (--cop0)"),
+    (["--xi0=0.1,0,", "--cop0=0,0"], "expected 2 comma-separated numbers (--xi0)"),
 ])
 @pytest.mark.parametrize("command", ["plan", "sweep-weights"])
 def test_vector_and_overflow_errors_name_the_option_or_state(tmp_path, capsys, command, vectors,

@@ -9,11 +9,19 @@ from exorecover import (
     BalanceDetector,
     PhaseTransitionError,
     RecoveryPhase,
+    ScenarioConfig,
     SwayEllipse,
     ellipse_excursion,
 )
 
 ELLIPSE = SwayEllipse(center=[0.0, 0.0], semi_axis_x=0.05, semi_axis_y=0.05)
+DEFAULT = ScenarioConfig()
+
+
+def detector(debounce_cycles=DEFAULT.debounce_cycles, capture_tolerance=DEFAULT.capture_tolerance,
+             capture_hold=DEFAULT.capture_hold) -> BalanceDetector:
+    """A detector on ``ELLIPSE`` with the default wearer's settings."""
+    return BalanceDetector(ELLIPSE, debounce_cycles, capture_tolerance, capture_hold)
 
 
 def test_excursion_values():
@@ -27,14 +35,14 @@ def test_excursion_values():
 
 def test_boundary_point_does_not_trigger():
     """The outside test is strict: q == 1 exactly is still inside."""
-    det = BalanceDetector(ELLIPSE, debounce_cycles=1)
+    det = detector(debounce_cycles=1)
     for k in range(50):
         assert det.update([0.05, 0.0], 0.001 * k) is None
     assert det.phase is RecoveryPhase.STANDING
 
 
 def test_debounce_requires_consecutive_outside_samples():
-    det = BalanceDetector(ELLIPSE, debounce_cycles=2)
+    det = detector(debounce_cycles=2)
     assert det.update([0.06, 0.0], 0.000) is None  # first outside sample
     assert det.update([0.00, 0.0], 0.001) is None  # back inside, count resets
     assert det.update([0.06, 0.0], 0.002) is None
@@ -48,7 +56,7 @@ def test_debounce_requires_consecutive_outside_samples():
 
 def test_debounce_cycles_scales():
     for n in (1, 3, 5):
-        det = BalanceDetector(ELLIPSE, debounce_cycles=n)
+        det = detector(debounce_cycles=n)
         fired_at = None
         for k in range(10):
             if det.update([0.08, 0.0], 0.001 * k) is not None:
@@ -58,7 +66,7 @@ def test_debounce_cycles_scales():
 
 
 def test_trigger_is_edge_like():
-    det = BalanceDetector(ELLIPSE, debounce_cycles=1)
+    det = detector(debounce_cycles=1)
     assert det.update([0.08, 0.0], 0.0) is not None
     # Further outside samples while not standing are ignored.
     assert det.update([0.20, 0.0], 0.001) is None
@@ -67,7 +75,7 @@ def test_trigger_is_edge_like():
 
 
 def test_full_phase_cycle_with_capture():
-    det = BalanceDetector(ELLIPSE, debounce_cycles=1, capture_tolerance=0.02, capture_hold=0.2)
+    det = detector(debounce_cycles=1, capture_tolerance=0.02, capture_hold=0.2)
     assert det.update([0.08, 0.0], 0.0) is not None
     det.start_swing(0.001)
     assert det.phase is RecoveryPhase.SWING
@@ -90,7 +98,7 @@ def test_full_phase_cycle_with_capture():
 
 
 def test_capture_hold_resets_when_dcm_escapes():
-    det = BalanceDetector(ELLIPSE, debounce_cycles=1, capture_tolerance=0.02, capture_hold=0.1)
+    det = detector(debounce_cycles=1, capture_tolerance=0.02, capture_hold=0.1)
     det.update([0.08, 0.0], 0.0)
     det.start_swing(0.001)
     det.touchdown(0.2)
@@ -103,7 +111,7 @@ def test_capture_hold_resets_when_dcm_escapes():
 
 
 def test_capture_tolerance_is_euclidean():
-    det = BalanceDetector(ELLIPSE, debounce_cycles=1, capture_tolerance=0.02, capture_hold=0.0)
+    det = detector(debounce_cycles=1, capture_tolerance=0.02, capture_hold=0.0)
     det.update([0.08, 0.0], 0.0)
     det.start_swing(0.001)
     det.touchdown(0.2)
@@ -115,7 +123,7 @@ def test_capture_tolerance_is_euclidean():
 
 
 def test_chained_step_restarts_without_capture():
-    det = BalanceDetector(ELLIPSE, debounce_cycles=1)
+    det = detector(debounce_cycles=1)
     det.update([0.08, 0.0], 0.0)
     det.start_swing(0.001)
     det.touchdown(0.2)
@@ -128,7 +136,7 @@ def test_chained_step_restarts_without_capture():
 
 
 def test_invalid_transitions_raise():
-    det = BalanceDetector(ELLIPSE)
+    det = detector()
     with pytest.raises(PhaseTransitionError):
         det.start_swing(0.0)
     with pytest.raises(PhaseTransitionError):
@@ -146,14 +154,14 @@ def test_invalid_transitions_raise():
 
 
 def test_time_must_be_nondecreasing():
-    det = BalanceDetector(ELLIPSE)
+    det = detector()
     det.update([0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         det.update([0.0, 0.0], 0.5)
 
 
 def test_update_outside_standing_is_inert_but_advances_clock():
-    det = BalanceDetector(ELLIPSE, debounce_cycles=1)
+    det = detector(debounce_cycles=1)
     det.update([0.08, 0.0], 0.0)
     assert det.update([0.5, 0.5], 1.0) is None
     with pytest.raises(ValueError):
@@ -164,14 +172,14 @@ def test_update_outside_standing_is_inert_but_advances_clock():
 def test_constructor_validation():
     for bad in (0, 1.5):
         with pytest.raises(ValueError):
-            BalanceDetector(ELLIPSE, debounce_cycles=bad)
-    assert BalanceDetector(ELLIPSE, debounce_cycles=np.int64(2)).debounce_cycles == 2
+            detector(debounce_cycles=bad)
+    assert detector(debounce_cycles=np.int64(2)).debounce_cycles == 2
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="capture_tolerance"):
-            BalanceDetector(ELLIPSE, capture_tolerance=bad)
+            detector(capture_tolerance=bad)
     for bad in (-0.1, math.inf, math.nan):
         with pytest.raises(ValueError, match="capture_hold"):
-            BalanceDetector(ELLIPSE, capture_hold=bad)
+            detector(capture_hold=bad)
     with pytest.raises(ValueError):
         SwayEllipse([0.0, 0.0], 0.0, 0.05)
     with pytest.raises(ValueError):
@@ -183,7 +191,7 @@ def test_random_walk_triggers_match_reference_counter():
     rng = np.random.default_rng(88)
     for _ in range(20):
         n_deb = int(rng.integers(1, 4))
-        det = BalanceDetector(ELLIPSE, debounce_cycles=n_deb)
+        det = detector(debounce_cycles=n_deb)
         count = 0
         fired = None
         for k in range(400):

@@ -9,14 +9,18 @@ from exorecover import (
     ControlMode,
     ImpedanceGains,
     PlantParams,
+    ScenarioConfig,
     command_torques,
     impedance_torque,
     joint_plant_step,
 )
 from exorecover.errors import ConfigurationError
-from exorecover.impedance import DEFAULT_STIFFNESS_DEG, RAD_PER_DEG
+from exorecover.impedance import RAD_PER_DEG
 
-GAINS = ImpedanceGains.from_deg(DEFAULT_STIFFNESS_DEG)
+DEFAULT = ScenarioConfig()
+GAINS = ImpedanceGains.from_deg(DEFAULT.stiffness_deg, DEFAULT.damping)
+#: The default wearer's joint plant.
+PLANT = PlantParams(DEFAULT.inertia, DEFAULT.viscous_damping)
 
 
 def test_one_degree_error_gives_exact_per_degree_torque():
@@ -96,7 +100,7 @@ def test_plant_constant_torque_matches_closed_form():
 
 
 def test_plant_human_torque_adds_to_actuator():
-    plant = PlantParams()
+    plant = PLANT
     s1 = s2 = (0.0, 0.0)
     for _ in range(100):
         s1 = joint_plant_step(*s1, 0.3, 0.2, plant, 0.001)
@@ -119,7 +123,7 @@ def test_plant_at_rest_returns_the_angle_plus_zero(q):
     """On positive zero rate and torques RK4 returns ``(q + 0.0, 0.0)`` bit
     for bit (``-0.0`` turns into ``0.0``): the rest rule of
     ``simulation.Plant.step`` relies on it."""
-    for plant in (PlantParams(), PlantParams(inertia=0.1, viscous_damping=0.0)):
+    for plant in (PLANT, PlantParams(inertia=0.1, viscous_damping=0.0)):
         for dt in (0.001, 0.01):
             got = joint_plant_step(q, 0.0, 0.0, 0.0, plant, dt)
             assert np.array(got).tobytes() == np.array([q + 0.0, 0.0]).tobytes()
@@ -128,11 +132,10 @@ def test_plant_at_rest_returns_the_angle_plus_zero(q):
 def test_closed_loop_spring_settles_on_target():
     """Impedance assist drives the plant to the desired angle."""
     plant = PlantParams(inertia=0.05, viscous_damping=0.5)
-    gains = ImpedanceGains.from_deg(DEFAULT_STIFFNESS_DEG)
     desired = np.array([0.1, 0.3, -0.2])
     q, v, tau_m = np.zeros(3), np.zeros(3), np.zeros(3)
     for _ in range(4000):
-        tau_d = impedance_torque(desired, q, v, gains, ControlMode.ASSIST)
+        tau_d = impedance_torque(desired, q, v, GAINS, ControlMode.ASSIST)
         tau_c = command_torques(tau_d, tau_m, kp=1.0)
         for i in range(3):
             q[i], v[i] = joint_plant_step(q[i], v[i], float(tau_c[i]), 0.0, plant, 0.001)
@@ -141,13 +144,13 @@ def test_closed_loop_spring_settles_on_target():
 
 
 def test_plant_step_validation():
-    plant = PlantParams()
+    plant = PLANT
     with pytest.raises(ValueError):
         joint_plant_step(0.0, 0.0, math.nan, 0.0, plant, 0.001)
     with pytest.raises(ConfigurationError):
-        PlantParams(inertia=0.0)
+        PlantParams(inertia=0.0, viscous_damping=0.5)
     with pytest.raises(ConfigurationError):
-        PlantParams(viscous_damping=-1.0)
+        PlantParams(inertia=0.05, viscous_damping=-1.0)
 
 
 def test_float_triples_are_the_array_formulas_bit_for_bit():

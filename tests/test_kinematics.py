@@ -5,18 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from exorecover import (
     JointLimitError,
-    JointLimits,
-    LegGeometry,
+    ScenarioConfig,
     Side,
     WorkspaceError,
     forward_kinematics,
     inverse_kinematics,
 )
 
-LEFT = LegGeometry(side=Side.LEFT)
-RIGHT = LegGeometry(side=Side.RIGHT)
+DEFAULT = ScenarioConfig()
+LEFT = DEFAULT.leg_geometry(Side.LEFT)
+RIGHT = DEFAULT.leg_geometry(Side.RIGHT)
+LIMITS = DEFAULT.joint_limits()
 
 
 def test_zero_pose_hangs_straight_down():
@@ -107,7 +110,7 @@ def test_knee_angle_branch_is_nonnegative():
 
 def test_too_far_target_rejected_with_extension_diagnostic():
     with pytest.raises(WorkspaceError) as err:
-        inverse_kinematics([0.0, 0.04, -0.95], LEFT)
+        inverse_kinematics([0.0, 0.04, -0.95], LEFT, LIMITS)
     assert "full knee extension" in str(err.value)
     assert err.value.diagnostic is not None
 
@@ -115,7 +118,7 @@ def test_too_far_target_rejected_with_extension_diagnostic():
 def test_too_close_target_rejected_with_fold_diagnostic():
     # Equal link lengths fold completely, so an inner boundary only
     # exists for asymmetric links.
-    geom = LegGeometry(l2=0.5, l3=0.3, side=Side.LEFT)
+    geom = replace(LEFT, l2=0.5, l3=0.3)
     with pytest.raises(WorkspaceError) as err:
         inverse_kinematics([0.0, 0.04, -0.1], geom, limits=None)
     assert "knee fold" in str(err.value)
@@ -129,7 +132,7 @@ def test_inside_hip_offset_rejected():
 
 def test_joint_limits_enforced_and_named():
     # Reachable point that needs theta2 ~ 57 deg with a tight flexion cap.
-    tight = JointLimits(hip_flex=(-0.2, 0.2))
+    tight = replace(LIMITS, hip_flex=(-0.2, 0.2))
     target = forward_kinematics((0.0, 1.0, 0.3), LEFT)
     with pytest.raises(JointLimitError) as err:
         inverse_kinematics(target, LEFT, limits=tight)
@@ -152,21 +155,21 @@ def test_out_of_workspace_probes_around_boundary():
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        LegGeometry(l2=0.0)
+        replace(LEFT, l2=0.0)
     with pytest.raises(ValueError):
-        JointLimits(knee=(1.0, 0.5))
+        replace(LIMITS, knee=(1.0, 0.5))
 
 
 def test_non_finite_target_rejected():
     """Any non-finite coordinate raises, and the diagnostic says so."""
     for geom in (LEFT, RIGHT):
-        inverse_kinematics([0.1, 0.04, -0.8], geom)
+        inverse_kinematics([0.1, 0.04, -0.8], geom, LIMITS)
         for i in range(3):
             for bad in (math.nan, math.inf, -math.inf):
                 point = [0.1, 0.04, -0.8]
                 point[i] = bad
                 with pytest.raises(WorkspaceError) as err:
-                    inverse_kinematics(point, geom)
+                    inverse_kinematics(point, geom, LIMITS)
                 assert err.value.diagnostic == "non-finite target"
     with pytest.raises(ValueError):
-        inverse_kinematics([0.0, 0.0], LEFT)
+        inverse_kinematics([0.0, 0.0], LEFT, LIMITS)

@@ -5,22 +5,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracle_utils import assemble_qp, brute_force_plan, plan_kkt_residual
+from oracle_utils import (
+    assemble_qp,
+    brute_force_plan,
+    dcm_closed_form,
+    nominal_consistent_dcm,
+    plan_kkt_residual,
+    planning_cost,
+)
 
 from exorecover import (
-    LipmParams,
     NominalGait,
     PlannerInfeasibleError,
     PlannerInput,
     ScenarioConfig,
     StepBounds,
     constraint_names,
-    dcm_closed_form,
     mirror_bounds,
     mirror_gait,
-    nominal_consistent_dcm,
     plan_step,
-    planning_cost,
     replan,
 )
 from exorecover.errors import ConfigurationError
@@ -122,8 +125,7 @@ def test_predicted_landing_dcm_matches_pendulum_flow():
             plan = plan_step(inp)
         except PlannerInfeasibleError:
             continue
-        params = LipmParams(gravity=inp.omega**2, com_height=1.0)
-        xi_T = dcm_closed_form(inp.xi0, inp.cop0, params, plan.duration)
+        xi_T = dcm_closed_form(inp.xi0, inp.cop0, inp.omega, plan.duration)
         assert np.abs(np.subtract(plan.xi_T, xi_T)).max() < 1e-8
 
 
@@ -201,7 +203,6 @@ def test_replan_landing_time_never_grows():
     bounds = default_bounds()
     xi0 = np.array([0.12, -0.02])
     cop0 = np.array([0.0, 0.0])
-    params = LipmParams(gravity=OMEGA**2, com_height=1.0)
 
     plan = plan_step(PlannerInput(xi0, cop0, OMEGA, nominal, bounds))
     landing_times = [plan.landing_time]
@@ -209,7 +210,7 @@ def test_replan_landing_time_never_grows():
     t = 0.0
     while t + 0.02 < plan.landing_time and plan.status != "terminal":
         t += 0.02
-        xi_t = dcm_closed_form(xi0, cop0, params, t)
+        xi_t = dcm_closed_form(xi0, cop0, OMEGA, t)
         plan = replan(plan, xi_t, cop0, OMEGA, nominal, bounds, t)
         landing_times.append(plan.landing_time)
         remaining.append(plan.duration)
@@ -255,13 +256,12 @@ def test_replan_on_t_min_runs_to_the_floor():
     """
     nominal, bounds = default_nominal(), default_bounds()
     xi0, cop0 = np.array([0.3, 0.0]), np.zeros(2)
-    params = LipmParams(gravity=OMEGA**2, com_height=1.0)
     plan = plan_step(PlannerInput(xi0, cop0, OMEGA, nominal, bounds))
     assert plan.duration == bounds.T_min
     k = 0
     while plan.status != "terminal":
         k += 1
-        xi_t = dcm_closed_form(xi0, cop0, params, k * 1e-3)
+        xi_t = dcm_closed_form(xi0, cop0, OMEGA, k * 1e-3)
         plan = replan(plan, xi_t, cop0, OMEGA, nominal, bounds, k * 1e-3)
     assert k * 1e-3 > bounds.T_min - REPLAN_FLOOR
 
@@ -448,3 +448,17 @@ def test_a_plan_that_overflows_is_an_error_naming_the_state(xi0):
     # The largest state the bench inputs come near still plans.
     far = replace(inp, xi0=(1e3, 0.0))
     assert math.isfinite(plan_step(far).objective)
+
+
+@pytest.mark.parametrize("field", ["T_max", "T_nom"])
+def test_a_step_time_whose_exp_overflows_is_a_plan_error(field):
+    """exp(omega * 300) overflows; plan_step reports a plan that is not
+    finite, as it does for a state past the float range, not OverflowError."""
+    nominal, bounds = default_nominal(), default_bounds()
+    if field == "T_max":
+        bounds = replace(bounds, T_max=300.0)
+    else:
+        nominal = replace(nominal, T_nom=300.0)
+    inp = PlannerInput([0.12, 0.0], [0.0, 0.0], OMEGA, nominal, bounds)
+    with pytest.raises(ValueError, match=r"xi0=.*cop0=.*not finite"):
+        plan_step(inp)

@@ -65,8 +65,7 @@ def test_planar_vectors_are_float_pairs():
     """Every planar vector the package stores or returns is an ``(x, y)`` pair
     of Python floats, whatever sequence it was built from."""
     from exorecover import (BalanceDetector, PlannerInput, Side, SwayEllipse, apply_impulse,
-                            com_closed_form, dcm_closed_form, dcm_of, mirror_bounds,
-                            mirror_gait, nominal_consistent_dcm, plan_step, replan)
+                            mirror_bounds, mirror_gait, plan_step, replan)
 
     config = ScenarioConfig()
     params = config.lipm_params()
@@ -77,7 +76,8 @@ def test_planar_vectors_are_float_pairs():
     optimal = replan(plan, (0.09, 0.02), inp.cop0, inp.omega, nominal, bounds, 0.05)
     terminal = replan(plan, (0.09, 0.02), inp.cop0, inp.omega, nominal, bounds, 10.0)
     assert (optimal.status, terminal.status) == ("optimal", "terminal")
-    detector = BalanceDetector(SwayEllipse(np.zeros(2), 0.05, 0.05), debounce_cycles=1)
+    detector = BalanceDetector(SwayEllipse(np.zeros(2), 0.05, 0.05), 1, config.capture_tolerance,
+                               config.capture_hold)
     trigger = detector.update(np.array([0.1, 0.0]), 0.0)
     values = [
         nominal.cop_T_nom, nominal.gamma_nom, bounds.cop_min, bounds.cop_max, inp.xi0, inp.cop0,
@@ -86,10 +86,6 @@ def test_planar_vectors_are_float_pairs():
         *(p.xi_T for p in (plan, optimal, terminal)),
         PushEvent(0.5, np.array([20.0, 0.0])).impulse, trigger.xi, detector.ellipse.center,
         apply_impulse(np.zeros(2), np.array([20.0, 0.0]), params),
-        dcm_of(np.zeros(2), np.ones(2), params),
-        dcm_closed_form(xi0, np.zeros(2), params, 0.1),
-        com_closed_form(np.zeros(2), xi0, params, 0.1),
-        nominal_consistent_dcm(nominal, np.zeros(2), params.omega),
         mirror_gait(nominal).cop_T_nom, mirror_gait(nominal).gamma_nom,
         mirror_bounds(bounds).cop_min, mirror_bounds(bounds).cop_max,
         bounds.shift(np.array([0.1, 0.0])).cop_min, bounds.shift(np.array([0.1, 0.0])).cop_max,
@@ -440,28 +436,6 @@ def test_control_loop_does_not_call_lapack(monkeypatch):
         trace = run_scenario(ScenarioConfig(pushes=pushes))
         assert events_of(trace, "TouchDown") and events_of(trace, "Replanned")
         assert not events_of(trace, "StepAborted")
-
-
-def test_swing_builds_no_checked_segment_in_flight(monkeypatch):
-    """No ``QuinticSegment`` goes through its checking constructor during a
-    run: ``build_swing`` at the trigger tick and every ``retarget`` after it
-    build their segments from floats the swing module computed."""
-    from exorecover.swing import QuinticSegment
-
-    checks = []
-    post_init = QuinticSegment.__post_init__
-
-    def counting(self):
-        checks.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(QuinticSegment, "__post_init__", counting)
-    forward, mid_swing = push_for_excursion(0.12, 0.0), push_for_excursion(0.0, 0.06, t=0.62)
-    for pushes in ((forward,), (forward, mid_swing)):
-        trace = run_scenario(ScenarioConfig(pushes=pushes))
-        assert events_of(trace, "TouchDown") and events_of(trace, "Replanned")
-        assert not events_of(trace, "StepAborted")
-    assert checks == []
 
 
 def run_counting_plant_steps(monkeypatch, config):

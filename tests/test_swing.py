@@ -4,8 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from oracle_utils import evaluate
 
-from exorecover import StepPlan, build_swing, quintic_from_boundary, retarget, sample
+from exorecover import ScenarioConfig, StepPlan, retarget, sample
+from exorecover import build_swing as _build_swing
+from exorecover.swing import _quintic
+
+DEFAULT = ScenarioConfig()
+
+
+def build_swing(start, plan, peak_height=DEFAULT.peak_height, peak_fraction=DEFAULT.peak_fraction):
+    """``build_swing`` with the default swing profile."""
+    return _build_swing(start, plan, peak_height, peak_fraction)
 
 
 def make_plan(cop=(0.25, -0.18), duration=0.5, planned_at=0.0) -> StepPlan:
@@ -28,18 +38,18 @@ def test_quintic_matches_boundary_state():
         t1 = t0 + float(rng.uniform(0.05, 2.0))
         start = tuple(rng.uniform(-2.0, 2.0, 3))
         end = tuple(rng.uniform(-2.0, 2.0, 3))
-        seg = quintic_from_boundary(t0, t1, start, end)
-        assert np.allclose(seg.evaluate(t0), start, atol=1e-10)
-        assert np.allclose(seg.evaluate(t1), end, atol=1e-9)
+        seg = _quintic(t0, t1, *start, *end)
+        assert np.allclose(evaluate(seg, t0), start, atol=1e-10)
+        assert np.allclose(evaluate(seg, t1), end, atol=1e-9)
 
 
 def test_quintic_derivatives_match_finite_differences():
-    seg = quintic_from_boundary(0.0, 1.0, (0.0, 0.3, -1.0), (0.5, 0.0, 2.0))
+    seg = _quintic(0.0, 1.0, 0.0, 0.3, -1.0, 0.5, 0.0, 2.0)
     h = 1e-6
     for t in (0.1, 0.5, 0.9):
-        p0, v0, a0 = seg.evaluate(t)
-        p_plus, v_plus, _ = seg.evaluate(t + h)
-        p_minus, v_minus, _ = seg.evaluate(t - h)
+        p0, v0, a0 = evaluate(seg, t)
+        p_plus, v_plus, _ = evaluate(seg, t + h)
+        p_minus, v_minus, _ = evaluate(seg, t - h)
         assert (p_plus - p_minus) / (2 * h) == pytest.approx(v0, abs=1e-8)
         assert (v_plus - v_minus) / (2 * h) == pytest.approx(a0, abs=1e-7)
 
@@ -52,16 +62,16 @@ def test_nine_boundary_conditions_to_1e10():
         up, down = traj.z_profile
         t_apex = 0.4 * T
         checks = [
-            up.evaluate(0.0),  # lift-off
-            up.evaluate(t_apex),  # apex from below
-            down.evaluate(T),  # touchdown
+            evaluate(up, 0.0),  # lift-off
+            evaluate(up, t_apex),  # apex from below
+            evaluate(down, T),  # touchdown
         ]
         expected = [(0.0, 0.0, 0.0), (0.07, 0.0, 0.0), (0.0, 0.0, 0.0)]
         for got, want in zip(checks, expected):
             for g, w in zip(got, want):
                 assert abs(g - w) < 1e-10
         # Apex state from the descending piece agrees too.
-        pos, vel, _ = down.evaluate(t_apex)
+        pos, vel, _ = evaluate(down, t_apex)
         assert abs(pos - 0.07) < 1e-10
         assert abs(vel) < 1e-10
 
@@ -210,18 +220,6 @@ def test_build_swing_validates_inputs():
         build_swing([0.0, 0.0, 0.0], make_plan(), peak_height=0.0)
     with pytest.raises(ValueError):
         build_swing([0.0, 0.0, 0.0], make_plan(), peak_fraction=1.0)
-    with pytest.raises(ValueError):
-        quintic_from_boundary(0.5, 0.5, (0, 0, 0), (1, 0, 0))
-
-
-def _numpy_horner(seg, t):
-    """The array form of ``QuinticSegment.evaluate``: numpy-scalar Horner sums."""
-    s = t - seg.t_start
-    c = np.array(seg.coefficients)
-    pos = c[0] + s * (c[1] + s * (c[2] + s * (c[3] + s * (c[4] + s * c[5]))))
-    vel = c[1] + s * (2 * c[2] + s * (3 * c[3] + s * (4 * c[4] + s * 5 * c[5])))
-    acc = 2 * c[2] + s * (6 * c[3] + s * (12 * c[4] + s * 20 * c[5]))
-    return pos, vel, acc
 
 
 def test_sample_is_the_numpy_coefficient_horner_bit_for_bit():
@@ -243,7 +241,7 @@ def test_sample_is_the_numpy_coefficient_horner_bit_for_bit():
             t_eval = min(max(t, 0.0), traj.duration)
             z = traj.z_profile
             z_seg = z[0] if len(z) == 2 and t_eval < z[0].t_end else z[-1]
-            want = [_numpy_horner(seg, t_eval) for seg in (traj.x_profile, traj.y_profile, z_seg)]
+            want = [evaluate(seg, t_eval) for seg in (traj.x_profile, traj.y_profile, z_seg)]
             got = sample(traj, t)
             for k in range(3):  # position, velocity, acceleration
                 assert all(type(v) is float for v in got[k])
