@@ -10,10 +10,9 @@ control cycles so a single noisy sample cannot trigger a step.  The
 trigger is edge-like: it fires once, moves the phase machine off
 ``STANDING`` and cannot fire again until the machine has come back.
 
-Phases advance ``STANDING -> STEPPING_PLANNED -> SWING -> LANDED`` and
-from ``LANDED`` either to ``CAPTURED`` (DCM pinned to the new CoP for a
-sustained hold) or back to ``STEPPING_PLANNED`` for a chained step.
-Any other transition raises :class:`PhaseTransitionError`.
+The legal phase moves are the rows of :data:`TRANSITIONS`, and
+:meth:`BalanceDetector.advance` is the one way to make one; any other
+move raises :class:`PhaseTransitionError`.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ __all__ = [
     "RecoveryPhase",
     "BalanceLost",
     "BalanceDetector",
+    "TRANSITIONS",
     "ellipse_excursion",
 ]
 
@@ -66,6 +66,18 @@ class RecoveryPhase(Enum):
     CAPTURED = "Captured"
 
 
+#: The phases each phase may move to.  ``LANDED`` ends in ``CAPTURED``
+#: (the DCM held on the new CoP for the capture hold) or chains another
+#: step; ``CAPTURED`` re-arms the detector.
+TRANSITIONS: dict[RecoveryPhase, tuple[RecoveryPhase, ...]] = {
+    RecoveryPhase.STANDING: (RecoveryPhase.STEPPING_PLANNED,),
+    RecoveryPhase.STEPPING_PLANNED: (RecoveryPhase.SWING,),
+    RecoveryPhase.SWING: (RecoveryPhase.LANDED,),
+    RecoveryPhase.LANDED: (RecoveryPhase.CAPTURED, RecoveryPhase.STEPPING_PLANNED),
+    RecoveryPhase.CAPTURED: (RecoveryPhase.STANDING,),
+}
+
+
 @dataclass(frozen=True)
 class BalanceLost:
     """Trigger event: the debounced DCM excursion left the sway ellipse."""
@@ -98,7 +110,6 @@ class BalanceDetector:
         self.capture_tolerance = float(capture_tolerance)
         self.capture_hold = float(capture_hold)
         self.phase = RecoveryPhase.STANDING
-        self.trigger: BalanceLost | None = None
         self._outside_count = 0
         self._capture_since: float | None = None
         self._last_time = -math.inf
@@ -109,6 +120,17 @@ class BalanceDetector:
             raise ValueError(f"time must be nondecreasing, got {t} after {self._last_time}")
         self._last_time = t
         return t
+
+    def advance(self, phase: RecoveryPhase, t: float) -> None:
+        """Move to ``phase`` at ``t``; a move not in :data:`TRANSITIONS` raises."""
+        self._clock(t)
+        if phase not in TRANSITIONS[self.phase]:
+            raise PhaseTransitionError(
+                f"no transition from {self.phase.value} to {phase.value}"
+            )
+        self.phase = phase
+        self._outside_count = 0
+        self._capture_since = None
 
     def update(self, xi, t: float) -> BalanceLost | None:
         """One standing-phase sample; returns the trigger event when it fires.
@@ -128,55 +150,23 @@ class BalanceDetector:
         else:
             self._outside_count = 0
         if self._outside_count >= self.debounce_cycles:
-            self.phase = RecoveryPhase.STEPPING_PLANNED
-            self.trigger = BalanceLost(time=t, xi=as_vec2(xi, "xi"), excursion=q)
-            self._outside_count = 0
-            return self.trigger
+            self.advance(RecoveryPhase.STEPPING_PLANNED, t)
+            return BalanceLost(time=t, xi=as_vec2(xi, "xi"), excursion=q)
         return None
-
-    def start_swing(self, t: float) -> None:
-        self._clock(t)
-        self._require(RecoveryPhase.STEPPING_PLANNED, "start_swing")
-        self.phase = RecoveryPhase.SWING
-
-    def touchdown(self, t: float) -> None:
-        self._clock(t)
-        self._require(RecoveryPhase.SWING, "touchdown")
-        self.phase = RecoveryPhase.LANDED
-        self._capture_since = None
 
     def update_landing(self, offset: float, t: float) -> bool:
         """One post-landing sample of ``|xi - cop|``; True exactly when capture is declared."""
         t = self._clock(t)
-        self._require(RecoveryPhase.LANDED, "update_landing")
+        if self.phase is not RecoveryPhase.LANDED:
+            raise PhaseTransitionError(
+                f"update_landing requires phase Landed, currently {self.phase.value}"
+            )
         if offset < self.capture_tolerance:
             if self._capture_since is None:
                 self._capture_since = t
             if t - self._capture_since >= self.capture_hold - 1e-12:
-                self.phase = RecoveryPhase.CAPTURED
+                self.advance(RecoveryPhase.CAPTURED, t)
                 return True
         else:
             self._capture_since = None
         return False
-
-    def restart_step(self, t: float) -> None:
-        """Chain another step out of ``LANDED``."""
-        self._clock(t)
-        self._require(RecoveryPhase.LANDED, "restart_step")
-        self.phase = RecoveryPhase.STEPPING_PLANNED
-        self._capture_since = None
-
-    def stand(self, t: float) -> None:
-        """Re-arm the detector after a successful capture."""
-        self._clock(t)
-        self._require(RecoveryPhase.CAPTURED, "stand")
-        self.phase = RecoveryPhase.STANDING
-        self.trigger = None
-        self._outside_count = 0
-        self._capture_since = None
-
-    def _require(self, phase: RecoveryPhase, op: str) -> None:
-        if self.phase is not phase:
-            raise PhaseTransitionError(
-                f"{op} requires phase {phase.value}, currently {self.phase.value}"
-            )

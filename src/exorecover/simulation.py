@@ -454,18 +454,20 @@ class StepSummary:
 class _Episode:
     """Mutable bookkeeping for one recovery step."""
 
-    def __init__(self, trigger_time: float, swing: Side, stance_xy: Vec2):
+    def __init__(self, trigger_time: float, swing: Side, stance_xy: Vec2, nominal: NominalGait,
+                 bounds: StepBounds, plan: StepPlan, traj: SwingTrajectory, swing_start: Vec3,
+                 geom: LegGeometry):
         self.trigger_time = trigger_time
         self.swing = swing
         self.stance_xy = stance_xy  # the stance foot, the CoP all through the swing
-        self.plan: StepPlan | None = None
-        self.initial_plan: StepPlan | None = None
-        self.traj: SwingTrajectory | None = None
+        self.nominal = nominal
+        self.bounds = bounds
+        self.plan = plan
+        self.initial_plan = plan
+        self.traj = traj
         self.traj_t0 = trigger_time
-        self.swing_start: Vec3 | None = None
-        self.geom: LegGeometry | None = None
-        self.nominal: NominalGait | None = None
-        self.bounds: StepBounds | None = None
+        self.swing_start = swing_start
+        self.geom = geom
         self.frozen = False  # True once the terminal window is reached
 
 
@@ -557,15 +559,27 @@ class Controller:
                 }))
                 lift = self._begin_episode(t, meas)
 
-        elif phase is RecoveryPhase.STEPPING_PLANNED:
-            # A previous abort leaves the machine here with nothing to do.
-            if self.episode is not None:
-                self.detector.start_swing(t)
+        elif phase is RecoveryPhase.CAPTURED:
+            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
+            # Re-arm around the new stance point so a later push can
+            # trigger a fresh episode.
+            self.detector.ellipse = SwayEllipse(
+                self.cop, self.config.ellipse_a, self.config.ellipse_b
+            )
+            self.detector.advance(RecoveryPhase.STANDING, t)
 
-        elif phase is RecoveryPhase.SWING and self.episode is not None:
+        elif self.episode is None:
+            # After a StepAborted the phase stays in SteppingPlanned or Swing
+            # with no step in flight, and nothing is done (ROADMAP item 8).
+            pass
+
+        elif phase is RecoveryPhase.STEPPING_PLANNED:
+            self.detector.advance(RecoveryPhase.SWING, t)
+
+        elif phase is RecoveryPhase.SWING:
             touchdown = self._swing(t, meas)
 
-        elif phase is RecoveryPhase.LANDED and self.episode is not None:
+        else:  # LANDED
             self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
             dx, dy = xi_hat[0] - self.cop[0], xi_hat[1] - self.cop[1]
             offset = math.sqrt(dx * dx + dy * dy)
@@ -578,19 +592,11 @@ class Controller:
                 # The new foot cannot hold the DCM: chain another step
                 # with the trailing foot.
                 trailing = Side.RIGHT if self.episode.swing is Side.LEFT else Side.LEFT
-                self.detector.restart_step(t)
+                self.detector.advance(RecoveryPhase.STEPPING_PLANNED, t)
                 lift = self._begin_episode(t, meas, forced_swing=trailing)
 
-        elif phase is RecoveryPhase.CAPTURED:
-            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
-            # Re-arm around the new stance point so a later push can
-            # trigger a fresh episode.
-            self.detector.ellipse = SwayEllipse(
-                self.cop, self.config.ellipse_a, self.config.ellipse_b
-            )
-            self.detector.stand(t)
-
-        if self.episode is None:  # no step in flight: _track would return _REST, None
+        # A step is in flight while an episode exists outside Landed.
+        if self.episode is None or self.detector.phase is RecoveryPhase.LANDED:
             return _new(Command, (self.cop, _REST, None, lift, touchdown))
         torque, swing = self._track(t, meas)
         return _new(Command, (self.cop, torque, swing, lift, touchdown))
@@ -615,26 +621,26 @@ class Controller:
             lateral = meas.xi[1] - self.support_center[1]
             swing = Side.LEFT if lateral < -1e-12 else Side.RIGHT
         stance_xy = self.feet[Side.RIGHT if swing is Side.LEFT else Side.LEFT]
-        ep = _Episode(t, swing, stance_xy)
-        ep.nominal, ep.bounds = config.stance_frame(stance_xy, swing)
+        nominal, bounds = config.stance_frame(stance_xy, swing)
 
         # Weight shifts onto the stance leg: the CoP the pendulum sees
         # during the swing is the stance ankle point.
         self.cop = stance_xy
         try:
             plan = plan_step(PlannerInput(xi0=meas.xi, cop0=stance_xy, omega=self.omega,
-                                          nominal=ep.nominal, bounds=ep.bounds))
+                                          nominal=nominal, bounds=bounds))
         except PlannerInfeasibleError as err:
             self._abort(t, f"plan_step infeasible: {', '.join(err.violated) or err}")
             return None
-        ep.plan = plan
-        ep.initial_plan = plan
-        ep.swing_start = (*self.feet[swing], 0.0)
-        ep.traj = build_swing(ep.swing_start, plan, config.peak_height, config.peak_fraction)
-        ep.geom = config.leg_geometry(swing)
+        except ValueError as err:  # e.g. a plan that is not finite
+            self._abort(t, f"plan_step: {err}")
+            return None
+        swing_start = (*self.feet[swing], 0.0)
+        traj = build_swing(swing_start, plan, config.peak_height, config.peak_fraction)
+        geom = config.leg_geometry(swing)
         try:
             q0 = inverse_kinematics(
-                _leg_target(config, swing, ep.swing_start, meas.com), ep.geom, self.limits
+                _leg_target(config, swing, swing_start, meas.com), geom, self.limits
             )
         except (WorkspaceError, JointLimitError) as err:
             self._abort(t, f"swing start pose unreachable: {err}")
@@ -642,7 +648,7 @@ class Controller:
         # The swing leg lifts off at rest in its current pose.
         self.q, self.qd, self.tau = q0, _REST, _REST
         self.q_des = q0
-        self.foot_point = ep.swing_start
+        self.foot_point = swing_start
 
         self.events.append(Event(t, "PlanIssued", {
             "swing": swing.value,
@@ -651,9 +657,10 @@ class Controller:
             "duration": plan.duration,
             "sigma": plan.sigma,
             "objective": plan.objective,
-            "swing_start": list(ep.swing_start[:2]),
+            "swing_start": list(swing_start[:2]),
         }))
-        self.episode = ep
+        self.episode = _Episode(t, swing, stance_xy, nominal, bounds, plan, traj, swing_start,
+                                geom)
         return self.q
 
     def _swing(self, t: float, meas: Measurement) -> bool:
@@ -701,7 +708,7 @@ class Controller:
         self.cop = self.support_center = landed
         self.support_half = self.foot_half
         self.foot_point = (*landed, 0.0)
-        self.detector.touchdown(t)
+        self.detector.advance(RecoveryPhase.LANDED, t)
         self.events.append(Event(t, "TouchDown", {
             "planned": list(ep.plan.cop_T),
             "initial_planned": list(ep.initial_plan.cop_T),
@@ -712,14 +719,8 @@ class Controller:
         return True
 
     def _track(self, t: float, meas: Measurement) -> tuple[Vec3, Side | None]:
-        """Torques tracking the swing trajectory and the leg in flight;
-        zero torques and no leg when no step is in flight."""
+        """Torques tracking the swing trajectory of the step in flight, and its leg."""
         ep = self.episode
-        if ep is None or self.detector.phase not in (
-            RecoveryPhase.STEPPING_PLANNED,
-            RecoveryPhase.SWING,
-        ):
-            return _REST, None
         self.foot_point, _, _ = sample(ep.traj, t - ep.traj_t0)
         try:
             self.q_des = inverse_kinematics(

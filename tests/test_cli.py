@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import re
@@ -353,6 +354,26 @@ def test_simulate_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     # Outputs are still written for post-mortem inspection.
     assert (out / "trace.csv").exists()
+    assert "aborted = true" in (out / "summary.txt").read_text()
+
+
+def test_simulate_aborts_a_step_whose_plan_is_not_finite(tmp_path, capsys):
+    """A 200 s step window validates, but the plan's cost overflows: ``plan``
+    reports it as an error, and ``simulate`` aborts the step and still writes
+    its outputs."""
+    scenario = write_scenario(tmp_path, BASE_SCENARIO + "planner.t_min = 200\n"
+                                                       "planner.t_max = 201\n")
+    assert cli.main(["plan", "--scenario", str(scenario), "--xi0", "0.12,0",
+                     "--cop0", "0,0.1"]) == 1
+    assert "is not finite" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert sorted(f.name for f in out.iterdir()) == ["events.csv", "summary.txt", "trace.csv"]
+    _, rows = read_csv_rows(out / "events.csv")
+    assert [row[1] for row in rows] == ["PushApplied", "BalanceLost", "StepAborted"]
+    assert json.loads(rows[2][2])["reason"].startswith(
+        "plan_step: the plan from xi0=(0.1200836374464")
     assert "aborted = true" in (out / "summary.txt").read_text()
 
 

@@ -13,6 +13,7 @@ from exorecover import (
     SwayEllipse,
     ellipse_excursion,
 )
+from exorecover.detector import TRANSITIONS
 
 ELLIPSE = SwayEllipse(center=[0.0, 0.0], semi_axis_x=0.05, semi_axis_y=0.05)
 DEFAULT = ScenarioConfig()
@@ -77,9 +78,9 @@ def test_trigger_is_edge_like():
 def test_full_phase_cycle_with_capture():
     det = detector(debounce_cycles=1, capture_tolerance=0.02, capture_hold=0.2)
     assert det.update([0.08, 0.0], 0.0) is not None
-    det.start_swing(0.001)
+    det.advance(RecoveryPhase.SWING, 0.001)
     assert det.phase is RecoveryPhase.SWING
-    det.touchdown(0.3)
+    det.advance(RecoveryPhase.LANDED, 0.3)
     assert det.phase is RecoveryPhase.LANDED
     t = 0.3
     captured = False
@@ -92,16 +93,15 @@ def test_full_phase_cycle_with_capture():
     assert det.phase is RecoveryPhase.CAPTURED
     # Hold time: first sample inside at 0.301, capture at >= 0.501.
     assert t == pytest.approx(0.501, abs=1e-9)
-    det.stand(t + 0.001)
+    det.advance(RecoveryPhase.STANDING, t + 0.001)
     assert det.phase is RecoveryPhase.STANDING
-    assert det.trigger is None
 
 
 def test_capture_hold_resets_when_dcm_escapes():
     det = detector(debounce_cycles=1, capture_tolerance=0.02, capture_hold=0.1)
     det.update([0.08, 0.0], 0.0)
-    det.start_swing(0.001)
-    det.touchdown(0.2)
+    det.advance(RecoveryPhase.SWING, 0.001)
+    det.advance(RecoveryPhase.LANDED, 0.2)
     assert not det.update_landing(0.01, 0.25)  # inside, hold starts
     assert not det.update_landing(0.05, 0.30)  # outside, resets
     assert not det.update_landing(0.01, 0.32)  # inside again
@@ -113,8 +113,8 @@ def test_capture_hold_resets_when_dcm_escapes():
 def test_capture_tolerance_is_euclidean():
     det = detector(debounce_cycles=1, capture_tolerance=0.02, capture_hold=0.0)
     det.update([0.08, 0.0], 0.0)
-    det.start_swing(0.001)
-    det.touchdown(0.2)
+    det.advance(RecoveryPhase.SWING, 0.001)
+    det.advance(RecoveryPhase.LANDED, 0.2)
     # The caller passes the Euclidean offset |xi - cop|:
     # sqrt(0.015^2 + 0.015^2) = 0.0212 > 0.02 is not captured.
     assert not det.update_landing(math.hypot(0.015, 0.015), 0.3)
@@ -125,32 +125,52 @@ def test_capture_tolerance_is_euclidean():
 def test_chained_step_restarts_without_capture():
     det = detector(debounce_cycles=1)
     det.update([0.08, 0.0], 0.0)
-    det.start_swing(0.001)
-    det.touchdown(0.2)
+    det.advance(RecoveryPhase.SWING, 0.001)
+    det.advance(RecoveryPhase.LANDED, 0.2)
     assert not det.update_landing(0.2, 0.21)
-    det.restart_step(0.211)
+    det.advance(RecoveryPhase.STEPPING_PLANNED, 0.211)
     assert det.phase is RecoveryPhase.STEPPING_PLANNED
-    det.start_swing(0.212)
-    det.touchdown(0.5)
+    det.advance(RecoveryPhase.SWING, 0.212)
+    det.advance(RecoveryPhase.LANDED, 0.5)
     assert det.phase is RecoveryPhase.LANDED
 
 
-def test_invalid_transitions_raise():
-    det = detector()
-    with pytest.raises(PhaseTransitionError):
-        det.start_swing(0.0)
-    with pytest.raises(PhaseTransitionError):
-        det.touchdown(0.0)
-    with pytest.raises(PhaseTransitionError):
-        det.update_landing(0.0, 0.0)
-    with pytest.raises(PhaseTransitionError):
-        det.restart_step(0.0)
-    with pytest.raises(PhaseTransitionError):
-        det.stand(0.0)
+def reach(phase: RecoveryPhase) -> BalanceDetector:
+    """A detector brought to ``phase`` by legal moves made at t <= 0.003."""
+    det = detector(debounce_cycles=1, capture_hold=0.0)
+    if phase is RecoveryPhase.STANDING:
+        return det
     det.update([0.08, 0.0], 0.0)
-    det.update([0.08, 0.0], 0.001)
-    with pytest.raises(PhaseTransitionError):
-        det.touchdown(0.002)
+    if phase is RecoveryPhase.STEPPING_PLANNED:
+        return det
+    det.advance(RecoveryPhase.SWING, 0.001)
+    if phase is RecoveryPhase.SWING:
+        return det
+    det.advance(RecoveryPhase.LANDED, 0.002)
+    if phase is RecoveryPhase.CAPTURED:
+        assert det.update_landing(0.0, 0.003)
+    return det
+
+
+def test_invalid_transitions_raise():
+    """Every move the table leaves out, self-moves included, raises from a
+    detector brought to its start by legal moves, and leaves it there; so
+    does a landing sample outside ``LANDED``."""
+    illegal = [(a, b) for a in RecoveryPhase for b in RecoveryPhase if b not in TRANSITIONS[a]]
+    assert len(illegal) == 19
+    assert all((phase, phase) in illegal for phase in RecoveryPhase)
+    for start, target in illegal:
+        det = reach(start)
+        assert det.phase is start
+        with pytest.raises(PhaseTransitionError, match=f"from {start.value} to {target.value}$"):
+            det.advance(target, 0.004)
+        assert det.phase is start
+    for start in RecoveryPhase:
+        if start is not RecoveryPhase.LANDED:
+            det = reach(start)
+            with pytest.raises(PhaseTransitionError, match=f"currently {start.value}$"):
+                det.update_landing(0.0, 0.004)
+            assert det.phase is start
 
 
 def test_time_must_be_nondecreasing():
@@ -165,8 +185,8 @@ def test_update_outside_standing_is_inert_but_advances_clock():
     det.update([0.08, 0.0], 0.0)
     assert det.update([0.5, 0.5], 1.0) is None
     with pytest.raises(ValueError):
-        det.start_swing(0.5)  # clock already advanced to 1.0
-    det.start_swing(1.0)
+        det.advance(RecoveryPhase.SWING, 0.5)  # clock already advanced to 1.0
+    det.advance(RecoveryPhase.SWING, 1.0)
 
 
 def test_constructor_validation():

@@ -23,6 +23,7 @@ from exorecover import (
     run_scenario,
     summarize,
 )
+from exorecover.detector import TRANSITIONS
 from exorecover.simulation import Plant
 
 MASS = 70.0
@@ -327,28 +328,39 @@ def test_forward_push_recovers_in_one_step():
     assert trace.phase[-1] == "Standing"
 
 
+#: The runs whose phase sequences are checked against the table: the
+#: ROADMAP's four named pushes, a hip-flexion limit that aborts the step
+#: and a zero-torque swing moved by a wearer pulse, each 3 s long.
+PHASE_RUNS = {
+    "forward": dict(pushes=(push_for_excursion(0.12, 0.0),)),
+    "lateral": dict(pushes=(push_for_excursion(0.0, 0.12),)),
+    "midswing": dict(pushes=(push_for_excursion(0.12, 0.0),
+                             push_for_excursion(0.0, 0.06, t=0.62))),
+    "noisy": dict(pushes=(push_for_excursion(0.12, 0.0),), attitude_noise_deg=0.2),
+    "joint_limit_abort": dict(pushes=(push_for_excursion(0.12, 0.0),),
+                              hip_flex_limits_deg=(-20.0, 15.0)),
+    "zero_torque_pulse": dict(pushes=(push_for_excursion(0.12, 0.0),), mode="zero_torque",
+                              human_pulses=(HumanPulse(1, 0.55, 0.65, 1.5),)),
+}
+
+
 def test_phase_sequence_follows_the_machine():
-    trace = forward_push_trace()
-    allowed = {
-        ("Standing", "SteppingPlanned"),
-        ("SteppingPlanned", "Swing"),
-        ("Swing", "Landed"),
-        ("Landed", "Captured"),
-        ("Landed", "SteppingPlanned"),
-        ("Captured", "Standing"),
-    }
-    seen = {
-        (a, b) for a, b in zip(trace.phase, trace.phase[1:]) if a != b
-    }
-    assert seen <= allowed
-    # The full cycle actually happened.
-    assert seen >= {
-        ("Standing", "SteppingPlanned"),
-        ("SteppingPlanned", "Swing"),
-        ("Swing", "Landed"),
-        ("Landed", "Captured"),
-        ("Captured", "Standing"),
-    }
+    """Every change between consecutive logged phases is a move of the table."""
+    legal = {(a.value, b.value) for a, targets in TRANSITIONS.items() for b in targets}
+    seen = set()
+    for name, fields in PHASE_RUNS.items():
+        trace = run_scenario(ScenarioConfig(duration=3.0, **fields))
+        moves = {(a, b) for a, b in zip(trace.phase, trace.phase[1:]) if a != b}
+        assert moves <= legal, name
+        seen |= moves
+        if name == "forward":
+            # The full cycle actually happened.
+            assert moves == legal - {("Landed", "SteppingPlanned")}
+        if name == "joint_limit_abort":
+            # The aborted step leaves the machine in flight to the end.
+            assert summarize(trace).aborted and trace.phase[-1] == "Swing"
+    # The lateral push chains a second step, so every move of the table is made.
+    assert seen == legal
 
 
 def test_event_payloads_serialize_to_json():

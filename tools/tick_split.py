@@ -16,8 +16,9 @@ scenario through that tree's unmodified ``run_scenario``, once per pass.
 A tick's plant time is ``Plant.measure`` plus ``Plant.step``, its
 controller time ``Controller.step``.  Ticks are grouped by the phase the
 detector is in when the tick starts; a ``Swing`` or ``SteppingPlanned``
-tick with no step in flight (after a ``StepAborted``) is grouped apart,
-as ``<phase>/aborted``.  Per group the worker reports the tick count and
+tick that ``Controller.step`` sends down its ``episode is None`` branch
+(no step in flight after a ``StepAborted``) is grouped apart, as
+``<phase>/aborted``.  Per group the worker reports the tick count and
 the mean controller and plant microseconds per tick, each the minimum
 over passes; the wrappers' own cost is in those means.
 
@@ -47,7 +48,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _group(controller) -> str:
-    """The group of the tick ``controller`` is about to step."""
+    """The group of the tick ``controller`` is about to step: its phase, with
+    ``/aborted`` appended when ``Controller.step`` takes its ``episode is
+    None`` branch, the one a ``StepAborted`` leaves in flight."""
     phase = controller.detector.phase._value_
     if controller.episode is None and phase in ("Swing", "SteppingPlanned"):
         return phase + "/aborted"
