@@ -281,15 +281,15 @@ def format_config(config: ScenarioConfig) -> str:
 @contextlib.contextmanager
 def _atomic_open(path: Path):
     """A ``.tmp`` sibling to stream into, renamed onto ``path`` once the write
-    completes; a write that fails partway deletes it and leaves ``path`` as it was."""
+    completes; a write or a rename that fails deletes it and leaves ``path`` as it was."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w") as out:
             yield out
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 def _num(x: float) -> str:
@@ -362,22 +362,15 @@ def write_events_csv(trace: SimTrace, path) -> None:
             writer.writerow([_num(ev.time), ev.kind, encode(ev.payload)])
 
 
-def _summary_lines(summary: StepSummary, config: ScenarioConfig) -> list[str]:
+def write_summary(trace: SimTrace, path) -> StepSummary:
+    """Write ``summary.txt`` and return the summary it holds."""
+    summary = summarize(trace)
     lines = ["[summary]"]
     for f in dataclasses.fields(StepSummary):
         value = getattr(summary, f.name)
         lines.append(f"{f.name} = {'none' if value is None else _fmt(value)}")
-    lines.append(f"weights = {_fmt(config.weights)}")
-    return lines
-
-
-def write_summary(trace: SimTrace, path) -> StepSummary:
-    """Write ``summary.txt`` and return the summary it holds."""
-    summary = summarize(trace)
-    lines = _summary_lines(summary, trace.config)
-    lines.append("")
-    lines.append("[config]")
-    lines.append(format_config(trace.config).rstrip("\n"))
+    lines += [f"weights = {_fmt(trace.config.weights)}", "", "[config]",
+              format_config(trace.config).rstrip("\n")]
     with _atomic_open(Path(path)) as out:
         out.write("\n".join(lines) + "\n")
     return summary
@@ -412,20 +405,30 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _cannot_write(out: Path, err: OSError) -> int:
+    return _fail(f"{out}: cannot write outputs: {err}", 1)
+
+
 def cmd_simulate(args) -> int:
     try:
         config = load_scenario(args.scenario, args.set)
     except (ScenarioParseError, ConfigurationError) as err:
         return _fail(str(err), 1)
 
-    trace = run_scenario(config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(trace, out / "trace.csv")
-    write_events_csv(trace, out / "events.csv")
-    summary = write_summary(trace, out / "summary.txt")
-    if args.emit_gnuplot:
-        write_gnuplot(out / "trace.gp")
+    try:
+        out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the loop
+    except OSError as err:
+        return _cannot_write(out, err)
+    trace = run_scenario(config)
+    try:
+        write_trace_csv(trace, out / "trace.csv")
+        write_events_csv(trace, out / "events.csv")
+        summary = write_summary(trace, out / "summary.txt")
+        if args.emit_gnuplot:
+            write_gnuplot(out / "trace.gp")
+    except OSError as err:
+        return _cannot_write(out, err)
     print(
         f"simulated {config.duration} s: steps={summary.num_steps} "
         f"captured={'yes' if summary.captured else 'no'} "
@@ -501,29 +504,32 @@ def cmd_sweep_weights(args) -> int:
     except (ScenarioParseError, ConfigurationError, ValueError) as err:  # a plan_step overflow too
         return _fail(str(err), 1)
 
-    lengths = np.array([r[1] for r in results])
-    durations = np.array([r[0].duration for r in results])
     # Flag the most conservative plan: shortest step with the longest
     # duration, scored by summed ranks; ties resolve to grid order.
-    rank_len = np.argsort(np.argsort(lengths, kind="stable"), kind="stable")
-    rank_dur = np.argsort(np.argsort(-durations, kind="stable"), kind="stable")
-    flagged = int(np.argmin(rank_len + rank_dur))
+    score = [0] * len(results)
+    for key in (lambda i: results[i][1], lambda i: -results[i][0].duration):
+        for rank, i in enumerate(sorted(range(len(score)), key=key)):  # a stable sort
+            score[i] += rank
+    flagged = score.index(min(score))  # the first minimum
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with _atomic_open(out / "sweep.csv") as csv_out:
-        csv_out.write("alpha1,alpha2,alpha3,cop_x,cop_y,gamma_x,gamma_y,sigma,duration_s,"
-                      "step_length,objective,flagged\n")
-        for i, (nominal, (plan, length)) in enumerate(zip(gaits, results)):
-            weights = nominal.weights
-            csv_out.write(",".join([
-                _num(weights[0]), _num(weights[1]), _num(weights[2]),
-                _num(plan.cop_T[0]), _num(plan.cop_T[1]),
-                _num(plan.gamma_T[0]), _num(plan.gamma_T[1]),
-                _num(plan.sigma), _num(plan.duration),
-                _num(length), _num(plan.objective),
-                "1" if i == flagged else "0",
-            ]) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with _atomic_open(out / "sweep.csv") as csv_out:
+            csv_out.write("alpha1,alpha2,alpha3,cop_x,cop_y,gamma_x,gamma_y,sigma,duration_s,"
+                          "step_length,objective,flagged\n")
+            for i, (nominal, (plan, length)) in enumerate(zip(gaits, results)):
+                weights = nominal.weights
+                csv_out.write(",".join([
+                    _num(weights[0]), _num(weights[1]), _num(weights[2]),
+                    _num(plan.cop_T[0]), _num(plan.cop_T[1]),
+                    _num(plan.gamma_T[0]), _num(plan.gamma_T[1]),
+                    _num(plan.sigma), _num(plan.duration),
+                    _num(length), _num(plan.objective),
+                    "1" if i == flagged else "0",
+                ]) + "\n")
+    except OSError as err:
+        return _cannot_write(out, err)
 
     print(f"{'alpha1':>8} {'alpha2':>8} {'alpha3':>8} {'step_len':>10} {'duration':>10} flag")
     for i, (nominal, (plan, length)) in enumerate(zip(gaits, results)):

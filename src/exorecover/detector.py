@@ -138,10 +138,7 @@ class BalanceDetector:
         Outside of ``STANDING`` the sample is ignored, so no trigger can
         occur mid-step.
         """
-        t = float(t)  # _clock, inline: this runs on every standing tick
-        if t < self._last_time:
-            raise ValueError(f"time must be nondecreasing, got {t} after {self._last_time}")
-        self._last_time = t
+        t = self._clock(t)
         if self.phase is not RecoveryPhase.STANDING:
             return None
         q = ellipse_excursion(xi, self.ellipse)

@@ -63,7 +63,7 @@ from .impedance import (
     joint_plant_step,
 )
 from .kinematics import JointLimits, LegGeometry, Side, forward_kinematics, inverse_kinematics
-from .lipm import LipmParams, apply_impulse, as_vec2, step_lipm
+from .lipm import LipmParams, apply_impulse, as_vec2, natural_frequency, step_lipm
 from .planner import (
     NominalGait,
     PlannerInput,
@@ -273,8 +273,9 @@ class ScenarioConfig:
         """Joint angles of the planted right leg on its stance point under the
         CoM at ``com0``; raises WorkspaceError or JointLimitError."""
         planted = (0.0, -0.5 * self.resolved_stance_width(), 0.0)
-        return inverse_kinematics(_leg_target(self, Side.RIGHT, planted, as_vec2(self.com0, "com0")),
-                                  self.leg_geometry(Side.RIGHT), self.joint_limits())
+        geom = self.leg_geometry(Side.RIGHT)
+        return inverse_kinematics(_leg_target(self, geom, planted, as_vec2(self.com0, "com0")),
+                                  geom, self.joint_limits())
 
     def resolved_stance_width(self) -> float:
         if self.stance_width is not None:
@@ -338,7 +339,7 @@ class ScenarioConfig:
         check(self.t_nom > 0.0, "t_nom must be positive")
         if 0.0 < self.gravity < math.inf and 0.0 < self.com_height < math.inf:
             # The planner takes exp(omega * T) of these step times.
-            longest = math.log(sys.float_info.max) / math.sqrt(self.gravity / self.com_height)
+            longest = math.log(sys.float_info.max) / natural_frequency(self.gravity, self.com_height)
             for name in ("t_nom", "t_max"):
                 value = getattr(self, name)
                 check(not value > longest, f"{name} must be at most {longest:.6g} s, "
@@ -452,32 +453,28 @@ class StepSummary:
 
 
 class _Episode:
-    """Mutable bookkeeping for one recovery step."""
+    """What one recovery step decided; the stance foot (``Controller.cop``) and
+    the swing start (``Controller.feet[swing]``) stay the controller's."""
 
-    def __init__(self, trigger_time: float, swing: Side, stance_xy: Vec2, nominal: NominalGait,
-                 bounds: StepBounds, plan: StepPlan, traj: SwingTrajectory, swing_start: Vec3,
-                 geom: LegGeometry):
+    def __init__(self, trigger_time: float, swing: Side, nominal: NominalGait, bounds: StepBounds,
+                 plan: StepPlan, traj: SwingTrajectory):
         self.trigger_time = trigger_time
         self.swing = swing
-        self.stance_xy = stance_xy  # the stance foot, the CoP all through the swing
         self.nominal = nominal
         self.bounds = bounds
         self.plan = plan
         self.initial_plan = plan
         self.traj = traj
         self.traj_t0 = trigger_time
-        self.swing_start = swing_start
-        self.geom = geom
-        self.frozen = False  # True once the terminal window is reached
 
 
-def _hip_xy(config: ScenarioConfig, side: Side, com) -> tuple[float, float]:
-    lateral = config.l0 if side is Side.LEFT else -config.l0
+def _hip_xy(geom: LegGeometry, com) -> tuple[float, float]:
+    lateral = geom.l0 if geom.side is Side.LEFT else -geom.l0
     return com[0], com[1] + lateral
 
 
-def _leg_target(config: ScenarioConfig, side: Side, world_point, com) -> Vec3:
-    x, y = _hip_xy(config, side, com)
+def _leg_target(config: ScenarioConfig, geom: LegGeometry, world_point, com) -> Vec3:
+    x, y = _hip_xy(geom, com)
     return world_point[0] - x, world_point[1] - y, world_point[2] - config.com_height
 
 
@@ -519,6 +516,7 @@ class Controller:
         self.gains = ImpedanceGains.from_deg(config.stiffness_deg, config.damping)
         self.mode = ControlMode(config.mode)
         self.foot_half = (config.foot_half_x, config.foot_half_y)
+        self.geoms = {side: config.leg_geometry(side) for side in Side}
         width = config.resolved_stance_width()
         # Feet, the CoP and the ankle clamp's box are (x, y) float pairs.
         self.feet: dict[Side, Vec2] = {Side.LEFT: (0.0, 0.5 * width), Side.RIGHT: (0.0, -0.5 * width)}
@@ -538,8 +536,7 @@ class Controller:
         # tracked leg is the planted right one, held where it stands.
         self.q, self.qd, self.tau = q_hold, _REST, _REST
         self.q_des = q_hold
-        right = self.feet[Side.RIGHT]
-        self.foot_point = (right[0], right[1], 0.0)  # commanded swing-foot point
+        self.foot_point = (*self.feet[Side.RIGHT], 0.0)  # commanded swing-foot point
 
     def step(self, meas: Measurement, t: float) -> Command:
         """Advance the phase machine and return this tick's CoP and torques."""
@@ -637,10 +634,10 @@ class Controller:
             return None
         swing_start = (*self.feet[swing], 0.0)
         traj = build_swing(swing_start, plan, config.peak_height, config.peak_fraction)
-        geom = config.leg_geometry(swing)
+        geom = self.geoms[swing]
         try:
             q0 = inverse_kinematics(
-                _leg_target(config, swing, swing_start, meas.com), geom, self.limits
+                _leg_target(config, geom, swing_start, meas.com), geom, self.limits
             )
         except (WorkspaceError, JointLimitError) as err:
             self._abort(t, f"swing start pose unreachable: {err}")
@@ -659,27 +656,24 @@ class Controller:
             "objective": plan.objective,
             "swing_start": list(swing_start[:2]),
         }))
-        self.episode = _Episode(t, swing, stance_xy, nominal, bounds, plan, traj, swing_start,
-                                geom)
+        self.episode = _Episode(t, swing, nominal, bounds, plan, traj)
         return self.q
 
     def _swing(self, t: float, meas: Measurement) -> bool:
         """Replan the step in flight; returns whether the foot touched down.
 
-        The planner gets the measured DCM and the stance point as float
-        pairs, against the gait and bounds checked when the step was
-        planned, so no ``PlannerInput`` is built here."""
+        The planner gets the measured DCM and the CoP (the stance point) as
+        float pairs, against the gait and bounds checked at the trigger, so
+        no ``PlannerInput`` is built; a terminal plan is not re-solved."""
         ep = self.episode
-        if not ep.frozen:
+        if ep.plan.status != "terminal":
             try:
-                new_plan = replan(ep.plan, meas.xi, ep.stance_xy, self.omega, ep.nominal,
+                new_plan = replan(ep.plan, meas.xi, self.cop, self.omega, ep.nominal,
                                   ep.bounds, t - ep.trigger_time)
             except PlannerInfeasibleError as err:
                 self._abort(t, f"replan infeasible: {', '.join(err.violated) or err}")
                 return False
-            if new_plan.status == "terminal":
-                ep.frozen = True
-            else:
+            if new_plan.status != "terminal":
                 (new_x, new_y), (old_x, old_y) = new_plan.cop_T, ep.plan.cop_T
                 moved = max(abs(new_x - old_x), abs(new_y - old_y))
                 # Compared as absolute times: the shorter difference of the
@@ -702,29 +696,30 @@ class Controller:
         if t - ep.traj_t0 < ep.traj.duration - 1e-9:
             return False
         # Touchdown: where the plant reports the foot landed becomes the
-        # stance.
+        # stance, and the foot it left is where the swing started.
         landed = meas.foot
-        self.feet[ep.swing] = landed
-        self.cop = self.support_center = landed
-        self.support_half = self.foot_half
-        self.foot_point = (*landed, 0.0)
         self.detector.advance(RecoveryPhase.LANDED, t)
         self.events.append(Event(t, "TouchDown", {
             "planned": list(ep.plan.cop_T),
             "initial_planned": list(ep.initial_plan.cop_T),
             "landed": list(landed),
-            "swing_start": list(ep.swing_start[:2]),
+            "swing_start": list(self.feet[ep.swing]),
             "trigger_time": ep.trigger_time,
         }))
+        self.feet[ep.swing] = landed
+        self.cop = self.support_center = landed
+        self.support_half = self.foot_half
+        self.foot_point = (*landed, 0.0)
         return True
 
     def _track(self, t: float, meas: Measurement) -> tuple[Vec3, Side | None]:
         """Torques tracking the swing trajectory of the step in flight, and its leg."""
         ep = self.episode
         self.foot_point, _, _ = sample(ep.traj, t - ep.traj_t0)
+        geom = self.geoms[ep.swing]
         try:
             self.q_des = inverse_kinematics(
-                _leg_target(self.config, ep.swing, self.foot_point, meas.com), ep.geom, self.limits
+                _leg_target(self.config, geom, self.foot_point, meas.com), geom, self.limits
             )
         except (WorkspaceError, JointLimitError) as err:
             self._abort(t, f"swing target unreachable: {err}")
@@ -798,8 +793,9 @@ class Plant:
 
         foot = None
         if self.swing is not None:
-            achieved = forward_kinematics(self.q, self.geoms[self.swing])
-            hip_x, hip_y = _hip_xy(self.config, self.swing, self.com)
+            geom = self.geoms[self.swing]
+            achieved = forward_kinematics(self.q, geom)
+            hip_x, hip_y = _hip_xy(geom, self.com)
             foot = self.foot = (hip_x + achieved[0], hip_y + achieved[1])
         vx, vy = self.vel
         omega = self.params.omega

@@ -377,6 +377,35 @@ def test_simulate_aborts_a_step_whose_plan_is_not_finite(tmp_path, capsys):
     assert "aborted = true" in (out / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-weights"])
+@pytest.mark.parametrize("bad_out", ["a file", "under a file", "an output that is a directory"])
+def test_an_unusable_out_is_an_input_error(tmp_path, capsys, monkeypatch, command, bad_out):
+    """``--out`` naming a file, or a path under one, and an output file that
+    is a directory, exit 1 with one ``error:`` line, not a traceback; a
+    simulation does not run when its directory cannot be made."""
+    scenario = write_scenario(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = {"a file": blocker, "under a file": blocker / "sub",
+           "an output that is a directory": tmp_path / "out"}[bad_out]
+    if bad_out == "an output that is a directory":
+        (out / ("trace.csv" if command == "simulate" else "sweep.csv")).mkdir(parents=True)
+    else:
+        def no_run(config):
+            raise AssertionError("the simulation ran before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+    extra = (["--grid", str(write_scenario(tmp_path, GRID, name="grid.txt"))]
+             if command == "sweep-weights" else [])
+    rc = cli.main([command, "--scenario", str(scenario), "--out", str(out), *extra])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: cannot write outputs: [Errno ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert blocker.read_text() == ""
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_every_subcommand_rejects_inverted_step_bounds(tmp_path, capsys):
     scenario = write_scenario(tmp_path)
     grid = write_scenario(tmp_path, GRID, name="grid.txt")
@@ -822,6 +851,19 @@ def test_sweep_default_xi0_is_cop0_plus_a_forward_offset(tmp_path, capsys):
         assert cli.main(sweep + ["--out", str(tmp_path / "empty"), empty]) == 1
         assert "error: expected 2 comma-separated numbers" in capsys.readouterr().err
     assert not (tmp_path / "empty").exists()
+
+
+def test_sweep_ties_flag_the_first_row_in_grid_order(tmp_path, capsys):
+    """Equal triples give equal plans, so equal ranks; the first is flagged."""
+    scenario = write_scenario(tmp_path)
+    grid = write_scenario(tmp_path, "1, 50, 0.02\n1, 5, 0.02\n1, 5, 0.02\n", name="grid.txt")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep-weights", "--scenario", str(scenario),
+                     "--grid", str(grid), "--out", str(out)]) == 0
+    capsys.readouterr()
+    _, rows = read_csv_rows(out / "sweep.csv")
+    assert rows[1][:-1] == rows[2][:-1]
+    assert [row[-1] for row in rows] == ["0", "1", "0"]
 
 
 def test_sweep_needs_at_least_two_triples(tmp_path, capsys):

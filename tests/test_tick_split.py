@@ -20,7 +20,8 @@ def load_tool():
 def test_tick_counts_sum_to_the_rows():
     """Over a recovered push and a push whose step aborts on a hip-flexion
     limit, each 0.5 s, the groups' tick counts sum to the trace rows, the
-    ticks after the abort are grouped apart, and the loop is unwrapped after."""
+    ticks after the abort are grouped apart, each run's trigger tick is in
+    the ``trigger`` group, and the loop is unwrapped after."""
     push = PushEvent(0.1, (0.12 * 70.0 * math.sqrt(9.81 / 0.88), 0.0))
     configs = [ScenarioConfig(duration=0.5, pushes=(push,)),
                ScenarioConfig(duration=0.5, pushes=(push,), hip_flex_limits_deg=(-20.0, 15.0))]
@@ -30,9 +31,11 @@ def test_tick_counts_sum_to_the_rows():
     rows = sum(len(run_scenario(config).t) for config in configs)
     assert rows == 1000
     assert sum(group["ticks"] for group in split.values()) == rows
-    assert {"Standing", "Swing", "Swing/aborted"} <= set(split)
+    assert {"Standing", "Swing", "Swing/aborted", "trigger"} <= set(split)
+    assert split["trigger"]["ticks"] == 2
     for group in split.values():
         assert group["controller_us"] > 0.0 and group["plant_us"] > 0.0
+        assert group["controller_max_us"] >= group["controller_us"]
 
 
 def test_the_loop_cost_outside_the_wrappers_is_reported():

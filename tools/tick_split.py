@@ -18,9 +18,13 @@ controller time ``Controller.step``.  Ticks are grouped by the phase the
 detector is in when the tick starts; a ``Swing`` or ``SteppingPlanned``
 tick that ``Controller.step`` sends down its ``episode is None`` branch
 (no step in flight after a ``StepAborted``) is grouped apart, as
-``<phase>/aborted``.  Per group the worker reports the tick count and
-the mean controller and plant microseconds per tick, each the minimum
-over passes; the wrappers' own cost is in those means.
+``<phase>/aborted``.  A tick that ``Controller.step`` moves into
+``SteppingPlanned`` from another phase, from ``Standing`` or, for a
+chained step, from ``Landed``, plans a step (or aborts one at once) and
+goes in the ``trigger`` group instead.  Per group the worker reports the
+tick count, the mean controller and plant microseconds per tick and the
+slowest tick's controller microseconds, each the minimum over passes;
+the wrappers' own cost is in those figures.
 
 The loop's own cost, which no wrapper sees (logging the row, reading
 the phase, passing the measurement and command along), is reported as
@@ -30,8 +34,8 @@ time per tick, the minimum over passes.  It includes each run's set-up
 wrappers' own cost outside their timers, so it is an upper bound.
 
 The run ends by printing one JSON object, laid out for a ``BENCH_*.json``
-file: per tree, per group, the tick count and one mean per round, and
-one ``loop_us`` per round.
+file: per tree, per group, the tick count and one mean and one slowest
+tick per round, and one ``loop_us`` per round.
 """
 
 from __future__ import annotations
@@ -63,16 +67,19 @@ def split_ticks(configs, passes: int) -> dict[str, dict]:
 
 
 def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
-    """``({group: {"ticks", "controller_us", "plant_us"}}, loop_us)`` over
-    ``passes`` runs of every config, with the exorecover that is imported;
-    the means per tick are each the minimum over passes."""
+    """``({group: {"ticks", "controller_us", "plant_us", "controller_max_us"}},
+    loop_us)`` over ``passes`` runs of every config, with the exorecover that
+    is imported; the figures per tick are each the minimum over passes."""
     from exorecover import simulation
+    from exorecover.detector import RecoveryPhase
 
     Plant, Controller = simulation.Plant, simulation.Controller
+    planned = RecoveryPhase.STEPPING_PLANNED
     originals = (Plant.measure, Controller.step, Plant.step)
     measure, control, integrate = originals
     clock = time.perf_counter
-    # Per pass: group -> [ticks, controller seconds, plant seconds].
+    # Per pass: group -> [ticks, controller seconds, plant seconds, slowest
+    # controller seconds].
     sums: dict[str, list] = {}
     state = {"group": None, "plant": 0.0}
 
@@ -83,12 +90,18 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
         return meas
 
     def timed_control(self, meas, t):
-        row = sums.setdefault(_group(self), [0, 0.0, 0.0])
+        group, before = _group(self), self.detector.phase
         start = clock()
         command = control(self, meas, t)
-        row[1] += clock() - start
+        elapsed = clock() - start
+        if self.detector.phase is planned and before is not planned:
+            group = "trigger"
+        row = sums.setdefault(group, [0, 0.0, 0.0, 0.0])
         row[0] += 1
+        row[1] += elapsed
         row[2] += state["plant"]
+        if elapsed > row[3]:
+            row[3] = elapsed
         state["group"] = row
         return command
 
@@ -110,11 +123,13 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
             all_ticks = sum(row[0] for row in sums.values())
             wrapped_s = sum(row[1] + row[2] for row in sums.values())
             loop_us = min(loop_us, (run_s - wrapped_s) / all_ticks * 1e6)
-            for group, (ticks, control_s, plant_s) in sums.items():
+            for group, (ticks, control_s, plant_s, slowest_s) in sums.items():
                 row = best.setdefault(group, {"ticks": ticks, "controller_us": float("inf"),
-                                              "plant_us": float("inf")})
+                                              "plant_us": float("inf"),
+                                              "controller_max_us": float("inf")})
                 row["controller_us"] = min(row["controller_us"], control_s / ticks * 1e6)
                 row["plant_us"] = min(row["plant_us"], plant_s / ticks * 1e6)
+                row["controller_max_us"] = min(row["controller_max_us"], slowest_s * 1e6)
     finally:
         Plant.measure, Controller.step, Plant.step = originals
     return dict(sorted(best.items())), loop_us
@@ -162,14 +177,16 @@ def main(argv=None) -> int:
             result[tree.name]["loop_us"].append(round(loop_us, 2))
             for group, row in groups.items():
                 entry = result[tree.name]["groups"].setdefault(
-                    group, {"ticks": row["ticks"], "controller_us": [], "plant_us": []})
-                entry["controller_us"].append(round(row["controller_us"], 2))
-                entry["plant_us"].append(round(row["plant_us"], 2))
+                    group, {"ticks": row["ticks"], "controller_us": [], "plant_us": [],
+                            "controller_max_us": []})
+                for key in ("controller_us", "plant_us", "controller_max_us"):
+                    entry[key].append(round(row[key], 2))
             print(f"round {r} {tree.name}: done", file=sys.stderr)
     print(json.dumps({
         "method": "tools/tick_split.py: perf_counter wrappers around Plant.measure, "
                   "Controller.step and Plant.step, ticks grouped by start phase, "
-                  "post-abort ticks apart; min over passes of the mean per tick; "
+                  "post-abort ticks and trigger ticks apart; min over passes of the "
+                  "mean per tick and of the slowest tick; "
                   "loop_us is run_scenario time per tick minus the wrapped time",
         "workload": args.workload, "seed": args.seed, "passes": args.passes,
         "rounds": args.rounds, "trees": result,
