@@ -12,7 +12,7 @@ Three subcommands:
   ``sweep.csv``.
 
 Vector options take a negative value either way: ``--xi0 -0.1,0`` or
-``--xi0=-0.1,0``.
+``--xi0=-0.1,0``, and a bad one fails the same way in both spellings.
 
 Exit codes: 0 success (and ``--help``), 1 input error (a usage error
 such as a missing option or an unknown subcommand, an unparseable or
@@ -454,9 +454,8 @@ def cmd_plan(args) -> int:
     try:
         config = load_scenario(args.scenario, args.set)
         xi0, cop0 = _option_vec2(args, "xi0"), _option_vec2(args, "cop0")
-        nominal, bounds = config.stance_frame(cop0)
         plan = plan_step(PlannerInput(xi0=xi0, cop0=cop0, omega=config.lipm_params().omega,
-                                      nominal=nominal, bounds=bounds))
+                                      nominal=config.nominal_gait(), bounds=config.step_bounds()))
     except (ScenarioParseError, ConfigurationError, ValueError) as err:  # a plan_step overflow too
         return _fail(str(err), 1)
     except PlannerInfeasibleError as err:
@@ -485,7 +484,7 @@ def cmd_sweep_weights(args) -> int:
         cop0 = _option_vec2(args, "cop0")
         # `+ 0.0` turns a y of -0.0 into 0.0; the sign of that zero reaches sweep.csv.
         xi0 = _option_vec2(args, "xi0") if args.xi0 is not None else (cop0[0] + 0.08, cop0[1] + 0.0)
-        base, bounds = config.stance_frame(cop0)
+        base, bounds = config.nominal_gait(), config.step_bounds()
         gaits = []
         for where, weights in grid:
             try:
@@ -604,11 +603,13 @@ def _attach_negative_vectors(argv: list[str]) -> list[str]:
     """Spell ``--xi0 -0.1,0`` as ``--xi0=-0.1,0``.
 
     argparse takes a separate value that starts with a minus sign and is
-    not a plain number, such as ``-0.1,0``, for an option of its own.
+    not a plain number, such as ``-0.1,0``, for an option of its own.  So
+    any single-dash token after a vector option is its value (``-inf,0``
+    too); ``--xi0 --cop0`` stays a usage error.
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _VECTOR_OPTIONS and re.match(r"-\.?\d", arg):
+        if out and out[-1] in _VECTOR_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -14,7 +14,8 @@ landing point, a nominal landing offset and a nominal duration:
     alpha1*|cop_T - cop_T_nom|^2 + alpha2*|gamma_T - gamma_nom|^2
         + alpha3*(sigma - exp(omega*T_nom))^2
 
-subject to box bounds on ``cop_T`` and ``sigma``.  As a QP in
+subject to box bounds on ``cop_T`` and ``sigma``.  ``cop_T_nom`` and the
+CoP box are given about the stance CoP ``cop0``, which the solve adds.  As a QP in
 ``z = (cop_x, cop_y, sigma, gamma_x, gamma_y)`` the boundary condition
 is two equality rows ``E z = e`` and the boxes are the six rows
 ``C z <= d`` named by :func:`constraint_names`; an optimal plan's KKT
@@ -67,7 +68,7 @@ REPLAN_FLOOR = 0.1
 
 @dataclass(frozen=True)
 class NominalGait:
-    """Preferred landing point, landing DCM offset, duration and weights."""
+    """Preferred landing point (about the stance CoP), landing DCM offset, duration and weights."""
 
     cop_T_nom: tuple[float, float]  # m
     gamma_nom: tuple[float, float]  # m
@@ -88,6 +89,8 @@ class NominalGait:
 @dataclass(frozen=True)
 class StepBounds:
     """Feasible boxes for the landing CoP and the step duration.
+
+    The CoP box is about the stance CoP; :meth:`shift` moves it to the world.
 
     Not checked for emptiness: scenario configs check their bounds once,
     up front (``ScenarioConfig.validate``, the program's one bounds
@@ -113,7 +116,7 @@ class StepBounds:
         return math.exp(omega * self.T_min), math.exp(omega * self.T_max)
 
     def shift(self, offset) -> "StepBounds":
-        """Translate the CoP box by a 2-vector (frame change helper)."""
+        """Translate the CoP box by a 2-vector (the world box about a stance point)."""
         x, y = as_vec2(offset, "offset")
         (lo_x, lo_y), (hi_x, hi_y) = self.cop_min, self.cop_max
         return replace(self, cop_min=(lo_x + x, lo_y + y), cop_max=(hi_x + x, hi_y + y))
@@ -121,7 +124,7 @@ class StepBounds:
 
 @dataclass(frozen=True)
 class PlannerInput:
-    """Everything one planning solve needs."""
+    """Everything one planning solve needs; ``nominal`` and ``bounds`` are about ``cop0``."""
 
     xi0: tuple[float, float]  # m, DCM at trigger or replanning time
     cop0: tuple[float, float]  # m, current stance CoP
@@ -189,12 +192,13 @@ def constraint_names() -> tuple[str, ...]:
     )
 
 
-def _cost(nominal: NominalGait, sigma_nom: float, cop, sigma: float, gamma) -> float:
+def _cost(nominal: NominalGait, cop_nom, sigma_nom: float, cop, sigma: float, gamma) -> float:
     """The full quadratic cost of the module docstring (with its constant
-    term, unlike the raw QP) at the float pairs ``cop`` and ``gamma``,
-    summed in Python floats, so the value does not depend on the BLAS build."""
+    term, unlike the raw QP) at the float pairs ``cop`` and ``gamma`` and
+    the world nominal point ``cop_nom``, summed in Python floats, so the
+    value does not depend on the BLAS build."""
     a1, a2, a3 = nominal.weights
-    (cx, cy), (gx, gy) = nominal.cop_T_nom, nominal.gamma_nom
+    (cx, cy), (gx, gy) = cop_nom, nominal.gamma_nom
     dx, dy = cop[0] - cx, cop[1] - cy
     ex, ey = gamma[0] - gx, gamma[1] - gy
     return a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * (sigma - sigma_nom) ** 2
@@ -216,8 +220,13 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
     in-flight tick.  Each product and sum is taken in the same order as
     the closed forms of the module docstring.
     """
-    lo, hi = bounds.cop_min, bounds.cop_max
-    (lo_x, lo_y), (hi_x, hi_y) = lo, hi
+    # The gait point and the CoP box are about the stance CoP; the world
+    # values are taken here, once per solve.
+    (c0_x, c0_y), (x0_x, x0_y) = cop0, xi0
+    (nx, ny), (gn_x, gn_y) = nominal.cop_T_nom, nominal.gamma_nom
+    (lo_x, lo_y), (hi_x, hi_y) = bounds.cop_min, bounds.cop_max
+    cn_x, cn_y = nx + c0_x, ny + c0_y
+    lo_x, lo_y, hi_x, hi_y = lo_x + c0_x, lo_y + c0_y, hi_x + c0_x, hi_y + c0_y
     if lo_x > hi_x or lo_y > hi_y or t_lo > t_hi:
         # An empty interval names both its rows.
         empty = (lo_x > hi_x, lo_y > hi_y) * 2 + (t_lo > t_hi,) * 2
@@ -228,8 +237,6 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
     w = a1 + a2
     s_lo, s_hi = math.exp(omega * t_lo), math.exp(omega * t_hi)
     sn = math.exp(omega * nominal.T_nom)
-    (cn_x, cn_y), (gn_x, gn_y) = nominal.cop_T_nom, nominal.gamma_nom
-    (c0_x, c0_y), (x0_x, x0_y) = cop0, xi0
     r_x, r_y = c0_x - x0_x, c0_y - x0_y
     # At sigma, with u_a = c0_a - r_a*sigma, the exact CoP is
     # clip((a1*cn_a + a2*(u_a - gn_a)) / w), gamma_a = u_a - cop_a, the
@@ -302,9 +309,9 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
         gamma_T=gamma,
         sigma=sigma,
         duration=math.log(sigma) / omega,
-        objective=_cost(nominal, sn, cop, sigma, gamma),
+        objective=_cost(nominal, (cn_x, cn_y), sn, cop, sigma, gamma),
         status="optimal",
-        active_set=_binding_rows(cop, sigma, lo, hi, s_lo, s_hi),
+        active_set=_binding_rows(cop, sigma, (lo_x, lo_y), (hi_x, hi_y), s_lo, s_hi),
         planned_at=planned_at,
         eq_multipliers=(nu_x, nu_y),
         ineq_multipliers=tuple(lam),
@@ -362,15 +369,17 @@ def replan(current: StepPlan, xi0, cop0, omega: float, nominal: NominalGait,
         cop = current.cop_T
         cop_x, cop_y = cop
         gamma = (c0_x - cop_x + (x0_x - c0_x) * sigma, c0_y - cop_y + (x0_y - c0_y) * sigma)
+        (nx, ny), (lo_x, lo_y), (hi_x, hi_y) = nominal.cop_T_nom, bounds.cop_min, bounds.cop_max
         return StepPlan(
             cop_T=cop,
             gamma_T=gamma,
             sigma=sigma,
             duration=remaining,
-            objective=_cost(nominal, math.exp(omega * nominal.T_nom), cop, sigma, gamma),
+            objective=_cost(nominal, (nx + c0_x, ny + c0_y), math.exp(omega * nominal.T_nom),
+                            cop, sigma, gamma),
             status="terminal",
-            active_set=_binding_rows(cop, sigma, bounds.cop_min, bounds.cop_max,
-                                     *bounds.sigma_bounds(omega)),
+            active_set=_binding_rows(cop, sigma, (lo_x + c0_x, lo_y + c0_y),
+                                     (hi_x + c0_x, hi_y + c0_y), *bounds.sigma_bounds(omega)),
             planned_at=elapsed,
         )
     return _solve(xi0, cop0, omega, nominal, bounds, t_lo, t_hi, elapsed)

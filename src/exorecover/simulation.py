@@ -188,7 +188,8 @@ class ScenarioConfig:
 
     Planner geometry convention: ``cop_nom``, ``cop_min`` and ``cop_max``
     are displacements from the stance-foot ankle, written for a
-    right-leg swing; a left-leg swing mirrors the lateral axis.
+    right-leg swing; a left-leg swing mirrors the lateral axis.  The
+    planner takes them in that frame and adds the stance CoP itself.
 
     Each field's metadata holds its scenario-file key and help text; the
     CLI derives its key table from them, in field order.
@@ -287,18 +288,6 @@ class ScenarioConfig:
 
     def step_bounds(self) -> StepBounds:
         return StepBounds(self.cop_min, self.cop_max, self.t_min, self.t_max)
-
-    def stance_frame(self, stance_xy, swing: Side = Side.RIGHT) -> tuple[NominalGait, StepBounds]:
-        """Nominal gait and step bounds about the world stance point ``stance_xy``.
-
-        A left swing mirrors the right-swing numbers first; both are then
-        shifted onto the stance point.
-        """
-        nominal, bounds = self.nominal_gait(), self.step_bounds()
-        if swing is Side.LEFT:
-            nominal, bounds = mirror_gait(nominal), mirror_bounds(bounds)
-        (nx, ny), (sx, sy) = nominal.cop_T_nom, stance_xy
-        return replace(nominal, cop_T_nom=(nx + sx, ny + sy)), bounds.shift(stance_xy)
 
     def validate(self) -> None:
         """Raise ConfigurationError listing every invalid field or, once every
@@ -453,15 +442,13 @@ class StepSummary:
 
 
 class _Episode:
-    """What one recovery step decided; the stance foot (``Controller.cop``) and
-    the swing start (``Controller.feet[swing]``) stay the controller's."""
+    """What one recovery step decided; the stance foot (``Controller.cop``), the
+    swing start (``Controller.feet[swing]``) and the side's gait and bounds
+    (``Controller.frames[swing]``) stay the controller's."""
 
-    def __init__(self, trigger_time: float, swing: Side, nominal: NominalGait, bounds: StepBounds,
-                 plan: StepPlan, traj: SwingTrajectory):
+    def __init__(self, trigger_time: float, swing: Side, plan: StepPlan, traj: SwingTrajectory):
         self.trigger_time = trigger_time
         self.swing = swing
-        self.nominal = nominal
-        self.bounds = bounds
         self.plan = plan
         self.initial_plan = plan
         self.traj = traj
@@ -517,6 +504,10 @@ class Controller:
         self.mode = ControlMode(config.mode)
         self.foot_half = (config.foot_half_x, config.foot_half_y)
         self.geoms = {side: config.leg_geometry(side) for side in Side}
+        # Each swing side's gait and bounds, about the stance CoP: a left
+        # swing mirrors the right-swing numbers.
+        gait, box = config.nominal_gait(), config.step_bounds()
+        self.frames = {Side.RIGHT: (gait, box), Side.LEFT: (mirror_gait(gait), mirror_bounds(box))}
         width = config.resolved_stance_width()
         # Feet, the CoP and the ankle clamp's box are (x, y) float pairs.
         self.feet: dict[Side, Vec2] = {Side.LEFT: (0.0, 0.5 * width), Side.RIGHT: (0.0, -0.5 * width)}
@@ -618,7 +609,7 @@ class Controller:
             lateral = meas.xi[1] - self.support_center[1]
             swing = Side.LEFT if lateral < -1e-12 else Side.RIGHT
         stance_xy = self.feet[Side.RIGHT if swing is Side.LEFT else Side.LEFT]
-        nominal, bounds = config.stance_frame(stance_xy, swing)
+        nominal, bounds = self.frames[swing]
 
         # Weight shifts onto the stance leg: the CoP the pendulum sees
         # during the swing is the stance ankle point.
@@ -656,20 +647,21 @@ class Controller:
             "objective": plan.objective,
             "swing_start": list(swing_start[:2]),
         }))
-        self.episode = _Episode(t, swing, nominal, bounds, plan, traj)
+        self.episode = _Episode(t, swing, plan, traj)
         return self.q
 
     def _swing(self, t: float, meas: Measurement) -> bool:
         """Replan the step in flight; returns whether the foot touched down.
 
         The planner gets the measured DCM and the CoP (the stance point) as
-        float pairs, against the gait and bounds checked at the trigger, so
+        float pairs, against the side's gait and bounds built at start, so
         no ``PlannerInput`` is built; a terminal plan is not re-solved."""
         ep = self.episode
         if ep.plan.status != "terminal":
+            nominal, bounds = self.frames[ep.swing]
             try:
-                new_plan = replan(ep.plan, meas.xi, self.cop, self.omega, ep.nominal,
-                                  ep.bounds, t - ep.trigger_time)
+                new_plan = replan(ep.plan, meas.xi, self.cop, self.omega, nominal, bounds,
+                                  t - ep.trigger_time)
             except PlannerInfeasibleError as err:
                 self._abort(t, f"replan infeasible: {', '.join(err.violated) or err}")
                 return False

@@ -19,7 +19,7 @@ inputs.  The loop itself uses none of them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,11 +27,20 @@ from exorecover import PlannerInput, StepPlan
 from exorecover.qp import QpProblem, QpSolution
 
 
+def world_input(inp: PlannerInput) -> PlannerInput:
+    """``inp`` with its nominal landing point and CoP box moved from the
+    stance-CoP frame the planner takes into the world, by ``cop0``."""
+    (nx, ny), (cx, cy) = inp.nominal.cop_T_nom, inp.cop0
+    return replace(inp, nominal=replace(inp.nominal, cop_T_nom=(nx + cx, ny + cy)),
+                   bounds=inp.bounds.shift(inp.cop0))
+
+
 def _cost_of_sigma(inp: PlannerInput, sigma: np.ndarray):
     """Vectorised exact partial minimisation over the landing CoP.
 
     Returns ``(cost, cop_x, cop_y)`` arrays matching ``sigma``.
     """
+    inp = world_input(inp)
     a1, a2, a3 = inp.nominal.weights
     sigma_nom = math.exp(inp.omega * inp.nominal.T_nom)
     r = np.subtract(inp.cop0, inp.xi0)
@@ -81,6 +90,7 @@ def assemble_qp(inp: PlannerInput) -> QpProblem:
     The variables are ``z = [cop_x, cop_y, sigma, gamma_x, gamma_y]``;
     the inequality rows follow :func:`exorecover.constraint_names`.
     """
+    inp = world_input(inp)
     a1, a2, a3 = inp.nominal.weights
     sigma_nom = math.exp(inp.omega * inp.nominal.T_nom)
 
@@ -186,16 +196,17 @@ def com_closed_form(com0, xi0, omega: float, t: float):
 def nominal_consistent_dcm(nominal, cop0, omega: float):
     """The DCM from which planning returns the nominal plan at zero cost:
     the boundary condition solved for ``xi0`` with every decision variable
-    at its nominal value, ``cop0 - (cop0 - gamma_nom - cop_T_nom) / sigma_nom``."""
+    at its nominal value (the landing point ``cop0 + cop_T_nom``),
+    ``cop0 + (gamma_nom + cop_T_nom) / sigma_nom``."""
     sigma_nom = math.exp(omega * nominal.T_nom)
     (g_x, g_y), (n_x, n_y) = nominal.gamma_nom, nominal.cop_T_nom
-    return (cop0[0] - (cop0[0] - g_x - n_x) / sigma_nom,
-            cop0[1] - (cop0[1] - g_y - n_y) / sigma_nom)
+    return cop0[0] + (g_x + n_x) / sigma_nom, cop0[1] + (g_y + n_y) / sigma_nom
 
 
 def planning_cost(inp: PlannerInput, cop_T, sigma: float, gamma_T) -> float:
     """The planner's full quadratic cost, constant term included, summed in
     Python floats in the order ``StepPlan.objective`` is."""
+    inp = world_input(inp)
     a1, a2, a3 = inp.nominal.weights
     (cx, cy), (gx, gy) = inp.nominal.cop_T_nom, inp.nominal.gamma_nom
     dx, dy = float(cop_T[0]) - cx, float(cop_T[1]) - cy

@@ -714,17 +714,14 @@ def test_plan_prints_the_solution(tmp_path, capsys):
     )
     assert lines["status"] == "optimal"
 
-    # The printed numbers are the library solution verbatim.
+    # The printed numbers are the library solution verbatim; the planner
+    # takes the config's gait and box about cop0 as they are.
     from exorecover import PlannerInput, plan_step
-    from dataclasses import replace
 
     config = cli.load_scenario(scenario)
-    cop0 = np.array([0.0, -0.1])
-    nominal = config.nominal_gait()
-    nominal = replace(nominal, cop_T_nom=nominal.cop_T_nom + cop0)
     plan = plan_step(PlannerInput(
-        xi0=np.array([0.12, 0.0]), cop0=cop0, omega=config.lipm_params().omega,
-        nominal=nominal, bounds=config.step_bounds().shift(cop0),
+        xi0=np.array([0.12, 0.0]), cop0=np.array([0.0, -0.1]), omega=config.lipm_params().omega,
+        nominal=config.nominal_gait(), bounds=config.step_bounds(),
     ))
     assert lines["cop_T"] == ",".join(repr(float(v)) for v in plan.cop_T)
     assert lines["sigma"] == repr(plan.sigma)
@@ -1012,6 +1009,9 @@ def test_importing_the_cli_leaves_the_reference_qp_unloaded():
     (["--xi0=0.1,,0", "--cop0=0,0"], "expected 2 comma-separated numbers (--xi0)"),
     (["--xi0=0.1,0", "--cop0=0, ,0"], "expected 2 comma-separated numbers (--cop0)"),
     (["--xi0=0.1,0,", "--cop0=0,0"], "expected 2 comma-separated numbers (--xi0)"),
+    # A separate value that starts with a minus sign is the option's, too.
+    (["--xi0", "-inf,0", "--cop0=0,0"], "must be finite (--xi0)"),
+    (["--xi0=0.1,0", "--cop0", "-a,0"], "could not convert string to float: '-a' (--cop0)"),
 ])
 @pytest.mark.parametrize("command", ["plan", "sweep-weights"])
 def test_vector_and_overflow_errors_name_the_option_or_state(tmp_path, capsys, command, vectors,

@@ -12,6 +12,7 @@ from oracle_utils import (
     nominal_consistent_dcm,
     plan_kkt_residual,
     planning_cost,
+    world_input,
 )
 
 from exorecover import (
@@ -110,8 +111,9 @@ def test_plan_respects_boxes():
             plan = plan_step(inp)
         except PlannerInfeasibleError:
             continue
-        assert np.all(np.asarray(plan.cop_T) <= np.asarray(inp.bounds.cop_max) + 1e-9)
-        assert np.all(np.asarray(plan.cop_T) >= np.asarray(inp.bounds.cop_min) - 1e-9)
+        box = inp.bounds.shift(inp.cop0)  # the box is about the stance CoP
+        assert np.all(np.asarray(plan.cop_T) <= np.asarray(box.cop_max) + 1e-9)
+        assert np.all(np.asarray(plan.cop_T) >= np.asarray(box.cop_min) - 1e-9)
         assert inp.bounds.T_min - 1e-9 <= plan.duration <= inp.bounds.T_max + 1e-9
         assert plan.sigma == pytest.approx(math.exp(inp.omega * plan.duration), rel=1e-12)
 
@@ -144,6 +146,24 @@ def test_objective_matches_brute_force_oracle():
         checked += 1
 
 
+def test_plan_moves_with_the_stance_cop():
+    """The nominal point and the CoP box are about ``cop0``: moving ``cop0``
+    and ``xi0`` together by ``d`` moves ``cop_T`` by ``d`` and keeps ``sigma``
+    and ``gamma_T``, also when the box binds."""
+    rng = np.random.default_rng(2016)
+    binding = 0
+    for _ in range(300):
+        inp = random_input(rng)
+        d = rng.uniform(-0.5, 0.5, 2)
+        plan = plan_step(inp)
+        moved = plan_step(replace(inp, xi0=np.add(inp.xi0, d), cop0=np.add(inp.cop0, d)))
+        assert np.abs(np.subtract(moved.cop_T, plan.cop_T) - d).max() < 1e-12
+        assert abs(moved.sigma - plan.sigma) < 1e-12
+        assert np.abs(np.subtract(moved.gamma_T, plan.gamma_T)).max() < 1e-12
+        binding += any(row < 4 for row in plan.active_set)
+    assert binding > 50
+
+
 def test_objective_is_full_cost_not_shifted():
     inp = PlannerInput([0.1, 0.02], [0.0, 0.0], OMEGA, default_nominal(), default_bounds())
     plan = plan_step(inp)
@@ -163,7 +183,7 @@ def test_planning_cost_is_a_float_sum():
         except PlannerInfeasibleError:
             continue
         a1, a2, a3 = inp.nominal.weights
-        dx, dy = np.subtract(plan.cop_T, inp.nominal.cop_T_nom).tolist()
+        dx, dy = np.subtract(plan.cop_T, world_input(inp).nominal.cop_T_nom).tolist()
         ex, ey = np.subtract(plan.gamma_T, inp.nominal.gamma_nom).tolist()
         ds = plan.sigma - math.exp(inp.omega * inp.nominal.T_nom)
         expected = a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * ds**2
@@ -417,7 +437,8 @@ def test_in_flight_replan_is_the_planner_input_form_bit_for_bit():
                 sigma = math.exp(inp.omega * remaining)
                 gamma_T = cop0 - plan.cop_T + (xi - cop0) * sigma
                 s_min, s_max = inp.bounds.sigma_bounds(inp.omega)
-                lo, hi = inp.bounds.cop_min, inp.bounds.cop_max
+                box = inp.bounds.shift(inp.cop0)
+                lo, hi = box.cop_min, box.cop_max
                 on = (plan.cop_T[0] == hi[0], plan.cop_T[1] == hi[1], plan.cop_T[0] == lo[0],
                       plan.cop_T[1] == lo[1], sigma == s_max, sigma == s_min)
                 want = replace(

@@ -65,12 +65,13 @@ def is_pair(value) -> bool:
 def test_planar_vectors_are_float_pairs():
     """Every planar vector the package stores or returns is an ``(x, y)`` pair
     of Python floats, whatever sequence it was built from."""
-    from exorecover import (BalanceDetector, PlannerInput, Side, SwayEllipse, apply_impulse,
+    from exorecover import (BalanceDetector, PlannerInput, SwayEllipse, apply_impulse,
                             mirror_bounds, mirror_gait, plan_step, replan)
 
     config = ScenarioConfig()
     params = config.lipm_params()
-    nominal, bounds = config.stance_frame(np.array([0.0, 0.1]), Side.LEFT)
+    # A left swing's gait and bounds, as the controller builds them.
+    nominal, bounds = mirror_gait(config.nominal_gait()), mirror_bounds(config.step_bounds())
     xi0 = np.array([0.08, 0.02])
     inp = PlannerInput(xi0, np.array([0.0, 0.1]), params.omega, nominal, bounds)
     plan = plan_step(inp)
@@ -595,13 +596,16 @@ def test_control_loop_checks_inputs_once(monkeypatch):
     counted, and so is every ``numpy.array`` and ``numpy.asarray`` call.
     The forward push is captured before 2 s, so a third second adds only
     standing ticks and no ``as_vec2`` call; a whole run calls ``_as_vec3``
-    only to build its impedance gains; and a longer nominal step adds
-    swing ticks, each one replanned, but no numpy array.
+    only to build its impedance gains; a longer nominal step adds swing
+    ticks, each one replanned, but no numpy array; and the lateral push's
+    two steps build no ``NominalGait`` or ``StepBounds`` beyond the ones a
+    run that never steps builds, so the trigger tick builds none.
     """
     from exorecover.impedance import _as_vec3
     from exorecover.lipm import as_vec2
+    from exorecover.planner import NominalGait, StepBounds
 
-    counts = {"as_vec2": 0, "_as_vec3": 0, "numpy": 0}
+    counts = {"as_vec2": 0, "_as_vec3": 0, "numpy": 0, "NominalGait": 0, "StepBounds": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -616,6 +620,8 @@ def test_control_loop_checks_inputs_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, fn))
     for name in ("array", "asarray"):
         monkeypatch.setattr(np, name, counting("numpy", getattr(np, name)))
+    for cls in (NominalGait, StepBounds):  # every construction, replace() included
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
 
     def calls(action):
         before = dict(counts)
@@ -636,6 +642,13 @@ def test_control_loop_checks_inputs_once(monkeypatch):
     assert slow.phase.count("Swing") > short.phase.count("Swing") + 30
     assert summarize(slow).num_replans > summarize(short).num_replans
     assert slow_calls["numpy"] == short_calls["numpy"]
+
+    lateral, lateral_calls = calls(lambda: run_scenario(ScenarioConfig(
+        pushes=(push_for_excursion(0.0, 0.12),), duration=2.0)))
+    _, still_calls = calls(lambda: run_scenario(ScenarioConfig(duration=2.0)))
+    assert summarize(lateral).num_steps == 2
+    for name in ("NominalGait", "StepBounds"):
+        assert lateral_calls[name] == still_calls[name] > 0
 
 
 # --------------------------------------------------------------------------
