@@ -276,11 +276,17 @@ def test_numpy_numbers_roundtrip_through_the_text(tmp_path):
     config = ScenarioConfig(
         duration=f(2.0), com0=(f(0.01), f(-0.0)), weights=(f(1.0), f(5.0), f(1 / 3)),
         stance_width=f(0.2), seed=np.int64(3), debounce_cycles=np.int64(2),
+        mass=np.float32(70.1), stiffness_deg=tuple(np.array([1.5, 0.4, 0.4], dtype=np.float32)),
         pushes=(PushEvent(f(0.5), np.array([28.05, 0.0])),),
         human_pulses=(HumanPulse(np.int64(1), f(0.1), f(0.2), f(0.5)),))
     text = cli.format_config(config)
     assert "np." not in text
     assert "sim.duration = 2.0\n" in text and "lipm.com0 = 0.01,-0.0\n" in text
+    # A float32 prints as the float64 it widens to; integers print without ".0".
+    assert "lipm.mass = 70.0999984741211\n" in text
+    assert "control.stiffness_deg = 1.5,0.4000000059604645,0.4000000059604645\n" in text
+    assert "sim.seed = 3\n" in text and "detector.debounce_cycles = 2\n" in text
+    assert "human.0.joint = 1\n" in text
     reparsed = cli.load_scenario(write_scenario(tmp_path, text))
     assert reparsed == config
     assert cli.format_config(reparsed) == text

@@ -174,3 +174,53 @@ def test_float_triples_are_the_array_formulas_bit_for_bit():
         got_command = command_torques(got, tuple(tau_m.tolist()), kp)
         assert all(type(v) is float for v in got_command)
         assert list(got_command) == command.tolist()
+
+
+#: Stiffness inputs ``ImpedanceGains`` accepts, with the float triple each
+#: becomes: any three numbers, or one number for all three joints.
+GAINS_ACCEPTED = [
+    ((1.0, 2, 3.5), (1.0, 2.0, 3.5)),
+    ([0.5, 0.0, 4], (0.5, 0.0, 4.0)),
+    (np.array([1.0, 2.0, 3.0]), (1.0, 2.0, 3.0)),
+    (np.array([[1.0, 2.0, 3.0]]), (1.0, 2.0, 3.0)),
+    ([np.float32(0.1), np.float32(0.2), np.int64(3)], (0.10000000149011612, 0.20000000298023224, 3.0)),
+    (2.0, (2.0, 2.0, 2.0)),
+    ([0.7], (0.7, 0.7, 0.7)),
+    (np.float64(1.5), (1.5, 1.5, 1.5)),
+    (np.array([[3.0]]), (3.0, 3.0, 3.0)),
+]
+
+#: ``(stiffness, damping)`` pairs ``ImpedanceGains`` rejects, with the
+#: start of the ValueError's message.
+GAINS_REJECTED = [
+    ((1.0, 2.0), 0.0, "stiffness must have 3 components"),
+    ((1.0, 2.0, 3.0, 4.0), 0.0, "stiffness must have 3 components"),
+    ([], 0.0, "stiffness must have 3 components"),
+    (None, 0.0, "stiffness must"),
+    ((1.0, math.nan, 1.0), 0.0, "stiffness must be finite"),
+    (math.inf, 0.0, "stiffness must be finite"),
+    (1.0, (0.0, -math.inf, 0.0), "damping must be finite"),
+    ((-1.0, 0.0, 0.0), 0.0, "gains must be nonnegative"),
+    (1.0, -0.5, "gains must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("value, want", GAINS_ACCEPTED)
+def test_gains_accept_three_numbers_or_one(value, want):
+    """Gains are float triples with the input's bits, and ``from_deg``
+    divides each by ``RAD_PER_DEG`` as numpy's array division does."""
+    gains = ImpedanceGains(stiffness=value, damping=value)
+    for triple in (gains.stiffness, gains.damping):
+        assert type(triple) is tuple and all(type(v) is float for v in triple)
+        assert repr(triple) == repr(want)
+    per_deg = ImpedanceGains.from_deg(value, value)
+    assert per_deg.stiffness == tuple((np.array(want) / RAD_PER_DEG).tolist())
+    assert repr(per_deg.damping) == repr(want)
+
+
+@pytest.mark.parametrize("stiffness, damping, message", GAINS_REJECTED)
+def test_gains_reject_anything_else(stiffness, damping, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ImpedanceGains(stiffness=stiffness, damping=damping)
+    with pytest.raises(ValueError, match=f"^{message}".replace("stiffness", "stiffness_deg")):
+        ImpedanceGains.from_deg(stiffness, damping)

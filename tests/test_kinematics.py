@@ -141,6 +141,23 @@ def test_joint_limits_enforced_and_named():
     inverse_kinematics(target, LEFT, limits=None)
 
 
+@pytest.mark.parametrize("hip_ab, shown", [
+    # numpy keeps the sign of an angle that rounds to zero;
+    # round(x * 1e4) / 1e4 gives 0.0.
+    (-3e-6, "-0.0"),
+    # numpy multiplies, rounds half to even and divides; round(x, 4) is
+    # correctly rounded and gives -0.2995.
+    (-0.29955, "-0.2996"),
+])
+def test_joint_limit_message_rounds_as_numpy(hip_ab, shown):
+    """The rejected angles in the message (and so in events.csv) are
+    ``np.round(angles, 4)``, signed zeros and halfway cases included."""
+    tight = replace(LIMITS, knee=(0.5, 2.0))
+    with pytest.raises(JointLimitError) as err:
+        inverse_kinematics(forward_kinematics((hip_ab, 0.3, 0.3), LEFT), LEFT, limits=tight)
+    assert str(err.value) == f"solution [{shown}, 0.3, 0.3] rad violates limits on: knee"
+
+
 def test_out_of_workspace_probes_around_boundary():
     """Random probes outside the leg's reach all raise with a diagnostic."""
     rng = np.random.default_rng(9090)

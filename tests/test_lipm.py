@@ -7,6 +7,7 @@ import pytest
 from oracle_utils import com_closed_form, dcm_closed_form
 
 from exorecover import LipmParams, ScenarioConfig, apply_impulse, natural_frequency, step_lipm
+from exorecover.lipm import as_vec2
 
 #: The default wearer's pendulum.
 DEFAULT = ScenarioConfig().lipm_params()
@@ -187,3 +188,42 @@ def test_apply_impulse_shifts_dcm_by_impulse_over_m_omega():
 def test_state_validation():
     with pytest.raises(ValueError):
         params(mass=0.0)
+
+
+#: Inputs ``as_vec2`` accepts, with the float pair each becomes.
+VEC2_ACCEPTED = [
+    ((1.5, -2), (1.5, -2.0)),
+    ([0.25, 3], (0.25, 3.0)),
+    (np.array([1.0, -0.0]), (1.0, -0.0)),
+    (np.array([[0.5, 2.0]]), (0.5, 2.0)),
+    (np.array([[0.5], [2.0]]), (0.5, 2.0)),
+    ([np.float32(0.1), np.float32(2.5)], (0.10000000149011612, 2.5)),
+    ((np.int64(3), np.float64(-1.25)), (3.0, -1.25)),
+]
+
+#: Inputs ``as_vec2`` rejects, with the start of the ValueError's message.
+VEC2_REJECTED = [
+    ((1.0, 2.0, 3.0), "xi0 must have exactly 2 components"),
+    ([], "xi0 must have exactly 2 components"),
+    (1.0, "xi0 must have exactly 2 components"),
+    (np.float64(1.0), "xi0 must have exactly 2 components"),
+    (None, "xi0 must have exactly 2 components"),
+    ((math.nan, 0.0), "xi0 must be finite"),
+    ((0.0, math.inf), "xi0 must be finite"),
+    (np.array([-np.inf, 1.0]), "xi0 must be finite"),
+]
+
+
+@pytest.mark.parametrize("value, want", VEC2_ACCEPTED)
+def test_as_vec2_accepts_any_two_numbers(value, want):
+    """Any two numbers, in a sequence or a numpy array of any shape, become a
+    tuple of two Python floats with the same bits."""
+    out = as_vec2(value, "xi0")
+    assert type(out) is tuple and all(type(v) is float for v in out)
+    assert repr(out) == repr(want)
+
+
+@pytest.mark.parametrize("value, message", VEC2_REJECTED)
+def test_as_vec2_rejects_anything_else(value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        as_vec2(value, "xi0")
