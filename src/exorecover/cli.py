@@ -49,8 +49,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigurationError, PlannerInfeasibleError, ScenarioParseError
 from .planner import PlannerInput, StepPlan, plan_step
 from .simulation import (
@@ -119,13 +117,13 @@ def _mode(text: str) -> str:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (tuple, list, np.ndarray)):
+    # A numpy array or scalar becomes Python values: repr(np.float64(2.0)) shows "np.".
+    value = value.tolist() if hasattr(value, "tolist") else value
+    if isinstance(value, (tuple, list)):
         return ",".join(repr(float(v)) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # repr(np.float64(2.0)) is 'np.float64(2.0)'
-    return str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 _CONVERTERS = {
@@ -315,6 +313,8 @@ def _trace_lines(trace: SimTrace):
     differs from the row above, and otherwise repeat its text.  Bits, not
     ``==``: ``-0.0 == 0.0``, but ``%.12g`` prints the two differently.
     """
+    import numpy as np  # only simulate writes a trace; plan and sweep-weights load no numpy
+
     # "%.12g" is _num's format.
     row = "%.12g," * 7 + "%s,%s,%s,%s,%s,%s\n"
     pair, triple = "%.12g,%.12g", "%.12g,%.12g,%.12g"

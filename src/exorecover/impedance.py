@@ -34,9 +34,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import ConfigurationError
+from .lipm import as_floats
 
 __all__ = [
     "ImpedanceGains",
@@ -51,13 +50,12 @@ __all__ = [
 RAD_PER_DEG = math.pi / 180.0
 
 
-def _as_vec3(value, name: str) -> np.ndarray:
-    out = np.asarray(value, dtype=float).reshape(-1)
-    if out.shape == (1,):
-        out = np.repeat(out, 3)
-    if out.shape != (3,):
-        raise ValueError(f"{name} must have 3 components, got shape {np.shape(value)}")
-    if not np.all(np.isfinite(out)):
+def _as_vec3(value, name: str) -> tuple[float, float, float]:
+    out = tuple(as_floats(value))
+    out = out * 3 if len(out) == 1 else out  # one number for all three joints
+    if len(out) != 3:
+        raise ValueError(f"{name} must have 3 components, got {value!r}")
+    if not all(map(math.isfinite, out)):
         raise ValueError(f"{name} must be finite, got {out}")
     return out
 
@@ -73,18 +71,16 @@ class ImpedanceGains:
     damping: tuple[float, float, float]  # N*m*s/rad
 
     def __post_init__(self):
-        stiff = _as_vec3(self.stiffness, "stiffness")
-        damp = _as_vec3(self.damping, "damping")
-        if np.any(stiff < 0.0) or np.any(damp < 0.0):
+        for name in ("stiffness", "damping"):
+            object.__setattr__(self, name, _as_vec3(getattr(self, name), name))
+        if min(self.stiffness + self.damping) < 0.0:
             raise ValueError("gains must be nonnegative")
-        object.__setattr__(self, "stiffness", tuple(stiff.tolist()))
-        object.__setattr__(self, "damping", tuple(damp.tolist()))
 
     @classmethod
     def from_deg(cls, stiffness_deg, damping) -> "ImpedanceGains":
         """Build from per-degree stiffness (the native tuning unit)."""
-        stiff = _as_vec3(stiffness_deg, "stiffness_deg") / RAD_PER_DEG
-        return cls(stiffness=stiff, damping=_as_vec3(damping, "damping"))
+        stiff = [k / RAD_PER_DEG for k in _as_vec3(stiffness_deg, "stiffness_deg")]
+        return cls(stiffness=stiff, damping=damping)
 
 
 class ControlMode(Enum):

@@ -44,8 +44,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import JointLimitError, WorkspaceError
 
 __all__ = [
@@ -177,6 +175,7 @@ def inverse_kinematics(p, geom: LegGeometry, limits: JointLimits | None) -> tupl
                 (theta3, lo3, hi3, "knee"),
             ) if value < lo or value > hi)
             # numpy's rounding, not round(): the message goes into events.csv.
+            import numpy as np
             shown = np.array([theta1, theta2, theta3]).round(4).tolist()
             raise JointLimitError(f"solution {shown} rad violates limits on: " + ", ".join(bad),
                                   joints=bad)

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "LipmParams",
     "natural_frequency",
@@ -28,15 +26,23 @@ __all__ = [
 ]
 
 
+def as_floats(value) -> list[float]:
+    """The numbers in a number, a (nested) tuple or list, or a numpy array or
+    scalar, in order, as floats; None reads as nan, as in a numpy float array."""
+    value = value.tolist() if hasattr(value, "tolist") else value  # numpy, of any shape
+    if isinstance(value, (tuple, list)):
+        return [x for v in value for x in as_floats(v)]
+    return [math.nan if value is None else float(value)]
+
+
 def as_vec2(value, name: str) -> tuple[float, float]:
     """Return ``value`` as a finite ``(x, y)`` float pair or raise ValueError."""
-    out = np.asarray(value, dtype=float).reshape(-1)
-    if out.shape != (2,):
-        raise ValueError(f"{name} must have exactly 2 components, got shape {np.shape(value)}")
-    x, y = out.tolist()
-    if not (math.isfinite(x) and math.isfinite(y)):
+    out = as_floats(value)
+    if len(out) != 2:
+        raise ValueError(f"{name} must have exactly 2 components, got {value!r}")
+    if not all(map(math.isfinite, out)):
         raise ValueError(f"{name} must be finite, got {out}")
-    return x, y
+    return tuple(out)
 
 
 def natural_frequency(gravity: float, com_height: float) -> float:

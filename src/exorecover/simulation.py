@@ -48,9 +48,10 @@ import struct
 import sys
 from dataclasses import dataclass, field, replace
 from numbers import Integral
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .detector import BalanceDetector, RecoveryPhase, SwayEllipse
 from .errors import ConfigurationError, PlannerInfeasibleError, WorkspaceError, JointLimitError
@@ -746,9 +747,11 @@ class Plant:
         self.vel = as_vec2(config.vel0, "vel0")
         self.pushes = sorted(config.pushes, key=lambda p: (p.time, p.impulse[0], p.impulse[1]))
         noise_std = config.attitude_noise_deg * _DEG
-        # Read as one flat stream of Python floats: pitch, roll, pitch, ...
-        self.noise = (iter(memoryview(np.random.default_rng(config.seed).normal(
-            0.0, noise_std, (n_ticks, 2)).ravel())) if noise_std > 0.0 else None)
+        self.noise = None  # else one flat stream of Python floats: pitch, roll, pitch, ...
+        if noise_std > 0.0:
+            import numpy as np
+            self.noise = iter(memoryview(np.random.default_rng(config.seed).normal(
+                0.0, noise_std, (n_ticks, 2)).ravel()))
         self.anchor = (0.0, 0.0)  # attitude reference: the stance point
         self.swing: Side | None = None  # leg in flight, whose foot is reported
         self.foot: tuple[float, float] | None = None  # where that foot was last measured
@@ -841,6 +844,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     controller = Controller(config, events, plant.q)
     omega = plant.params.omega
 
+    import numpy as np  # for SimTrace's array fields
     log = np.empty((n_rows, 21))
     rows, pack = memoryview(log).cast("B"), _ROW.pack_into  # row k starts at byte 168 * k
     log_phase: list[str] = []

@@ -1004,6 +1004,30 @@ def test_importing_the_cli_leaves_the_reference_qp_unloaded():
     assert result.stdout == "False\n"
 
 
+@pytest.mark.parametrize("module", ["exorecover", "exorecover.cli"])
+def test_importing_the_package_loads_no_numpy(module):
+    # numpy is imported only where simulate needs it: the log, the noise draw
+    # and the trace writer.
+    result = run_fresh_python("-c", f"import sys, {module}; print('numpy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize("command", ["plan", "sweep-weights"])
+def test_plan_and_sweep_weights_load_no_numpy(tmp_path, command):
+    argv = [command, "--scenario", str(write_scenario(tmp_path)), *PLAN_ARGS]
+    if command == "sweep-weights":
+        argv += ["--grid", str(write_scenario(tmp_path, GRID, name="grid.txt")),
+                 "--out", str(tmp_path / "sweep")]
+    script = ("import sys; from exorecover import cli; "
+              "print(cli.main(sys.argv[1:]), 'numpy' in sys.modules)")
+    result = run_fresh_python("-c", script, *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
+    if command == "sweep-weights":
+        assert len(read_csv_rows(tmp_path / "sweep" / "sweep.csv")[1]) == 3
+
+
 @pytest.mark.parametrize("vectors, fragment", [
     (["--xi0=0.1,0", "--cop0=inf,0"], "must be finite (--cop0)"),
     (["--xi0=0.1", "--cop0=0,0"], "expected 2 comma-separated numbers (--xi0)"),
