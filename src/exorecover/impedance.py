@@ -51,7 +51,7 @@ RAD_PER_DEG = math.pi / 180.0
 
 
 def _as_vec3(value, name: str) -> tuple[float, float, float]:
-    out = tuple(as_floats(value))
+    out = tuple(as_floats(value, name))
     out = out * 3 if len(out) == 1 else out  # one number for all three joints
     if len(out) != 3:
         raise ValueError(f"{name} must have 3 components, got {value!r}")

@@ -26,18 +26,35 @@ __all__ = [
 ]
 
 
-def as_floats(value) -> list[float]:
-    """The numbers in a number, a (nested) tuple or list, or a numpy array or
-    scalar, in order, as floats; None reads as nan, as in a numpy float array."""
+def _flatten(value) -> tuple[list[float], tuple[int, ...]]:
+    """The numbers in ``value``, in order, and its shape; TypeError if ragged."""
     value = value.tolist() if hasattr(value, "tolist") else value  # numpy, of any shape
-    if isinstance(value, (tuple, list)):
-        return [x for v in value for x in as_floats(v)]
-    return [math.nan if value is None else float(value)]
+    if not isinstance(value, (tuple, list)):
+        return [math.nan if value is None else float(value)], ()
+    parts = [_flatten(v) for v in value]
+    shape = parts[0][1] if parts else ()
+    if any(s != shape for _, s in parts):
+        raise TypeError("ragged nesting")
+    return [x for flat, _ in parts for x in flat], (len(parts), *shape)
+
+
+def as_floats(value, name: str) -> list[float]:
+    """The numbers in a number, a regular nesting of tuples and lists, or a
+    numpy array or scalar, in order, as floats; None reads as nan, as in a
+    numpy float array.  Anything else is a ValueError naming ``name``."""
+    flat = value.tolist() if hasattr(value, "tolist") else value
+    try:
+        if isinstance(flat, (tuple, list)) and all(type(v) in (float, int) for v in flat):
+            return [float(v) for v in flat]  # the common case, a flat sequence
+        return _flatten(flat)[0]
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number or a regular array of numbers, "
+                         f"got {value!r}") from None
 
 
 def as_vec2(value, name: str) -> tuple[float, float]:
     """Return ``value`` as a finite ``(x, y)`` float pair or raise ValueError."""
-    out = as_floats(value)
+    out = as_floats(value, name)
     if len(out) != 2:
         raise ValueError(f"{name} must have exactly 2 components, got {value!r}")
     if not all(map(math.isfinite, out)):

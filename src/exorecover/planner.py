@@ -18,9 +18,8 @@ subject to box bounds on ``cop_T`` and ``sigma``.  ``cop_T_nom`` and the
 CoP box are given about the stance CoP ``cop0``, which the solve adds.  As a QP in
 ``z = (cop_x, cop_y, sigma, gamma_x, gamma_y)`` the boundary condition
 is two equality rows ``E z = e`` and the boxes are the six rows
-``C z <= d`` named by :func:`constraint_names`; an optimal plan's KKT
-multipliers ``nu`` and ``lam >= 0`` satisfy
-``grad cost(z) + E' nu + C' lam = 0``.
+``C z <= d`` named by :func:`constraint_names`.  The plan carries no
+KKT multipliers: the tests recover them from ``z`` to certify it.
 
 The program is solved exactly in ``sigma`` alone, as in Khadiv et al.,
 "Step timing adjustment", Humanoids 2016.  With ``r = cop0 - xi0`` the
@@ -152,10 +151,7 @@ class StepPlan:
     solved (for :func:`replan`, the one with the shrunk duration window)
     and ``"terminal"`` for a frozen plan that finishes the swing on
     schedule.  ``active_set`` lists the :func:`constraint_names` rows that
-    hold with equality.  An optimal plan carries the KKT multipliers of
-    the five-variable QP (``eq_multipliers`` for the two boundary-condition
-    rows, ``ineq_multipliers`` for the six box rows), which certify it
-    against that QP; a terminal plan leaves them zero.
+    hold with equality.
     """
 
     cop_T: tuple[float, float]  # m, world landing CoP
@@ -166,8 +162,6 @@ class StepPlan:
     status: str  # "optimal" | "terminal"
     active_set: tuple[int, ...]
     planned_at: float  # s since trigger
-    eq_multipliers: tuple[float, ...] = (0.0, 0.0)
-    ineq_multipliers: tuple[float, ...] = (0.0,) * 6
 
     @property
     def landing_time(self) -> float:
@@ -239,11 +233,10 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
     sn = math.exp(omega * nominal.T_nom)
     r_x, r_y = c0_x - x0_x, c0_y - x0_y
     # At sigma, with u_a = c0_a - r_a*sigma, the exact CoP is
-    # clip((a1*cn_a + a2*(u_a - gn_a)) / w), gamma_a = u_a - cop_a, the
-    # boundary-condition multiplier is nu_a = -2*a2*(gamma_a - gn_a) and the
-    # cost's sigma derivative (the sigma KKT row without bounds) is
-    # 2*a3*(sigma - sn) + r_x*nu_x + r_y*nu_y.  The weight products are
-    # taken once: k1_a = a1*cn_a, k2 = -2*a2, k3 = 2*a3.
+    # clip((a1*cn_a + a2*(u_a - gn_a)) / w), gamma_a = u_a - cop_a and the
+    # cost's sigma derivative is 2*a3*(sigma - sn) + r_x*nu_x + r_y*nu_y
+    # with nu_a = -2*a2*(gamma_a - gn_a).  The weight products are taken
+    # once: k1_a = a1*cn_a, k2 = -2*a2, k3 = 2*a3.
     k1_x, k1_y, k2, k3 = a1 * cn_x, a1 * cn_y, -2.0 * a2, 2.0 * a3
 
     # c*_a(sigma) meets the bound b where p_a - b*(alpha1 + alpha2) = q_a*sigma.
@@ -280,30 +273,7 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
     u_x, u_y = c0_x - r_x * sigma, c0_y - r_y * sigma
     cop_x = min(max((k1_x + a2 * (u_x - gn_x)) / w, lo_x), hi_x)
     cop_y = min(max((k1_y + a2 * (u_y - gn_y)) / w, lo_y), hi_y)
-    gamma_x, gamma_y = u_x - cop_x, u_y - cop_y
-    nu_x, nu_y = k2 * (gamma_x - gn_x), k2 * (gamma_y - gn_y)
-    slope = k3 * (sigma - sn) + r_x * nu_x + r_y * nu_y
-
-    # The other KKT multipliers of the QP in closed form: the clipped
-    # CoP bound's from the cop stationarity row, the sigma bound's from
-    # the sigma row, slope + lam_max - lam_min = 0.
-    lam = [0.0] * 6
-    m = -nu_x - 2.0 * a1 * (cop_x - cn_x)
-    if m > 0.0 and cop_x == hi_x:
-        lam[0] = m
-    elif m < 0.0 and cop_x == lo_x:
-        lam[2] = -m
-    m = -nu_y - 2.0 * a1 * (cop_y - cn_y)
-    if m > 0.0 and cop_y == hi_y:
-        lam[1] = m
-    elif m < 0.0 and cop_y == lo_y:
-        lam[3] = -m
-    if slope < 0.0 and sigma == s_hi:
-        lam[4] = -slope
-    elif slope > 0.0 and sigma == s_lo:
-        lam[5] = slope
-
-    cop, gamma = (cop_x, cop_y), (gamma_x, gamma_y)
+    cop, gamma = (cop_x, cop_y), (u_x - cop_x, u_y - cop_y)
     return StepPlan(
         cop_T=cop,
         gamma_T=gamma,
@@ -313,8 +283,6 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
         status="optimal",
         active_set=_binding_rows(cop, sigma, (lo_x, lo_y), (hi_x, hi_y), s_lo, s_hi),
         planned_at=planned_at,
-        eq_multipliers=(nu_x, nu_y),
-        ineq_multipliers=tuple(lam),
     )
 
 

@@ -59,6 +59,7 @@ from .impedance import (
     ControlMode,
     ImpedanceGains,
     PlantParams,
+    RAD_PER_DEG,
     command_torques,
     impedance_torque,
     joint_plant_step,
@@ -93,8 +94,6 @@ __all__ = [
     "run_scenario",
     "summarize",
 ]
-
-_DEG = math.pi / 180.0
 
 #: Bounds of the attitude synthesis' ``asin`` argument.
 _ASIN_LO, _ASIN_HI = -1.0 + 1e-12, 1.0 - 1e-12
@@ -141,8 +140,9 @@ class HumanPulse:
     torque: float  # N*m
 
     def __post_init__(self):
-        if not isinstance(self.joint, Integral) or self.joint not in (0, 1, 2):
-            raise ValueError(f"joint must be 0, 1 or 2, got {self.joint}")
+        joint = self.joint
+        if isinstance(joint, bool) or not isinstance(joint, Integral) or joint not in (0, 1, 2):
+            raise ValueError(f"joint must be 0, 1 or 2, got {joint}")
         if not (0.0 <= self.start < self.end) or not math.isfinite(self.end):
             raise ValueError(f"need 0 <= start < end < inf, got [{self.start}, {self.end}]")
         if not math.isfinite(self.torque):
@@ -261,7 +261,7 @@ class ScenarioConfig:
         return LipmParams(self.gravity, self.com_height, self.mass)
 
     def joint_limits(self) -> JointLimits:
-        to_rad = lambda pair: (pair[0] * _DEG, pair[1] * _DEG)
+        to_rad = lambda pair: (pair[0] * RAD_PER_DEG, pair[1] * RAD_PER_DEG)
         return JointLimits(
             hip_ab=to_rad(self.hip_ab_limits_deg),
             hip_flex=to_rad(self.hip_flex_limits_deg),
@@ -304,8 +304,8 @@ class ScenarioConfig:
             if not cond:
                 bad.append(msg)
 
-        for name, value in vars(self).items():  # every number, tuple elements included
-            for v in value if isinstance(value, tuple) else (value,):
+        for name, value in vars(self).items():  # every number, tuple and list elements included
+            for v in value if isinstance(value, (tuple, list)) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     bad.append(f"{name} must be finite, got {value}")
                     break
@@ -359,7 +359,8 @@ class ScenarioConfig:
         check(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         for name in ("debounce_cycles", "seed"):
             value = getattr(self, name)
-            check(isinstance(value, Integral), f"{name} must be an integer, got {value}")
+            check(isinstance(value, Integral) and not isinstance(value, bool),
+                  f"{name} must be an integer, got {value}")
         check(self.attitude_noise_deg >= 0.0, "attitude_noise_deg must be >= 0")
         # A push or pulse no tick reaches would be dropped silently; each is
         # tested as Plant.measure and Plant.step test it, on the ticks k * dt.
@@ -746,7 +747,7 @@ class Plant:
         self.com = as_vec2(config.com0, "com0")
         self.vel = as_vec2(config.vel0, "vel0")
         self.pushes = sorted(config.pushes, key=lambda p: (p.time, p.impulse[0], p.impulse[1]))
-        noise_std = config.attitude_noise_deg * _DEG
+        noise_std = config.attitude_noise_deg * RAD_PER_DEG
         self.noise = None  # else one flat stream of Python floats: pitch, roll, pitch, ...
         if noise_std > 0.0:
             import numpy as np

@@ -9,8 +9,9 @@ one-dimensional convex problem in ``sigma`` on a zooming grid.
 
 :func:`assemble_qp` writes one planning solve as the five-variable QP
 that the reference solver in :mod:`exorecover.qp` takes, and
-:func:`kkt_residual` certifies a solver result or (through
-:func:`plan_kkt_residual`) a planner ``StepPlan`` against it.
+:func:`kkt_residual` certifies a solver result against it.
+:func:`plan_kkt_residual` certifies a planner ``StepPlan``, whose
+multipliers it recovers from the plan's ``z`` alone.
 
 The pendulum closed forms, the planning cost and the DCM on which the
 nominal plan is optimal are plain float formulas, and :func:`evaluate`
@@ -174,9 +175,29 @@ def kkt_residual(problem: QpProblem, solution: QpSolution) -> KktResidual:
 
 
 def plan_kkt_residual(inp: PlannerInput, plan: StepPlan) -> KktResidual:
-    """First-order residuals of a planner result against ``assemble_qp(inp)``."""
-    z = [*plan.cop_T, plan.sigma, *plan.gamma_T]
-    return _residual(assemble_qp(inp), z, plan.eq_multipliers, plan.ineq_multipliers)
+    """First-order residuals of a planner result against ``assemble_qp(inp)``.
+
+    The plan carries no multipliers, so they are recovered from its ``z``
+    alone.  ``E`` is the identity on ``gamma`` and no box row touches
+    ``gamma``, so the gamma rows of stationarity give ``nu = -(H z + g)[3:5]``.
+    Every box row is a signed unit vector on ``cop_x``, ``cop_y`` or
+    ``sigma``; with ``q = H z + g + E' nu``, the row bounding coordinate
+    ``j`` from above takes ``max(-q_j, 0)`` and the one from below
+    ``max(q_j, 0)``.  Stationarity then holds by construction, and the
+    certificate rests on primal feasibility and complementarity: a
+    coordinate off its bounds must have ``q_j = 0``.
+    """
+    problem = assemble_qp(inp)
+    E, C = problem.eq_matrix, problem.ineq_matrix
+    assert np.array_equal(E[:, 3:], np.eye(2)) and not C[:, 3:].any()
+    col = np.abs(C).argmax(axis=1)
+    assert np.array_equal(np.abs(C), np.eye(5)[col]), "every box row is a signed unit vector"
+    z = np.array([*plan.cop_T, plan.sigma, *plan.gamma_T])
+    grad = problem.hessian @ z + problem.linear
+    nu = -grad[3:]
+    q = grad + E.T @ nu
+    lam = np.maximum(-C[np.arange(len(C)), col] * q[col], 0.0)
+    return _residual(problem, z, nu, lam)
 
 
 def dcm_closed_form(xi0, cop0, omega: float, t: float):

@@ -188,6 +188,8 @@ GAINS_ACCEPTED = [
     ([0.7], (0.7, 0.7, 0.7)),
     (np.float64(1.5), (1.5, 1.5, 1.5)),
     (np.array([[3.0]]), (3.0, 3.0, 3.0)),
+    ([[1.0], [2.0], [3.0]], (1.0, 2.0, 3.0)),
+    (np.array([[[1.0], [2.0], [3.0]]]), (1.0, 2.0, 3.0)),
 ]
 
 #: ``(stiffness, damping)`` pairs ``ImpedanceGains`` rejects, with the
@@ -202,6 +204,10 @@ GAINS_REJECTED = [
     (1.0, (0.0, -math.inf, 0.0), "damping must be finite"),
     ((-1.0, 0.0, 0.0), 0.0, "gains must be nonnegative"),
     (1.0, -0.5, "gains must be nonnegative"),
+    ([[1, 2], [3]], 0.0, "stiffness must be a number or a regular array of numbers"),
+    ([[1.0], 2.0, 3.0], 0.0, "stiffness must be a number or a regular array of numbers"),
+    (range(3), 0.0, "stiffness must be a number or a regular array of numbers"),
+    (1.0, [[0.0, 0.0], [0.0]], "damping must be a number or a regular array of numbers"),
 ]
 
 

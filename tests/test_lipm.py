@@ -199,6 +199,9 @@ VEC2_ACCEPTED = [
     (np.array([[0.5], [2.0]]), (0.5, 2.0)),
     ([np.float32(0.1), np.float32(2.5)], (0.10000000149011612, 2.5)),
     ((np.int64(3), np.float64(-1.25)), (3.0, -1.25)),
+    ([[0.5], [2.0]], (0.5, 2.0)),
+    (([0.5, 2.0],), (0.5, 2.0)),
+    (np.array([[[0.5]], [[2.0]]]), (0.5, 2.0)),
 ]
 
 #: Inputs ``as_vec2`` rejects, with the start of the ValueError's message.
@@ -211,6 +214,10 @@ VEC2_REJECTED = [
     ((math.nan, 0.0), "xi0 must be finite"),
     ((0.0, math.inf), "xi0 must be finite"),
     (np.array([-np.inf, 1.0]), "xi0 must be finite"),
+    ([[1.0], 2.0], "xi0 must be a number or a regular array of numbers"),
+    ([[1.0, 2.0], [3.0]], "xi0 must be a number or a regular array of numbers"),
+    ((1.0, [2.0]), "xi0 must be a number or a regular array of numbers"),
+    (range(2), "xi0 must be a number or a regular array of numbers"),
 ]
 
 

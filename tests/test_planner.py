@@ -382,6 +382,25 @@ def test_replan_matches_cold_solve():
     assert any(5 in rows and 4 not in rows for rows in seen)
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_kkt_certificate_fails_a_plan_moved_off_its_optimum(axis):
+    """The oracle recovers the multipliers from the plan's z, so they can fail:
+    the landing CoP moved 1 cm inside the box, with gamma_T moved back so that
+    the boundary condition still holds, is feasible but far from optimal."""
+    nominal = default_nominal()
+    cop0 = (0.0, 0.0)
+    xi0 = nominal_consistent_dcm(nominal, cop0, OMEGA)
+    inp = PlannerInput(xi0, cop0, OMEGA, nominal, default_bounds())
+    plan = plan_step(inp)
+    assert plan.active_set == () and plan_kkt_residual(inp, plan).max() < 1e-8
+    step = np.eye(2)[axis] * 0.01
+    moved = replace(plan, cop_T=tuple(np.add(plan.cop_T, step).tolist()),
+                    gamma_T=tuple(np.subtract(plan.gamma_T, step).tolist()))
+    residual = plan_kkt_residual(inp, moved)
+    assert residual.primal_eq < 1e-12 and residual.primal_ineq == 0.0
+    assert residual.complementarity > 1e-4
+
+
 def test_planning_does_not_call_lapack(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("planning called LAPACK")
@@ -445,11 +464,10 @@ def test_in_flight_replan_is_the_planner_input_form_bit_for_bit():
                     plan, gamma_T=gamma_T, sigma=sigma, duration=remaining,
                     objective=planning_cost(checked, plan.cop_T, sigma, gamma_T),
                     status="terminal", active_set=tuple(i for i, b in enumerate(on) if b),
-                    planned_at=elapsed, eq_multipliers=(0.0, 0.0), ineq_multipliers=(0.0,) * 6)
+                    planned_at=elapsed)
             assert np.asarray(new.cop_T).tobytes() == np.asarray(want.cop_T).tobytes()
             assert np.asarray(new.gamma_T).tobytes() == np.asarray(want.gamma_T).tobytes()
-            for name in ("sigma", "duration", "objective", "status", "active_set", "planned_at",
-                         "eq_multipliers", "ineq_multipliers"):
+            for name in ("sigma", "duration", "objective", "status", "active_set", "planned_at"):
                 assert getattr(new, name) == getattr(want, name), name
             statuses.append(new.status)
             if new.status == "terminal":

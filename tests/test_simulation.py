@@ -112,8 +112,9 @@ def test_push_event_and_human_pulse_validation():
     for start, end in ((0.0, math.inf), (math.inf, math.inf), (math.nan, 0.2), (0.1, math.nan)):
         with pytest.raises(ValueError, match="start < end < inf"):
             HumanPulse(joint=0, start=start, end=end, torque=1.0)
-    with pytest.raises(ValueError, match="joint must be 0, 1 or 2, got 1.0"):
-        HumanPulse(1.0, 0, 0.02, 1.0)
+    for joint in (1.0, True):
+        with pytest.raises(ValueError, match=f"^joint must be 0, 1 or 2, got {joint}$"):
+            HumanPulse(joint, 0, 0.02, 1.0)
 
 
 def test_ankle_clamp_boxes_the_dcm():
@@ -188,6 +189,12 @@ def test_config_validation_collects_every_error():
         ScenarioConfig(seed=1.5, attitude_noise_deg=0.1, debounce_cycles=2.5).validate()
     assert str(err.value) == ("invalid scenario: debounce_cycles must be an integer, got 2.5; "
                               "seed must be an integer, got 1.5")
+    # A bool is an Integral, but format_config would write it as `true`,
+    # which parse_scenario rejects.
+    with pytest.raises(ConfigurationError) as err:
+        ScenarioConfig(debounce_cycles=True, seed=False).validate()
+    assert str(err.value) == ("invalid scenario: debounce_cycles must be an integer, got True; "
+                              "seed must be an integer, got False")
 
     # The one-tick rule divides by dt, so it is skipped when dt is itself invalid.
     with pytest.raises(ConfigurationError) as err:
@@ -202,11 +209,18 @@ NUMERIC_FIELDS = [
 
 @pytest.mark.parametrize("name", [f.name for f in NUMERIC_FIELDS])
 def test_config_rejects_non_finite_numbers(name):
+    """Tuple fields are scanned as lists too: ``com0 = [nan, 0]`` is not
+    left to fail the standing pose, nor a NaN ``cop_min`` to read as an
+    inverted box."""
     default = getattr(ScenarioConfig(), name)
     for bad in (math.inf, -math.inf, math.nan):
-        value = (bad,) + default[1:] if isinstance(default, tuple) else bad
-        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
-            ScenarioConfig(**{name: value}).validate()
+        if isinstance(default, tuple):
+            values = ((bad,) + default[1:], [bad, *default[1:]])
+        else:
+            values = (bad,)
+        for value in values:
+            with pytest.raises(ConfigurationError, match=f"^invalid scenario: {name} must be finite"):
+                ScenarioConfig(**{name: value}).validate()
 
 
 def test_config_helper_resolution():
