@@ -42,6 +42,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -294,63 +295,58 @@ def _num(x: float) -> str:
     return f"{x:.12g}"
 
 
-#: Trace rows converted to Python floats per ``.tolist()`` call.  A small
-#: block keeps the conversion to one call per block without holding the
-#: trace as Python lists: a whole-trace ``.tolist()`` would raise the peak
-#: memory by several times the file size, and 512 rows already by 0.75 MB.
+#: Most rows in one chunk of ``trace.csv``.  A chunk is converted to Python
+#: floats with one ``.tolist()``, so the trace is never held as Python
+#: lists: a whole-trace ``.tolist()`` would raise the peak memory by several
+#: times the file size, and 512 rows already by 0.75 MB.
 _TRACE_BLOCK_ROWS = 128
 
-#: First column of each group a trace row reuses whole, counted from the
-#: CoP: CoP pair, foot, desired angles, measured angles, torques.
-_TRACE_GROUPS = [0, 2, 5, 8, 11]
+#: (first, stop) column of the CoP pair and of each leg triple (foot, desired
+#: angles, measured angles, torques) in a trace row.
+_TRACE_GROUPS = ((7, 9), (9, 12), (12, 15), (15, 18), (18, 21))
 
 
 def _trace_lines(trace: SimTrace):
-    """The lines of ``trace.csv`` after its header, one per trace row.
+    """The lines of ``trace.csv`` after its header, one iterator per chunk.
 
-    The seven numbers before the CoP are formatted on every row.  The CoP
-    pair and each leg triple are formatted only when one of their bits
-    differs from the row above, and otherwise repeat its text.  Bits, not
-    ``==``: ``-0.0 == 0.0``, but ``%.12g`` prints the two differently.
+    A chunk is at most ``_TRACE_BLOCK_ROWS`` rows that share one phase.  A
+    CoP pair or leg triple whose bits are the same on every row of the
+    chunk is formatted once and baked, with the phase, into the chunk's
+    row format; that format then takes each row's remaining numbers in
+    one C-level ``%``.  Bits, not ``==``: ``-0.0 == 0.0``, but ``%.12g``
+    prints the two differently.
     """
     import numpy as np  # only simulate writes a trace; plan and sweep-weights load no numpy
 
-    # "%.12g" is _num's format.
-    row = "%.12g," * 7 + "%s,%s,%s,%s,%s,%s\n"
-    pair, triple = "%.12g,%.12g", "%.12g,%.12g,%.12g"
     columns = (trace.t[:, None], trace.com, trace.com_vel, trace.xi, trace.cop,
                trace.foot, trace.joint_desired, trace.joint_measured, trace.torque)
-    phases = iter(trace.phase)  # zip takes a block's rows first, so no phase is skipped
-    above = None  # bits of the CoP and leg columns of the row above
-    for start in range(0, len(trace.t), _TRACE_BLOCK_ROWS):
-        stop = start + _TRACE_BLOCK_ROWS
-        block = np.concatenate([c[start:stop] for c in columns], axis=1)
-        bits = block.view(np.int64)[:, 7:]
-        if above is None:
-            above = ~bits[:1]  # differs from the first row in every bit
-        changed = np.logical_or.reduceat(
-            bits != np.concatenate((above, bits[:-1])), _TRACE_GROUPS, axis=1)
-        above = bits[-1:]
-        for v, phase, (new_cop, new_foot, new_des, new_q, new_tau) in zip(
-                block.tolist(), phases, changed.tolist()):
-            if new_cop:
-                cop = pair % (v[7], v[8])
-            if new_foot:
-                foot = triple % (v[9], v[10], v[11])
-            if new_des:
-                q_des = triple % (v[12], v[13], v[14])
-            if new_q:
-                q = triple % (v[15], v[16], v[17])
-            if new_tau:
-                tau = triple % (v[18], v[19], v[20])
-            yield row % (v[0], v[1], v[2], v[3], v[4], v[5], v[6],
-                         cop, phase, foot, q_des, q, tau)
+    start = 0
+    for phase, run in itertools.groupby(trace.phase):
+        # Phases are read a chunk at a time, so each chunk is written before the next is read.
+        while n := len(list(itertools.islice(run, _TRACE_BLOCK_ROWS))):
+            block = np.concatenate([c[start:start + n] for c in columns], axis=1)
+            start += n
+            bits = block.view(np.int64)
+            same = (bits == bits[0]).all(axis=0).tolist()
+            first = block[0].tolist()
+            cells, keep = [], list(range(7))
+            for a, b in _TRACE_GROUPS:
+                cell = ",".join(["%.12g"] * (b - a))  # "%.12g" is _num's format
+                if all(same[a:b]):
+                    cell = (cell % tuple(first[a:b])).replace("%", "%%")
+                else:
+                    keep += range(a, b)
+                cells.append(cell)
+            cells.insert(1, phase.replace("%", "%%"))
+            row = "%.12g," * 7 + ",".join(cells) + "\n"
+            yield map(row.__mod__, map(tuple, block[:, keep].tolist()))
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
     with _atomic_open(Path(path)) as out:
         out.write(TRACE_HEADER + "\n")
-        out.writelines(_trace_lines(trace))
+        for lines in _trace_lines(trace):
+            out.writelines(lines)
 
 
 def write_events_csv(trace: SimTrace, path) -> None:

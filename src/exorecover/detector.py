@@ -99,7 +99,8 @@ class BalanceDetector:
 
     def __init__(self, ellipse: SwayEllipse, debounce_cycles: int, capture_tolerance: float,
                  capture_hold: float):
-        if not isinstance(debounce_cycles, Integral) or debounce_cycles < 1:
+        if (isinstance(debounce_cycles, bool) or not isinstance(debounce_cycles, Integral)
+                or debounce_cycles < 1):
             raise ValueError(f"debounce_cycles must be an integer >= 1, got {debounce_cycles}")
         if not (0.0 < capture_tolerance < math.inf):
             raise ValueError(f"capture_tolerance must be positive and finite, got {capture_tolerance}")

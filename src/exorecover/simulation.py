@@ -304,10 +304,12 @@ class ScenarioConfig:
             if not cond:
                 bad.append(msg)
 
+        nonfinite = set()  # a NaN also fails an order check, which would report its field again
         for name, value in vars(self).items():  # every number, tuple and list elements included
             for v in value if isinstance(value, (tuple, list)) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     bad.append(f"{name} must be finite, got {value}")
+                    nonfinite.add(name)
                     break
         check(self.gravity > 0.0, f"gravity must be positive, got {self.gravity}")
         check(self.com_height > 0.0, f"com_height must be positive, got {self.com_height}")
@@ -316,7 +318,7 @@ class ScenarioConfig:
             check(getattr(self, name) > 0.0, f"{name} must be positive")
         for name in ("hip_ab_limits_deg", "hip_flex_limits_deg", "knee_limits_deg"):
             lo, hi = getattr(self, name)
-            check(lo < hi, f"{name} must satisfy min < max, got ({lo}, {hi})")
+            check(name in nonfinite or lo < hi, f"{name} must satisfy min < max, got ({lo}, {hi})")
         if self.stance_width is not None:
             check(self.stance_width > 0.0, "stance_width must be positive")
         check(self.ellipse_a > 0.0, "ellipse_a must be positive")
@@ -334,9 +336,11 @@ class ScenarioConfig:
                 value = getattr(self, name)
                 check(not value > longest, f"{name} must be at most {longest:.6g} s, "
                       f"past which exp(omega * {name}) overflows, got {value}")
-        check(all(w > 0.0 for w in self.weights), f"weights must be positive, got {self.weights}")
+        check("weights" in nonfinite or all(w > 0.0 for w in self.weights),
+              f"weights must be positive, got {self.weights}")
         check(
-            all(lo <= hi for lo, hi in zip(self.cop_min, self.cop_max)),
+            "cop_min" in nonfinite or "cop_max" in nonfinite
+            or all(lo <= hi for lo, hi in zip(self.cop_min, self.cop_max)),
             f"cop_min {self.cop_min} must not exceed cop_max {self.cop_max}",
         )
         check(self.peak_height > 0.0, "peak_height must be positive")

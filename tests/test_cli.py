@@ -578,17 +578,25 @@ def test_failed_write_leaves_the_old_file(tmp_path):
     assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
     old = {name: (out / name).read_bytes() for name in ("trace.csv", "events.csv")}
     trace = run_scenario(cli.load_scenario(scenario))
+    assert trace.phase[:200] == ["Standing"] * 200  # the failure comes inside one phase run
+    written = []  # the .tmp file's bytes when the phases fail
 
     class Unplugged(list):
-        """Phases that fail after 200 rows, past the first buffer flush."""
+        """Phases that fail after 200 rows, past the first chunk and buffer flush."""
 
         def __iter__(self):
             yield from self[:200]
+            written.append((out / "trace.csv.tmp").read_bytes())
             raise OSError("disk unplugged")
 
     with pytest.raises(OSError, match="unplugged"):
         cli.write_trace_csv(dataclasses.replace(trace, phase=Unplugged(trace.phase)),
                             out / "trace.csv")
+    # The writer streams chunk by chunk: rows of the first chunk, not only the
+    # header, reached the file before the failure.
+    header = len(cli.TRACE_HEADER) + 1
+    assert len(written) == 1 and len(written[0]) > header
+    assert old["trace.csv"].startswith(written[0])
     unserialisable = trace.events + [Event(1.0, "Bad", {"value": object()})]
     with pytest.raises(TypeError):
         cli.write_events_csv(dataclasses.replace(trace, events=unserialisable),
@@ -610,11 +618,16 @@ def reference_trace_csv(trace, path):
             out.write(row % (*values[:9], phase, *values[9:]))
 
 
-def synthetic_trace(log):
-    """A ``SimTrace`` over an ``(n, 21)`` log laid out as ``run_scenario`` logs."""
-    phases = ["Standing", "Swing", "Landed"]
+PHASES = ("Standing", "Swing", "Landed")
+
+
+def synthetic_trace(log, phase=None):
+    """A ``SimTrace`` over an ``(n, 21)`` log laid out as ``run_scenario`` logs,
+    with the given phases or else a new phase on every row."""
+    if phase is None:
+        phase = [PHASES[k % 3] for k in range(len(log))]
     return SimTrace(t=log[:, 0], com=log[:, 1:3], com_vel=log[:, 3:5], xi=log[:, 5:7],
-                    cop=log[:, 7:9], phase=[phases[k % 3] for k in range(len(log))],
+                    cop=log[:, 7:9], phase=phase,
                     foot=log[:, 9:12], joint_desired=log[:, 12:15],
                     joint_measured=log[:, 15:18], torque=log[:, 18:21],
                     events=[], config=ScenarioConfig())
@@ -673,10 +686,76 @@ def block_edge_log():
     pytest.param(repeating_log(700, seed=1), id="random-repeats"),
 ])
 def test_trace_writer_is_the_per_row_reference_byte_for_byte(tmp_path, log):
-    trace = synthetic_trace(log)
+    assert_writes_the_reference(tmp_path, synthetic_trace(log))
+
+
+def assert_writes_the_reference(tmp_path, trace):
     cli.write_trace_csv(trace, tmp_path / "trace.csv")
     reference_trace_csv(trace, tmp_path / "reference.csv")
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def phase_runs(*lengths, names=PHASES):
+    """Phases in runs of the given lengths, cycling through ``names``."""
+    return [names[i % len(names)] for i, n in enumerate(lengths) for _ in range(n)]
+
+
+def random_runs(n, seed):
+    """Run lengths of 1-300 rows that add up to ``n``."""
+    rng = np.random.default_rng(seed)
+    lengths = []
+    while sum(lengths) < n:
+        lengths.append(min(int(rng.integers(1, 301)), n - sum(lengths)))
+    return lengths
+
+
+def stance_like_log(n, seed=0):
+    """A log whose CoP pair and leg triples hold their bits for long runs,
+    as a standing leg does, and change now and then to values that include
+    both signed zeros."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, 1e-300, 0.25, -0.25, 1.0 / 3.0])
+    log = rng.normal(size=(n, 21))
+    for k in range(1, n):
+        for first, stop in LOG_GROUPS:
+            if rng.random() < 0.99:
+                log[k, first:stop] = log[k - 1, first:stop]
+            elif rng.random() < 0.5:
+                log[k, first:stop] = rng.choice(pool, stop - first)
+    return log
+
+
+def last_row_log():
+    """256 rows whose CoP and leg columns are fixed except on the last row
+    of each 128-row chunk: there one CoP and one leg column change value,
+    and one torque changes only the sign of its zero."""
+    log = np.ones((256, 21))
+    log[:, 0] = np.arange(256) * 1e-3
+    log[:, 18:21] = 0.0
+    log[127, 8] = 2.0
+    log[127, 16] = -1.0
+    log[255, 20] = -0.0
+    log[255, 10] = 3.0
+    return log
+
+
+@pytest.mark.parametrize("log, phase", [
+    pytest.param(stance_like_log(3000, seed=2), phase_runs(*random_runs(3000, seed=2)),
+                 id="runs-of-1-300"),
+    pytest.param(repeating_log(3000, seed=3), phase_runs(*random_runs(3000, seed=3)),
+                 id="runs-of-1-300-busy"),
+    pytest.param(block_edge_log(), phase_runs(127, 173), id="phase-change-at-127"),
+    pytest.param(block_edge_log(), phase_runs(128, 172), id="phase-change-at-128"),
+    pytest.param(last_row_log(), phase_runs(256), id="changes-on-last-rows"),
+    pytest.param(stance_like_log(128, seed=4), phase_runs(128), id="128-rows"),
+    pytest.param(stance_like_log(256, seed=5), phase_runs(256), id="256-rows"),
+    pytest.param(stance_like_log(600, seed=6), phase_runs(200, 1, 399, names=("50%", "%s", "%%")),
+                 id="percent-signs-in-phases"),
+])
+def test_trace_writer_matches_the_reference_over_phase_runs(tmp_path, log, phase):
+    """Chunks that hold many rows of one phase, where the writer formats
+    the constant groups once."""
+    assert_writes_the_reference(tmp_path, synthetic_trace(log, phase))
 
 
 def test_simulate_summarizes_once_and_prints_the_written_summary(tmp_path, capsys, monkeypatch):

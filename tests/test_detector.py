@@ -190,8 +190,8 @@ def test_update_outside_standing_is_inert_but_advances_clock():
 
 
 def test_constructor_validation():
-    for bad in (0, 1.5):
-        with pytest.raises(ValueError):
+    for bad in (0, 1.5, True, False):  # a bool is an Integral, but not a count
+        with pytest.raises(ValueError, match="debounce_cycles"):
             detector(debounce_cycles=bad)
     assert detector(debounce_cycles=np.int64(2)).debounce_cycles == 2
     for bad in (0.0, math.inf, math.nan):

@@ -223,6 +223,30 @@ def test_config_rejects_non_finite_numbers(name):
                 ScenarioConfig(**{name: value}).validate()
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"cop_min": [math.nan, -0.3]}, "cop_min must be finite, got [nan, -0.3]"),
+    ({"cop_min": (math.nan, -0.3)}, "cop_min must be finite, got (nan, -0.3)"),
+    ({"cop_max": (0.3, math.nan)}, "cop_max must be finite, got (0.3, nan)"),
+    ({"cop_min": (-math.inf, -0.3), "cop_max": (math.inf, math.nan)},
+     "cop_min must be finite, got (-inf, -0.3); cop_max must be finite, got (inf, nan)"),
+    ({"knee_limits_deg": (math.nan, 160.0)}, "knee_limits_deg must be finite, got (nan, 160.0)"),
+    ({"hip_ab_limits_deg": (-30.0, math.nan)},
+     "hip_ab_limits_deg must be finite, got (-30.0, nan)"),
+    ({"weights": (1.0, math.nan, 0.02)}, "weights must be finite, got (1.0, nan, 0.02)"),
+    # The skip is per field: the order checks of finite fields still report.
+    ({"cop_min": (0.4, -0.3), "knee_limits_deg": (160.0, 5.0), "weights": (1.0, math.inf, 0.02)},
+     "weights must be finite, got (1.0, inf, 0.02); "
+     "knee_limits_deg must satisfy min < max, got (160.0, 5.0); "
+     "cop_min (0.4, -0.3) must not exceed cop_max (0.3, -0.04)"),
+])
+def test_a_non_finite_bound_is_reported_once(fields, message):
+    """A NaN fails every order or sign test, so without the skip a NaN bound
+    would also read as an inverted box, limit pair or non-positive weight."""
+    with pytest.raises(ConfigurationError) as err:
+        ScenarioConfig(**fields).validate()
+    assert str(err.value) == f"invalid scenario: {message}"
+
+
 def test_config_helper_resolution():
     cfg = ScenarioConfig()
     assert cfg.resolved_stance_width() == pytest.approx(2 * (cfg.l0 + cfg.l1))

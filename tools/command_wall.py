@@ -11,7 +11,11 @@ command's work:
 - ``plan``: one step plan for a 0.12 m forward DCM excursion;
 - ``sweep_weights``: the same state over a three-triple weight grid;
 - ``simulate``: a 3 s run with a 0.12 m forward push at 0.5 s;
-- ``simulate_noisy``: the same run with 0.2 deg attitude noise.
+- ``simulate_noisy``: the same run with 0.2 deg attitude noise;
+- ``simulate_quiet``: 8 s of noisy standing that never steps, shaped like
+  the bench's ``quiet_stance`` runs (a few mm of initial CoM offset and
+  velocity, 0.15 deg of attitude noise): past start-up, its time goes
+  to 8,000 standing ticks and to writing their 8,000 trace rows.
 
 Each pair runs every command once per tree, command by command, with
 the trees in the given order on even pairs and in reverse on odd ones.
@@ -43,14 +47,18 @@ from pathlib import Path
 FORWARD_PUSH = ["sim.duration = 3.0", "push.0.time = 0.5",
                 f"push.0.impulse = {0.12 * 70.0 * math.sqrt(9.81 / 0.88)!r}, 0.0"]
 NOISE = "sim.attitude_noise_deg = 0.2"
+QUIET = ["sim.duration = 8.0", "lipm.com0 = 0.003, -0.002", "lipm.vel0 = -0.002, 0.004",
+         "sim.attitude_noise_deg = 0.15", "sim.seed = 7"]
 STATE = ["--xi0", "0.12,0", "--cop0", "0,-0.1"]
 
 
 def commands(inputs: Path, out: Path) -> dict[str, list[str]]:
     """The ``exorecover`` argument lists, by name, with their input files written."""
     scenario, noisy, grid = inputs / "scenario.txt", inputs / "noisy.txt", inputs / "grid.txt"
+    quiet = inputs / "quiet.txt"
     scenario.write_text("\n".join(FORWARD_PUSH) + "\n")
     noisy.write_text("\n".join(FORWARD_PUSH + [NOISE]) + "\n")
+    quiet.write_text("\n".join(QUIET) + "\n")
     grid.write_text("1, 5, 0.02\n1, 50, 0.02\n1, 5, 2.0\n")
     return {
         "plan": ["plan", "--scenario", str(scenario), *STATE],
@@ -58,6 +66,7 @@ def commands(inputs: Path, out: Path) -> dict[str, list[str]]:
                           "--grid", str(grid), "--out", str(out / "sweep")],
         "simulate": ["simulate", "--scenario", str(scenario), "--out", str(out / "run")],
         "simulate_noisy": ["simulate", "--scenario", str(noisy), "--out", str(out / "noisy")],
+        "simulate_quiet": ["simulate", "--scenario", str(quiet), "--out", str(out / "quiet")],
     }
 
 
@@ -119,7 +128,7 @@ def main(argv=None) -> int:
 
     report = {"cached": args.cached, "pairs": args.pairs,
               "order": "trees as given on even pairs, reversed on odd",
-              "scenario": FORWARD_PUSH, "noisy_adds": NOISE,
+              "scenario": FORWARD_PUSH, "noisy_adds": NOISE, "quiet_scenario": QUIET,
               "commands": {name: " ".join(["python", "-m", "exorecover", *argv])
                            .replace(str(scratch), "DIR") for name, argv in named.items()},
               "seconds": {name: {tree: {"runs": values, **summary(values)}
