@@ -52,6 +52,15 @@ def as_floats(value, name: str) -> list[float]:
                          f"got {value!r}") from None
 
 
+def clip(x: float, lo: float, hi: float) -> float:
+    """``min(max(x, lo), hi)`` with two comparisons and no builtin call.
+
+    A tie or a NaN keeps the first argument, as the builtins do, so
+    ``clip(-0.0, 0.0, 1.0)`` is ``-0.0`` (``np.clip`` returns the bound)."""
+    x = lo if lo > x else x
+    return hi if hi < x else x
+
+
 def as_vec2(value, name: str) -> tuple[float, float]:
     """Return ``value`` as a finite ``(x, y)`` float pair or raise ValueError."""
     out = as_floats(value, name)

@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import PlannerInfeasibleError
-from .lipm import as_vec2
+from .lipm import as_vec2, clip
 
 __all__ = [
     "NominalGait",
@@ -260,8 +260,8 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
     slopes = []
     for s in points:
         u_x, u_y = c0_x - r_x * s, c0_y - r_y * s
-        cop_x = min(max((k1_x + a2 * (u_x - gn_x)) / w, lo_x), hi_x)
-        cop_y = min(max((k1_y + a2 * (u_y - gn_y)) / w, lo_y), hi_y)
+        cop_x = clip((k1_x + a2 * (u_x - gn_x)) / w, lo_x, hi_x)
+        cop_y = clip((k1_y + a2 * (u_y - gn_y)) / w, lo_y, hi_y)
         slopes.append(k3 * (s - sn) + r_x * (k2 * (u_x - cop_x - gn_x))
                       + r_y * (k2 * (u_y - cop_y - gn_y)))
     sigma = s_hi if slopes[-1] <= 0.0 else s_lo
@@ -269,10 +269,10 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
         d0, d1 = slopes[i], slopes[i + 1]
         if d0 <= 0.0 < d1:
             s0, s1 = points[i], points[i + 1]
-            sigma = min(max(s0 - d0 * (s1 - s0) / (d1 - d0), s0), s1)
+            sigma = clip(s0 - d0 * (s1 - s0) / (d1 - d0), s0, s1)
     u_x, u_y = c0_x - r_x * sigma, c0_y - r_y * sigma
-    cop_x = min(max((k1_x + a2 * (u_x - gn_x)) / w, lo_x), hi_x)
-    cop_y = min(max((k1_y + a2 * (u_y - gn_y)) / w, lo_y), hi_y)
+    cop_x = clip((k1_x + a2 * (u_x - gn_x)) / w, lo_x, hi_x)
+    cop_y = clip((k1_y + a2 * (u_y - gn_y)) / w, lo_y, hi_y)
     cop, gamma = (cop_x, cop_y), (u_x - cop_x, u_y - cop_y)
     return StepPlan(
         cop_T=cop,
@@ -327,11 +327,16 @@ def replan(current: StepPlan, xi0, cop0, omega: float, nominal: NominalGait,
     if not (elapsed >= 0.0) or not math.isfinite(elapsed):
         raise ValueError(f"elapsed must be >= 0, got {elapsed}")
 
+    # The builtins' max(REPLAN_FLOOR, T_min - elapsed), min(T_max - elapsed,
+    # left) and max(left, 0.0), written as clip writes them: a tie keeps the
+    # first argument.
     left = current.landing_time - elapsed
-    t_lo = max(REPLAN_FLOOR, bounds.T_min - elapsed)
-    t_hi = min(bounds.T_max - elapsed, left)
+    t_lo = bounds.T_min - elapsed
+    t_lo = t_lo if t_lo > REPLAN_FLOOR else REPLAN_FLOOR
+    t_hi = bounds.T_max - elapsed
+    t_hi = left if left < t_hi else t_hi
     if t_hi < t_lo:
-        remaining = max(left, 0.0)
+        remaining = 0.0 if 0.0 > left else left
         sigma = math.exp(omega * remaining)
         (x0_x, x0_y), (c0_x, c0_y) = xi0, cop0
         cop = current.cop_T

@@ -65,7 +65,7 @@ from .impedance import (
     joint_plant_step,
 )
 from .kinematics import JointLimits, LegGeometry, Side, forward_kinematics, inverse_kinematics
-from .lipm import LipmParams, apply_impulse, as_vec2, natural_frequency, step_lipm
+from .lipm import LipmParams, apply_impulse, as_vec2, clip, natural_frequency, step_lipm
 from .planner import (
     NominalGait,
     PlannerInput,
@@ -97,6 +97,9 @@ __all__ = [
 
 #: Bounds of the attitude synthesis' ``asin`` argument.
 _ASIN_LO, _ASIN_HI = -1.0 + 1e-12, 1.0 - 1e-12
+
+#: The inclinometer's range in pitch and roll, rad: it saturates at +-this.
+_TILT_LIM = 0.5 * math.pi - 1e-9
 
 #: Plans moving less than this (in landing point or landing time) do not
 #: resplice the swing trajectory or emit a Replanned event.
@@ -300,74 +303,77 @@ class ScenarioConfig:
         ``push_ids[i]`` and ``pulse_ids[i]`` (a scenario file's record numbers)."""
         bad: list[str] = []
 
-        def check(cond: bool, msg: str) -> None:
-            if not cond:
+        def check(cond: bool, msg: str, *fields: str) -> None:
+            # A field reported non-finite is not tested again: a NaN fails
+            # every sign, range and order test, and would be reported twice.
+            if not cond and nonfinite.isdisjoint(fields):
                 bad.append(msg)
 
-        nonfinite = set()  # a NaN also fails an order check, which would report its field again
+        nonfinite = set()
         for name, value in vars(self).items():  # every number, tuple and list elements included
             for v in value if isinstance(value, (tuple, list)) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     bad.append(f"{name} must be finite, got {value}")
                     nonfinite.add(name)
                     break
-        check(self.gravity > 0.0, f"gravity must be positive, got {self.gravity}")
-        check(self.com_height > 0.0, f"com_height must be positive, got {self.com_height}")
-        check(self.mass > 0.0, f"mass must be positive, got {self.mass}")
+        check(self.gravity > 0.0, f"gravity must be positive, got {self.gravity}", "gravity")
+        check(self.com_height > 0.0, f"com_height must be positive, got {self.com_height}",
+              "com_height")
+        check(self.mass > 0.0, f"mass must be positive, got {self.mass}", "mass")
         for name in ("l0", "l1", "l2", "l3"):
-            check(getattr(self, name) > 0.0, f"{name} must be positive")
+            check(getattr(self, name) > 0.0, f"{name} must be positive", name)
         for name in ("hip_ab_limits_deg", "hip_flex_limits_deg", "knee_limits_deg"):
             lo, hi = getattr(self, name)
-            check(name in nonfinite or lo < hi, f"{name} must satisfy min < max, got ({lo}, {hi})")
+            check(lo < hi, f"{name} must satisfy min < max, got ({lo}, {hi})", name)
         if self.stance_width is not None:
-            check(self.stance_width > 0.0, "stance_width must be positive")
-        check(self.ellipse_a > 0.0, "ellipse_a must be positive")
-        check(self.ellipse_b > 0.0, "ellipse_b must be positive")
-        check(self.debounce_cycles >= 1, "debounce_cycles must be >= 1")
-        check(self.capture_tolerance > 0.0, "capture_tolerance must be positive")
-        check(self.capture_hold >= 0.0, "capture_hold must be >= 0")
-        check(self.chain_offset > 0.0, "chain_offset must be positive")
-        check(0.0 < self.t_min <= self.t_max, f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")
-        check(self.t_nom > 0.0, "t_nom must be positive")
+            check(self.stance_width > 0.0, "stance_width must be positive", "stance_width")
+        check(self.ellipse_a > 0.0, "ellipse_a must be positive", "ellipse_a")
+        check(self.ellipse_b > 0.0, "ellipse_b must be positive", "ellipse_b")
+        check(self.debounce_cycles >= 1, "debounce_cycles must be >= 1", "debounce_cycles")
+        check(self.capture_tolerance > 0.0, "capture_tolerance must be positive", "capture_tolerance")
+        check(self.capture_hold >= 0.0, "capture_hold must be >= 0", "capture_hold")
+        check(self.chain_offset > 0.0, "chain_offset must be positive", "chain_offset")
+        check(0.0 < self.t_min <= self.t_max, f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]",
+              "t_min", "t_max")
+        check(self.t_nom > 0.0, "t_nom must be positive", "t_nom")
         if 0.0 < self.gravity < math.inf and 0.0 < self.com_height < math.inf:
             # The planner takes exp(omega * T) of these step times.
             longest = math.log(sys.float_info.max) / natural_frequency(self.gravity, self.com_height)
             for name in ("t_nom", "t_max"):
                 value = getattr(self, name)
                 check(not value > longest, f"{name} must be at most {longest:.6g} s, "
-                      f"past which exp(omega * {name}) overflows, got {value}")
-        check("weights" in nonfinite or all(w > 0.0 for w in self.weights),
-              f"weights must be positive, got {self.weights}")
-        check(
-            "cop_min" in nonfinite or "cop_max" in nonfinite
-            or all(lo <= hi for lo, hi in zip(self.cop_min, self.cop_max)),
-            f"cop_min {self.cop_min} must not exceed cop_max {self.cop_max}",
-        )
-        check(self.peak_height > 0.0, "peak_height must be positive")
-        check(0.0 < self.peak_fraction < 1.0, "peak_fraction must be in (0, 1)")
-        check(all(s >= 0.0 for s in self.stiffness_deg), "stiffness_deg must be >= 0")
-        check(all(d >= 0.0 for d in self.damping), "damping must be >= 0")
-        check(self.torque_kp >= 0.0, "torque_kp must be >= 0")
+                      f"past which exp(omega * {name}) overflows, got {value}", name)
+        check(all(w > 0.0 for w in self.weights), f"weights must be positive, got {self.weights}",
+              "weights")
+        check(all(lo <= hi for lo, hi in zip(self.cop_min, self.cop_max)),
+              f"cop_min {self.cop_min} must not exceed cop_max {self.cop_max}", "cop_min", "cop_max")
+        check(self.peak_height > 0.0, "peak_height must be positive", "peak_height")
+        check(0.0 < self.peak_fraction < 1.0, "peak_fraction must be in (0, 1)", "peak_fraction")
+        check(all(s >= 0.0 for s in self.stiffness_deg), "stiffness_deg must be >= 0", "stiffness_deg")
+        check(all(d >= 0.0 for d in self.damping), "damping must be >= 0", "damping")
+        check(self.torque_kp >= 0.0, "torque_kp must be >= 0", "torque_kp")
         check(self.mode in ("assist", "zero_torque"), f"mode must be assist or zero_torque, got {self.mode!r}")
-        check(self.inertia > 0.0, "inertia must be positive")
-        check(self.viscous_damping >= 0.0, "viscous_damping must be >= 0")
-        check(self.foot_half_x > 0.0, "foot_half_x must be positive")
-        check(self.foot_half_y > 0.0, "foot_half_y must be positive")
-        check(0.0 < self.dt <= 0.01, f"dt must be in (0, 0.01], got {self.dt}")
-        check(self.duration > 0.0, "duration must be positive")
+        check(self.inertia > 0.0, "inertia must be positive", "inertia")
+        check(self.viscous_damping >= 0.0, "viscous_damping must be >= 0", "viscous_damping")
+        check(self.foot_half_x > 0.0, "foot_half_x must be positive", "foot_half_x")
+        check(self.foot_half_y > 0.0, "foot_half_y must be positive", "foot_half_y")
+        check(0.0 < self.dt <= 0.01, f"dt must be in (0, 0.01], got {self.dt}", "dt")
+        check(self.duration > 0.0, "duration must be positive", "duration")
         last = self.duration  # the last tick's time, once dt and duration are valid
         if 0.0 < self.dt <= 0.01 and 0.0 < self.duration < math.inf:  # else reported above
             last = (round(self.duration / self.dt) - 1) * self.dt
             check(last >= 0.0,
                   f"duration {self.duration} is shorter than one control cycle of {self.dt}")
-        check(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        check(self.seed >= 0, f"seed must be >= 0, got {self.seed}", "seed")
         for name in ("debounce_cycles", "seed"):
             value = getattr(self, name)
             check(isinstance(value, Integral) and not isinstance(value, bool),
-                  f"{name} must be an integer, got {value}")
-        check(self.attitude_noise_deg >= 0.0, "attitude_noise_deg must be >= 0")
+                  f"{name} must be an integer, got {value}", name)
+        check(self.attitude_noise_deg >= 0.0, "attitude_noise_deg must be >= 0", "attitude_noise_deg")
         # A push or pulse no tick reaches would be dropped silently; each is
         # tested as Plant.measure and Plant.step test it, on the ticks k * dt.
+        if "duration" in nonfinite:  # there is no last tick to test them against
+            push_ids = pulse_ids = ()
         for i, p in zip(push_ids, self.pushes):
             check(p.time <= last + 1e-12,
                   f"push {i} at t={p.time} is after the last control tick at t={last:.9g}")
@@ -785,9 +791,8 @@ class Plant:
         if noise is not None:
             noise_pitch, noise_roll = next(noise), next(noise)
             # The inclinometer saturates at the edge of its range.
-            lim = 0.5 * math.pi - 1e-9
-            pitch = min(max(pitch + noise_pitch, -lim), lim)
-            roll = min(max(roll + noise_roll, -lim), lim)
+            pitch = clip(pitch + noise_pitch, -_TILT_LIM, _TILT_LIM)
+            roll = clip(roll + noise_roll, -_TILT_LIM, _TILT_LIM)
         ex, ey = estimate_com(roll, pitch, L)
         com_x, com_y = ax + ex, ay + ey
 

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .lipm import clip
 from .planner import StepPlan
 
 __all__ = [
@@ -131,7 +132,7 @@ def sample(traj: SwingTrajectory, t: float) -> tuple[tuple[float, float, float],
     this runs on every swing tick."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    t_eval = min(max(t, 0.0), traj.duration)
+    t_eval = clip(t, 0.0, traj.duration)
     pieces = traj.z_profile
     z = pieces[0] if len(pieces) == 2 and t_eval < pieces[0].t_end else pieces[-1]
     x, y = traj.x_profile, traj.y_profile

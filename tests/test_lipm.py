@@ -1,5 +1,6 @@
 """Pendulum dynamics: frozen constants, the test oracle's closed forms, RK4 accuracy."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from oracle_utils import com_closed_form, dcm_closed_form
 
 from exorecover import LipmParams, ScenarioConfig, apply_impulse, natural_frequency, step_lipm
-from exorecover.lipm import as_vec2
+from exorecover.lipm import as_vec2, clip
 
 #: The default wearer's pendulum.
 DEFAULT = ScenarioConfig().lipm_params()
@@ -234,3 +235,47 @@ def test_as_vec2_accepts_any_two_numbers(value, want):
 def test_as_vec2_rejects_anything_else(value, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         as_vec2(value, "xi0")
+
+
+#: ``(x, lo, hi)`` rows for ``clip``, with the repr of ``min(max(x, lo), hi)``.
+CLIP_TABLE = [
+    (0.5, 0.0, 1.0, "0.5"),
+    (-2.0, -1.0, 1.0, "-1.0"),
+    (2.0, -1.0, 1.0, "1.0"),
+    # ties at each bound, and a collapsed interval
+    (-1.0, -1.0, 1.0, "-1.0"),
+    (1.0, -1.0, 1.0, "1.0"),
+    (0.3, 0.3, 0.3, "0.3"),
+    # a tie keeps the first argument, so signed zeros pass through
+    (-0.0, 0.0, 1.0, "-0.0"),
+    (0.0, -0.0, 1.0, "0.0"),
+    (0.0, -1.0, -0.0, "0.0"),
+    (-0.0, -1.0, 0.0, "-0.0"),
+    (-0.0, -0.0, -0.0, "-0.0"),
+    (0.0, 0.0, 0.0, "0.0"),
+    (-0.5, 0.0, -0.0, "0.0"),
+    (0.5, -0.0, -0.0, "-0.0"),
+    # NaN and infinities
+    (math.nan, -1.0, 1.0, "nan"),
+    (0.5, math.nan, 1.0, "0.5"),
+    (0.5, -1.0, math.nan, "0.5"),
+    (math.inf, -1.0, 1.0, "1.0"),
+    (-math.inf, -1.0, 1.0, "-1.0"),
+    (0.5, -math.inf, math.inf, "0.5"),
+    (math.inf, -math.inf, math.inf, "inf"),
+    (-math.inf, -math.inf, -math.inf, "-inf"),
+]
+
+
+@pytest.mark.parametrize("x, lo, hi, want", CLIP_TABLE)
+def test_clip_is_min_of_max(x, lo, hi, want):
+    """``clip`` returns what the builtins return, compared by repr so that
+    signed zeros count, and the builtins' result is the one in the table."""
+    assert repr(min(max(x, lo), hi)) == want
+    assert repr(clip(x, lo, hi)) == want
+
+
+def test_clip_is_min_of_max_on_every_triple_of_edge_values():
+    values = (-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, math.inf, math.nan)
+    for x, lo, hi in itertools.product(values, repeat=3):
+        assert repr(clip(x, lo, hi)) == repr(min(max(x, lo), hi)), (x, lo, hi)

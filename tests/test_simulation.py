@@ -211,7 +211,8 @@ NUMERIC_FIELDS = [
 def test_config_rejects_non_finite_numbers(name):
     """Tuple fields are scanned as lists too: ``com0 = [nan, 0]`` is not
     left to fail the standing pose, nor a NaN ``cop_min`` to read as an
-    inverted box."""
+    inverted box.  The field's other checks are skipped, so that message
+    is the only one."""
     default = getattr(ScenarioConfig(), name)
     for bad in (math.inf, -math.inf, math.nan):
         if isinstance(default, tuple):
@@ -219,8 +220,9 @@ def test_config_rejects_non_finite_numbers(name):
         else:
             values = (bad,)
         for value in values:
-            with pytest.raises(ConfigurationError, match=f"^invalid scenario: {name} must be finite"):
+            with pytest.raises(ConfigurationError) as err:
                 ScenarioConfig(**{name: value}).validate()
+            assert str(err.value) == f"invalid scenario: {name} must be finite, got {value}"
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -242,6 +244,33 @@ def test_config_rejects_non_finite_numbers(name):
 def test_a_non_finite_bound_is_reported_once(fields, message):
     """A NaN fails every order or sign test, so without the skip a NaN bound
     would also read as an inverted box, limit pair or non-positive weight."""
+    with pytest.raises(ConfigurationError) as err:
+        ScenarioConfig(**fields).validate()
+    assert str(err.value) == f"invalid scenario: {message}"
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"gravity": math.nan}, "gravity must be finite, got nan"),
+    ({"gravity": -math.inf}, "gravity must be finite, got -inf"),
+    ({"ellipse_a": math.nan}, "ellipse_a must be finite, got nan"),
+    ({"t_min": math.nan}, "t_min must be finite, got nan"),
+    ({"t_max": math.inf}, "t_max must be finite, got inf"),
+    ({"t_nom": math.inf}, "t_nom must be finite, got inf"),
+    ({"dt": math.nan}, "dt must be finite, got nan"),
+    ({"stiffness_deg": (1.5, math.nan, 0.4)}, "stiffness_deg must be finite, got (1.5, nan, 0.4)"),
+    ({"damping": [0.0, 0.0, -math.inf]}, "damping must be finite, got [0.0, 0.0, -inf]"),
+    ({"peak_fraction": math.inf}, "peak_fraction must be finite, got inf"),
+    ({"debounce_cycles": math.nan}, "debounce_cycles must be finite, got nan"),
+    ({"seed": -math.inf}, "seed must be finite, got -inf"),
+    # A non-finite duration has no last tick to test a push or pulse against.
+    ({"duration": math.nan, "pushes": (PushEvent(0.5, (1.0, 0.0)),),
+      "human_pulses": (HumanPulse(0, 0.5, 0.6, 1.0),)}, "duration must be finite, got nan"),
+    # The skip is per field: a finite field's checks still report.
+    ({"gravity": math.nan, "ellipse_b": -0.05}, "gravity must be finite, got nan; ellipse_b must be positive"),
+])
+def test_a_non_finite_scalar_is_reported_once(fields, message):
+    """A NaN fails every sign and range test, so without the skip the field
+    would be reported as non-finite and again as out of range."""
     with pytest.raises(ConfigurationError) as err:
         ScenarioConfig(**fields).validate()
     assert str(err.value) == f"invalid scenario: {message}"
@@ -625,6 +654,34 @@ def test_noisy_readings_match_per_tick_draws(monkeypatch):
         ref_xi = ref_com + np.array(vel) / omega
         assert np.array(com_hat).tobytes() == ref_com.tobytes()
         assert np.array(xi_hat).tobytes() == ref_xi.tobytes()
+
+
+def test_inclinometer_saturates_at_the_edge_of_its_range(monkeypatch):
+    """A noisy pitch or roll past +-(pi/2 - 1e-9), on either side and by any
+    amount, reads as that limit; one inside it, or on it, reads as it is."""
+    lim = 0.5 * math.pi - 1e-9
+    past, inside = math.nextafter(lim, math.inf), math.nextafter(lim, 0.0)
+    # (pitch noise, roll noise) -> the saturated (pitch, roll); the standing
+    # CoM sits on its anchor, so the noise is the whole angle.
+    rows = [((3.0, -3.0), (lim, -lim)), ((-3.0, 3.0), (-lim, lim)),
+            ((past, -past), (lim, -lim)), ((-past, past), (-lim, lim)),
+            ((lim, -lim), (lim, -lim)), ((inside, -inside), (inside, -inside))]
+    config = ScenarioConfig(attitude_noise_deg=0.2)
+    plant = Plant(config, [], len(rows))
+    plant.noise = iter([v for noise, _ in rows for v in noise])
+    angles = []
+
+    def recording(roll, pitch, length):
+        angles.append((pitch, roll))
+        return estimate_com(roll, pitch, length)
+
+    monkeypatch.setattr("exorecover.simulation.estimate_com", recording)
+    L = config.com_height
+    for k, (_, (pitch, roll)) in enumerate(rows):
+        assert plant.com == plant.anchor == (0.0, 0.0)
+        com = plant.measure(k * config.dt).com
+        assert repr(angles[-1]) == repr((pitch, roll))
+        assert com == (0.0 + L * math.sin(pitch), 0.0 + L * math.sin(roll))
 
 
 def test_control_loop_checks_inputs_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Swing trajectories: boundary conditions, apex, retarget continuity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from oracle_utils import evaluate
 
 from exorecover import ScenarioConfig, StepPlan, retarget, sample
 from exorecover import build_swing as _build_swing
-from exorecover.swing import _quintic
+from exorecover.swing import QuinticSegment, _quintic
 
 DEFAULT = ScenarioConfig()
 
@@ -139,6 +140,32 @@ def test_retarget_is_c2_continuous_at_the_splice():
         assert np.abs(land[:2] - new.cop_T).max() < 1e-9
         assert abs(land[2]) < 1e-9
 
+
+
+def test_a_spliced_trajectory_starts_at_the_splice_but_for_a_negative_zero():
+    """At local time 0 a spliced trajectory's position is ``p + 0.0 * X``
+    per axis, ``p`` the splice position and ``X`` the rest of the Horner
+    sum: ``p`` itself, bit for bit, unless ``p`` is -0.0 and ``X`` is not
+    negative.  So a retarget tick cannot reuse ``retarget``'s splice
+    position in place of sampling the new trajectory."""
+    rng = np.random.default_rng(2031)
+    for _ in range(200):
+        T = float(rng.uniform(0.35, 0.9))
+        start = tuple(rng.uniform(-0.3, 0.3, 2)) + (0.0,)
+        traj = build_swing(start, make_plan(cop=tuple(rng.uniform(-0.4, 0.4, 2)), duration=T))
+        t_now = float(rng.uniform(0.0, T - 0.05))
+        new = make_plan(cop=tuple(rng.uniform(-0.4, 0.4, 2)), duration=float(rng.uniform(0.1, 1.0)))
+        assert repr(sample(retarget(traj, t_now, new), 0.0)[0]) == repr(sample(traj, t_now)[0])
+
+    # A foot resting at x = -0.0 is at x = -0.0 at every time ...
+    rest = QuinticSegment((-0.0,) * 6, 0.0, 0.5)
+    traj = dataclasses.replace(build_swing([0.0, -0.2, 0.0], make_plan(duration=0.5)),
+                               x_profile=rest)
+    assert repr(sample(traj, 0.1)[0][0]) == "-0.0"
+    # ... but the trajectory spliced there starts at +0.0.
+    spliced = retarget(traj, 0.1, make_plan(cop=(0.2, -0.18), duration=0.3))
+    assert spliced.x_profile.coefficients[0] == -0.0
+    assert repr(sample(spliced, 0.0)[0][0]) == "0.0"
 
 def test_retarget_keeps_original_apex_instant():
     traj = build_swing([0.0, -0.2, 0.0], make_plan(duration=0.5))
