@@ -16,11 +16,9 @@ and that change's CHANGES.md entry lists each moved line with its reason.
 """
 
 import contextlib
-import csv
 import difflib
 import importlib.util
 import io
-import json
 import math
 import sys
 from pathlib import Path
@@ -56,21 +54,18 @@ def ledger(work: Path) -> str:
         out = work / command.name
         with contextlib.redirect_stdout(io.StringIO()):
             rc = cli.main([*command.argv, "--out", str(out)])
-        with open(out / "events.csv", newline="") as handle:
-            events = [(kind, json.loads(payload)) for _, kind, payload in list(csv.reader(handle))[1:]]
+        events = checks._events((out / "events.csv").read_text())  # parsed as the bench parses them
         kinds = [kind for kind, _ in events]
         misses = [math.dist(p["landed"], p["planned"]) for k, p in events if k == "TouchDown"]
         reasons = [p["reason"].split(":")[0] for k, p in events if k == "StepAborted"]
-        row = dict(rc=rc, td=kinds.count("TouchDown"), replans=kinds.count("Replanned"),
-                   box=checks.landing_box_violations(events, command.scenario))
-        lines.append(f"{command.name:<20} rc={rc} td={row['td']} replans={row['replans']} "
-                     f"box={row['box']} "
-                     f"miss_mm={f'{1e3 * max(misses):.1f}' if misses else '-'} "
-                     f"abort={reasons[0].replace(' ', '_') if reasons else '-'} "
-                     f"last={kinds[-1] if kinds else '-'}")
-        totals["aborts"] += bool(reasons)
-        for key in ("td", "box", "replans"):
-            totals[key] += row[key]
+        td, replans = kinds.count("TouchDown"), kinds.count("Replanned")
+        box = checks.landing_box_violations(events, command.scenario)
+        miss = f"{1e3 * max(misses):.1f}" if misses else "-"
+        abort = reasons[0].replace(" ", "_") if reasons else "-"
+        lines.append(f"{command.name:<20} rc={rc} td={td} replans={replans} box={box} "
+                     f"miss_mm={miss} abort={abort} last={kinds[-1] if kinds else '-'}")
+        for key, value in (("aborts", bool(reasons)), ("td", td), ("box", box), ("replans", replans)):
+            totals[key] += value
     lines.append("total " + " ".join(f"{key}={value}" for key, value in totals.items()))
     return HEADER + "\n".join(lines) + "\n"
 
