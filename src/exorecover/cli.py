@@ -51,8 +51,10 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigurationError, PlannerInfeasibleError, ScenarioParseError
+from .lipm import broken
 from .planner import PlannerInput, StepPlan, plan_step
 from .simulation import (
+    MODE,
     HumanPulse,
     PushEvent,
     ScenarioConfig,
@@ -112,8 +114,8 @@ def _vec3(text: str) -> tuple[float, float, float]:
 
 def _mode(text: str) -> str:
     v = text.strip().lower()
-    if v not in ("assist", "zero_torque"):
-        raise ValueError("must be 'assist' or 'zero_torque'")
+    if why := broken(v, MODE):
+        raise ValueError(why)
     return v
 
 
@@ -131,15 +133,17 @@ _CONVERTERS = {
     "float": _float,
     "float | None": _float,
     "int": _int,
+    "str": _mode,
     "tuple[float, float]": _vec2,
     "tuple[float, float, float]": _vec3,
 }
 
 #: Scenario key -> (config field, converter, help), in ScenarioConfig field
-#: order; converters follow from the field annotations.
+#: order; converters follow from the field annotations, and the help ends
+#: with the words of the field's rule.
 _KEYS = {
     f.metadata["key"]: (
-        f.name, _mode if f.name == "mode" else _CONVERTERS[f.type], f.metadata["help"]
+        f.name, _CONVERTERS[f.type], f"{f.metadata['help']}; {f.metadata['rule'].words}"
     )
     for f in dataclasses.fields(ScenarioConfig)
     if "key" in f.metadata
@@ -159,9 +163,9 @@ _GROUPS = {
 
 
 def scenario_key_help() -> str:
-    """Plain-text table of every scenario key with its default."""
+    """Plain-text table of every scenario key with its default, meaning and rule."""
     default = ScenarioConfig()
-    lines = ["scenario keys (key = default  # meaning):"]
+    lines = ["scenario keys (key = default  # meaning; rule):"]
     for key, (attr, _, meaning) in _KEYS.items():
         value = getattr(default, attr)
         shown = "unset" if value is None else _fmt(value)

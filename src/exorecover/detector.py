@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
 
 from .errors import PhaseTransitionError
-from .lipm import as_vec2
+from .lipm import NONNEGATIVE, POSITIVE, POSITIVE_INT, as_vec2, require
 
 __all__ = [
     "SwayEllipse",
@@ -45,10 +44,8 @@ class SwayEllipse:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vec2(self.center, "center"))
-        for name in ("semi_axis_x", "semi_axis_y"):
-            v = getattr(self, name)
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ValueError(f"{name} must be positive, got {v}")
+        require("semi_axis_x", self.semi_axis_x, POSITIVE)
+        require("semi_axis_y", self.semi_axis_y, POSITIVE)
 
 
 def ellipse_excursion(xi, ellipse: SwayEllipse) -> float:
@@ -99,13 +96,9 @@ class BalanceDetector:
 
     def __init__(self, ellipse: SwayEllipse, debounce_cycles: int, capture_tolerance: float,
                  capture_hold: float):
-        if (isinstance(debounce_cycles, bool) or not isinstance(debounce_cycles, Integral)
-                or debounce_cycles < 1):
-            raise ValueError(f"debounce_cycles must be an integer >= 1, got {debounce_cycles}")
-        if not (0.0 < capture_tolerance < math.inf):
-            raise ValueError(f"capture_tolerance must be positive and finite, got {capture_tolerance}")
-        if not (0.0 <= capture_hold < math.inf):
-            raise ValueError(f"capture_hold must be >= 0 and finite, got {capture_hold}")
+        require("debounce_cycles", debounce_cycles, POSITIVE_INT)
+        require("capture_tolerance", capture_tolerance, POSITIVE)
+        require("capture_hold", capture_hold, NONNEGATIVE)
         self.ellipse = ellipse
         self.debounce_cycles = int(debounce_cycles)
         self.capture_tolerance = float(capture_tolerance)

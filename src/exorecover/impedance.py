@@ -34,8 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigurationError
-from .lipm import as_floats
+from .lipm import NONNEGATIVE, POSITIVE, as_floats, require
 
 __all__ = [
     "ImpedanceGains",
@@ -55,8 +54,6 @@ def _as_vec3(value, name: str) -> tuple[float, float, float]:
     out = out * 3 if len(out) == 1 else out  # one number for all three joints
     if len(out) != 3:
         raise ValueError(f"{name} must have 3 components, got {value!r}")
-    if not all(map(math.isfinite, out)):
-        raise ValueError(f"{name} must be finite, got {out}")
     return out
 
 
@@ -72,15 +69,16 @@ class ImpedanceGains:
 
     def __post_init__(self):
         for name in ("stiffness", "damping"):
-            object.__setattr__(self, name, _as_vec3(getattr(self, name), name))
-        if min(self.stiffness + self.damping) < 0.0:
-            raise ValueError("gains must be nonnegative")
+            gains = _as_vec3(getattr(self, name), name)
+            require(name, gains, NONNEGATIVE)
+            object.__setattr__(self, name, gains)
 
     @classmethod
     def from_deg(cls, stiffness_deg, damping) -> "ImpedanceGains":
         """Build from per-degree stiffness (the native tuning unit)."""
-        stiff = [k / RAD_PER_DEG for k in _as_vec3(stiffness_deg, "stiffness_deg")]
-        return cls(stiffness=stiff, damping=damping)
+        stiffness_deg = _as_vec3(stiffness_deg, "stiffness_deg")
+        require("stiffness_deg", stiffness_deg, NONNEGATIVE)
+        return cls(stiffness=[k / RAD_PER_DEG for k in stiffness_deg], damping=damping)
 
 
 class ControlMode(Enum):
@@ -96,12 +94,8 @@ class PlantParams:
     viscous_damping: float  # N*m*s/rad
 
     def __post_init__(self):
-        if not (self.inertia > 0.0) or not math.isfinite(self.inertia):
-            raise ConfigurationError(f"inertia must be positive, got {self.inertia}")
-        if not (self.viscous_damping >= 0.0) or not math.isfinite(self.viscous_damping):
-            raise ConfigurationError(
-                f"viscous_damping must be >= 0, got {self.viscous_damping}"
-            )
+        require("inertia", self.inertia, POSITIVE)
+        require("viscous_damping", self.viscous_damping, NONNEGATIVE)
 
 
 def impedance_torque(

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import JointLimitError, WorkspaceError
+from .lipm import POSITIVE, require
 
 __all__ = [
     "Side",
@@ -77,9 +78,7 @@ class LegGeometry:
 
     def __post_init__(self):
         for name in ("l0", "l1", "l2", "l3"):
-            v = getattr(self, name)
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ValueError(f"{name} must be positive, got {v}")
+            require(name, getattr(self, name), POSITIVE)
 
 
 @dataclass(frozen=True)

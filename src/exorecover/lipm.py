@@ -11,12 +11,17 @@ Two-dimensional points and velocities (CoM, DCM, CoP, impulse) are
 ``(x, y)`` pairs of Python floats, in and out of the 1 kHz loop alike.
 :func:`as_vec2` is the one place that checks an outside value and turns
 it into such a pair; the functions here return pairs.
+
+Validity rules live here too: a :class:`Rule` per kind of number, read by
+``ScenarioConfig``'s field declarations and by every constructor's checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
+from typing import Callable, NamedTuple
 
 __all__ = [
     "LipmParams",
@@ -61,22 +66,66 @@ def clip(x: float, lo: float, hi: float) -> float:
     return hi if hi < x else x
 
 
+class Rule(NamedTuple):
+    """What each number of a value must be, and the words ("positive") that say so."""
+
+    test: Callable[[object], bool]
+    words: str
+
+
+_INF = math.inf
+
+
+def _real(v) -> bool:
+    """A real number, not a bool (a scenario file cannot hold one); rules try float first."""
+    return type(v) is int or (isinstance(v, Real) and not isinstance(v, bool))
+
+
+def _integer(v) -> bool:
+    """An integer and not a bool."""
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
+
+
+FINITE = Rule(lambda v: (type(v) is float or _real(v)) and -_INF < v < _INF, "finite")
+POSITIVE = Rule(lambda v: (type(v) is float or _real(v)) and 0.0 < v < _INF, "positive")
+NONNEGATIVE = Rule(lambda v: (type(v) is float or _real(v)) and 0.0 <= v < _INF, ">= 0")
+POSITIVE_INT = Rule(lambda v: _integer(v) and v >= 1, "an integer >= 1")
+NONNEGATIVE_INT = Rule(lambda v: _integer(v) and v >= 0, "an integer >= 0")
+
+
+def broken(value, rule: Rule) -> str | None:
+    """Why ``value`` (or an item of a tuple or list) breaks ``rule``, as ``"must be
+    positive, got -1.0"``, or None; a number that is not finite breaks every rule."""
+    many = isinstance(value, (tuple, list))
+    if all(map(rule.test, value)) if many else rule.test(value):
+        return None
+    items = value if many else (value,)
+    if any(_real(v) and not -_INF < v < _INF for v in items):
+        return f"must be finite, got {value!r}"
+    return f"must be {rule.words}, got {value!r}"
+
+
+def require(name: str, value, rule: Rule) -> None:
+    """Raise ValueError ``"<name> must be ..., got ..."`` unless ``value`` keeps ``rule``."""
+    why = broken(value, rule)
+    if why is not None:
+        raise ValueError(f"{name} {why}")
+
+
 def as_vec2(value, name: str) -> tuple[float, float]:
     """Return ``value`` as a finite ``(x, y)`` float pair or raise ValueError."""
     out = as_floats(value, name)
     if len(out) != 2:
         raise ValueError(f"{name} must have exactly 2 components, got {value!r}")
-    if not all(map(math.isfinite, out)):
-        raise ValueError(f"{name} must be finite, got {out}")
+    if not all(map(math.isfinite, out)):  # floats: FINITE's test, at C speed
+        raise ValueError(f"{name} {broken(out, FINITE)}")
     return tuple(out)
 
 
 def natural_frequency(gravity: float, com_height: float) -> float:
     """Pendulum constant ``sqrt(gravity / com_height)`` in 1/s."""
-    if not (gravity > 0.0) or not math.isfinite(gravity):
-        raise ValueError(f"gravity must be positive, got {gravity}")
-    if not (com_height > 0.0) or not math.isfinite(com_height):
-        raise ValueError(f"com_height must be positive, got {com_height}")
+    require("gravity", gravity, POSITIVE)
+    require("com_height", com_height, POSITIVE)
     return math.sqrt(gravity / com_height)
 
 
@@ -95,8 +144,7 @@ class LipmParams:
     omega: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.mass > 0.0) or not math.isfinite(self.mass):
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        require("mass", self.mass, POSITIVE)
         object.__setattr__(
             self, "omega", natural_frequency(self.gravity, self.com_height)
         )

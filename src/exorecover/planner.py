@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import PlannerInfeasibleError
-from .lipm import as_vec2, clip
+from .lipm import FINITE, POSITIVE, as_vec2, clip, require
 
 __all__ = [
     "NominalGait",
@@ -77,11 +77,11 @@ class NominalGait:
     def __post_init__(self):
         object.__setattr__(self, "cop_T_nom", as_vec2(self.cop_T_nom, "cop_T_nom"))
         object.__setattr__(self, "gamma_nom", as_vec2(self.gamma_nom, "gamma_nom"))
-        if not (self.T_nom > 0.0) or not math.isfinite(self.T_nom):
-            raise ValueError(f"T_nom must be positive, got {self.T_nom}")
+        require("T_nom", self.T_nom, POSITIVE)
         w = tuple(float(v) for v in self.weights)
-        if len(w) != 3 or any(not (v > 0.0) or not math.isfinite(v) for v in w):
-            raise ValueError(f"weights must be 3 positive numbers, got {self.weights}")
+        if len(w) != 3:
+            raise ValueError(f"weights must have 3 components, got {self.weights!r}")
+        require("weights", w, POSITIVE)
         object.__setattr__(self, "weights", w)
 
 
@@ -106,10 +106,8 @@ class StepBounds:
     def __post_init__(self):
         object.__setattr__(self, "cop_min", as_vec2(self.cop_min, "cop_min"))
         object.__setattr__(self, "cop_max", as_vec2(self.cop_max, "cop_max"))
-        for name in ("T_min", "T_max"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+        require("T_min", self.T_min, FINITE)
+        require("T_max", self.T_max, FINITE)
 
     def sigma_bounds(self, omega: float) -> tuple[float, float]:
         return math.exp(omega * self.T_min), math.exp(omega * self.T_max)
@@ -134,8 +132,7 @@ class PlannerInput:
     def __post_init__(self):
         object.__setattr__(self, "xi0", as_vec2(self.xi0, "xi0"))
         object.__setattr__(self, "cop0", as_vec2(self.cop0, "cop0"))
-        if not (self.omega > 0.0) or not math.isfinite(self.omega):
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        require("omega", self.omega, POSITIVE)
 
 
 @dataclass(frozen=True, slots=True)

@@ -46,8 +46,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, field, replace
-from numbers import Integral
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -65,7 +64,8 @@ from .impedance import (
     joint_plant_step,
 )
 from .kinematics import JointLimits, LegGeometry, Side, forward_kinematics, inverse_kinematics
-from .lipm import LipmParams, apply_impulse, as_vec2, clip, natural_frequency, step_lipm
+from .lipm import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, LipmParams, Rule,
+                   apply_impulse, as_vec2, broken, clip, natural_frequency, require, step_lipm)
 from .planner import (
     NominalGait,
     PlannerInput,
@@ -76,7 +76,7 @@ from .planner import (
     plan_step,
     replan,
 )
-from .swing import SwingTrajectory, build_swing, retarget, sample
+from .swing import PEAK_FRACTION, SwingTrajectory, build_swing, retarget, sample
 
 __all__ = [
     "PushEvent",
@@ -119,6 +119,12 @@ _new = tuple.__new__
 #: One ``run_scenario`` log row: 21 native doubles, 168 bytes.
 _ROW = struct.Struct("21d")
 
+#: The rules of the config fields and records that no other module checks.
+DT = Rule(lambda v: FINITE.test(v) and 0.0 < v <= 0.01, "in (0, 0.01]")
+MODE = Rule(("assist", "zero_torque").__contains__, "assist or zero_torque")
+UNSET_OR_POSITIVE = Rule(lambda v: v is None or POSITIVE.test(v), "positive")
+JOINT = Rule(lambda v: NONNEGATIVE_INT.test(v) and v <= 2, "0, 1 or 2")
+
 
 @dataclass(frozen=True)
 class PushEvent:
@@ -129,8 +135,7 @@ class PushEvent:
 
     def __post_init__(self):
         object.__setattr__(self, "impulse", as_vec2(self.impulse, "impulse"))
-        if not (self.time >= 0.0) or not math.isfinite(self.time):
-            raise ValueError(f"push time must be >= 0, got {self.time}")
+        require("push time", self.time, NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -143,13 +148,12 @@ class HumanPulse:
     torque: float  # N*m
 
     def __post_init__(self):
-        joint = self.joint
-        if isinstance(joint, bool) or not isinstance(joint, Integral) or joint not in (0, 1, 2):
-            raise ValueError(f"joint must be 0, 1 or 2, got {joint}")
-        if not (0.0 <= self.start < self.end) or not math.isfinite(self.end):
-            raise ValueError(f"need 0 <= start < end < inf, got [{self.start}, {self.end}]")
-        if not math.isfinite(self.torque):
-            raise ValueError("torque must be finite")
+        require("joint", self.joint, JOINT)
+        require("start", self.start, NONNEGATIVE)
+        require("end", self.end, FINITE)
+        require("torque", self.torque, FINITE)
+        if not self.start < self.end:
+            raise ValueError(f"need start < end, got [{self.start}, {self.end}]")
 
 
 def estimate_com(roll: float, pitch: float, pendulum_length: float) -> tuple[float, float]:
@@ -181,9 +185,10 @@ def ankle_clamp(xi, foot_center, half_extents) -> tuple[float, float]:
     return x if x < hi_x else hi_x, y if y < hi_y else hi_y
 
 
-def _key(default, key: str, help: str):
-    """Config field read from scenario files as ``key``, described by ``help``."""
-    return field(default=default, metadata={"key": key, "help": help})
+def _key(default, key: str, help: str, rule: Rule):
+    """Config field read from scenario files as ``key``, described by ``help``,
+    valid when it keeps ``rule``."""
+    return field(default=default, metadata={"key": key, "help": help, "rule": rule})
 
 
 @dataclass
@@ -195,66 +200,71 @@ class ScenarioConfig:
     right-leg swing; a left-leg swing mirrors the lateral axis.  The
     planner takes them in that frame and adds the stance CoP itself.
 
-    Each field's metadata holds its scenario-file key and help text; the
-    CLI derives its key table from them, in field order.
+    Each field's metadata holds its scenario-file key, help text and
+    rule; ``validate`` checks each field against its rule, and the CLI
+    derives its key table from all three, in field order.
     """
 
     # pendulum
-    gravity: float = _key(9.81, "lipm.gravity", "m/s^2")
-    com_height: float = _key(0.88, "lipm.com_height", "m, pendulum height")
-    mass: float = _key(70.0, "lipm.mass", "kg")
-    com0: tuple[float, float] = _key((0.0, 0.0), "lipm.com0", "m, initial CoM")
-    vel0: tuple[float, float] = _key((0.0, 0.0), "lipm.vel0", "m/s, initial CoM velocity")
+    gravity: float = _key(9.81, "lipm.gravity", "m/s^2", POSITIVE)
+    com_height: float = _key(0.88, "lipm.com_height", "m, pendulum height", POSITIVE)
+    mass: float = _key(70.0, "lipm.mass", "kg", POSITIVE)
+    com0: tuple[float, float] = _key((0.0, 0.0), "lipm.com0", "m, initial CoM", FINITE)
+    vel0: tuple[float, float] = _key((0.0, 0.0), "lipm.vel0", "m/s, initial CoM velocity", FINITE)
     # leg geometry (m) and joint limits (deg)
-    l0: float = _key(0.06, "geometry.l0", "m, trunk centre to hip joint")
-    l1: float = _key(0.04, "geometry.l1", "m, hip joint lateral offset")
-    l2: float = _key(0.45, "geometry.l2", "m, thigh")
-    l3: float = _key(0.45, "geometry.l3", "m, shank")
-    stance_width: float | None = _key(None, "geometry.stance_width", "m, default 2*(l0+l1)")
-    hip_ab_limits_deg: tuple[float, float] = _key((-20.0, 20.0), "limits.hip_ab_deg", "deg, min,max")
+    l0: float = _key(0.06, "geometry.l0", "m, trunk centre to hip joint", POSITIVE)
+    l1: float = _key(0.04, "geometry.l1", "m, hip joint lateral offset", POSITIVE)
+    l2: float = _key(0.45, "geometry.l2", "m, thigh", POSITIVE)
+    l3: float = _key(0.45, "geometry.l3", "m, shank", POSITIVE)
+    stance_width: float | None = _key(
+        None, "geometry.stance_width", "m, default 2*(l0+l1)", UNSET_OR_POSITIVE)
+    hip_ab_limits_deg: tuple[float, float] = _key((-20.0, 20.0), "limits.hip_ab_deg", "deg, min,max", FINITE)
     hip_flex_limits_deg: tuple[float, float] = _key(
-        (-20.0, 100.0), "limits.hip_flex_deg", "deg, min,max")
-    knee_limits_deg: tuple[float, float] = _key((0.0, 120.0), "limits.knee_deg", "deg, min,max")
+        (-20.0, 100.0), "limits.hip_flex_deg", "deg, min,max", FINITE)
+    knee_limits_deg: tuple[float, float] = _key((0.0, 120.0), "limits.knee_deg", "deg, min,max", FINITE)
     # detector
-    ellipse_a: float = _key(0.05, "detector.ellipse_a", "m, forward semi-axis")
-    ellipse_b: float = _key(0.05, "detector.ellipse_b", "m, lateral semi-axis")
-    debounce_cycles: int = _key(2, "detector.debounce_cycles", "cycles outside before trigger")
-    capture_tolerance: float = _key(0.02, "detector.capture_tolerance", "m")
-    capture_hold: float = _key(0.2, "detector.capture_hold", "s")
+    ellipse_a: float = _key(0.05, "detector.ellipse_a", "m, forward semi-axis", POSITIVE)
+    ellipse_b: float = _key(0.05, "detector.ellipse_b", "m, lateral semi-axis", POSITIVE)
+    debounce_cycles: int = _key(2, "detector.debounce_cycles", "cycles outside before trigger", POSITIVE_INT)
+    capture_tolerance: float = _key(0.02, "detector.capture_tolerance", "m", POSITIVE)
+    capture_hold: float = _key(0.2, "detector.capture_hold", "s", NONNEGATIVE)
     # post-landing DCM offset from the CoP that chains a new step
-    chain_offset: float = _key(0.04, "detector.chain_offset", "m, chains a new step")
+    chain_offset: float = _key(0.04, "detector.chain_offset", "m, chains a new step", POSITIVE)
     # planner (right-swing convention, stance-foot-relative CoP numbers)
-    t_nom: float = _key(0.5, "planner.t_nom", "s, preferred step duration")
-    t_min: float = _key(0.25, "planner.t_min", "s")
-    t_max: float = _key(1.2, "planner.t_max", "s")
+    t_nom: float = _key(0.5, "planner.t_nom", "s, preferred step duration", POSITIVE)
+    t_min: float = _key(0.25, "planner.t_min", "s", POSITIVE)
+    t_max: float = _key(1.2, "planner.t_max", "s", POSITIVE)
     # alpha3 multiplies squared deviations of sigma = exp(omega*T), which
     # is an order of magnitude larger than the metre-scale terms, so its
     # default is correspondingly small.
-    weights: tuple[float, float, float] = _key((1.0, 5.0, 0.02), "planner.weights", "alpha1,alpha2,alpha3")
-    cop_nom: tuple[float, float] = _key((0.0, -0.2), "planner.cop_nom", "m, rel. stance foot, right-swing")
-    gamma_nom: tuple[float, float] = _key((0.0, 0.0), "planner.gamma_nom", "m, landing DCM offset")
-    cop_min: tuple[float, float] = _key((-0.15, -0.30), "planner.cop_min", "m, rel. stance foot")
-    cop_max: tuple[float, float] = _key((0.30, -0.04), "planner.cop_max", "m, rel. stance foot")
+    weights: tuple[float, float, float] = _key(
+        (1.0, 5.0, 0.02), "planner.weights", "alpha1,alpha2,alpha3", POSITIVE)
+    cop_nom: tuple[float, float] = _key(
+        (0.0, -0.2), "planner.cop_nom", "m, rel. stance foot, right-swing", FINITE)
+    gamma_nom: tuple[float, float] = _key((0.0, 0.0), "planner.gamma_nom", "m, landing DCM offset", FINITE)
+    cop_min: tuple[float, float] = _key((-0.15, -0.30), "planner.cop_min", "m, rel. stance foot", FINITE)
+    cop_max: tuple[float, float] = _key((0.30, -0.04), "planner.cop_max", "m, rel. stance foot", FINITE)
     # swing profile
-    peak_height: float = _key(0.07, "swing.peak_height", "m, apex height")
-    peak_fraction: float = _key(0.4, "swing.peak_fraction", "fraction of duration")
+    peak_height: float = _key(0.07, "swing.peak_height", "m, apex height", POSITIVE)
+    peak_fraction: float = _key(0.4, "swing.peak_fraction", "fraction of duration", PEAK_FRACTION)
     # control
     stiffness_deg: tuple[float, float, float] = _key(
-        (1.5, 0.4, 0.4), "control.stiffness_deg", "N*m/deg per joint")
-    damping: tuple[float, float, float] = _key((0.0, 0.0, 0.0), "control.damping", "N*m*s/rad per joint")
-    torque_kp: float = _key(1.0, "control.torque_kp", "inner torque-loop gain")
-    mode: str = _key("assist", "control.mode", "assist | zero_torque")
+        (1.5, 0.4, 0.4), "control.stiffness_deg", "N*m/deg per joint", NONNEGATIVE)
+    damping: tuple[float, float, float] = _key(
+        (0.0, 0.0, 0.0), "control.damping", "N*m*s/rad per joint", NONNEGATIVE)
+    torque_kp: float = _key(1.0, "control.torque_kp", "inner torque-loop gain", NONNEGATIVE)
+    mode: str = _key("assist", "control.mode", "control law", MODE)
     # joint plant
-    inertia: float = _key(0.05, "plant.inertia", "kg*m^2 per joint")
-    viscous_damping: float = _key(0.5, "plant.viscous_damping", "N*m*s/rad")
+    inertia: float = _key(0.05, "plant.inertia", "kg*m^2 per joint", POSITIVE)
+    viscous_damping: float = _key(0.5, "plant.viscous_damping", "N*m*s/rad", NONNEGATIVE)
     # foot geometry
-    foot_half_x: float = _key(0.10, "foot.half_x", "m, support half-length")
-    foot_half_y: float = _key(0.06, "foot.half_y", "m, support half-width")
+    foot_half_x: float = _key(0.10, "foot.half_x", "m, support half-length", POSITIVE)
+    foot_half_y: float = _key(0.06, "foot.half_y", "m, support half-width", POSITIVE)
     # run control
-    dt: float = _key(0.001, "sim.dt", "s, control period")
-    duration: float = _key(3.0, "sim.duration", "s")
-    seed: int = _key(0, "sim.seed", "noise RNG seed")
-    attitude_noise_deg: float = _key(0.0, "sim.attitude_noise_deg", "deg, white noise std")
+    dt: float = _key(0.001, "sim.dt", "s, control period", DT)
+    duration: float = _key(3.0, "sim.duration", "s", POSITIVE)
+    seed: int = _key(0, "sim.seed", "noise RNG seed", NONNEGATIVE_INT)
+    attitude_noise_deg: float = _key(0.0, "sim.attitude_noise_deg", "deg, white noise std", NONNEGATIVE)
     pushes: tuple[PushEvent, ...] = ()
     human_pulses: tuple[HumanPulse, ...] = ()
 
@@ -302,93 +312,62 @@ class ScenarioConfig:
         """:meth:`validate`, naming ``pushes[i]`` and ``human_pulses[i]`` by
         ``push_ids[i]`` and ``pulse_ids[i]`` (a scenario file's record numbers)."""
         bad: list[str] = []
+        broke = set()  # fields that break their own rule, left out of the checks across fields
+        for name, rule, size in _RULES:
+            value = getattr(self, name)
+            if (len(value) if isinstance(value, (tuple, list)) else None) == size:
+                why = broken(value, rule)
+            else:
+                shape = f"have {size} components" if size else "be a single value"
+                why = f"must {shape}, got {value!r}"
+            if why is not None:
+                bad.append(f"{name} {why}")
+                broke.add(name)
 
-        def check(cond: bool, msg: str, *fields: str) -> None:
-            # A field reported non-finite is not tested again: a NaN fails
-            # every sign, range and order test, and would be reported twice.
-            if not cond and nonfinite.isdisjoint(fields):
-                bad.append(msg)
+        def ok(*names: str) -> bool:
+            return broke.isdisjoint(names)
 
-        nonfinite = set()
-        for name, value in vars(self).items():  # every number, tuple and list elements included
-            for v in value if isinstance(value, (tuple, list)) else (value,):
-                if isinstance(v, float) and not math.isfinite(v):
-                    bad.append(f"{name} must be finite, got {value}")
-                    nonfinite.add(name)
-                    break
-        check(self.gravity > 0.0, f"gravity must be positive, got {self.gravity}", "gravity")
-        check(self.com_height > 0.0, f"com_height must be positive, got {self.com_height}",
-              "com_height")
-        check(self.mass > 0.0, f"mass must be positive, got {self.mass}", "mass")
-        for name in ("l0", "l1", "l2", "l3"):
-            check(getattr(self, name) > 0.0, f"{name} must be positive", name)
         for name in ("hip_ab_limits_deg", "hip_flex_limits_deg", "knee_limits_deg"):
-            lo, hi = getattr(self, name)
-            check(lo < hi, f"{name} must satisfy min < max, got ({lo}, {hi})", name)
-        if self.stance_width is not None:
-            check(self.stance_width > 0.0, "stance_width must be positive", "stance_width")
-        check(self.ellipse_a > 0.0, "ellipse_a must be positive", "ellipse_a")
-        check(self.ellipse_b > 0.0, "ellipse_b must be positive", "ellipse_b")
-        check(self.debounce_cycles >= 1, "debounce_cycles must be >= 1", "debounce_cycles")
-        check(self.capture_tolerance > 0.0, "capture_tolerance must be positive", "capture_tolerance")
-        check(self.capture_hold >= 0.0, "capture_hold must be >= 0", "capture_hold")
-        check(self.chain_offset > 0.0, "chain_offset must be positive", "chain_offset")
-        check(0.0 < self.t_min <= self.t_max, f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]",
-              "t_min", "t_max")
-        check(self.t_nom > 0.0, "t_nom must be positive", "t_nom")
-        if 0.0 < self.gravity < math.inf and 0.0 < self.com_height < math.inf:
+            if ok(name):
+                lo, hi = getattr(self, name)
+                if not lo < hi:
+                    bad.append(f"{name} must satisfy min < max, got ({lo}, {hi})")
+        if ok("t_min", "t_max") and not self.t_min <= self.t_max:
+            bad.append(f"need t_min <= t_max, got [{self.t_min}, {self.t_max}]")
+        if ok("gravity", "com_height"):
             # The planner takes exp(omega * T) of these step times.
             longest = math.log(sys.float_info.max) / natural_frequency(self.gravity, self.com_height)
             for name in ("t_nom", "t_max"):
                 value = getattr(self, name)
-                check(not value > longest, f"{name} must be at most {longest:.6g} s, "
-                      f"past which exp(omega * {name}) overflows, got {value}", name)
-        check(all(w > 0.0 for w in self.weights), f"weights must be positive, got {self.weights}",
-              "weights")
-        check(all(lo <= hi for lo, hi in zip(self.cop_min, self.cop_max)),
-              f"cop_min {self.cop_min} must not exceed cop_max {self.cop_max}", "cop_min", "cop_max")
-        check(self.peak_height > 0.0, "peak_height must be positive", "peak_height")
-        check(0.0 < self.peak_fraction < 1.0, "peak_fraction must be in (0, 1)", "peak_fraction")
-        check(all(s >= 0.0 for s in self.stiffness_deg), "stiffness_deg must be >= 0", "stiffness_deg")
-        check(all(d >= 0.0 for d in self.damping), "damping must be >= 0", "damping")
-        check(self.torque_kp >= 0.0, "torque_kp must be >= 0", "torque_kp")
-        check(self.mode in ("assist", "zero_torque"), f"mode must be assist or zero_torque, got {self.mode!r}")
-        check(self.inertia > 0.0, "inertia must be positive", "inertia")
-        check(self.viscous_damping >= 0.0, "viscous_damping must be >= 0", "viscous_damping")
-        check(self.foot_half_x > 0.0, "foot_half_x must be positive", "foot_half_x")
-        check(self.foot_half_y > 0.0, "foot_half_y must be positive", "foot_half_y")
-        check(0.0 < self.dt <= 0.01, f"dt must be in (0, 0.01], got {self.dt}", "dt")
-        check(self.duration > 0.0, "duration must be positive", "duration")
+                if ok(name) and value > longest:
+                    bad.append(f"{name} must be at most {longest:.6g} s, "
+                               f"past which exp(omega * {name}) overflows, got {value}")
+        if ok("cop_min", "cop_max") and not all(lo <= hi for lo, hi in zip(self.cop_min, self.cop_max)):
+            bad.append(f"cop_min {self.cop_min} must not exceed cop_max {self.cop_max}")
         last = self.duration  # the last tick's time, once dt and duration are valid
-        if 0.0 < self.dt <= 0.01 and 0.0 < self.duration < math.inf:  # else reported above
+        if ok("dt", "duration"):
             last = (round(self.duration / self.dt) - 1) * self.dt
-            check(last >= 0.0,
-                  f"duration {self.duration} is shorter than one control cycle of {self.dt}")
-        check(self.seed >= 0, f"seed must be >= 0, got {self.seed}", "seed")
-        for name in ("debounce_cycles", "seed"):
-            value = getattr(self, name)
-            check(isinstance(value, Integral) and not isinstance(value, bool),
-                  f"{name} must be an integer, got {value}", name)
-        check(self.attitude_noise_deg >= 0.0, "attitude_noise_deg must be >= 0", "attitude_noise_deg")
+            if last < 0.0:
+                bad.append(f"duration {self.duration} is shorter than one control cycle of {self.dt}")
         # A push or pulse no tick reaches would be dropped silently; each is
         # tested as Plant.measure and Plant.step test it, on the ticks k * dt.
-        if "duration" in nonfinite:  # there is no last tick to test them against
+        if not ok("duration"):  # there is no last tick to test them against
             push_ids = pulse_ids = ()
         for i, p in zip(push_ids, self.pushes):
-            check(p.time <= last + 1e-12,
-                  f"push {i} at t={p.time} is after the last control tick at t={last:.9g}")
+            if not p.time <= last + 1e-12:
+                bad.append(f"push {i} at t={p.time} is after the last control tick at t={last:.9g}")
         for i, h in zip(pulse_ids, self.human_pulses):
             if not (h.start <= last):
                 bad.append(f"human pulse {i} starts at t={h.start}, "
                            f"after the last control tick at t={last:.9g}")
-            elif 0.0 < self.dt <= 0.01:
+            elif ok("dt"):
                 # The first tick at or after the start is one of these four.
                 k = max(math.ceil(h.start / self.dt) - 2, 0)
                 first = next((j * self.dt for j in range(k, k + 4) if j * self.dt >= h.start),
                              math.inf)
-                check(first < h.end,
-                      f"human pulse {i} window [{h.start}, {h.end}) holds no control tick "
-                      f"(the first at or after its start is at t={first:.9g})")
+                if not first < h.end:
+                    bad.append(f"human pulse {i} window [{h.start}, {h.end}) holds no control tick "
+                               f"(the first at or after its start is at t={first:.9g})")
         if bad:
             raise ConfigurationError("invalid scenario: " + "; ".join(bad))
         # Checked once everything above holds: the pose needs valid lengths and limits.
@@ -401,6 +380,12 @@ class ScenarioConfig:
         except JointLimitError as err:
             limits = ", ".join(joint + "_limits_deg" for joint in err.joints)
             raise ConfigurationError(f"{stand}: its pose violates {limits}: {err}") from None
+
+
+#: ``(field, rule, size)`` of each ScenarioConfig field, in field order; ``size``
+#: is the length of a tuple default, or None for a field that holds one value.
+_RULES = tuple((f.name, f.metadata["rule"], len(f.default) if isinstance(f.default, tuple) else None)
+               for f in fields(ScenarioConfig) if "rule" in f.metadata)
 
 
 @dataclass(frozen=True)

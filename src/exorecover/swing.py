@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .lipm import clip
+from .lipm import FINITE, POSITIVE, Rule, clip, require
 from .planner import StepPlan
 
 __all__ = [
@@ -43,6 +43,10 @@ __all__ = [
     "sample",
     "retarget",
 ]
+
+
+#: Where the apex may fall, as a share of the step duration.
+PEAK_FRACTION = Rule(lambda v: FINITE.test(v) and 0.0 < v < 1.0, "in (0, 1)")
 
 
 class QuinticSegment(NamedTuple):
@@ -102,10 +106,8 @@ def build_swing(start, plan: StepPlan, peak_height: float, peak_fraction: float)
     """Trajectory from a resting foot at ``start`` (an ``(x, y, z)`` point) to
     the plan's landing CoP."""
     land_x, land_y = _landing(plan)
-    if not (peak_height > 0.0):
-        raise ValueError(f"peak_height must be positive, got {peak_height}")
-    if not (0.0 < peak_fraction < 1.0):
-        raise ValueError(f"peak_fraction must be in (0, 1), got {peak_fraction}")
+    require("peak_height", peak_height, POSITIVE)
+    require("peak_fraction", peak_fraction, PEAK_FRACTION)
     start = [float(v) for v in start]
     if len(start) != 3 or not all(map(math.isfinite, start)):
         raise ValueError(f"start must be a finite 3-vector, got {start}")

@@ -297,6 +297,17 @@ def test_scenario_key_help_lists_the_whole_schema():
     for key in ("lipm.gravity", "planner.weights", "detector.debounce_cycles",
                 "control.mode", "sim.dt", "push.N.time", "human.N.joint"):
         assert key in help_text
+    # Each key's line ends with the words of its field's rule.
+    lines = help_text.splitlines()
+    for line in ("  lipm.gravity = 9.81  # m/s^2; positive",
+                 "  detector.debounce_cycles = 2  # cycles outside before trigger; an integer >= 1",
+                 "  control.mode = assist  # control law; assist or zero_torque",
+                 "  sim.dt = 0.001  # s, control period; in (0, 0.01]"):
+        assert line in lines
+    for f in dataclasses.fields(ScenarioConfig):
+        if "key" in f.metadata:
+            [line] = [x for x in lines if x.startswith(f"  {f.metadata['key']} = ")]
+            assert line.endswith(f"; {f.metadata['rule'].words}")
 
 
 # --------------------------------------------------------------------------
@@ -964,7 +975,7 @@ def test_grid_errors_name_the_file_and_line(tmp_path, capsys):
     zero = write_scenario(tmp_path, "1, 5, 0.02\n0, 1, 1\n", name="zero.txt")
     missing = tmp_path / "missing.txt"
     for path, fragment in ((grid, f"{grid}:4: expected 3 comma-separated numbers"),
-                           (zero, f"{zero}:2: weights must be 3 positive numbers, got (0.0, 1.0, 1.0)"),
+                           (zero, f"{zero}:2: weights must be positive, got (0.0, 1.0, 1.0)"),
                            (missing, f"{missing}: cannot read grid:")):
         rc = cli.main(["sweep-weights", "--scenario", str(scenario),
                        "--grid", str(path), "--out", str(tmp_path / "s")])

@@ -23,6 +23,7 @@ from exorecover import (
     run_scenario,
     summarize,
 )
+from exorecover import cli
 from exorecover.detector import TRANSITIONS
 from exorecover.simulation import Plant
 
@@ -109,8 +110,11 @@ def test_push_event_and_human_pulse_validation():
         HumanPulse(joint=0, start=0.2, end=0.2, torque=1.0)
     with pytest.raises(ValueError):
         HumanPulse(joint=0, start=-0.1, end=0.2, torque=1.0)
-    for start, end in ((0.0, math.inf), (math.inf, math.inf), (math.nan, 0.2), (0.1, math.nan)):
-        with pytest.raises(ValueError, match="start < end < inf"):
+    for start, end, message in ((0.0, math.inf, "end must be finite, got inf"),
+                                (math.inf, math.inf, "start must be finite, got inf"),
+                                (math.nan, 0.2, "start must be finite, got nan"),
+                                (0.1, math.nan, "end must be finite, got nan")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             HumanPulse(joint=0, start=start, end=end, torque=1.0)
     for joint in (1.0, True):
         with pytest.raises(ValueError, match=f"^joint must be 0, 1 or 2, got {joint}$"):
@@ -180,21 +184,21 @@ def test_config_validation_collects_every_error():
     with pytest.raises(ConfigurationError) as err:
         cfg.validate()
     msg = str(err.value)
-    for fragment in ("gravity", "mass", "dt", "torque_kp", "mode", "seed must be >= 0",
+    for fragment in ("gravity", "mass", "dt", "torque_kp", "mode", "seed must be an integer >= 0",
                      "push 0"):
         assert fragment in msg
 
     # Counts and the noise seed are integers: neither is rounded or left to fail mid-run.
     with pytest.raises(ConfigurationError) as err:
         ScenarioConfig(seed=1.5, attitude_noise_deg=0.1, debounce_cycles=2.5).validate()
-    assert str(err.value) == ("invalid scenario: debounce_cycles must be an integer, got 2.5; "
-                              "seed must be an integer, got 1.5")
+    assert str(err.value) == ("invalid scenario: debounce_cycles must be an integer >= 1, got 2.5; "
+                              "seed must be an integer >= 0, got 1.5")
     # A bool is an Integral, but format_config would write it as `true`,
     # which parse_scenario rejects.
     with pytest.raises(ConfigurationError) as err:
         ScenarioConfig(debounce_cycles=True, seed=False).validate()
-    assert str(err.value) == ("invalid scenario: debounce_cycles must be an integer, got True; "
-                              "seed must be an integer, got False")
+    assert str(err.value) == ("invalid scenario: debounce_cycles must be an integer >= 1, got True; "
+                              "seed must be an integer >= 0, got False")
 
     # The one-tick rule divides by dt, so it is skipped when dt is itself invalid.
     with pytest.raises(ConfigurationError) as err:
@@ -266,7 +270,7 @@ def test_a_non_finite_bound_is_reported_once(fields, message):
     ({"duration": math.nan, "pushes": (PushEvent(0.5, (1.0, 0.0)),),
       "human_pulses": (HumanPulse(0, 0.5, 0.6, 1.0),)}, "duration must be finite, got nan"),
     # The skip is per field: a finite field's checks still report.
-    ({"gravity": math.nan, "ellipse_b": -0.05}, "gravity must be finite, got nan; ellipse_b must be positive"),
+    ({"gravity": math.nan, "ellipse_b": -0.05}, "gravity must be finite, got nan; ellipse_b must be positive, got -0.05"),
 ])
 def test_a_non_finite_scalar_is_reported_once(fields, message):
     """A NaN fails every sign and range test, so without the skip the field
@@ -274,6 +278,125 @@ def test_a_non_finite_scalar_is_reported_once(fields, message):
     with pytest.raises(ConfigurationError) as err:
         ScenarioConfig(**fields).validate()
     assert str(err.value) == f"invalid scenario: {message}"
+
+
+#: Per ScenarioConfig field: a value its rule accepts, one it rejects, and
+#: the rejection's message.
+FIELD_RULES = [
+    ("gravity", 9.0, 0.0, "gravity must be positive, got 0.0"),
+    ("com_height", 0.85, -0.88, "com_height must be positive, got -0.88"),
+    ("mass", 80, True, "mass must be positive, got True"),
+    ("com0", (0.01, 0.0), (0.0, "x"), "com0 must be finite, got (0.0, 'x')"),
+    ("vel0", (0.1, -0.1), [math.nan, 0.0], "vel0 must be finite, got [nan, 0.0]"),
+    ("l0", 0.07, -0.06, "l0 must be positive, got -0.06"),
+    ("l1", 0.05, 0.0, "l1 must be positive, got 0.0"),
+    ("l2", 0.46, math.inf, "l2 must be finite, got inf"),
+    ("l3", 0.44, None, "l3 must be positive, got None"),
+    ("stance_width", 0.22, 0.0, "stance_width must be positive, got 0.0"),
+    ("hip_ab_limits_deg", (-25.0, 25.0), (None, 20.0), "hip_ab_limits_deg must be finite, got (None, 20.0)"),
+    ("hip_flex_limits_deg", (-10, 90), (False, 100.0), "hip_flex_limits_deg must be finite, got (False, 100.0)"),
+    ("knee_limits_deg", (0.0, 110.0), (0.0, -math.inf), "knee_limits_deg must be finite, got (0.0, -inf)"),
+    ("ellipse_a", 0.06, -0.05, "ellipse_a must be positive, got -0.05"),
+    ("ellipse_b", 0.04, 0.0, "ellipse_b must be positive, got 0.0"),
+    ("debounce_cycles", 3, 0, "debounce_cycles must be an integer >= 1, got 0"),
+    ("capture_tolerance", 0.03, 0.0, "capture_tolerance must be positive, got 0.0"),
+    ("capture_hold", 0.0, -0.2, "capture_hold must be >= 0, got -0.2"),
+    ("chain_offset", 0.05, "0.04", "chain_offset must be positive, got '0.04'"),
+    ("t_nom", 0.6, 0.0, "t_nom must be positive, got 0.0"),
+    ("t_min", 0.2, -0.25, "t_min must be positive, got -0.25"),
+    ("t_max", 1.0, 0.0, "t_max must be positive, got 0.0"),
+    ("weights", (2.0, 5.0, 0.02), (1.0, 0.0, 0.02), "weights must be positive, got (1.0, 0.0, 0.02)"),
+    ("cop_nom", (0.05, -0.2), (0.0, math.nan), "cop_nom must be finite, got (0.0, nan)"),
+    ("gamma_nom", (0.01, 0.0), (True, 0.0), "gamma_nom must be finite, got (True, 0.0)"),
+    ("cop_min", (-0.1, -0.3), (-math.inf, -0.3), "cop_min must be finite, got (-inf, -0.3)"),
+    ("cop_max", (0.25, -0.05), ("0.3", -0.04), "cop_max must be finite, got ('0.3', -0.04)"),
+    ("peak_height", 0.08, 0.0, "peak_height must be positive, got 0.0"),
+    ("peak_fraction", 0.5, 1.0, "peak_fraction must be in (0, 1), got 1.0"),
+    ("stiffness_deg", (1.0, 0.5, 0.5), (1.5, -0.4, 0.4), "stiffness_deg must be >= 0, got (1.5, -0.4, 0.4)"),
+    ("damping", (0.1, 0.1, 0.1), (0.0, 0.0, -0.1), "damping must be >= 0, got (0.0, 0.0, -0.1)"),
+    ("torque_kp", 0.0, -1.0, "torque_kp must be >= 0, got -1.0"),
+    ("mode", "zero_torque", "Assist", "mode must be assist or zero_torque, got 'Assist'"),
+    ("inertia", 0.06, 0.0, "inertia must be positive, got 0.0"),
+    ("viscous_damping", 0.0, -0.5, "viscous_damping must be >= 0, got -0.5"),
+    ("foot_half_x", 0.12, 0.0, "foot_half_x must be positive, got 0.0"),
+    ("foot_half_y", 0.05, -0.06, "foot_half_y must be positive, got -0.06"),
+    ("dt", 0.002, 0.02, "dt must be in (0, 0.01], got 0.02"),
+    ("duration", 2.0, 0.0, "duration must be positive, got 0.0"),
+    ("seed", 7, -1, "seed must be an integer >= 0, got -1"),
+    ("attitude_noise_deg", 0.1, -0.1, "attitude_noise_deg must be >= 0, got -0.1"),
+]
+
+
+def test_the_rule_table_lists_every_field_once_in_field_order():
+    assert [row[0] for row in FIELD_RULES] == [f.name for f in dataclasses.fields(ScenarioConfig)
+                                               if "key" in f.metadata]
+
+
+@pytest.mark.parametrize("name, accepted, rejected, message", FIELD_RULES,
+                         ids=[row[0] for row in FIELD_RULES])
+def test_each_field_keeps_its_rule(tmp_path, name, accepted, rejected, message):
+    """A value the rule accepts validates and its ``summary.txt`` text parses
+    back to an equal config; a value it rejects gets the rule's message alone."""
+    config = ScenarioConfig(**{name: accepted})
+    config.validate()
+    path = tmp_path / "config.txt"
+    path.write_text(cli.format_config(config))
+    assert cli.parse_scenario(path)[0] == config
+
+    with pytest.raises(ConfigurationError) as err:
+        ScenarioConfig(**{name: rejected}).validate()
+    assert str(err.value) == f"invalid scenario: {message}"
+
+
+def test_no_field_is_reported_twice():
+    """With every field broken at once, each is reported once, by its own
+    rule, in field order: no check across fields reads a broken field."""
+    with pytest.raises(ConfigurationError) as err:
+        ScenarioConfig(**{name: rejected for name, _, rejected, _ in FIELD_RULES}).validate()
+    assert str(err.value) == "invalid scenario: " + "; ".join(row[3] for row in FIELD_RULES)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"gravity": (9.81,)}, "gravity must be a single value, got (9.81,)"),
+    ({"mode": ["assist"]}, "mode must be a single value, got ['assist']"),
+    ({"cop_min": (-0.1,)}, "cop_min must have 2 components, got (-0.1,)"),
+    ({"knee_limits_deg": (0.0, 90.0, 120.0)}, "knee_limits_deg must have 2 components, got (0.0, 90.0, 120.0)"),
+    ({"weights": ()}, "weights must have 3 components, got ()"),
+])
+def test_a_field_holds_what_its_default_holds(fields, message):
+    """A rule tests each number of a value, so the count is checked apart:
+    a one-element tuple is not a number, nor a short pair a pair."""
+    with pytest.raises(ConfigurationError) as err:
+        ScenarioConfig(**fields).validate()
+    assert str(err.value) == f"invalid scenario: {message}"
+
+
+@pytest.mark.parametrize("name", [f.name for f in NUMERIC_FIELDS])
+def test_no_numeric_field_takes_a_bool(tmp_path, name):
+    """A bool passes ``isinstance(v, numbers.Real)``, but ``format_config``
+    would write it as ``true``, which the scenario parser rejects."""
+    default = getattr(ScenarioConfig(), name)
+    value = (True, *default[1:]) if isinstance(default, tuple) else True
+    words = next(f for f in NUMERIC_FIELDS if f.name == name).metadata["rule"].words
+    with pytest.raises(ConfigurationError) as err:
+        ScenarioConfig(**{name: value}).validate()
+    assert str(err.value) == f"invalid scenario: {name} must be {words}, got {value}"
+
+
+def test_records_check_their_fields_with_the_shared_rules():
+    """A non-finite push time or pulse bound is reported as such, not as out of range."""
+    for time in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^push time must be finite, got {time}$"):
+            PushEvent(time, (1.0, 0.0))
+    for time in (-0.1, True):
+        with pytest.raises(ValueError, match=f"^push time must be >= 0, got {time}$"):
+            PushEvent(time, (1.0, 0.0))
+    for fields, message in (({"torque": math.nan}, "torque must be finite, got nan"),
+                            ({"start": -0.1}, r"start must be >= 0, got -0\.1"),
+                            ({"end": 0.1}, r"need start < end, got \[0\.1, 0\.1\]"),
+                            ({"joint": 2.0}, r"joint must be 0, 1 or 2, got 2\.0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            HumanPulse(**{"joint": 0, "start": 0.1, "end": 0.2, "torque": 1.0, **fields})
 
 
 def test_config_helper_resolution():
