@@ -8,7 +8,7 @@ profiles tracked by per-joint impedance control, and closes the loop in
 a fixed-rate simulation with an ankle CoP strategy after touchdown.
 """
 
-from .detector import BalanceDetector, BalanceLost, RecoveryPhase, SwayEllipse, ellipse_excursion
+from .detector import BalanceDetector, BalanceLost, RecoveryPhase, SwayEllipse
 from .errors import (
     ConfigurationError,
     JointLimitError,
@@ -45,7 +45,6 @@ from .simulation import (
     ScenarioConfig,
     SimTrace,
     StepSummary,
-    ankle_clamp,
     estimate_com,
     run_scenario,
     summarize,

@@ -52,7 +52,7 @@ def as_floats(value, name: str) -> list[float]:
         if isinstance(flat, (tuple, list)) and all(type(v) in (float, int) for v in flat):
             return [float(v) for v in flat]  # the common case, a flat sequence
         return _flatten(flat)[0]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float's range
         raise ValueError(f"{name} must be a number or a regular array of numbers, "
                          f"got {value!r}") from None
 

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
-from .detector import BalanceDetector, RecoveryPhase, SwayEllipse
+from .detector import CAPTURED, LANDED, STANDING, STEPPING_PLANNED, SWING, BalanceDetector, SwayEllipse
 from .errors import ConfigurationError, PlannerInfeasibleError, WorkspaceError, JointLimitError
 from .impedance import (
     ControlMode,
@@ -65,7 +65,7 @@ from .impedance import (
 )
 from .kinematics import JointLimits, LegGeometry, Side, forward_kinematics, inverse_kinematics
 from .lipm import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, LipmParams, Rule,
-                   apply_impulse, as_vec2, broken, clip, natural_frequency, require, step_lipm)
+                   apply_impulse, as_vec2, broken, natural_frequency, require, step_lipm)
 from .planner import (
     NominalGait,
     PlannerInput,
@@ -90,7 +90,6 @@ __all__ = [
     "Controller",
     "Plant",
     "estimate_com",
-    "ankle_clamp",
     "run_scenario",
     "summarize",
 ]
@@ -98,8 +97,8 @@ __all__ = [
 #: Bounds of the attitude synthesis' ``asin`` argument.
 _ASIN_LO, _ASIN_HI = -1.0 + 1e-12, 1.0 - 1e-12
 
-#: The inclinometer's range in pitch and roll, rad: it saturates at +-this.
-_TILT_LIM = 0.5 * math.pi - 1e-9
+#: The inclinometer's range in pitch and roll, rad: it saturates at +-(pi/2 - 1e-9).
+_TILT_LO, _TILT_HI = -(0.5 * math.pi - 1e-9), 0.5 * math.pi - 1e-9
 
 #: Plans moving less than this (in landing point or landing time) do not
 #: resplice the swing trajectory or emit a Replanned event.
@@ -165,24 +164,10 @@ def estimate_com(roll: float, pitch: float, pendulum_length: float) -> tuple[flo
     return pendulum_length * math.sin(pitch), pendulum_length * math.sin(roll)
 
 
-def ankle_clamp(xi, foot_center, half_extents) -> tuple[float, float]:
-    """Componentwise clamp of the DCM into the foot support rectangle.
-
-    Each argument is an ``(x, y)`` pair; the result is a float pair equal
-    to ``np.clip(xi, foot_center - half_extents, foot_center + half_extents)``.
-    As the half extents shrink to zero this degenerates to the
-    point-foot CoP at ``foot_center``.  The half extents come from the
-    validated foot size and stance width and are not re-checked.
-    """
-    # Each component is clipped as `x if x > lo else lo`, then the same
-    # against `hi`, which is np.clip's result, signed zeros included:
-    # min(max(x, lo), hi) keeps -0.0 against a bound of 0.0 where np.clip
-    # returns the bound, and the two print differently.
-    (x, y), (cx, cy), (hx, hy) = xi, foot_center, half_extents
-    lo_x, hi_x, lo_y, hi_y = cx - hx, cx + hx, cy - hy, cy + hy
-    x = x if x > lo_x else lo_x
-    y = y if y > lo_y else lo_y
-    return x if x < hi_x else hi_x, y if y < hi_y else hi_y
+def _box(center: Vec2, half: Vec2) -> tuple[float, float, float, float]:
+    """``(lo_x, hi_x, lo_y, hi_y)``: ``np.clip``'s bounds ``center -+ half``."""
+    (cx, cy), (hx, hy) = center, half
+    return cx - hx, cx + hx, cy - hy, cy + hy
 
 
 def _key(default, key: str, help: str, rule: Rule):
@@ -323,6 +308,11 @@ class ScenarioConfig:
             if why is not None:
                 bad.append(f"{name} {why}")
                 broke.add(name)
+        for name, ids, record in (("pushes", push_ids, PushEvent), ("human_pulses", pulse_ids, HumanPulse)):
+            for i, value in zip(ids, getattr(self, name)):
+                if not isinstance(value, record):
+                    bad.append(f"{name}[{i}] must be a {record.__name__}, got {value!r}")
+                    broke.add(name)
 
         def ok(*names: str) -> bool:
             return broke.isdisjoint(names)
@@ -351,12 +341,11 @@ class ScenarioConfig:
                 bad.append(f"duration {self.duration} is shorter than one control cycle of {self.dt}")
         # A push or pulse no tick reaches would be dropped silently; each is
         # tested as Plant.measure and Plant.step test it, on the ticks k * dt.
-        if not ok("duration"):  # there is no last tick to test them against
-            push_ids = pulse_ids = ()
-        for i, p in zip(push_ids, self.pushes):
+        # Without a valid duration there is no last tick to test them against.
+        for i, p in zip(push_ids, self.pushes) if ok("duration", "pushes") else ():
             if not p.time <= last + 1e-12:
                 bad.append(f"push {i} at t={p.time} is after the last control tick at t={last:.9g}")
-        for i, h in zip(pulse_ids, self.human_pulses):
+        for i, h in zip(pulse_ids, self.human_pulses) if ok("duration", "human_pulses") else ():
             if not (h.start <= last):
                 bad.append(f"human pulse {i} starts at t={h.start}, "
                            f"after the last control tick at t={last:.9g}")
@@ -499,20 +488,19 @@ class Controller:
         self.limits = config.joint_limits()
         self.gains = ImpedanceGains.from_deg(config.stiffness_deg, config.damping)
         self.mode = ControlMode(config.mode)
-        self.foot_half = (config.foot_half_x, config.foot_half_y)
         self.geoms = {side: config.leg_geometry(side) for side in Side}
         # Each swing side's gait and bounds, about the stance CoP: a left
         # swing mirrors the right-swing numbers.
         gait, box = config.nominal_gait(), config.step_bounds()
         self.frames = {Side.RIGHT: (gait, box), Side.LEFT: (mirror_gait(gait), mirror_bounds(box))}
         width = config.resolved_stance_width()
-        # Feet, the CoP and the ankle clamp's box are (x, y) float pairs.
+        # Feet and the CoP are (x, y) float pairs.
         self.feet: dict[Side, Vec2] = {Side.LEFT: (0.0, 0.5 * width), Side.RIGHT: (0.0, -0.5 * width)}
         self.cop = (0.0, 0.0)
         self.support_center = (0.0, 0.0)  # clamp centre; the planted foot after a step
-        # Clamp half-widths: the double-support hull initially, one foot after
-        # touchdown.
-        self.support_half = (self.foot_half[0], 0.5 * width + self.foot_half[1])
+        # The ankle clamp's (lo_x, hi_x, lo_y, hi_y): the double-support hull
+        # initially, one foot after touchdown.
+        self.support_box = _box(self.support_center, (config.foot_half_x, 0.5 * width + config.foot_half_y))
         self.detector = BalanceDetector(
             SwayEllipse((0.0, 0.0), config.ellipse_a, config.ellipse_b),
             debounce_cycles=config.debounce_cycles,
@@ -533,55 +521,60 @@ class Controller:
         xi_hat = meas.xi
         phase = self.detector.phase
 
-        if phase is RecoveryPhase.STANDING:
-            # Ankle strategy between episodes: hold the DCM with the CoP
-            # wherever the support polygon allows.
-            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
-            trig = self.detector.update(xi_hat, t)
-            if trig is not None:
-                self.events.append(Event(t, "BalanceLost", {
-                    "xi": list(trig.xi), "excursion": trig.excursion,
-                }))
-                lift = self._begin_episode(t, meas)
+        if phase is STANDING or phase is CAPTURED or phase is LANDED:
+            # Ankle strategy: hold the DCM with the CoP wherever the support
+            # box allows.  Each component is clipped as `lo if lo >= x else x`,
+            # then the same against `hi`, which is np.clip's result: a tie
+            # gives the bound and a NaN stays NaN.  min(max(x, lo), hi) keeps
+            # -0.0 against a bound of 0.0 where np.clip returns the bound, and
+            # the two print differently.
+            (x, y), (lo_x, hi_x, lo_y, hi_y) = xi_hat, self.support_box
+            x = lo_x if lo_x >= x else x
+            y = lo_y if lo_y >= y else y
+            cop = self.cop = (hi_x if hi_x <= x else x, hi_y if hi_y <= y else y)
 
-        elif phase is RecoveryPhase.CAPTURED:
-            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
-            # Re-arm around the new stance point so a later push can
-            # trigger a fresh episode.
-            self.detector.ellipse = SwayEllipse(
-                self.cop, self.config.ellipse_a, self.config.ellipse_b
-            )
-            self.detector.advance(RecoveryPhase.STANDING, t)
+            if phase is STANDING:
+                trig = self.detector.update(xi_hat, t)
+                if trig is not None:
+                    self.events.append(Event(t, "BalanceLost", {
+                        "xi": list(trig.xi), "excursion": trig.excursion,
+                    }))
+                    lift = self._begin_episode(t, meas)
+
+            elif phase is CAPTURED:
+                # Re-arm around the new stance point so a later push can
+                # trigger a fresh episode.
+                self.detector.ellipse = SwayEllipse(cop, self.config.ellipse_a, self.config.ellipse_b)
+                self.detector.advance(STANDING, t)
+
+            else:  # LANDED
+                dx, dy = xi_hat[0] - cop[0], xi_hat[1] - cop[1]
+                offset = math.sqrt(dx * dx + dy * dy)
+                if self.detector.update_landing(offset, t):
+                    self.events.append(Event(t, "Captured", {
+                        "xi": list(xi_hat), "cop": list(cop), "offset": offset,
+                    }))
+                    self.episode = None
+                elif offset > self.config.chain_offset:
+                    # The new foot cannot hold the DCM: chain another step
+                    # with the trailing foot.
+                    trailing = Side.RIGHT if self.episode.swing is Side.LEFT else Side.LEFT
+                    self.detector.advance(STEPPING_PLANNED, t)
+                    lift = self._begin_episode(t, meas, forced_swing=trailing)
 
         elif self.episode is None:
             # After a StepAborted the phase stays in SteppingPlanned or Swing
             # with no step in flight, and nothing is done (ROADMAP item 8).
             pass
 
-        elif phase is RecoveryPhase.STEPPING_PLANNED:
-            self.detector.advance(RecoveryPhase.SWING, t)
+        elif phase is STEPPING_PLANNED:
+            self.detector.advance(SWING, t)
 
-        elif phase is RecoveryPhase.SWING:
+        else:  # SWING
             touchdown = self._swing(t, meas)
 
-        else:  # LANDED
-            self.cop = ankle_clamp(xi_hat, self.support_center, self.support_half)
-            dx, dy = xi_hat[0] - self.cop[0], xi_hat[1] - self.cop[1]
-            offset = math.sqrt(dx * dx + dy * dy)
-            if self.detector.update_landing(offset, t):
-                self.events.append(Event(t, "Captured", {
-                    "xi": list(xi_hat), "cop": list(self.cop), "offset": offset,
-                }))
-                self.episode = None
-            elif offset > self.config.chain_offset:
-                # The new foot cannot hold the DCM: chain another step
-                # with the trailing foot.
-                trailing = Side.RIGHT if self.episode.swing is Side.LEFT else Side.LEFT
-                self.detector.advance(RecoveryPhase.STEPPING_PLANNED, t)
-                lift = self._begin_episode(t, meas, forced_swing=trailing)
-
         # A step is in flight while an episode exists outside Landed.
-        if self.episode is None or self.detector.phase is RecoveryPhase.LANDED:
+        if self.episode is None or self.detector.phase is LANDED:
             return _new(Command, (self.cop, _REST, None, lift, touchdown))
         torque, swing = self._track(t, meas)
         return _new(Command, (self.cop, torque, swing, lift, touchdown))
@@ -664,7 +657,9 @@ class Controller:
                 return False
             if new_plan.status != "terminal":
                 (new_x, new_y), (old_x, old_y) = new_plan.cop_T, ep.plan.cop_T
-                moved = max(abs(new_x - old_x), abs(new_y - old_y))
+                # max(moved_x, moved_y) as clip compares: a tie keeps the first.
+                moved_x, moved_y = abs(new_x - old_x), abs(new_y - old_y)
+                moved = moved_y if moved_y > moved_x else moved_x
                 # Compared as absolute times: the shorter difference of the
                 # two landing times rounds differently.
                 shifted = abs(
@@ -687,7 +682,7 @@ class Controller:
         # Touchdown: where the plant reports the foot landed becomes the
         # stance, and the foot it left is where the swing started.
         landed = meas.foot
-        self.detector.advance(RecoveryPhase.LANDED, t)
+        self.detector.advance(LANDED, t)
         self.events.append(Event(t, "TouchDown", {
             "planned": list(ep.plan.cop_T),
             "initial_planned": list(ep.initial_plan.cop_T),
@@ -697,7 +692,7 @@ class Controller:
         }))
         self.feet[ep.swing] = landed
         self.cop = self.support_center = landed
-        self.support_half = self.foot_half
+        self.support_box = _box(landed, (self.config.foot_half_x, self.config.foot_half_y))
         self.foot_point = (*landed, 0.0)
         return True
 
@@ -738,6 +733,9 @@ class Plant:
         self.config = config
         self.events = events
         self.params = config.lipm_params()
+        # Read per tick, so held here once.
+        self.com_height, self.omega, self.dt = config.com_height, self.params.omega, config.dt
+        self.human_pulses = config.human_pulses
         self.joint_params = PlantParams(config.inertia, config.viscous_damping)
         self.com = as_vec2(config.com0, "com0")
         self.vel = as_vec2(config.vel0, "vel0")
@@ -764,9 +762,9 @@ class Plant:
             self.vel = apply_impulse(self.vel, push.impulse, self.params)
             self.events.append(Event(t, "PushApplied", {"impulse": list(push.impulse)}))
 
-        L = self.config.com_height
+        L = self.com_height
         (x, y), (ax, ay) = self.com, self.anchor
-        # Clipped as ankle_clamp clips, before the asin.
+        # Clipped into the asin's domain; a tie gives the bound, as in np.clip.
         sx, sy = (x - ax) / L, (y - ay) / L
         sx = sx if sx > _ASIN_LO else _ASIN_LO
         sy = sy if sy > _ASIN_LO else _ASIN_LO
@@ -774,10 +772,13 @@ class Plant:
         roll = math.asin(sy if sy < _ASIN_HI else _ASIN_HI)
         noise = self.noise
         if noise is not None:
-            noise_pitch, noise_roll = next(noise), next(noise)
-            # The inclinometer saturates at the edge of its range.
-            pitch = clip(pitch + noise_pitch, -_TILT_LIM, _TILT_LIM)
-            roll = clip(roll + noise_roll, -_TILT_LIM, _TILT_LIM)
+            pitch, roll = pitch + next(noise), roll + next(noise)
+            # The inclinometer saturates at the edge of its range, clipped as
+            # lipm.clip clips: a tie or a NaN keeps the reading.
+            pitch = _TILT_LO if _TILT_LO > pitch else pitch
+            roll = _TILT_LO if _TILT_LO > roll else roll
+            pitch = _TILT_HI if _TILT_HI < pitch else pitch
+            roll = _TILT_HI if _TILT_HI < roll else roll
         ex, ey = estimate_com(roll, pitch, L)
         com_x, com_y = ax + ex, ay + ey
 
@@ -788,7 +789,7 @@ class Plant:
             hip_x, hip_y = _hip_xy(geom, self.com)
             foot = self.foot = (hip_x + achieved[0], hip_y + achieved[1])
         vx, vy = self.vel
-        omega = self.params.omega
+        omega = self.omega
         xi_hat = (com_x + vx / omega, com_y + vy / omega)
         return _new(Measurement, ((com_x, com_y), xi_hat, self.q, self.qd, self.tau, foot))
 
@@ -799,12 +800,12 @@ class Plant:
         if command.touchdown:
             self.anchor = self.foot
         self.swing = command.swing
-        dt = self.config.dt
+        dt = self.dt
         self.com, self.vel = step_lipm(self.com, self.vel, command.cop, self.params, dt)
         human = _REST  # wearer torque per joint, summed only if a pulse is configured
-        if self.config.human_pulses:
+        if self.human_pulses:
             human = [0.0, 0.0, 0.0]
-            for pulse in self.config.human_pulses:
+            for pulse in self.human_pulses:
                 if pulse.start <= t < pulse.end:
                     human[pulse.joint] += pulse.torque
         (q0, q1, q2), torque = self.q, command.torque
@@ -837,20 +838,21 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     events: list[Event] = []
     plant = Plant(config, events, n_rows)
     controller = Controller(config, events, plant.q)
-    omega = plant.params.omega
+    omega, dt, detector = plant.omega, config.dt, controller.detector
+    measure, control, integrate = plant.measure, controller.step, plant.step
 
     import numpy as np  # for SimTrace's array fields
     log = np.empty((n_rows, 21))
     rows, pack = memoryview(log).cast("B"), _ROW.pack_into  # row k starts at byte 168 * k
     log_phase: list[str] = []
     for k in range(n_rows):
-        t = k * config.dt
-        command = controller.step(plant.measure(t), t)
+        t = k * dt
+        command = control(measure(t), t)
         (x, y), (vx, vy) = plant.com, plant.vel
         pack(rows, 168 * k, t, x, y, vx, vy, x + vx / omega, y + vy / omega, *command.cop,
              *controller.foot_point, *controller.q_des, *controller.q, *command.torque)
-        log_phase.append(controller.detector.phase._value_)  # skips the .value property
-        plant.step(command, t)
+        log_phase.append(detector.phase._value_)  # skips the .value property
+        integrate(command, t)
 
     columns = {name: log[:, col] for name, col in _LOG_COLUMNS.items()}
     return SimTrace(phase=log_phase, events=events, config=config, **columns)

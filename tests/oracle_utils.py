@@ -13,8 +13,8 @@ that the reference solver in :mod:`exorecover.qp` takes, and
 :func:`plan_kkt_residual` certifies a planner ``StepPlan``, whose
 multipliers it recovers from the plan's ``z`` alone.
 
-The pendulum closed forms, the planning cost and the DCM on which the
-nominal plan is optimal are plain float formulas, and :func:`evaluate`
+The pendulum closed forms, the planning cost, the DCM on which the
+nominal plan is optimal and the sway excursion are plain float formulas, and :func:`evaluate`
 is the numpy-scalar Horner form of a swing quintic; none checks its
 inputs.  The loop itself uses none of them.
 """
@@ -234,6 +234,15 @@ def planning_cost(inp: PlannerInput, cop_T, sigma: float, gamma_T) -> float:
     ex, ey = float(gamma_T[0]) - gx, float(gamma_T[1]) - gy
     sigma_nom = math.exp(inp.omega * inp.nominal.T_nom)
     return a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * (sigma - sigma_nom) ** 2
+
+
+def ellipse_excursion(xi, ellipse) -> float:
+    """Normalised squared excursion of the DCM ``xi`` from a ``SwayEllipse``,
+    ``((x - c_x) / a)**2 + ((y - c_y) / b)**2`` written as the detector writes
+    it: 1.0 on the boundary, > 1 outside."""
+    dx = (xi[0] - ellipse.center[0]) / ellipse.semi_axis_x
+    dy = (xi[1] - ellipse.center[1]) / ellipse.semi_axis_y
+    return float(dx * dx + dy * dy)
 
 
 def evaluate(seg, t: float):

@@ -11,9 +11,10 @@ from exorecover import (
     RecoveryPhase,
     ScenarioConfig,
     SwayEllipse,
-    ellipse_excursion,
 )
 from exorecover.detector import TRANSITIONS
+
+from oracle_utils import ellipse_excursion
 
 ELLIPSE = SwayEllipse(center=[0.0, 0.0], semi_axis_x=0.05, semi_axis_y=0.05)
 DEFAULT = ScenarioConfig()
@@ -25,13 +26,29 @@ def detector(debounce_cycles=DEFAULT.debounce_cycles, capture_tolerance=DEFAULT.
     return BalanceDetector(ELLIPSE, debounce_cycles, capture_tolerance, capture_hold)
 
 
-def test_excursion_values():
-    e = SwayEllipse(center=[0.1, -0.2], semi_axis_x=0.05, semi_axis_y=0.02)
-    assert ellipse_excursion([0.1, -0.2], e) == 0.0
-    assert ellipse_excursion([0.15, -0.2], e) == pytest.approx(1.0, abs=1e-14)
-    assert ellipse_excursion([0.1, -0.18], e) == pytest.approx(1.0, abs=1e-14)
-    assert ellipse_excursion([0.15, -0.18], e) == pytest.approx(2.0, abs=1e-14)
-    assert isinstance(ellipse_excursion(np.array([0.1, -0.2]), e), float)
+def test_update_decides_at_the_ellipse_boundary():
+    """On an off-centre ellipse with unequal semi-axes (exact binary
+    fractions, so q is exact), the centre and the ends of both axes (q ==
+    1) stay inside, the next float past an end is outside, and a trigger
+    reports the reference excursion as a Python float, numpy input
+    included; each sample is the first of a fresh one-cycle detector."""
+    e = SwayEllipse(center=[0.25, -0.5], semi_axis_x=0.125, semi_axis_y=0.0625)
+
+    def fires(xi):
+        trigger = BalanceDetector(e, 1, 0.02, 0.2).update(xi, 0.0)
+        if trigger is not None:
+            assert type(trigger.excursion) is float
+            assert trigger.excursion == ellipse_excursion(xi, e) > 1.0
+        return trigger
+
+    for inside in ([0.25, -0.5], [0.375, -0.5], [0.125, -0.5], [0.25, -0.4375], [0.25, -0.5625]):
+        assert ellipse_excursion(inside, e) <= 1.0
+        assert fires(inside) is None
+    assert ellipse_excursion([0.375, -0.5], e) == 1.0
+    for outside in ([math.nextafter(0.375, 1.0), -0.5], [0.25, math.nextafter(-0.5625, -1.0)],
+                    np.array([0.375, -0.4375])):
+        assert fires(outside) is not None
+    assert fires(np.array([0.375, -0.4375])).excursion == 2.0
 
 
 def test_boundary_point_does_not_trigger():

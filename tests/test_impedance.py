@@ -207,6 +207,7 @@ GAINS_REJECTED = [
     ([[1.0], 2.0, 3.0], 0.0, "stiffness must be a number or a regular array of numbers"),
     (range(3), 0.0, "stiffness must be a number or a regular array of numbers"),
     (1.0, [[0.0, 0.0], [0.0]], "damping must be a number or a regular array of numbers"),
+    ((10**400, 0.0, 0.0), 0.0, "stiffness must be a number or a regular array of numbers"),
 ]
 
 

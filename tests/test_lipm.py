@@ -219,6 +219,7 @@ VEC2_REJECTED = [
     ([[1.0, 2.0], [3.0]], "xi0 must be a number or a regular array of numbers"),
     ((1.0, [2.0]), "xi0 must be a number or a regular array of numbers"),
     (range(2), "xi0 must be a number or a regular array of numbers"),
+    ([10**400, 1], "xi0 must be a number or a regular array of numbers"),
 ]
 
 

@@ -424,6 +424,8 @@ def test_input_validation():
         NominalGait([0.0, 0.0], [0.0, 0.0], -0.5, (1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         NominalGait([0.0, 0.0], [0.0, 0.0], 0.5, (1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="^cop_T_nom must be a number or a regular array of numbers"):
+        NominalGait((10**400, 0.0), (0.0, 0.0), 0.5, (1.0, 1.0, 1.0))  # past float's range
     with pytest.raises(ValueError):
         PlannerInput([0.0, 0.0], [0.0, 0.0], 0.0, default_nominal(), default_bounds())
     with pytest.raises(ValueError):

@@ -18,14 +18,16 @@ from exorecover import (
     PushEvent,
     ScenarioConfig,
     SimTrace,
-    ankle_clamp,
+    SwayEllipse,
     estimate_com,
     run_scenario,
     summarize,
 )
 from exorecover import cli
 from exorecover.detector import TRANSITIONS
-from exorecover.simulation import Plant
+from exorecover.simulation import Controller, Measurement, Plant
+
+from oracle_utils import ellipse_excursion
 
 MASS = 70.0
 OMEGA = math.sqrt(9.81 / 0.88)  # default scenario pendulum frequency
@@ -120,34 +122,69 @@ def test_push_event_and_human_pulse_validation():
         with pytest.raises(ValueError, match=f"^joint must be 0, 1 or 2, got {joint}$"):
             HumanPulse(joint, 0, 0.02, 1.0)
 
+    # A config built in Python may hold something other than the records;
+    # validate names the field and the index rather than failing on an attribute.
+    pulse = HumanPulse(joint=1, start=0.1, end=0.2, torque=1.0)
+    with pytest.raises(ConfigurationError) as err:
+        ScenarioConfig(pushes=(PushEvent(0.2, (1.0, 0.0)), (0.5, (1.0, 0.0))),
+                       human_pulses=((1, 0.1, 0.2, 1.0), pulse)).validate()
+    assert str(err.value) == ("invalid scenario: pushes[1] must be a PushEvent, got (0.5, (1.0, 0.0)); "
+                              "human_pulses[0] must be a HumanPulse, got (1, 0.1, 0.2, 1.0)")
+    with pytest.raises(ConfigurationError, match=r"^invalid scenario: pushes\[0\] must be a PushEvent"):
+        ScenarioConfig(pushes=((0.5, (1.0, 0.0)),), human_pulses=(pulse,)).validate()
 
-def test_ankle_clamp_boxes_the_dcm():
+
+def ankle_clamp():
+    """``clamp(xi, center, half)``: the CoP a standing default controller
+    commands for the measured DCM ``xi`` over the support box ``center +-
+    half``.  Its sway ellipse is too wide for any finite DCM to leave, so
+    it stays standing, and only its ankle clamp sets the CoP."""
+    config = ScenarioConfig()
+    controller = Controller(config, [], config.standing_pose())
+    controller.detector.ellipse = SwayEllipse((0.0, 0.0), 1e300, 1e300)
+    rest = (0.0, 0.0, 0.0)
+
+    def clamp(xi, center, half):
+        (cx, cy), (hx, hy) = map(float, center), map(float, half)
+        controller.support_box = (cx - hx, cx + hx, cy - hy, cy + hy)
+        command = controller.step(Measurement((0.0, 0.0), tuple(xi), rest, rest, rest, None), 0.0)
+        assert controller.detector.phase.value == "Standing"
+        assert command.cop is controller.cop
+        return command.cop
+
+    return clamp
+
+
+def test_the_controllers_ankle_clamp_boxes_the_dcm():
+    clamp = ankle_clamp()
     center = np.array([0.3, -0.1])
     half = np.array([0.10, 0.06])
 
     inside = np.array([0.35, -0.08])
-    assert np.array_equal(ankle_clamp(inside, center, half), inside)
+    assert np.array_equal(clamp(inside, center, half), inside)
 
-    far = ankle_clamp(np.array([0.9, -0.5]), center, half)
+    far = clamp(np.array([0.9, -0.5]), center, half)
     assert np.array_equal(far, center + half * [1, -1])
 
-    one_axis = ankle_clamp(np.array([0.05, -0.1]), center, half)
+    one_axis = clamp(np.array([0.05, -0.1]), center, half)
     assert np.array_equal(one_axis, [center[0] - half[0], -0.1])
 
-    pinned = ankle_clamp(np.array([9.0, 9.0]), center, np.zeros(2))
+    pinned = clamp(np.array([9.0, 9.0]), center, np.zeros(2))
     assert np.array_equal(pinned, center)
 
 
-def test_ankle_clamp_is_np_clip_bit_for_bit():
-    """The float clamp returns np.clip's bits over random points, the box
-    edges and signed zeros, where ``min(max(x, lo), hi)`` would not."""
+def test_the_controllers_ankle_clamp_is_np_clip_bit_for_bit():
+    """The controller's clamp returns np.clip's bits over random points, the
+    box edges (a tie gives the bound), signed zeros, where ``min(max(x, lo),
+    hi)`` would not, and a NaN, which np.clip passes through."""
+    clamp = ankle_clamp()
 
     def reference(xi, center, half):
         center, half = np.array(center), np.array(half)
         return np.clip(np.array(xi), center - half, center + half)
 
     def check(xi, center, half):
-        out = ankle_clamp(xi, center, half)
+        out = clamp(xi, center, half)
         assert all(type(v) is float for v in out)
         assert np.array(out).tobytes() == reference(xi, center, half).tobytes(), (xi, center, half)
 
@@ -160,9 +197,11 @@ def test_ankle_clamp_is_np_clip_bit_for_bit():
         check(lo.tolist(), center, half)
         check(hi.tolist(), center, half)
     signed = (0.0, -0.0, 0.1, -0.1)
-    for x, y, cx, cy, hx in itertools.product(signed, repeat=5):
-        for hy in (0.0, -0.0, 0.1):
-            check([x, y], [cx, cy], [abs(hx), hy])
+    for x, y in itertools.product((*signed, math.nan), repeat=2):
+        for cx, cy, hx in itertools.product(signed, repeat=3):
+            for hy in (0.0, -0.0, 0.1):
+                check([x, y], [cx, cy], [abs(hx), hy])
+    assert repr(clamp([-0.0, math.nan], [0.0, 0.0], [0.0, 0.1])) == "(0.0, nan)"
 
 
 # --------------------------------------------------------------------------
@@ -517,6 +556,28 @@ def test_forward_push_recovers_in_one_step():
 
     assert summary.final_dcm_offset < 1e-8
     assert trace.phase[-1] == "Standing"
+
+
+def test_a_second_push_after_capture_trips_the_ellipse_about_the_new_stance():
+    """The Captured re-arm centres the sway ellipse on the CoP it captured
+    with: the DCM rests there, far outside the first ellipse, without a
+    trigger, and a second push's BalanceLost reports the excursion about
+    that point, which the reference formula gives bit for bit."""
+    config = ScenarioConfig(duration=1.6, pushes=(push_for_excursion(0.12, 0.0),
+                                                  push_for_excursion(0.08, 0.0, t=1.5)))
+    trace = run_scenario(config)
+    (captured,) = events_of(trace, "Captured")
+    first, second = events_of(trace, "BalanceLost")
+    assert first.time < captured.time < 1.5 < second.time
+    assert second.time == pytest.approx(1.501, abs=1e-12)  # the debounce's second sample
+
+    a, b = config.ellipse_a, config.ellipse_b
+    rearmed = SwayEllipse(tuple(captured.payload["cop"]), a, b)
+    xi = second.payload["xi"]
+    assert second.payload["excursion"] == ellipse_excursion(xi, rearmed)
+    assert second.payload["excursion"] == pytest.approx((0.08 / a) ** 2, rel=1e-9)
+    # About the first ellipse the captured DCM itself is far outside.
+    assert ellipse_excursion(captured.payload["xi"], SwayEllipse((0.0, 0.0), a, b)) > 40.0
 
 
 #: The runs whose phase sequences are checked against the table: the

@@ -46,3 +46,17 @@ def test_the_loop_cost_outside_the_wrappers_is_reported():
     groups, loop_us = load_tool().split_loop(configs, passes=2)
     assert math.isfinite(loop_us) and loop_us > 0.0
     assert set(groups) == {"Standing"} and groups["Standing"]["ticks"] == 300
+
+
+def test_the_unwrapped_run_is_timed_below_the_wrapped_split():
+    """``run_us``, the run's time per tick once the wrappers are gone, is
+    positive and below the wrapped controller, plant and loop times per
+    tick summed, since the wrappers' own cost is in those."""
+    configs = [ScenarioConfig(duration=1.0, attitude_noise_deg=0.2, seed=3)]
+    tool = load_tool()
+    groups, loop_us = tool.split_loop(configs, passes=3)
+    run_us = tool.unwrapped_us(configs, passes=3)
+    ticks = sum(group["ticks"] for group in groups.values())
+    wrapped = sum(group["ticks"] * (group["controller_us"] + group["plant_us"])
+                  for group in groups.values()) / ticks + loop_us
+    assert 0.0 < run_us < wrapped

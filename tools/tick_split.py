@@ -33,9 +33,13 @@ time per tick, the minimum over passes.  It includes each run's set-up
 (validation, plant and controller construction) and the part of the
 wrappers' own cost outside their timers, so it is an upper bound.
 
+Once the wrappers are removed, the worker times the same passes again and
+reports ``run_us``: the unwrapped ``run_scenario`` time per tick, the
+minimum over passes, so the end-to-end tick stands beside the split.
+
 The run ends by printing one JSON object, laid out for a ``BENCH_*.json``
 file: per tree, per group, the tick count and one mean and one slowest
-tick per round, and one ``loop_us`` per round.
+tick per round, and one ``loop_us`` and one ``run_us`` per round.
 """
 
 from __future__ import annotations
@@ -135,7 +139,22 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
     return dict(sorted(best.items())), loop_us
 
 
-def _worker(tree: Path, workload: str, seed: int, passes: int) -> tuple[dict, float]:
+def unwrapped_us(configs, passes: int) -> float:
+    """The unwrapped ``run_scenario`` time per tick over every config, with the
+    exorecover that is imported, the minimum over ``passes``."""
+    from exorecover import simulation
+
+    clock = time.perf_counter
+    best = float("inf")
+    for _ in range(passes):
+        ticks, start = 0, clock()
+        for config in configs:
+            ticks += len(simulation.run_scenario(config).t)
+        best = min(best, (clock() - start) / ticks * 1e6)
+    return best
+
+
+def _worker(tree: Path, workload: str, seed: int, passes: int) -> tuple[dict, float, float]:
     sys.path.insert(0, str(tree / "src"))
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
@@ -147,7 +166,8 @@ def _worker(tree: Path, workload: str, seed: int, passes: int) -> tuple[dict, fl
         if not commands:
             raise SystemExit(f"tick_split: workload {workload} runs no simulation")
         configs = [cli.load_scenario(c.scenario) for c in commands]
-    return split_loop(configs, passes)
+    groups, loop_us = split_loop(configs, passes)
+    return groups, loop_us, unwrapped_us(configs, passes)
 
 
 def main(argv=None) -> int:
@@ -166,15 +186,16 @@ def main(argv=None) -> int:
     trees = [tree.resolve() for tree in args.trees]
     if len({tree.name for tree in trees}) < len(trees):
         parser.error("the trees are reported by directory name, so the names must differ")
-    result = {tree.name: {"groups": {}, "loop_us": []} for tree in trees}
+    result = {tree.name: {"groups": {}, "loop_us": [], "run_us": []} for tree in trees}
     for r in range(args.rounds):
         for tree in trees if r % 2 == 0 else trees[::-1]:
             out = subprocess.run(
                 [sys.executable, __file__, str(tree), "--worker", "--workload", args.workload,
                  "--seed", str(args.seed), "--passes", str(args.passes)],
                 check=True, capture_output=True, text=True).stdout
-            groups, loop_us = json.loads(out.splitlines()[-1])
+            groups, loop_us, run_us = json.loads(out.splitlines()[-1])
             result[tree.name]["loop_us"].append(round(loop_us, 2))
+            result[tree.name]["run_us"].append(round(run_us, 2))
             for group, row in groups.items():
                 entry = result[tree.name]["groups"].setdefault(
                     group, {"ticks": row["ticks"], "controller_us": [], "plant_us": [],
@@ -187,7 +208,8 @@ def main(argv=None) -> int:
                   "Controller.step and Plant.step, ticks grouped by start phase, "
                   "post-abort ticks and trigger ticks apart; min over passes of the "
                   "mean per tick and of the slowest tick; "
-                  "loop_us is run_scenario time per tick minus the wrapped time",
+                  "loop_us is run_scenario time per tick minus the wrapped time; "
+                  "run_us is the unwrapped run_scenario time per tick, timed after",
         "workload": args.workload, "seed": args.seed, "passes": args.passes,
         "rounds": args.rounds, "trees": result,
     }, indent=1))
