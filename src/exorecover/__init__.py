@@ -35,6 +35,7 @@ from .planner import (
     constraint_names,
     mirror_bounds,
     mirror_gait,
+    plan_from,
     plan_step,
     replan,
 )
@@ -49,6 +50,6 @@ from .simulation import (
     run_scenario,
     summarize,
 )
-from .swing import SwingTrajectory, build_swing, retarget, sample
+from .swing import SwingTrajectory, build_swing, retarget, sample, sample_position
 
 __version__ = "0.1.0"

@@ -15,9 +15,11 @@ Commanded torques pass through a proportional inner loop on measured
 torque, ``command = tau_d + kp * (tau_d - tau_m)``, except at the hip
 ab/adduction joint which has no torque sensing and is driven open loop.
 
-The plant is a single rigid joint, ``inertia * acc = tau_applied +
-tau_human - viscous * vel``, integrated with fixed-step RK4; its state
-is the plain pair ``(angle, velocity)``.
+The plant is a rigid joint per leg joint, ``inertia * acc = tau_applied +
+tau_human - viscous * vel``, integrated with fixed-step RK4;
+``joint_plant_step`` steps the leg's three joints in one call, each in
+the scalar RK4's operation order, and its state is the plain triples of
+angles and velocities.
 
 Gains and plant parameters are checked when built; the gains are kept
 as float triples.  The per-tick functions take the loop's plain floats
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 
 from .lipm import NONNEGATIVE, POSITIVE, as_floats, require
 
@@ -86,6 +89,11 @@ class ControlMode(Enum):
     ASSIST = "assist"
 
 
+#: Read by ``impedance_torque`` on every tick: a member read off the class
+#: goes through ``EnumType.__getattr__`` on Python 3.11.
+_ZERO_TORQUE = ControlMode.ZERO_TORQUE
+
+
 @dataclass(frozen=True)
 class PlantParams:
     """One joint's plant; ``ScenarioConfig`` holds the default values."""
@@ -107,7 +115,7 @@ def impedance_torque(
 ) -> tuple[float, float, float]:
     """Desired actuator torques for all three joints,
     ``stiffness * (desired - measured) - damping * velocity`` per joint."""
-    if mode is ControlMode.ZERO_TORQUE:
+    if mode is _ZERO_TORQUE:
         return 0.0, 0.0, 0.0
     (d1, d2, d3), (m1, m2, m3), (v1, v2, v3) = desired_angles, measured_angles, measured_velocities
     (k1, k2, k3), (b1, b2, b3) = gains.stiffness, gains.damping
@@ -124,35 +132,53 @@ def command_torques(tau_desired, tau_measured, kp: float) -> tuple[float, float,
     return d1, d2 + kp * (d2 - m2), d3 + kp * (d3 - m3)
 
 
-def joint_plant_step(
-    angle: float,
-    velocity: float,
-    applied_torque: float,
-    human_torque: float,
-    plant: PlantParams,
-    dt: float,
-) -> tuple[float, float]:
-    """One RK4 step of ``inertia * acc = tau_a + tau_h - viscous * vel``.
+def joint_plant_step(q, qd, applied_torque, human_torque, plant: PlantParams,
+                     dt: float) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """One RK4 step of ``inertia * acc = tau_a + tau_h - viscous * vel`` for
+    each of the leg's three joints.
 
-    Returns the new ``(angle, velocity)``; a non-finite torque raises ValueError.
+    ``q``, ``qd``, the applied torques and the wearer's torques are float
+    triples; returns the new ``(q, qd)`` triples.  A non-finite torque
+    raises ValueError.
     """
-    if not (math.isfinite(applied_torque) and math.isfinite(human_torque)):
+    (a0, a1, a2), (h0, h1, h2) = applied_torque, human_torque
+    if not (isfinite(a0) and isfinite(a1) and isfinite(a2)
+            and isfinite(h0) and isfinite(h1) and isfinite(h2)):
         raise ValueError(f"torques must be finite, got {applied_torque} and {human_torque}")
-    tau = applied_torque + human_torque
     inv_i = 1.0 / plant.inertia
     b = plant.viscous_damping
+    # v + 0.5 * dt * a is v + (0.5 * dt) * a: the half step is taken once.
+    half, sixth = 0.5 * dt, dt / 6.0
+    (q0, q1, q2), (v0, v1, v2) = q, qd
 
     # acc(vel) = (tau - b * vel) / inertia, written out at each stage.
-    q, v = angle, velocity
-    a1 = (tau - b * v) * inv_i
-    v2 = v + 0.5 * dt * a1
-    a2 = (tau - b * v2) * inv_i
-    v3 = v + 0.5 * dt * a2
-    a3 = (tau - b * v3) * inv_i
-    v4 = v + dt * a3
-    a4 = (tau - b * v4) * inv_i
-    sixth = dt / 6.0
-    return (
-        q + sixth * (v + 2.0 * (v2 + v3) + v4),
-        v + sixth * (a1 + 2.0 * (a2 + a3) + a4),
-    )
+    tau = a0 + h0
+    k1 = (tau - b * v0) * inv_i
+    u2 = v0 + half * k1
+    k2 = (tau - b * u2) * inv_i
+    u3 = v0 + half * k2
+    k3 = (tau - b * u3) * inv_i
+    u4 = v0 + dt * k3
+    k4 = (tau - b * u4) * inv_i
+    q0, v0 = q0 + sixth * (v0 + 2.0 * (u2 + u3) + u4), v0 + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+
+    tau = a1 + h1
+    k1 = (tau - b * v1) * inv_i
+    u2 = v1 + half * k1
+    k2 = (tau - b * u2) * inv_i
+    u3 = v1 + half * k2
+    k3 = (tau - b * u3) * inv_i
+    u4 = v1 + dt * k3
+    k4 = (tau - b * u4) * inv_i
+    q1, v1 = q1 + sixth * (v1 + 2.0 * (u2 + u3) + u4), v1 + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+
+    tau = a2 + h2
+    k1 = (tau - b * v2) * inv_i
+    u2 = v2 + half * k1
+    k2 = (tau - b * u2) * inv_i
+    u3 = v2 + half * k2
+    k3 = (tau - b * u3) * inv_i
+    u4 = v2 + dt * k3
+    k4 = (tau - b * u4) * inv_i
+    q2, v2 = q2 + sixth * (v2 + 2.0 * (u2 + u3) + u4), v2 + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    return (q0, q1, q2), (v0, v1, v2)

@@ -41,7 +41,7 @@ workspace check and raises :class:`WorkspaceError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import JointLimitError, WorkspaceError
@@ -64,6 +64,11 @@ class Side(Enum):
     RIGHT = "right"
 
 
+#: The sides under module names, for the per-tick code: on Python 3.11 a
+#: member read off the class goes through ``EnumType.__getattr__``.
+LEFT, RIGHT = Side
+
+
 @dataclass(frozen=True)
 class LegGeometry:
     """Link lengths in metres; ``l0`` is carried for trunk placement only.
@@ -75,10 +80,12 @@ class LegGeometry:
     l2: float  # thigh
     l3: float  # shank
     side: Side
+    right: bool = field(init=False, repr=False)  # side is RIGHT, read on every tick
 
     def __post_init__(self):
         for name in ("l0", "l1", "l2", "l3"):
             require(name, getattr(self, name), POSITIVE)
+        object.__setattr__(self, "right", self.side is RIGHT)
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,7 @@ def forward_kinematics(q, geom: LegGeometry) -> tuple[float, float, float]:
     ``fk_right(q) == mirror_y(fk_left(q))`` for every angle triple.
     """
     t1, t2, t3 = q
-    mirror = -1.0 if geom.side is Side.RIGHT else 1.0
+    mirror = -1.0 if geom.right else 1.0
 
     # Shank endpoint in the thigh frame: positive knee flexion folds the
     # shank backward (negative x).
@@ -152,7 +159,7 @@ def inverse_kinematics(p, geom: LegGeometry, limits: JointLimits | None) -> tupl
     violates ``limits`` (``None`` skips the check).
     """
     x, y, z = map(float, p)
-    y_c = -y if geom.side is Side.RIGHT else y
+    y_c = -y if geom.right else y
     checked = _workspace_check(x, y_c, z, geom)
     if isinstance(checked, str):
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):

@@ -54,6 +54,7 @@ __all__ = [
     "PlannerInput",
     "StepPlan",
     "plan_step",
+    "plan_from",
     "replan",
     "constraint_names",
     "mirror_gait",
@@ -283,22 +284,31 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
     )
 
 
-def plan_step(inp: PlannerInput) -> StepPlan:
-    """Solve the step-adaptation program at trigger time; ValueError if the plan overflows."""
+def plan_from(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds) -> StepPlan:
+    """Solve the step-adaptation program at trigger time; ValueError if the plan overflows.
+
+    The controller's entry point: the DCM ``xi0`` and stance CoP ``cop0``
+    are float pairs, taken as they are, and ``omega``, ``nominal`` and
+    ``bounds`` are already checked, as for :func:`replan`.
+    """
     # A state near the float range (xi0 = 1e300, 0, say) gives an infinite
     # objective or gamma_T, and a step time for which exp(omega * T), or the
     # cost's square of sigma, leaves the range raises OverflowError; neither
     # is an optimal plan.
     try:
-        plan = _solve(inp.xi0, inp.cop0, inp.omega, inp.nominal, inp.bounds,
-                      inp.bounds.T_min, inp.bounds.T_max, planned_at=0.0)
+        plan = _solve(xi0, cop0, omega, nominal, bounds, bounds.T_min, bounds.T_max, planned_at=0.0)
     except OverflowError:
         numbers = (math.inf,)
     else:
         numbers = (*plan.cop_T, *plan.gamma_T, plan.sigma, plan.duration, plan.objective)
     if not all(map(math.isfinite, numbers)):
-        raise ValueError(f"the plan from xi0={inp.xi0}, cop0={inp.cop0} is not finite")
+        raise ValueError(f"the plan from xi0={xi0}, cop0={cop0} is not finite")
     return plan
+
+
+def plan_step(inp: PlannerInput) -> StepPlan:
+    """:func:`plan_from` on the checked values of ``inp``."""
+    return plan_from(inp.xi0, inp.cop0, inp.omega, inp.nominal, inp.bounds)
 
 
 def replan(current: StepPlan, xi0, cop0, omega: float, nominal: NominalGait,

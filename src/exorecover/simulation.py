@@ -63,20 +63,20 @@ from .impedance import (
     impedance_torque,
     joint_plant_step,
 )
-from .kinematics import JointLimits, LegGeometry, Side, forward_kinematics, inverse_kinematics
+from .kinematics import (LEFT, RIGHT, JointLimits, LegGeometry, Side, forward_kinematics,
+                         inverse_kinematics)
 from .lipm import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, LipmParams, Rule,
                    apply_impulse, as_vec2, broken, natural_frequency, require, step_lipm)
 from .planner import (
     NominalGait,
-    PlannerInput,
     StepBounds,
     StepPlan,
     mirror_bounds,
     mirror_gait,
-    plan_step,
+    plan_from,
     replan,
 )
-from .swing import PEAK_FRACTION, SwingTrajectory, build_swing, retarget, sample
+from .swing import PEAK_FRACTION, SwingTrajectory, build_swing, retarget, sample_position
 
 __all__ = [
     "PushEvent",
@@ -123,6 +123,8 @@ DT = Rule(lambda v: FINITE.test(v) and 0.0 < v <= 0.01, "in (0, 0.01]")
 MODE = Rule(("assist", "zero_torque").__contains__, "assist or zero_torque")
 UNSET_OR_POSITIVE = Rule(lambda v: v is None or POSITIVE.test(v), "positive")
 JOINT = Rule(lambda v: NONNEGATIVE_INT.test(v) and v <= 2, "0, 1 or 2")
+#: What ``pushes`` and ``human_pulses`` are; each record is then checked apart.
+RECORDS = Rule(lambda v: isinstance(v, (tuple, list)), "a tuple or list")
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,7 @@ class ScenarioConfig:
         """Joint angles of the planted right leg on its stance point under the
         CoM at ``com0``; raises WorkspaceError or JointLimitError."""
         planted = (0.0, -0.5 * self.resolved_stance_width(), 0.0)
-        geom = self.leg_geometry(Side.RIGHT)
+        geom = self.leg_geometry(RIGHT)
         return inverse_kinematics(_leg_target(self, geom, planted, as_vec2(self.com0, "com0")),
                                   geom, self.joint_limits())
 
@@ -291,11 +293,12 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Raise ConfigurationError listing every invalid field or, once every
         field is valid, naming the fields that keep the right leg from standing."""
-        self._validate(range(len(self.pushes)), range(len(self.human_pulses)))
+        self._validate(None, None)
 
     def _validate(self, push_ids, pulse_ids) -> None:
         """:meth:`validate`, naming ``pushes[i]`` and ``human_pulses[i]`` by
-        ``push_ids[i]`` and ``pulse_ids[i]`` (a scenario file's record numbers)."""
+        ``push_ids[i]`` and ``pulse_ids[i]`` (a scenario file's record numbers),
+        or by ``i`` where the ids are None."""
         bad: list[str] = []
         broke = set()  # fields that break their own rule, left out of the checks across fields
         for name, rule, size in _RULES:
@@ -308,8 +311,15 @@ class ScenarioConfig:
             if why is not None:
                 bad.append(f"{name} {why}")
                 broke.add(name)
-        for name, ids, record in (("pushes", push_ids, PushEvent), ("human_pulses", pulse_ids, HumanPulse)):
-            for i, value in zip(ids, getattr(self, name)):
+        ids = {}
+        for name, given, record in (("pushes", push_ids, PushEvent), ("human_pulses", pulse_ids, HumanPulse)):
+            records = getattr(self, name)
+            if not RECORDS.test(records):
+                bad.append(f"{name} must be {RECORDS.words} of {record.__name__} records, got {records!r}")
+                broke.add(name)
+                continue
+            ids[name] = range(len(records)) if given is None else given
+            for i, value in zip(ids[name], records):
                 if not isinstance(value, record):
                     bad.append(f"{name}[{i}] must be a {record.__name__}, got {value!r}")
                     broke.add(name)
@@ -342,10 +352,10 @@ class ScenarioConfig:
         # A push or pulse no tick reaches would be dropped silently; each is
         # tested as Plant.measure and Plant.step test it, on the ticks k * dt.
         # Without a valid duration there is no last tick to test them against.
-        for i, p in zip(push_ids, self.pushes) if ok("duration", "pushes") else ():
+        for i, p in zip(ids["pushes"], self.pushes) if ok("duration", "pushes") else ():
             if not p.time <= last + 1e-12:
                 bad.append(f"push {i} at t={p.time} is after the last control tick at t={last:.9g}")
-        for i, h in zip(pulse_ids, self.human_pulses) if ok("duration", "human_pulses") else ():
+        for i, h in zip(ids["human_pulses"], self.human_pulses) if ok("duration", "human_pulses") else ():
             if not (h.start <= last):
                 bad.append(f"human pulse {i} starts at t={h.start}, "
                            f"after the last control tick at t={last:.9g}")
@@ -428,13 +438,16 @@ class StepSummary:
 
 
 class _Episode:
-    """What one recovery step decided; the stance foot (``Controller.cop``), the
-    swing start (``Controller.feet[swing]``) and the side's gait and bounds
-    (``Controller.frames[swing]``) stay the controller's."""
+    """What one recovery step decided, and the swing leg's geometry, gait and
+    bounds, held for the in-flight ticks; the stance foot (``Controller.cop``)
+    and the swing start (``Controller.feet[swing]``) stay the controller's."""
 
-    def __init__(self, trigger_time: float, swing: Side, plan: StepPlan, traj: SwingTrajectory):
+    def __init__(self, trigger_time: float, swing: Side, geom: LegGeometry, nominal: NominalGait,
+                 bounds: StepBounds, plan: StepPlan, traj: SwingTrajectory):
         self.trigger_time = trigger_time
         self.swing = swing
+        self.geom = geom
+        self.nominal, self.bounds = nominal, bounds
         self.plan = plan
         self.initial_plan = plan
         self.traj = traj
@@ -442,7 +455,7 @@ class _Episode:
 
 
 def _hip_xy(geom: LegGeometry, com) -> tuple[float, float]:
-    lateral = geom.l0 if geom.side is Side.LEFT else -geom.l0
+    lateral = -geom.l0 if geom.right else geom.l0
     return com[0], com[1] + lateral
 
 
@@ -468,7 +481,7 @@ class Command(NamedTuple):
 
     cop: Vec2  # m
     torque: Vec3  # N*m, actuator torques on the tracked leg
-    swing: Side | None  # leg in flight; the plant reports its foot next tick
+    swing: LegGeometry | None  # leg in flight; the plant reports its foot next tick
     lift: Vec3 | None  # rad, pose of the swing leg lifted off now, at rest
     touchdown: bool  # the swinging foot landed now
 
@@ -492,10 +505,10 @@ class Controller:
         # Each swing side's gait and bounds, about the stance CoP: a left
         # swing mirrors the right-swing numbers.
         gait, box = config.nominal_gait(), config.step_bounds()
-        self.frames = {Side.RIGHT: (gait, box), Side.LEFT: (mirror_gait(gait), mirror_bounds(box))}
+        self.frames = {RIGHT: (gait, box), LEFT: (mirror_gait(gait), mirror_bounds(box))}
         width = config.resolved_stance_width()
         # Feet and the CoP are (x, y) float pairs.
-        self.feet: dict[Side, Vec2] = {Side.LEFT: (0.0, 0.5 * width), Side.RIGHT: (0.0, -0.5 * width)}
+        self.feet: dict[Side, Vec2] = {LEFT: (0.0, 0.5 * width), RIGHT: (0.0, -0.5 * width)}
         self.cop = (0.0, 0.0)
         self.support_center = (0.0, 0.0)  # clamp centre; the planted foot after a step
         # The ankle clamp's (lo_x, hi_x, lo_y, hi_y): the double-support hull
@@ -512,7 +525,7 @@ class Controller:
         # tracked leg is the planted right one, held where it stands.
         self.q, self.qd, self.tau = q_hold, _REST, _REST
         self.q_des = q_hold
-        self.foot_point = (*self.feet[Side.RIGHT], 0.0)  # commanded swing-foot point
+        self.foot_point = (*self.feet[RIGHT], 0.0)  # commanded swing-foot point
 
     def step(self, meas: Measurement, t: float) -> Command:
         """Advance the phase machine and return this tick's CoP and torques."""
@@ -558,7 +571,7 @@ class Controller:
                 elif offset > self.config.chain_offset:
                     # The new foot cannot hold the DCM: chain another step
                     # with the trailing foot.
-                    trailing = Side.RIGHT if self.episode.swing is Side.LEFT else Side.LEFT
+                    trailing = RIGHT if self.episode.swing is LEFT else LEFT
                     self.detector.advance(STEPPING_PLANNED, t)
                     lift = self._begin_episode(t, meas, forced_swing=trailing)
 
@@ -597,16 +610,16 @@ class Controller:
             # is free to swing.  Judge the side from the support centre,
             # not the regulated CoP, which tracks the DCM while standing.
             lateral = meas.xi[1] - self.support_center[1]
-            swing = Side.LEFT if lateral < -1e-12 else Side.RIGHT
-        stance_xy = self.feet[Side.RIGHT if swing is Side.LEFT else Side.LEFT]
+            swing = LEFT if lateral < -1e-12 else RIGHT
+        stance_xy = self.feet[RIGHT if swing is LEFT else LEFT]
         nominal, bounds = self.frames[swing]
 
         # Weight shifts onto the stance leg: the CoP the pendulum sees
-        # during the swing is the stance ankle point.
+        # during the swing is the stance ankle point.  The planner takes the
+        # measured DCM and the stance point as float pairs, as replan does.
         self.cop = stance_xy
         try:
-            plan = plan_step(PlannerInput(xi0=meas.xi, cop0=stance_xy, omega=self.omega,
-                                          nominal=nominal, bounds=bounds))
+            plan = plan_from(meas.xi, stance_xy, self.omega, nominal, bounds)
         except PlannerInfeasibleError as err:
             self._abort(t, f"plan_step infeasible: {', '.join(err.violated) or err}")
             return None
@@ -637,20 +650,19 @@ class Controller:
             "objective": plan.objective,
             "swing_start": list(swing_start[:2]),
         }))
-        self.episode = _Episode(t, swing, plan, traj)
+        self.episode = _Episode(t, swing, geom, nominal, bounds, plan, traj)
         return self.q
 
     def _swing(self, t: float, meas: Measurement) -> bool:
         """Replan the step in flight; returns whether the foot touched down.
 
         The planner gets the measured DCM and the CoP (the stance point) as
-        float pairs, against the side's gait and bounds built at start, so
-        no ``PlannerInput`` is built; a terminal plan is not re-solved."""
+        float pairs, against the side's gait and bounds held on the episode,
+        so no ``PlannerInput`` is built; a terminal plan is not re-solved."""
         ep = self.episode
         if ep.plan.status != "terminal":
-            nominal, bounds = self.frames[ep.swing]
             try:
-                new_plan = replan(ep.plan, meas.xi, self.cop, self.omega, nominal, bounds,
+                new_plan = replan(ep.plan, meas.xi, self.cop, self.omega, ep.nominal, ep.bounds,
                                   t - ep.trigger_time)
             except PlannerInfeasibleError as err:
                 self._abort(t, f"replan infeasible: {', '.join(err.violated) or err}")
@@ -696,20 +708,20 @@ class Controller:
         self.foot_point = (*landed, 0.0)
         return True
 
-    def _track(self, t: float, meas: Measurement) -> tuple[Vec3, Side | None]:
+    def _track(self, t: float, meas: Measurement) -> tuple[Vec3, LegGeometry | None]:
         """Torques tracking the swing trajectory of the step in flight, and its leg."""
         ep = self.episode
-        self.foot_point, _, _ = sample(ep.traj, t - ep.traj_t0)
-        geom = self.geoms[ep.swing]
+        foot = self.foot_point = sample_position(ep.traj, t - ep.traj_t0)
+        geom = ep.geom
         try:
             self.q_des = inverse_kinematics(
-                _leg_target(self.config, geom, self.foot_point, meas.com), geom, self.limits
+                _leg_target(self.config, geom, foot, meas.com), geom, self.limits
             )
         except (WorkspaceError, JointLimitError) as err:
             self._abort(t, f"swing target unreachable: {err}")
             return _REST, None
         tau_des = impedance_torque(self.q_des, self.q, self.qd, self.gains, self.mode)
-        return command_torques(tau_des, self.tau, self.config.torque_kp), ep.swing
+        return command_torques(tau_des, self.tau, self.config.torque_kp), geom
 
 
 class Plant:
@@ -747,9 +759,8 @@ class Plant:
             self.noise = iter(memoryview(np.random.default_rng(config.seed).normal(
                 0.0, noise_std, (n_ticks, 2)).ravel()))
         self.anchor = (0.0, 0.0)  # attitude reference: the stance point
-        self.swing: Side | None = None  # leg in flight, whose foot is reported
+        self.swing: LegGeometry | None = None  # leg in flight, whose foot is reported
         self.foot: tuple[float, float] | None = None  # where that foot was last measured
-        self.geoms = {side: config.leg_geometry(side) for side in Side}
         # Before any step the tracked leg is the right one, planted at its
         # stance point.
         self.q = config.standing_pose()
@@ -783,8 +794,8 @@ class Plant:
         com_x, com_y = ax + ex, ay + ey
 
         foot = None
-        if self.swing is not None:
-            geom = self.geoms[self.swing]
+        geom = self.swing
+        if geom is not None:
             achieved = forward_kinematics(self.q, geom)
             hip_x, hip_y = _hip_xy(geom, self.com)
             foot = self.foot = (hip_x + achieved[0], hip_y + achieved[1])
@@ -808,19 +819,16 @@ class Plant:
             for pulse in self.human_pulses:
                 if pulse.start <= t < pulse.end:
                     human[pulse.joint] += pulse.torque
-        (q0, q1, q2), torque = self.q, command.torque
+        torque = command.torque
         # Rest rule: RK4 on positive zero rate, torque and wearer torque
         # returns (q + 0.0, 0.0) per joint, bit for bit, so a leg at rest
         # under the controller's idle torque is not integrated.
         if torque is _REST and self.qd is _REST and (human is _REST or human == [0.0, 0.0, 0.0]):
+            q0, q1, q2 = self.q
             self.q, self.tau = (q0 + 0.0, q1 + 0.0, q2 + 0.0), torque
             return
-        (qd0, qd1, qd2), (tau0, tau1, tau2) = self.qd, torque
-        joint = self.joint_params
-        q0, qd0 = joint_plant_step(q0, qd0, tau0, human[0], joint, dt)
-        q1, qd1 = joint_plant_step(q1, qd1, tau1, human[1], joint, dt)
-        q2, qd2 = joint_plant_step(q2, qd2, tau2, human[2], joint, dt)
-        self.q, self.qd, self.tau = (q0, q1, q2), (qd0, qd1, qd2), torque
+        self.q, self.qd = joint_plant_step(self.q, self.qd, torque, human, self.joint_params, dt)
+        self.tau = torque
 
 
 #: Columns of ``run_scenario``'s per-tick log, one ``SimTrace`` field each.

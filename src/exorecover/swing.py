@@ -18,8 +18,10 @@ point and the plan's landing CoP (the simulator uses the world frame and
 converts to leg coordinates only when solving IK).
 
 Everything here is Python floats: a segment's coefficients are a float
-6-tuple, and :func:`sample` returns ``(position, velocity,
-acceleration)`` as three ``(x, y, z)`` float triples.  Inputs are
+6-tuple, :func:`sample` returns ``(position, velocity,
+acceleration)`` as three ``(x, y, z)`` float triples, and
+:func:`sample_position`, which the loop tracks every tick, returns the
+position alone.  Inputs are
 checked once, where they enter: :func:`build_swing` and
 :func:`retarget` check their arguments and build each
 :class:`QuinticSegment` from the floats they computed.  Each Horner sum
@@ -41,6 +43,7 @@ __all__ = [
     "SwingTrajectory",
     "build_swing",
     "sample",
+    "sample_position",
     "retarget",
 ]
 
@@ -126,34 +129,55 @@ def build_swing(start, plan: StepPlan, peak_height: float, peak_fraction: float)
     )
 
 
+def sample_position(traj: SwingTrajectory, t: float) -> tuple[float, float, float]:
+    """The foot point ``(x, y, z)`` at local time ``t`` clamped to [0,
+    duration]: ``sample(traj, t)[0]``, without the velocity and acceleration.
+
+    It runs on every in-flight tick, so the clamp (``clip``'s, a tie or
+    a NaN keeping ``t``) and each axis' Horner sum are written out in place."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    T = traj.duration
+    t = 0.0 if 0.0 > t else t
+    t = T if T < t else t
+    pieces = traj.z_profile
+    z = pieces[0] if len(pieces) == 2 and t < pieces[0].t_end else pieces[-1]
+    x, y = traj.x_profile, traj.y_profile
+    s = t - x.t_start
+    c0, c1, c2, c3, c4, c5 = x.coefficients
+    px = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+    s = t - y.t_start
+    c0, c1, c2, c3, c4, c5 = y.coefficients
+    py = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+    s = t - z.t_start
+    c0, c1, c2, c3, c4, c5 = z.coefficients
+    return px, py, c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+
+
 def sample(traj: SwingTrajectory, t: float) -> tuple[tuple[float, float, float], ...]:
     """``(position, velocity, acceleration)``, each an ``(x, y, z)`` float
     triple, at local time ``t`` clamped to [0, duration].
 
-    Each axis' segment is evaluated by Horner sums written out in place:
-    this runs on every swing tick."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    The position is :func:`sample_position`'s; the derivatives are Horner
+    sums over the same segments."""
+    position = sample_position(traj, t)
     t_eval = clip(t, 0.0, traj.duration)
     pieces = traj.z_profile
     z = pieces[0] if len(pieces) == 2 and t_eval < pieces[0].t_end else pieces[-1]
     x, y = traj.x_profile, traj.y_profile
     s = t_eval - x.t_start
-    c0, c1, c2, c3, c4, c5 = x.coefficients
-    px = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+    _, c1, c2, c3, c4, c5 = x.coefficients
     vx = c1 + s * (2 * c2 + s * (3 * c3 + s * (4 * c4 + s * 5 * c5)))
     ax = 2 * c2 + s * (6 * c3 + s * (12 * c4 + s * 20 * c5))
     s = t_eval - y.t_start
-    c0, c1, c2, c3, c4, c5 = y.coefficients
-    py = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+    _, c1, c2, c3, c4, c5 = y.coefficients
     vy = c1 + s * (2 * c2 + s * (3 * c3 + s * (4 * c4 + s * 5 * c5)))
     ay = 2 * c2 + s * (6 * c3 + s * (12 * c4 + s * 20 * c5))
     s = t_eval - z.t_start
-    c0, c1, c2, c3, c4, c5 = z.coefficients
-    pz = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+    _, c1, c2, c3, c4, c5 = z.coefficients
     vz = c1 + s * (2 * c2 + s * (3 * c3 + s * (4 * c4 + s * 5 * c5)))
     az = 2 * c2 + s * (6 * c3 + s * (12 * c4 + s * 20 * c5))
-    return (px, py, pz), (vx, vy, vz), (ax, ay, az)
+    return position, (vx, vy, vz), (ax, ay, az)
 
 
 def retarget(traj: SwingTrajectory, t_now: float, new_plan: StepPlan) -> SwingTrajectory:

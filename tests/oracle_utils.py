@@ -14,7 +14,8 @@ that the reference solver in :mod:`exorecover.qp` takes, and
 multipliers it recovers from the plan's ``z`` alone.
 
 The pendulum closed forms, the planning cost, the DCM on which the
-nominal plan is optimal and the sway excursion are plain float formulas, and :func:`evaluate`
+nominal plan is optimal and the sway excursion are plain float formulas,
+:func:`joint_rk4` is one joint's scalar RK4 step, and :func:`evaluate`
 is the numpy-scalar Horner form of a swing quintic; none checks its
 inputs.  The loop itself uses none of them.
 """
@@ -254,3 +255,25 @@ def evaluate(seg, t: float):
     vel = c[1] + s * (2 * c[2] + s * (3 * c[3] + s * (4 * c[4] + s * 5 * c[5])))
     acc = 2 * c[2] + s * (6 * c[3] + s * (12 * c[4] + s * 20 * c[5]))
     return pos, vel, acc
+
+
+def joint_rk4(angle: float, velocity: float, applied_torque: float, human_torque: float,
+              plant, dt: float) -> tuple[float, float]:
+    """One joint's RK4 step of ``inertia * acc = tau_a + tau_h - viscous * vel``,
+    the scalar form of ``impedance.joint_plant_step``: ``(angle, velocity)``."""
+    tau = applied_torque + human_torque
+    inv_i = 1.0 / plant.inertia
+    b = plant.viscous_damping
+    q, v = angle, velocity
+    a1 = (tau - b * v) * inv_i
+    v2 = v + 0.5 * dt * a1
+    a2 = (tau - b * v2) * inv_i
+    v3 = v + 0.5 * dt * a2
+    a3 = (tau - b * v3) * inv_i
+    v4 = v + dt * a3
+    a4 = (tau - b * v4) * inv_i
+    sixth = dt / 6.0
+    return (
+        q + sixth * (v + 2.0 * (v2 + v3) + v4),
+        v + sixth * (a1 + 2.0 * (a2 + a3) + a4),
+    )

@@ -1,9 +1,10 @@
-"""Impedance law, inner torque loop and the single-joint plant."""
+"""Impedance law, inner torque loop and the leg's joint plants."""
 
 import math
 
 import numpy as np
 import pytest
+from oracle_utils import joint_rk4
 
 from exorecover import (
     ControlMode,
@@ -20,6 +21,7 @@ DEFAULT = ScenarioConfig()
 GAINS = ImpedanceGains.from_deg(DEFAULT.stiffness_deg, DEFAULT.damping)
 #: The default wearer's joint plant.
 PLANT = PlantParams(DEFAULT.inertia, DEFAULT.viscous_damping)
+ZERO3 = (0.0, 0.0, 0.0)
 
 
 def test_one_degree_error_gives_exact_per_degree_torque():
@@ -85,71 +87,106 @@ def test_command_torques_bypass_hip_ab_sensor():
 
 
 def test_plant_constant_torque_matches_closed_form():
-    """inertia*acc = tau - b*vel has v(t) = (tau/b)(1 - exp(-b t / I))."""
+    """inertia*acc = tau - b*vel has v(t) = (tau/b)(1 - exp(-b t / I)), per joint."""
     plant = PlantParams(inertia=0.05, viscous_damping=0.5)
-    q, v = 0.0, 0.0
-    tau = 0.8
+    q, v = ZERO3, ZERO3
+    taus = (0.8, -0.3, 0.0)
     for _ in range(1000):
-        q, v = joint_plant_step(q, v, tau, 0.0, plant, 0.001)
+        q, v = joint_plant_step(q, v, taus, ZERO3, plant, 0.001)
     t = 1.0
-    v_ref = (tau / 0.5) * (1.0 - math.exp(-0.5 * t / 0.05))
-    q_ref = (tau / 0.5) * (t + (0.05 / 0.5) * (math.exp(-0.5 * t / 0.05) - 1.0))
-    assert v == pytest.approx(v_ref, abs=1e-9)
-    assert q == pytest.approx(q_ref, abs=1e-9)
+    for tau, q_j, v_j in zip(taus, q, v):
+        v_ref = (tau / 0.5) * (1.0 - math.exp(-0.5 * t / 0.05))
+        q_ref = (tau / 0.5) * (t + (0.05 / 0.5) * (math.exp(-0.5 * t / 0.05) - 1.0))
+        assert v_j == pytest.approx(v_ref, abs=1e-9)
+        assert q_j == pytest.approx(q_ref, abs=1e-9)
 
 
 def test_plant_human_torque_adds_to_actuator():
     plant = PLANT
-    s1 = s2 = (0.0, 0.0)
+    s1 = s2 = (ZERO3, ZERO3)
     for _ in range(100):
-        s1 = joint_plant_step(*s1, 0.3, 0.2, plant, 0.001)
-        s2 = joint_plant_step(*s2, 0.5, 0.0, plant, 0.001)
+        s1 = joint_plant_step(*s1, (0.3, -0.1, 0.0), (0.2, 0.6, -0.4), plant, 0.001)
+        s2 = joint_plant_step(*s2, (0.5, 0.5, -0.4), ZERO3, plant, 0.001)
     assert s1[0] == pytest.approx(s2[0], abs=1e-15)
     assert s1[1] == pytest.approx(s2[1], abs=1e-15)
 
 
 def test_plant_undamped_free_motion_is_linear():
     plant = PlantParams(inertia=0.1, viscous_damping=0.0)
-    q, v = 0.2, 0.5
+    q, v = (0.2, -0.1, 0.0), (0.5, 0.0, -0.25)
     for _ in range(200):
-        q, v = joint_plant_step(q, v, 0.0, 0.0, plant, 0.005)
-    assert q == pytest.approx(0.2 + 0.5 * 1.0, abs=1e-12)
-    assert v == pytest.approx(0.5, abs=1e-12)
+        q, v = joint_plant_step(q, v, ZERO3, ZERO3, plant, 0.005)
+    assert q == pytest.approx((0.7, -0.1, -0.25), abs=1e-12)
+    assert v == pytest.approx((0.5, 0.0, -0.25), abs=1e-12)
 
 
 @pytest.mark.parametrize("q", [-0.0, 0.0, 5e-324, -0.3, 1.2])
 def test_plant_at_rest_returns_the_angle_plus_zero(q):
     """On positive zero rate and torques RK4 returns ``(q + 0.0, 0.0)`` bit
-    for bit (``-0.0`` turns into ``0.0``): the rest rule of
+    for bit per joint (``-0.0`` turns into ``0.0``): the rest rule of
     ``simulation.Plant.step`` relies on it."""
+    angles = (q, -q, q)
     for plant in (PLANT, PlantParams(inertia=0.1, viscous_damping=0.0)):
         for dt in (0.001, 0.01):
-            got = joint_plant_step(q, 0.0, 0.0, 0.0, plant, dt)
-            assert np.array(got).tobytes() == np.array([q + 0.0, 0.0]).tobytes()
+            got = joint_plant_step(angles, ZERO3, ZERO3, ZERO3, plant, dt)
+            assert repr(got) == repr((tuple(a + 0.0 for a in angles), ZERO3))
 
 
 def test_closed_loop_spring_settles_on_target():
     """Impedance assist drives the plant to the desired angle."""
     plant = PlantParams(inertia=0.05, viscous_damping=0.5)
-    desired = np.array([0.1, 0.3, -0.2])
-    q, v, tau_m = np.zeros(3), np.zeros(3), np.zeros(3)
+    desired = (0.1, 0.3, -0.2)
+    q, v, tau_m = ZERO3, ZERO3, ZERO3
     for _ in range(4000):
         tau_d = impedance_torque(desired, q, v, GAINS, ControlMode.ASSIST)
         tau_c = command_torques(tau_d, tau_m, kp=1.0)
-        for i in range(3):
-            q[i], v[i] = joint_plant_step(q[i], v[i], float(tau_c[i]), 0.0, plant, 0.001)
+        q, v = joint_plant_step(q, v, tau_c, ZERO3, plant, 0.001)
         tau_m = tau_c
-    assert np.abs(q - desired).max() < 1e-3
+    assert np.abs(np.subtract(q, desired)).max() < 1e-3
 
 
 def test_plant_step_validation():
     plant = PLANT
     with pytest.raises(ValueError):
-        joint_plant_step(0.0, 0.0, math.nan, 0.0, plant, 0.001)
+        joint_plant_step(ZERO3, ZERO3, (math.nan, 0.0, 0.0), ZERO3, plant, 0.001)
     with pytest.raises(ValueError):
         PlantParams(inertia=0.0, viscous_damping=0.5)
     with pytest.raises(ValueError):
         PlantParams(inertia=0.05, viscous_damping=-1.0)
+
+
+def _signed(rng, scale: float, n: int) -> tuple[float, ...]:
+    """``n`` normal floats of ``scale``, about a third of them a signed zero."""
+    values = rng.normal(0.0, scale, n).tolist()
+    return tuple(float(rng.choice((0.0, -0.0))) if rng.uniform() < 0.3 else v for v in values)
+
+
+def test_the_leg_step_is_the_scalar_rk4_per_joint_bit_for_bit():
+    """Each joint of ``joint_plant_step`` equals one scalar RK4 step of that
+    joint (``oracle_utils.joint_rk4``) bit for bit, signed zeros included,
+    over seeded states, torques, wearer torques, plants and steps."""
+    rng = np.random.default_rng(2901)
+    for _ in range(3000):
+        q, qd = _signed(rng, 0.8, 3), _signed(rng, 3.0, 3)
+        tau, human = _signed(rng, 5.0, 3), _signed(rng, 2.0, 3)
+        plant = PlantParams(inertia=float(rng.uniform(0.01, 0.2)),
+                            viscous_damping=float(rng.choice((0.0, rng.uniform(0.0, 2.0)))))
+        dt = float(rng.choice((0.001, 0.002, 0.01, rng.uniform(1e-4, 0.01))))
+        got_q, got_qd = joint_plant_step(q, qd, tau, human, plant, dt)
+        want = [joint_rk4(*state, plant, dt) for state in zip(q, qd, tau, human)]
+        assert all(type(v) is float for v in got_q + got_qd)
+        assert repr((got_q, got_qd)) == repr((tuple(w[0] for w in want), tuple(w[1] for w in want)))
+
+
+@pytest.mark.parametrize("slot", range(6))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_torque_in_any_of_the_six_inputs_raises(slot, bad):
+    """Any one of the three applied and three wearer torques that is not
+    finite raises the step's ValueError."""
+    torques = [0.5, -0.2, 0.1, 0.0, 1.0, -0.3]
+    torques[slot] = bad
+    with pytest.raises(ValueError, match="^torques must be finite, got "):
+        joint_plant_step((0.1, 0.2, 0.3), ZERO3, tuple(torques[:3]), tuple(torques[3:]), PLANT, 0.001)
 
 
 def test_float_triples_are_the_array_formulas_bit_for_bit():

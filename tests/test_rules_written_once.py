@@ -22,7 +22,7 @@ EXEMPT_FUNCTIONS = {
     "impedance.joint_plant_step": "the torques of one tick",
     "planner.replan": "the elapsed time of one in-flight replan",
     "swing._landing": "the plan that build_swing and retarget are given",
-    "swing.sample": "the local time of one sample",
+    "swing.sample_position": "the local time of one sample",
 }
 
 #: Modules exempt as a whole, with the reason.

@@ -363,12 +363,32 @@ FIELD_RULES = [
     ("duration", 2.0, 0.0, "duration must be positive, got 0.0"),
     ("seed", 7, -1, "seed must be an integer >= 0, got -1"),
     ("attitude_noise_deg", 0.1, -0.1, "attitude_noise_deg must be >= 0, got -0.1"),
+    ("pushes", (PushEvent(0.5, (1.0, 0.0)),), PushEvent(0.5, (1.0, 0.0)),
+     "pushes must be a tuple or list of PushEvent records, got PushEvent(time=0.5, impulse=(1.0, 0.0))"),
+    ("human_pulses", (HumanPulse(1, 0.1, 0.2, 1.0),), None,
+     "human_pulses must be a tuple or list of HumanPulse records, got None"),
 ]
 
 
 def test_the_rule_table_lists_every_field_once_in_field_order():
-    assert [row[0] for row in FIELD_RULES] == [f.name for f in dataclasses.fields(ScenarioConfig)
-                                               if "key" in f.metadata]
+    assert [row[0] for row in FIELD_RULES] == [f.name for f in dataclasses.fields(ScenarioConfig)]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"pushes": None}, "pushes must be a tuple or list of PushEvent records, got None"),
+    ({"human_pulses": None}, "human_pulses must be a tuple or list of HumanPulse records, got None"),
+    ({"pushes": PushEvent(0.5, (1.0, 0.0))},
+     "pushes must be a tuple or list of PushEvent records, got PushEvent(time=0.5, impulse=(1.0, 0.0))"),
+    ({"human_pulses": HumanPulse(1, 0.1, 0.2, 1.0), "duration": 0.0},
+     "duration must be positive, got 0.0; human_pulses must be a tuple or list of HumanPulse records, "
+     "got HumanPulse(joint=1, start=0.1, end=0.2, torque=1.0)"),
+])
+def test_a_record_field_that_is_no_sequence_is_named(fields, message):
+    """``pushes`` and ``human_pulses`` that are not a tuple or list get a
+    ConfigurationError naming the field, not a TypeError from ``len``."""
+    with pytest.raises(ConfigurationError) as err:
+        ScenarioConfig(**fields).validate()
+    assert str(err.value) == f"invalid scenario: {message}"
 
 
 @pytest.mark.parametrize("name, accepted, rejected, message", FIELD_RULES,
@@ -726,9 +746,9 @@ def run_counting_plant_steps(monkeypatch, config):
 
 
 def test_each_tick_steps_the_pendulum_once_and_each_joint_once(monkeypatch):
-    """``step_lipm`` runs once per tick and ``joint_plant_step`` once per
-    joint on every tick the leg is not at rest, each through its
-    module-level name, over a forward push.  The leg is at rest until it
+    """``step_lipm`` runs once per tick and ``joint_plant_step``, which steps
+    the leg's three joints, once on every tick the leg is not at rest, each
+    through its module-level name, over a forward push.  The leg is at rest until it
     lifts on the trigger tick, where it is driven, and never after: it
     lands moving and the rate it then decays to is a new tuple, not
     ``_REST``."""
@@ -738,7 +758,7 @@ def test_each_tick_steps_the_pendulum_once_and_each_joint_once(monkeypatch):
     ticks = len(trace.t)
     moving = int(np.count_nonzero(trace.t >= events_of(trace, "PlanIssued")[0].time))
     assert 0 < moving < ticks
-    assert counts == {"step_lipm": ticks, "joint_plant_step": 3 * moving}
+    assert counts == {"step_lipm": ticks, "joint_plant_step": moving}
 
 
 def test_noisy_standing_ticks_step_the_pendulum_once_and_each_joint_once(monkeypatch):
@@ -758,8 +778,8 @@ def test_noisy_standing_ticks_step_the_pendulum_once_and_each_joint_once(monkeyp
 
 class _AlwaysIntegrating(Plant):
     """``Plant`` without the rest rule: the torque it is handed is a copy,
-    never the controller's ``_REST`` object, so every tick makes the three
-    RK4 ``joint_plant_step`` calls."""
+    never the controller's ``_REST`` object, so every tick makes the RK4
+    ``joint_plant_step`` call."""
 
     def step(self, command, t):
         super().step(command._replace(torque=(*command.torque,)), t)
@@ -781,7 +801,7 @@ def test_rest_rule_matches_integrating_every_tick(monkeypatch, config):
     monkeypatch.setattr(simulation, "Plant", _AlwaysIntegrating)
     oracle, counts = run_counting_plant_steps(monkeypatch, config)
     ticks = len(oracle.t)
-    assert counts == {"step_lipm": ticks, "joint_plant_step": 3 * ticks}
+    assert counts == {"step_lipm": ticks, "joint_plant_step": ticks}
     for name in ("t", "com", "com_vel", "xi", "cop", "foot", "joint_desired",
                  "joint_measured", "torque"):
         assert getattr(real, name).tobytes() == getattr(oracle, name).tobytes(), name
@@ -1093,9 +1113,41 @@ def test_summary_reports_the_step_facts():
     assert abs(summary.planned_vs_landed_angle_deg) < 15.0
 
 
+def test_sample_runs_only_inside_retarget_once_per_retarget(monkeypatch):
+    """The in-flight tick evaluates the foot position alone: over a forward
+    push ``swing.sample`` runs only inside ``retarget``, once per retarget,
+    and there is one retarget per ``Replanned`` event."""
+    from exorecover import simulation, swing
+
+    calls = Counter()
+    inside = []
+    sample, retarget = swing.sample, swing.retarget
+
+    def counting_sample(*args):
+        calls["sample"] += 1
+        assert inside, "sample called outside retarget"
+        return sample(*args)
+
+    def counting_retarget(*args):
+        calls["retarget"] += 1
+        inside.append(True)
+        try:
+            return retarget(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(swing, "sample", counting_sample)
+    monkeypatch.setattr(simulation, "retarget", counting_retarget)
+    assert not hasattr(simulation, "sample")
+    trace = run_scenario(ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),)))
+    replanned = len(events_of(trace, "Replanned"))
+    assert replanned > 0 and events_of(trace, "TouchDown")
+    assert calls == {"sample": replanned, "retarget": replanned}
+
+
 def test_in_flight_replans_build_no_planner_input(monkeypatch):
-    """The swing tick re-plans on float pairs: over the default forward push
-    a ``PlannerInput`` is built once per issued plan and never per tick."""
+    """The trigger tick plans and the swing tick re-plans on float pairs: over
+    the default forward push no ``PlannerInput`` is built."""
     from exorecover.planner import PlannerInput
 
     built = []
@@ -1109,4 +1161,4 @@ def test_in_flight_replans_build_no_planner_input(monkeypatch):
     trace = run_scenario(ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),)))
     plans = events_of(trace, "PlanIssued")
     assert plans and events_of(trace, "TouchDown")
-    assert len(built) == len(plans)
+    assert built == []

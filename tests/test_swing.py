@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracle_utils import evaluate
 
-from exorecover import ScenarioConfig, StepPlan, retarget, sample
+from exorecover import ScenarioConfig, StepPlan, retarget, sample, sample_position
 from exorecover import build_swing as _build_swing
 from exorecover.swing import QuinticSegment, _quintic
 
@@ -114,8 +114,10 @@ def test_sample_clamps_outside_window():
     for outside, edge in ((-0.1, 0.0), (0.7, 0.5)):
         for got, want in zip(sample(traj, outside), sample(traj, edge)):
             assert np.array_equal(got, want)
-    with pytest.raises(ValueError):
-        sample(traj, math.nan)
+    for bad in (math.nan, math.inf, -math.inf):
+        for fn in (sample, sample_position):
+            with pytest.raises(ValueError, match="^t must be finite"):
+                fn(traj, bad)
 
 
 def test_retarget_is_c2_continuous_at_the_splice():
@@ -166,6 +168,43 @@ def test_a_spliced_trajectory_starts_at_the_splice_but_for_a_negative_zero():
     spliced = retarget(traj, 0.1, make_plan(cop=(0.2, -0.18), duration=0.3))
     assert spliced.x_profile.coefficients[0] == -0.0
     assert repr(sample(spliced, 0.0)[0][0]) == "0.0"
+
+
+def _position_cases():
+    """``(id, trajectory, t)`` rows for the position-only evaluation: before
+    the window, after it, at the apex junction and on a ``-0.0`` splice."""
+    fresh = build_swing([0.05, -0.2, 0.0], make_plan(cop=(0.25, -0.18), duration=0.5))
+    apex = fresh.apex_time
+    collapsed = retarget(fresh, 0.3, make_plan(cop=(0.28, -0.2), duration=0.2))
+    rest = dataclasses.replace(build_swing([0.0, -0.2, 0.0], make_plan(duration=0.5)),
+                               x_profile=QuinticSegment((-0.0,) * 6, 0.0, 0.5))
+    spliced = retarget(rest, 0.1, make_plan(cop=(0.2, -0.18), duration=0.3))
+    return [
+        ("before", fresh, -0.1), ("far_before", fresh, -1e300), ("negative_zero_time", fresh, -0.0),
+        ("start", fresh, 0.0), ("mid", fresh, 0.123),
+        ("before_apex", fresh, math.nextafter(apex, 0.0)), ("apex", fresh, apex),
+        ("after_apex", fresh, math.nextafter(apex, 1.0)),
+        ("end", fresh, fresh.duration), ("after", fresh, fresh.duration + 0.1),
+        ("far_after", fresh, 1e300), ("collapsed", collapsed, 0.05),
+        ("collapsed_after", collapsed, 0.5),
+        ("negative_zero_rest", rest, 0.1), ("negative_zero_splice", spliced, 0.0),
+        ("negative_zero_splice_later", spliced, 0.2),
+    ]
+
+
+@pytest.mark.parametrize("name, traj, t", _position_cases(), ids=[c[0] for c in _position_cases()])
+def test_sample_position_is_samples_position_bit_for_bit(name, traj, t):
+    """``sample_position`` is ``sample(...)[0]`` and the numpy-coefficient
+    Horner position, signed zeros included, and returns plain floats."""
+    got = sample_position(traj, t)
+    assert all(type(v) is float for v in got)
+    assert repr(got) == repr(sample(traj, t)[0])
+    t_eval = min(max(t, 0.0), traj.duration)
+    z = traj.z_profile
+    z_seg = z[0] if len(z) == 2 and t_eval < z[0].t_end else z[-1]
+    want = tuple(float(evaluate(seg, t_eval)[0]) for seg in (traj.x_profile, traj.y_profile, z_seg))
+    assert repr(got) == repr(want)
+
 
 def test_retarget_keeps_original_apex_instant():
     traj = build_swing([0.0, -0.2, 0.0], make_plan(duration=0.5))
