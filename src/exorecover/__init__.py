@@ -32,12 +32,14 @@ from .planner import (
     PlannerInput,
     StepBounds,
     StepPlan,
+    StepProgram,
     constraint_names,
     mirror_bounds,
     mirror_gait,
     plan_from,
     plan_step,
     replan,
+    step_program,
 )
 from .simulation import (
     Event,

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
 import itertools
@@ -54,6 +53,7 @@ from .errors import ConfigurationError, PlannerInfeasibleError, ScenarioParseErr
 from .lipm import broken
 from .planner import PlannerInput, StepPlan, plan_step
 from .simulation import (
+    _LOG_COLUMNS,
     MODE,
     HumanPulse,
     PushEvent,
@@ -305,61 +305,75 @@ def _num(x: float) -> str:
 #: times the file size, and 512 rows already by 0.75 MB.
 _TRACE_BLOCK_ROWS = 128
 
-#: (first, stop) column of the CoP pair and of each leg triple (foot, desired
-#: angles, measured angles, torques) in a trace row.
-_TRACE_GROUPS = ((7, 9), (9, 12), (12, 15), (15, 18), (18, 21))
+#: The CoP pair and the leg triples (foot, desired angles, measured angles,
+#: torques) of a log row, the cells a chunk of ``trace.csv`` may bake; the
+#: numbers before the CoP are formatted on every row.
+_TRACE_CELLS = tuple(_LOG_COLUMNS[name] for name in
+                     ("cop", "foot", "joint_desired", "joint_measured", "torque"))
+_PER_ROW = _TRACE_CELLS[0].start
 
 
 def _trace_lines(trace: SimTrace):
-    """The lines of ``trace.csv`` after its header, one iterator per chunk.
+    """The text of ``trace.csv`` after its header, one string per chunk.
 
-    A chunk is at most ``_TRACE_BLOCK_ROWS`` rows that share one phase.  A
-    CoP pair or leg triple whose bits are the same on every row of the
-    chunk is formatted once and baked, with the phase, into the chunk's
-    row format; that format then takes each row's remaining numbers in
-    one C-level ``%``.  Bits, not ``==``: ``-0.0 == 0.0``, but ``%.12g``
-    prints the two differently.
+    A chunk is at most ``_TRACE_BLOCK_ROWS`` rows of the log that share
+    one phase.  A CoP pair or leg triple whose bits are the same on every
+    row of the chunk is formatted once and baked, with the phase, into the
+    chunk's row format; that format then takes each row's remaining
+    numbers in one C-level ``%``.  Bits, not ``==``: ``-0.0 == 0.0``, but
+    ``%.12g`` prints the two differently.
     """
     import numpy as np  # only simulate writes a trace; plan and sweep-weights load no numpy
 
-    columns = (trace.t[:, None], trace.com, trace.com_vel, trace.xi, trace.cop,
-               trace.foot, trace.joint_desired, trace.joint_measured, trace.torque)
+    log = trace.log
     start = 0
     for phase, run in itertools.groupby(trace.phase):
         # Phases are read a chunk at a time, so each chunk is written before the next is read.
         while n := len(list(itertools.islice(run, _TRACE_BLOCK_ROWS))):
-            block = np.concatenate([c[start:start + n] for c in columns], axis=1)
+            block = log[start:start + n]
             start += n
             bits = block.view(np.int64)
             same = (bits == bits[0]).all(axis=0).tolist()
             first = block[0].tolist()
-            cells, keep = [], list(range(7))
-            for a, b in _TRACE_GROUPS:
+            cells, keep = [], list(range(_PER_ROW))
+            for col in _TRACE_CELLS:
+                a, b = col.start, col.stop
                 cell = ",".join(["%.12g"] * (b - a))  # "%.12g" is _num's format
-                if all(same[a:b]):
-                    cell = (cell % tuple(first[a:b])).replace("%", "%%")
+                if all(same[col]):
+                    cell = (cell % tuple(first[col])).replace("%", "%%")
                 else:
                     keep += range(a, b)
                 cells.append(cell)
             cells.insert(1, phase.replace("%", "%%"))
-            row = "%.12g," * 7 + ",".join(cells) + "\n"
-            yield map(row.__mod__, map(tuple, block[:, keep].tolist()))
+            row = "%.12g," * _PER_ROW + ",".join(cells) + "\n"
+            # The kept columns are often the first ones: a slice, not a copy.
+            values = block[:, :len(keep)] if keep[-1] == len(keep) - 1 else block[:, keep]
+            yield "".join(map(row.__mod__, map(tuple, values.tolist())))
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
     with _atomic_open(Path(path)) as out:
         out.write(TRACE_HEADER + "\n")
-        for lines in _trace_lines(trace):
-            out.writelines(lines)
+        for text in _trace_lines(trace):
+            out.write(text)
 
 
 def write_events_csv(trace: SimTrace, path) -> None:
+    """Write ``events.csv``: the time, the kind and the payload as JSON.
+
+    Each row is what ``csv.writer`` writes for the three fields: JSON
+    escapes every line break, so the payload is quoted, its quotes
+    doubled, exactly when it holds a quote or a comma (the JSON of any
+    non-empty dict does); the time and the kind, a plain word, never need
+    quoting."""
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     with _atomic_open(Path(path)) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(EVENTS_HEADER.split(","))
+        out.write(EVENTS_HEADER + "\n")
         for ev in trace.events:
-            writer.writerow([_num(ev.time), ev.kind, encode(ev.payload)])
+            text = encode(ev.payload)
+            if '"' in text or "," in text:
+                text = '"' + text.replace('"', '""') + '"'
+            out.write("%.12g,%s,%s\n" % (ev.time, ev.kind, text))  # "%.12g" is _num's format
 
 
 def write_summary(trace: SimTrace, path) -> StepSummary:

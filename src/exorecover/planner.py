@@ -38,12 +38,20 @@ Planar vectors (``xi0``, ``cop0``, the nominal point and offset, the CoP
 box corners and the plan's ``cop_T``, ``gamma_T`` and ``xi_T``) are
 ``(x, y)`` pairs of Python floats, checked once by the dataclass that
 holds them.
+
+While one step is in flight only the DCM and the duration window change:
+the stance CoP, the side's gait and box and ``omega`` are fixed.  The
+terms built from those alone (the world box and nominal point, the
+weight products, ``exp(omega*T_nom)``) are a :class:`StepProgram`,
+built once per step by :func:`step_program` and taken by every solve of
+that step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import PlannerInfeasibleError
 from .lipm import FINITE, POSITIVE, as_vec2, clip, require
@@ -53,6 +61,8 @@ __all__ = [
     "StepBounds",
     "PlannerInput",
     "StepPlan",
+    "StepProgram",
+    "step_program",
     "plan_step",
     "plan_from",
     "replan",
@@ -136,8 +146,7 @@ class PlannerInput:
         require("omega", self.omega, POSITIVE)
 
 
-@dataclass(frozen=True, slots=True)
-class StepPlan:
+class StepPlan(NamedTuple):
     """Planner output.
 
     ``duration`` is the (remaining) swing time from the moment the plan
@@ -173,6 +182,34 @@ class StepPlan:
         return cx + gx, cy + gy
 
 
+class StepProgram(NamedTuple):
+    """The terms of one step's program that do not change while it is in
+    flight, in world coordinates; built by :func:`step_program`.
+
+    ``k1 = alpha1*cop_nom``, ``k2 = -2*alpha2``, ``k3 = 2*alpha3`` and
+    ``p = k1 + alpha2*(cop0 - gamma_nom)`` are the weight products of the
+    closed forms in :func:`_solve`.
+    """
+
+    cop0: tuple[float, float]  # m, stance CoP
+    omega: float  # 1/s
+    T_min: float  # s
+    T_max: float  # s
+    sigma_min: float  # exp(omega * T_min)
+    sigma_max: float  # exp(omega * T_max)
+    cop_min: tuple[float, float]  # m, world CoP box
+    cop_max: tuple[float, float]  # m
+    cop_nom: tuple[float, float]  # m, world nominal landing point
+    gamma_nom: tuple[float, float]  # m
+    weights: tuple[float, float, float]  # (alpha1, alpha2, alpha3)
+    w: float  # alpha1 + alpha2
+    sigma_nom: float  # exp(omega * T_nom)
+    k1: tuple[float, float]
+    k2: float
+    k3: float
+    p: tuple[float, float]
+
+
 def constraint_names() -> tuple[str, ...]:
     return (
         "cop_x <= cop_max_x",
@@ -184,16 +221,49 @@ def constraint_names() -> tuple[str, ...]:
     )
 
 
-def _cost(nominal: NominalGait, cop_nom, sigma_nom: float, cop, sigma: float, gamma) -> float:
+def step_program(cop0, omega: float, nominal: NominalGait, bounds: StepBounds) -> StepProgram:
+    """The fixed terms of the step from the stance CoP ``cop0``, a float
+    pair, for ``omega``, ``nominal`` and ``bounds`` (already checked).
+
+    Raises :class:`PlannerInfeasibleError` for an empty CoP box or
+    duration window, naming both rows of each empty interval, and then
+    ``OverflowError`` when ``exp(omega*T)`` of ``T_nom`` or a duration
+    bound leaves the float range.
+    """
+    # The gait point and the CoP box are about the stance CoP; the world
+    # values are taken here, once per step.
+    c0_x, c0_y = cop0
+    (nx, ny), (gn_x, gn_y) = nominal.cop_T_nom, nominal.gamma_nom
+    (lo_x, lo_y), (hi_x, hi_y) = bounds.cop_min, bounds.cop_max
+    cn_x, cn_y = nx + c0_x, ny + c0_y
+    lo_x, lo_y, hi_x, hi_y = lo_x + c0_x, lo_y + c0_y, hi_x + c0_x, hi_y + c0_y
+    t_lo, t_hi = bounds.T_min, bounds.T_max
+    if lo_x > hi_x or lo_y > hi_y or t_lo > t_hi:
+        # An empty interval names both its rows.
+        empty = (lo_x > hi_x, lo_y > hi_y) * 2 + (t_lo > t_hi,) * 2
+        bad = tuple(name for name, e in zip(constraint_names(), empty) if e)
+        raise PlannerInfeasibleError("step program has an empty box: " + ", ".join(bad), violated=bad)
+    a1, a2, a3 = weights = nominal.weights
+    s_min, s_max = bounds.sigma_bounds(omega)
+    k1_x, k1_y = a1 * cn_x, a1 * cn_y
+    return StepProgram(
+        (c0_x, c0_y), omega, t_lo, t_hi, s_min, s_max, (lo_x, lo_y), (hi_x, hi_y), (cn_x, cn_y),
+        (gn_x, gn_y), weights, a1 + a2, math.exp(omega * nominal.T_nom), (k1_x, k1_y),
+        -2.0 * a2, 2.0 * a3, (k1_x + a2 * (c0_x - gn_x), k1_y + a2 * (c0_y - gn_y)),
+    )
+
+
+def _cost(program: StepProgram, cop, sigma: float, gamma) -> float:
     """The full quadratic cost of the module docstring (with its constant
-    term, unlike the raw QP) at the float pairs ``cop`` and ``gamma`` and
-    the world nominal point ``cop_nom``, summed in Python floats, so the
-    value does not depend on the BLAS build."""
-    a1, a2, a3 = nominal.weights
-    (cx, cy), (gx, gy) = cop_nom, nominal.gamma_nom
+    term, unlike the raw QP) at the float pairs ``cop`` and ``gamma``,
+    summed in Python floats, so the value does not depend on the BLAS
+    build."""
+    a1, a2, a3 = program.weights
+    (cx, cy), (gx, gy) = program.cop_nom, program.gamma_nom
     dx, dy = cop[0] - cx, cop[1] - cy
     ex, ey = gamma[0] - gx, gamma[1] - gy
-    return a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * (sigma - sigma_nom) ** 2
+    sn = program.sigma_nom
+    return a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * (sigma - sn) ** 2
 
 
 def _binding_rows(cop, sigma: float, lo, hi, s_lo: float, s_hi: float) -> tuple[int, ...]:
@@ -203,50 +273,31 @@ def _binding_rows(cop, sigma: float, lo, hi, s_lo: float, s_hi: float) -> tuple[
     return tuple([i for i in range(6) if on[i]])
 
 
-def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
-           t_lo: float, t_hi: float, planned_at: float) -> StepPlan:
-    """Exact minimiser with the duration in ``[t_lo, t_hi]`` for the DCM ``xi0``
-    and stance CoP ``cop0``, both float pairs; see the module docstring.
+def _solve(xi0, program: StepProgram, s_lo: float, s_hi: float, planned_at: float) -> StepPlan:
+    """Exact minimiser of ``program`` with ``sigma`` in ``[s_lo, s_hi]``,
+    not empty, for the DCM ``xi0``, a float pair; see the module docstring.
 
     Straight-line float code, one statement per axis: it runs on every
     in-flight tick.  Each product and sum is taken in the same order as
     the closed forms of the module docstring.
     """
-    # The gait point and the CoP box are about the stance CoP; the world
-    # values are taken here, once per solve.
-    (c0_x, c0_y), (x0_x, x0_y) = cop0, xi0
-    (nx, ny), (gn_x, gn_y) = nominal.cop_T_nom, nominal.gamma_nom
-    (lo_x, lo_y), (hi_x, hi_y) = bounds.cop_min, bounds.cop_max
-    cn_x, cn_y = nx + c0_x, ny + c0_y
-    lo_x, lo_y, hi_x, hi_y = lo_x + c0_x, lo_y + c0_y, hi_x + c0_x, hi_y + c0_y
-    if lo_x > hi_x or lo_y > hi_y or t_lo > t_hi:
-        # An empty interval names both its rows.
-        empty = (lo_x > hi_x, lo_y > hi_y) * 2 + (t_lo > t_hi,) * 2
-        bad = tuple(name for name, e in zip(constraint_names(), empty) if e)
-        raise PlannerInfeasibleError("step program has an empty box: " + ", ".join(bad), violated=bad)
-
-    a1, a2, a3 = nominal.weights
-    w = a1 + a2
-    s_lo, s_hi = math.exp(omega * t_lo), math.exp(omega * t_hi)
-    sn = math.exp(omega * nominal.T_nom)
+    x0_x, x0_y = xi0
+    ((c0_x, c0_y), omega, _, _, _, _, (lo_x, lo_y), (hi_x, hi_y), _, (gn_x, gn_y), (_, a2, _), w,
+     sn, (k1_x, k1_y), k2, k3, (p_x, p_y)) = program
     r_x, r_y = c0_x - x0_x, c0_y - x0_y
     # At sigma, with u_a = c0_a - r_a*sigma, the exact CoP is
     # clip((a1*cn_a + a2*(u_a - gn_a)) / w), gamma_a = u_a - cop_a and the
     # cost's sigma derivative is 2*a3*(sigma - sn) + r_x*nu_x + r_y*nu_y
-    # with nu_a = -2*a2*(gamma_a - gn_a).  The weight products are taken
-    # once: k1_a = a1*cn_a, k2 = -2*a2, k3 = 2*a3.
-    k1_x, k1_y, k2, k3 = a1 * cn_x, a1 * cn_y, -2.0 * a2, 2.0 * a3
+    # with nu_a = -2*a2*(gamma_a - gn_a); k1_a = a1*cn_a.
 
     # c*_a(sigma) meets the bound b where p_a - b*(alpha1 + alpha2) = q_a*sigma.
     points = [s_lo, s_hi]
     q_x, q_y = a2 * r_x, a2 * r_y
     if q_x != 0.0:
-        p_x = k1_x + a2 * (c0_x - gn_x)
         for s in ((p_x - lo_x * w) / q_x, (p_x - hi_x * w) / q_x):
             if s_lo < s < s_hi:
                 points.append(s)
     if q_y != 0.0:
-        p_y = k1_y + a2 * (c0_y - gn_y)
         for s in ((p_y - lo_y * w) / q_y, (p_y - hi_y * w) / q_y):
             if s_lo < s < s_hi:
                 points.append(s)
@@ -272,56 +323,56 @@ def _solve(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds,
     cop_x = clip((k1_x + a2 * (u_x - gn_x)) / w, lo_x, hi_x)
     cop_y = clip((k1_y + a2 * (u_y - gn_y)) / w, lo_y, hi_y)
     cop, gamma = (cop_x, cop_y), (u_x - cop_x, u_y - cop_y)
-    return StepPlan(
-        cop_T=cop,
-        gamma_T=gamma,
-        sigma=sigma,
-        duration=math.log(sigma) / omega,
-        objective=_cost(nominal, (cn_x, cn_y), sn, cop, sigma, gamma),
-        status="optimal",
-        active_set=_binding_rows(cop, sigma, (lo_x, lo_y), (hi_x, hi_y), s_lo, s_hi),
-        planned_at=planned_at,
-    )
+    return StepPlan(cop, gamma, sigma, math.log(sigma) / omega, _cost(program, cop, sigma, gamma),
+                    "optimal", _binding_rows(cop, sigma, (lo_x, lo_y), (hi_x, hi_y), s_lo, s_hi),
+                    planned_at)
 
 
-def plan_from(xi0, cop0, omega: float, nominal: NominalGait, bounds: StepBounds) -> StepPlan:
-    """Solve the step-adaptation program at trigger time; ValueError if the plan overflows.
+def _not_finite(xi0, cop0) -> ValueError:
+    return ValueError(f"the plan from xi0={xi0}, cop0={cop0} is not finite")
 
-    The controller's entry point: the DCM ``xi0`` and stance CoP ``cop0``
-    are float pairs, taken as they are, and ``omega``, ``nominal`` and
-    ``bounds`` are already checked, as for :func:`replan`.
+
+def plan_from(xi0, program: StepProgram) -> StepPlan:
+    """Solve the step's program over its whole duration window at trigger
+    time; ValueError if the plan overflows.
+
+    The controller's entry point: the DCM ``xi0`` is a float pair, taken
+    as it is, and ``program`` is the step's :func:`step_program`, which
+    :func:`replan` then takes for the rest of the step.
     """
     # A state near the float range (xi0 = 1e300, 0, say) gives an infinite
-    # objective or gamma_T, and a step time for which exp(omega * T), or the
-    # cost's square of sigma, leaves the range raises OverflowError; neither
-    # is an optimal plan.
+    # objective or gamma_T, and a sigma whose square in the cost leaves the
+    # range raises OverflowError; neither is an optimal plan.
     try:
-        plan = _solve(xi0, cop0, omega, nominal, bounds, bounds.T_min, bounds.T_max, planned_at=0.0)
+        plan = _solve(xi0, program, program.sigma_min, program.sigma_max, 0.0)
     except OverflowError:
         numbers = (math.inf,)
     else:
         numbers = (*plan.cop_T, *plan.gamma_T, plan.sigma, plan.duration, plan.objective)
     if not all(map(math.isfinite, numbers)):
-        raise ValueError(f"the plan from xi0={xi0}, cop0={cop0} is not finite")
+        raise _not_finite(xi0, program.cop0)
     return plan
 
 
 def plan_step(inp: PlannerInput) -> StepPlan:
-    """:func:`plan_from` on the checked values of ``inp``."""
-    return plan_from(inp.xi0, inp.cop0, inp.omega, inp.nominal, inp.bounds)
+    """:func:`plan_from` on the checked values of ``inp``, with the step's
+    program built for this one solve."""
+    try:
+        program = step_program(inp.cop0, inp.omega, inp.nominal, inp.bounds)
+    except OverflowError:  # a step time whose exp(omega * T) leaves the float range
+        raise _not_finite(inp.xi0, inp.cop0) from None
+    return plan_from(inp.xi0, program)
 
 
-def replan(current: StepPlan, xi0, cop0, omega: float, nominal: NominalGait,
-           bounds: StepBounds, elapsed: float) -> StepPlan:
+def replan(current: StepPlan, xi0, program: StepProgram, elapsed: float) -> StepPlan:
     """Re-solve mid-swing with the duration window shrunk by ``elapsed``.
 
-    The in-flight entry point: the measured DCM ``xi0`` and stance CoP
-    ``cop0`` are float pairs, taken as they are, and ``omega``,
-    ``nominal`` and ``bounds`` are the ones the step was planned with,
-    already checked (the arguments of :class:`PlannerInput`, in its
-    field order).  The result equals a :func:`plan_step` solve of a
-    ``PlannerInput`` with the same values over the shrunk window, bit
-    for bit, apart from ``planned_at``.
+    The in-flight entry point: the measured DCM ``xi0`` is a float pair,
+    taken as it is, and ``program`` is the one the step was planned with
+    (:func:`step_program` of its stance CoP, ``omega``, gait and bounds).
+    The result equals a :func:`plan_step` solve of a ``PlannerInput``
+    with the same values over the shrunk window, bit for bit, apart from
+    ``planned_at``.
 
     The remaining-time window is ``[max(floor, T_min - elapsed),
     min(T_max - elapsed, current.landing_time - elapsed)]``.  Capping by
@@ -338,31 +389,23 @@ def replan(current: StepPlan, xi0, cop0, omega: float, nominal: NominalGait,
     # left) and max(left, 0.0), written as clip writes them: a tie keeps the
     # first argument.
     left = current.landing_time - elapsed
-    t_lo = bounds.T_min - elapsed
+    t_lo = program.T_min - elapsed
     t_lo = t_lo if t_lo > REPLAN_FLOOR else REPLAN_FLOOR
-    t_hi = bounds.T_max - elapsed
+    t_hi = program.T_max - elapsed
     t_hi = left if left < t_hi else t_hi
+    omega = program.omega
     if t_hi < t_lo:
         remaining = 0.0 if 0.0 > left else left
         sigma = math.exp(omega * remaining)
-        (x0_x, x0_y), (c0_x, c0_y) = xi0, cop0
+        (x0_x, x0_y), (c0_x, c0_y) = xi0, program.cop0
         cop = current.cop_T
         cop_x, cop_y = cop
         gamma = (c0_x - cop_x + (x0_x - c0_x) * sigma, c0_y - cop_y + (x0_y - c0_y) * sigma)
-        (nx, ny), (lo_x, lo_y), (hi_x, hi_y) = nominal.cop_T_nom, bounds.cop_min, bounds.cop_max
-        return StepPlan(
-            cop_T=cop,
-            gamma_T=gamma,
-            sigma=sigma,
-            duration=remaining,
-            objective=_cost(nominal, (nx + c0_x, ny + c0_y), math.exp(omega * nominal.T_nom),
-                            cop, sigma, gamma),
-            status="terminal",
-            active_set=_binding_rows(cop, sigma, (lo_x + c0_x, lo_y + c0_y),
-                                     (hi_x + c0_x, hi_y + c0_y), *bounds.sigma_bounds(omega)),
-            planned_at=elapsed,
-        )
-    return _solve(xi0, cop0, omega, nominal, bounds, t_lo, t_hi, elapsed)
+        rows = _binding_rows(cop, sigma, program.cop_min, program.cop_max, program.sigma_min,
+                             program.sigma_max)
+        return StepPlan(cop, gamma, sigma, remaining, _cost(program, cop, sigma, gamma),
+                        "terminal", rows, elapsed)
+    return _solve(xi0, program, math.exp(omega * t_lo), math.exp(omega * t_hi), elapsed)
 
 
 def mirror_gait(nominal: NominalGait) -> NominalGait:

@@ -71,10 +71,12 @@ from .planner import (
     NominalGait,
     StepBounds,
     StepPlan,
+    StepProgram,
     mirror_bounds,
     mirror_gait,
     plan_from,
     replan,
+    step_program,
 )
 from .swing import PEAK_FRACTION, SwingTrajectory, build_swing, retarget, sample_position
 
@@ -387,8 +389,7 @@ _RULES = tuple((f.name, f.metadata["rule"], len(f.default) if isinstance(f.defau
                for f in fields(ScenarioConfig) if "rule" in f.metadata)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """Timestamped discrete occurrence; payload values are plain floats/lists."""
 
     time: float
@@ -396,26 +397,44 @@ class Event:
     payload: dict
 
 
+#: Columns of ``run_scenario``'s per-tick log, one ``SimTrace`` column view
+#: each, in the order ``trace.csv`` writes them.
+_LOG_COLUMNS = {
+    "t": 0, "com": slice(1, 3), "com_vel": slice(3, 5), "xi": slice(5, 7), "cop": slice(7, 9),
+    "foot": slice(9, 12), "joint_desired": slice(12, 15), "joint_measured": slice(15, 18),
+    "torque": slice(18, 21),
+}
+
+
+def _column(name: str) -> property:
+    """The ``SimTrace`` view of the log columns ``_LOG_COLUMNS[name]``."""
+    col = _LOG_COLUMNS[name]
+    return property(lambda trace: trace.log[:, col])
+
+
 @dataclass
 class SimTrace:
     """Dense per-cycle log plus the event stream and the resolved config.
 
-    ``run_scenario`` logs every tick as one row of a single ``(N, 21)``
-    array; the numeric fields are column views of it.
+    ``run_scenario`` logs every tick as one row of ``log``, an ``(N, 21)``
+    array laid out by ``_LOG_COLUMNS``; the numeric attributes are column
+    views of it.
     """
 
-    t: np.ndarray
-    com: np.ndarray  # (N, 2)
-    com_vel: np.ndarray  # (N, 2)
-    xi: np.ndarray  # (N, 2), true DCM
-    cop: np.ndarray  # (N, 2)
+    log: np.ndarray  # (N, 21)
     phase: list[str]
-    foot: np.ndarray  # (N, 3), commanded swing-foot point (world)
-    joint_desired: np.ndarray  # (N, 3) rad
-    joint_measured: np.ndarray  # (N, 3) rad
-    torque: np.ndarray  # (N, 3) N*m, applied actuator torques
     events: list[Event]
     config: ScenarioConfig
+
+    t = _column("t")  # (N,) s
+    com = _column("com")  # (N, 2)
+    com_vel = _column("com_vel")  # (N, 2)
+    xi = _column("xi")  # (N, 2), true DCM
+    cop = _column("cop")  # (N, 2)
+    foot = _column("foot")  # (N, 3), commanded swing-foot point (world)
+    joint_desired = _column("joint_desired")  # (N, 3) rad
+    joint_measured = _column("joint_measured")  # (N, 3) rad
+    torque = _column("torque")  # (N, 3) N*m, applied actuator torques
 
 
 @dataclass(frozen=True)
@@ -438,16 +457,17 @@ class StepSummary:
 
 
 class _Episode:
-    """What one recovery step decided, and the swing leg's geometry, gait and
-    bounds, held for the in-flight ticks; the stance foot (``Controller.cop``)
-    and the swing start (``Controller.feet[swing]``) stay the controller's."""
+    """What one recovery step decided, and the swing leg's geometry and the
+    step's program (its stance CoP, gait and bounds), held for the in-flight
+    ticks; the stance foot (``Controller.cop``) and the swing start
+    (``Controller.feet[swing]``) stay the controller's."""
 
-    def __init__(self, trigger_time: float, swing: Side, geom: LegGeometry, nominal: NominalGait,
-                 bounds: StepBounds, plan: StepPlan, traj: SwingTrajectory):
+    def __init__(self, trigger_time: float, swing: Side, geom: LegGeometry, program: StepProgram,
+                 plan: StepPlan, traj: SwingTrajectory):
         self.trigger_time = trigger_time
         self.swing = swing
         self.geom = geom
-        self.nominal, self.bounds = nominal, bounds
+        self.program = program
         self.plan = plan
         self.initial_plan = plan
         self.traj = traj
@@ -615,11 +635,12 @@ class Controller:
         nominal, bounds = self.frames[swing]
 
         # Weight shifts onto the stance leg: the CoP the pendulum sees
-        # during the swing is the stance ankle point.  The planner takes the
-        # measured DCM and the stance point as float pairs, as replan does.
+        # during the swing is the stance ankle point.  The step's program is
+        # built once, about that point, and every replan of the step takes it.
         self.cop = stance_xy
         try:
-            plan = plan_from(meas.xi, stance_xy, self.omega, nominal, bounds)
+            program = step_program(stance_xy, self.omega, nominal, bounds)
+            plan = plan_from(meas.xi, program)
         except PlannerInfeasibleError as err:
             self._abort(t, f"plan_step infeasible: {', '.join(err.violated) or err}")
             return None
@@ -650,20 +671,19 @@ class Controller:
             "objective": plan.objective,
             "swing_start": list(swing_start[:2]),
         }))
-        self.episode = _Episode(t, swing, geom, nominal, bounds, plan, traj)
+        self.episode = _Episode(t, swing, geom, program, plan, traj)
         return self.q
 
     def _swing(self, t: float, meas: Measurement) -> bool:
         """Replan the step in flight; returns whether the foot touched down.
 
-        The planner gets the measured DCM and the CoP (the stance point) as
-        float pairs, against the side's gait and bounds held on the episode,
-        so no ``PlannerInput`` is built; a terminal plan is not re-solved."""
+        The planner gets the measured DCM as a float pair and the step's
+        program held on the episode, so no ``PlannerInput`` is built; a
+        terminal plan is not re-solved."""
         ep = self.episode
         if ep.plan.status != "terminal":
             try:
-                new_plan = replan(ep.plan, meas.xi, self.cop, self.omega, ep.nominal, ep.bounds,
-                                  t - ep.trigger_time)
+                new_plan = replan(ep.plan, meas.xi, ep.program, t - ep.trigger_time)
             except PlannerInfeasibleError as err:
                 self._abort(t, f"replan infeasible: {', '.join(err.violated) or err}")
                 return False
@@ -831,14 +851,6 @@ class Plant:
         self.tau = torque
 
 
-#: Columns of ``run_scenario``'s per-tick log, one ``SimTrace`` field each.
-_LOG_COLUMNS = {
-    "t": 0, "com": slice(1, 3), "com_vel": slice(3, 5), "xi": slice(5, 7), "cop": slice(7, 9),
-    "foot": slice(9, 12), "joint_desired": slice(12, 15), "joint_measured": slice(15, 18),
-    "torque": slice(18, 21),
-}
-
-
 def run_scenario(config: ScenarioConfig) -> SimTrace:
     """Run one scenario to completion and return the dense trace."""
     config.validate()
@@ -849,7 +861,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     omega, dt, detector = plant.omega, config.dt, controller.detector
     measure, control, integrate = plant.measure, controller.step, plant.step
 
-    import numpy as np  # for SimTrace's array fields
+    import numpy as np  # for SimTrace's log
     log = np.empty((n_rows, 21))
     rows, pack = memoryview(log).cast("B"), _ROW.pack_into  # row k starts at byte 168 * k
     log_phase: list[str] = []
@@ -862,8 +874,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         log_phase.append(detector.phase._value_)  # skips the .value property
         integrate(command, t)
 
-    columns = {name: log[:, col] for name, col in _LOG_COLUMNS.items()}
-    return SimTrace(phase=log_phase, events=events, config=config, **columns)
+    return SimTrace(log, log_phase, events, config)
 
 
 def summarize(trace: SimTrace) -> StepSummary:

@@ -32,7 +32,6 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lipm import FINITE, POSITIVE, Rule, clip, require
@@ -77,8 +76,7 @@ def _quintic(t0: float, t1: float, p0: float, v0: float, a0: float,
     ), t0, t1)
 
 
-@dataclass(frozen=True)
-class SwingTrajectory:
+class SwingTrajectory(NamedTuple):
     """Per-axis profiles over the local time window [0, duration]."""
 
     x_profile: QuinticSegment
@@ -208,10 +206,6 @@ def retarget(traj: SwingTrajectory, t_now: float, new_plan: StepPlan) -> SwingTr
             _quintic(0.0, to_apex, pz, vz, az, peak, 0.0, 0.0),
             _quintic(to_apex, T, peak, 0.0, 0.0, 0.0, 0.0, 0.0),
         )
-    return SwingTrajectory(
-        x_profile=_quintic(0.0, T, px, vx, ax, land_x, 0.0, 0.0),
-        y_profile=_quintic(0.0, T, py, vy, ay, land_y, 0.0, 0.0),
-        z_profile=z_pieces,
-        duration=T,
-        peak_height=traj.peak_height,
-    )
+    return SwingTrajectory(_quintic(0.0, T, px, vx, ax, land_x, 0.0, 0.0),
+                           _quintic(0.0, T, py, vy, ay, land_y, 0.0, 0.0),
+                           z_pieces, T, traj.peak_height)

@@ -637,11 +637,7 @@ def synthetic_trace(log, phase=None):
     with the given phases or else a new phase on every row."""
     if phase is None:
         phase = [PHASES[k % 3] for k in range(len(log))]
-    return SimTrace(t=log[:, 0], com=log[:, 1:3], com_vel=log[:, 3:5], xi=log[:, 5:7],
-                    cop=log[:, 7:9], phase=phase,
-                    foot=log[:, 9:12], joint_desired=log[:, 12:15],
-                    joint_measured=log[:, 15:18], torque=log[:, 18:21],
-                    events=[], config=ScenarioConfig())
+    return SimTrace(log=log, phase=phase, events=[], config=ScenarioConfig())
 
 
 #: (first, stop) column of the CoP pair and of each leg triple in a log row.
@@ -767,6 +763,56 @@ def test_trace_writer_matches_the_reference_over_phase_runs(tmp_path, log, phase
     """Chunks that hold many rows of one phase, where the writer formats
     the constant groups once."""
     assert_writes_the_reference(tmp_path, synthetic_trace(log, phase))
+
+
+def one_group_varies_log(first, stop, n=300):
+    """Rows whose CoP and leg columns hold their values except the columns
+    ``first:stop``, which change on every row."""
+    log = np.ones((n, 21))
+    log[:, 0] = np.arange(n) * 1e-3
+    log[:, first:stop] = np.arange(n * (stop - first)).reshape(n, -1) * 0.1
+    return log
+
+
+@pytest.mark.parametrize("first, stop", [(7, 9), (12, 15), (18, 21)], ids=["cop", "desired", "torque"])
+def test_trace_writer_keeps_a_prefix_or_a_spread_of_columns(tmp_path, first, stop):
+    """Only the CoP varies (the numbers kept per row are the first nine
+    columns, a slice), or only a later group does (a gather of columns)."""
+    assert_writes_the_reference(tmp_path, synthetic_trace(one_group_varies_log(first, stop),
+                                                          phase_runs(300)))
+
+
+def reference_events_csv(trace, path):
+    """``events.csv`` as ``csv.writer`` writes it, one row per event."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    with open(path, "w") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(cli.EVENTS_HEADER.split(","))
+        for ev in trace.events:
+            writer.writerow([f"{ev.time:.12g}", ev.kind, encode(ev.payload)])
+
+
+def test_events_writer_is_the_csv_writer_reference_byte_for_byte(tmp_path):
+    """Every event kind of the forward and lateral pushes, then hand-made
+    payloads: a reason holding a quote, a comma, a line break and a
+    non-ASCII character, NaN and infinite floats, and an empty payload."""
+    omega_m = 70.0 * math.sqrt(9.81 / 0.88)
+    events = []
+    for impulse in ((0.12 * omega_m, 0.0), (0.0, 0.12 * omega_m)):
+        events += run_scenario(ScenarioConfig(pushes=(PushEvent(0.5, impulse),))).events
+    assert {ev.kind for ev in events} == {"PushApplied", "BalanceLost", "PlanIssued",
+                                          "Replanned", "TouchDown", "Captured"}
+    events += [
+        Event(2.5, "StepAborted", {"reason": 'swing "target", unreachable\nat 0.3 m \u2013 knee'}),
+        Event(2.6, "Replanned", {"cop_T": [math.nan, math.inf], "remaining": -math.inf,
+                                 "landing_time": 1e-300, "sigma": -0.0}),
+        Event(-0.0, "Empty", {}),
+    ]
+    trace = SimTrace(log=np.zeros((1, 21)), phase=["Standing"], events=events,
+                     config=ScenarioConfig())
+    cli.write_events_csv(trace, tmp_path / "events.csv")
+    reference_events_csv(trace, tmp_path / "reference.csv")
+    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_simulate_summarizes_once_and_prints_the_written_summary(tmp_path, capsys, monkeypatch):

@@ -3,8 +3,8 @@ the per-tick path.
 
 A call of either builtin costs about five times the two comparisons of
 ``lipm.clip`` (173 against 35 ns, timeit), so the functions the loop runs
-on every tick, or on every in-flight replan, write a clamp or a larger
-of two as comparisons, in ``clip``'s order: a tie or a NaN keeps the
+on every tick, on every in-flight replan or retarget, or once per step,
+write a clamp or a larger of two as comparisons, in ``clip``'s order: a tie or a NaN keeps the
 first argument, as the builtins do, so the values keep their bits.
 
 On Python 3.11 a member read off its enum class (``Side.RIGHT``) goes
@@ -29,9 +29,14 @@ PER_TICK = (
     "simulation._leg_target",
     "detector.BalanceDetector.update",
     "planner.replan",
+    "planner.step_program",
     "planner._solve",
+    "planner._cost",
+    "planner._binding_rows",
     "swing.sample",
     "swing.sample_position",
+    "swing.retarget",
+    "swing._quintic",
     "lipm.step_lipm",
     "impedance.impedance_torque",
     "impedance.command_torques",

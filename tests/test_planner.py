@@ -26,6 +26,7 @@ from exorecover import (
     mirror_gait,
     plan_step,
     replan,
+    step_program,
 )
 from exorecover.errors import ConfigurationError
 from exorecover.planner import REPLAN_FLOOR
@@ -225,13 +226,14 @@ def test_replan_landing_time_never_grows():
     cop0 = np.array([0.0, 0.0])
 
     plan = plan_step(PlannerInput(xi0, cop0, OMEGA, nominal, bounds))
+    program = step_program(cop0, OMEGA, nominal, bounds)
     landing_times = [plan.landing_time]
     remaining = [plan.duration]
     t = 0.0
     while t + 0.02 < plan.landing_time and plan.status != "terminal":
         t += 0.02
         xi_t = dcm_closed_form(xi0, cop0, OMEGA, t)
-        plan = replan(plan, xi_t, cop0, OMEGA, nominal, bounds, t)
+        plan = replan(plan, xi_t, program, t)
         landing_times.append(plan.landing_time)
         remaining.append(plan.duration)
     assert len(landing_times) > 5
@@ -247,8 +249,8 @@ def test_replan_far_into_swing_returns_terminal_plan():
     elapsed = plan.landing_time - 0.05  # under the replanning floor
     inp = PlannerInput([0.2, -0.02], [0.0, 0.0], OMEGA, nominal, bounds)
     # Stale bookkeeping on the previous plan must not leak into the terminal one.
-    stale = replace(plan, objective=123.0, active_set=(1, 4, 5))
-    term = replan(stale, inp.xi0, inp.cop0, inp.omega, inp.nominal, inp.bounds, elapsed)
+    stale = plan._replace(objective=123.0, active_set=(1, 4, 5))
+    term = replan(stale, inp.xi0, step_program(inp.cop0, inp.omega, inp.nominal, inp.bounds), elapsed)
     assert term.status == "terminal"
     assert np.all(term.cop_T == plan.cop_T)
     assert term.duration == pytest.approx(0.05, abs=1e-12)
@@ -278,18 +280,20 @@ def test_replan_on_t_min_runs_to_the_floor():
     xi0, cop0 = np.array([0.3, 0.0]), np.zeros(2)
     plan = plan_step(PlannerInput(xi0, cop0, OMEGA, nominal, bounds))
     assert plan.duration == bounds.T_min
+    program = step_program(cop0, OMEGA, nominal, bounds)
     k = 0
     while plan.status != "terminal":
         k += 1
         xi_t = dcm_closed_form(xi0, cop0, OMEGA, k * 1e-3)
-        plan = replan(plan, xi_t, cop0, OMEGA, nominal, bounds, k * 1e-3)
+        plan = replan(plan, xi_t, program, k * 1e-3)
     assert k * 1e-3 > bounds.T_min - REPLAN_FLOOR
 
 
 def test_replan_rejects_negative_elapsed():
     plan = plan_step(PlannerInput([0.12, 0.0], [0.0, 0.0], OMEGA, default_nominal(), default_bounds()))
     with pytest.raises(ValueError):
-        replan(plan, [0.12, 0.0], [0.0, 0.0], OMEGA, default_nominal(), default_bounds(), -0.1)
+        replan(plan, [0.12, 0.0], step_program([0.0, 0.0], OMEGA, default_nominal(), default_bounds()),
+               -0.1)
 
 
 def test_mirror_symmetry_of_planning():
@@ -368,7 +372,8 @@ def test_replan_matches_cold_solve():
             # want a shorter step than the window allows.
             cop0 = np.asarray(inp.cop0)
             inp_t = replace(inp, xi0=cop0 + (inp.xi0 - cop0) * rng.uniform(0.5, 4.0))
-            new = replan(plan, inp_t.xi0, inp_t.cop0, inp_t.omega, inp_t.nominal, inp_t.bounds, elapsed)
+            program = step_program(inp_t.cop0, inp_t.omega, inp_t.nominal, inp_t.bounds)
+            new = replan(plan, inp_t.xi0, program, elapsed)
             shrunk = replace(inp_t, bounds=replace(inp.bounds, T_min=t_lo, T_max=t_hi))
             cold = solve_qp(assemble_qp(shrunk))
             assert new.status == "optimal"
@@ -394,8 +399,8 @@ def test_kkt_certificate_fails_a_plan_moved_off_its_optimum(axis):
     plan = plan_step(inp)
     assert plan.active_set == () and plan_kkt_residual(inp, plan).max() < 1e-8
     step = np.eye(2)[axis] * 0.01
-    moved = replace(plan, cop_T=tuple(np.add(plan.cop_T, step).tolist()),
-                    gamma_T=tuple(np.subtract(plan.gamma_T, step).tolist()))
+    moved = plan._replace(cop_T=tuple(np.add(plan.cop_T, step).tolist()),
+                          gamma_T=tuple(np.subtract(plan.gamma_T, step).tolist()))
     residual = plan_kkt_residual(inp, moved)
     assert residual.primal_eq < 1e-12 and residual.primal_ineq == 0.0
     assert residual.complementarity > 1e-4
@@ -413,10 +418,11 @@ def test_planning_does_not_call_lapack(monkeypatch):
 
     inp = PlannerInput([0.12, -0.02], [0.0, 0.0], OMEGA, default_nominal(), default_bounds())
     plan = plan_step(inp)
+    program = step_program(inp.cop0, inp.omega, inp.nominal, inp.bounds)
     elapsed = 0.0
     while plan.status != "terminal":
         elapsed += 0.02
-        plan = replan(plan, inp.xi0, inp.cop0, inp.omega, inp.nominal, inp.bounds, elapsed)
+        plan = replan(plan, inp.xi0, program, elapsed)
 
 
 def test_input_validation():
@@ -445,14 +451,14 @@ def test_in_flight_replan_is_the_planner_input_form_bit_for_bit():
         for elapsed in sorted(rng.uniform(0.0, plan.landing_time + 0.05, 6).tolist()):
             cop0 = np.asarray(inp.cop0)
             xi = cop0 + (inp.xi0 - cop0) * rng.uniform(0.5, 3.0)
-            new = replan(plan, tuple(xi.tolist()), inp.cop0, inp.omega,
-                         inp.nominal, inp.bounds, elapsed)
+            new = replan(plan, tuple(xi.tolist()),
+                         step_program(inp.cop0, inp.omega, inp.nominal, inp.bounds), elapsed)
             checked = replace(inp, xi0=xi)
             t_lo = max(REPLAN_FLOOR, inp.bounds.T_min - elapsed)
             t_hi = min(inp.bounds.T_max - elapsed, plan.landing_time - elapsed)
             if t_hi >= t_lo:
                 window = replace(inp.bounds, T_min=t_lo, T_max=t_hi)
-                want = replace(plan_step(replace(checked, bounds=window)), planned_at=elapsed)
+                want = plan_step(replace(checked, bounds=window))._replace(planned_at=elapsed)
             else:
                 remaining = max(plan.landing_time - elapsed, 0.0)
                 sigma = math.exp(inp.omega * remaining)
@@ -462,8 +468,8 @@ def test_in_flight_replan_is_the_planner_input_form_bit_for_bit():
                 lo, hi = box.cop_min, box.cop_max
                 on = (plan.cop_T[0] == hi[0], plan.cop_T[1] == hi[1], plan.cop_T[0] == lo[0],
                       plan.cop_T[1] == lo[1], sigma == s_max, sigma == s_min)
-                want = replace(
-                    plan, gamma_T=gamma_T, sigma=sigma, duration=remaining,
+                want = plan._replace(
+                    gamma_T=gamma_T, sigma=sigma, duration=remaining,
                     objective=planning_cost(checked, plan.cop_T, sigma, gamma_T),
                     status="terminal", active_set=tuple(i for i, b in enumerate(on) if b),
                     planned_at=elapsed)

@@ -69,7 +69,7 @@ def test_planar_vectors_are_float_pairs():
     """Every planar vector the package stores or returns is an ``(x, y)`` pair
     of Python floats, whatever sequence it was built from."""
     from exorecover import (BalanceDetector, PlannerInput, SwayEllipse, apply_impulse,
-                            mirror_bounds, mirror_gait, plan_step, replan)
+                            mirror_bounds, mirror_gait, plan_step, replan, step_program)
 
     config = ScenarioConfig()
     params = config.lipm_params()
@@ -78,8 +78,9 @@ def test_planar_vectors_are_float_pairs():
     xi0 = np.array([0.08, 0.02])
     inp = PlannerInput(xi0, np.array([0.0, 0.1]), params.omega, nominal, bounds)
     plan = plan_step(inp)
-    optimal = replan(plan, (0.09, 0.02), inp.cop0, inp.omega, nominal, bounds, 0.05)
-    terminal = replan(plan, (0.09, 0.02), inp.cop0, inp.omega, nominal, bounds, 10.0)
+    program = step_program(inp.cop0, inp.omega, nominal, bounds)
+    optimal = replan(plan, (0.09, 0.02), program, 0.05)
+    terminal = replan(plan, (0.09, 0.02), program, 10.0)
     assert (optimal.status, terminal.status) == ("optimal", "terminal")
     detector = BalanceDetector(SwayEllipse(np.zeros(2), 0.05, 0.05), 1, config.capture_tolerance,
                                config.capture_hold)
@@ -512,7 +513,6 @@ def test_summary_scalars_are_float_sums():
     bit for bit, so summary.txt does not depend on the BLAS build."""
     rng = np.random.default_rng(29)
     config = ScenarioConfig()
-    z2, z3 = np.zeros((1, 2)), np.zeros((1, 3))
     for _ in range(2000):
         xi, cop, start, planned, landed = rng.uniform(-0.4, 0.4, size=(5, 2)).tolist()
         events = [
@@ -520,9 +520,9 @@ def test_summary_scalars_are_float_sums():
             Event(0.8, "TouchDown", {"swing_start": start, "initial_planned": planned,
                                      "landed": landed, "trigger_time": 0.5}),
         ]
-        trace = SimTrace(t=np.zeros(1), com=z2, com_vel=z2, xi=np.array([xi]),
-                         cop=np.array([cop]), phase=["Landed"], foot=z3, joint_desired=z3,
-                         joint_measured=z3, torque=z3, events=events, config=config)
+        log = np.zeros((1, 21))
+        log[0, 5:9] = xi + cop  # the DCM and CoP columns
+        trace = SimTrace(log=log, phase=["Landed"], events=events, config=config)
         summary = summarize(trace)
 
         dx, dy = xi[0] - cop[0], xi[1] - cop[1]
@@ -704,6 +704,79 @@ def test_push_during_swing_triggers_material_replans():
     bumped_angle = summarize(bumped).planned_vs_landed_angle_deg
     ref_angle = summarize(ref).planned_vs_landed_angle_deg
     assert bumped_angle > ref_angle + 5.0
+
+
+def test_every_in_flight_replan_solves_its_own_steps_program(monkeypatch):
+    """The step's fixed terms, built once at its trigger, cannot go stale.
+
+    Over the lateral push, whose chained second step swings the other leg
+    from the foot that just landed, and the mid-swing shove, every in-flight
+    ``replan`` equals, field by field by ``repr`` apart from ``planned_at``,
+    ``plan_step`` of a ``PlannerInput`` built from that step's own stance
+    CoP, side gait and box over the shrunk window.  The stance CoP and side
+    are read from the events: the other foot's start, or where it last
+    landed.  A terminal replan's cost and binding rows are its own against
+    the same program."""
+    from exorecover import PlannerInput, StepPlan, mirror_bounds, mirror_gait, plan_step, simulation
+    from exorecover.planner import REPLAN_FLOOR
+    from oracle_utils import planning_cost
+
+    controllers, calls = [], []
+    init, real = Controller.__init__, simulation.replan
+
+    def capturing_init(self, *args):
+        init(self, *args)
+        controllers.append(self)
+
+    def spy(current, xi0, program, elapsed):
+        plan = real(current, xi0, program, elapsed)
+        calls.append((len(controllers[-1].events), current, xi0, elapsed, plan))
+        return plan
+
+    monkeypatch.setattr(Controller, "__init__", capturing_init)
+    monkeypatch.setattr(simulation, "replan", spy)
+    config = ScenarioConfig()
+    gait, box = config.nominal_gait(), config.step_bounds()
+    frames = {"right": (gait, box), "left": (mirror_gait(gait), mirror_bounds(box))}
+    omega, half = config.lipm_params().omega, 0.5 * config.resolved_stance_width()
+    fields = [name for name in StepPlan._fields if name != "planned_at"]
+    seen = []
+    for pushes in ((push_for_excursion(0.0, 0.12),),
+                   (push_for_excursion(0.12, 0.0), push_for_excursion(0.0, 0.06, t=0.62))):
+        calls.clear()
+        trace = run_scenario(dataclasses.replace(config, pushes=pushes))
+        for logged, current, xi0, elapsed, plan in calls:
+            feet, side, steps = {"left": (0.0, half), "right": (0.0, -half)}, None, 0
+            for ev in trace.events[:logged]:
+                if ev.kind == "PlanIssued":
+                    side, steps = ev.payload["swing"], steps + 1
+                elif ev.kind == "TouchDown":
+                    feet[side] = tuple(ev.payload["landed"])
+            stance = feet["left" if side == "right" else "right"]
+            nominal, bounds = frames[side]
+            inp = PlannerInput(xi0, stance, omega, nominal, bounds)
+            t_lo = max(REPLAN_FLOOR, bounds.T_min - elapsed)
+            t_hi = min(bounds.T_max - elapsed, current.landing_time - elapsed)
+            if plan.status == "optimal":
+                window = dataclasses.replace(bounds, T_min=t_lo, T_max=t_hi)
+                want = plan_step(dataclasses.replace(inp, bounds=window))
+                assert [repr(getattr(plan, f)) for f in fields] == \
+                       [repr(getattr(want, f)) for f in fields]
+            else:
+                assert plan.status == "terminal" and t_hi < t_lo
+                lo, hi = bounds.shift(stance).cop_min, bounds.shift(stance).cop_max
+                s_lo, s_hi = bounds.sigma_bounds(omega)
+                (cx, cy), sigma = plan.cop_T, plan.sigma
+                on = (cx == hi[0], cy == hi[1], cx == lo[0], cy == lo[1], sigma == s_hi, sigma == s_lo)
+                assert plan.active_set == tuple(i for i in range(6) if on[i])
+                assert plan.objective == planning_cost(inp, plan.cop_T, sigma, plan.gamma_T)
+            assert plan.planned_at == elapsed
+            seen.append((steps, side, stance, plan.status))
+    # Both sides, a chained step from a landed foot, and both kinds of replan.
+    assert {(side, status) for _, side, _, status in seen} >= {
+        ("right", "optimal"), ("left", "optimal"), ("right", "terminal"), ("left", "terminal")}
+    assert any(steps == 2 and stance not in ((0.0, half), (0.0, -half))
+               for steps, _, stance, _ in seen)
 
 
 def test_control_loop_does_not_call_lapack(monkeypatch):

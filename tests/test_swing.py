@@ -1,6 +1,5 @@
 """Swing trajectories: boundary conditions, apex, retarget continuity."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -161,8 +160,7 @@ def test_a_spliced_trajectory_starts_at_the_splice_but_for_a_negative_zero():
 
     # A foot resting at x = -0.0 is at x = -0.0 at every time ...
     rest = QuinticSegment((-0.0,) * 6, 0.0, 0.5)
-    traj = dataclasses.replace(build_swing([0.0, -0.2, 0.0], make_plan(duration=0.5)),
-                               x_profile=rest)
+    traj = build_swing([0.0, -0.2, 0.0], make_plan(duration=0.5))._replace(x_profile=rest)
     assert repr(sample(traj, 0.1)[0][0]) == "-0.0"
     # ... but the trajectory spliced there starts at +0.0.
     spliced = retarget(traj, 0.1, make_plan(cop=(0.2, -0.18), duration=0.3))
@@ -176,8 +174,8 @@ def _position_cases():
     fresh = build_swing([0.05, -0.2, 0.0], make_plan(cop=(0.25, -0.18), duration=0.5))
     apex = fresh.apex_time
     collapsed = retarget(fresh, 0.3, make_plan(cop=(0.28, -0.2), duration=0.2))
-    rest = dataclasses.replace(build_swing([0.0, -0.2, 0.0], make_plan(duration=0.5)),
-                               x_profile=QuinticSegment((-0.0,) * 6, 0.0, 0.5))
+    rest = build_swing([0.0, -0.2, 0.0], make_plan(duration=0.5))._replace(
+        x_profile=QuinticSegment((-0.0,) * 6, 0.0, 0.5))
     spliced = retarget(rest, 0.1, make_plan(cop=(0.2, -0.18), duration=0.3))
     return [
         ("before", fresh, -0.1), ("far_before", fresh, -1e300), ("negative_zero_time", fresh, -0.0),

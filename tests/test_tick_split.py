@@ -31,7 +31,7 @@ def test_tick_counts_sum_to_the_rows():
     rows = sum(len(run_scenario(config).t) for config in configs)
     assert rows == 1000
     assert sum(group["ticks"] for group in split.values()) == rows
-    assert {"Standing", "Swing", "Swing/aborted", "trigger"} <= set(split)
+    assert {"Standing", "Swing/replan", "Swing/aborted", "trigger"} <= set(split)
     assert split["trigger"]["ticks"] == 2
     for group in split.values():
         assert group["controller_us"] > 0.0 and group["plant_us"] > 0.0
@@ -60,3 +60,31 @@ def test_the_unwrapped_run_is_timed_below_the_wrapped_split():
     wrapped = sum(group["ticks"] * (group["controller_us"] + group["plant_us"])
                   for group in groups.values()) / ticks + loop_us
     assert 0.0 < run_us < wrapped
+
+
+def test_in_flight_ticks_are_split_by_what_the_controller_did():
+    """Over a forward push, a mid-swing shove and a step that aborts on a
+    hip-flexion limit, the ``Swing/retarget``, ``Swing/replan`` and
+    ``Swing/terminal`` groups sum to the ticks that start in ``Swing`` with
+    the step still in flight, and ``Swing/retarget`` counts the runs'
+    ``Replanned`` events."""
+    omega_m = 70.0 * math.sqrt(9.81 / 0.88)
+    forward = PushEvent(0.1, (0.12 * omega_m, 0.0))
+    shove = PushEvent(0.22, (0.0, 0.06 * omega_m))
+    configs = [ScenarioConfig(duration=1.0, pushes=(forward,)),
+               ScenarioConfig(duration=1.0, pushes=(forward, shove)),
+               ScenarioConfig(duration=1.0, pushes=(forward,), hip_flex_limits_deg=(-20.0, 15.0))]
+    split = load_tool().split_ticks(configs, passes=1)
+    in_flight = replanned = 0
+    for config in configs:
+        trace = run_scenario(config)
+        aborts = [e.time for e in trace.events if e.kind == "StepAborted"]
+        last = aborts[0] if aborts else math.inf
+        # A tick starts in the phase the row above logged.
+        in_flight += sum(1 for k in range(1, len(trace.t))
+                         if trace.phase[k - 1] == "Swing" and trace.t[k] <= last)
+        replanned += sum(1 for e in trace.events if e.kind == "Replanned")
+    kinds = ("Swing/retarget", "Swing/replan", "Swing/terminal")
+    assert "Swing" not in split and set(kinds) <= set(split)
+    assert sum(split[kind]["ticks"] for kind in kinds) == in_flight
+    assert split["Swing/retarget"]["ticks"] == replanned > 0

@@ -18,7 +18,12 @@ controller time ``Controller.step``.  Ticks are grouped by the phase the
 detector is in when the tick starts; a ``Swing`` or ``SteppingPlanned``
 tick that ``Controller.step`` sends down its ``episode is None`` branch
 (no step in flight after a ``StepAborted``) is grouped apart, as
-``<phase>/aborted``.  A tick that ``Controller.step`` moves into
+``<phase>/aborted``.  A ``Swing`` tick with a step in flight is grouped
+by what the controller did in it: ``Swing/retarget`` when it re-solved
+the step and spliced the trajectory (it emitted ``Replanned``),
+``Swing/replan`` when it re-solved the step and kept the trajectory, and
+``Swing/terminal`` when the plan was already terminal and nothing was
+solved.  A tick that ``Controller.step`` moves into
 ``SteppingPlanned`` from another phase, from ``Standing`` or, for a
 chained step, from ``Landed``, plans a step (or aborts one at once) and
 goes in the ``trigger`` group instead.  Per group the worker reports the
@@ -58,11 +63,26 @@ ROOT = Path(__file__).resolve().parent.parent
 def _group(controller) -> str:
     """The group of the tick ``controller`` is about to step: its phase, with
     ``/aborted`` appended when ``Controller.step`` takes its ``episode is
-    None`` branch, the one a ``StepAborted`` leaves in flight."""
+    None`` branch, the one a ``StepAborted`` leaves in flight, and
+    ``/terminal`` for a step in flight whose plan is terminal, which is not
+    re-solved.  An in-flight ``Swing`` tick that re-solves stays ``Swing``
+    until :func:`_solved` names what the solve did."""
     phase = controller.detector.phase._value_
-    if controller.episode is None and phase in ("Swing", "SteppingPlanned"):
-        return phase + "/aborted"
+    if phase in ("Swing", "SteppingPlanned"):
+        if controller.episode is None:
+            return phase + "/aborted"
+        if phase == "Swing" and controller.episode.plan.status == "terminal":
+            return "Swing/terminal"
     return phase
+
+
+def _solved(events, before: int) -> str:
+    """The group of an in-flight ``Swing`` tick that re-solved the step, from
+    the events it appended after the first ``before``: ``Swing/retarget``
+    when one is ``Replanned``, else ``Swing/replan``."""
+    if any(event.kind == "Replanned" for event in events[before:]):
+        return "Swing/retarget"
+    return "Swing/replan"
 
 
 def split_ticks(configs, passes: int) -> dict[str, dict]:
@@ -94,12 +114,14 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
         return meas
 
     def timed_control(self, meas, t):
-        group, before = _group(self), self.detector.phase
+        group, before, logged = _group(self), self.detector.phase, len(self.events)
         start = clock()
         command = control(self, meas, t)
         elapsed = clock() - start
         if self.detector.phase is planned and before is not planned:
             group = "trigger"
+        elif group == "Swing":
+            group = _solved(self.events, logged)
         row = sums.setdefault(group, [0, 0.0, 0.0, 0.0])
         row[0] += 1
         row[1] += elapsed
@@ -206,7 +228,8 @@ def main(argv=None) -> int:
     print(json.dumps({
         "method": "tools/tick_split.py: perf_counter wrappers around Plant.measure, "
                   "Controller.step and Plant.step, ticks grouped by start phase, "
-                  "post-abort ticks and trigger ticks apart; min over passes of the "
+                  "post-abort ticks and trigger ticks apart, in-flight Swing ticks by "
+                  "retarget, replan and terminal; min over passes of the "
                   "mean per tick and of the slowest tick; "
                   "loop_us is run_scenario time per tick minus the wrapped time; "
                   "run_us is the unwrapped run_scenario time per tick, timed after",
