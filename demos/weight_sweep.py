@@ -12,7 +12,7 @@ the foot goes and for how long the step lasts.
 
 import math
 
-from exorecover import NominalGait, PlannerInput, StepBounds, plan_step
+from exorecover import NominalGait, StepBounds, plan_step, step_program
 
 omega = math.sqrt(9.81 / 0.88)
 bounds = StepBounds(cop_min=(-0.15, -0.30), cop_max=(0.30, -0.04), T_min=0.25, T_max=1.2)
@@ -25,8 +25,7 @@ cop0 = (0.0, 0.0)
 
 def plan_with(weights):
     nominal = NominalGait(cop_T_nom=(0.0, -0.2), gamma_nom=(0.0, 0.0), T_nom=0.5, weights=weights)
-    return plan_step(PlannerInput(xi0=xi0, cop0=cop0, omega=omega,
-                                  nominal=nominal, bounds=bounds))
+    return plan_step(xi0, step_program(cop0, omega, nominal, bounds))
 
 
 def describe(weights):

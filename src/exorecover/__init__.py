@@ -29,14 +29,12 @@ from .kinematics import JointLimits, LegGeometry, Side, forward_kinematics, inve
 from .lipm import LipmParams, apply_impulse, natural_frequency, step_lipm
 from .planner import (
     NominalGait,
-    PlannerInput,
     StepBounds,
     StepPlan,
     StepProgram,
     constraint_names,
     mirror_bounds,
     mirror_gait,
-    plan_from,
     plan_step,
     replan,
     step_program,

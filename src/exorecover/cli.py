@@ -51,7 +51,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError, PlannerInfeasibleError, ScenarioParseError
 from .lipm import broken
-from .planner import PlannerInput, StepPlan, plan_step
+from .planner import StepPlan, plan_step, step_program
 from .simulation import (
     _LOG_COLUMNS,
     MODE,
@@ -468,8 +468,9 @@ def cmd_plan(args) -> int:
     try:
         config = load_scenario(args.scenario, args.set)
         xi0, cop0 = _option_vec2(args, "xi0"), _option_vec2(args, "cop0")
-        plan = plan_step(PlannerInput(xi0=xi0, cop0=cop0, omega=config.lipm_params().omega,
-                                      nominal=config.nominal_gait(), bounds=config.step_bounds()))
+        program = step_program(cop0, config.lipm_params().omega, config.nominal_gait(),
+                               config.step_bounds())
+        plan = plan_step(xi0, program)
     except (ScenarioParseError, ConfigurationError, ValueError) as err:  # a plan_step overflow too
         return _fail(str(err), 1)
     except PlannerInfeasibleError as err:
@@ -508,8 +509,7 @@ def cmd_sweep_weights(args) -> int:
         omega = config.lipm_params().omega
         results = []
         for nominal in gaits:
-            plan = plan_step(PlannerInput(xi0=xi0, cop0=cop0, omega=omega, nominal=nominal,
-                                          bounds=bounds))
+            plan = plan_step(xi0, step_program(cop0, omega, nominal, bounds))
             # A Python-float sum, so the length (and the flagged row it ranks)
             # does not depend on the BLAS build.
             dx, dy = plan.cop_T[0] - cop0[0], plan.cop_T[1] - cop0[1]

@@ -36,15 +36,16 @@ used, so planning does not depend on LAPACK.
 
 Planar vectors (``xi0``, ``cop0``, the nominal point and offset, the CoP
 box corners and the plan's ``cop_T``, ``gamma_T`` and ``xi_T``) are
-``(x, y)`` pairs of Python floats, checked once by the dataclass that
-holds them.
+``(x, y)`` pairs of Python floats.  The gait and the bounds are checked
+by their dataclasses, ``cop0`` and ``omega`` by :func:`step_program`
+and the DCM by :func:`plan_step`; :func:`replan` takes it as it is.
 
 While one step is in flight only the DCM and the duration window change:
 the stance CoP, the side's gait and box and ``omega`` are fixed.  The
 terms built from those alone (the world box and nominal point, the
 weight products, ``exp(omega*T_nom)``) are a :class:`StepProgram`,
 built once per step by :func:`step_program` and taken by every solve of
-that step.
+that step: :func:`plan_step` at the trigger, :func:`replan` in flight.
 """
 
 from __future__ import annotations
@@ -59,12 +60,10 @@ from .lipm import FINITE, POSITIVE, as_vec2, clip, require
 __all__ = [
     "NominalGait",
     "StepBounds",
-    "PlannerInput",
     "StepPlan",
     "StepProgram",
     "step_program",
     "plan_step",
-    "plan_from",
     "replan",
     "constraint_names",
     "mirror_gait",
@@ -128,22 +127,6 @@ class StepBounds:
         x, y = as_vec2(offset, "offset")
         (lo_x, lo_y), (hi_x, hi_y) = self.cop_min, self.cop_max
         return replace(self, cop_min=(lo_x + x, lo_y + y), cop_max=(hi_x + x, hi_y + y))
-
-
-@dataclass(frozen=True)
-class PlannerInput:
-    """Everything one planning solve needs; ``nominal`` and ``bounds`` are about ``cop0``."""
-
-    xi0: tuple[float, float]  # m, DCM at trigger or replanning time
-    cop0: tuple[float, float]  # m, current stance CoP
-    omega: float  # 1/s
-    nominal: NominalGait
-    bounds: StepBounds
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi0", as_vec2(self.xi0, "xi0"))
-        object.__setattr__(self, "cop0", as_vec2(self.cop0, "cop0"))
-        require("omega", self.omega, POSITIVE)
 
 
 class StepPlan(NamedTuple):
@@ -222,17 +205,19 @@ def constraint_names() -> tuple[str, ...]:
 
 
 def step_program(cop0, omega: float, nominal: NominalGait, bounds: StepBounds) -> StepProgram:
-    """The fixed terms of the step from the stance CoP ``cop0``, a float
-    pair, for ``omega``, ``nominal`` and ``bounds`` (already checked).
+    """The fixed terms of the step from the stance CoP ``cop0`` for
+    ``omega``, ``nominal`` and ``bounds``: the planner's checked input.
 
-    Raises :class:`PlannerInfeasibleError` for an empty CoP box or
-    duration window, naming both rows of each empty interval, and then
-    ``OverflowError`` when ``exp(omega*T)`` of ``T_nom`` or a duration
-    bound leaves the float range.
+    Raises ValueError unless ``cop0`` is a finite 2-vector and ``omega``
+    is positive, then :class:`PlannerInfeasibleError` for an empty CoP
+    box or duration window, naming both rows of each empty interval, and
+    then ValueError when ``exp(omega*T)`` of ``T_nom`` or a duration bound
+    leaves the float range.
     """
+    c0_x, c0_y = as_vec2(cop0, "cop0")
+    require("omega", omega, POSITIVE)
     # The gait point and the CoP box are about the stance CoP; the world
     # values are taken here, once per step.
-    c0_x, c0_y = cop0
     (nx, ny), (gn_x, gn_y) = nominal.cop_T_nom, nominal.gamma_nom
     (lo_x, lo_y), (hi_x, hi_y) = bounds.cop_min, bounds.cop_max
     cn_x, cn_y = nx + c0_x, ny + c0_y
@@ -243,12 +228,17 @@ def step_program(cop0, omega: float, nominal: NominalGait, bounds: StepBounds) -
         empty = (lo_x > hi_x, lo_y > hi_y) * 2 + (t_lo > t_hi,) * 2
         bad = tuple(name for name, e in zip(constraint_names(), empty) if e)
         raise PlannerInfeasibleError("step program has an empty box: " + ", ".join(bad), violated=bad)
+    try:
+        s_min, s_max = bounds.sigma_bounds(omega)
+        s_nom = math.exp(omega * nominal.T_nom)
+    except OverflowError:
+        raise ValueError(f"exp(omega*T) leaves the float range for omega={omega}, T_min={t_lo}, "
+                         f"T_max={t_hi}, T_nom={nominal.T_nom}") from None
     a1, a2, a3 = weights = nominal.weights
-    s_min, s_max = bounds.sigma_bounds(omega)
     k1_x, k1_y = a1 * cn_x, a1 * cn_y
     return StepProgram(
         (c0_x, c0_y), omega, t_lo, t_hi, s_min, s_max, (lo_x, lo_y), (hi_x, hi_y), (cn_x, cn_y),
-        (gn_x, gn_y), weights, a1 + a2, math.exp(omega * nominal.T_nom), (k1_x, k1_y),
+        (gn_x, gn_y), weights, a1 + a2, s_nom, (k1_x, k1_y),
         -2.0 * a2, 2.0 * a3, (k1_x + a2 * (c0_x - gn_x), k1_y + a2 * (c0_y - gn_y)),
     )
 
@@ -328,18 +318,15 @@ def _solve(xi0, program: StepProgram, s_lo: float, s_hi: float, planned_at: floa
                     planned_at)
 
 
-def _not_finite(xi0, cop0) -> ValueError:
-    return ValueError(f"the plan from xi0={xi0}, cop0={cop0} is not finite")
-
-
-def plan_from(xi0, program: StepProgram) -> StepPlan:
+def plan_step(xi0, program: StepProgram) -> StepPlan:
     """Solve the step's program over its whole duration window at trigger
-    time; ValueError if the plan overflows.
+    time; ValueError unless the DCM ``xi0`` is a finite 2-vector, or if
+    the plan overflows.
 
-    The controller's entry point: the DCM ``xi0`` is a float pair, taken
-    as it is, and ``program`` is the step's :func:`step_program`, which
-    :func:`replan` then takes for the rest of the step.
+    ``program`` is the step's :func:`step_program`, which :func:`replan`
+    then takes for the rest of the step.
     """
+    xi0 = as_vec2(xi0, "xi0")
     # A state near the float range (xi0 = 1e300, 0, say) gives an infinite
     # objective or gamma_T, and a sigma whose square in the cost leaves the
     # range raises OverflowError; neither is an optimal plan.
@@ -350,18 +337,8 @@ def plan_from(xi0, program: StepProgram) -> StepPlan:
     else:
         numbers = (*plan.cop_T, *plan.gamma_T, plan.sigma, plan.duration, plan.objective)
     if not all(map(math.isfinite, numbers)):
-        raise _not_finite(xi0, program.cop0)
+        raise ValueError(f"the plan from xi0={xi0}, cop0={program.cop0} is not finite")
     return plan
-
-
-def plan_step(inp: PlannerInput) -> StepPlan:
-    """:func:`plan_from` on the checked values of ``inp``, with the step's
-    program built for this one solve."""
-    try:
-        program = step_program(inp.cop0, inp.omega, inp.nominal, inp.bounds)
-    except OverflowError:  # a step time whose exp(omega * T) leaves the float range
-        raise _not_finite(inp.xi0, inp.cop0) from None
-    return plan_from(inp.xi0, program)
 
 
 def replan(current: StepPlan, xi0, program: StepProgram, elapsed: float) -> StepPlan:
@@ -370,9 +347,9 @@ def replan(current: StepPlan, xi0, program: StepProgram, elapsed: float) -> Step
     The in-flight entry point: the measured DCM ``xi0`` is a float pair,
     taken as it is, and ``program`` is the one the step was planned with
     (:func:`step_program` of its stance CoP, ``omega``, gait and bounds).
-    The result equals a :func:`plan_step` solve of a ``PlannerInput``
-    with the same values over the shrunk window, bit for bit, apart from
-    ``planned_at``.
+    An optimal result is the :func:`plan_step` solve of the program built
+    with the duration bounds of the shrunk window, bit for bit, apart
+    from ``planned_at``.
 
     The remaining-time window is ``[max(floor, T_min - elapsed),
     min(T_max - elapsed, current.landing_time - elapsed)]``.  Capping by

@@ -74,7 +74,7 @@ from .planner import (
     StepProgram,
     mirror_bounds,
     mirror_gait,
-    plan_from,
+    plan_step,
     replan,
     step_program,
 )
@@ -640,7 +640,7 @@ class Controller:
         self.cop = stance_xy
         try:
             program = step_program(stance_xy, self.omega, nominal, bounds)
-            plan = plan_from(meas.xi, program)
+            plan = plan_step(meas.xi, program)
         except PlannerInfeasibleError as err:
             self._abort(t, f"plan_step infeasible: {', '.join(err.violated) or err}")
             return None
@@ -678,15 +678,10 @@ class Controller:
         """Replan the step in flight; returns whether the foot touched down.
 
         The planner gets the measured DCM as a float pair and the step's
-        program held on the episode, so no ``PlannerInput`` is built; a
-        terminal plan is not re-solved."""
+        program held on the episode; a terminal plan is not re-solved."""
         ep = self.episode
         if ep.plan.status != "terminal":
-            try:
-                new_plan = replan(ep.plan, meas.xi, ep.program, t - ep.trigger_time)
-            except PlannerInfeasibleError as err:
-                self._abort(t, f"replan infeasible: {', '.join(err.violated) or err}")
-                return False
+            new_plan = replan(ep.plan, meas.xi, ep.program, t - ep.trigger_time)
             if new_plan.status != "terminal":
                 (new_x, new_y), (old_x, old_y) = new_plan.cop_T, ep.plan.cop_T
                 # max(moved_x, moved_y) as clip compares: a tie keeps the first.

@@ -1,5 +1,9 @@
 """Independent oracles shared by the test modules.
 
+A :class:`PlanningCase` is one planning solve's inputs, unchecked; the
+oracles read its fields and never the terms of the planner's
+``StepProgram``.  :func:`plan_of` is the planner's own solve of a case.
+
 The brute-force planner oracle never touches the QP solver.  It
 eliminates the landing offset through the touchdown boundary condition
 ``gamma = cop0 - cop_T - (cop0 - xi0) * sigma``, minimises over the
@@ -22,22 +26,38 @@ inputs.  The loop itself uses none of them.
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from exorecover import PlannerInput, StepPlan
+from exorecover import NominalGait, StepBounds, StepPlan, plan_step, step_program
 from exorecover.qp import QpProblem, QpSolution
 
 
-def world_input(inp: PlannerInput) -> PlannerInput:
+class PlanningCase(NamedTuple):
+    """One planning solve's inputs; ``nominal`` and ``bounds`` are about ``cop0``."""
+
+    xi0: tuple[float, float]  # m, DCM at trigger or replanning time
+    cop0: tuple[float, float]  # m, stance CoP
+    omega: float  # 1/s
+    nominal: NominalGait
+    bounds: StepBounds
+
+
+def plan_of(case: PlanningCase) -> StepPlan:
+    """The planner's plan for ``case``: ``plan_step`` of its ``step_program``."""
+    return plan_step(case.xi0, step_program(case.cop0, case.omega, case.nominal, case.bounds))
+
+
+def world_input(inp: PlanningCase) -> PlanningCase:
     """``inp`` with its nominal landing point and CoP box moved from the
     stance-CoP frame the planner takes into the world, by ``cop0``."""
     (nx, ny), (cx, cy) = inp.nominal.cop_T_nom, inp.cop0
-    return replace(inp, nominal=replace(inp.nominal, cop_T_nom=(nx + cx, ny + cy)),
-                   bounds=inp.bounds.shift(inp.cop0))
+    return inp._replace(nominal=replace(inp.nominal, cop_T_nom=(nx + cx, ny + cy)),
+                        bounds=inp.bounds.shift(inp.cop0))
 
 
-def _cost_of_sigma(inp: PlannerInput, sigma: np.ndarray):
+def _cost_of_sigma(inp: PlanningCase, sigma: np.ndarray):
     """Vectorised exact partial minimisation over the landing CoP.
 
     Returns ``(cost, cop_x, cop_y)`` arrays matching ``sigma``.
@@ -61,7 +81,7 @@ def _cost_of_sigma(inp: PlannerInput, sigma: np.ndarray):
 
 
 def brute_force_plan(
-    inp: PlannerInput, passes: int = 10, points: int = 33
+    inp: PlanningCase, passes: int = 10, points: int = 33
 ) -> tuple[np.ndarray, float, float]:
     """Grid-refined minimiser; returns ``(cop_T, sigma, objective)``.
 
@@ -86,7 +106,7 @@ def brute_force_plan(
     return np.array([cx[0], cy[0]]), best_sigma, float(cost[0])
 
 
-def assemble_qp(inp: PlannerInput) -> QpProblem:
+def assemble_qp(inp: PlanningCase) -> QpProblem:
     """Build the 5-variable QP of one planning solve, for reference checks.
 
     The variables are ``z = [cop_x, cop_y, sigma, gamma_x, gamma_y]``;
@@ -175,7 +195,7 @@ def kkt_residual(problem: QpProblem, solution: QpSolution) -> KktResidual:
     return _residual(problem, solution.z, solution.eq_multipliers, solution.ineq_multipliers)
 
 
-def plan_kkt_residual(inp: PlannerInput, plan: StepPlan) -> KktResidual:
+def plan_kkt_residual(inp: PlanningCase, plan: StepPlan) -> KktResidual:
     """First-order residuals of a planner result against ``assemble_qp(inp)``.
 
     The plan carries no multipliers, so they are recovered from its ``z``
@@ -225,7 +245,7 @@ def nominal_consistent_dcm(nominal, cop0, omega: float):
     return cop0[0] + (g_x + n_x) / sigma_nom, cop0[1] + (g_y + n_y) / sigma_nom
 
 
-def planning_cost(inp: PlannerInput, cop_T, sigma: float, gamma_T) -> float:
+def planning_cost(inp: PlanningCase, cop_T, sigma: float, gamma_T) -> float:
     """The planner's full quadratic cost, constant term included, summed in
     Python floats in the order ``StepPlan.objective`` is."""
     inp = world_input(inp)

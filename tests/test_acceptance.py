@@ -20,7 +20,6 @@ from exorecover import (
     LipmParams,
     NominalGait,
     PlannerInfeasibleError,
-    PlannerInput,
     PushEvent,
     ScenarioConfig,
     Side,
@@ -34,17 +33,20 @@ from exorecover import (
     plan_step,
     run_scenario,
     step_lipm,
+    step_program,
     summarize,
 )
 from exorecover import cli
 from exorecover.impedance import RAD_PER_DEG
 import acceptance_report
 from oracle_utils import (
+    PlanningCase,
     brute_force_plan,
     dcm_closed_form,
     evaluate,
     nominal_consistent_dcm,
     plan_kkt_residual,
+    plan_of,
 )
 
 MASS = 70.0
@@ -71,7 +73,7 @@ def events_of(trace, kind):
     return [e for e in trace.events if e.kind == kind]
 
 
-def random_planner_input(rng: np.random.Generator) -> PlannerInput:
+def random_planner_input(rng: np.random.Generator) -> PlanningCase:
     omega = float(rng.uniform(2.0, 4.0))
     nominal = NominalGait(
         cop_T_nom=rng.uniform(-0.1, 0.1, 2),
@@ -86,9 +88,9 @@ def random_planner_input(rng: np.random.Generator) -> PlannerInput:
         T_min=float(rng.uniform(0.2, 0.4)),
         T_max=float(rng.uniform(0.8, 1.3)),
     )
-    return PlannerInput(
-        xi0=rng.uniform(-0.15, 0.15, 2),
-        cop0=rng.uniform(-0.05, 0.05, 2),
+    return PlanningCase(
+        xi0=tuple(rng.uniform(-0.15, 0.15, 2).tolist()),
+        cop0=tuple(rng.uniform(-0.05, 0.05, 2).tolist()),
         omega=omega,
         nominal=nominal,
         bounds=bounds,
@@ -121,15 +123,7 @@ def plan_with_weights(weights) -> StepPlan:
         T_nom=nominal.T_nom,
         weights=tuple(float(w) for w in weights),
     )
-    return plan_step(
-        PlannerInput(
-            xi0=np.array([0.08, 0.0]),
-            cop0=np.zeros(2),
-            omega=OMEGA,
-            nominal=nominal,
-            bounds=default_bounds(),
-        )
-    )
+    return plan_step((0.08, 0.0), step_program((0.0, 0.0), OMEGA, nominal, default_bounds()))
 
 
 def step_length(plan: StepPlan) -> float:
@@ -169,7 +163,7 @@ def test_criterion_02_random_plans_carry_kkt_certificates():
     while solved < 100:
         inp = random_planner_input(rng)
         try:
-            plan = plan_step(inp)
+            plan = plan_of(inp)
         except PlannerInfeasibleError:
             continue
         worst_kkt = max(worst_kkt, float(plan_kkt_residual(inp, plan).max()))
@@ -188,13 +182,9 @@ def test_criterion_02_random_plans_carry_kkt_certificates():
 
 def test_criterion_03_nominal_gait_is_a_planner_fixed_point():
     nominal = default_nominal()
-    cop0 = np.zeros(2)
+    cop0 = (0.0, 0.0)
     xi0 = nominal_consistent_dcm(nominal, cop0, OMEGA)
-    plan = plan_step(
-        PlannerInput(
-            xi0=xi0, cop0=cop0, omega=OMEGA, nominal=nominal, bounds=default_bounds()
-        )
-    )
+    plan = plan_step(xi0, step_program(cop0, OMEGA, nominal, default_bounds()))
     drift = max(
         float(np.abs(np.subtract(plan.cop_T, nominal.cop_T_nom)).max()),
         float(np.abs(np.subtract(plan.gamma_T, nominal.gamma_nom)).max()),

@@ -858,13 +858,11 @@ def test_plan_prints_the_solution(tmp_path, capsys):
 
     # The printed numbers are the library solution verbatim; the planner
     # takes the config's gait and box about cop0 as they are.
-    from exorecover import PlannerInput, plan_step
+    from exorecover import plan_step, step_program
 
     config = cli.load_scenario(scenario)
-    plan = plan_step(PlannerInput(
-        xi0=np.array([0.12, 0.0]), cop0=np.array([0.0, -0.1]), omega=config.lipm_params().omega,
-        nominal=config.nominal_gait(), bounds=config.step_bounds(),
-    ))
+    plan = plan_step((0.12, 0.0), step_program(np.array([0.0, -0.1]), config.lipm_params().omega,
+                                               config.nominal_gait(), config.step_bounds()))
     assert lines["cop_T"] == ",".join(repr(float(v)) for v in plan.cop_T)
     assert lines["sigma"] == repr(plan.sigma)
     assert lines["duration_s"] == repr(plan.duration)

@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from oracle_utils import (
+    PlanningCase,
     assemble_qp,
     brute_force_plan,
     dcm_closed_form,
     nominal_consistent_dcm,
     plan_kkt_residual,
+    plan_of,
     planning_cost,
     world_input,
 )
@@ -18,7 +20,6 @@ from oracle_utils import (
 from exorecover import (
     NominalGait,
     PlannerInfeasibleError,
-    PlannerInput,
     ScenarioConfig,
     StepBounds,
     constraint_names,
@@ -53,7 +54,7 @@ def default_bounds() -> StepBounds:
     )
 
 
-def random_input(rng: np.random.Generator) -> PlannerInput:
+def random_input(rng: np.random.Generator) -> PlanningCase:
     omega = float(rng.uniform(2.0, 4.0))
     nominal = NominalGait(
         cop_T_nom=rng.uniform(-0.1, 0.1, 2),
@@ -68,9 +69,9 @@ def random_input(rng: np.random.Generator) -> PlannerInput:
         T_min=float(rng.uniform(0.2, 0.4)),
         T_max=float(rng.uniform(0.8, 1.3)),
     )
-    return PlannerInput(
-        xi0=rng.uniform(-0.15, 0.15, 2),
-        cop0=rng.uniform(-0.05, 0.05, 2),
+    return PlanningCase(
+        xi0=tuple(rng.uniform(-0.15, 0.15, 2).tolist()),
+        cop0=tuple(rng.uniform(-0.05, 0.05, 2).tolist()),
         omega=omega,
         nominal=nominal,
         bounds=bounds,
@@ -79,9 +80,9 @@ def random_input(rng: np.random.Generator) -> PlannerInput:
 
 def test_nominal_state_is_a_fixed_point():
     nominal = default_nominal()
-    cop0 = np.array([0.0, 0.0])
+    cop0 = (0.0, 0.0)
     xi0 = nominal_consistent_dcm(nominal, cop0, OMEGA)
-    plan = plan_step(PlannerInput(xi0, cop0, OMEGA, nominal, default_bounds()))
+    plan = plan_of(PlanningCase(xi0, cop0, OMEGA, nominal, default_bounds()))
     assert plan.status == "optimal"
     assert np.abs(np.subtract(plan.cop_T, nominal.cop_T_nom)).max() < 1e-10
     assert np.abs(np.subtract(plan.gamma_T, nominal.gamma_nom)).max() < 1e-10
@@ -96,7 +97,7 @@ def test_boundary_condition_holds_on_random_instances():
     for _ in range(200):
         inp = random_input(rng)
         try:
-            plan = plan_step(inp)
+            plan = plan_of(inp)
         except PlannerInfeasibleError:
             continue
         cop0 = np.asarray(inp.cop0)
@@ -109,7 +110,7 @@ def test_plan_respects_boxes():
     for _ in range(200):
         inp = random_input(rng)
         try:
-            plan = plan_step(inp)
+            plan = plan_of(inp)
         except PlannerInfeasibleError:
             continue
         box = inp.bounds.shift(inp.cop0)  # the box is about the stance CoP
@@ -125,7 +126,7 @@ def test_predicted_landing_dcm_matches_pendulum_flow():
     for _ in range(50):
         inp = random_input(rng)
         try:
-            plan = plan_step(inp)
+            plan = plan_of(inp)
         except PlannerInfeasibleError:
             continue
         xi_T = dcm_closed_form(inp.xi0, inp.cop0, inp.omega, plan.duration)
@@ -138,7 +139,7 @@ def test_objective_matches_brute_force_oracle():
     while checked < 10:
         inp = random_input(rng)
         try:
-            plan = plan_step(inp)
+            plan = plan_of(inp)
         except PlannerInfeasibleError:
             continue
         _, _, obj_ref = brute_force_plan(inp)
@@ -156,8 +157,9 @@ def test_plan_moves_with_the_stance_cop():
     for _ in range(300):
         inp = random_input(rng)
         d = rng.uniform(-0.5, 0.5, 2)
-        plan = plan_step(inp)
-        moved = plan_step(replace(inp, xi0=np.add(inp.xi0, d), cop0=np.add(inp.cop0, d)))
+        plan = plan_of(inp)
+        moved = plan_of(inp._replace(xi0=tuple(np.add(inp.xi0, d).tolist()),
+                                     cop0=tuple(np.add(inp.cop0, d).tolist())))
         assert np.abs(np.subtract(moved.cop_T, plan.cop_T) - d).max() < 1e-12
         assert abs(moved.sigma - plan.sigma) < 1e-12
         assert np.abs(np.subtract(moved.gamma_T, plan.gamma_T)).max() < 1e-12
@@ -166,8 +168,8 @@ def test_plan_moves_with_the_stance_cop():
 
 
 def test_objective_is_full_cost_not_shifted():
-    inp = PlannerInput([0.1, 0.02], [0.0, 0.0], OMEGA, default_nominal(), default_bounds())
-    plan = plan_step(inp)
+    inp = PlanningCase((0.1, 0.02), (0.0, 0.0), OMEGA, default_nominal(), default_bounds())
+    plan = plan_of(inp)
     direct = planning_cost(inp, plan.cop_T, plan.sigma, plan.gamma_T)
     assert plan.objective == pytest.approx(direct, abs=1e-12)
     assert plan.objective >= 0.0
@@ -180,7 +182,7 @@ def test_planning_cost_is_a_float_sum():
     for _ in range(500):
         inp = random_input(rng)
         try:
-            plan = plan_step(inp)
+            plan = plan_of(inp)
         except PlannerInfeasibleError:
             continue
         a1, a2, a3 = inp.nominal.weights
@@ -195,7 +197,7 @@ def test_planning_cost_is_a_float_sum():
 
 
 def test_assemble_qp_shapes_and_names():
-    inp = PlannerInput([0.1, 0.0], [0.0, 0.0], OMEGA, default_nominal(), default_bounds())
+    inp = PlanningCase((0.1, 0.0), (0.0, 0.0), OMEGA, default_nominal(), default_bounds())
     prob = assemble_qp(inp)
     assert prob.num_variables == 5
     assert prob.eq_matrix.shape == (2, 5)
@@ -213,20 +215,19 @@ def test_infeasible_raises_with_named_constraints():
          ("sigma <= exp(omega*T_max)", "sigma >= exp(omega*T_min)")),
     ]
     for bounds, names in cases:
-        inp = PlannerInput([0.1, 0.0], [0.0, 0.0], OMEGA, default_nominal(), bounds)
         with pytest.raises(PlannerInfeasibleError) as err:
-            plan_step(inp)
+            step_program((0.0, 0.0), OMEGA, default_nominal(), bounds)
         assert err.value.violated == names
 
 
 def test_replan_landing_time_never_grows():
     nominal = default_nominal()
     bounds = default_bounds()
-    xi0 = np.array([0.12, -0.02])
-    cop0 = np.array([0.0, 0.0])
+    xi0 = (0.12, -0.02)
+    cop0 = (0.0, 0.0)
 
-    plan = plan_step(PlannerInput(xi0, cop0, OMEGA, nominal, bounds))
     program = step_program(cop0, OMEGA, nominal, bounds)
+    plan = plan_step(xi0, program)
     landing_times = [plan.landing_time]
     remaining = [plan.duration]
     t = 0.0
@@ -244,13 +245,14 @@ def test_replan_landing_time_never_grows():
 def test_replan_far_into_swing_returns_terminal_plan():
     nominal = default_nominal()
     bounds = default_bounds()
-    plan = plan_step(PlannerInput([0.12, -0.02], [0.0, 0.0], OMEGA, nominal, bounds))
+    program = step_program((0.0, 0.0), OMEGA, nominal, bounds)
+    plan = plan_step((0.12, -0.02), program)
     assert plan.active_set == (0,)  # lands on cop_max_x
     elapsed = plan.landing_time - 0.05  # under the replanning floor
-    inp = PlannerInput([0.2, -0.02], [0.0, 0.0], OMEGA, nominal, bounds)
+    inp = PlanningCase((0.2, -0.02), (0.0, 0.0), OMEGA, nominal, bounds)
     # Stale bookkeeping on the previous plan must not leak into the terminal one.
     stale = plan._replace(objective=123.0, active_set=(1, 4, 5))
-    term = replan(stale, inp.xi0, step_program(inp.cop0, inp.omega, inp.nominal, inp.bounds), elapsed)
+    term = replan(stale, inp.xi0, program, elapsed)
     assert term.status == "terminal"
     assert np.all(term.cop_T == plan.cop_T)
     assert term.duration == pytest.approx(0.05, abs=1e-12)
@@ -277,10 +279,10 @@ def test_replan_on_t_min_runs_to_the_floor():
     landing time rounds below ``T_min`` and the step freezes after 5 ms.
     """
     nominal, bounds = default_nominal(), default_bounds()
-    xi0, cop0 = np.array([0.3, 0.0]), np.zeros(2)
-    plan = plan_step(PlannerInput(xi0, cop0, OMEGA, nominal, bounds))
-    assert plan.duration == bounds.T_min
+    xi0, cop0 = (0.3, 0.0), (0.0, 0.0)
     program = step_program(cop0, OMEGA, nominal, bounds)
+    plan = plan_step(xi0, program)
+    assert plan.duration == bounds.T_min
     k = 0
     while plan.status != "terminal":
         k += 1
@@ -290,10 +292,10 @@ def test_replan_on_t_min_runs_to_the_floor():
 
 
 def test_replan_rejects_negative_elapsed():
-    plan = plan_step(PlannerInput([0.12, 0.0], [0.0, 0.0], OMEGA, default_nominal(), default_bounds()))
+    program = step_program((0.0, 0.0), OMEGA, default_nominal(), default_bounds())
+    plan = plan_step((0.12, 0.0), program)
     with pytest.raises(ValueError):
-        replan(plan, [0.12, 0.0], step_program([0.0, 0.0], OMEGA, default_nominal(), default_bounds()),
-               -0.1)
+        replan(plan, (0.12, 0.0), program, -0.1)
 
 
 def test_mirror_symmetry_of_planning():
@@ -302,20 +304,20 @@ def test_mirror_symmetry_of_planning():
     flip = np.array([1.0, -1.0])
     for _ in range(50):
         inp = random_input(rng)
-        m_inp = PlannerInput(
-            xi0=inp.xi0 * flip,
-            cop0=inp.cop0 * flip,
+        m_inp = PlanningCase(
+            xi0=tuple((inp.xi0 * flip).tolist()),
+            cop0=tuple((inp.cop0 * flip).tolist()),
             omega=inp.omega,
             nominal=mirror_gait(inp.nominal),
             bounds=mirror_bounds(inp.bounds),
         )
         try:
-            plan = plan_step(inp)
+            plan = plan_of(inp)
         except PlannerInfeasibleError:
             with pytest.raises(PlannerInfeasibleError):
-                plan_step(m_inp)
+                plan_of(m_inp)
             continue
-        m_plan = plan_step(m_inp)
+        m_plan = plan_of(m_inp)
         assert np.abs(m_plan.cop_T - plan.cop_T * flip).max() < 1e-9
         assert np.abs(m_plan.gamma_T - plan.gamma_T * flip).max() < 1e-9
         assert m_plan.duration == pytest.approx(plan.duration, abs=1e-10)
@@ -362,7 +364,7 @@ def test_replan_matches_cold_solve():
     seen = []
     for _ in range(60):
         inp = random_input(rng)
-        plan = plan_step(inp)
+        plan = plan_of(inp)
         for elapsed in (0.02, 0.1, 0.2, 0.4):
             t_lo = max(0.1, inp.bounds.T_min - elapsed)
             t_hi = min(inp.bounds.T_max - elapsed, plan.landing_time - elapsed)
@@ -371,10 +373,11 @@ def test_replan_matches_cold_solve():
             # Rescaling the DCM offset, as a shove would, makes some replans
             # want a shorter step than the window allows.
             cop0 = np.asarray(inp.cop0)
-            inp_t = replace(inp, xi0=cop0 + (inp.xi0 - cop0) * rng.uniform(0.5, 4.0))
+            inp_t = inp._replace(
+                xi0=tuple((cop0 + (inp.xi0 - cop0) * rng.uniform(0.5, 4.0)).tolist()))
             program = step_program(inp_t.cop0, inp_t.omega, inp_t.nominal, inp_t.bounds)
             new = replan(plan, inp_t.xi0, program, elapsed)
-            shrunk = replace(inp_t, bounds=replace(inp.bounds, T_min=t_lo, T_max=t_hi))
+            shrunk = inp_t._replace(bounds=replace(inp.bounds, T_min=t_lo, T_max=t_hi))
             cold = solve_qp(assemble_qp(shrunk))
             assert new.status == "optimal"
             assert np.abs(np.subtract(new.cop_T, cold.z[0:2])).max() < 1e-8
@@ -395,8 +398,8 @@ def test_kkt_certificate_fails_a_plan_moved_off_its_optimum(axis):
     nominal = default_nominal()
     cop0 = (0.0, 0.0)
     xi0 = nominal_consistent_dcm(nominal, cop0, OMEGA)
-    inp = PlannerInput(xi0, cop0, OMEGA, nominal, default_bounds())
-    plan = plan_step(inp)
+    inp = PlanningCase(xi0, cop0, OMEGA, nominal, default_bounds())
+    plan = plan_of(inp)
     assert plan.active_set == () and plan_kkt_residual(inp, plan).max() < 1e-8
     step = np.eye(2)[axis] * 0.01
     moved = plan._replace(cop_T=tuple(np.add(plan.cop_T, step).tolist()),
@@ -414,15 +417,15 @@ def test_planning_does_not_call_lapack(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     rng = np.random.default_rng(99)
     for _ in range(50):
-        plan_step(random_input(rng))
+        plan_of(random_input(rng))
 
-    inp = PlannerInput([0.12, -0.02], [0.0, 0.0], OMEGA, default_nominal(), default_bounds())
-    plan = plan_step(inp)
-    program = step_program(inp.cop0, inp.omega, inp.nominal, inp.bounds)
+    xi0 = (0.12, -0.02)
+    program = step_program((0.0, 0.0), OMEGA, default_nominal(), default_bounds())
+    plan = plan_step(xi0, program)
     elapsed = 0.0
     while plan.status != "terminal":
         elapsed += 0.02
-        plan = replan(plan, inp.xi0, program, elapsed)
+        plan = replan(plan, xi0, program, elapsed)
 
 
 def test_input_validation():
@@ -432,37 +435,46 @@ def test_input_validation():
         NominalGait([0.0, 0.0], [0.0, 0.0], 0.5, (1.0, 0.0, 1.0))
     with pytest.raises(ValueError, match="^cop_T_nom must be a number or a regular array of numbers"):
         NominalGait((10**400, 0.0), (0.0, 0.0), 0.5, (1.0, 1.0, 1.0))  # past float's range
-    with pytest.raises(ValueError):
-        PlannerInput([0.0, 0.0], [0.0, 0.0], 0.0, default_nominal(), default_bounds())
-    with pytest.raises(ValueError):
-        PlannerInput([0.0], [0.0, 0.0], OMEGA, default_nominal(), default_bounds())
+    # The planner's checked inputs: the step program's stance CoP and omega,
+    # and the DCM a plan starts from.
+    program = step_program((0.0, 0.0), OMEGA, default_nominal(), default_bounds())
+    with pytest.raises(ValueError, match="^xi0 must have exactly 2 components"):
+        plan_step((0.1,), program)
+    with pytest.raises(ValueError, match="^xi0 must be finite"):
+        plan_step((0.1, math.inf), program)
+    with pytest.raises(ValueError, match="^omega must be positive"):
+        step_program((0.0, 0.0), 0.0, default_nominal(), default_bounds())
+    with pytest.raises(ValueError, match="^cop0 must have exactly 2 components"):
+        step_program((0.0,), OMEGA, default_nominal(), default_bounds())
+    with pytest.raises(ValueError, match="^cop0 must be finite"):
+        step_program((math.nan, 0.0), OMEGA, default_nominal(), default_bounds())
 
 
-def test_in_flight_replan_is_the_planner_input_form_bit_for_bit():
-    """``replan`` on float pairs equals the checked ``PlannerInput`` form bit
-    for bit: an optimal replan is ``plan_step`` of a ``PlannerInput`` over
-    the shrunk window, and a terminal one is the array formula of the
+def test_in_flight_replan_is_plan_step_of_the_shrunk_program_bit_for_bit():
+    """``replan`` equals a fresh solve bit for bit: an optimal replan is
+    ``plan_step`` of the ``step_program`` built with the shrunk window's
+    duration bounds, and a terminal one is the array formula of the
     frozen plan with its cost from ``planning_cost``."""
     rng = np.random.default_rng(5150)
     statuses = []
     for _ in range(200):
         inp = random_input(rng)
-        plan = plan_step(inp)
+        program = step_program(inp.cop0, inp.omega, inp.nominal, inp.bounds)
+        plan = plan_step(inp.xi0, program)
         for elapsed in sorted(rng.uniform(0.0, plan.landing_time + 0.05, 6).tolist()):
             cop0 = np.asarray(inp.cop0)
-            xi = cop0 + (inp.xi0 - cop0) * rng.uniform(0.5, 3.0)
-            new = replan(plan, tuple(xi.tolist()),
-                         step_program(inp.cop0, inp.omega, inp.nominal, inp.bounds), elapsed)
-            checked = replace(inp, xi0=xi)
+            xi = tuple((cop0 + (inp.xi0 - cop0) * rng.uniform(0.5, 3.0)).tolist())
+            new = replan(plan, xi, program, elapsed)
             t_lo = max(REPLAN_FLOOR, inp.bounds.T_min - elapsed)
             t_hi = min(inp.bounds.T_max - elapsed, plan.landing_time - elapsed)
             if t_hi >= t_lo:
                 window = replace(inp.bounds, T_min=t_lo, T_max=t_hi)
-                want = plan_step(replace(checked, bounds=window))._replace(planned_at=elapsed)
+                shrunk = step_program(inp.cop0, inp.omega, inp.nominal, window)
+                want = plan_step(xi, shrunk)._replace(planned_at=elapsed)
             else:
                 remaining = max(plan.landing_time - elapsed, 0.0)
                 sigma = math.exp(inp.omega * remaining)
-                gamma_T = cop0 - plan.cop_T + (xi - cop0) * sigma
+                gamma_T = cop0 - plan.cop_T + (np.asarray(xi) - cop0) * sigma
                 s_min, s_max = inp.bounds.sigma_bounds(inp.omega)
                 box = inp.bounds.shift(inp.cop0)
                 lo, hi = box.cop_min, box.cop_max
@@ -470,7 +482,7 @@ def test_in_flight_replan_is_the_planner_input_form_bit_for_bit():
                       plan.cop_T[1] == lo[1], sigma == s_max, sigma == s_min)
                 want = plan._replace(
                     gamma_T=gamma_T, sigma=sigma, duration=remaining,
-                    objective=planning_cost(checked, plan.cop_T, sigma, gamma_T),
+                    objective=planning_cost(inp._replace(xi0=xi), plan.cop_T, sigma, gamma_T),
                     status="terminal", active_set=tuple(i for i, b in enumerate(on) if b),
                     planned_at=elapsed)
             assert np.asarray(new.cop_T).tobytes() == np.asarray(want.cop_T).tobytes()
@@ -488,24 +500,22 @@ def test_in_flight_replan_is_the_planner_input_form_bit_for_bit():
 def test_a_plan_that_overflows_is_an_error_naming_the_state(xi0):
     """At 1e300 the objective overflows, at 1e308 gamma_T as well; either
     plan would read as optimal, so plan_step raises and names its input."""
-    inp = PlannerInput(xi0=xi0, cop0=(0.0, 0.0), omega=OMEGA,
-                       nominal=default_nominal(), bounds=default_bounds())
+    program = step_program((0.0, 0.0), OMEGA, default_nominal(), default_bounds())
     with pytest.raises(ValueError, match=r"xi0=.*cop0=.*not finite"):
-        plan_step(inp)
+        plan_step(xi0, program)
     # The largest state the bench inputs come near still plans.
-    far = replace(inp, xi0=(1e3, 0.0))
-    assert math.isfinite(plan_step(far).objective)
+    assert math.isfinite(plan_step((1e3, 0.0), program).objective)
 
 
 @pytest.mark.parametrize("field", ["T_max", "T_nom"])
 def test_a_step_time_whose_exp_overflows_is_a_plan_error(field):
-    """exp(omega * 300) overflows; plan_step reports a plan that is not
-    finite, as it does for a state past the float range, not OverflowError."""
+    """exp(omega * 300) overflows; step_program names the step time that
+    leaves the float range in a ValueError, as plan_step names a state past
+    it, not an OverflowError."""
     nominal, bounds = default_nominal(), default_bounds()
     if field == "T_max":
         bounds = replace(bounds, T_max=300.0)
     else:
         nominal = replace(nominal, T_nom=300.0)
-    inp = PlannerInput([0.12, 0.0], [0.0, 0.0], OMEGA, nominal, bounds)
-    with pytest.raises(ValueError, match=r"xi0=.*cop0=.*not finite"):
-        plan_step(inp)
+    with pytest.raises(ValueError, match=rf"^exp\(omega\*T\) leaves the float range .*{field}=300.0"):
+        step_program((0.0, 0.0), OMEGA, nominal, bounds)

@@ -68,17 +68,15 @@ def is_pair(value) -> bool:
 def test_planar_vectors_are_float_pairs():
     """Every planar vector the package stores or returns is an ``(x, y)`` pair
     of Python floats, whatever sequence it was built from."""
-    from exorecover import (BalanceDetector, PlannerInput, SwayEllipse, apply_impulse,
-                            mirror_bounds, mirror_gait, plan_step, replan, step_program)
+    from exorecover import (BalanceDetector, SwayEllipse, apply_impulse, mirror_bounds,
+                            mirror_gait, plan_step, replan, step_program)
 
     config = ScenarioConfig()
     params = config.lipm_params()
     # A left swing's gait and bounds, as the controller builds them.
     nominal, bounds = mirror_gait(config.nominal_gait()), mirror_bounds(config.step_bounds())
-    xi0 = np.array([0.08, 0.02])
-    inp = PlannerInput(xi0, np.array([0.0, 0.1]), params.omega, nominal, bounds)
-    plan = plan_step(inp)
-    program = step_program(inp.cop0, inp.omega, nominal, bounds)
+    program = step_program(np.array([0.0, 0.1]), params.omega, nominal, bounds)
+    plan = plan_step(np.array([0.08, 0.02]), program)
     optimal = replan(plan, (0.09, 0.02), program, 0.05)
     terminal = replan(plan, (0.09, 0.02), program, 10.0)
     assert (optimal.status, terminal.status) == ("optimal", "terminal")
@@ -86,7 +84,8 @@ def test_planar_vectors_are_float_pairs():
                                config.capture_hold)
     trigger = detector.update(np.array([0.1, 0.0]), 0.0)
     values = [
-        nominal.cop_T_nom, nominal.gamma_nom, bounds.cop_min, bounds.cop_max, inp.xi0, inp.cop0,
+        nominal.cop_T_nom, nominal.gamma_nom, bounds.cop_min, bounds.cop_max, program.cop0,
+        program.cop_min, program.cop_max, program.cop_nom,
         *(p.cop_T for p in (plan, optimal, terminal)),
         *(p.gamma_T for p in (plan, optimal, terminal)),
         *(p.xi_T for p in (plan, optimal, terminal)),
@@ -712,14 +711,14 @@ def test_every_in_flight_replan_solves_its_own_steps_program(monkeypatch):
     Over the lateral push, whose chained second step swings the other leg
     from the foot that just landed, and the mid-swing shove, every in-flight
     ``replan`` equals, field by field by ``repr`` apart from ``planned_at``,
-    ``plan_step`` of a ``PlannerInput`` built from that step's own stance
-    CoP, side gait and box over the shrunk window.  The stance CoP and side
+    ``plan_step`` of the ``step_program`` built from that step's own stance
+    CoP, side gait and the box with the shrunk window.  The stance CoP and side
     are read from the events: the other foot's start, or where it last
     landed.  A terminal replan's cost and binding rows are its own against
     the same program."""
-    from exorecover import PlannerInput, StepPlan, mirror_bounds, mirror_gait, plan_step, simulation
+    from exorecover import StepPlan, mirror_bounds, mirror_gait, plan_step, simulation, step_program
     from exorecover.planner import REPLAN_FLOOR
-    from oracle_utils import planning_cost
+    from oracle_utils import PlanningCase, planning_cost
 
     controllers, calls = [], []
     init, real = Controller.__init__, simulation.replan
@@ -754,12 +753,11 @@ def test_every_in_flight_replan_solves_its_own_steps_program(monkeypatch):
                     feet[side] = tuple(ev.payload["landed"])
             stance = feet["left" if side == "right" else "right"]
             nominal, bounds = frames[side]
-            inp = PlannerInput(xi0, stance, omega, nominal, bounds)
             t_lo = max(REPLAN_FLOOR, bounds.T_min - elapsed)
             t_hi = min(bounds.T_max - elapsed, current.landing_time - elapsed)
             if plan.status == "optimal":
                 window = dataclasses.replace(bounds, T_min=t_lo, T_max=t_hi)
-                want = plan_step(dataclasses.replace(inp, bounds=window))
+                want = plan_step(xi0, step_program(stance, omega, nominal, window))
                 assert [repr(getattr(plan, f)) for f in fields] == \
                        [repr(getattr(want, f)) for f in fields]
             else:
@@ -769,7 +767,8 @@ def test_every_in_flight_replan_solves_its_own_steps_program(monkeypatch):
                 (cx, cy), sigma = plan.cop_T, plan.sigma
                 on = (cx == hi[0], cy == hi[1], cx == lo[0], cy == lo[1], sigma == s_hi, sigma == s_lo)
                 assert plan.active_set == tuple(i for i in range(6) if on[i])
-                assert plan.objective == planning_cost(inp, plan.cop_T, sigma, plan.gamma_T)
+                case = PlanningCase(xi0, stance, omega, nominal, bounds)
+                assert plan.objective == planning_cost(case, plan.cop_T, sigma, plan.gamma_T)
             assert plan.planned_at == elapsed
             seen.append((steps, side, stance, plan.status))
     # Both sides, a chained step from a landed foot, and both kinds of replan.
@@ -1216,20 +1215,35 @@ def test_sample_runs_only_inside_retarget_once_per_retarget(monkeypatch):
     assert calls == {"sample": replanned, "retarget": replanned}
 
 
-def test_in_flight_replans_build_no_planner_input(monkeypatch):
-    """The trigger tick plans and the swing tick re-plans on float pairs: over
-    the default forward push no ``PlannerInput`` is built."""
-    from exorecover.planner import PlannerInput
+def test_the_trigger_tick_plans_through_plan_step(monkeypatch):
+    """Every trigger tick, one that moves the detector into ``SteppingPlanned``,
+    plans the step with one ``planner.plan_step`` call, under the name the
+    benchmark's tracer wraps: in every ``exorecover`` namespace that holds
+    it.  Over the forward push (one step) and a lateral push with the inner
+    lateral bound at -0.13 m, whose chained second step lands and whose
+    third aborts on its start pose after planning, the calls count the
+    trigger ticks."""
+    from exorecover import planner
 
-    built = []
-    check = PlannerInput.__post_init__
+    real, calls = planner.plan_step, []
 
-    def counting(self):
-        built.append(self)
-        check(self)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(PlannerInput, "__post_init__", counting)
-    trace = run_scenario(ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),)))
-    plans = events_of(trace, "PlanIssued")
-    assert plans and events_of(trace, "TouchDown")
-    assert built == []
+    for name, module in list(sys.modules.items()):
+        if (name == "exorecover" or name.startswith("exorecover.")) and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counting)
+    counted = []
+    for config in (ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),)),
+                   ScenarioConfig(pushes=(push_for_excursion(0.0, 0.12),), cop_max=(0.30, -0.13))):
+        calls.clear()
+        trace = run_scenario(config)
+        triggers = sum(1 for k in range(1, len(trace.t))
+                       if trace.phase[k] == "SteppingPlanned" != trace.phase[k - 1])
+        counted.append((len(calls), triggers))
+    assert counted == [(1, 1), (3, 3)]
+    assert events_of(trace, "StepAborted")[0].payload["reason"].startswith(
+        "swing start pose unreachable")

@@ -1,5 +1,6 @@
 """tools/tick_split.py: the per-tick split covers every tick of a run once."""
 
+import gc
 import importlib.util
 import math
 from pathlib import Path
@@ -51,11 +52,23 @@ def test_the_loop_cost_outside_the_wrappers_is_reported():
 def test_the_unwrapped_run_is_timed_below_the_wrapped_split():
     """``run_us``, the run's time per tick once the wrappers are gone, is
     positive and below the wrapped controller, plant and loop times per
-    tick summed, since the wrappers' own cost is in those."""
+    tick summed, since the wrappers' own cost is in those.  The wrapped and
+    unwrapped passes interleave, each after a ``gc.collect()``, so a drift
+    in the machine's load or a collection lands on both sides; each figure
+    is the minimum over the passes, as ``split_loop`` takes it."""
     configs = [ScenarioConfig(duration=1.0, attitude_noise_deg=0.2, seed=3)]
     tool = load_tool()
-    groups, loop_us = tool.split_loop(configs, passes=3)
-    run_us = tool.unwrapped_us(configs, passes=3)
+    groups, loop_us, run_us = {}, math.inf, math.inf
+    for _ in range(6):
+        gc.collect()
+        split, loop = tool.split_loop(configs, passes=1)
+        loop_us = min(loop_us, loop)
+        for name, group in split.items():
+            best = groups.setdefault(name, dict(group))
+            for key in ("controller_us", "plant_us"):
+                best[key] = min(best[key], group[key])
+        gc.collect()
+        run_us = min(run_us, tool.unwrapped_us(configs, passes=1))
     ticks = sum(group["ticks"] for group in groups.values())
     wrapped = sum(group["ticks"] * (group["controller_us"] + group["plant_us"])
                   for group in groups.values()) / ticks + loop_us
