@@ -8,7 +8,7 @@ profiles tracked by per-joint impedance control, and closes the loop in
 a fixed-rate simulation with an ankle CoP strategy after touchdown.
 """
 
-from .detector import BalanceDetector, BalanceLost, RecoveryPhase, SwayEllipse
+from .detector import BalanceDetector, RecoveryPhase
 from .errors import (
     ConfigurationError,
     JointLimitError,

@@ -149,15 +149,20 @@ _KEYS = {
     if "key" in f.metadata
 }
 
+
+def _record_keys(record) -> dict:
+    """Key -> converter of each field of ``record``, in order, by annotation as in ``_KEYS``."""
+    return {f.name: _CONVERTERS[f.type] for f in dataclasses.fields(record)}
+
+
 #: Indexed record groups, ``group.N.key = value`` with one record per index N:
 #: group -> (record type, ScenarioConfig field, key -> converter in the
 #: record's field order, record key the records are sorted by or None for
 #: index order, help).
 _GROUPS = {
-    "push": (PushEvent, "pushes", {"time": _float, "impulse": _vec2}, "time",
+    "push": (PushEvent, "pushes", _record_keys(PushEvent), "time",
              "N = 0,1,...; time in s, impulse in N*s (x,y)"),
-    "human": (HumanPulse, "human_pulses",
-              {"joint": _int, "start": _float, "end": _float, "torque": _float}, None,
+    "human": (HumanPulse, "human_pulses", _record_keys(HumanPulse), None,
               "wearer torque pulse; joint 0-2, start/end in s, torque in N*m"),
 }
 

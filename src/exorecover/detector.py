@@ -7,8 +7,11 @@ region around the stance reference.  The excursion measure is
 
 with strict ``q > 1`` as the outside test, debounced over consecutive
 control cycles so a single noisy sample cannot trigger a step.  The
-trigger is edge-like: it fires once, moves the phase machine off
-``STANDING`` and cannot fire again until the machine has come back.
+detector holds the region as the four floats ``c_x, c_y, a, b``, and
+:meth:`BalanceDetector.update` returns ``q`` when the trigger fires.
+The trigger is edge-like: it fires once, moves the phase machine off
+``STANDING`` and cannot fire again until the machine has come back, and
+:meth:`BalanceDetector.rearm` re-centres the region after a capture.
 
 The legal phase moves are the rows of :data:`TRANSITIONS`, and
 :meth:`BalanceDetector.advance` is the one way to make one; any other
@@ -18,33 +21,16 @@ move raises :class:`PhaseTransitionError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import PhaseTransitionError
 from .lipm import NONNEGATIVE, POSITIVE, POSITIVE_INT, as_vec2, require
 
 __all__ = [
-    "SwayEllipse",
     "RecoveryPhase",
-    "BalanceLost",
     "BalanceDetector",
     "TRANSITIONS",
 ]
-
-
-@dataclass(frozen=True)
-class SwayEllipse:
-    """Axis-aligned sway tolerance region around the stance reference."""
-
-    center: tuple[float, float]  # m
-    semi_axis_x: float  # m
-    semi_axis_y: float  # m
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vec2(self.center, "center"))
-        require("semi_axis_x", self.semi_axis_x, POSITIVE)
-        require("semi_axis_y", self.semi_axis_y, POSITIVE)
 
 
 class RecoveryPhase(Enum):
@@ -72,31 +58,29 @@ TRANSITIONS: dict[RecoveryPhase, tuple[RecoveryPhase, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class BalanceLost:
-    """Trigger event: the debounced DCM excursion left the sway ellipse."""
-
-    time: float  # s
-    xi: tuple[float, float]  # m, DCM sample that confirmed the trigger
-    excursion: float  # normalised squared excursion at that sample
-
-
 class BalanceDetector:
     """Stateful detector; feed it one DCM sample per control cycle.
 
-    ``debounce_cycles`` consecutive outside samples are required before
-    the trigger fires (1 disables debouncing).  Capture is declared once
-    the offset ``|xi - cop|`` passed to :meth:`update_landing` has stayed
-    below ``capture_tolerance`` for ``capture_hold`` seconds.  The
-    defaults of all three are ``ScenarioConfig``'s.
+    The sway region is the axis-aligned ellipse about ``center`` with
+    semi-axes ``semi_axis_x`` and ``semi_axis_y`` (m); :meth:`rearm`
+    moves its centre.  ``debounce_cycles`` consecutive outside samples
+    are required before the trigger fires (1 disables debouncing).
+    Capture is declared once the offset ``|xi - cop|`` passed to
+    :meth:`update_landing` has stayed below ``capture_tolerance`` for
+    ``capture_hold`` seconds.  The defaults of all five numbers are
+    ``ScenarioConfig``'s.
     """
 
-    def __init__(self, ellipse: SwayEllipse, debounce_cycles: int, capture_tolerance: float,
-                 capture_hold: float):
+    def __init__(self, center, semi_axis_x: float, semi_axis_y: float, debounce_cycles: int,
+                 capture_tolerance: float, capture_hold: float):
+        self.rearm(center)
+        require("semi_axis_x", semi_axis_x, POSITIVE)
+        require("semi_axis_y", semi_axis_y, POSITIVE)
         require("debounce_cycles", debounce_cycles, POSITIVE_INT)
         require("capture_tolerance", capture_tolerance, POSITIVE)
         require("capture_hold", capture_hold, NONNEGATIVE)
-        self.ellipse = ellipse
+        # update reads the sway region as four floats: _cx and _cy (rearm's), _a and _b.
+        self._a, self._b = float(semi_axis_x), float(semi_axis_y)
         self.debounce_cycles = int(debounce_cycles)
         self.capture_tolerance = float(capture_tolerance)
         self.capture_hold = float(capture_hold)
@@ -105,19 +89,14 @@ class BalanceDetector:
         self._capture_since: float | None = None
         self._last_time = -math.inf
 
-    @property
-    def ellipse(self) -> SwayEllipse:
-        return self._ellipse
-
-    @ellipse.setter
-    def ellipse(self, ellipse: SwayEllipse) -> None:
-        # Arming the sway region: update reads its centre and semi-axes as four floats.
-        self._ellipse, (self._cx, self._cy) = ellipse, ellipse.center
-        self._a, self._b = ellipse.semi_axis_x, ellipse.semi_axis_y
+    def rearm(self, center) -> None:
+        """Centre the sway region on ``center`` (the controller, on capture)."""
+        self._cx, self._cy = as_vec2(center, "center")
 
     def _clock(self, t: float) -> float:
         t = float(t)
-        if t < self._last_time:
+        # Written as a failed >= so that a NaN, which compares false, is refused.
+        if not t >= self._last_time:
             raise ValueError(f"time must be nondecreasing, got {t} after {self._last_time}")
         self._last_time = t
         return t
@@ -133,13 +112,14 @@ class BalanceDetector:
         self._outside_count = 0
         self._capture_since = None
 
-    def update(self, xi, t: float) -> BalanceLost | None:
-        """One standing-phase sample; returns the trigger event when it fires.
+    def update(self, xi, t: float) -> float | None:
+        """One standing-phase sample; returns the excursion ``q`` of the module
+        docstring, as a Python float, when the trigger fires, else None.
 
         Outside of ``STANDING`` the sample is ignored, so no trigger can
-        occur mid-step.  The excursion is ``q`` of the module docstring.
+        occur mid-step.
         """
-        # _clock's rule inline; _clock, which raises, runs only for a time before the last.
+        # _clock's rule inline; _clock, which raises, runs only for an earlier time or a NaN.
         t = self._last_time = float(t) if t >= self._last_time else self._clock(t)
         if self.phase is not STANDING:
             return None
@@ -151,7 +131,7 @@ class BalanceDetector:
             self._outside_count = 0
         if self._outside_count >= self.debounce_cycles:
             self.advance(STEPPING_PLANNED, t)
-            return BalanceLost(time=t, xi=as_vec2(xi, "xi"), excursion=float(q))
+            return float(q)
         return None
 
     def update_landing(self, offset: float, t: float) -> bool:

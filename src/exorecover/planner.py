@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import PlannerInfeasibleError
-from .lipm import FINITE, POSITIVE, as_vec2, clip, require
+from .lipm import POSITIVE, as_vec2, clip, require
 
 __all__ = [
     "NominalGait",
@@ -100,6 +100,7 @@ class StepBounds:
     """Feasible boxes for the landing CoP and the step duration.
 
     The CoP box is about the stance CoP; :meth:`shift` moves it to the world.
+    The duration bounds ``T_min`` and ``T_max`` are each positive.
 
     Not checked for emptiness: scenario configs check their bounds once,
     up front (``ScenarioConfig.validate``, the program's one bounds
@@ -116,8 +117,8 @@ class StepBounds:
     def __post_init__(self):
         object.__setattr__(self, "cop_min", as_vec2(self.cop_min, "cop_min"))
         object.__setattr__(self, "cop_max", as_vec2(self.cop_max, "cop_max"))
-        require("T_min", self.T_min, FINITE)
-        require("T_max", self.T_max, FINITE)
+        require("T_min", self.T_min, POSITIVE)
+        require("T_max", self.T_max, POSITIVE)
 
     def sigma_bounds(self, omega: float) -> tuple[float, float]:
         return math.exp(omega * self.T_min), math.exp(omega * self.T_max)

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
-from .detector import CAPTURED, LANDED, STANDING, STEPPING_PLANNED, SWING, BalanceDetector, SwayEllipse
+from .detector import CAPTURED, LANDED, STANDING, STEPPING_PLANNED, SWING, BalanceDetector
 from .errors import ConfigurationError, PlannerInfeasibleError, WorkspaceError, JointLimitError
 from .impedance import (
     ControlMode,
@@ -535,7 +535,7 @@ class Controller:
         # initially, one foot after touchdown.
         self.support_box = _box(self.support_center, (config.foot_half_x, 0.5 * width + config.foot_half_y))
         self.detector = BalanceDetector(
-            SwayEllipse((0.0, 0.0), config.ellipse_a, config.ellipse_b),
+            (0.0, 0.0), config.ellipse_a, config.ellipse_b,
             debounce_cycles=config.debounce_cycles,
             capture_tolerance=config.capture_tolerance,
             capture_hold=config.capture_hold,
@@ -567,17 +567,17 @@ class Controller:
             cop = self.cop = (hi_x if hi_x <= x else x, hi_y if hi_y <= y else y)
 
             if phase is STANDING:
-                trig = self.detector.update(xi_hat, t)
-                if trig is not None:
+                excursion = self.detector.update(xi_hat, t)
+                if excursion is not None:
                     self.events.append(Event(t, "BalanceLost", {
-                        "xi": list(trig.xi), "excursion": trig.excursion,
+                        "xi": list(xi_hat), "excursion": excursion,
                     }))
                     lift = self._begin_episode(t, meas)
 
             elif phase is CAPTURED:
                 # Re-arm around the new stance point so a later push can
                 # trigger a fresh episode.
-                self.detector.ellipse = SwayEllipse(cop, self.config.ellipse_a, self.config.ellipse_b)
+                self.detector.rearm(cop)
                 self.detector.advance(STANDING, t)
 
             else:  # LANDED

@@ -257,12 +257,13 @@ def planning_cost(inp: PlanningCase, cop_T, sigma: float, gamma_T) -> float:
     return a1 * (dx * dx + dy * dy) + a2 * (ex * ex + ey * ey) + a3 * (sigma - sigma_nom) ** 2
 
 
-def ellipse_excursion(xi, ellipse) -> float:
-    """Normalised squared excursion of the DCM ``xi`` from a ``SwayEllipse``,
-    ``((x - c_x) / a)**2 + ((y - c_y) / b)**2`` written as the detector writes
-    it: 1.0 on the boundary, > 1 outside."""
-    dx = (xi[0] - ellipse.center[0]) / ellipse.semi_axis_x
-    dy = (xi[1] - ellipse.center[1]) / ellipse.semi_axis_y
+def ellipse_excursion(xi, center, a, b) -> float:
+    """Normalised squared excursion of the DCM ``xi`` from the sway ellipse
+    about ``center`` with semi-axes ``a`` and ``b``, ``((x - c_x) / a)**2 +
+    ((y - c_y) / b)**2`` written as the detector writes it: 1.0 on the
+    boundary, > 1 outside."""
+    dx = (xi[0] - center[0]) / a
+    dy = (xi[1] - center[1]) / b
     return float(dx * dx + dy * dy)
 
 

@@ -10,20 +10,20 @@ from exorecover import (
     PhaseTransitionError,
     RecoveryPhase,
     ScenarioConfig,
-    SwayEllipse,
 )
 from exorecover.detector import TRANSITIONS
 
 from oracle_utils import ellipse_excursion
 
-ELLIPSE = SwayEllipse(center=[0.0, 0.0], semi_axis_x=0.05, semi_axis_y=0.05)
 DEFAULT = ScenarioConfig()
 
 
 def detector(debounce_cycles=DEFAULT.debounce_cycles, capture_tolerance=DEFAULT.capture_tolerance,
              capture_hold=DEFAULT.capture_hold) -> BalanceDetector:
-    """A detector on ``ELLIPSE`` with the default wearer's settings."""
-    return BalanceDetector(ELLIPSE, debounce_cycles, capture_tolerance, capture_hold)
+    """A detector on the 0.05 m circle about the origin with the default
+    wearer's settings."""
+    return BalanceDetector([0.0, 0.0], 0.05, 0.05, debounce_cycles, capture_tolerance,
+                           capture_hold)
 
 
 def test_update_decides_at_the_ellipse_boundary():
@@ -32,23 +32,23 @@ def test_update_decides_at_the_ellipse_boundary():
     1) stay inside, the next float past an end is outside, and a trigger
     reports the reference excursion as a Python float, numpy input
     included; each sample is the first of a fresh one-cycle detector."""
-    e = SwayEllipse(center=[0.25, -0.5], semi_axis_x=0.125, semi_axis_y=0.0625)
+    e = ([0.25, -0.5], 0.125, 0.0625)
 
     def fires(xi):
-        trigger = BalanceDetector(e, 1, 0.02, 0.2).update(xi, 0.0)
-        if trigger is not None:
-            assert type(trigger.excursion) is float
-            assert trigger.excursion == ellipse_excursion(xi, e) > 1.0
-        return trigger
+        excursion = BalanceDetector(*e, 1, 0.02, 0.2).update(xi, 0.0)
+        if excursion is not None:
+            assert type(excursion) is float
+            assert excursion == ellipse_excursion(xi, *e) > 1.0
+        return excursion
 
     for inside in ([0.25, -0.5], [0.375, -0.5], [0.125, -0.5], [0.25, -0.4375], [0.25, -0.5625]):
-        assert ellipse_excursion(inside, e) <= 1.0
+        assert ellipse_excursion(inside, *e) <= 1.0
         assert fires(inside) is None
-    assert ellipse_excursion([0.375, -0.5], e) == 1.0
+    assert ellipse_excursion([0.375, -0.5], *e) == 1.0
     for outside in ([math.nextafter(0.375, 1.0), -0.5], [0.25, math.nextafter(-0.5625, -1.0)],
                     np.array([0.375, -0.4375])):
         assert fires(outside) is not None
-    assert fires(np.array([0.375, -0.4375])).excursion == 2.0
+    assert fires(np.array([0.375, -0.4375])) == 2.0
 
 
 def test_boundary_point_does_not_trigger():
@@ -64,11 +64,8 @@ def test_debounce_requires_consecutive_outside_samples():
     assert det.update([0.06, 0.0], 0.000) is None  # first outside sample
     assert det.update([0.00, 0.0], 0.001) is None  # back inside, count resets
     assert det.update([0.06, 0.0], 0.002) is None
-    trigger = det.update([0.06, 0.0], 0.003)  # second consecutive
-    assert trigger is not None
-    assert trigger.time == 0.003
-    assert trigger.excursion > 1.0
-    assert np.allclose(trigger.xi, [0.06, 0.0])
+    excursion = det.update([0.06, 0.0], 0.003)  # second consecutive
+    assert excursion == ellipse_excursion([0.06, 0.0], [0.0, 0.0], 0.05, 0.05) > 1.0
     assert det.phase is RecoveryPhase.STEPPING_PLANNED
 
 
@@ -217,10 +214,51 @@ def test_constructor_validation():
     for bad in (-0.1, math.inf, math.nan):
         with pytest.raises(ValueError, match="capture_hold"):
             detector(capture_hold=bad)
-    with pytest.raises(ValueError):
-        SwayEllipse([0.0, 0.0], 0.0, 0.05)
-    with pytest.raises(ValueError):
-        SwayEllipse([0.0, 0.0], 0.05, -1.0)
+    for region, message in ((([0.0], 0.05, 0.05), "center must have exactly 2 components"),
+                            (([0.0, math.nan], 0.05, 0.05), "center must be finite"),
+                            (([0.0, 0.0], 0.0, 0.05), "semi_axis_x must be positive, got 0.0"),
+                            (([0.0, 0.0], 0.05, -1.0), "semi_axis_y must be positive, got -1.0"),
+                            (([0.0, 0.0], 0.05, math.inf), "semi_axis_y must be finite, got inf")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            BalanceDetector(*region, 1, 0.02, 0.2)
+
+
+def test_rearm_moves_the_centre_and_checks_it():
+    """``rearm`` centres the region on its argument, checked as the
+    constructor checks ``center``; a refused centre leaves the region."""
+    det = BalanceDetector([0.0, 0.0], 0.125, 0.0625, 1, 0.02, 0.2)
+    det.rearm(np.array([0.25, -0.5]))
+    for bad, message in (([0.0, 0.0, 0.0], "center must have exactly 2 components"),
+                         ((math.inf, 0.0), "center must be finite")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            det.rearm(bad)
+    assert det.update([0.25, -0.5], 0.0) is None
+    assert det.update([0.375, -0.5], 0.001) is None  # on the boundary
+    excursion = det.update([0.375, -0.4375], 0.002)
+    assert type(excursion) is float
+    assert excursion == ellipse_excursion([0.375, -0.4375], [0.25, -0.5], 0.125, 0.0625) == 2.0
+
+
+#: One timed call of each kind on a detector, at time ``t``.
+TIMED_CALLS = {
+    "update": lambda det, t: det.update([0.0, 0.0], t),
+    "update_landing": lambda det, t: det.update_landing(0.5, t),
+    "advance": lambda det, t: det.advance(RecoveryPhase.STEPPING_PLANNED, t),
+}
+
+
+@pytest.mark.parametrize("call", TIMED_CALLS)
+def test_a_nan_time_leaves_the_clock(call):
+    """A NaN time is not at or after the last one: each timed call refuses
+    it, and an earlier time after it is still refused."""
+    det = reach(RecoveryPhase.LANDED)
+    det.update([0.0, 0.0], 0.5)  # inert outside Standing, but sets the clock
+    for t, message in ((math.nan, "got nan after 0.5"), (0.1, "got 0.1 after 0.5")):
+        with pytest.raises(ValueError, match=f"^time must be nondecreasing, {message}$"):
+            TIMED_CALLS[call](det, t)
+    assert det.phase is RecoveryPhase.LANDED
+    with pytest.raises(ValueError, match="^time must be nondecreasing, got nan after -inf$"):
+        TIMED_CALLS[call](detector(), math.nan)
 
 
 def test_random_walk_triggers_match_reference_counter():

@@ -450,6 +450,22 @@ def test_input_validation():
         step_program((math.nan, 0.0), OMEGA, default_nominal(), default_bounds())
 
 
+@pytest.mark.parametrize("T_min, T_max, message", [
+    (0.0, 0.3, "T_min must be positive, got 0.0"),
+    (-0.5, -0.1, "T_min must be positive, got -0.5"),
+    (0.1, 0.0, "T_max must be positive, got 0.0"),
+    (0.1, -0.1, "T_max must be positive, got -0.1"),
+    (math.nan, 0.3, "T_min must be finite, got nan"),
+    (0.1, math.inf, "T_max must be finite, got inf"),
+])
+def test_step_bounds_take_a_positive_duration_window(T_min, T_max, message):
+    """A step time is positive: a zero or negative duration bound is
+    refused when the bounds are built, not planned into a step of that
+    duration; NaN and infinity keep their messages."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StepBounds((-0.15, -0.3), (0.3, -0.04), T_min, T_max)
+
+
 def test_in_flight_replan_is_plan_step_of_the_shrunk_program_bit_for_bit():
     """``replan`` equals a fresh solve bit for bit: an optimal replan is
     ``plan_step`` of the ``step_program`` built with the shrunk window's

@@ -18,7 +18,6 @@ from exorecover import (
     PushEvent,
     ScenarioConfig,
     SimTrace,
-    SwayEllipse,
     estimate_com,
     run_scenario,
     summarize,
@@ -68,7 +67,7 @@ def is_pair(value) -> bool:
 def test_planar_vectors_are_float_pairs():
     """Every planar vector the package stores or returns is an ``(x, y)`` pair
     of Python floats, whatever sequence it was built from."""
-    from exorecover import (BalanceDetector, SwayEllipse, apply_impulse, mirror_bounds,
+    from exorecover import (BalanceDetector, apply_impulse, mirror_bounds,
                             mirror_gait, plan_step, replan, step_program)
 
     config = ScenarioConfig()
@@ -80,16 +79,17 @@ def test_planar_vectors_are_float_pairs():
     optimal = replan(plan, (0.09, 0.02), program, 0.05)
     terminal = replan(plan, (0.09, 0.02), program, 10.0)
     assert (optimal.status, terminal.status) == ("optimal", "terminal")
-    detector = BalanceDetector(SwayEllipse(np.zeros(2), 0.05, 0.05), 1, config.capture_tolerance,
+    detector = BalanceDetector(np.zeros(2), 0.05, 0.05, 1, config.capture_tolerance,
                                config.capture_hold)
-    trigger = detector.update(np.array([0.1, 0.0]), 0.0)
+    assert type(detector.update(np.array([0.1, 0.0]), 0.0)) is float
+    center = (detector._cx, detector._cy)  # the sway region's centre, held as two numbers
     values = [
         nominal.cop_T_nom, nominal.gamma_nom, bounds.cop_min, bounds.cop_max, program.cop0,
         program.cop_min, program.cop_max, program.cop_nom,
         *(p.cop_T for p in (plan, optimal, terminal)),
         *(p.gamma_T for p in (plan, optimal, terminal)),
         *(p.xi_T for p in (plan, optimal, terminal)),
-        PushEvent(0.5, np.array([20.0, 0.0])).impulse, trigger.xi, detector.ellipse.center,
+        PushEvent(0.5, np.array([20.0, 0.0])).impulse, center,
         apply_impulse(np.zeros(2), np.array([20.0, 0.0]), params),
         mirror_gait(nominal).cop_T_nom, mirror_gait(nominal).gamma_nom,
         mirror_bounds(bounds).cop_min, mirror_bounds(bounds).cop_max,
@@ -135,13 +135,12 @@ def test_push_event_and_human_pulse_validation():
 
 
 def ankle_clamp():
-    """``clamp(xi, center, half)``: the CoP a standing default controller
-    commands for the measured DCM ``xi`` over the support box ``center +-
-    half``.  Its sway ellipse is too wide for any finite DCM to leave, so
-    it stays standing, and only its ankle clamp sets the CoP."""
-    config = ScenarioConfig()
+    """``clamp(xi, center, half)``: the CoP a standing controller of the
+    default wearer commands for the measured DCM ``xi`` over the support
+    box ``center +- half``.  Its sway ellipse is too wide for any finite DCM
+    to leave, so it stays standing, and only its ankle clamp sets the CoP."""
+    config = ScenarioConfig(ellipse_a=1e300, ellipse_b=1e300)
     controller = Controller(config, [], config.standing_pose())
-    controller.detector.ellipse = SwayEllipse((0.0, 0.0), 1e300, 1e300)
     rest = (0.0, 0.0, 0.0)
 
     def clamp(xi, center, half):
@@ -589,12 +588,11 @@ def test_a_second_push_after_capture_trips_the_ellipse_about_the_new_stance():
     assert second.time == pytest.approx(1.501, abs=1e-12)  # the debounce's second sample
 
     a, b = config.ellipse_a, config.ellipse_b
-    rearmed = SwayEllipse(tuple(captured.payload["cop"]), a, b)
     xi = second.payload["xi"]
-    assert second.payload["excursion"] == ellipse_excursion(xi, rearmed)
+    assert second.payload["excursion"] == ellipse_excursion(xi, captured.payload["cop"], a, b)
     assert second.payload["excursion"] == pytest.approx((0.08 / a) ** 2, rel=1e-9)
     # About the first ellipse the captured DCM itself is far outside.
-    assert ellipse_excursion(captured.payload["xi"], SwayEllipse((0.0, 0.0), a, b)) > 40.0
+    assert ellipse_excursion(captured.payload["xi"], (0.0, 0.0), a, b) > 40.0
 
 
 #: The runs whose phase sequences are checked against the table: the
