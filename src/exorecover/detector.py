@@ -5,10 +5,11 @@ region around the stance reference.  The excursion measure is
 
     q = ((xi_x - c_x) / a)**2 + ((xi_y - c_y) / b)**2
 
-with strict ``q > 1`` as the outside test, debounced over consecutive
-control cycles so a single noisy sample cannot trigger a step.  The
-detector holds the region as the four floats ``c_x, c_y, a, b``, and
-:meth:`BalanceDetector.update` returns ``q`` when the trigger fires.
+with strict ``q > 1`` as the outside test (a NaN ``q`` is outside too),
+debounced over consecutive control cycles so a single noisy sample
+cannot trigger a step.  The detector holds the region as the four
+floats ``c_x, c_y, a, b``, and :meth:`BalanceDetector.update` returns
+``q`` when the trigger fires.
 The trigger is edge-like: it fires once, moves the phase machine off
 ``STANDING`` and cannot fire again until the machine has come back, and
 :meth:`BalanceDetector.rearm` re-centres the region after a capture.
@@ -125,7 +126,8 @@ class BalanceDetector:
             return None
         dx, dy = (xi[0] - self._cx) / self._a, (xi[1] - self._cy) / self._b
         q = dx * dx + dy * dy
-        if q > 1.0:
+        # Written as a failed <= so that a NaN DCM counts as outside.
+        if not q <= 1.0:
             self._outside_count += 1
         else:
             self._outside_count = 0

@@ -30,10 +30,16 @@ foot landed.
 Per cycle: scheduled pushes are applied, the DCM is estimated, the
 phase machine advances (trigger, replan, touchdown, capture, chain),
 desired torques are computed, one row is logged, and the pendulum and
-the joint plants integrate to the next tick.  While a step is in
-flight the planner re-solves every cycle over the shrunk duration
-window; when the plan moves materially the swing trajectory is
-respliced in place.  After touchdown the stance CoP is the measured DCM
+the joint plants integrate to the next tick.  Standing at rest (the
+detector ``Standing``, the tracked leg's rates the ``_REST`` object, no
+leg swinging, no wearer pulse active, no push due), a tick does only
+the sensor read, the ankle clamp, the detector sample, the row and the
+pendulum step, and ``run_scenario`` runs each stretch of such ticks in
+one inner loop on local variables, bit for bit as the general tick; a
+sample that fires the trigger is finished by the controller's own
+trigger code.  While a step is in flight the planner re-solves every
+cycle over the shrunk duration window; when the plan moves materially
+the swing trajectory is respliced in place.  After touchdown the stance CoP is the measured DCM
 clamped into the new foot's support rectangle, which pins the DCM and
 leads to capture.  While standing the same clamp runs over the current
 support polygon (both feet before a step, the landed foot after), so
@@ -166,6 +172,33 @@ def estimate_com(roll: float, pitch: float, pendulum_length: float) -> tuple[flo
     both in radians; ``pendulum_length`` is the validated ``com_height``.
     """
     return pendulum_length * math.sin(pitch), pendulum_length * math.sin(roll)
+
+
+def _sensed_com(com: Vec2, anchor: Vec2, L: float, noise) -> Vec2:
+    """The attitude sensor's CoM estimate, in the world frame.
+
+    Trunk pitch and roll are synthesised from the true ``com`` about
+    ``anchor`` on a pendulum of length ``L``, the next two draws of
+    ``noise`` (pitch, then roll) are added when it is not None, the
+    inclinometer saturates, and :func:`estimate_com` inverts the reading.
+    """
+    (x, y), (ax, ay) = com, anchor
+    # Clipped into the asin's domain; a tie gives the bound, as in np.clip.
+    sx, sy = (x - ax) / L, (y - ay) / L
+    sx = sx if sx > _ASIN_LO else _ASIN_LO
+    sy = sy if sy > _ASIN_LO else _ASIN_LO
+    pitch = math.asin(sx if sx < _ASIN_HI else _ASIN_HI)
+    roll = math.asin(sy if sy < _ASIN_HI else _ASIN_HI)
+    if noise is not None:
+        pitch, roll = pitch + next(noise), roll + next(noise)
+        # The inclinometer saturates at the edge of its range, clipped as
+        # lipm.clip clips: a tie or a NaN keeps the reading.
+        pitch = _TILT_LO if _TILT_LO > pitch else pitch
+        roll = _TILT_LO if _TILT_LO > roll else roll
+        pitch = _TILT_HI if _TILT_HI < pitch else pitch
+        roll = _TILT_HI if _TILT_HI < roll else roll
+    ex, ey = estimate_com(roll, pitch, L)
+    return ax + ex, ay + ey
 
 
 def _box(center: Vec2, half: Vec2) -> tuple[float, float, float, float]:
@@ -569,10 +602,7 @@ class Controller:
             if phase is STANDING:
                 excursion = self.detector.update(xi_hat, t)
                 if excursion is not None:
-                    self.events.append(Event(t, "BalanceLost", {
-                        "xi": list(xi_hat), "excursion": excursion,
-                    }))
-                    lift = self._begin_episode(t, meas)
+                    return self._trigger(meas, t, excursion)
 
             elif phase is CAPTURED:
                 # Re-arm around the new stance point so a later push can
@@ -606,7 +636,18 @@ class Controller:
         else:  # SWING
             touchdown = self._swing(t, meas)
 
-        # A step is in flight while an episode exists outside Landed.
+        return self._command(meas, t, lift, touchdown)
+
+    def _trigger(self, meas: Measurement, t: float, excursion: float) -> Command:
+        """Finish the tick whose DCM sample fired the detector with
+        ``excursion``: report the balance loss, plan and lift the step, and
+        return the tick's command."""
+        self.events.append(Event(t, "BalanceLost", {"xi": list(meas.xi), "excursion": excursion}))
+        return self._command(meas, t, self._begin_episode(t, meas), False)
+
+    def _command(self, meas: Measurement, t: float, lift: Vec3 | None, touchdown: bool) -> Command:
+        """The tick's command: the idle ``_REST`` torque and no swing leg,
+        unless a step is in flight (an episode exists outside ``Landed``)."""
         if self.episode is None or self.detector.phase is LANDED:
             return _new(Command, (self.cop, _REST, None, lift, touchdown))
         torque, swing = self._track(t, meas)
@@ -788,26 +829,7 @@ class Plant:
             self.vel = apply_impulse(self.vel, push.impulse, self.params)
             self.events.append(Event(t, "PushApplied", {"impulse": list(push.impulse)}))
 
-        L = self.com_height
-        (x, y), (ax, ay) = self.com, self.anchor
-        # Clipped into the asin's domain; a tie gives the bound, as in np.clip.
-        sx, sy = (x - ax) / L, (y - ay) / L
-        sx = sx if sx > _ASIN_LO else _ASIN_LO
-        sy = sy if sy > _ASIN_LO else _ASIN_LO
-        pitch = math.asin(sx if sx < _ASIN_HI else _ASIN_HI)
-        roll = math.asin(sy if sy < _ASIN_HI else _ASIN_HI)
-        noise = self.noise
-        if noise is not None:
-            pitch, roll = pitch + next(noise), roll + next(noise)
-            # The inclinometer saturates at the edge of its range, clipped as
-            # lipm.clip clips: a tie or a NaN keeps the reading.
-            pitch = _TILT_LO if _TILT_LO > pitch else pitch
-            roll = _TILT_LO if _TILT_LO > roll else roll
-            pitch = _TILT_HI if _TILT_HI < pitch else pitch
-            roll = _TILT_HI if _TILT_HI < roll else roll
-        ex, ey = estimate_com(roll, pitch, L)
-        com_x, com_y = ax + ex, ay + ey
-
+        com_x, com_y = _sensed_com(self.com, self.anchor, self.com_height, self.noise)
         foot = None
         geom = self.swing
         if geom is not None:
@@ -846,8 +868,79 @@ class Plant:
         self.tau = torque
 
 
+def _stand_at_rest(plant: Plant, controller: Controller, k: int, n_rows: int, rows,
+                   log_phase: list[str]) -> tuple[int, Command | None]:
+    """Run the at-rest standing ticks from tick ``k`` on locals; return the
+    first tick not finished here and, if the trigger fired in it, its command.
+
+    The caller has checked that the detector is ``Standing``, the tracked
+    leg rests (``plant.qd is _REST``) and no leg swings.  A tick runs here
+    while no push is due and no wearer pulse is active: it reads
+    :func:`_sensed_com`, clamps the CoP into the support box, feeds
+    ``BalanceDetector.update``, logs its row and steps the pendulum, with
+    the values ``Plant.measure``, ``Controller.step``, ``run_scenario``'s
+    row and ``Plant.step`` (its rest rule) give such a tick.  Plant and
+    controller state are read into locals here and written back on the
+    way out.  A tick whose sample fires the trigger is finished by
+    ``Controller._trigger``, and the caller logs and integrates its command.
+    """
+    meas = seen_q = seen_tau = None
+    t0 = k * plant.dt
+    # No pulse is active before the first start among the pulses not yet over.
+    pulse_at = math.inf
+    for pulse in plant.human_pulses:
+        if pulse.end > t0 and pulse.start < pulse_at:
+            pulse_at = pulse.start
+    push_at = plant.pushes[0].time if plant.pushes else math.inf
+    L, omega, dt, params, noise = plant.com_height, plant.omega, plant.dt, plant.params, plant.noise
+    com, vel, anchor, q, tau = plant.com, plant.vel, plant.anchor, plant.q, plant.tau
+    q0, q1, q2 = q
+    rest_q = (q0 + 0.0, q1 + 0.0, q2 + 0.0)  # Plant.step's rest rule
+    lo_x, hi_x, lo_y, hi_y = controller.support_box
+    # The row's foot, desired and measured angles and idle torque: fixed
+    # while standing, but for the rest rule's q + 0.0 after the first tick.
+    legs = (*controller.foot_point, *controller.q_des)
+    tail, rest_tail = (*legs, *q, *_REST), (*legs, *rest_q, *_REST)
+    sense, update, step, pack = _sensed_com, controller.detector.update, step_lipm, _ROW.pack_into
+    standing, log = STANDING._value_, log_phase.append
+    while k < n_rows:
+        t = k * dt
+        if t >= pulse_at or push_at <= t + 1e-12:
+            break
+        hx, hy = sense(com, anchor, L, noise)
+        (x, y), (vx, vy) = com, vel
+        wx, wy = vx / omega, vy / omega
+        xi_x, xi_y = xi_hat = (hx + wx, hy + wy)
+        # Controller.step's ankle clamp.
+        cx = lo_x if lo_x >= xi_x else xi_x
+        cy = lo_y if lo_y >= xi_y else xi_y
+        cop = (hi_x if hi_x <= cx else cx, hi_y if hi_y <= cy else cy)
+        excursion = update(xi_hat, t)
+        if excursion is not None:
+            meas, seen_q, seen_tau = _new(Measurement, ((hx, hy), xi_hat, q, _REST, tau, None)), q, tau
+            break
+        pack(rows, 168 * k, t, x, y, vx, vy, x + wx, y + wy, *cop, *tail)
+        log(standing)
+        com, vel = step(com, vel, cop, params, dt)
+        seen_q, seen_tau, q, tau, tail = q, tau, rest_q, _REST, rest_tail
+        k += 1
+    plant.com, plant.vel, plant.q, plant.tau = com, vel, q, tau
+    if seen_q is not None:  # the controller's state is that of the last tick it saw here
+        controller.q, controller.qd, controller.tau, controller.cop = seen_q, _REST, seen_tau, cop
+    if meas is None:
+        return k, None
+    return k, controller._trigger(meas, t, excursion)
+
+
 def run_scenario(config: ScenarioConfig) -> SimTrace:
-    """Run one scenario to completion and return the dense trace."""
+    """Run one scenario to completion and return the dense trace.
+
+    Each tick is ``Plant.measure``, ``Controller.step``, one log row and
+    ``Plant.step``, except at rest while standing: a stretch of ticks in
+    which the detector is ``Standing``, the tracked leg rests, no leg
+    swings, no wearer pulse is active and no push is due runs in one inner
+    loop on locals (``_stand_at_rest``), with the same values bit for bit.
+    """
     config.validate()
     n_rows = int(round(config.duration / config.dt))
     events: list[Event] = []
@@ -860,14 +953,22 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     log = np.empty((n_rows, 21))
     rows, pack = memoryview(log).cast("B"), _ROW.pack_into  # row k starts at byte 168 * k
     log_phase: list[str] = []
-    for k in range(n_rows):
+    k = 0
+    while k < n_rows:
+        command = None
+        if detector.phase is STANDING and plant.qd is _REST and plant.swing is None:
+            k, command = _stand_at_rest(plant, controller, k, n_rows, rows, log_phase)
+            if k == n_rows:
+                break
         t = k * dt
-        command = control(measure(t), t)
+        if command is None:
+            command = control(measure(t), t)
         (x, y), (vx, vy) = plant.com, plant.vel
         pack(rows, 168 * k, t, x, y, vx, vy, x + vx / omega, y + vy / omega, *command.cop,
              *controller.foot_point, *controller.q_des, *controller.q, *command.torque)
         log_phase.append(detector.phase._value_)  # skips the .value property
         integrate(command, t)
+        k += 1
 
     return SimTrace(log, log_phase, events, config)
 

@@ -69,6 +69,20 @@ def test_debounce_requires_consecutive_outside_samples():
     assert det.phase is RecoveryPhase.STEPPING_PLANNED
 
 
+def test_a_nan_dcm_counts_as_outside():
+    """A NaN excursion is not inside the ellipse: it adds to the debounce
+    count, as an outside sample does, and fires the trigger with the NaN
+    excursion as a float."""
+    det = detector(debounce_cycles=2)
+    assert det.update([0.06, 0.0], 0.000) is None  # first outside sample
+    excursion = det.update([math.nan, 0.0], 0.001)  # second consecutive
+    assert type(excursion) is float and math.isnan(excursion)
+    assert det.phase is RecoveryPhase.STEPPING_PLANNED
+    det = detector(debounce_cycles=1)
+    assert math.isnan(det.update(np.array([0.0, math.nan]), 0.0))
+    assert det.phase is RecoveryPhase.STEPPING_PLANNED
+
+
 def test_debounce_cycles_scales():
     for n in (1, 3, 5):
         det = detector(debounce_cycles=n)

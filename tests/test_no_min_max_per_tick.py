@@ -25,6 +25,9 @@ PER_TICK = (
     "simulation.Controller.step",
     "simulation.Controller._swing",
     "simulation.Controller._track",
+    "simulation.Controller._command",
+    "simulation._sensed_com",
+    "simulation._stand_at_rest",
     "simulation._hip_xy",
     "simulation._leg_target",
     "detector.BalanceDetector.update",

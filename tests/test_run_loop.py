@@ -5,6 +5,9 @@ time, builds every ``Measurement`` and ``Command`` through the NamedTuple
 constructors and logs each row with a numpy row assignment from a list.
 ``run_scenario`` must give the same trace bit for bit: signed zeros and
 NaN payloads count, so the float columns are compared as ``int64`` views.
+The cases leave ``run_scenario``'s at-rest standing loop at each of its
+exits: a push due, a wearer pulse's window, and a trigger, with one and
+with two debounce cycles, after isolated outside samples.
 """
 
 import math
@@ -12,12 +15,26 @@ import math
 import numpy as np
 import pytest
 
-from exorecover import HumanPulse, PushEvent, ScenarioConfig, run_scenario
+from exorecover import HumanPulse, PushEvent, ScenarioConfig, run_scenario, simulation
 from exorecover.simulation import _LOG_COLUMNS, Command, Controller, Measurement, Plant
 
 MASS = 70.0
 OMEGA = math.sqrt(9.81 / 0.88)
 FORWARD_012 = PushEvent(0.3, (0.12 * MASS * OMEGA, 0.0))
+#: Noisy standing on a sway ellipse narrow enough for the noise to leave it.
+NOISY_TIGHT = dict(duration=1.0, attitude_noise_deg=0.2, seed=7)
+
+
+def reference_tick(plant, controller, log, phases, k):
+    """Tick ``k`` through the public API, logged as row ``k`` of ``log``."""
+    t = k * plant.dt
+    meas = Measurement(*plant.measure(t))
+    command = Command(*controller.step(meas, t))
+    (x, y), (vx, vy), omega = plant.com, plant.vel, plant.params.omega
+    log[k] = [t, x, y, vx, vy, x + vx / omega, y + vy / omega, *command.cop,
+              *controller.foot_point, *controller.q_des, *controller.q, *command.torque]
+    phases.append(controller.detector.phase.value)
+    plant.step(command, t)
 
 
 def reference_run(config):
@@ -27,18 +44,10 @@ def reference_run(config):
     events = []
     plant = Plant(config, events, n_rows)
     controller = Controller(config, events, plant.q)
-    omega = plant.params.omega
     log = np.empty((n_rows, 21))
     phases = []
     for k in range(n_rows):
-        t = k * config.dt
-        meas = Measurement(*plant.measure(t))
-        command = Command(*controller.step(meas, t))
-        (x, y), (vx, vy) = plant.com, plant.vel
-        log[k] = [t, x, y, vx, vy, x + vx / omega, y + vy / omega, *command.cop,
-                  *controller.foot_point, *controller.q_des, *controller.q, *command.torque]
-        phases.append(controller.detector.phase.value)
-        plant.step(command, t)
+        reference_tick(plant, controller, log, phases, k)
     return {name: log[:, col] for name, col in _LOG_COLUMNS.items()}, phases, events
 
 
@@ -51,6 +60,26 @@ CASES = {
         human_pulses=(HumanPulse(joint=1, start=0.1, end=0.2, torque=1.5),)),
     "aborting_push": ScenarioConfig(duration=1.2, pushes=(FORWARD_012,),
                                     hip_flex_limits_deg=(-20.0, 15.0)),
+    # Pushes too small to trigger: the loop hands each push tick over and takes the next.
+    "pushes_inside_the_ellipse": ScenarioConfig(
+        duration=0.8, attitude_noise_deg=0.1, seed=2,
+        pushes=(PushEvent(0.2, (0.02 * MASS * OMEGA, 0.0)), PushEvent(0.2, (0.0, -0.01 * MASS * OMEGA)),
+                PushEvent(0.45, (-0.03 * MASS * OMEGA, 0.0)))),
+    # Wearer pulses of zero torque leave the leg at rest: the loop hands each
+    # window's ticks over and takes the ticks after it; the push then steps.
+    "zero_pulse_windows": ScenarioConfig(
+        duration=1.2, pushes=(FORWARD_012,),
+        human_pulses=(HumanPulse(joint=1, start=0.05, end=0.08, torque=0.0),
+                      HumanPulse(joint=2, start=0.2, end=0.25, torque=0.0))),
+    # The noise fires the trigger inside the loop: at the first outside
+    # sample with one debounce cycle, after isolated outside samples with two.
+    "noisy_trigger_debounce_1": ScenarioConfig(
+        **NOISY_TIGHT, ellipse_a=0.006, ellipse_b=0.006, debounce_cycles=1),
+    "noisy_trigger_debounce_2": ScenarioConfig(
+        **NOISY_TIGHT, ellipse_a=0.006, ellipse_b=0.006, debounce_cycles=2),
+    # Outside samples, none three in a row: the count resets and never fires.
+    "isolated_outside_samples": ScenarioConfig(
+        **NOISY_TIGHT, ellipse_a=0.008, ellipse_b=0.008, debounce_cycles=3),
 }
 
 
@@ -71,8 +100,35 @@ def test_run_scenario_is_the_reference_loop_bit_for_bit(name):
         "forward_push_012": {"PushApplied", "BalanceLost", "PlanIssued", "TouchDown", "Captured"},
         "zero_torque_pulse_before_trigger": {"PushApplied", "BalanceLost", "PlanIssued"},
         "aborting_push": {"PushApplied", "BalanceLost", "PlanIssued", "StepAborted"},
+        "pushes_inside_the_ellipse": {"PushApplied"},
+        "zero_pulse_windows": {"PushApplied", "BalanceLost", "PlanIssued", "TouchDown"},
+        "noisy_trigger_debounce_1": {"BalanceLost", "PlanIssued"},
+        "noisy_trigger_debounce_2": {"BalanceLost", "PlanIssued"},
+        "isolated_outside_samples": set(),
     }[name]
     assert expected <= kinds
+    if name in ("pushes_inside_the_ellipse", "isolated_outside_samples"):
+        assert "BalanceLost" not in kinds
+
+
+def outside_standing_samples(name):
+    """How many rows of case ``name`` before it first leaves ``Standing``
+    log a CoP outside the sway ellipse about the origin; the CoP is the DCM
+    estimate wherever the support box leaves it, as it does in these cases."""
+    config = CASES[name]
+    trace = run_scenario(config)
+    first = trace.phase.index("SteppingPlanned") if "SteppingPlanned" in trace.phase else None
+    (x, y) = trace.cop[:first].T
+    return int((((x / config.ellipse_a) ** 2 + (y / config.ellipse_b) ** 2) > 1.0).sum())
+
+
+def test_the_trigger_cases_see_isolated_outside_samples_first():
+    """The two-cycle trigger and the three-cycle case log outside samples
+    on ``Standing`` rows, which reset the count; the one-cycle trigger
+    fires at its first."""
+    assert outside_standing_samples("noisy_trigger_debounce_1") == 0
+    assert outside_standing_samples("noisy_trigger_debounce_2") > 0
+    assert outside_standing_samples("isolated_outside_samples") > 0
 
 
 def test_the_pulse_moves_the_standing_leg_before_the_trigger():
@@ -86,19 +142,85 @@ def test_the_pulse_moves_the_standing_leg_before_the_trigger():
 
 
 def test_the_per_tick_calls_run_once_per_tick(monkeypatch):
-    """``Plant.measure``, ``Controller.step`` and ``Plant.step`` each run
-    once per tick, on a push that steps and on one that aborts."""
-    for config in (CASES["forward_push_012"], CASES["aborting_push"]):
-        counts = dict.fromkeys(("measure", "control", "integrate"), 0)
-        for cls, attr, key in ((Plant, "measure", "measure"), (Controller, "step", "control"),
-                               (Plant, "step", "integrate")):
-            original = getattr(cls, attr)
+    """Each tick runs exactly once: either in ``run_scenario``'s at-rest
+    standing loop or through ``Plant.measure``, ``Controller.step`` and
+    ``Plant.step``.  A tick whose sample fires the trigger in the loop is
+    finished by ``Controller._trigger`` and integrated by ``Plant.step``.
+    The sensor function and ``step_lipm`` run once per row, so a doubled or
+    skipped tick on either side shows."""
+    for name, config in sorted(CASES.items()):
+        calls = {key: [] for key in ("measure", "control", "integrate", "loop", "trigger")}
+        for owner, attr, key in ((Plant, "measure", "measure"), (Controller, "step", "control"),
+                                 (Plant, "step", "integrate")):
+            original = getattr(owner, attr)
 
             def counted(self, *args, _original=original, _key=key):
-                counts[_key] += 1
+                calls[_key].append(round(args[-1] / config.dt))
                 return _original(self, *args)
 
-            monkeypatch.setattr(cls, attr, counted)
+            monkeypatch.setattr(owner, attr, counted)
+        counts = dict.fromkeys(("sensor", "step_lipm"), 0)
+        for attr, key in (("_sensed_com", "sensor"), ("step_lipm", "step_lipm")):
+            def once(*args, _original=getattr(simulation, attr), _key=key):
+                counts[_key] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(simulation, attr, once)
+        stand = simulation._stand_at_rest
+
+        def standing(plant, controller, k, *args):
+            end, command = stand(plant, controller, k, *args)
+            calls["loop"].extend(range(k, end))
+            if command is not None:
+                calls["trigger"].append(end)
+            return end, command
+
+        monkeypatch.setattr(simulation, "_stand_at_rest", standing)
         rows = len(run_scenario(config).t)
         monkeypatch.undo()
-        assert counts == dict.fromkeys(counts, rows)
+        every = list(range(rows))
+        loop, trigger = calls["loop"], calls["trigger"]
+        assert counts == {"sensor": rows, "step_lipm": rows}, name
+        assert sorted(calls["measure"] + loop + trigger) == every, name
+        assert sorted(calls["control"] + loop + trigger) == every, name
+        assert sorted(calls["integrate"] + loop) == every, name
+        assert loop, name
+        if name in ("pushes_inside_the_ellipse", "zero_pulse_windows"):
+            # The loop takes the ticks after each push tick or pulse window again.
+            assert sum(1 for k in loop if k - 1 not in loop) == 3, name
+
+
+def test_an_at_rest_tick_is_the_reference_tick_at_the_clamps_edges():
+    """One tick of the at-rest standing loop leaves the row and the plant
+    and controller state that one reference tick leaves, on states built
+    for the ankle clamp's edge cases: a ``-0.0`` bound against a ``0.0``
+    DCM on each side of the box, a DCM on each bound (a tie gives the
+    bound) and a NaN CoM."""
+    config = ScenarioConfig()
+    off = (0.01, -0.02)
+    plant = Plant(config, [], 1)
+    plant.com = off
+    xi = plant.measure(0.0).xi
+    states = [  # (com, support box (lo_x, hi_x, lo_y, hi_y)); the DCM is 0.0 at the origin
+        ((0.0, 0.0), (-0.0, 0.1, -0.0, 0.1)),
+        ((0.0, 0.0), (-0.1, -0.0, -0.1, -0.0)),
+        ((0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),
+        (off, (xi[0], xi[0] + 0.1, xi[1] - 0.1, xi[1])),
+        (off, (xi[0] - 0.1, xi[0], xi[1], xi[1] + 0.1)),
+        ((math.nan, 0.0), (-0.1, 0.1, -0.1, 0.1)),
+    ]
+    for com, box in states:
+        outcomes = []
+        for in_loop in (True, False):
+            plant = Plant(config, [], 1)
+            controller = Controller(config, [], plant.q)
+            plant.com, controller.support_box = com, box
+            log, phases = np.zeros((1, 21)), []
+            if in_loop:
+                assert simulation._stand_at_rest(
+                    plant, controller, 0, 1, memoryview(log).cast("B"), phases) == (1, None)
+            else:
+                reference_tick(plant, controller, log, phases, 0)
+            outcomes.append((log.tobytes(), phases, repr((plant.com, plant.vel, plant.q, plant.tau)),
+                             repr((controller.cop, controller.q, controller.qd, controller.tau))))
+        assert outcomes[0] == outcomes[1], (com, box)

@@ -138,8 +138,10 @@ def ankle_clamp():
     """``clamp(xi, center, half)``: the CoP a standing controller of the
     default wearer commands for the measured DCM ``xi`` over the support
     box ``center +- half``.  Its sway ellipse is too wide for any finite DCM
-    to leave, so it stays standing, and only its ankle clamp sets the CoP."""
-    config = ScenarioConfig(ellipse_a=1e300, ellipse_b=1e300)
+    to leave, and its debounce too long for a run of NaN samples (outside
+    by the detector's rule) to fire, so it stays standing, and only its
+    ankle clamp sets the CoP."""
+    config = ScenarioConfig(ellipse_a=1e300, ellipse_b=1e300, debounce_cycles=10**9)
     controller = Controller(config, [], config.standing_pose())
     rest = (0.0, 0.0, 0.0)
 
@@ -201,6 +203,21 @@ def test_the_controllers_ankle_clamp_is_np_clip_bit_for_bit():
             for hy in (0.0, -0.0, 0.1):
                 check([x, y], [cx, cy], [abs(hx), hy])
     assert repr(clamp([-0.0, math.nan], [0.0, 0.0], [0.0, 0.1])) == "(0.0, nan)"
+
+
+def test_a_nan_dcm_estimate_ends_the_step_in_a_declared_abort():
+    """A DCM estimate that turns NaN fires the detector, and ``plan_step``'s
+    finite check ends the step in a ``StepAborted``."""
+    config = ScenarioConfig(debounce_cycles=1)
+    events = []
+    q = config.standing_pose()
+    controller = Controller(config, events, q)
+    rest = (0.0, 0.0, 0.0)
+    command = controller.step(Measurement((0.0, 0.0), (math.nan, 0.0), q, rest, rest, None), 0.0)
+    assert [event.kind for event in events] == ["BalanceLost", "StepAborted"]
+    assert math.isnan(events[0].payload["excursion"])
+    assert events[1].payload["reason"].startswith("plan_step: xi0 must be finite")
+    assert controller.episode is None and command.torque == rest and command.lift is None
 
 
 # --------------------------------------------------------------------------
@@ -847,7 +864,13 @@ def test_noisy_standing_ticks_step_the_pendulum_once_and_each_joint_once(monkeyp
 class _AlwaysIntegrating(Plant):
     """``Plant`` without the rest rule: the torque it is handed is a copy,
     never the controller's ``_REST`` object, so every tick makes the RK4
-    ``joint_plant_step`` call."""
+    ``joint_plant_step`` call.  Its rates start as a copy of ``_REST`` too,
+    so ``run_scenario`` never takes its at-rest standing loop, which skips
+    ``Plant.step``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.qd = (*self.qd,)
 
     def step(self, command, t):
         super().step(command._replace(torque=(*command.torque,)), t)
@@ -898,20 +921,38 @@ def test_noisy_readings_match_per_tick_draws(monkeypatch):
     """The noise drawn once per run reads as two scalar draws per tick: every
     CoM and DCM estimate of a noisy run equals, bit for bit, the array
     formula fed by per-tick ``rng.normal`` calls, before and after the
-    attitude anchor moves at touchdown."""
+    attitude anchor moves at touchdown.  The sensor function runs once per
+    tick; a DCM estimate is read where ``Plant.measure`` returns it or the
+    at-rest standing loop hands it to the detector."""
+    from exorecover import simulation
+    from exorecover.detector import BalanceDetector
+
     config = ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),),
                             attitude_noise_deg=0.2, seed=5, duration=2.0)
-    readings = []
-    measure = Plant.measure
+    sensed, xis = [], {}
+    sense, measure, update = simulation._sensed_com, Plant.measure, BalanceDetector.update
 
-    def recording(plant, t):
+    def sensing(com, anchor, L, noise):
+        com_hat = sense(com, anchor, L, noise)
+        sensed.append((com, anchor, com_hat))
+        return com_hat
+
+    def measuring(plant, t):
         meas = measure(plant, t)
-        readings.append((plant.com, plant.vel, plant.anchor, meas.com, meas.xi))
+        xis[t] = meas.xi
         return meas
 
-    monkeypatch.setattr(Plant, "measure", recording)
+    def updating(detector, xi, t):
+        xis[t] = xi
+        return update(detector, xi, t)
+
+    monkeypatch.setattr(simulation, "_sensed_com", sensing)
+    monkeypatch.setattr(Plant, "measure", measuring)
+    monkeypatch.setattr(BalanceDetector, "update", updating)
     trace = run_scenario(config)
-    assert events_of(trace, "TouchDown") and len(readings) == len(trace.t)
+    assert events_of(trace, "TouchDown") and len(sensed) == len(xis) == len(trace.t)
+    readings = [(com, vel, anchor, com_hat, xis[t])
+                for (com, anchor, com_hat), vel, t in zip(sensed, trace.com_vel.tolist(), trace.t)]
     assert len({anchor for _, _, anchor, _, _ in readings}) == 2
 
     rng = np.random.default_rng(config.seed)

@@ -5,7 +5,7 @@ import importlib.util
 import math
 from pathlib import Path
 
-from exorecover import PushEvent, ScenarioConfig, run_scenario
+from exorecover import PushEvent, ScenarioConfig, run_scenario, simulation
 from exorecover.simulation import Controller, Plant
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "tick_split.py"
@@ -18,25 +18,38 @@ def load_tool():
     return module
 
 
+AT_REST = "Standing/at_rest"
+
+
+def rows_of(configs) -> int:
+    return sum(len(run_scenario(config).t) for config in configs)
+
+
 def test_tick_counts_sum_to_the_rows():
     """Over a recovered push and a push whose step aborts on a hip-flexion
     limit, each 0.5 s, the groups' tick counts sum to the trace rows, the
-    ticks after the abort are grouped apart, each run's trigger tick is in
-    the ``trigger`` group, and the loop is unwrapped after."""
+    at-rest standing ticks before the push are the loop's own group, the
+    ticks after the abort are grouped apart, each run's trigger tick (fired
+    in the loop, the tick after the push) is in the ``trigger`` group, and
+    every wrapped function is unwrapped after."""
     push = PushEvent(0.1, (0.12 * 70.0 * math.sqrt(9.81 / 0.88), 0.0))
     configs = [ScenarioConfig(duration=0.5, pushes=(push,)),
                ScenarioConfig(duration=0.5, pushes=(push,), hip_flex_limits_deg=(-20.0, 15.0))]
-    originals = (Plant.measure, Controller.step, Plant.step)
+    originals = (Plant.measure, Controller.step, Plant.step, Controller._trigger,
+                 simulation._stand_at_rest)
     split = load_tool().split_ticks(configs, passes=2)
-    assert (Plant.measure, Controller.step, Plant.step) == originals
-    rows = sum(len(run_scenario(config).t) for config in configs)
+    assert (Plant.measure, Controller.step, Plant.step, Controller._trigger,
+            simulation._stand_at_rest) == originals
+    rows = rows_of(configs)
     assert rows == 1000
     assert sum(group["ticks"] for group in split.values()) == rows
-    assert {"Standing", "Swing/replan", "Swing/aborted", "trigger"} <= set(split)
-    assert split["trigger"]["ticks"] == 2
-    for group in split.values():
-        assert group["controller_us"] > 0.0 and group["plant_us"] > 0.0
-        assert group["controller_max_us"] >= group["controller_us"]
+    assert {AT_REST, "Standing", "Swing/replan", "Swing/aborted", "trigger"} <= set(split)
+    assert split["trigger"]["ticks"] == 2 and split[AT_REST]["ticks"] == 200
+    assert split[AT_REST]["us"] > 0.0
+    for name, group in split.items():
+        if name != AT_REST:
+            assert group["controller_us"] > 0.0 and group["plant_us"] > 0.0
+            assert group["controller_max_us"] >= group["controller_us"]
 
 
 def test_the_loop_cost_outside_the_wrappers_is_reported():
@@ -46,17 +59,21 @@ def test_the_loop_cost_outside_the_wrappers_is_reported():
     configs = [ScenarioConfig(duration=0.3, attitude_noise_deg=0.2, seed=3)]
     groups, loop_us = load_tool().split_loop(configs, passes=2)
     assert math.isfinite(loop_us) and loop_us > 0.0
-    assert set(groups) == {"Standing"} and groups["Standing"]["ticks"] == 300
+    assert set(groups) == {AT_REST} and groups[AT_REST]["ticks"] == rows_of(configs) == 300
 
 
 def test_the_unwrapped_run_is_timed_below_the_wrapped_split():
     """``run_us``, the run's time per tick once the wrappers are gone, is
-    positive and below the wrapped controller, plant and loop times per
-    tick summed, since the wrappers' own cost is in those.  The wrapped and
-    unwrapped passes interleave, each after a ``gc.collect()``, so a drift
-    in the machine's load or a collection lands on both sides; each figure
-    is the minimum over the passes, as ``split_loop`` takes it."""
-    configs = [ScenarioConfig(duration=1.0, attitude_noise_deg=0.2, seed=3)]
+    positive and below the wrapped controller, plant, at-rest loop and loop
+    times per tick summed, since the wrappers' own cost is in those.  The
+    at-rest loop is wrapped once per call, not per tick, so the run is a
+    noisy push at 0.1 s, whose 900 ticks after it pay the per-tick wrappers.
+    The wrapped and unwrapped passes interleave, each after a
+    ``gc.collect()``, so a drift in the machine's load or a collection
+    lands on both sides; each figure is the minimum over the passes, as
+    ``split_loop`` takes it."""
+    push = PushEvent(0.1, (0.12 * 70.0 * math.sqrt(9.81 / 0.88), 0.0))
+    configs = [ScenarioConfig(duration=1.0, attitude_noise_deg=0.2, seed=3, pushes=(push,))]
     tool = load_tool()
     groups, loop_us, run_us = {}, math.inf, math.inf
     for _ in range(6):
@@ -65,13 +82,15 @@ def test_the_unwrapped_run_is_timed_below_the_wrapped_split():
         loop_us = min(loop_us, loop)
         for name, group in split.items():
             best = groups.setdefault(name, dict(group))
-            for key in ("controller_us", "plant_us"):
+            for key in ("us",) if name == AT_REST else ("controller_us", "plant_us"):
                 best[key] = min(best[key], group[key])
         gc.collect()
         run_us = min(run_us, tool.unwrapped_us(configs, passes=1))
     ticks = sum(group["ticks"] for group in groups.values())
-    wrapped = sum(group["ticks"] * (group["controller_us"] + group["plant_us"])
-                  for group in groups.values()) / ticks + loop_us
+    assert ticks == rows_of(configs) and groups[AT_REST]["ticks"] == 100
+    wrapped = sum(group["ticks"] * (group["us"] if name == AT_REST
+                                    else group["controller_us"] + group["plant_us"])
+                  for name, group in groups.items()) / ticks + loop_us
     assert 0.0 < run_us < wrapped
 
 
@@ -88,6 +107,7 @@ def test_in_flight_ticks_are_split_by_what_the_controller_did():
                ScenarioConfig(duration=1.0, pushes=(forward, shove)),
                ScenarioConfig(duration=1.0, pushes=(forward,), hip_flex_limits_deg=(-20.0, 15.0))]
     split = load_tool().split_ticks(configs, passes=1)
+    assert sum(group["ticks"] for group in split.values()) == rows_of(configs)
     in_flight = replanned = 0
     for config in configs:
         trace = run_scenario(config)

@@ -31,6 +31,17 @@ tick count, the mean controller and plant microseconds per tick and the
 slowest tick's controller microseconds, each the minimum over passes;
 the wrappers' own cost is in those figures.
 
+The at-rest standing ticks that ``run_scenario`` runs in its inner loop
+(``simulation._stand_at_rest``) make no per-tick call to wrap, so the
+worker wraps each call of the loop instead and reports its ticks as the
+``Standing/at_rest`` group: the tick count and ``us``, the loop's
+microseconds per tick it finished (sensor, clamp, detector, row and
+pendulum together), the minimum over passes.  A tick whose sample fires
+the trigger in the loop is finished by ``Controller._trigger``, which is
+wrapped too: that tick goes in the ``trigger`` group, with the
+``_trigger`` call as its controller time and ``Plant.step`` as its plant
+time, and the loop's part of it stays in the loop's time.
+
 The loop's own cost, which no wrapper sees (logging the row, reading
 the phase, passing the measurement and command along), is reported as
 ``loop_us``: the pass's ``run_scenario`` time per tick minus the wrapped
@@ -58,6 +69,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: The group of the ticks ``run_scenario`` runs in its at-rest standing loop.
+AT_REST = "Standing/at_rest"
 
 
 def _group(controller) -> str:
@@ -93,19 +107,22 @@ def split_ticks(configs, passes: int) -> dict[str, dict]:
 def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
     """``({group: {"ticks", "controller_us", "plant_us", "controller_max_us"}},
     loop_us)`` over ``passes`` runs of every config, with the exorecover that
-    is imported; the figures per tick are each the minimum over passes."""
+    is imported; the figures per tick are each the minimum over passes.  The
+    ``Standing/at_rest`` group holds ``{"ticks", "us"}``."""
     from exorecover import simulation
     from exorecover.detector import RecoveryPhase
 
     Plant, Controller = simulation.Plant, simulation.Controller
     planned = RecoveryPhase.STEPPING_PLANNED
-    originals = (Plant.measure, Controller.step, Plant.step)
-    measure, control, integrate = originals
+    measure, control, integrate = Plant.measure, Controller.step, Plant.step
+    # A checkout from before the at-rest standing loop has neither.
+    trigger = getattr(Controller, "_trigger", None)
+    stand = getattr(simulation, "_stand_at_rest", None)
     clock = time.perf_counter
     # Per pass: group -> [ticks, controller seconds, plant seconds, slowest
-    # controller seconds].
+    # controller seconds]; the at-rest group's row is [ticks, seconds].
     sums: dict[str, list] = {}
-    state = {"group": None, "plant": 0.0}
+    state = {"group": None, "plant": 0.0, "in_loop": False, "trigger": 0.0}
 
     def timed_measure(self, t):
         start = clock()
@@ -136,9 +153,41 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
         integrate(self, command, t)
         state["group"][2] += clock() - start
 
+    def timed_trigger(self, meas, t, excursion):
+        if not state["in_loop"]:  # inside Controller.step, whose timer covers it
+            return trigger(self, meas, t, excursion)
+        start = clock()
+        command = trigger(self, meas, t, excursion)
+        elapsed = clock() - start
+        state["trigger"] += elapsed
+        row = sums.setdefault("trigger", [0, 0.0, 0.0, 0.0])
+        row[0] += 1
+        row[1] += elapsed
+        if elapsed > row[3]:
+            row[3] = elapsed
+        state["group"] = row  # Plant.step integrates the tick next
+        return command
+
+    def timed_stand(plant, controller, k, *args):
+        state["in_loop"], state["trigger"] = True, 0.0
+        start = clock()
+        end, command = stand(plant, controller, k, *args)
+        elapsed = clock() - start
+        state["in_loop"] = False
+        row = sums.setdefault(AT_REST, [0, 0.0])
+        row[0] += end - k
+        row[1] += elapsed - state["trigger"]
+        return end, command
+
     best: dict[str, dict] = {}
     loop_us = float("inf")
-    Plant.measure, Controller.step, Plant.step = timed_measure, timed_control, timed_integrate
+    wrappers = [(Plant, "measure", timed_measure), (Controller, "step", timed_control),
+                (Plant, "step", timed_integrate)]
+    if stand is not None:
+        wrappers += [(Controller, "_trigger", timed_trigger), (simulation, "_stand_at_rest", timed_stand)]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in wrappers]
+    for owner, name, wrapper in wrappers:
+        setattr(owner, name, wrapper)
     try:
         for _ in range(passes):
             sums.clear()
@@ -147,9 +196,18 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
                 simulation.run_scenario(config)
             run_s = clock() - start
             all_ticks = sum(row[0] for row in sums.values())
-            wrapped_s = sum(row[1] + row[2] for row in sums.values())
+            # Controller plus plant seconds; the at-rest group's row holds its seconds
+            # alone, and counts as loop time when its calls ran no tick.
+            wrapped_s = sum(sum(row[1:3]) for row in sums.values() if row[0])
             loop_us = min(loop_us, (run_s - wrapped_s) / all_ticks * 1e6)
-            for group, (ticks, control_s, plant_s, slowest_s) in sums.items():
+            for group, sums_row in sums.items():
+                ticks = sums_row[0]
+                if group == AT_REST:
+                    if ticks:
+                        row = best.setdefault(group, {"ticks": ticks, "us": float("inf")})
+                        row["us"] = min(row["us"], sums_row[1] / ticks * 1e6)
+                    continue
+                _, control_s, plant_s, slowest_s = sums_row
                 row = best.setdefault(group, {"ticks": ticks, "controller_us": float("inf"),
                                               "plant_us": float("inf"),
                                               "controller_max_us": float("inf")})
@@ -157,7 +215,8 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
                 row["plant_us"] = min(row["plant_us"], plant_s / ticks * 1e6)
                 row["controller_max_us"] = min(row["controller_max_us"], slowest_s * 1e6)
     finally:
-        Plant.measure, Controller.step, Plant.step = originals
+        for owner, name, original in originals:
+            setattr(owner, name, original)
     return dict(sorted(best.items())), loop_us
 
 
@@ -219,17 +278,18 @@ def main(argv=None) -> int:
             result[tree.name]["loop_us"].append(round(loop_us, 2))
             result[tree.name]["run_us"].append(round(run_us, 2))
             for group, row in groups.items():
+                figures = [key for key in row if key != "ticks"]
                 entry = result[tree.name]["groups"].setdefault(
-                    group, {"ticks": row["ticks"], "controller_us": [], "plant_us": [],
-                            "controller_max_us": []})
-                for key in ("controller_us", "plant_us", "controller_max_us"):
+                    group, {"ticks": row["ticks"], **{key: [] for key in figures}})
+                for key in figures:
                     entry[key].append(round(row[key], 2))
             print(f"round {r} {tree.name}: done", file=sys.stderr)
     print(json.dumps({
         "method": "tools/tick_split.py: perf_counter wrappers around Plant.measure, "
                   "Controller.step and Plant.step, ticks grouped by start phase, "
                   "post-abort ticks and trigger ticks apart, in-flight Swing ticks by "
-                  "retarget, replan and terminal; min over passes of the "
+                  "retarget, replan and terminal, and run_scenario's at-rest standing "
+                  "loop timed per call as Standing/at_rest (us per tick); min over passes of the "
                   "mean per tick and of the slowest tick; "
                   "loop_us is run_scenario time per tick minus the wrapped time; "
                   "run_us is the unwrapped run_scenario time per tick, timed after",
