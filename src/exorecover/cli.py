@@ -363,19 +363,37 @@ def write_trace_csv(trace: SimTrace, path) -> None:
             out.write(text)
 
 
+def _json_strings(value):
+    """``value`` with each float that is not finite, in its lists and dicts,
+    replaced by the string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return value
+        return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
+    if isinstance(value, dict):
+        return {key: _json_strings(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_strings(item) for item in value]
+    return value
+
+
 def write_events_csv(trace: SimTrace, path) -> None:
     """Write ``events.csv``: the time, the kind and the payload as JSON.
 
-    Each row is what ``csv.writer`` writes for the three fields: JSON
-    escapes every line break, so the payload is quoted, its quotes
-    doubled, exactly when it holds a quote or a comma (the JSON of any
-    non-empty dict does); the time and the kind, a plain word, never need
-    quoting."""
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    The payload is strict JSON: a number that is not finite is written as
+    the string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``.  Each row is
+    what ``csv.writer`` writes for the three fields: JSON escapes every
+    line break, so the payload is quoted, its quotes doubled, exactly when
+    it holds a quote or a comma (the JSON of any non-empty dict does); the
+    time and the kind, a plain word, never need quoting."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
     with _atomic_open(Path(path)) as out:
         out.write(EVENTS_HEADER + "\n")
         for ev in trace.events:
-            text = encode(ev.payload)
+            try:
+                text = encode(ev.payload)
+            except ValueError:  # a number that is not finite
+                text = encode(_json_strings(ev.payload))
             if '"' in text or "," in text:
                 text = '"' + text.replace('"', '""') + '"'
             out.write("%.12g,%s,%s\n" % (ev.time, ev.kind, text))  # "%.12g" is _num's format

@@ -30,14 +30,16 @@ foot landed.
 Per cycle: scheduled pushes are applied, the DCM is estimated, the
 phase machine advances (trigger, replan, touchdown, capture, chain),
 desired torques are computed, one row is logged, and the pendulum and
-the joint plants integrate to the next tick.  Standing at rest (the
-detector ``Standing``, the tracked leg's rates the ``_REST`` object, no
-leg swinging, no wearer pulse active, no push due), a tick does only
-the sensor read, the ankle clamp, the detector sample, the row and the
-pendulum step, and ``run_scenario`` runs each stretch of such ticks in
-one inner loop on local variables, bit for bit as the general tick; a
-sample that fires the trigger is finished by the controller's own
-trigger code.  While a step is in flight the planner re-solves every
+the joint plants integrate to the next tick.  Standing with no leg in
+flight (the detector ``Standing``, no leg swinging, no wearer pulse
+active, no push due), a tick does only the sensor read, the ankle
+clamp, the detector sample, the row, the pendulum step and the tracked
+leg's step under the idle torque (none for a leg at rest, by the rest
+rule; one RK4 step for a landed leg that still moves), and
+``run_scenario`` runs each stretch of such ticks in one inner loop on
+local variables, bit for bit as the general tick; a sample that fires
+the trigger is finished by the controller's own trigger code.  While a
+step is in flight the planner re-solves every
 cycle over the shrunk duration window; when the plan moves materially
 the swing trajectory is respliced in place.  After touchdown the stance CoP is the measured DCM
 clamped into the new foot's support rectangle, which pins the DCM and
@@ -868,23 +870,36 @@ class Plant:
         self.tau = torque
 
 
-def _stand_at_rest(plant: Plant, controller: Controller, k: int, n_rows: int, rows,
-                   log_phase: list[str]) -> tuple[int, Command | None]:
-    """Run the at-rest standing ticks from tick ``k`` on locals; return the
-    first tick not finished here and, if the trigger fired in it, its command.
+def _disturbed(plant: Plant, t: float) -> bool:
+    """Whether a push is due at tick time ``t`` or a wearer pulse is active
+    then, as ``Plant.measure`` and ``Plant.step`` test them."""
+    if plant.pushes and plant.pushes[0].time <= t + 1e-12:
+        return True
+    for pulse in plant.human_pulses:
+        if pulse.start <= t < pulse.end:
+            return True
+    return False
 
-    The caller has checked that the detector is ``Standing``, the tracked
-    leg rests (``plant.qd is _REST``) and no leg swings.  A tick runs here
-    while no push is due and no wearer pulse is active: it reads
-    :func:`_sensed_com`, clamps the CoP into the support box, feeds
-    ``BalanceDetector.update``, logs its row and steps the pendulum, with
-    the values ``Plant.measure``, ``Controller.step``, ``run_scenario``'s
-    row and ``Plant.step`` (its rest rule) give such a tick.  Plant and
+
+def _run_standing(plant: Plant, controller: Controller, k: int, n_rows: int, rows,
+                  log_phase: list[str]) -> tuple[int, Command | None]:
+    """Run the standing ticks from tick ``k`` on locals; return the first
+    tick not finished here and, if the trigger fired in it, its command.
+
+    The caller has checked that the detector is ``Standing``, that no leg
+    swings and that tick ``k`` has no push due and no wearer pulse active.
+    A tick runs here while that holds: it reads :func:`_sensed_com`,
+    clamps the CoP into the support box, feeds ``BalanceDetector.update``,
+    logs its row, steps the pendulum and steps the tracked leg under the
+    idle ``_REST`` torque, with the values ``Plant.measure``,
+    ``Controller.step``, ``run_scenario``'s row and ``Plant.step`` give
+    such a tick: a leg at rest by the rest rule, a moving one (a landed
+    leg, free under zero torque) by ``joint_plant_step``.  Plant and
     controller state are read into locals here and written back on the
     way out.  A tick whose sample fires the trigger is finished by
     ``Controller._trigger``, and the caller logs and integrates its command.
     """
-    meas = seen_q = seen_tau = None
+    meas = seen_q = seen_qd = seen_tau = None
     t0 = k * plant.dt
     # No pulse is active before the first start among the pulses not yet over.
     pulse_at = math.inf
@@ -893,14 +908,12 @@ def _stand_at_rest(plant: Plant, controller: Controller, k: int, n_rows: int, ro
             pulse_at = pulse.start
     push_at = plant.pushes[0].time if plant.pushes else math.inf
     L, omega, dt, params, noise = plant.com_height, plant.omega, plant.dt, plant.params, plant.noise
-    com, vel, anchor, q, tau = plant.com, plant.vel, plant.anchor, plant.q, plant.tau
+    leg, joint_params = joint_plant_step, plant.joint_params
+    com, vel, anchor, q, qd, tau = plant.com, plant.vel, plant.anchor, plant.q, plant.qd, plant.tau
     q0, q1, q2 = q
     rest_q = (q0 + 0.0, q1 + 0.0, q2 + 0.0)  # Plant.step's rest rule
     lo_x, hi_x, lo_y, hi_y = controller.support_box
-    # The row's foot, desired and measured angles and idle torque: fixed
-    # while standing, but for the rest rule's q + 0.0 after the first tick.
-    legs = (*controller.foot_point, *controller.q_des)
-    tail, rest_tail = (*legs, *q, *_REST), (*legs, *rest_q, *_REST)
+    legs = (*controller.foot_point, *controller.q_des)  # the row's foot and desired angles
     sense, update, step, pack = _sensed_com, controller.detector.update, step_lipm, _ROW.pack_into
     standing, log = STANDING._value_, log_phase.append
     while k < n_rows:
@@ -915,18 +928,23 @@ def _stand_at_rest(plant: Plant, controller: Controller, k: int, n_rows: int, ro
         cx = lo_x if lo_x >= xi_x else xi_x
         cy = lo_y if lo_y >= xi_y else xi_y
         cop = (hi_x if hi_x <= cx else cx, hi_y if hi_y <= cy else cy)
+        seen_q, seen_qd, seen_tau = q, qd, tau
         excursion = update(xi_hat, t)
         if excursion is not None:
-            meas, seen_q, seen_tau = _new(Measurement, ((hx, hy), xi_hat, q, _REST, tau, None)), q, tau
+            meas = _new(Measurement, ((hx, hy), xi_hat, q, qd, tau, None))
             break
-        pack(rows, 168 * k, t, x, y, vx, vy, x + wx, y + wy, *cop, *tail)
+        pack(rows, 168 * k, t, x, y, vx, vy, x + wx, y + wy, *cop, *legs, *q, *_REST)
         log(standing)
         com, vel = step(com, vel, cop, params, dt)
-        seen_q, seen_tau, q, tau, tail = q, tau, rest_q, _REST, rest_tail
+        if qd is _REST:
+            q = rest_q
+        else:
+            q, qd = leg(q, qd, _REST, _REST, joint_params, dt)
+        tau = _REST
         k += 1
-    plant.com, plant.vel, plant.q, plant.tau = com, vel, q, tau
+    plant.com, plant.vel, plant.q, plant.qd, plant.tau = com, vel, q, qd, tau
     if seen_q is not None:  # the controller's state is that of the last tick it saw here
-        controller.q, controller.qd, controller.tau, controller.cop = seen_q, _REST, seen_tau, cop
+        controller.q, controller.qd, controller.tau, controller.cop = seen_q, seen_qd, seen_tau, cop
     if meas is None:
         return k, None
     return k, controller._trigger(meas, t, excursion)
@@ -936,10 +954,11 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     """Run one scenario to completion and return the dense trace.
 
     Each tick is ``Plant.measure``, ``Controller.step``, one log row and
-    ``Plant.step``, except at rest while standing: a stretch of ticks in
-    which the detector is ``Standing``, the tracked leg rests, no leg
-    swings, no wearer pulse is active and no push is due runs in one inner
-    loop on locals (``_stand_at_rest``), with the same values bit for bit.
+    ``Plant.step``, except while standing with no leg in flight: a stretch
+    of ticks in which the detector is ``Standing``, no leg swings, no
+    wearer pulse is active and no push is due runs in one inner loop on
+    locals (``_run_standing``), whether the tracked leg rests or moves,
+    with the same values bit for bit.
     """
     config.validate()
     n_rows = int(round(config.duration / config.dt))
@@ -955,12 +974,13 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     log_phase: list[str] = []
     k = 0
     while k < n_rows:
+        t = k * dt
         command = None
-        if detector.phase is STANDING and plant.qd is _REST and plant.swing is None:
-            k, command = _stand_at_rest(plant, controller, k, n_rows, rows, log_phase)
+        if detector.phase is STANDING and plant.swing is None and not _disturbed(plant, t):
+            k, command = _run_standing(plant, controller, k, n_rows, rows, log_phase)
             if k == n_rows:
                 break
-        t = k * dt
+            t = k * dt
         if command is None:
             command = control(measure(t), t)
         (x, y), (vx, vy) = plant.com, plant.vel

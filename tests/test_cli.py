@@ -17,6 +17,7 @@ import pytest
 from exorecover import (Event, HumanPulse, PushEvent, ScenarioConfig, ScenarioParseError,
                         SimTrace, cli, run_scenario, summarize)
 from exorecover.errors import ConfigurationError
+from exorecover.simulation import Controller, Plant
 
 BASE_SCENARIO = """\
 # forward push, short run
@@ -783,13 +784,16 @@ def test_trace_writer_keeps_a_prefix_or_a_spread_of_columns(tmp_path, first, sto
 
 
 def reference_events_csv(trace, path):
-    """``events.csv`` as ``csv.writer`` writes it, one row per event."""
+    """``events.csv`` as ``csv.writer`` writes it, one row per event, with
+    each non-finite number's JSON token (``NaN``, ``Infinity``,
+    ``-Infinity``) read back as a string and encoded again."""
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     with open(path, "w") as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(cli.EVENTS_HEADER.split(","))
         for ev in trace.events:
-            writer.writerow([f"{ev.time:.12g}", ev.kind, encode(ev.payload)])
+            payload = json.loads(encode(ev.payload), parse_constant=str)
+            writer.writerow([f"{ev.time:.12g}", ev.kind, encode(payload)])
 
 
 def test_events_writer_is_the_csv_writer_reference_byte_for_byte(tmp_path):
@@ -813,6 +817,28 @@ def test_events_writer_is_the_csv_writer_reference_byte_for_byte(tmp_path):
     cli.write_events_csv(trace, tmp_path / "events.csv")
     reference_events_csv(trace, tmp_path / "reference.csv")
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_a_non_finite_payload_number_is_written_as_a_json_string(tmp_path):
+    """A DCM estimate of ``(nan, 0.0)`` handed to ``Controller.step`` fires
+    the trigger; its ``BalanceLost`` payload, written to ``events.csv``,
+    parses as strict JSON, the NaNs as strings."""
+    config = ScenarioConfig(debounce_cycles=1)
+    plant, events = Plant(config, [], 1), []
+    controller = Controller(config, events, plant.q)
+    controller.step(plant.measure(0.0)._replace(xi=(math.nan, 0.0)), 0.0)
+    assert [ev.kind for ev in events] == ["BalanceLost", "StepAborted"]
+    trace = SimTrace(log=np.zeros((1, 21)), phase=["Standing"], events=events, config=config)
+    cli.write_events_csv(trace, tmp_path / "events.csv")
+
+    def strict(name):
+        raise ValueError(f"{name} is not JSON")
+
+    with open(tmp_path / "events.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    payloads = [json.loads(row[2], parse_constant=strict) for row in rows[1:]]
+    assert payloads[0] == {"excursion": "NaN", "xi": ["NaN", 0.0]}
+    assert rows[1][2] == '{"excursion":"NaN","xi":["NaN",0.0]}'
 
 
 def test_simulate_summarizes_once_and_prints_the_written_summary(tmp_path, capsys, monkeypatch):

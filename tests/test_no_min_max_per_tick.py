@@ -27,7 +27,8 @@ PER_TICK = (
     "simulation.Controller._track",
     "simulation.Controller._command",
     "simulation._sensed_com",
-    "simulation._stand_at_rest",
+    "simulation._run_standing",
+    "simulation._disturbed",
     "simulation._hip_xy",
     "simulation._leg_target",
     "detector.BalanceDetector.update",

@@ -864,13 +864,7 @@ def test_noisy_standing_ticks_step_the_pendulum_once_and_each_joint_once(monkeyp
 class _AlwaysIntegrating(Plant):
     """``Plant`` without the rest rule: the torque it is handed is a copy,
     never the controller's ``_REST`` object, so every tick makes the RK4
-    ``joint_plant_step`` call.  Its rates start as a copy of ``_REST`` too,
-    so ``run_scenario`` never takes its at-rest standing loop, which skips
-    ``Plant.step``."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.qd = (*self.qd,)
+    ``joint_plant_step`` call."""
 
     def step(self, command, t):
         super().step(command._replace(torque=(*command.torque,)), t)
@@ -890,6 +884,9 @@ def test_rest_rule_matches_integrating_every_tick(monkeypatch, config):
 
     real = run_scenario(config)
     monkeypatch.setattr(simulation, "Plant", _AlwaysIntegrating)
+    # run_scenario's standing loop, which skips Plant.step, is replaced by
+    # one that runs no tick, so every tick goes through the oracle's step.
+    monkeypatch.setattr(simulation, "_run_standing", lambda plant, controller, k, *args: (k, None))
     oracle, counts = run_counting_plant_steps(monkeypatch, config)
     ticks = len(oracle.t)
     assert counts == {"step_lipm": ticks, "joint_plant_step": ticks}
@@ -923,7 +920,7 @@ def test_noisy_readings_match_per_tick_draws(monkeypatch):
     formula fed by per-tick ``rng.normal`` calls, before and after the
     attitude anchor moves at touchdown.  The sensor function runs once per
     tick; a DCM estimate is read where ``Plant.measure`` returns it or the
-    at-rest standing loop hands it to the detector."""
+    standing loop hands it to the detector."""
     from exorecover import simulation
     from exorecover.detector import BalanceDetector
 

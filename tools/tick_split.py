@@ -31,12 +31,15 @@ tick count, the mean controller and plant microseconds per tick and the
 slowest tick's controller microseconds, each the minimum over passes;
 the wrappers' own cost is in those figures.
 
-The at-rest standing ticks that ``run_scenario`` runs in its inner loop
-(``simulation._stand_at_rest``) make no per-tick call to wrap, so the
-worker wraps each call of the loop instead and reports its ticks as the
-``Standing/at_rest`` group: the tick count and ``us``, the loop's
-microseconds per tick it finished (sensor, clamp, detector, row and
-pendulum together), the minimum over passes.  A tick whose sample fires
+The standing ticks that ``run_scenario`` runs in its inner loop
+(``simulation._run_standing``: every ``Standing`` tick with no leg in
+flight, no push due and no wearer pulse active; in a checkout from
+before it, ``simulation._stand_at_rest``, which ran only the ticks whose
+leg was at rest) make no per-tick call to wrap, so the worker wraps each
+call of the loop instead and reports its ticks as the ``Standing/loop``
+group: the tick count and ``us``, the loop's microseconds per tick it
+finished (sensor, clamp, detector, row, pendulum and leg together), the
+minimum over passes.  A tick whose sample fires
 the trigger in the loop is finished by ``Controller._trigger``, which is
 wrapped too: that tick goes in the ``trigger`` group, with the
 ``_trigger`` call as its controller time and ``Plant.step`` as its plant
@@ -70,8 +73,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: The group of the ticks ``run_scenario`` runs in its at-rest standing loop.
-AT_REST = "Standing/at_rest"
+#: The group of the ticks ``run_scenario`` runs in its standing loop.
+LOOP = "Standing/loop"
+
+#: The standing loop's name in ``simulation``, newest first: before it took
+#: the moving leg too it ran only the at-rest ticks, under the second name.
+LOOP_NAMES = ("_run_standing", "_stand_at_rest")
 
 
 def _group(controller) -> str:
@@ -108,19 +115,20 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
     """``({group: {"ticks", "controller_us", "plant_us", "controller_max_us"}},
     loop_us)`` over ``passes`` runs of every config, with the exorecover that
     is imported; the figures per tick are each the minimum over passes.  The
-    ``Standing/at_rest`` group holds ``{"ticks", "us"}``."""
+    ``Standing/loop`` group holds ``{"ticks", "us"}``."""
     from exorecover import simulation
     from exorecover.detector import RecoveryPhase
 
     Plant, Controller = simulation.Plant, simulation.Controller
     planned = RecoveryPhase.STEPPING_PLANNED
     measure, control, integrate = Plant.measure, Controller.step, Plant.step
-    # A checkout from before the at-rest standing loop has neither.
+    # A checkout from before the standing loop has neither.
     trigger = getattr(Controller, "_trigger", None)
-    stand = getattr(simulation, "_stand_at_rest", None)
+    loop_name = next((name for name in LOOP_NAMES if hasattr(simulation, name)), None)
+    stand = getattr(simulation, loop_name) if loop_name else None
     clock = time.perf_counter
     # Per pass: group -> [ticks, controller seconds, plant seconds, slowest
-    # controller seconds]; the at-rest group's row is [ticks, seconds].
+    # controller seconds]; the loop's group's row is [ticks, seconds].
     sums: dict[str, list] = {}
     state = {"group": None, "plant": 0.0, "in_loop": False, "trigger": 0.0}
 
@@ -174,7 +182,7 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
         end, command = stand(plant, controller, k, *args)
         elapsed = clock() - start
         state["in_loop"] = False
-        row = sums.setdefault(AT_REST, [0, 0.0])
+        row = sums.setdefault(LOOP, [0, 0.0])
         row[0] += end - k
         row[1] += elapsed - state["trigger"]
         return end, command
@@ -184,7 +192,7 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
     wrappers = [(Plant, "measure", timed_measure), (Controller, "step", timed_control),
                 (Plant, "step", timed_integrate)]
     if stand is not None:
-        wrappers += [(Controller, "_trigger", timed_trigger), (simulation, "_stand_at_rest", timed_stand)]
+        wrappers += [(Controller, "_trigger", timed_trigger), (simulation, loop_name, timed_stand)]
     originals = [(owner, name, getattr(owner, name)) for owner, name, _ in wrappers]
     for owner, name, wrapper in wrappers:
         setattr(owner, name, wrapper)
@@ -196,13 +204,13 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
                 simulation.run_scenario(config)
             run_s = clock() - start
             all_ticks = sum(row[0] for row in sums.values())
-            # Controller plus plant seconds; the at-rest group's row holds its seconds
+            # Controller plus plant seconds; the loop's group's row holds its seconds
             # alone, and counts as loop time when its calls ran no tick.
             wrapped_s = sum(sum(row[1:3]) for row in sums.values() if row[0])
             loop_us = min(loop_us, (run_s - wrapped_s) / all_ticks * 1e6)
             for group, sums_row in sums.items():
                 ticks = sums_row[0]
-                if group == AT_REST:
+                if group == LOOP:
                     if ticks:
                         row = best.setdefault(group, {"ticks": ticks, "us": float("inf")})
                         row["us"] = min(row["us"], sums_row[1] / ticks * 1e6)
@@ -288,8 +296,8 @@ def main(argv=None) -> int:
         "method": "tools/tick_split.py: perf_counter wrappers around Plant.measure, "
                   "Controller.step and Plant.step, ticks grouped by start phase, "
                   "post-abort ticks and trigger ticks apart, in-flight Swing ticks by "
-                  "retarget, replan and terminal, and run_scenario's at-rest standing "
-                  "loop timed per call as Standing/at_rest (us per tick); min over passes of the "
+                  "retarget, replan and terminal, and run_scenario's standing "
+                  "loop timed per call as Standing/loop (us per tick); min over passes of the "
                   "mean per tick and of the slowest tick; "
                   "loop_us is run_scenario time per tick minus the wrapped time; "
                   "run_us is the unwrapped run_scenario time per tick, timed after",
