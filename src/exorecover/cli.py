@@ -390,10 +390,7 @@ def write_events_csv(trace: SimTrace, path) -> None:
     with _atomic_open(Path(path)) as out:
         out.write(EVENTS_HEADER + "\n")
         for ev in trace.events:
-            try:
-                text = encode(ev.payload)
-            except ValueError:  # a number that is not finite
-                text = encode(_json_strings(ev.payload))
+            text = encode(_json_strings(ev.payload))
             if '"' in text or "," in text:
                 text = '"' + text.replace('"', '""') + '"'
             out.write("%.12g,%s,%s\n" % (ev.time, ev.kind, text))  # "%.12g" is _num's format
