@@ -17,16 +17,9 @@ from .errors import (
     ScenarioParseError,
     WorkspaceError,
 )
-from .impedance import (
-    ControlMode,
-    ImpedanceGains,
-    PlantParams,
-    command_torques,
-    impedance_torque,
-    joint_plant_step,
-)
+from .impedance import command_torques, impedance_torque, joint_plant_step
 from .kinematics import JointLimits, LegGeometry, Side, forward_kinematics, inverse_kinematics
-from .lipm import LipmParams, apply_impulse, natural_frequency, step_lipm
+from .lipm import apply_impulse, natural_frequency, step_lipm
 from .planner import (
     NominalGait,
     StepBounds,

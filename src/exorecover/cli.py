@@ -488,8 +488,7 @@ def cmd_plan(args) -> int:
     try:
         config = load_scenario(args.scenario, args.set)
         xi0, cop0 = _option_vec2(args, "xi0"), _option_vec2(args, "cop0")
-        program = step_program(cop0, config.lipm_params().omega, config.nominal_gait(),
-                               config.step_bounds())
+        program = step_program(cop0, config.omega, config.nominal_gait(), config.step_bounds())
         plan = plan_step(xi0, program)
     except (ScenarioParseError, ConfigurationError, ValueError) as err:  # a plan_step overflow too
         return _fail(str(err), 1)
@@ -526,7 +525,7 @@ def cmd_sweep_weights(args) -> int:
                 gaits.append(dataclasses.replace(base, weights=weights))
             except ValueError as err:
                 raise ScenarioParseError(f"{where}: {err}") from None
-        omega = config.lipm_params().omega
+        omega = config.omega
         results = []
         for nominal in gaits:
             plan = plan_step(xi0, step_program(cop0, omega, nominal, bounds))

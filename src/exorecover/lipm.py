@@ -6,6 +6,9 @@ convergent part and the divergent component ``xi = com + com_vel / omega``
 decouples the dynamics: ``xi`` diverges away from the centre of pressure,
 ``com`` converges towards ``xi``.  This module integrates the raw
 second-order equation with a fixed-step RK4 and applies impulsive pushes.
+Its constants are plain floats, ``omega`` (``ScenarioConfig.omega``) and
+``mass``, not re-checked here: ``ScenarioConfig.validate`` bounds
+``gravity``, ``com_height`` and ``mass`` once.
 
 Two-dimensional points and velocities (CoM, DCM, CoP, impulse) are
 ``(x, y)`` pairs of Python floats, in and out of the 1 kHz loop alike.
@@ -19,12 +22,10 @@ Validity rules live here too: a :class:`Rule` per kind of number, read by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 __all__ = [
-    "LipmParams",
     "natural_frequency",
     "step_lipm",
     "apply_impulse",
@@ -129,28 +130,7 @@ def natural_frequency(gravity: float, com_height: float) -> float:
     return math.sqrt(gravity / com_height)
 
 
-@dataclass(frozen=True)
-class LipmParams:
-    """Pendulum parameters; ``ScenarioConfig.lipm_params()`` gives the defaults.
-
-    The natural frequency is derived in ``__post_init__`` and therefore
-    always consistent with ``gravity`` and ``com_height``; being frozen,
-    any change goes through ``dataclasses.replace`` and recomputes it.
-    """
-
-    gravity: float  # m/s^2
-    com_height: float  # m, constant-height plane of the CoM
-    mass: float  # kg, only used to convert impulses
-    omega: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        require("mass", self.mass, POSITIVE)
-        object.__setattr__(
-            self, "omega", natural_frequency(self.gravity, self.com_height)
-        )
-
-
-def step_lipm(com, com_vel, cop, params: LipmParams, dt: float):
+def step_lipm(com, com_vel, cop, omega: float, dt: float):
     """Advance the pendulum by one RK4 step with the CoP held constant.
 
     ``com``, ``com_vel`` and ``cop`` are ``(x, y)`` float pairs (any
@@ -159,7 +139,7 @@ def step_lipm(com, com_vel, cop, params: LipmParams, dt: float):
     bounds ``dt`` to ``(0, 0.01]`` s, past which this integrator loses
     its fourth-order accuracy.
     """
-    w2 = params.omega * params.omega
+    w2 = omega * omega
     half = 0.5 * dt
     sixth = dt / 6.0
 
@@ -182,11 +162,11 @@ def step_lipm(com, com_vel, cop, params: LipmParams, dt: float):
             (vx + sixth * (ax1 + 2.0 * (ax2 + ax3) + ax4), vy + sixth * (ay1 + 2.0 * (ay2 + ay3) + ay4)))
 
 
-def apply_impulse(com_vel, impulse, params: LipmParams) -> tuple[float, float]:
+def apply_impulse(com_vel, impulse, mass: float) -> tuple[float, float]:
     """Instantaneous push: the new velocity, ``com_vel + impulse / mass``.
 
     The position is untouched; the DCM therefore jumps by
     ``impulse / (mass * omega)``.
     """
     (vx, vy), (ix, iy) = as_vec2(com_vel, "com_vel"), as_vec2(impulse, "impulse")
-    return vx + ix / params.mass, vy + iy / params.mass
+    return vx + ix / mass, vy + iy / mass

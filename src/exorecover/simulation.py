@@ -34,12 +34,12 @@ the joint plants integrate to the next tick.  Standing with no leg in
 flight (the detector ``Standing``, no leg swinging, no wearer pulse
 active, no push due), a tick does only the sensor read, the ankle
 clamp, the detector sample, the row, the pendulum step and the tracked
-leg's step under the idle torque (none for a leg at rest, by the rest
-rule; one RK4 step for a landed leg that still moves), and
-``run_scenario`` runs each stretch of such ticks in one inner loop on
-local variables, bit for bit as the general tick; a sample that fires
-the trigger is finished by the controller's own trigger code.  While a
-step is in flight the planner re-solves every
+leg's step under the idle torque (one RK4 step, or none while the leg
+has been at rest since the run began: RK4 would return its angles plus
+``0.0``), and ``run_scenario`` runs each stretch of such ticks in one
+inner loop on local variables, bit for bit as the general tick; a sample
+that fires the trigger is finished by the controller's own trigger
+code.  While a step is in flight the planner re-solves every
 cycle over the shrunk duration window; when the plan moves materially
 the swing trajectory is respliced in place.  After touchdown the stance CoP is the measured DCM
 clamped into the new foot's support rectangle, which pins the DCM and
@@ -62,19 +62,11 @@ if TYPE_CHECKING:
 
 from .detector import CAPTURED, LANDED, STANDING, STEPPING_PLANNED, SWING, BalanceDetector
 from .errors import ConfigurationError, PlannerInfeasibleError, WorkspaceError, JointLimitError
-from .impedance import (
-    ControlMode,
-    ImpedanceGains,
-    PlantParams,
-    RAD_PER_DEG,
-    command_torques,
-    impedance_torque,
-    joint_plant_step,
-)
+from .impedance import RAD_PER_DEG, command_torques, impedance_torque, joint_plant_step
 from .kinematics import (LEFT, RIGHT, JointLimits, LegGeometry, Side, forward_kinematics,
                          inverse_kinematics)
-from .lipm import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, LipmParams, Rule,
-                   apply_impulse, as_vec2, broken, natural_frequency, require, step_lipm)
+from .lipm import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, Rule, apply_impulse,
+                   as_vec2, broken, natural_frequency, require, step_lipm)
 from .planner import (
     NominalGait,
     StepBounds,
@@ -117,8 +109,9 @@ MATERIAL_CHANGE = 1e-9
 Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
 
-#: Joint rates and torques of a leg at rest.  ``Plant.step`` tests for this
-#: object with ``is``: a rate RK4 computed is a new tuple, even when zero.
+#: Joint rates and torques of a leg at rest.  ``_run_standing`` tests the
+#: rates for this object with ``is`` and does not integrate a leg that holds
+#: it: a rate RK4 computed is a new tuple, even when zero.
 _REST = (0.0, 0.0, 0.0)
 
 #: What ``Measurement(...)`` and ``Command(...)`` call once their fields are
@@ -294,8 +287,10 @@ class ScenarioConfig:
 
     # -- helpers -----------------------------------------------------------
 
-    def lipm_params(self) -> LipmParams:
-        return LipmParams(self.gravity, self.com_height, self.mass)
+    @property
+    def omega(self) -> float:
+        """The pendulum's natural frequency ``sqrt(gravity / com_height)``, 1/s."""
+        return natural_frequency(self.gravity, self.com_height)
 
     def joint_limits(self) -> JointLimits:
         to_rad = lambda pair: (pair[0] * RAD_PER_DEG, pair[1] * RAD_PER_DEG)
@@ -552,10 +547,13 @@ class Controller:
     def __init__(self, config: ScenarioConfig, events: list[Event], q_hold: Vec3):
         self.config = config
         self.events = events
-        self.omega = config.lipm_params().omega
+        self.omega = config.omega
         self.limits = config.joint_limits()
-        self.gains = ImpedanceGains.from_deg(config.stiffness_deg, config.damping)
-        self.mode = ControlMode(config.mode)
+        # The impedance law's gains, in N*m/rad and N*m*s/rad; zero-torque
+        # mode does not call it.
+        self.stiffness = tuple(float(k) / RAD_PER_DEG for k in config.stiffness_deg)
+        self.damping = tuple(map(float, config.damping))
+        self.assist = config.mode == "assist"
         self.geoms = {side: config.leg_geometry(side) for side in Side}
         # Each swing side's gait and bounds, about the stance CoP: a left
         # swing mirrors the right-swing numbers.
@@ -778,7 +776,10 @@ class Controller:
         except (WorkspaceError, JointLimitError) as err:
             self._abort(t, f"swing target unreachable: {err}")
             return _REST, None
-        tau_des = impedance_torque(self.q_des, self.q, self.qd, self.gains, self.mode)
+        if self.assist:
+            tau_des = impedance_torque(self.q_des, self.q, self.qd, self.stiffness, self.damping)
+        else:
+            tau_des = (0.0, 0.0, 0.0)
         return command_torques(tau_des, self.tau, self.config.torque_kp), geom
 
 
@@ -802,11 +803,11 @@ class Plant:
     def __init__(self, config: ScenarioConfig, events: list[Event], n_ticks: int):
         self.config = config
         self.events = events
-        self.params = config.lipm_params()
         # Read per tick, so held here once.
-        self.com_height, self.omega, self.dt = config.com_height, self.params.omega, config.dt
+        self.com_height, self.omega, self.mass, self.dt = (config.com_height, config.omega,
+                                                           config.mass, config.dt)
+        self.inertia, self.viscous_damping = config.inertia, config.viscous_damping
         self.human_pulses = config.human_pulses
-        self.joint_params = PlantParams(config.inertia, config.viscous_damping)
         self.com = as_vec2(config.com0, "com0")
         self.vel = as_vec2(config.vel0, "vel0")
         self.pushes = sorted(config.pushes, key=lambda p: (p.time, p.impulse[0], p.impulse[1]))
@@ -828,7 +829,7 @@ class Plant:
         """Apply the pushes due at ``t``, then read the sensors."""
         while self.pushes and self.pushes[0].time <= t + 1e-12:
             push = self.pushes.pop(0)
-            self.vel = apply_impulse(self.vel, push.impulse, self.params)
+            self.vel = apply_impulse(self.vel, push.impulse, self.mass)
             self.events.append(Event(t, "PushApplied", {"impulse": list(push.impulse)}))
 
         com_x, com_y = _sensed_com(self.com, self.anchor, self.com_height, self.noise)
@@ -851,7 +852,7 @@ class Plant:
             self.anchor = self.foot
         self.swing = command.swing
         dt = self.dt
-        self.com, self.vel = step_lipm(self.com, self.vel, command.cop, self.params, dt)
+        self.com, self.vel = step_lipm(self.com, self.vel, command.cop, self.omega, dt)
         human = _REST  # wearer torque per joint, summed only if a pulse is configured
         if self.human_pulses:
             human = [0.0, 0.0, 0.0]
@@ -859,14 +860,8 @@ class Plant:
                 if pulse.start <= t < pulse.end:
                     human[pulse.joint] += pulse.torque
         torque = command.torque
-        # Rest rule: RK4 on positive zero rate, torque and wearer torque
-        # returns (q + 0.0, 0.0) per joint, bit for bit, so a leg at rest
-        # under the controller's idle torque is not integrated.
-        if torque is _REST and self.qd is _REST and (human is _REST or human == [0.0, 0.0, 0.0]):
-            q0, q1, q2 = self.q
-            self.q, self.tau = (q0 + 0.0, q1 + 0.0, q2 + 0.0), torque
-            return
-        self.q, self.qd = joint_plant_step(self.q, self.qd, torque, human, self.joint_params, dt)
+        self.q, self.qd = joint_plant_step(self.q, self.qd, torque, human, self.inertia,
+                                           self.viscous_damping, dt)
         self.tau = torque
 
 
@@ -893,10 +888,12 @@ def _run_standing(plant: Plant, controller: Controller, k: int, n_rows: int, row
     logs its row, steps the pendulum and steps the tracked leg under the
     idle ``_REST`` torque, with the values ``Plant.measure``,
     ``Controller.step``, ``run_scenario``'s row and ``Plant.step`` give
-    such a tick: a leg at rest by the rest rule, a moving one (a landed
-    leg, free under zero torque) by ``joint_plant_step``.  Plant and
-    controller state are read into locals here and written back on the
-    way out.  A tick whose sample fires the trigger is finished by
+    such a tick.  The leg is stepped by ``joint_plant_step``, unless its
+    rates are still the ``_REST`` object (no tick has integrated it since
+    the run began): RK4 on zero rates and torques returns ``(q + 0.0,
+    0.0)`` per joint, bit for bit, so such a leg keeps ``q + 0.0``.  Plant
+    and controller state are read into locals here and written back on
+    the way out.  A tick whose sample fires the trigger is finished by
     ``Controller._trigger``, and the caller logs and integrates its command.
     """
     meas = seen_q = seen_qd = seen_tau = None
@@ -907,11 +904,11 @@ def _run_standing(plant: Plant, controller: Controller, k: int, n_rows: int, row
         if pulse.end > t0 and pulse.start < pulse_at:
             pulse_at = pulse.start
     push_at = plant.pushes[0].time if plant.pushes else math.inf
-    L, omega, dt, params, noise = plant.com_height, plant.omega, plant.dt, plant.params, plant.noise
-    leg, joint_params = joint_plant_step, plant.joint_params
+    L, omega, dt, noise = plant.com_height, plant.omega, plant.dt, plant.noise
+    leg, inertia, viscous = joint_plant_step, plant.inertia, plant.viscous_damping
     com, vel, anchor, q, qd, tau = plant.com, plant.vel, plant.anchor, plant.q, plant.qd, plant.tau
     q0, q1, q2 = q
-    rest_q = (q0 + 0.0, q1 + 0.0, q2 + 0.0)  # Plant.step's rest rule
+    rest_q = (q0 + 0.0, q1 + 0.0, q2 + 0.0)  # RK4's angles for a leg at rest
     lo_x, hi_x, lo_y, hi_y = controller.support_box
     legs = (*controller.foot_point, *controller.q_des)  # the row's foot and desired angles
     sense, update, step, pack = _sensed_com, controller.detector.update, step_lipm, _ROW.pack_into
@@ -935,11 +932,11 @@ def _run_standing(plant: Plant, controller: Controller, k: int, n_rows: int, row
             break
         pack(rows, 168 * k, t, x, y, vx, vy, x + wx, y + wy, *cop, *legs, *q, *_REST)
         log(standing)
-        com, vel = step(com, vel, cop, params, dt)
+        com, vel = step(com, vel, cop, omega, dt)
         if qd is _REST:
             q = rest_q
         else:
-            q, qd = leg(q, qd, _REST, _REST, joint_params, dt)
+            q, qd = leg(q, qd, _REST, _REST, inertia, viscous, dt)
         tau = _REST
         k += 1
     plant.com, plant.vel, plant.q, plant.qd, plant.tau = com, vel, q, qd, tau

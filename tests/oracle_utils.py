@@ -279,12 +279,12 @@ def evaluate(seg, t: float):
 
 
 def joint_rk4(angle: float, velocity: float, applied_torque: float, human_torque: float,
-              plant, dt: float) -> tuple[float, float]:
+              inertia: float, viscous_damping: float, dt: float) -> tuple[float, float]:
     """One joint's RK4 step of ``inertia * acc = tau_a + tau_h - viscous * vel``,
     the scalar form of ``impedance.joint_plant_step``: ``(angle, velocity)``."""
     tau = applied_torque + human_torque
-    inv_i = 1.0 / plant.inertia
-    b = plant.viscous_damping
+    inv_i = 1.0 / inertia
+    b = viscous_damping
     q, v = angle, velocity
     a1 = (tau - b * v) * inv_i
     v2 = v + 0.5 * dt * a1

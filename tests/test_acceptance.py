@@ -14,10 +14,7 @@ import time
 import numpy as np
 
 from exorecover import (
-    ControlMode,
-    ImpedanceGains,
     LegGeometry,
-    LipmParams,
     NominalGait,
     PlannerInfeasibleError,
     PushEvent,
@@ -30,6 +27,7 @@ from exorecover import (
     forward_kinematics,
     impedance_torque,
     inverse_kinematics,
+    natural_frequency,
     plan_step,
     run_scenario,
     step_lipm,
@@ -38,6 +36,7 @@ from exorecover import (
 )
 from exorecover import cli
 from exorecover.impedance import RAD_PER_DEG
+from exorecover.simulation import Controller
 import acceptance_report
 from oracle_utils import (
     PlanningCase,
@@ -136,14 +135,14 @@ def test_criterion_01_dcm_integration_matches_closed_form():
     worst = 0.0
     for _ in range(50):
         omega = float(rng.uniform(2.0, 4.0))
-        params = LipmParams(gravity=omega * omega, com_height=1.0, mass=70.0)
+        w = natural_frequency(omega * omega, 1.0)
         com, vel = rng.uniform(-0.2, 0.2, 2), rng.uniform(-0.5, 0.5, 2)
         cop = rng.uniform(-0.1, 0.1, 2)
-        xi0 = com + vel / params.omega
+        xi0 = com + vel / w
         for _ in range(1000):
-            com, vel = map(np.array, step_lipm(com, vel, cop, params, 1e-3))
-        ref = dcm_closed_form(xi0, cop, params.omega, 1.0)
-        worst = max(worst, float(np.abs(com + vel / params.omega - ref).max()))
+            com, vel = map(np.array, step_lipm(com, vel, cop, w, 1e-3))
+        ref = dcm_closed_form(xi0, cop, w, 1.0)
+        worst = max(worst, float(np.abs(com + vel / w - ref).max()))
     wall = time.perf_counter() - start
     ok = worst <= 1e-6 and wall < 1.0
     assert report(
@@ -314,20 +313,26 @@ def test_criterion_06_swing_profile_meets_all_nine_boundary_conditions():
 
 
 def test_criterion_07_assist_torque_is_exact_per_degree():
-    gains = ImpedanceGains.from_deg(DEFAULT.stiffness_deg, DEFAULT.damping)
+    """Assist: the controller's gains, converted from the per-degree ones.
+    Passive: a zero-torque step applies ``+0.0`` on every joint of every
+    swing tick, compared as ``int64`` bits."""
+    controller = Controller(DEFAULT, [], DEFAULT.standing_pose())
     one_degree = np.array([RAD_PER_DEG, RAD_PER_DEG, RAD_PER_DEG])
     assist = impedance_torque(
-        one_degree, np.zeros(3), np.zeros(3), gains, ControlMode.ASSIST
+        one_degree, np.zeros(3), np.zeros(3), controller.stiffness, controller.damping
     )
-    passive = impedance_torque(
-        one_degree, np.zeros(3), np.ones(3), gains, ControlMode.ZERO_TORQUE
-    )
-    ok = list(assist) == [1.5, 0.4, 0.4] and list(passive) == [0.0, 0.0, 0.0]
+    trace = run_scenario(ScenarioConfig(mode="zero_torque", pushes=(push_for_excursion(0.12, 0.0),),
+                                        duration=1.5))
+    swing = np.array([phase == "Swing" for phase in trace.phase])
+    passive = np.ascontiguousarray(trace.torque[swing])
+    passive_zero = bool(swing.any()) and not passive.view(np.int64).any()
+    ok = list(assist) == [1.5, 0.4, 0.4] and passive_zero
     assert report(
         7,
         "one degree of error commands exactly [1.5, 0.4, 0.4] N*m, none when passive",
         ok,
-        f"assist {list(assist)}, passive {list(passive)}",
+        f"assist {list(assist)}, passive {'+0.0' if passive_zero else 'not +0.0'} "
+        f"on {int(swing.sum())} swing ticks",
     )
 
 

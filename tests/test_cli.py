@@ -887,7 +887,7 @@ def test_plan_prints_the_solution(tmp_path, capsys):
     from exorecover import plan_step, step_program
 
     config = cli.load_scenario(scenario)
-    plan = plan_step((0.12, 0.0), step_program(np.array([0.0, -0.1]), config.lipm_params().omega,
+    plan = plan_step((0.12, 0.0), step_program(np.array([0.0, -0.1]), config.omega,
                                                config.nominal_gait(), config.step_bounds()))
     assert lines["cop_T"] == ",".join(repr(float(v)) for v in plan.cop_T)
     assert lines["sigma"] == repr(plan.sigma)

@@ -6,64 +6,58 @@ import numpy as np
 import pytest
 from oracle_utils import joint_rk4
 
-from exorecover import (
-    ControlMode,
-    ImpedanceGains,
-    PlantParams,
-    ScenarioConfig,
-    command_torques,
-    impedance_torque,
-    joint_plant_step,
-)
+from exorecover import ScenarioConfig, command_torques, impedance_torque, joint_plant_step
 from exorecover.impedance import RAD_PER_DEG
+from exorecover.simulation import Controller
 
 DEFAULT = ScenarioConfig()
-GAINS = ImpedanceGains.from_deg(DEFAULT.stiffness_deg, DEFAULT.damping)
-#: The default wearer's joint plant.
-PLANT = PlantParams(DEFAULT.inertia, DEFAULT.viscous_damping)
+#: The default gains, in N*m/rad and N*m*s/rad, as the controller holds them.
+_CONTROLLER = Controller(DEFAULT, [], DEFAULT.standing_pose())
+GAINS = _CONTROLLER.stiffness, _CONTROLLER.damping
+#: The default wearer's joint plant: inertia and viscous damping.
+PLANT = DEFAULT.inertia, DEFAULT.viscous_damping
 ZERO3 = (0.0, 0.0, 0.0)
 
 
 def test_one_degree_error_gives_exact_per_degree_torque():
     """The rad-per-deg conversion must round-trip bit-exactly."""
     desired = np.array([RAD_PER_DEG, RAD_PER_DEG, RAD_PER_DEG])
-    tau = impedance_torque(desired, np.zeros(3), np.zeros(3), GAINS, ControlMode.ASSIST)
+    tau = impedance_torque(desired, np.zeros(3), np.zeros(3), *GAINS)
     assert list(tau) == [1.5, 0.4, 0.4]
     # Sign flips with the error.
-    tau_neg = impedance_torque(np.zeros(3), desired, np.zeros(3), GAINS, ControlMode.ASSIST)
+    tau_neg = impedance_torque(np.zeros(3), desired, np.zeros(3), *GAINS)
     assert list(tau_neg) == [-1.5, -0.4, -0.4]
 
 
-def test_zero_torque_mode_commands_exactly_zero():
-    tau = impedance_torque(
-        np.array([0.3, -0.2, 0.8]),
-        np.array([0.1, 0.1, 0.1]),
-        np.array([1.0, -2.0, 0.5]),
-        GAINS,
-        ControlMode.ZERO_TORQUE,
-    )
-    assert list(tau) == [0.0, 0.0, 0.0]
+def test_zero_torque_mode_commands_exactly_zero(monkeypatch):
+    """In zero-torque mode the controller does not call the law, and every
+    applied torque of a step is ``+0.0``, compared as ``int64`` bits; the
+    same step in assist mode calls it on each swing tick."""
+    from exorecover import PushEvent, run_scenario, simulation
+
+    calls = []
+
+    def law(*args):
+        calls.append(args)
+        return impedance_torque(*args)
+
+    monkeypatch.setattr(simulation, "impedance_torque", law)
+    push = PushEvent(0.3, (0.12 * DEFAULT.mass * DEFAULT.omega, 0.0))
+    for mode in ("assist", "zero_torque"):
+        calls.clear()
+        trace = run_scenario(ScenarioConfig(mode=mode, pushes=(push,), duration=1.5))
+        swing = np.array([phase == "Swing" for phase in trace.phase])
+        assert swing.sum() > 100, mode
+        torque = np.ascontiguousarray(trace.torque[swing]).view(np.int64)
+        if mode == "assist":
+            assert len(calls) >= swing.sum() and torque.any()
+        else:
+            assert calls == [] and not torque.any()
 
 
 def test_damping_term_opposes_velocity():
-    gains = ImpedanceGains(stiffness=np.zeros(3), damping=np.array([0.1, 0.2, 0.3]))
-    tau = impedance_torque(np.zeros(3), np.zeros(3), np.array([1.0, 1.0, -2.0]), gains, ControlMode.ASSIST)
+    tau = impedance_torque(np.zeros(3), np.zeros(3), np.array([1.0, 1.0, -2.0]), ZERO3, (0.1, 0.2, 0.3))
     assert np.allclose(tau, [-0.1, -0.2, 0.6], atol=1e-15)
-
-
-def test_scalar_gains_broadcast():
-    g = ImpedanceGains(stiffness=2.0, damping=0.0)
-    tau = impedance_torque(np.array([1.0, 2.0, 3.0]), np.zeros(3), np.zeros(3), g, ControlMode.ASSIST)
-    assert np.allclose(tau, [2.0, 4.0, 6.0])
-
-
-def test_gain_validation():
-    with pytest.raises(ValueError):
-        ImpedanceGains(stiffness=[-1.0, 0.0, 0.0], damping=0.0)
-    with pytest.raises(ValueError):
-        ImpedanceGains(stiffness=[1.0, 1.0], damping=0.0)
-    with pytest.raises(ValueError):
-        ImpedanceGains(stiffness=np.array([1.0, np.nan, 1.0]), damping=0.0)
 
 
 def test_command_torques_formula():
@@ -88,11 +82,10 @@ def test_command_torques_bypass_hip_ab_sensor():
 
 def test_plant_constant_torque_matches_closed_form():
     """inertia*acc = tau - b*vel has v(t) = (tau/b)(1 - exp(-b t / I)), per joint."""
-    plant = PlantParams(inertia=0.05, viscous_damping=0.5)
     q, v = ZERO3, ZERO3
     taus = (0.8, -0.3, 0.0)
     for _ in range(1000):
-        q, v = joint_plant_step(q, v, taus, ZERO3, plant, 0.001)
+        q, v = joint_plant_step(q, v, taus, ZERO3, 0.05, 0.5, 0.001)
     t = 1.0
     for tau, q_j, v_j in zip(taus, q, v):
         v_ref = (tau / 0.5) * (1.0 - math.exp(-0.5 * t / 0.05))
@@ -102,20 +95,18 @@ def test_plant_constant_torque_matches_closed_form():
 
 
 def test_plant_human_torque_adds_to_actuator():
-    plant = PLANT
     s1 = s2 = (ZERO3, ZERO3)
     for _ in range(100):
-        s1 = joint_plant_step(*s1, (0.3, -0.1, 0.0), (0.2, 0.6, -0.4), plant, 0.001)
-        s2 = joint_plant_step(*s2, (0.5, 0.5, -0.4), ZERO3, plant, 0.001)
+        s1 = joint_plant_step(*s1, (0.3, -0.1, 0.0), (0.2, 0.6, -0.4), *PLANT, 0.001)
+        s2 = joint_plant_step(*s2, (0.5, 0.5, -0.4), ZERO3, *PLANT, 0.001)
     assert s1[0] == pytest.approx(s2[0], abs=1e-15)
     assert s1[1] == pytest.approx(s2[1], abs=1e-15)
 
 
 def test_plant_undamped_free_motion_is_linear():
-    plant = PlantParams(inertia=0.1, viscous_damping=0.0)
     q, v = (0.2, -0.1, 0.0), (0.5, 0.0, -0.25)
     for _ in range(200):
-        q, v = joint_plant_step(q, v, ZERO3, ZERO3, plant, 0.005)
+        q, v = joint_plant_step(q, v, ZERO3, ZERO3, 0.1, 0.0, 0.005)
     assert q == pytest.approx((0.7, -0.1, -0.25), abs=1e-12)
     assert v == pytest.approx((0.5, 0.0, -0.25), abs=1e-12)
 
@@ -123,36 +114,25 @@ def test_plant_undamped_free_motion_is_linear():
 @pytest.mark.parametrize("q", [-0.0, 0.0, 5e-324, -0.3, 1.2])
 def test_plant_at_rest_returns_the_angle_plus_zero(q):
     """On positive zero rate and torques RK4 returns ``(q + 0.0, 0.0)`` bit
-    for bit per joint (``-0.0`` turns into ``0.0``): the rest rule of
-    ``simulation.Plant.step`` relies on it."""
+    for bit per joint (``-0.0`` turns into ``0.0``): the standing loop
+    ``simulation._run_standing`` relies on it for a leg at rest."""
     angles = (q, -q, q)
-    for plant in (PLANT, PlantParams(inertia=0.1, viscous_damping=0.0)):
+    for plant in (PLANT, (0.1, 0.0)):
         for dt in (0.001, 0.01):
-            got = joint_plant_step(angles, ZERO3, ZERO3, ZERO3, plant, dt)
+            got = joint_plant_step(angles, ZERO3, ZERO3, ZERO3, *plant, dt)
             assert repr(got) == repr((tuple(a + 0.0 for a in angles), ZERO3))
 
 
 def test_closed_loop_spring_settles_on_target():
     """Impedance assist drives the plant to the desired angle."""
-    plant = PlantParams(inertia=0.05, viscous_damping=0.5)
     desired = (0.1, 0.3, -0.2)
     q, v, tau_m = ZERO3, ZERO3, ZERO3
     for _ in range(4000):
-        tau_d = impedance_torque(desired, q, v, GAINS, ControlMode.ASSIST)
+        tau_d = impedance_torque(desired, q, v, *GAINS)
         tau_c = command_torques(tau_d, tau_m, kp=1.0)
-        q, v = joint_plant_step(q, v, tau_c, ZERO3, plant, 0.001)
+        q, v = joint_plant_step(q, v, tau_c, ZERO3, 0.05, 0.5, 0.001)
         tau_m = tau_c
     assert np.abs(np.subtract(q, desired)).max() < 1e-3
-
-
-def test_plant_step_validation():
-    plant = PLANT
-    with pytest.raises(ValueError):
-        joint_plant_step(ZERO3, ZERO3, (math.nan, 0.0, 0.0), ZERO3, plant, 0.001)
-    with pytest.raises(ValueError):
-        PlantParams(inertia=0.0, viscous_damping=0.5)
-    with pytest.raises(ValueError):
-        PlantParams(inertia=0.05, viscous_damping=-1.0)
 
 
 def _signed(rng, scale: float, n: int) -> tuple[float, ...]:
@@ -169,11 +149,10 @@ def test_the_leg_step_is_the_scalar_rk4_per_joint_bit_for_bit():
     for _ in range(3000):
         q, qd = _signed(rng, 0.8, 3), _signed(rng, 3.0, 3)
         tau, human = _signed(rng, 5.0, 3), _signed(rng, 2.0, 3)
-        plant = PlantParams(inertia=float(rng.uniform(0.01, 0.2)),
-                            viscous_damping=float(rng.choice((0.0, rng.uniform(0.0, 2.0)))))
+        plant = (float(rng.uniform(0.01, 0.2)), float(rng.choice((0.0, rng.uniform(0.0, 2.0)))))
         dt = float(rng.choice((0.001, 0.002, 0.01, rng.uniform(1e-4, 0.01))))
-        got_q, got_qd = joint_plant_step(q, qd, tau, human, plant, dt)
-        want = [joint_rk4(*state, plant, dt) for state in zip(q, qd, tau, human)]
+        got_q, got_qd = joint_plant_step(q, qd, tau, human, *plant, dt)
+        want = [joint_rk4(*state, *plant, dt) for state in zip(q, qd, tau, human)]
         assert all(type(v) is float for v in got_q + got_qd)
         assert repr((got_q, got_qd)) == repr((tuple(w[0] for w in want), tuple(w[1] for w in want)))
 
@@ -186,7 +165,7 @@ def test_a_non_finite_torque_in_any_of_the_six_inputs_raises(slot, bad):
     torques = [0.5, -0.2, 0.1, 0.0, 1.0, -0.3]
     torques[slot] = bad
     with pytest.raises(ValueError, match="^torques must be finite, got "):
-        joint_plant_step((0.1, 0.2, 0.3), ZERO3, tuple(torques[:3]), tuple(torques[3:]), PLANT, 0.001)
+        joint_plant_step((0.1, 0.2, 0.3), ZERO3, tuple(torques[:3]), tuple(torques[3:]), *PLANT, 0.001)
 
 
 def test_float_triples_are_the_array_formulas_bit_for_bit():
@@ -195,13 +174,13 @@ def test_float_triples_are_the_array_formulas_bit_for_bit():
     rng = np.random.default_rng(808)
     for _ in range(2000):
         desired, measured, velocity, tau_m = rng.normal(0.0, 0.5, (4, 3))
-        gains = ImpedanceGains(stiffness=rng.uniform(0.0, 100.0, 3), damping=rng.uniform(0.0, 2.0, 3))
+        stiffness, damping = rng.uniform(0.0, 100.0, 3), rng.uniform(0.0, 2.0, 3)
         kp = float(rng.uniform(0.0, 5.0))
 
-        want = (np.array(gains.stiffness) * (desired - measured)
-                - np.array(gains.damping) * velocity)
+        want = stiffness * (desired - measured) - damping * velocity
         got = impedance_torque(tuple(desired.tolist()), tuple(measured.tolist()),
-                               tuple(velocity.tolist()), gains, ControlMode.ASSIST)
+                               tuple(velocity.tolist()), tuple(stiffness.tolist()),
+                               tuple(damping.tolist()))
         assert all(type(v) is float for v in got)
         assert list(got) == want.tolist()
 
@@ -210,60 +189,3 @@ def test_float_triples_are_the_array_formulas_bit_for_bit():
         got_command = command_torques(got, tuple(tau_m.tolist()), kp)
         assert all(type(v) is float for v in got_command)
         assert list(got_command) == command.tolist()
-
-
-#: Stiffness inputs ``ImpedanceGains`` accepts, with the float triple each
-#: becomes: any three numbers, or one number for all three joints.
-GAINS_ACCEPTED = [
-    ((1.0, 2, 3.5), (1.0, 2.0, 3.5)),
-    ([0.5, 0.0, 4], (0.5, 0.0, 4.0)),
-    (np.array([1.0, 2.0, 3.0]), (1.0, 2.0, 3.0)),
-    (np.array([[1.0, 2.0, 3.0]]), (1.0, 2.0, 3.0)),
-    ([np.float32(0.1), np.float32(0.2), np.int64(3)], (0.10000000149011612, 0.20000000298023224, 3.0)),
-    (2.0, (2.0, 2.0, 2.0)),
-    ([0.7], (0.7, 0.7, 0.7)),
-    (np.float64(1.5), (1.5, 1.5, 1.5)),
-    (np.array([[3.0]]), (3.0, 3.0, 3.0)),
-    ([[1.0], [2.0], [3.0]], (1.0, 2.0, 3.0)),
-    (np.array([[[1.0], [2.0], [3.0]]]), (1.0, 2.0, 3.0)),
-]
-
-#: ``(stiffness, damping)`` pairs ``ImpedanceGains`` rejects, with the
-#: start of the ValueError's message.
-GAINS_REJECTED = [
-    ((1.0, 2.0), 0.0, "stiffness must have 3 components"),
-    ((1.0, 2.0, 3.0, 4.0), 0.0, "stiffness must have 3 components"),
-    ([], 0.0, "stiffness must have 3 components"),
-    (None, 0.0, "stiffness must"),
-    ((1.0, math.nan, 1.0), 0.0, "stiffness must be finite"),
-    (math.inf, 0.0, "stiffness must be finite"),
-    (1.0, (0.0, -math.inf, 0.0), "damping must be finite"),
-    ((-1.0, 0.0, 0.0), 0.0, "stiffness must be >= 0"),
-    (1.0, -0.5, "damping must be >= 0"),
-    ([[1, 2], [3]], 0.0, "stiffness must be a number or a regular array of numbers"),
-    ([[1.0], 2.0, 3.0], 0.0, "stiffness must be a number or a regular array of numbers"),
-    (range(3), 0.0, "stiffness must be a number or a regular array of numbers"),
-    (1.0, [[0.0, 0.0], [0.0]], "damping must be a number or a regular array of numbers"),
-    ((10**400, 0.0, 0.0), 0.0, "stiffness must be a number or a regular array of numbers"),
-]
-
-
-@pytest.mark.parametrize("value, want", GAINS_ACCEPTED)
-def test_gains_accept_three_numbers_or_one(value, want):
-    """Gains are float triples with the input's bits, and ``from_deg``
-    divides each by ``RAD_PER_DEG`` as numpy's array division does."""
-    gains = ImpedanceGains(stiffness=value, damping=value)
-    for triple in (gains.stiffness, gains.damping):
-        assert type(triple) is tuple and all(type(v) is float for v in triple)
-        assert repr(triple) == repr(want)
-    per_deg = ImpedanceGains.from_deg(value, value)
-    assert per_deg.stiffness == tuple((np.array(want) / RAD_PER_DEG).tolist())
-    assert repr(per_deg.damping) == repr(want)
-
-
-@pytest.mark.parametrize("stiffness, damping, message", GAINS_REJECTED)
-def test_gains_reject_anything_else(stiffness, damping, message):
-    with pytest.raises(ValueError, match=f"^{message}"):
-        ImpedanceGains(stiffness=stiffness, damping=damping)
-    with pytest.raises(ValueError, match=f"^{message}".replace("stiffness", "stiffness_deg")):
-        ImpedanceGains.from_deg(stiffness, damping)

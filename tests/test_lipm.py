@@ -7,21 +7,20 @@ import numpy as np
 import pytest
 from oracle_utils import com_closed_form, dcm_closed_form
 
-from exorecover import LipmParams, ScenarioConfig, apply_impulse, natural_frequency, step_lipm
+from exorecover import ScenarioConfig, apply_impulse, natural_frequency, step_lipm
 from exorecover.lipm import as_vec2, clip
 
 #: The default wearer's pendulum.
-DEFAULT = ScenarioConfig().lipm_params()
+DEFAULT = ScenarioConfig()
 
 
-def params(com_height: float = DEFAULT.com_height, gravity: float = DEFAULT.gravity,
-           mass: float = DEFAULT.mass) -> LipmParams:
-    return LipmParams(gravity, com_height, mass)
+def omega_of(com_height: float = DEFAULT.com_height, gravity: float = DEFAULT.gravity) -> float:
+    return natural_frequency(gravity, com_height)
 
 
-def dcm(com, com_vel, p: LipmParams):
+def dcm(com, com_vel, omega: float):
     """The divergent component, ``com + com_vel / omega``."""
-    return np.asarray(com) + np.asarray(com_vel) / p.omega
+    return np.asarray(com) + np.asarray(com_vel) / omega
 
 
 def test_natural_frequency_frozen_value():
@@ -41,28 +40,27 @@ def test_natural_frequency_rejects_nonpositive():
 def test_params_omega_consistent_after_replace():
     from dataclasses import replace
 
-    p = params(0.9)
-    assert p.omega == 3.3015148038438356
-    q = replace(p, com_height=0.88)
-    assert q.omega == math.sqrt(9.81 / 0.88)
+    config = ScenarioConfig(com_height=0.9)
+    assert config.omega == 3.3015148038438356
+    assert replace(config, com_height=0.88).omega == math.sqrt(9.81 / 0.88)
 
 
 def test_dcm_flow_sign_and_magnitude():
     """The DCM moves away from the CoP at ``omega * (xi - cop)``."""
-    p = params(0.9)
+    w = omega_of(0.9)
     h = 1e-7
-    flow = (np.asarray(dcm_closed_form([0.2, 0.0], [0.1, 0.0], p.omega, h)) - [0.2, 0.0]) / h
-    assert flow[0] == pytest.approx(p.omega * 0.1, rel=1e-6)
+    flow = (np.asarray(dcm_closed_form([0.2, 0.0], [0.1, 0.0], w, h)) - [0.2, 0.0]) / h
+    assert flow[0] == pytest.approx(w * 0.1, rel=1e-6)
     assert flow[1] == 0.0
     # On the CoP the DCM is stationary.
-    assert np.all(np.asarray(dcm_closed_form([0.3, -0.1], [0.3, -0.1], p.omega, 0.5)) == [0.3, -0.1])
+    assert np.all(np.asarray(dcm_closed_form([0.3, -0.1], [0.3, -0.1], w, 0.5)) == [0.3, -0.1])
 
 
 def test_dcm_closed_form_frozen_value():
     # omega = 3, t = 0.3: (0.12 - 0.02) * e^0.9 + 0.02, e^0.9 frozen.
-    p = params(1.0, gravity=9.0)
-    assert p.omega == 3.0
-    xi = dcm_closed_form([0.12, 0.0], [0.02, 0.0], p.omega, 0.3)
+    w = omega_of(1.0, gravity=9.0)
+    assert w == 3.0
+    xi = dcm_closed_form([0.12, 0.0], [0.02, 0.0], w, 0.3)
     assert xi[0] == pytest.approx(0.2659603111156949, abs=1e-16)
     assert xi[1] == 0.0
 
@@ -73,41 +71,40 @@ def test_dcm_closed_form_t0_identity_and_negative_t():
 
 
 def test_com_closed_form_relaxes_to_dcm():
-    p = params(0.9)
+    w = omega_of(0.9)
     com0 = np.array([0.0, 0.0])
     xi0 = np.array([0.1, -0.05])
     # Monotone approach; after many time constants it sits on xi.
     prev = com0
     for t in (0.1, 0.3, 0.6, 1.0, 3.0):
-        c = com_closed_form(com0, xi0, p.omega, t)
+        c = com_closed_form(com0, xi0, w, t)
         assert np.linalg.norm(xi0 - c) < np.linalg.norm(xi0 - prev)
         prev = c
-    assert np.allclose(com_closed_form(com0, xi0, p.omega, 10.0), xi0, atol=1e-13)
+    assert np.allclose(com_closed_form(com0, xi0, w, 10.0), xi0, atol=1e-13)
 
 
 def test_com_flow_matches_derivative_of_closed_form():
-    p = params(0.9)
+    w = omega_of(0.9)
     com0 = np.array([0.02, 0.04])
     xi0 = np.array([0.1, -0.05])
     h = 1e-6
     for t in (0.0, 0.2, 0.7):
-        c = com_closed_form(com0, xi0, p.omega, t)
-        num = np.subtract(com_closed_form(com0, xi0, p.omega, t + h), c) / h
-        ana = p.omega * (xi0 - c)
+        c = com_closed_form(com0, xi0, w, t)
+        num = np.subtract(com_closed_form(com0, xi0, w, t + h), c) / h
+        ana = w * (xi0 - c)
         assert np.allclose(num, ana, atol=1e-5)
 
 
 def test_step_lipm_equilibrium_is_exact():
-    p = DEFAULT
     com = np.array([0.04, -0.02])
-    out_com, out_vel = map(np.array, step_lipm(com, np.zeros(2), [0.04, -0.02], p, 1e-3))
+    out_com, out_vel = map(np.array, step_lipm(com, np.zeros(2), [0.04, -0.02], DEFAULT.omega, 1e-3))
     assert np.all(out_com == com)
     assert np.all(out_vel == 0.0)
 
 
-def _array_rk4(com, com_vel, cop, params, dt):
+def _array_rk4(com, com_vel, cop, omega, dt):
     """One RK4 step on ``(2,)`` arrays, the elementwise form ``step_lipm`` follows."""
-    w2 = params.omega * params.omega
+    w2 = omega * omega
     half = 0.5 * dt
     sixth = dt / 6.0
     a1 = w2 * (com - cop)
@@ -129,24 +126,24 @@ def test_float_pair_step_is_the_array_formula_bit_for_bit():
     random states, signed zeros and whole 1 kHz trajectories."""
     rng = np.random.default_rng(43)
     for _ in range(300):
-        p = params(float(rng.uniform(0.5, 1.2)))
+        w = omega_of(float(rng.uniform(0.5, 1.2)))
         dt = float(rng.choice([1e-3, 2.5e-3, 1e-2]))
         com, vel, cop = rng.uniform(-0.3, 0.3, size=(3, 2))
         ref_com, ref_vel = com, vel
         state = com.tolist(), vel.tolist()
         for _ in range(50):
-            ref_com, ref_vel = _array_rk4(ref_com, ref_vel, cop, p, dt)
-            state = step_lipm(*state, cop.tolist(), p, dt)
+            ref_com, ref_vel = _array_rk4(ref_com, ref_vel, cop, w, dt)
+            state = step_lipm(*state, cop.tolist(), w, dt)
             assert all(type(v) is float for v in state[0] + state[1])
             assert np.array(state).tobytes() == np.array([ref_com, ref_vel]).tobytes()
 
-    p = DEFAULT
+    w = DEFAULT.omega
     zeros = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)]
     for com in zeros:
         for vel in zeros:
             for cop in zeros:
-                ref = _array_rk4(np.array(com), np.array(vel), np.array(cop), p, 1e-3)
-                out = step_lipm(com, vel, cop, p, 1e-3)
+                ref = _array_rk4(np.array(com), np.array(vel), np.array(cop), w, 1e-3)
+                out = step_lipm(com, vel, cop, w, 1e-3)
                 assert np.array(out).tobytes() == np.array(ref).tobytes()
 
 
@@ -155,40 +152,41 @@ def test_rk4_tracks_closed_form_dcm():
     rng = np.random.default_rng(2024)
     for _ in range(20):
         omega = rng.uniform(2.0, 4.0)
-        p = params(9.81 / omega**2, gravity=9.81)
+        w = omega_of(9.81 / omega**2, gravity=9.81)
         com, vel = rng.uniform(-0.1, 0.1, 2), rng.uniform(-0.5, 0.5, 2)
         cop = rng.uniform(-0.1, 0.1, 2)
-        xi0 = dcm(com, vel, p)
+        xi0 = dcm(com, vel, w)
         for _ in range(1000):
-            com, vel = map(np.array, step_lipm(com, vel, cop, p, 1e-3))
-        xi_ref = dcm_closed_form(xi0, cop, p.omega, 1.0)
-        assert np.abs(np.subtract(dcm(com, vel, p), xi_ref)).max() < 1e-8
+            com, vel = map(np.array, step_lipm(com, vel, cop, w, 1e-3))
+        xi_ref = dcm_closed_form(xi0, cop, w, 1.0)
+        assert np.abs(np.subtract(dcm(com, vel, w), xi_ref)).max() < 1e-8
 
 
 def test_rk4_com_matches_frozen_dcm_form_when_cop_tracks():
     """With the CoP servoed onto the DCM, the CoM follows the relaxation law."""
-    p = params(0.9)
+    w = omega_of(0.9)
     com, vel = np.zeros(2), np.array([0.33015148038438356, 0.0])  # xi0 = (0.1, 0)
-    xi0 = dcm(com, vel, p)
+    xi0 = dcm(com, vel, w)
     for _ in range(800):
-        com, vel = map(np.array, step_lipm(com, vel, dcm(com, vel, p), p, 1e-3))
-    ref = com_closed_form([0.0, 0.0], xi0, p.omega, 0.8)
+        com, vel = map(np.array, step_lipm(com, vel, dcm(com, vel, w), w, 1e-3))
+    ref = com_closed_form([0.0, 0.0], xi0, w, 0.8)
     assert np.abs(com - ref).max() < 1e-9
 
 
 def test_apply_impulse_shifts_dcm_by_impulse_over_m_omega():
-    p = params(0.88, mass=70.0)
+    w = omega_of(0.88)
     com, vel = np.zeros(2), np.zeros(2)
     J = np.array([28.0, -7.0])
-    out = apply_impulse(vel, J, p)
+    out = apply_impulse(vel, J, 70.0)
     assert np.allclose(out, J / 70.0, rtol=0, atol=0)
-    assert np.allclose(np.subtract(dcm(com, out, p), dcm(com, vel, p)), J / (70.0 * p.omega),
+    assert np.allclose(np.subtract(dcm(com, out, w), dcm(com, vel, w)), J / (70.0 * w),
                        atol=1e-18)
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        params(mass=0.0)
+    """The pendulum's mass is checked once, by ``ScenarioConfig.validate``."""
+    with pytest.raises(ValueError, match="mass must be positive, got 0.0"):
+        ScenarioConfig(mass=0.0).validate()
 
 
 #: Inputs ``as_vec2`` accepts, with the float pair each becomes.

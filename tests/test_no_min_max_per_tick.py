@@ -50,7 +50,7 @@ PER_TICK = (
 )
 
 #: The enum classes whose members the per-tick functions read as module names.
-ENUMS = ("Side", "ControlMode", "RecoveryPhase")
+ENUMS = ("Side", "RecoveryPhase")
 
 
 def _functions(module: str) -> dict[str, ast.FunctionDef]:
@@ -73,8 +73,7 @@ def _min_max_calls(function: ast.FunctionDef) -> list[int]:
 
 
 def _enum_reads(function: ast.FunctionDef) -> list[int]:
-    """Lines of the ``Side.X``, ``ControlMode.X`` and ``RecoveryPhase.X``
-    reads in ``function``."""
+    """Lines of the ``Side.X`` and ``RecoveryPhase.X`` reads in ``function``."""
     return [node.lineno for node in ast.walk(function)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in ENUMS]

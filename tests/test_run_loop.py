@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from exorecover import HumanPulse, PushEvent, ScenarioConfig, run_scenario, simulation
-from exorecover.simulation import _LOG_COLUMNS, _REST, Command, Controller, Measurement, Plant
+from exorecover.simulation import _LOG_COLUMNS, Command, Controller, Measurement, Plant
 
 MASS = 70.0
 OMEGA = math.sqrt(9.81 / 0.88)
@@ -37,7 +37,7 @@ def reference_tick(plant, controller, log, phases, k):
     t = k * plant.dt
     meas = Measurement(*plant.measure(t))
     command = Command(*controller.step(meas, t))
-    (x, y), (vx, vy), omega = plant.com, plant.vel, plant.params.omega
+    (x, y), (vx, vy), omega = plant.com, plant.vel, plant.omega
     log[k] = [t, x, y, vx, vy, x + vx / omega, y + vy / omega, *command.cop,
               *controller.foot_point, *controller.q_des, *controller.q, *command.torque]
     phases.append(controller.detector.phase.value)
@@ -164,7 +164,7 @@ def test_the_trigger_cases_see_isolated_outside_samples_first():
 
 def test_the_pulse_moves_the_standing_leg_before_the_trigger():
     """The zero-torque case integrates the planted leg while standing, so
-    it exercises the rest rule's wearer-torque test, not only its idle path."""
+    it exercises the wearer torque on a standing leg, not only the idle torque."""
     trace = run_scenario(CASES["zero_torque_pulse_before_trigger"])
     standing = np.array([phase == "Standing" for phase in trace.phase])
     q_hip = trace.joint_measured[standing, 1]
@@ -269,7 +269,9 @@ def test_a_trigger_from_a_moving_leg_hands_over_its_joint_state(monkeypatch):
         assert len(loop) == 2, name
         k = loop[1]
         assert trace.phase[k - 1] == "Standing" and trace.phase[k] == "SteppingPlanned", name
-        assert rates[0] is _REST and rates[1] is not _REST and any(rates[1]), name
+        # The first trigger's leg is at rest, its rates +0.0 (compared as
+        # int64 bits); the second's moves.
+        assert np.array(rates[0]).view(np.int64).tolist() == [0, 0, 0] and any(rates[1]), name
 
 
 def test_an_at_rest_tick_is_the_reference_tick_at_the_clamps_edges():

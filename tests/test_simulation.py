@@ -14,7 +14,6 @@ from exorecover import (
     ConfigurationError,
     Event,
     HumanPulse,
-    ImpedanceGains,
     PushEvent,
     ScenarioConfig,
     SimTrace,
@@ -71,10 +70,9 @@ def test_planar_vectors_are_float_pairs():
                             mirror_gait, plan_step, replan, step_program)
 
     config = ScenarioConfig()
-    params = config.lipm_params()
     # A left swing's gait and bounds, as the controller builds them.
     nominal, bounds = mirror_gait(config.nominal_gait()), mirror_bounds(config.step_bounds())
-    program = step_program(np.array([0.0, 0.1]), params.omega, nominal, bounds)
+    program = step_program(np.array([0.0, 0.1]), config.omega, nominal, bounds)
     plan = plan_step(np.array([0.08, 0.02]), program)
     optimal = replan(plan, (0.09, 0.02), program, 0.05)
     terminal = replan(plan, (0.09, 0.02), program, 10.0)
@@ -90,7 +88,7 @@ def test_planar_vectors_are_float_pairs():
         *(p.gamma_T for p in (plan, optimal, terminal)),
         *(p.xi_T for p in (plan, optimal, terminal)),
         PushEvent(0.5, np.array([20.0, 0.0])).impulse, center,
-        apply_impulse(np.zeros(2), np.array([20.0, 0.0]), params),
+        apply_impulse(np.zeros(2), np.array([20.0, 0.0]), config.mass),
         mirror_gait(nominal).cop_T_nom, mirror_gait(nominal).gamma_nom,
         mirror_bounds(bounds).cop_min, mirror_bounds(bounds).cop_max,
         bounds.shift(np.array([0.1, 0.0])).cop_min, bounds.shift(np.array([0.1, 0.0])).cop_max,
@@ -477,8 +475,7 @@ def test_config_helper_resolution():
     assert cfg.resolved_stance_width() == pytest.approx(2 * (cfg.l0 + cfg.l1))
     assert ScenarioConfig(stance_width=0.3).resolved_stance_width() == 0.3
 
-    params = cfg.lipm_params()
-    assert params.omega == pytest.approx(OMEGA, abs=1e-15)
+    assert cfg.omega == pytest.approx(OMEGA, abs=1e-15)
 
     gait = cfg.nominal_gait()
     assert np.array_equal(gait.cop_T_nom, cfg.cop_nom)
@@ -752,7 +749,7 @@ def test_every_in_flight_replan_solves_its_own_steps_program(monkeypatch):
     config = ScenarioConfig()
     gait, box = config.nominal_gait(), config.step_bounds()
     frames = {"right": (gait, box), "left": (mirror_gait(gait), mirror_bounds(box))}
-    omega, half = config.lipm_params().omega, 0.5 * config.resolved_stance_width()
+    omega, half = config.omega, 0.5 * config.resolved_stance_width()
     fields = [name for name in StepPlan._fields if name != "planned_at"]
     seen = []
     for pushes in ((push_for_excursion(0.0, 0.12),),
@@ -832,16 +829,16 @@ def run_counting_plant_steps(monkeypatch, config):
 
 def test_each_tick_steps_the_pendulum_once_and_each_joint_once(monkeypatch):
     """``step_lipm`` runs once per tick and ``joint_plant_step``, which steps
-    the leg's three joints, once on every tick the leg is not at rest, each
-    through its module-level name, over a forward push.  The leg is at rest until it
-    lifts on the trigger tick, where it is driven, and never after: it
-    lands moving and the rate it then decays to is a new tuple, not
-    ``_REST``."""
+    the leg's three joints, once on every tick from the push tick on, each
+    through its module-level name, over a forward push.  Before the push the
+    standing loop holds the leg at rest; the push tick runs through
+    ``Plant.step``, which integrates the leg, and its rates are then a new
+    tuple, not ``_REST``, on every later tick."""
     trace, counts = run_counting_plant_steps(
         monkeypatch, ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),), duration=2.0))
     assert events_of(trace, "TouchDown") and events_of(trace, "Captured")
     ticks = len(trace.t)
-    moving = int(np.count_nonzero(trace.t >= events_of(trace, "PlanIssued")[0].time))
+    moving = int(np.count_nonzero(trace.t >= events_of(trace, "PushApplied")[0].time))
     assert 0 < moving < ticks
     assert counts == {"step_lipm": ticks, "joint_plant_step": moving}
 
@@ -861,15 +858,6 @@ def test_noisy_standing_ticks_step_the_pendulum_once_and_each_joint_once(monkeyp
     assert (counts["step_lipm"], counts["joint_plant_step"]) == (ticks, 0)
 
 
-class _AlwaysIntegrating(Plant):
-    """``Plant`` without the rest rule: the torque it is handed is a copy,
-    never the controller's ``_REST`` object, so every tick makes the RK4
-    ``joint_plant_step`` call."""
-
-    def step(self, command, t):
-        super().step(command._replace(torque=(*command.torque,)), t)
-
-
 @pytest.mark.parametrize("config", [
     ScenarioConfig(attitude_noise_deg=0.2, seed=3, duration=1.0),
     ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),), duration=2.0),
@@ -877,15 +865,16 @@ class _AlwaysIntegrating(Plant):
                    human_pulses=(HumanPulse(1, 0.2, 0.3, 2.0), HumanPulse(2, 0.35, 0.4, -1.0))),
 ], ids=["noisy_standing", "forward_push", "zero_torque_early_pulses"])
 def test_rest_rule_matches_integrating_every_tick(monkeypatch, config):
-    """The rest rule changes no bit: a plant that integrates the leg on
-    every tick gives the same trace, column by column, as the real loop.
-    The zero-torque run's wearer pulses move the leg before the trigger."""
+    """The standing loop's rest rule changes no bit: with every tick run
+    through ``Plant.step``, which integrates the leg on each, the trace is
+    the real loop's, column by column.  The zero-torque run's wearer pulses
+    move the leg before the trigger."""
     from exorecover import simulation
 
     real = run_scenario(config)
-    monkeypatch.setattr(simulation, "Plant", _AlwaysIntegrating)
-    # run_scenario's standing loop, which skips Plant.step, is replaced by
-    # one that runs no tick, so every tick goes through the oracle's step.
+    # run_scenario's standing loop, which does not integrate a leg at rest,
+    # is replaced by one that runs no tick, so every tick goes through
+    # Plant.step.
     monkeypatch.setattr(simulation, "_run_standing", lambda plant, controller, k, *args: (k, None))
     oracle, counts = run_counting_plant_steps(monkeypatch, config)
     ticks = len(oracle.t)
@@ -900,17 +889,25 @@ def test_rest_rule_matches_integrating_every_tick(monkeypatch, config):
 
 
 def test_rest_rule_turns_a_negative_zero_angle_positive_as_rk4_does():
-    """No scenario plants the leg at a ``-0.0`` angle, so the plants are
-    stepped directly: both leave ``(0.0, 5e-324, -0.3)`` at rest."""
+    """No scenario plants the leg at a ``-0.0`` angle, so one standing-loop
+    tick, which does not integrate the leg at rest, and one ``Plant.step``,
+    which does, are run directly: both leave ``(0.0, 5e-324, -0.3)`` at rest."""
+    from exorecover import simulation
     from exorecover.simulation import _REST, Command
 
-    states = []
-    for cls in (Plant, _AlwaysIntegrating):
-        plant = cls(ScenarioConfig(), [], 1)
+    config, states = ScenarioConfig(), []
+    for in_loop in (True, False):
+        plant = Plant(config, [], 1)
+        controller = Controller(config, [], plant.q)
         plant.q = (-0.0, 5e-324, -0.3)
-        plant.step(Command((0.0, 0.0), _REST, None, None, False), 0.0)
+        if in_loop:
+            assert simulation._run_standing(plant, controller, 0, 1,
+                                            memoryview(np.zeros((1, 21))).cast("B"), []) == (1, None)
+            assert plant.qd is _REST
+        else:
+            plant.step(Command((0.0, 0.0), _REST, None, None, False), 0.0)
+            assert plant.qd is not _REST
         states.append(np.array([plant.q, plant.qd, plant.tau]).tobytes())
-    assert plant.qd is not _REST
     assert states[0] == states[1] == np.array([(0.0, 5e-324, -0.3), _REST, _REST]).tobytes()
 
 
@@ -954,7 +951,7 @@ def test_noisy_readings_match_per_tick_draws(monkeypatch):
 
     rng = np.random.default_rng(config.seed)
     std = config.attitude_noise_deg * math.pi / 180.0
-    L, omega = config.com_height, config.lipm_params().omega
+    L, omega = config.com_height, config.omega
     lim = 0.5 * math.pi - 1e-9
     for com, vel, anchor, com_hat, xi_hat in readings:
         scaled = np.clip((np.array(com) - anchor) / L, -1.0 + 1e-12, 1.0 - 1e-12)
@@ -997,20 +994,18 @@ def test_inclinometer_saturates_at_the_edge_of_its_range(monkeypatch):
 def test_control_loop_checks_inputs_once(monkeypatch):
     """No per-tick call re-checks the loop's own vectors or builds an array.
 
-    Every ``exorecover`` binding of ``as_vec2`` and ``_as_vec3`` is
-    counted, and so is every ``numpy.array`` and ``numpy.asarray`` call.
-    The forward push is captured before 2 s, so a third second adds only
-    standing ticks and no ``as_vec2`` call; a whole run calls ``_as_vec3``
-    only to build its impedance gains; a longer nominal step adds swing
+    Every ``exorecover`` binding of ``as_vec2`` is counted, and so is every
+    ``numpy.array`` and ``numpy.asarray`` call.  The forward push is
+    captured before 2 s, so a third second adds only standing ticks and no
+    ``as_vec2`` call; a longer nominal step adds swing
     ticks, each one replanned, but no numpy array; and the lateral push's
     two steps build no ``NominalGait`` or ``StepBounds`` beyond the ones a
     run that never steps builds, so the trigger tick builds none.
     """
-    from exorecover.impedance import _as_vec3
     from exorecover.lipm import as_vec2
     from exorecover.planner import NominalGait, StepBounds
 
-    counts = {"as_vec2": 0, "_as_vec3": 0, "numpy": 0, "NominalGait": 0, "StepBounds": 0}
+    counts = {"as_vec2": 0, "numpy": 0, "NominalGait": 0, "StepBounds": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -1020,9 +1015,8 @@ def test_control_loop_checks_inputs_once(monkeypatch):
 
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "exorecover"]
     for module in modules:
-        for name, fn in (("as_vec2", as_vec2), ("_as_vec3", _as_vec3)):
-            if getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counting(name, fn))
+        if getattr(module, "as_vec2", None) is as_vec2:
+            monkeypatch.setattr(module, "as_vec2", counting("as_vec2", as_vec2))
     for name in ("array", "asarray"):
         monkeypatch.setattr(np, name, counting("numpy", getattr(np, name)))
     for cls in (NominalGait, StepBounds):  # every construction, replace() included
@@ -1037,13 +1031,11 @@ def test_control_loop_checks_inputs_once(monkeypatch):
     short, short_calls = calls(lambda: run_scenario(ScenarioConfig(pushes=push, duration=2.0)))
     config = ScenarioConfig(pushes=push, duration=3.0)
     _, long_calls = calls(lambda: run_scenario(config))
-    _, gain_calls = calls(lambda: ImpedanceGains.from_deg(config.stiffness_deg, config.damping))
     slow, slow_calls = calls(lambda: run_scenario(ScenarioConfig(pushes=push, duration=2.0,
                                                                  t_nom=0.6)))
 
     assert summarize(short).capture_time < 2.0
     assert long_calls["as_vec2"] == short_calls["as_vec2"]
-    assert long_calls["_as_vec3"] == gain_calls["_as_vec3"] > 0
     assert slow.phase.count("Swing") > short.phase.count("Swing") + 30
     assert summarize(slow).num_replans > summarize(short).num_replans
     assert slow_calls["numpy"] == short_calls["numpy"]
@@ -1195,7 +1187,7 @@ def test_trace_grid_and_dcm_consistency():
     assert len(trace.phase) == n
     assert np.array_equal(trace.t, np.arange(n) * cfg.dt)
     # The logged DCM is exactly com + vel / omega of the logged state.
-    omega = cfg.lipm_params().omega
+    omega = cfg.omega
     assert np.allclose(trace.xi, trace.com + trace.com_vel / omega, rtol=0.0, atol=1e-15)
 
 
