@@ -91,7 +91,7 @@ class BalanceDetector:
         self._last_time = -math.inf
 
     def rearm(self, center) -> None:
-        """Centre the sway region on ``center`` (the controller, on capture)."""
+        """Centre the sway region on ``center`` (the stance loop, on capture)."""
         self._cx, self._cy = as_vec2(center, "center")
 
     def _clock(self, t: float) -> float:

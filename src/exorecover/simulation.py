@@ -30,15 +30,10 @@ foot landed.
 Per cycle: scheduled pushes are applied, the DCM is estimated, the
 phase machine advances (trigger, replan, touchdown, capture, chain),
 desired torques are computed, one row is logged, and the pendulum and
-the joint plants integrate to the next tick.  Standing with no leg in
-flight (the detector ``Standing``, no leg swinging, no wearer pulse
-active, no push due), a tick does only the sensor read, the ankle
-clamp, the detector sample, the row, the pendulum step and the tracked
-leg's step under the idle torque (one RK4 step, or none while the leg
-has been at rest since the run began: RK4 would return its angles plus
-``0.0``), and ``run_scenario`` runs each stretch of such ticks in one
-inner loop on local variables, bit for bit as the general tick; a sample
-that fires the trigger is finished by the controller's own trigger
+the joint plants integrate to the next tick.  ``run_scenario`` runs each
+stretch of ticks with no leg in flight (the detector ``Standing``,
+``Landed`` or ``Captured``) in one inner loop on local variables; a tick
+there that plans a step is finished by the controller's trigger or chain
 code.  While a step is in flight the planner re-solves every
 cycle over the shrunk duration window; when the plan moves materially
 the swing trajectory is respliced in place.  After touchdown the stance CoP is the measured DCM
@@ -109,9 +104,10 @@ MATERIAL_CHANGE = 1e-9
 Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
 
-#: Joint rates and torques of a leg at rest.  ``_run_standing`` tests the
-#: rates for this object with ``is`` and does not integrate a leg that holds
-#: it: a rate RK4 computed is a new tuple, even when zero.
+#: Joint rates and torques of a leg at rest, and the wearer torque when no
+#: pulse is active.  ``_run_stance`` tests the rates and the wearer torque
+#: for this object with ``is`` and does not integrate a leg whose rates and
+#: wearer torque are both it: a rate RK4 computed is a new tuple, even when zero.
 _REST = (0.0, 0.0, 0.0)
 
 #: What ``Measurement(...)`` and ``Command(...)`` call once their fields are
@@ -581,62 +577,22 @@ class Controller:
         self.foot_point = (*self.feet[RIGHT], 0.0)  # commanded swing-foot point
 
     def step(self, meas: Measurement, t: float) -> Command:
-        """Advance the phase machine and return this tick's CoP and torques."""
+        """Advance the step in flight, on a tick that starts in ``SteppingPlanned``
+        or ``Swing``, and return this tick's CoP and torques."""
         self.q, self.qd, self.tau = meas.q, meas.qd, meas.tau
-        lift, touchdown = None, False
-        xi_hat = meas.xi
-        phase = self.detector.phase
-
-        if phase is STANDING or phase is CAPTURED or phase is LANDED:
-            # Ankle strategy: hold the DCM with the CoP wherever the support
-            # box allows.  Each component is clipped as `lo if lo >= x else x`,
-            # then the same against `hi`, which is np.clip's result: a tie
-            # gives the bound and a NaN stays NaN.  min(max(x, lo), hi) keeps
-            # -0.0 against a bound of 0.0 where np.clip returns the bound, and
-            # the two print differently.
-            (x, y), (lo_x, hi_x, lo_y, hi_y) = xi_hat, self.support_box
-            x = lo_x if lo_x >= x else x
-            y = lo_y if lo_y >= y else y
-            cop = self.cop = (hi_x if hi_x <= x else x, hi_y if hi_y <= y else y)
-
-            if phase is STANDING:
-                excursion = self.detector.update(xi_hat, t)
-                if excursion is not None:
-                    return self._trigger(meas, t, excursion)
-
-            elif phase is CAPTURED:
-                # Re-arm around the new stance point so a later push can
-                # trigger a fresh episode.
-                self.detector.rearm(cop)
-                self.detector.advance(STANDING, t)
-
-            else:  # LANDED
-                dx, dy = xi_hat[0] - cop[0], xi_hat[1] - cop[1]
-                offset = math.sqrt(dx * dx + dy * dy)
-                if self.detector.update_landing(offset, t):
-                    self.events.append(Event(t, "Captured", {
-                        "xi": list(xi_hat), "cop": list(cop), "offset": offset,
-                    }))
-                    self.episode = None
-                elif offset > self.config.chain_offset:
-                    # The new foot cannot hold the DCM: chain another step
-                    # with the trailing foot.
-                    trailing = RIGHT if self.episode.swing is LEFT else LEFT
-                    self.detector.advance(STEPPING_PLANNED, t)
-                    lift = self._begin_episode(t, meas, forced_swing=trailing)
-
-        elif self.episode is None:
+        touchdown = False
+        if self.episode is None:
             # After a StepAborted the phase stays in SteppingPlanned or Swing
             # with no step in flight, and nothing is done (ROADMAP item 8).
             pass
 
-        elif phase is STEPPING_PLANNED:
+        elif self.detector.phase is STEPPING_PLANNED:
             self.detector.advance(SWING, t)
 
         else:  # SWING
             touchdown = self._swing(t, meas)
 
-        return self._command(meas, t, lift, touchdown)
+        return self._command(meas, t, None, touchdown)
 
     def _trigger(self, meas: Measurement, t: float, excursion: float) -> Command:
         """Finish the tick whose DCM sample fired the detector with
@@ -644,6 +600,14 @@ class Controller:
         return the tick's command."""
         self.events.append(Event(t, "BalanceLost", {"xi": list(meas.xi), "excursion": excursion}))
         return self._command(meas, t, self._begin_episode(t, meas), False)
+
+    def _chain(self, meas: Measurement, t: float) -> Command:
+        """Finish the ``Landed`` tick whose DCM is too far from the new
+        foot's CoP to hold: plan and lift another step with the trailing
+        foot, and return the tick's command."""
+        trailing = RIGHT if self.episode.swing is LEFT else LEFT
+        self.detector.advance(STEPPING_PLANNED, t)
+        return self._command(meas, t, self._begin_episode(t, meas, forced_swing=trailing), False)
 
     def _command(self, meas: Measurement, t: float, lift: Vec3 | None, touchdown: bool) -> Command:
         """The tick's command: the idle ``_REST`` torque and no swing leg,
@@ -825,13 +789,35 @@ class Plant:
         self.q = config.standing_pose()
         self.qd, self.tau = _REST, _REST
 
-    def measure(self, t: float) -> Measurement:
-        """Apply the pushes due at ``t``, then read the sensors."""
+    def apply_pushes(self, t: float) -> float:
+        """Apply the pushes due at tick time ``t`` to the CoM velocity, each
+        logged as ``PushApplied``; returns the time of the next push, ``inf``
+        when none is left."""
         while self.pushes and self.pushes[0].time <= t + 1e-12:
             push = self.pushes.pop(0)
             self.vel = apply_impulse(self.vel, push.impulse, self.mass)
             self.events.append(Event(t, "PushApplied", {"impulse": list(push.impulse)}))
+        return self.pushes[0].time if self.pushes else math.inf
 
+    def wearer_torque(self, t: float) -> tuple[Vec3, float]:
+        """The wearer's torque per joint at tick time ``t``, the sum of the
+        pulses active then (``_REST`` when none is), and the first time
+        after ``t`` at which a pulse starts or ends, ``inf`` if none does."""
+        human, change = _REST, math.inf
+        for pulse in self.human_pulses:
+            if t < pulse.start:
+                change = pulse.start if pulse.start < change else change
+            elif t < pulse.end:
+                if human is _REST:
+                    human = [0.0, 0.0, 0.0]
+                human[pulse.joint] += pulse.torque
+                change = pulse.end if pulse.end < change else change
+        return human, change
+
+    def measure(self, t: float) -> Measurement:
+        """Apply the pushes due at ``t``, then read the sensors."""
+        if self.pushes:
+            self.apply_pushes(t)
         com_x, com_y = _sensed_com(self.com, self.anchor, self.com_height, self.noise)
         foot = None
         geom = self.swing
@@ -853,57 +839,38 @@ class Plant:
         self.swing = command.swing
         dt = self.dt
         self.com, self.vel = step_lipm(self.com, self.vel, command.cop, self.omega, dt)
-        human = _REST  # wearer torque per joint, summed only if a pulse is configured
-        if self.human_pulses:
-            human = [0.0, 0.0, 0.0]
-            for pulse in self.human_pulses:
-                if pulse.start <= t < pulse.end:
-                    human[pulse.joint] += pulse.torque
+        human = self.wearer_torque(t)[0] if self.human_pulses else _REST
         torque = command.torque
         self.q, self.qd = joint_plant_step(self.q, self.qd, torque, human, self.inertia,
                                            self.viscous_damping, dt)
         self.tau = torque
 
 
-def _disturbed(plant: Plant, t: float) -> bool:
-    """Whether a push is due at tick time ``t`` or a wearer pulse is active
-    then, as ``Plant.measure`` and ``Plant.step`` test them."""
-    if plant.pushes and plant.pushes[0].time <= t + 1e-12:
-        return True
-    for pulse in plant.human_pulses:
-        if pulse.start <= t < pulse.end:
-            return True
-    return False
+def _run_stance(plant: Plant, controller: Controller, k: int, n_rows: int, rows,
+                log_phase: list[str]) -> tuple[int, Command | None]:
+    """Run the ticks from tick ``k`` on locals while no leg is in flight;
+    return the first tick not finished here and, if it plans a step, its
+    command.
 
-
-def _run_standing(plant: Plant, controller: Controller, k: int, n_rows: int, rows,
-                  log_phase: list[str]) -> tuple[int, Command | None]:
-    """Run the standing ticks from tick ``k`` on locals; return the first
-    tick not finished here and, if the trigger fired in it, its command.
-
-    The caller has checked that the detector is ``Standing``, that no leg
-    swings and that tick ``k`` has no push due and no wearer pulse active.
-    A tick runs here while that holds: it reads :func:`_sensed_com`,
-    clamps the CoP into the support box, feeds ``BalanceDetector.update``,
-    logs its row, steps the pendulum and steps the tracked leg under the
-    idle ``_REST`` torque, with the values ``Plant.measure``,
-    ``Controller.step``, ``run_scenario``'s row and ``Plant.step`` give
-    such a tick.  The leg is stepped by ``joint_plant_step``, unless its
-    rates are still the ``_REST`` object (no tick has integrated it since
-    the run began): RK4 on zero rates and torques returns ``(q + 0.0,
-    0.0)`` per joint, bit for bit, so such a leg keeps ``q + 0.0``.  Plant
-    and controller state are read into locals here and written back on
-    the way out.  A tick whose sample fires the trigger is finished by
-    ``Controller._trigger``, and the caller logs and integrates its command.
+    The caller has checked that the detector is ``Standing``, ``Landed``
+    or ``Captured``.  A tick here gives the values ``Plant.measure``, the
+    phase machine, ``run_scenario``'s row and ``Plant.step`` give it: it
+    applies the pushes due, reads :func:`_sensed_com`, clamps the CoP into
+    the support box, samples the phase machine (``BalanceDetector.update``
+    while ``Standing``; while ``Landed``, ``update_landing`` of the DCM's
+    offset from the CoP, which may declare the capture; a ``Captured`` tick
+    re-arms the detector and stands), logs its row and steps the pendulum
+    and the tracked leg under the idle ``_REST`` torque and the wearer's.
+    The pushes and the wearer torque are read again only when a push is
+    due or a pulse starts or ends.  A leg whose rates are still the
+    ``_REST`` object (never integrated since the run began) under a
+    ``_REST`` wearer torque is not stepped: RK4 would return ``(q + 0.0,
+    0.0)`` per joint, bit for bit.  A ``Standing`` tick that fires the
+    trigger is finished by ``Controller._trigger``, a ``Landed`` tick whose
+    offset exceeds ``chain_offset`` by ``Controller._chain``, and the
+    caller logs and integrates its command.
     """
-    meas = seen_q = seen_qd = seen_tau = None
-    t0 = k * plant.dt
-    # No pulse is active before the first start among the pulses not yet over.
-    pulse_at = math.inf
-    for pulse in plant.human_pulses:
-        if pulse.end > t0 and pulse.start < pulse_at:
-            pulse_at = pulse.start
-    push_at = plant.pushes[0].time if plant.pushes else math.inf
+    detector, events, chain_offset = controller.detector, controller.events, controller.config.chain_offset
     L, omega, dt, noise = plant.com_height, plant.omega, plant.dt, plant.noise
     leg, inertia, viscous = joint_plant_step, plant.inertia, plant.viscous_damping
     com, vel, anchor, q, qd, tau = plant.com, plant.vel, plant.anchor, plant.q, plant.qd, plant.tau
@@ -911,51 +878,77 @@ def _run_standing(plant: Plant, controller: Controller, k: int, n_rows: int, row
     rest_q = (q0 + 0.0, q1 + 0.0, q2 + 0.0)  # RK4's angles for a leg at rest
     lo_x, hi_x, lo_y, hi_y = controller.support_box
     legs = (*controller.foot_point, *controller.q_des)  # the row's foot and desired angles
-    sense, update, step, pack = _sensed_com, controller.detector.update, step_lipm, _ROW.pack_into
-    standing, log = STANDING._value_, log_phase.append
+    sense, update, step, pack, log = _sensed_com, detector.update, step_lipm, _ROW.pack_into, log_phase.append
+    # The phase as the text its rows log, tested with `is`; only the Landed
+    # and Captured branches change it.
+    standing, landed, phase = STANDING._value_, LANDED._value_, detector.phase._value_
+    push_at = change_at = -math.inf  # so the first tick reads the pushes and the wearer torque
     while k < n_rows:
         t = k * dt
-        if t >= pulse_at or push_at <= t + 1e-12:
-            break
+        if t >= change_at or push_at <= t + 1e-12:
+            plant.vel = vel
+            push_at = plant.apply_pushes(t)
+            vel = plant.vel
+            human, change_at = plant.wearer_torque(t)
+            resting = qd is _REST and human is _REST
         hx, hy = sense(com, anchor, L, noise)
         (x, y), (vx, vy) = com, vel
         wx, wy = vx / omega, vy / omega
         xi_x, xi_y = xi_hat = (hx + wx, hy + wy)
-        # Controller.step's ankle clamp.
+        # Ankle strategy: hold the DCM with the CoP wherever the support box
+        # allows.  Each component is clipped as `lo if lo >= x else x`, then
+        # the same against `hi`, which is np.clip's result: a tie gives the
+        # bound and a NaN stays NaN.  min(max(x, lo), hi) keeps -0.0 against
+        # a bound of 0.0 where np.clip returns the bound, and the two print
+        # differently.
         cx = lo_x if lo_x >= xi_x else xi_x
         cy = lo_y if lo_y >= xi_y else xi_y
         cop = (hi_x if hi_x <= cx else cx, hi_y if hi_y <= cy else cy)
         seen_q, seen_qd, seen_tau = q, qd, tau
-        excursion = update(xi_hat, t)
-        if excursion is not None:
-            meas = _new(Measurement, ((hx, hy), xi_hat, q, qd, tau, None))
-            break
+        if phase is standing:
+            excursion = update(xi_hat, t)
+            if excursion is not None:
+                break
+        elif phase is landed:
+            dx, dy = xi_x - cop[0], xi_y - cop[1]
+            offset = math.sqrt(dx * dx + dy * dy)
+            if detector.update_landing(offset, t):
+                events.append(Event(t, "Captured", {"xi": list(xi_hat), "cop": list(cop), "offset": offset}))
+                controller.episode = None
+                phase = CAPTURED._value_
+            elif offset > chain_offset:
+                break  # the new foot cannot hold the DCM
+        else:  # Captured: re-arm around the new stance point for a later push
+            detector.rearm(cop)
+            detector.advance(STANDING, t)
+            phase = standing
         pack(rows, 168 * k, t, x, y, vx, vy, x + wx, y + wy, *cop, *legs, *q, *_REST)
-        log(standing)
+        log(phase)
         com, vel = step(com, vel, cop, omega, dt)
-        if qd is _REST:
+        if resting:
             q = rest_q
         else:
-            q, qd = leg(q, qd, _REST, _REST, inertia, viscous, dt)
+            q, qd = leg(q, qd, _REST, human, inertia, viscous, dt)
         tau = _REST
         k += 1
     plant.com, plant.vel, plant.q, plant.qd, plant.tau = com, vel, q, qd, tau
-    if seen_q is not None:  # the controller's state is that of the last tick it saw here
-        controller.q, controller.qd, controller.tau, controller.cop = seen_q, seen_qd, seen_tau, cop
-    if meas is None:
+    # The controller's state is that of the last tick it saw here.
+    controller.q, controller.qd, controller.tau, controller.cop = seen_q, seen_qd, seen_tau, cop
+    if k == n_rows:
         return k, None
-    return k, controller._trigger(meas, t, excursion)
+    meas = _new(Measurement, ((hx, hy), xi_hat, q, qd, tau, None))
+    if phase is standing:
+        return k, controller._trigger(meas, t, excursion)
+    return k, controller._chain(meas, t)
 
 
 def run_scenario(config: ScenarioConfig) -> SimTrace:
     """Run one scenario to completion and return the dense trace.
 
-    Each tick is ``Plant.measure``, ``Controller.step``, one log row and
-    ``Plant.step``, except while standing with no leg in flight: a stretch
-    of ticks in which the detector is ``Standing``, no leg swings, no
-    wearer pulse is active and no push is due runs in one inner loop on
-    locals (``_run_standing``), whether the tracked leg rests or moves,
-    with the same values bit for bit.
+    Each stretch of ticks with no leg in flight runs in :func:`_run_stance`,
+    which hands a tick that plans a step back here for its row and
+    ``Plant.step``; any other tick is ``Plant.measure``, ``Controller.step``,
+    one log row and ``Plant.step``.
     """
     config.validate()
     n_rows = int(round(config.duration / config.dt))
@@ -971,14 +964,14 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     log_phase: list[str] = []
     k = 0
     while k < n_rows:
-        t = k * dt
-        command = None
-        if detector.phase is STANDING and plant.swing is None and not _disturbed(plant, t):
-            k, command = _run_standing(plant, controller, k, n_rows, rows, log_phase)
-            if k == n_rows:
+        phase = detector.phase
+        if phase is STANDING or phase is LANDED or phase is CAPTURED:
+            k, command = _run_stance(plant, controller, k, n_rows, rows, log_phase)
+            if command is None:  # the run ended in the loop
                 break
             t = k * dt
-        if command is None:
+        else:
+            t = k * dt
             command = control(measure(t), t)
         (x, y), (vx, vy) = plant.com, plant.vel
         pack(rows, 168 * k, t, x, y, vx, vy, x + vx / omega, y + vy / omega, *command.cop,

